@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .scalars import I, QQi
+from .scalars import I, QQi, _acc
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -124,19 +124,6 @@ def merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
     out.extend(a[i:])
     out.extend(b[j:])
     return (-1 if inversions & 1 else 1), tuple(out)
-
-
-def _acc(terms: dict, key, val: QQi):
-    cur = terms.get(key)
-    if cur is None:
-        if not val.is_zero():
-            terms[key] = val
-    else:
-        s = cur + val
-        if s.is_zero():
-            del terms[key]
-        else:
-            terms[key] = s
 
 
 class SuperPolynomial:
@@ -302,8 +289,13 @@ class SuperPolynomial:
 
     # -- derivations -----------------------------------------------------
 
-    def d_upper(self, i: int) -> "SuperPolynomial":
-        """The derivation with d_upper(x_j) = delta_ij, acting from the left."""
+    def d_upper(self, i: int, rate=0) -> "SuperPolynomial":
+        """The derivation with d_upper(x_j) = delta_ij, acting from the left.
+
+        A nonzero rate c conjugates by exp(-c x_0): the index-0 derivation
+        becomes d_upper(0) - c."""
+        if rate and i == 0:
+            return self.d_upper(0) - self.scale(rate)
         sig = self.sig
         out: dict[MonKey, QQi] = {}
         if i < sig.m:
@@ -323,8 +315,10 @@ class SuperPolynomial:
         p.sig, p.terms = sig, out
         return p
 
-    def d_lower(self, j: int) -> "SuperPolynomial":
-        """Metric-lowered derivation: sum_i d_upper(i) * beta[j][i]."""
+    def d_lower(self, j: int, rate=0) -> "SuperPolynomial":
+        """Metric-lowered derivation: sum_i d_upper(i, rate) * beta[j][i]."""
+        if rate and self.sig.beta[j][0]:
+            return self.d_lower(j) - self.scale(QQi.coerce(rate) * self.sig.beta[j][0])
         out = SuperPolynomial.zero(self.sig)
         for i, b in self.sig.beta_rows[j]:
             out = out + self.d_upper(i).scale(b)
@@ -394,34 +388,37 @@ def r2_small(sig: Signature) -> SuperPolynomial:
 @lru_cache(maxsize=None)
 def theta2(sig: Signature) -> SuperPolynomial:
     """Odd part of r^2: sum over odd indices of beta^{ij} x_i x_j."""
-    out: dict[MonKey, QQi] = {}
-    zero_ev = (0,) * sig.m
-    for i, j, b in sig.beta_inv_pairs:
-        if i < sig.m or j < sig.m or i == j:
-            continue
-        sign = 1 if i < j else -1
-        _acc(out, (zero_ev, (min(i, j), max(i, j))), b * sign)
-    return SuperPolynomial(sig, out)
+    return SuperPolynomial(sig, {k: c for k, c in R2(sig).terms.items() if k[1]})
 
 
 # -- operators ---------------------------------------------------------------
+#
+# Each operator takes a rate c, default 0.  A nonzero rate gives the operator
+# conjugated by exp(-c x_0), i.e. its action on q through q exp(-c x_0); it is
+# the plain operator plus closed-form correction terms at index 0.
 
 
-def euler(p: SuperPolynomial) -> SuperPolynomial:
+def euler(p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """Euler operator; multiplies each homogeneous term by its degree."""
     out = {}
     for key, c in p.terms.items():
         k = sum(key[0]) + len(key[1])
         if k:
             out[key] = c * k
-    return SuperPolynomial(p.sig, out)
+    out = SuperPolynomial(p.sig, out)
+    if rate:
+        out = out - p.mul_var(0).scale(rate)
+    return out
 
 
-def laplacian(p: SuperPolynomial) -> SuperPolynomial:
+def laplacian(p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """Metric Laplacian sum_i d_lower(i) d_upper(i)."""
     out = SuperPolynomial.zero(p.sig)
     for i in range(p.sig.nvars):
         out = out + p.d_upper(i).d_lower(i)
+    if rate:
+        c = QQi.coerce(rate)
+        out = out - p.d_lower(0).scale(c + c) + p.scale(c * c * p.sig.beta[0][0])
     return out
 
 
@@ -430,28 +427,28 @@ def sl2_ops(p: SuperPolynomial):
     return R2(p.sig) * p, euler(p), laplacian(p)
 
 
-def angular_L(i: int, j: int, p: SuperPolynomial) -> SuperPolynomial:
+def angular_L(i: int, j: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """L_ij = x_i d_lower(j) - (-1)^{|i||j|} x_j d_lower(i)."""
     sig = p.sig
     if i == j and sig.parity(i) == 0:
         raise ValueError("L_ii is only defined for odd indices")
-    left = p.d_lower(j).mul_var(i)
-    right = p.d_lower(i).mul_var(j)
+    left = p.d_lower(j, rate).mul_var(i)
+    right = p.d_lower(i, rate).mul_var(j)
     if sig.parity(i) and sig.parity(j):
         return left + right
     return left - right
 
 
-def bessel(lam, k: int, p: SuperPolynomial) -> SuperPolynomial:
+def bessel(lam, k: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """Bessel operator ((-lambda + 2E) d_lower(k) - x_k Delta) p."""
     lam = QQi.coerce(lam)
-    t = p.d_lower(k)
-    return t.scale(-lam) + euler(t).scale(2) - laplacian(p).mul_var(k)
+    t = p.d_lower(k, rate)
+    return t.scale(-lam) + euler(t, rate).scale(2) - laplacian(p, rate).mul_var(k)
 
 
-def bessel_modified(k: int, p: SuperPolynomial) -> SuperPolynomial:
+def bessel_modified(k: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """Tangential-parameter Bessel operator with the sign flipped at index 0."""
-    res = bessel(QQi(2 - p.sig.M), k, p)
+    res = bessel(QQi(2 - p.sig.M), k, p, rate)
     return -res if k == 0 else res
 
 

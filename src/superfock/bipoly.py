@@ -1,311 +1,172 @@
-"""Polynomials in two super-variable sets with a total Z2-grading.
+"""Polynomials in two super-variable sets, as polynomials on a joined alphabet.
 
-Terms are keyed by a pair of monomials, canonically ordered with the left
-alphabet in front.  Moving an odd right-variable past an odd left-variable
-costs a sign, which shows up in the mixed product and whenever an odd
-operator on the right slot crosses the left monomial.
+A bi-polynomial in (x|z) is a plain ``SuperPolynomial`` on the doubled
+signature ``bi_signature(left, right)``.  Its variables are ordered left even,
+right even, left odd, right odd, and its metric is block diagonal.  Even
+variables commute past everything, so the canonical order of a joined
+monomial is the left monomial followed by the right one, and the sign of an
+odd right-slot variable crossing the odd left variables is the position sign
+that ``SuperPolynomial`` already counts.  Products and the derivations and
+multiplications of either slot are therefore the ``SuperPolynomial`` ones at
+the slot's joined indices (``BiSignature.slots``).  Only the slot Bessel operator, the
+reduction of one slot modulo its R^2, and the slot degree bookkeeping need
+the split.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import MonKey, Signature, SuperPolynomial, merge_odd
-from .scalars import QQi
+from .algebra import MonKey, Signature, SuperPolynomial
+from .scalars import QQi, _acc
 
-BiKey = tuple[MonKey, MonKey]
-
-
-def _acc(out: dict, key, val: QQi):
-    cur = out.get(key)
-    if cur is None:
-        if not val.is_zero():
-            out[key] = val
-    else:
-        s = cur + val
-        if s.is_zero():
-            del out[key]
-        else:
-            out[key] = s
+LEFT, RIGHT = 0, 1
 
 
-class BiSuperPolynomial:
-    __slots__ = ("sig_left", "sig_right", "terms")
+class BiSignature(Signature):
+    """The joined alphabet of two signatures, remembering each slot."""
 
-    def __init__(self, sig_left: Signature, sig_right: Signature, terms=None):
-        self.sig_left = sig_left
-        self.sig_right = sig_right
-        self.terms: dict[BiKey, QQi] = {}
-        if terms:
-            for k, c in terms.items():
-                c = QQi.coerce(c)
-                if not c.is_zero():
-                    self.terms[k] = c
+    __slots__ = ("slots", "halves", "_odd_split")
 
-    # -- constructors ------------------------------------------------------
+    def __init__(self, left: Signature, right: Signature):
+        ml, mr, cut = left.m, right.m, left.m + right.m + 2 * left.n
+        self.halves = (left, right)
+        self.slots = (tuple(range(ml)) + tuple(range(ml + mr, cut)),
+                      tuple(range(ml, ml + mr)) + tuple(range(cut, cut + 2 * right.n)))
+        self._odd_split = cut  # first joined index of a right odd variable
+        size = left.nvars + right.nvars
+        beta = [[QQi(0)] * size for _ in range(size)]
+        for sig, idx in zip(self.halves, self.slots):
+            for i in range(sig.nvars):
+                for j in range(sig.nvars):
+                    beta[idx[i]][idx[j]] = sig.beta[i][j]
+        super().__init__(ml + mr, left.n + right.n, left.varset,
+                         tuple(tuple(r) for r in beta))
 
-    @classmethod
-    def zero(cls, sig_left, sig_right):
-        return cls(sig_left, sig_right)
+    def split(self, key: MonKey) -> tuple[MonKey, MonKey]:
+        """The (left, right) monomial keys of a joined key."""
+        ev, odd = key
+        ml, mr = self.halves[LEFT].m, self.halves[RIGHT].m
+        cut = self._odd_split
+        return ((ev[:ml], tuple(o - mr for o in odd if o < cut)),
+                (ev[ml:], tuple(o - cut + mr for o in odd if o >= cut)))
 
-    @classmethod
-    def one(cls, sig_left, sig_right):
-        key = (((0,) * sig_left.m, ()), ((0,) * sig_right.m, ()))
-        return cls(sig_left, sig_right, {key: QQi(1)})
+    def join(self, lkey: MonKey, rkey: MonKey) -> MonKey:
+        """The joined key of the product (left monomial)(right monomial)."""
+        mr = self.halves[RIGHT].m
+        shift = self._odd_split - mr
+        return (lkey[0] + rkey[0],
+                tuple(o + mr for o in lkey[1]) + tuple(o + shift for o in rkey[1]))
 
-    @classmethod
-    def from_left(cls, p: SuperPolynomial, sig_right):
-        empty = ((0,) * sig_right.m, ())
-        return cls(p.sig, sig_right, {(k, empty): c for k, c in p.terms.items()})
+    def slot_degree(self, key: MonKey, slot: int) -> int:
+        """Degree of a joined key in one slot's variables."""
+        ev, odd = key
+        ml, cut = self.halves[LEFT].m, self._odd_split
+        if slot == LEFT:
+            return sum(ev[:ml]) + sum(1 for o in odd if o < cut)
+        return sum(ev[ml:]) + sum(1 for o in odd if o >= cut)
 
-    @classmethod
-    def from_right(cls, sig_left, p: SuperPolynomial):
-        empty = ((0,) * sig_left.m, ())
-        return cls(sig_left, p.sig, {(empty, k): c for k, c in p.terms.items()})
+    def var_name(self, i: int) -> str:
+        for sig, idx in zip(self.halves, self.slots):
+            if i in idx:
+                return sig.var_name(idx.index(i))
+        raise IndexError(i)
 
-    # -- ring structure ------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, BiSignature)
+                                 and self.halves == other.halves)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return BiSuperPolynomial(self.sig_left, self.sig_right, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = QQi.coerce(c)
-        return BiSuperPolynomial(self.sig_left, self.sig_right,
-                                 {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "BiSuperPolynomial") -> "BiSuperPolynomial":
-        out: dict = {}
-        for ((l1, r1)), c1 in self.terms.items():
-            pr1 = len(r1[1]) & 1
-            for ((l2, r2)), c2 in other.terms.items():
-                # move the odd part of l2 across the odd part of r1
-                cross = -1 if (pr1 and (len(l2[1]) & 1)) else 1
-                ml = merge_odd(l1[1], l2[1])
-                if ml is None:
-                    continue
-                mr = merge_odd(r1[1], r2[1])
-                if mr is None:
-                    continue
-                sl, lodd = ml
-                sr, rodd = mr
-                lev = tuple(a + b for a, b in zip(l1[0], l2[0]))
-                rev = tuple(a + b for a, b in zip(r1[0], r2[0]))
-                _acc(out, ((lev, lodd), (rev, rodd)), c1 * c2 * (cross * sl * sr))
-        return BiSuperPolynomial(self.sig_left, self.sig_right, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, BiSuperPolynomial) and self.terms == other.terms
-                and self.sig_left == other.sig_left and self.sig_right == other.sig_right)
-
-    # -- degree bookkeeping ----------------------------------------------
-
-    def right_degree_part(self, d: int) -> "BiSuperPolynomial":
-        return BiSuperPolynomial(
-            self.sig_left, self.sig_right,
-            {k: c for k, c in self.terms.items() if sum(k[1][0]) + len(k[1][1]) == d})
-
-    def max_right_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(k[1][0]) + len(k[1][1]) for k in self.terms)
-
-    def extract_right_constant(self) -> SuperPolynomial:
-        """Terms with empty right monomial, as a left-algebra polynomial."""
-        empty = ((0,) * self.sig_right.m, ())
-        return SuperPolynomial(self.sig_left,
-                               {l: c for (l, r), c in self.terms.items() if r == empty})
-
-    def extract_left_constant(self) -> SuperPolynomial:
-        empty = ((0,) * self.sig_left.m, ())
-        return SuperPolynomial(self.sig_right,
-                               {r: c for (l, r), c in self.terms.items() if l == empty})
-
-    # -- operators on the right slot (graded across the left monomial) -----
-
-    def d_upper_right(self, i: int) -> "BiSuperPolynomial":
-        sig = self.sig_right
-        odd_op = sig.parity(i)
-        out: dict = {}
-        for (l, (ev, odd)), c in self.terms.items():
-            if odd_op and (len(l[1]) & 1):
-                c = -c
-            if i < sig.m:
-                e = ev[i]
-                if e:
-                    _acc(out, (l, (ev[:i] + (e - 1,) + ev[i + 1:], odd)), c * e)
-            elif i in odd:
-                pos = odd.index(i)
-                _acc(out, (l, (ev, odd[:pos] + odd[pos + 1:])), -c if pos & 1 else c)
-        return BiSuperPolynomial(self.sig_left, sig, out)
-
-    def d_lower_right(self, j: int) -> "BiSuperPolynomial":
-        out = BiSuperPolynomial.zero(self.sig_left, self.sig_right)
-        for i, b in self.sig_right.beta_rows[j]:
-            out = out + self.d_upper_right(i).scale(b)
-        return out
-
-    def mul_var_right(self, i: int) -> "BiSuperPolynomial":
-        sig = self.sig_right
-        odd_op = sig.parity(i)
-        out: dict = {}
-        for (l, (ev, odd)), c in self.terms.items():
-            if odd_op and (len(l[1]) & 1):
-                c = -c
-            if i < sig.m:
-                _acc(out, (l, (ev[:i] + (ev[i] + 1,) + ev[i + 1:], odd)), c)
-            else:
-                if i in odd:
-                    continue
-                pos = sum(1 for o in odd if o < i)
-                _acc(out, (l, (ev, tuple(sorted(odd + (i,))))), -c if pos & 1 else c)
-        return BiSuperPolynomial(self.sig_left, sig, out)
-
-    def euler_right(self) -> "BiSuperPolynomial":
-        out: dict = {}
-        for (l, r), c in self.terms.items():
-            k = sum(r[0]) + len(r[1])
-            if k:
-                out[(l, r)] = c * k
-        return BiSuperPolynomial(self.sig_left, self.sig_right, out)
-
-    def laplacian_right(self) -> "BiSuperPolynomial":
-        out = BiSuperPolynomial.zero(self.sig_left, self.sig_right)
-        for i in range(self.sig_right.nvars):
-            out = out + self.d_upper_right(i).d_lower_right(i)
-        return out
-
-    def bessel_mod_right(self, k: int) -> "BiSuperPolynomial":
-        lam = QQi(2 - self.sig_right.M)
-        t = self.d_lower_right(k)
-        res = t.scale(-lam) + t.euler_right().scale(2) - self.laplacian_right().mul_var_right(k)
-        return res.scale(-1) if k == 0 else res
-
-    # -- operators on the left slot (leftmost, so no crossing signs) --------
-
-    def d_upper_left(self, i: int) -> "BiSuperPolynomial":
-        sig = self.sig_left
-        out: dict = {}
-        for ((ev, odd), r), c in self.terms.items():
-            if i < sig.m:
-                e = ev[i]
-                if e:
-                    _acc(out, ((ev[:i] + (e - 1,) + ev[i + 1:], odd), r), c * e)
-            elif i in odd:
-                pos = odd.index(i)
-                _acc(out, ((ev, odd[:pos] + odd[pos + 1:]), r), -c if pos & 1 else c)
-        return BiSuperPolynomial(sig, self.sig_right, out)
-
-    def d_lower_left(self, j: int) -> "BiSuperPolynomial":
-        out = BiSuperPolynomial.zero(self.sig_left, self.sig_right)
-        for i, b in self.sig_left.beta_rows[j]:
-            out = out + self.d_upper_left(i).scale(b)
-        return out
-
-    def mul_var_left(self, i: int) -> "BiSuperPolynomial":
-        sig = self.sig_left
-        out: dict = {}
-        for ((ev, odd), r), c in self.terms.items():
-            if i < sig.m:
-                _acc(out, ((ev[:i] + (ev[i] + 1,) + ev[i + 1:], odd), r), c)
-            else:
-                if i in odd:
-                    continue
-                pos = sum(1 for o in odd if o < i)
-                _acc(out, ((ev, tuple(sorted(odd + (i,)))), r), -c if pos & 1 else c)
-        return BiSuperPolynomial(sig, self.sig_right, out)
-
-    def euler_left(self) -> "BiSuperPolynomial":
-        out: dict = {}
-        for (l, r), c in self.terms.items():
-            k = sum(l[0]) + len(l[1])
-            if k:
-                out[(l, r)] = c * k
-        return BiSuperPolynomial(self.sig_left, self.sig_right, out)
-
-    def laplacian_left(self) -> "BiSuperPolynomial":
-        out = BiSuperPolynomial.zero(self.sig_left, self.sig_right)
-        for i in range(self.sig_left.nvars):
-            out = out + self.d_upper_left(i).d_lower_left(i)
-        return out
-
-    def bessel_mod_left(self, k: int) -> "BiSuperPolynomial":
-        lam = QQi(2 - self.sig_left.M)
-        t = self.d_lower_left(k)
-        res = t.scale(-lam) + t.euler_left().scale(2) - self.laplacian_left().mul_var_left(k)
-        return res.scale(-1) if k == 0 else res
-
-    def reduce_left(self) -> "BiSuperPolynomial":
-        """Normal form of the left slot modulo its R^2 ideal.
-
-        The substituted r^2 is even, so right-slot signs are unaffected."""
-        from .quotient import reduce_poly
-        out: dict = {}
-        for (l, r), c in self.terms.items():
-            if l[0][0] <= 1:
-                _acc(out, (l, r), c)
-                continue
-            red = reduce_poly(SuperPolynomial.monomial(self.sig_left, l))
-            for lkey, lc in red.terms.items():
-                _acc(out, (lkey, r), c * lc)
-        return BiSuperPolynomial(self.sig_left, self.sig_right, out)
-
-    def reduce_right(self) -> "BiSuperPolynomial":
-        """Normal form of the right slot modulo its R^2 ideal."""
-        from .quotient import reduce_poly
-        out: dict = {}
-        for (l, r), c in self.terms.items():
-            if r[0][0] <= 1:
-                _acc(out, (l, r), c)
-                continue
-            red = reduce_poly(SuperPolynomial.monomial(self.sig_right, r))
-            for rkey, rc in red.terms.items():
-                _acc(out, (l, rkey), c * rc)
-        return BiSuperPolynomial(self.sig_left, self.sig_right, out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (l, r) in sorted(self.terms):
-            c = self.terms[(l, r)]
-            lp = SuperPolynomial.monomial(self.sig_left, l)
-            rp = SuperPolynomial.monomial(self.sig_right, r)
-            parts.append(f"({c})*[{lp}]*[{rp}]")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def pairing(sig_left: Signature, sig_right: Signature) -> BiSuperPolynomial:
-    """The even pairing 2 x_0 z_0 + 2 sum_{i,j>=1} x_i beta^{ij} z_j."""
-    out: dict = {}
-    zl = (0,) * sig_left.m
-    zr = (0,) * sig_right.m
-
-    def mono(i, sig, base):
-        if i < sig.m:
-            return (base[:i] + (1,) + base[i + 1:], ())
-        return (base, (i,))
-
-    _acc(out, (mono(0, sig_left, zl), mono(0, sig_right, zr)), QQi(2))
-    for i, j, b in sig_left.beta_inv_pairs:
-        if i == 0 or j == 0:
-            continue
-        _acc(out, (mono(i, sig_left, zl), mono(j, sig_right, zr)), b + b)
-    return BiSuperPolynomial(sig_left, sig_right, out)
+    __hash__ = Signature.__hash__
 
 
 @lru_cache(maxsize=None)
-def pairing_power(sig_left: Signature, sig_right: Signature, k: int) -> BiSuperPolynomial:
+def bi_signature(left: Signature, right: Signature) -> BiSignature:
+    return BiSignature(left, right)
+
+
+def embed(p: SuperPolynomial, bsig: BiSignature, slot: int) -> SuperPolynomial:
+    """A polynomial on one slot's signature, as a bi-polynomial."""
+    halves = [((0,) * sig.m, ()) for sig in bsig.halves]
+    out = {}
+    for key, c in p.terms.items():
+        halves[slot] = key
+        out[bsig.join(*halves)] = c
+    return SuperPolynomial(bsig, out)
+
+
+def slot_degree_part(p: SuperPolynomial, slot: int, d: int) -> SuperPolynomial:
+    """Terms whose monomial in the given slot has degree d."""
+    degree = p.sig.slot_degree
+    return SuperPolynomial(p.sig, {k: c for k, c in p.terms.items() if degree(k, slot) == d})
+
+
+def slot_constant(p: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """Terms free of the slot's variables, as a polynomial on the other slot."""
+    bsig = p.sig
+    return SuperPolynomial(bsig.halves[1 - slot],
+                           {bsig.split(k)[1 - slot]: c for k, c in p.terms.items()
+                            if not bsig.slot_degree(k, slot)})
+
+
+def slot_euler(p: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """Euler operator of one slot: each term times its degree in that slot."""
+    degree = p.sig.slot_degree
+    out = {}
+    for key, c in p.terms.items():
+        k = degree(key, slot)
+        if k:
+            out[key] = c * k
+    return SuperPolynomial(p.sig, out)
+
+
+def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int) -> SuperPolynomial:
+    """``algebra.bessel_modified(k)`` on one slot, with lambda = 2 - M of that slot."""
+    a = p.sig.slots[slot][k]
+    lam = QQi(2 - p.sig.halves[slot].M)
+    laplacian = SuperPolynomial.zero(p.sig)
+    for b in p.sig.slots[slot]:
+        laplacian = laplacian + p.d_upper(b).d_lower(b)
+    t = p.d_lower(a)
+    res = t.scale(-lam) + slot_euler(t, slot).scale(2) - laplacian.mul_var(a)
+    return -res if k == 0 else res
+
+
+def reduce_slot(p: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """Normal form of one slot modulo its R^2 ideal.
+
+    The substituted r^2 is even, so the other slot's signs are unaffected."""
+    from .quotient import reduce_poly
+    bsig = p.sig
+    out: dict = {}
+    for key, c in p.terms.items():
+        halves = list(bsig.split(key))
+        if halves[slot][0][0] <= 1:
+            _acc(out, key, c)
+            continue
+        red = reduce_poly(SuperPolynomial.monomial(bsig.halves[slot], halves[slot]))
+        for skey, sc in red.terms.items():
+            halves[slot] = skey
+            _acc(out, bsig.join(*halves), c * sc)
+    return SuperPolynomial(bsig, out)
+
+
+def pairing(sig_left: Signature, sig_right: Signature) -> SuperPolynomial:
+    """The even pairing 2 x_0 z_0 + 2 sum_{i,j>=1} x_i beta^{ij} z_j."""
+    bsig = bi_signature(sig_left, sig_right)
+
+    def xz(i, j):
+        return (SuperPolynomial.variable(bsig, bsig.slots[LEFT][i])
+                * SuperPolynomial.variable(bsig, bsig.slots[RIGHT][j]))
+
+    out = xz(0, 0).scale(2)
+    for i, j, b in sig_left.beta_inv_pairs:
+        if i and j:
+            out = out + xz(i, j).scale(b + b)
+    return out
+
+
+@lru_cache(maxsize=None)
+def pairing_power(sig_left: Signature, sig_right: Signature, k: int) -> SuperPolynomial:
     if k == 0:
-        return BiSuperPolynomial.one(sig_left, sig_right)
+        return SuperPolynomial.one(bi_signature(sig_left, sig_right))
     return pairing_power(sig_left, sig_right, k - 1) * pairing(sig_left, sig_right)

@@ -56,12 +56,13 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
+    if (args.gamma or args.trace is not None) and cfg.M < 4:
+        print(f"the integral needs M >= 4; M = {cfg.M}", file=sys.stderr)
+        return 2
+
     if args.gamma:
         from .algebra import Signature
         from .integral import gamma_engine
-        if cfg.M < 4:
-            print(f"the integral needs M >= 4; M = {cfg.M}", file=sys.stderr)
-            return 2
         print(gamma_engine(Signature(cfg.m, cfg.n)))
         return 0
 
@@ -86,14 +87,29 @@ def main(argv=None) -> int:
         from .algebra import Signature, SuperPolynomial
         from .integral import integrate_w
         sig = Signature(cfg.m, cfg.n)
-        ev = tuple(int(t) for t in args.trace.split(","))
-        if len(ev) != cfg.m:
-            print(f"--trace needs {cfg.m} even exponents", file=sys.stderr)
+        try:
+            ev = tuple(int(t) for t in args.trace.split(","))
+            odd = [int(t) for t in args.trace_odd.split(",") if t]
+            rate = Fraction(args.rate)
+        except (ValueError, ZeroDivisionError) as exc:
+            print(f"invalid --trace, --trace-odd or --rate: {exc}", file=sys.stderr)
             return 2
-        odd = tuple(sig.m + int(t) - 1 for t in args.trace_odd.split(",") if t)
-        mono = SuperPolynomial.monomial(sig, (ev, odd))
+        if len(ev) != cfg.m or min(ev) < 0:
+            print(f"--trace needs {cfg.m} nonnegative even exponents", file=sys.stderr)
+            return 2
+        if any(not 1 <= t <= 2 * cfg.n for t in odd):
+            print(f"--trace-odd indices must lie in 1..{2 * cfg.n}", file=sys.stderr)
+            return 2
+        if rate <= 0:
+            print("--rate must be positive", file=sys.stderr)
+            return 2
+        # the product of the odd factors in the given order: the algebra
+        # supplies the reordering sign, and a repeated factor gives zero
+        mono = SuperPolynomial.monomial(sig, (ev, ()))
+        for t in odd:
+            mono = mono * SuperPolynomial.variable(sig, sig.m + t - 1)
         records: list = []
-        value = integrate_w((mono, Fraction(args.rate)), trace=records)
+        value = integrate_w((mono, rate), trace=records)
         print(json.dumps({"integrand": str(mono), "rate": args.rate,
                           "value": str(value), "terms": records}, indent=1))
         return 0

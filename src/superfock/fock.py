@@ -5,6 +5,11 @@ the variables of its first argument, applies the word to the coefficient
 conjugate of the second, and evaluates at zero.  A second, slower route via
 the degree-shift identity is kept as an independent oracle for the sign
 conventions.
+
+Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
+``bipoly``.  The complexified Schrodinger action is ``schrodinger.pi_table``
+at rate 0; the Fock action ``rho_apply`` keeps its own table, which
+``verify.check_rho_composition`` compares with the Cayley twist of the former.
 """
 
 from __future__ import annotations
@@ -13,12 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebra import (MonKey, Signature, SuperPolynomial, bessel_modified,
-                      euler)
-from .bipoly import BiSuperPolynomial, pairing_power
+from .algebra import (MonKey, Signature, SuperPolynomial, angular_L,
+                      bessel_modified, euler)
+from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, slot_bessel_mod,
+                     slot_constant)
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
 from .scalars import HALF, I, QQi, poch
+from .schrodinger import pi_table
 
 
 def _word_indices(key: MonKey) -> list[int]:
@@ -98,7 +105,7 @@ def kernel_coefficient(M: int, k: int) -> Fraction:
     return out / den
 
 
-def kernel(k: int, sig: Signature, sig_w: Signature | None = None) -> BiSuperPolynomial:
+def kernel(k: int, sig: Signature, sig_w: Signature | None = None) -> SuperPolynomial:
     """Degree-k reproducing kernel as a (z, w)-polynomial."""
     if sig_w is None:
         sig_w = Signature(sig.m, sig.n, varset="w", beta=sig.beta)
@@ -106,26 +113,26 @@ def kernel(k: int, sig: Signature, sig_w: Signature | None = None) -> BiSuperPol
     return pairing_power(sig, sig_w, k).scale(QQi.coerce(c))
 
 
-def kernel_sum(cap: int, sig: Signature, sig_w: Signature | None = None) -> BiSuperPolynomial:
+def kernel_sum(cap: int, sig: Signature, sig_w: Signature | None = None) -> SuperPolynomial:
     """Reproducing kernel summed over degrees 0..cap (the full kernel, truncated)."""
     if sig_w is None:
         sig_w = Signature(sig.m, sig.n, varset="w", beta=sig.beta)
-    out = BiSuperPolynomial.zero(sig, sig_w)
+    out = SuperPolynomial.zero(bi_signature(sig, sig_w))
     for k in range(cap + 1):
         out = out + kernel(k, sig, sig_w)
     return out
 
 
-def kernel_pair(p: SuperPolynomial, kern: BiSuperPolynomial) -> SuperPolynomial:
+def kernel_pair(p: SuperPolynomial, kern: SuperPolynomial) -> SuperPolynomial:
     """<p, K(., w)> in the first slot; returns a polynomial in w."""
-    total = SuperPolynomial.zero(kern.sig_right)
+    total = SuperPolynomial.zero(kern.sig.halves[RIGHT])
     for key, a in p.terms.items():
         cur = kern
         for i in reversed(_word_indices(key)):
-            cur = cur.bessel_mod_left(i)
+            cur = slot_bessel_mod(cur, LEFT, i)
             if cur.is_zero():
                 break
-        total = total + cur.extract_left_constant().scale(a)
+        total = total + slot_constant(cur, LEFT).scale(a)
     return total
 
 
@@ -167,36 +174,9 @@ def gram_json(k: int, sig: Signature) -> str:
 # -- complexified Schrodinger action and the Fock action ----------------------
 
 
-def _plain_L(i: int, j: int, p: SuperPolynomial) -> SuperPolynomial:
-    left = p.d_lower(j).mul_var(i)
-    right = p.d_lower(i).mul_var(j)
-    if p.sig.parity(i) and p.sig.parity(j):
-        return left + right
-    return left - right
-
-
 def pi_complex_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
     """Complexified Schrodinger action on the polynomial Fock space (reduced)."""
-    tkk = X.tkk
-    sig = p.sig
-    M = sig.M
-    out = SuperPolynomial.zero(sig)
-    for idx, coeff in X.coeffs.items():
-        kind, *rest = tkk.basis[idx]
-        if kind == "minus":
-            term = p.mul_var(rest[0]).scale(-2 * I)
-        elif kind == "L":
-            l = rest[0]
-            if l == 0:
-                term = p.scale(QQi(2 - M, 0, 2)) - euler(p)
-            else:
-                term = p.d_lower(0).mul_var(l) - p.d_lower(l).mul_var(0)
-        elif kind == "inn":
-            term = _plain_L(rest[0], rest[1], p)
-        else:
-            term = bessel_modified(rest[0], p).scale(-I * HALF)
-        out = out + term.scale(coeff)
-    return reduce_poly(out)
+    return pi_table(X, p, 0)
 
 
 def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
@@ -209,7 +189,7 @@ def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
         kind, *rest = tkk.basis[idx]
         l = rest[0] if rest else None
         if kind == "inn":
-            term = _plain_L(rest[0], rest[1], p)
+            term = angular_L(rest[0], rest[1], p)
         elif kind == "L":
             term = (p.mul_var(l) - bessel_modified(l, p)).scale(HALF)
         elif kind == "minus":
@@ -230,13 +210,11 @@ def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
     return reduce_poly(out)
 
 
-@lru_cache(maxsize=None)
 def rho_lowering(tkk) -> TKKElement:
     """Preimage under the Cayley map of (0,0,-2 e_0); acts as i Bessel(z_0)."""
     return tkk.cayley_inverse(tkk.plus(0, -2))
 
 
-@lru_cache(maxsize=None)
 def rho_raising(tkk) -> TKKElement:
     """Preimage under the Cayley map of (-e_0/2, 0, 0); acts as i z_0."""
     return tkk.cayley_inverse(tkk.minus(0, QQi(-1, 0, 2)))

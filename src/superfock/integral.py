@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Signature, SuperPolynomial, merge_odd, theta2
-from .scalars import PiScalar, QQi, factorial_fraction, gamma_half, poch
+from .scalars import PiScalar, QQi, _acc, factorial_fraction, gamma_half, poch
 from .schrodinger import WElement
 
 
@@ -84,19 +84,8 @@ class RadialSuperfunction:
         for (ev, odd), c in p.terms.items():
             alpha = ev[1:]
             key = (ev[0], sum(alpha), alpha, odd)
-            cur = terms.get(key, QQi(0)) + c
-            if cur.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = cur
+            _acc(terms, key, c)
         return cls(p.sig, rate, terms)
-
-    def _acc(self, out, key, val):
-        cur = out.get(key, QQi(0)) + val
-        if cur.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = cur
 
     def _mixing_step(self) -> "RadialSuperfunction":
         """One application of (1/(4 x_0)) d_{x_0} - (1/(4 s)) d_s."""
@@ -105,10 +94,10 @@ class RadialSuperfunction:
         out: dict = {}
         for (a, b, alpha, odd), v in self.terms.items():
             if a:
-                self._acc(out, (a - 2, b, alpha, odd), v * a * quarter)
-            self._acc(out, (a - 1, b, alpha, odd), -v * c * quarter)
+                _acc(out, (a - 2, b, alpha, odd), v * a * quarter)
+            _acc(out, (a - 1, b, alpha, odd), -v * c * quarter)
             if b:
-                self._acc(out, (a, b - 2, alpha, odd), -v * b * quarter)
+                _acc(out, (a, b - 2, alpha, odd), -v * b * quarter)
         return RadialSuperfunction(self.sig, self.rate, out)
 
     def _mul_theta_power(self, j: int, scalar: QQi) -> dict:
@@ -121,7 +110,7 @@ class RadialSuperfunction:
                 if merged is None:
                     continue
                 sign, modd = merged
-                self._acc(out, (a, b, alpha, modd), v * tc * scalar * sign)
+                _acc(out, (a, b, alpha, modd), v * tc * scalar * sign)
         return out
 
     def phi_sharp(self) -> "RadialSuperfunction":
@@ -136,7 +125,7 @@ class RadialSuperfunction:
                 cur = cur._mixing_step()
             part = cur._mul_theta_power(j, QQi(1, 0, fact))
             for k, v in part.items():
-                self._acc(out, k, v)
+                _acc(out, k, v)
         return RadialSuperfunction(sig, self.rate, out)
 
     def mul_weights(self) -> "RadialSuperfunction":
@@ -160,7 +149,7 @@ class RadialSuperfunction:
                     {(a - 2 * j3, b - 2 * j2, alpha, odd): v
                      for (a, b, alpha, odd), v in self.terms.items()})
                 for k, v in shifted._mul_theta_power(j2 + j3, scal).items():
-                    self._acc(out, k, v)
+                    _acc(out, k, v)
         return RadialSuperfunction(sig, self.rate, out)
 
     def __mul__(self, other: "RadialSuperfunction") -> "RadialSuperfunction":
@@ -172,7 +161,7 @@ class RadialSuperfunction:
                     continue
                 sign, odd = merged
                 alpha = tuple(x + y for x, y in zip(al1, al2))
-                self._acc(out, (a1 + a2, b1 + b2, alpha, odd), c1 * c2 * sign)
+                _acc(out, (a1 + a2, b1 + b2, alpha, odd), c1 * c2 * sign)
         return RadialSuperfunction(self.sig, self.rate + other.rate, out)
 
     def restrict_to_ray(self) -> dict:
@@ -180,7 +169,7 @@ class RadialSuperfunction:
         out: dict = {}
         shift = self.sig.m - 3
         for (a, b, alpha, odd), v in self.terms.items():
-            self._acc(out, (a + b + shift, alpha, odd), v)
+            _acc(out, (a + b + shift, alpha, odd), v)
         return out
 
     def __eq__(self, other) -> bool:

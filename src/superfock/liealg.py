@@ -4,17 +4,18 @@ The TKK algebra is graded as (minus copy of J) + istr(J) + (plus copy of J),
 with istr(J) spanned by left multiplications L_a and the inner derivations
 [L_a, L_b].  All structure constants are computed once from the Jordan
 product and cached on the :class:`TKK` instance; the Cayley transform and the
-differential-operator realization are derived from them.
+differential-operator realization are derived from them and cached per instance
+too.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .algebra import Signature, SuperPolynomial, angular_L
-from .scalars import HALF, I, ONE, QQi
+from .scalars import HALF, I, ONE, QQi, _acc
 
 Vec = tuple[QQi, ...]
 
@@ -172,11 +173,7 @@ class TKK:
             comm = _graded_comm(self._lmat[da[1]], self._lmat[db[1]],
                                 self.parity(a), self.parity(b))
             for k, v in self._decompose_inn(comm).items():
-                cur = out.get(k, QQi(0)) + v + v
-                if cur.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = cur
+                _acc(out, k, v + v)
             return out
         if ka in ("L", "inn") and kb in ("minus", "plus"):
             mat = self._istr_matrix(da)
@@ -226,11 +223,7 @@ class TKK:
                     continue
                 cab = ca * cb
                 for k, v in st.items():
-                    s = out.get(k, QQi(0)) + cab * v
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    _acc(out, k, cab * v)
         return TKKElement(self, out)
 
     # -- Cayley transform ------------------------------------------------
@@ -244,13 +237,13 @@ class TKK:
 
     @property
     def cayley_matrix(self) -> list[list[QQi]]:
-        return self._cayley_matrices()[0]
+        return self._cayley_matrices[0]
 
     @property
     def cayley_inverse_matrix(self) -> list[list[QQi]]:
-        return self._cayley_matrices()[1]
+        return self._cayley_matrices[1]
 
-    @lru_cache(maxsize=1)
+    @cached_property
     def _cayley_matrices(self):
         n = self.dim
         am = self._ad_matrix(self.index[("minus", 0)])
@@ -284,21 +277,13 @@ class TKK:
         for c, v in x.coeffs.items():
             for r in range(self.dim):
                 if mat[r][c]:
-                    s = out.get(r, QQi(0)) + mat[r][c] * v
-                    if s.is_zero():
-                        out.pop(r, None)
-                    else:
-                        out[r] = s
+                    _acc(out, r, mat[r][c] * v)
         return TKKElement(self, out)
 
     # -- differential realization and matrix model ------------------------
 
-    @property
+    @cached_property
     def big_signature(self) -> Signature:
-        return self._big_signature()
-
-    @lru_cache(maxsize=1)
-    def _big_signature(self) -> Signature:
         m, n = self.sig.m, self.sig.n
         size = m + 2 + 2 * n
         beta = [[QQi(0)] * size for _ in range(size)]
@@ -407,11 +392,7 @@ class TKKElement:
     def __add__(self, other: "TKKElement") -> "TKKElement":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, QQi(0)) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _acc(out, k, v)
         return TKKElement(self.tkk, out)
 
     def __neg__(self) -> "TKKElement":

@@ -10,16 +10,15 @@ closed Bessel-Fischer pairing and needs no integration at all.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .algebra import MonKey, Signature, SuperPolynomial
-from .bipoly import BiSuperPolynomial, pairing_power
-from .fock import bf_mono_pair, rho_apply
+from .algebra import MonKey, Signature, SuperPolynomial, bessel_modified
+from .bipoly import LEFT, RIGHT, bi_signature, embed, pairing_power
+from .fock import _word_indices, bf_mono_pair, rho_apply
 from .integral import gamma_engine, unnormalized_integral
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import PiScalar, QQi, factorial_fraction, poch
-from .schrodinger import WElement, bessel_mod_w, make_w, pi_apply
+from .scalars import PiScalar, QQi, _acc, factorial_fraction, poch
+from .schrodinger import WElement, make_w, pi_apply
 
 
 def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
@@ -32,9 +31,9 @@ def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
 
 
 def b_series_truncation(sig_x: Signature, sig_z: Signature, alpha: int,
-                        max_degree: int) -> BiSuperPolynomial:
+                        max_degree: int) -> SuperPolynomial:
     """Degree-truncated B_alpha(x|z) as a bi-polynomial."""
-    out = BiSuperPolynomial.zero(sig_x, sig_z)
+    out = SuperPolynomial.zero(bi_signature(sig_x, sig_z))
     for l in range(max_degree + 1):
         c = QQi.coerce(b_series_coeff(sig_x.M, alpha, l))
         out = out + pairing_power(sig_x, sig_z, l).scale(c)
@@ -58,6 +57,7 @@ class SBTransform:
     def __init__(self, sig_x: Signature, sig_z: Signature | None = None):
         self.sig_x = sig_x
         self.sig_z = sig_z or Signature(sig_x.m, sig_x.n, varset="z", beta=sig_x.beta)
+        self.bsig = bi_signature(self.sig_x, self.sig_z)
         self.M = sig_x.M
         self._mono_cache: dict[MonKey, SuperPolynomial] = {}
         self._inv_cache: dict[MonKey, SuperPolynomial] = {}
@@ -68,11 +68,11 @@ class SBTransform:
         """Coefficient of the z-degree-l slice before the exp(-z_0) factor."""
         weight = QQi.coerce(b_series_coeff(self.M, 0, l))
         carrier = pairing_power(self.sig_x, self.sig_z, l) \
-            * BiSuperPolynomial.from_left(SuperPolynomial.monomial(self.sig_x, mono),
-                                          self.sig_z)
+            * embed(SuperPolynomial.monomial(self.sig_x, mono), self.bsig, LEFT)
         gamma = gamma_engine(self.sig_x)
         acc: dict = {}
-        for (xkey, zkey), c in carrier.terms.items():
+        for key, c in carrier.terms.items():
+            xkey, zkey = self.bsig.split(key)
             val = unnormalized_integral(SuperPolynomial.monomial(self.sig_x, xkey),
                                         4)
             if val.is_zero():
@@ -80,11 +80,7 @@ class SBTransform:
             coeff = (val * PiScalar.of(c * weight) / gamma).as_qqi()
             if coeff.is_zero():
                 continue
-            cur = acc.get(zkey, QQi(0)) + coeff
-            if cur.is_zero():
-                acc.pop(zkey, None)
-            else:
-                acc[zkey] = cur
+            _acc(acc, zkey, coeff)
         return SuperPolynomial(self.sig_z, acc)
 
     def sb_monomial(self, mono: MonKey) -> SuperPolynomial:
@@ -147,16 +143,13 @@ class SBTransform:
                 Fraction((-1) ** j,
                          factorial_fraction(j) * factorial_fraction(k - j)) * gfac)
             carrier = pairing_power(self.sig_x, self.sig_z, k - j) \
-                * BiSuperPolynomial.from_right(self.sig_x, z0_poly ** j)
-            for (xkey, zkey), c in carrier.terms.items():
+                * embed(z0_poly ** j, self.bsig, RIGHT)
+            for bkey, c in carrier.terms.items():
+                xkey, zkey = self.bsig.split(bkey)
                 val = bf_mono_pair(self.sig_z, zkey, key)
                 if val.is_zero():
                     continue
-                cur = out.get(xkey, QQi(0)) + c * val * scal
-                if cur.is_zero():
-                    out.pop(xkey, None)
-                else:
-                    out[xkey] = cur
+                _acc(out, xkey, c * val * scal)
         result = SuperPolynomial(self.sig_x, out)
         self._inv_cache[key] = result
         return result
@@ -178,16 +171,12 @@ class SBTransform:
         Computed two independent ways (halved Bessel word on the rate-4
         vector, and the inverse transform of (2z)^alpha); they must agree.
         """
-        ev, odd = alpha
         q = SuperPolynomial.one(self.sig_x)
-        indices = []
-        for i, e in enumerate(ev):
-            indices.extend([i] * e)
-        indices.extend(odd)
+        indices = _word_indices(alpha)
         for i in reversed(indices):
-            q = bessel_mod_w(i, q, Fraction(4)).scale(QQi(1, 0, 2))
+            q = bessel_modified(i, q, 4).scale(QQi(1, 0, 2))
         direct = reduce_poly(q)
-        degree = sum(ev) + len(odd)
+        degree = len(indices)
         two_z = SuperPolynomial.monomial(self.sig_z, alpha, QQi(2 ** degree))
         via_inverse = self.sb_inverse(two_z).poly
         if direct != via_inverse:
@@ -215,7 +204,3 @@ class SBTransform:
         from .integral import w_form
         return bf_product(self.sb(f), self.sb(g)), w_form(f, g)
 
-
-@lru_cache(maxsize=None)
-def sb_for(sig_x: Signature) -> SBTransform:
-    return SBTransform(sig_x)

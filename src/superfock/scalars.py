@@ -25,6 +25,20 @@ def _normalize(a: int, b: int, d: int) -> tuple[int, int, int]:
     return a, b, d
 
 
+def _acc(terms: dict, key, val):
+    """Add val to terms[key] in a sparse map, dropping entries that cancel."""
+    cur = terms.get(key)
+    if cur is None:
+        if not val.is_zero():
+            terms[key] = val
+    else:
+        s = cur + val
+        if s.is_zero():
+            del terms[key]
+        else:
+            terms[key] = s
+
+
 class QQi:
     """Gaussian rational (a + b*i)/d, always stored in lowest terms with d > 0."""
 
@@ -213,11 +227,7 @@ class PiScalar:
         o = PiScalar.coerce(other)
         out = dict(self.terms)
         for k, c in o.terms.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _acc(out, k, c)
         p = PiScalar.__new__(PiScalar)
         p.terms = out
         return p
@@ -238,11 +248,7 @@ class PiScalar:
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
                 k = k1 + k2
-                s = out.get(k, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                _acc(out, k, c1 * c2)
         p = PiScalar.__new__(PiScalar)
         p.terms = out
         return p

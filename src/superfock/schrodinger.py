@@ -3,9 +3,10 @@
 A ``WElement`` stores the exponential rate c > 0 and a reduced polynomial q,
 and stands for q(x) exp(-c|X|) restricted to x_0 > 0, where the radial
 superfunction |X| coincides with x_0 modulo <R^2>.  All operators act through
-the representative q exp(-c x_0): the variable-0 derivation picks up the
-extra -c term, everything else is the plain polynomial calculus, and results
-are reduced at the end.
+the representative q exp(-c x_0): they are the ``algebra`` operators called
+with ``rate=c``, which conjugates them by exp(-c x_0), and results are reduced
+at the end.  ``pi_table`` is the one table of actions of the TKK basis; the
+Fock side calls it at rate 0.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (Signature, SuperPolynomial, merge_odd, theta2)
+from .algebra import (Signature, SuperPolynomial, angular_L, bessel,
+                      bessel_modified, euler, laplacian, merge_odd, theta2)
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import HALF, I, QQi
+from .scalars import HALF, I, QQi, _acc
 
 
 class WElement:
@@ -66,67 +68,14 @@ def lowest_vector(sig: Signature) -> WElement:
     return make_w(SuperPolynomial.one(sig), 2)
 
 
-# -- operators on q exp(-c x_0), acting on the plain polynomial part ---------
-
-
-def dx_upper(p: SuperPolynomial, i: int, c: Fraction) -> SuperPolynomial:
-    out = p.d_upper(i)
-    if i == 0:
-        out = out - p.scale(QQi.coerce(c))
-    return out
-
-
-def dx_lower(p: SuperPolynomial, j: int, c: Fraction) -> SuperPolynomial:
-    out = SuperPolynomial.zero(p.sig)
-    for i, b in p.sig.beta_rows[j]:
-        out = out + dx_upper(p, i, c).scale(b)
-    return out
-
-
-def euler_w(p: SuperPolynomial, c: Fraction) -> SuperPolynomial:
-    out = SuperPolynomial.zero(p.sig)
-    for i in range(p.sig.nvars):
-        out = out + dx_upper(p, i, c).mul_var(i)
-    return out
-
-
-def laplacian_w(p: SuperPolynomial, c: Fraction) -> SuperPolynomial:
-    out = SuperPolynomial.zero(p.sig)
-    for i in range(p.sig.nvars):
-        out = out + dx_lower(dx_upper(p, i, c), i, c)
-    return out
-
-
-def angular_w(i: int, j: int, p: SuperPolynomial, c: Fraction) -> SuperPolynomial:
-    sig = p.sig
-    if i == j and sig.parity(i) == 0:
-        raise ValueError("L_ii is only defined for odd indices")
-    left = dx_lower(p, j, c).mul_var(i)
-    right = dx_lower(p, i, c).mul_var(j)
-    if sig.parity(i) and sig.parity(j):
-        return left + right
-    return left - right
-
-
-def bessel_w(lam, k: int, p: SuperPolynomial, c: Fraction) -> SuperPolynomial:
-    lam = QQi.coerce(lam)
-    t = dx_lower(p, k, c)
-    return t.scale(-lam) + euler_w(t, c).scale(2) - laplacian_w(p, c).mul_var(k)
-
-
-def bessel_mod_w(k: int, p: SuperPolynomial, c: Fraction) -> SuperPolynomial:
-    res = bessel_w(QQi(2 - p.sig.M), k, p, c)
-    return -res if k == 0 else res
-
-
 _OPS = {
-    "d_upper": lambda p, c, i: dx_upper(p, i, c),
-    "d_lower": lambda p, c, i: dx_lower(p, i, c),
-    "E": lambda p, c: euler_w(p, c),
-    "Delta": lambda p, c: laplacian_w(p, c),
-    "L": lambda p, c, i, j: angular_w(i, j, p, c),
-    "bessel": lambda p, c, lam, k: bessel_w(lam, k, p, c),
-    "bessel_mod": lambda p, c, k: bessel_mod_w(k, p, c),
+    "d_upper": lambda p, c, i: p.d_upper(i, c),
+    "d_lower": lambda p, c, i: p.d_lower(i, c),
+    "E": lambda p, c: euler(p, c),
+    "Delta": lambda p, c: laplacian(p, c),
+    "L": lambda p, c, i, j: angular_L(i, j, p, c),
+    "bessel": lambda p, c, lam, k: bessel(lam, k, p, c),
+    "bessel_mod": lambda p, c, k: bessel_modified(k, p, c),
     "mul": lambda p, c, i: p.mul_var(i),
 }
 
@@ -141,18 +90,16 @@ def diffop_on_w(descriptor: tuple, f: WElement) -> WElement:
     return WElement(f.rate, reduce_poly(fn(f.poly, f.rate, *args)))
 
 
-def pi_apply(X: TKKElement, f: WElement) -> WElement:
-    """Schrodinger action of a TKK element on W (defined at rate 2)."""
-    if f.rate != 2:
-        raise ValueError("the Schrodinger action is defined at rate 2")
+def pi_table(X: TKKElement, q: SuperPolynomial, rate) -> SuperPolynomial:
+    """Action of a TKK element on q exp(-rate x_0), as a reduced polynomial.
+
+    At rate 2 this is the Schrodinger action on W; at rate 0 it is the
+    complexified action on the polynomial Fock space."""
     tkk = X.tkk
-    sig = f.poly.sig
+    sig = q.sig
     if (tkk.sig.m, tkk.sig.n) != (sig.m, sig.n):
-        raise ValueError("TKK element and W element have different shapes")
-    q = f.poly
-    c = f.rate
+        raise ValueError("TKK element and polynomial have different shapes")
     out = SuperPolynomial.zero(sig)
-    M = sig.M
     for idx, coeff in X.coeffs.items():
         kind, *rest = tkk.basis[idx]
         if kind == "minus":
@@ -160,15 +107,22 @@ def pi_apply(X: TKKElement, f: WElement) -> WElement:
         elif kind == "L":
             l = rest[0]
             if l == 0:
-                term = q.scale(QQi(2 - M, 0, 2)) - euler_w(q, c)
+                term = q.scale(QQi(2 - sig.M, 0, 2)) - euler(q, rate)
             else:
-                term = dx_lower(q, 0, c).mul_var(l) - dx_lower(q, l, c).mul_var(0)
+                term = q.d_lower(0, rate).mul_var(l) - q.d_lower(l, rate).mul_var(0)
         elif kind == "inn":
-            term = angular_w(rest[0], rest[1], q, c)
+            term = angular_L(rest[0], rest[1], q, rate)
         else:  # plus
-            term = bessel_mod_w(rest[0], q, c).scale(-I * HALF)
+            term = bessel_modified(rest[0], q, rate).scale(-I * HALF)
         out = out + term.scale(coeff)
-    return WElement(c, reduce_poly(out))
+    return reduce_poly(out)
+
+
+def pi_apply(X: TKKElement, f: WElement) -> WElement:
+    """Schrodinger action of a TKK element on W (defined at rate 2)."""
+    if f.rate != 2:
+        raise ValueError("the Schrodinger action is defined at rate 2")
+    return WElement(f.rate, pi_table(X, f.poly, f.rate))
 
 
 # -- radial superfunctions ---------------------------------------------------
@@ -241,11 +195,7 @@ class RadialPower:
     def __add__(self, other: "RadialPower") -> "RadialPower":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, QQi(0)) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _acc(out, k, c)
         return RadialPower(self.sig, out)
 
     def __sub__(self, other: "RadialPower") -> "RadialPower":
@@ -264,11 +214,7 @@ class RadialPower:
                     continue
                 sign, odd = merged
                 key = (e1 + e2, odd)
-                cur = out.get(key, QQi(0)) + c1 * c2 * sign
-                if cur.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
+                _acc(out, key, c1 * c2 * sign)
         return RadialPower(self.sig, out)
 
     def is_zero(self) -> bool:

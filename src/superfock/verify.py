@@ -19,7 +19,8 @@ from . import linalg
 from .algebra import (R2, Signature, SuperPolynomial, angular_L, bessel,
                       bessel_modified, dim_P, euler, laplacian, monomial_keys,
                       monomials_up_to, random_polynomial)
-from .bipoly import pairing_power
+from .bipoly import (LEFT, RIGHT, pairing_power, reduce_slot, slot_bessel_mod,
+                     slot_degree_part, slot_euler)
 from .fock import (bf_mono_pair, bf_product, bf_product_shift_oracle, gram,
                    gram_nullspace, gram_rank, kernel, kernel_pair,
                    pi_complex_apply, rho_apply, rho_lowering, rho_raising)
@@ -30,8 +31,8 @@ from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
 from .liealg import TKK, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
-from .scalars import HALF, I, ONE, PiScalar, QQi
-from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w, euler_w,
+from .scalars import HALF, I, ONE, PiScalar, QQi, _acc
+from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, radial_expand)
 from .sbtransform import (SBTransform, b_series_coeff, b_series_truncation,
                           exp_z0_truncation)
@@ -812,7 +813,7 @@ def check_euler_vanishing(ctx: Context, samples: int = 20):
     M = sig.M
     rate = Fraction(4)
     for q in ctx.sample_polys(3, samples):
-        if integrate_w((euler_w(q, rate) + q.scale(M - 2), rate)) != QQi(0):
+        if integrate_w((euler(q, rate) + q.scale(M - 2), rate)) != QQi(0):
             return False, f"(E + M - 2) integral fails on {q}"
     return True, ""
 
@@ -984,18 +985,10 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
         rhs: dict = {}
         for (r, q), g in table.items():
             for (p, c) in pre.get(r, ()):
-                cur = lhs.get((p, q), QQi(0)) + c * g
-                if cur.is_zero():
-                    lhs.pop((p, q), None)
-                else:
-                    lhs[(p, q)] = cur
+                _acc(lhs, (p, q), c * g)
         for (p, s_), g in table.items():
             for (q, c) in pre.get(s_, ()):
-                cur = rhs.get((p, q), QQi(0)) + c.conjugate() * g
-                if cur.is_zero():
-                    rhs.pop((p, q), None)
-                else:
-                    rhs[(p, q)] = cur
+                _acc(rhs, (p, q), c.conjugate() * g)
         for key in set(lhs) | set(rhs):
             p, q = key
             s = QQi(-1 if (eps and par[p]) else 1)
@@ -1116,11 +1109,7 @@ def check_rho_representation(ctx: Context, max_degree: int = 3):
             if img is None:
                 raise KeyError(f"column {key} missing")
             for k2, v in img.items():
-                s = out.get(k2, QQi(0)) + c * v
-                if s.is_zero():
-                    out.pop(k2, None)
-                else:
-                    out[k2] = s
+                _acc(out, k2, c * v)
         return out
 
     for a in range(tkk.dim):
@@ -1132,19 +1121,11 @@ def check_rho_representation(ctx: Context, max_degree: int = 3):
                 lhs = apply_cols(cols[a], apply_cols(cols[b], vec))
                 rhs2 = apply_cols(cols[b], apply_cols(cols[a], vec))
                 for k2, v in rhs2.items():
-                    cur = lhs.get(k2, QQi(0)) - s * v
-                    if cur.is_zero():
-                        lhs.pop(k2, None)
-                    else:
-                        lhs[k2] = cur
+                    _acc(lhs, k2, -(s * v))
                 want: dict = {}
                 for cidx, cc in Z.coeffs.items():
                     for k2, v in cols[cidx][key].items():
-                        cur = want.get(k2, QQi(0)) + cc * v
-                        if cur.is_zero():
-                            want.pop(k2, None)
-                        else:
-                            want[k2] = cur
+                        _acc(want, k2, cc * v)
                 if lhs != want:
                     return False, f"commutator fails at ({a},{b}) on {key}"
     return True, f"all basis pairs on F_<= {max_degree}"
@@ -1190,20 +1171,12 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
         for (r, q), g in table.items():
             if q in keyset:
                 for (p, c) in pre.get(r, ()):
-                    cur = resid.get((p, q), QQi(0)) + c * g
-                    if cur.is_zero():
-                        resid.pop((p, q), None)
-                    else:
-                        resid[(p, q)] = cur
+                    _acc(resid, (p, q), c * g)
         for (p, s_), g in table.items():
             if p in keyset:
                 for (q, c) in pre.get(s_, ()):
                     sgn = QQi(-1 if (pX and par[p]) else 1)
-                    cur = resid.get((p, q), QQi(0)) + sgn * c.conjugate() * g
-                    if cur.is_zero():
-                        resid.pop((p, q), None)
-                    else:
-                        resid[(p, q)] = cur
+                    _acc(resid, (p, q), sgn * c.conjugate() * g)
         if resid:
             p, q = next(iter(resid))
             return False, f"{tkk.basis_label(a)} on ({p},{q})"
@@ -1266,34 +1239,36 @@ def check_b0_identities(ctx: Context, max_degree: int = 6):
     b0 = b_series_truncation(sig, sigz, 0, L)
     b1 = b_series_truncation(sig, sigz, 1, L)
 
+    x, z = b0.sig.slots  # joined indices of the x and z variables
+
     def cmp(lhs, rhs, label):
         for dd in range(max_degree + 1):
-            if lhs.right_degree_part(dd) != rhs.right_degree_part(dd):
+            if slot_degree_part(lhs, RIGHT, dd) != slot_degree_part(rhs, RIGHT, dd):
                 return f"{label} fails at degree {dd}"
         return None
 
     for k in range(1, sig.nvars):
-        err = cmp(b0.d_lower_right(k), b1.mul_var_left(k).scale(2),
+        err = cmp(b0.d_lower(z[k]), b1.mul_var(x[k]).scale(2),
                   f"z-derivative (k={k})")
         if err:
             return False, err
-    err = cmp(b0.d_lower_right(0), b1.mul_var_left(0).scale(-2), "z-derivative (k=0)")
+    err = cmp(b0.d_lower(z[0]), b1.mul_var(x[0]).scale(-2), "z-derivative (k=0)")
     if err:
         return False, err
-    err = cmp(b0.euler_right(), pairing_power(sig, sigz, 1) * b1, "Euler contraction")
+    err = cmp(slot_euler(b0, RIGHT), pairing_power(sig, sigz, 1) * b1, "Euler contraction")
     if err:
         return False, err
     # the eigenfunction identity holds modulo the R^2 ideal of the inert slot:
     # the second-order part of the Bessel operator contracts two variables of
     # one alphabet into R^2 of the other, which every consumer kills
     for i in range(sig.nvars):
-        err = cmp(b0.bessel_mod_right(i).reduce_left(),
-                  b0.mul_var_left(i).scale(4).reduce_left(),
+        err = cmp(reduce_slot(slot_bessel_mod(b0, RIGHT, i), LEFT),
+                  reduce_slot(b0.mul_var(x[i]).scale(4), LEFT),
                   f"Bessel eigenfunction (z side, i={i})")
         if err:
             return False, err
-        err = cmp(b0.bessel_mod_left(i).reduce_right(),
-                  b0.mul_var_right(i).scale(4).reduce_right(),
+        err = cmp(reduce_slot(slot_bessel_mod(b0, LEFT, i), RIGHT),
+                  reduce_slot(b0.mul_var(z[i]).scale(4), RIGHT),
                   f"Bessel eigenfunction (x side, i={i})")
         if err:
             return False, err

@@ -89,3 +89,26 @@ def test_cli_specfun_table(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("t,")
     assert len(lines) == 5
+
+
+def test_cli_trace_orders_odd_factors(capsys):
+    base = ["--m", "6", "--n", "1", "--trace", "0,0,0,0,0,0"]
+    values = {}
+    for odd in ("1,2", "2,1", "1,1"):
+        assert main(base + ["--trace-odd", odd]) == 0
+        values[odd] = json.loads(capsys.readouterr().out)["value"]
+    assert values == {"1,2": "-1/8", "2,1": "1/8", "1,1": "0"}
+
+
+@pytest.mark.parametrize("extra", [
+    ["--m", "6", "--n", "1", "--trace", "0,0,0,0,0,0", "--trace-odd", "3"],
+    ["--m", "6", "--n", "1", "--trace", "0,0,0,0,0,0", "--trace-odd", "0"],
+    ["--m", "6", "--n", "1", "--trace", "0,0,0,0,0,0", "--rate", "0"],
+    ["--m", "6", "--n", "1", "--trace", "0,0,0,0,0,0", "--rate", "x"],
+    ["--m", "6", "--n", "1", "--trace", "0,0,0,0,0,-1"],
+    ["--m", "4", "--n", "1", "--trace", "0,0,0,0"],
+])
+def test_cli_trace_refuses_bad_input(extra, capsys):
+    assert main(extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err

@@ -4,6 +4,7 @@ import pytest
 
 from superfock.algebra import (R2, Signature, SuperPolynomial, bessel_modified,
                                monomial_keys, random_polynomial)
+from superfock.bipoly import LEFT, slot_constant
 from superfock.fock import (bf_mono_pair, bf_product, bf_product_shift_oracle,
                             gram_json, gram_nullspace, gram_rank, kernel,
                             kernel_coefficient, kernel_pair, pi_complex_apply,
@@ -78,7 +79,7 @@ def test_kernel_values():
     sigw = Signature(4, 0, varset="w")
     assert kernel_coefficient(sig.M, 0) == 1
     k0 = kernel(0, sig, sigw)
-    assert k0.extract_left_constant() == SuperPolynomial.one(sigw)
+    assert slot_constant(k0, LEFT) == SuperPolynomial.one(sigw)
     k1 = kernel(1, sig, sigw)
     got = kernel_pair(SuperPolynomial.variable(sig, 0), k1)
     assert got == SuperPolynomial.variable(sigw, 0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.algebra import (R2, Signature, SuperPolynomial,
+from superfock.algebra import (R2, Signature, SuperPolynomial, euler,
                                random_polynomial)
 from superfock.integral import (DivergenceError, berezin, gamma_closed_form,
                                 gamma_engine, integrate_w, radial_integral,
@@ -11,7 +11,7 @@ from superfock.integral import (DivergenceError, berezin, gamma_closed_form,
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
-from superfock.schrodinger import euler_w, lowest_vector, make_w, pi_apply
+from superfock.schrodinger import lowest_vector, make_w, pi_apply
 
 SIG40 = Signature(4, 0)
 SIG61 = Signature(6, 1)
@@ -81,7 +81,7 @@ def test_euler_identity():
     for sig in (SIG40, SIG61):
         for _ in range(12):
             q = random_polynomial(sig, 3, rng)
-            val = integrate_w((euler_w(q, Fraction(4)) + q.scale(sig.M - 2), 4))
+            val = integrate_w((euler(q, Fraction(4)) + q.scale(sig.M - 2), 4))
             assert val == QQi(0)
 
 

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 from superfock.algebra import Signature, SuperPolynomial, monomials_up_to
 from superfock.liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
@@ -126,3 +128,12 @@ def test_structure_constant_export():
     table = json.loads(blob)
     assert table["e0+ , e0-"] == {"L0": "2"}
     assert blob == tkk.structure_constants_json()
+
+
+def test_cayley_cache_does_not_keep_the_algebra_alive():
+    tkk = TKK(Signature(3, 0))
+    assert tkk.cayley_matrix is tkk.cayley_matrix
+    ref = weakref.ref(tkk)
+    del tkk
+    gc.collect()
+    assert ref() is None

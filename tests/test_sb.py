@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from superfock.algebra import Signature, SuperPolynomial, monomial_keys
-from superfock.bipoly import BiSuperPolynomial, pairing, pairing_power
+from superfock.bipoly import (LEFT, RIGHT, bi_signature, pairing, pairing_power,
+                              reduce_slot, slot_bessel_mod, slot_degree_part)
 from superfock.fock import bf_product
 from superfock.integral import w_form
 from superfock.liealg import tkk_for
@@ -24,10 +25,10 @@ def test_pairing_polynomial():
     p = pairing(SIG, SIGZ)
     # 2 x0 z0 + 2 sum x_i z_i for the diagonal block
     x0key = ((1, 0, 0, 0), ())
-    assert p.terms[(x0key, x0key)] == QQi(2)
+    assert p.terms[p.sig.join(x0key, x0key)] == QQi(2)
     x1key = ((0, 1, 0, 0), ())
-    assert p.terms[(x1key, x1key)] == QQi(2)
-    assert pairing_power(SIG, SIGZ, 0) == BiSuperPolynomial.one(SIG, SIGZ)
+    assert p.terms[p.sig.join(x1key, x1key)] == QQi(2)
+    assert pairing_power(SIG, SIGZ, 0) == SuperPolynomial.one(bi_signature(SIG, SIGZ))
 
 
 def test_pairing_odd_block():
@@ -36,8 +37,8 @@ def test_pairing_odd_block():
     p = pairing(sigx, sigz)
     key_t1 = ((0, 0, 0, 0), (4,))
     key_t2 = ((0, 0, 0, 0), (5,))
-    assert p.terms[(key_t1, key_t2)] == QQi(2)   # beta^{45} = 1
-    assert p.terms[(key_t2, key_t1)] == QQi(-2)  # beta^{54} = -1
+    assert p.terms[p.sig.join(key_t1, key_t2)] == QQi(2)   # beta^{45} = 1
+    assert p.terms[p.sig.join(key_t2, key_t1)] == QQi(-2)  # beta^{54} = -1
 
 
 def test_series_coefficients():
@@ -159,7 +160,7 @@ def test_exp_truncation():
 
 def test_b0_truncation_eigenfunction_mod_ideal():
     b0 = b_series_truncation(SIG, SIGZ, 0, 4)
-    lhs = b0.bessel_mod_right(0).reduce_left()
-    rhs = b0.mul_var_left(0).scale(4).reduce_left()
+    lhs = reduce_slot(slot_bessel_mod(b0, RIGHT, 0), LEFT)
+    rhs = reduce_slot(b0.mul_var(b0.sig.slots[LEFT][0]).scale(4), LEFT)
     for d in range(4):
-        assert lhs.right_degree_part(d) == rhs.right_degree_part(d)
+        assert slot_degree_part(lhs, RIGHT, d) == slot_degree_part(rhs, RIGHT, d)

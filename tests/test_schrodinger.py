@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.algebra import (R2, Signature, SuperPolynomial,
-                               random_polynomial, theta2)
+from superfock.algebra import (R2, Signature, SuperPolynomial, angular_L,
+                               bessel_modified, euler, laplacian,
+                               monomials_up_to, random_polynomial, theta2)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
+from superfock.sbtransform import exp_z0_truncation
 from superfock.scalars import I, QQi
 from superfock.schrodinger import (RadialPower, abs_X, diffop_on_w,
                                    lowest_vector, make_w, pi_apply,
@@ -66,6 +68,31 @@ def test_pi_representation_property():
         for f in fs[:10]:
             lhs = pi_apply(X, pi_apply(Y, f)).poly - pi_apply(Y, pi_apply(X, f)).poly.scale(s)
             assert reduce_poly(lhs) == pi_apply(Z, f).poly
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (5, 0)])
+def test_rate_operators_are_conjugated_by_the_exponential(m, n):
+    """O at rate c on q equals O on q exp(-c x_0), divided by the exponential.
+
+    The exponential is truncated at degree N, so both sides are compared in
+    the degrees a second-order operator leaves untouched by the truncation."""
+    N = 6
+    sig = Signature(m, n)
+    idx = range(sig.nvars)
+    ops = [lambda p, c, k=k: p.d_lower(k, c) for k in idx]
+    ops += [lambda p, c: euler(p, c), lambda p, c: laplacian(p, c)]
+    ops += [lambda p, c, i=i, j=j: angular_L(i, j, p, c)
+            for i in idx for j in idx if i != j or sig.parity(i)]
+    ops += [lambda p, c, k=k: bessel_modified(k, p, c) for k in idx]
+    for c in (2, 4):
+        T = exp_z0_truncation(sig, N, scale=-c)
+        for key in monomials_up_to(sig, 3):
+            q = SuperPolynomial.monomial(sig, key)
+            qT = q * T
+            for op in ops:
+                lhs, rhs = op(qT, 0), op(q, c) * T
+                for d in range(N - 1):
+                    assert lhs.degree_part(d) == rhs.degree_part(d)
 
 
 def test_tangential_representative_independence():
