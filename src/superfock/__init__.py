@@ -16,3 +16,19 @@ Subpackage map:
 """
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level ``lru_cache`` of the package.
+
+    Those caches are keyed by signature and grow for the life of the process;
+    a long-lived caller that moves through many shapes can drop them here.
+    """
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(__path__):
+        mod = importlib.import_module(f"{__name__}.{info.name}")
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == mod.__name__:
+                obj.cache_clear()

@@ -2,9 +2,14 @@
 
 The Bessel-Fischer product substitutes the tangential Bessel operators for
 the variables of its first argument, applies the word to the coefficient
-conjugate of the second, and evaluates at zero.  A second, slower route via
-the degree-shift identity is kept as an independent oracle for the sign
-conventions.
+conjugate of the second, and evaluates at zero.  Pairings of monomials, which
+the pairing table, the Gram matrices, the kernel pairing and the inverse
+Segal-Bargmann transform read, come from sparse matrices of the Bessel
+operators built once per degree (``bessel_matrix``): the pairing covector of
+z^a z_i is that of z^a times the matrix of Bessel(z_i) (``bf_covectors``).
+The word route (``bf_word_apply``, ``bf_product``) and the degree-shift route
+(``bf_product_shift_oracle``) apply the operators to polynomials and are kept
+as independent oracles.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The complexified Schrodinger action is ``schrodinger.pi_table``
@@ -19,12 +24,11 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import (MonKey, Signature, SuperPolynomial, angular_L,
-                      bessel_modified, euler)
-from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, slot_bessel_mod,
-                     slot_constant)
+                      bessel_modified, euler, monomial_keys)
+from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
-from .scalars import HALF, I, QQi, poch
+from .scalars import HALF, I, QQi, _acc, poch
 from .schrodinger import pi_table
 
 
@@ -59,9 +63,53 @@ def bf_product(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
 
 
 @lru_cache(maxsize=None)
-def bf_mono_pair(sig: Signature, akey: MonKey, bkey: MonKey) -> QQi:
-    """Pairing of two plain monomials, memoized (their coefficients are real)."""
-    return bf_word_apply(akey, SuperPolynomial.monomial(sig, bkey)).constant_term()
+def bessel_matrix(sig: Signature, i: int, k: int) -> dict[MonKey, dict[MonKey, QQi]]:
+    """Sparse matrix of ``bessel_modified(i)`` from P_k to P_{k-1}: each degree-k
+    monomial key maps to the terms of its image.
+
+    Every image must be homogeneous of degree k - 1; orthogonality of the
+    product across degrees rests on that, so it is asserted here."""
+    out = {}
+    for key in monomial_keys(sig, k):
+        image = bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
+        for ikey in image:
+            if sum(ikey[0]) + len(ikey[1]) != k - 1:
+                raise AssertionError(f"Bessel({i}) of {key} has a term {ikey} "
+                                     f"outside degree {k - 1}")
+        out[key] = image
+    return out
+
+
+@lru_cache(maxsize=None)
+def bf_covectors(sig: Signature, k: int) -> dict[MonKey, dict[MonKey, QQi]]:
+    """Pairing covectors of the degree-k monomials: a -> {b: <z^a, z^b>}, nonzero
+    entries only (pairings across degrees vanish).
+
+    With i the last index of the word of a, so that a = a' z_i and
+    ``bf_word_apply`` applies Bessel(z_i) first, <z^a, z^b> is the sum over c
+    of Bessel(z_i)[b][c] <z^a', z^c>: one sparse product per monomial."""
+    if k == 0:
+        one = ((0,) * sig.m, ())
+        return {one: {one: QQi(1)}}
+    prev = bf_covectors(sig, k - 1)
+    columns: dict[int, dict] = {}  # i -> {c: {b: Bessel(z_i)[b][c]}}
+    out = {}
+    for key in monomial_keys(sig, k):
+        i = _word_indices(key)[-1]
+        col = columns.get(i)
+        if col is None:
+            col = columns[i] = {}
+            for bkey, image in bessel_matrix(sig, i, k).items():
+                for ckey, c in image.items():
+                    col.setdefault(ckey, {})[bkey] = c
+        ev, odd = key
+        rest = (ev[:i] + (ev[i] - 1,) + ev[i + 1:], odd) if i < sig.m else (ev, odd[:-1])
+        vec: dict[MonKey, QQi] = {}
+        for ckey, v in prev[rest].items():
+            for bkey, c in col.get(ckey, {}).items():
+                _acc(vec, bkey, c * v)
+        out[key] = vec
+    return out
 
 
 def bf_product_shift_oracle(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
@@ -124,16 +172,21 @@ def kernel_sum(cap: int, sig: Signature, sig_w: Signature | None = None) -> Supe
 
 
 def kernel_pair(p: SuperPolynomial, kern: SuperPolynomial) -> SuperPolynomial:
-    """<p, K(., w)> in the first slot; returns a polynomial in w."""
-    total = SuperPolynomial.zero(kern.sig.halves[RIGHT])
+    """<p, K(., w)> in the first slot; returns a polynomial in w.
+
+    A kernel term c z^zkey w^wkey contributes c <z^a, z^zkey> w^wkey to the
+    pairing with z^a: the Bessel word of z^a acts on the left slot only."""
+    bsig = kern.sig
+    zsig = bsig.halves[LEFT]
+    split = [(bsig.split(key), c) for key, c in kern.terms.items()]
+    out: dict[MonKey, QQi] = {}
     for key, a in p.terms.items():
-        cur = kern
-        for i in reversed(_word_indices(key)):
-            cur = slot_bessel_mod(cur, LEFT, i)
-            if cur.is_zero():
-                break
-        total = total + slot_constant(cur, LEFT).scale(a)
-    return total
+        vec = bf_covectors(zsig, sum(key[0]) + len(key[1]))[key]
+        for (zkey, wkey), c in split:
+            v = vec.get(zkey)
+            if v is not None:
+                _acc(out, wkey, a * c * v)
+    return SuperPolynomial(bsig.halves[RIGHT], out)
 
 
 # -- Gram matrices ------------------------------------------------------------
@@ -142,8 +195,9 @@ def kernel_pair(p: SuperPolynomial, kern: SuperPolynomial) -> SuperPolynomial:
 def gram(k: int, sig: Signature):
     """Gram matrix of the Bessel-Fischer product on the normal-form basis of F_k."""
     keys = normal_form_keys(sig, k)
-    polys = [SuperPolynomial.monomial(sig, key) for key in keys]
-    mat = [[bf_product(pr, pc) for pc in polys] for pr in polys]
+    cov = bf_covectors(sig, k)
+    zero = QQi(0)
+    mat = [[cov[ka].get(kb, zero) for kb in keys] for ka in keys]
     return keys, mat
 
 

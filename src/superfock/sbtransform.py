@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import MonKey, Signature, SuperPolynomial, bessel_modified
 from .bipoly import LEFT, RIGHT, bi_signature, embed, pairing_power
-from .fock import _word_indices, bf_mono_pair, rho_apply
+from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import gamma_engine, unnormalized_integral
 from .liealg import TKKElement
 from .quotient import reduce_poly
@@ -131,6 +131,7 @@ class SBTransform:
             return cached
         k = sum(key[0]) + len(key[1])
         out: dict = {}
+        cov = bf_covectors(self.sig_z, k)
         z0_poly = SuperPolynomial.variable(self.sig_z, 0)
         for j in range(k + 1):
             try:
@@ -146,8 +147,8 @@ class SBTransform:
                 * embed(z0_poly ** j, self.bsig, RIGHT)
             for bkey, c in carrier.terms.items():
                 xkey, zkey = self.bsig.split(bkey)
-                val = bf_mono_pair(self.sig_z, zkey, key)
-                if val.is_zero():
+                val = cov[zkey].get(key)
+                if val is None:
                     continue
                 _acc(out, xkey, c * val * scal)
         result = SuperPolynomial(self.sig_x, out)

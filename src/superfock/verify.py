@@ -21,9 +21,10 @@ from .algebra import (R2, Signature, SuperPolynomial, angular_L, bessel,
                       monomials_up_to, random_polynomial)
 from .bipoly import (LEFT, RIGHT, pairing_power, reduce_slot, slot_bessel_mod,
                      slot_degree_part, slot_euler)
-from .fock import (bf_mono_pair, bf_product, bf_product_shift_oracle, gram,
-                   gram_nullspace, gram_rank, kernel, kernel_pair,
-                   pi_complex_apply, rho_apply, rho_lowering, rho_raising)
+from .fock import (bessel_matrix, bf_covectors, bf_product,
+                   bf_product_shift_oracle, bf_word_apply, gram_nullspace,
+                   gram_rank, kernel, kernel_pair, pi_complex_apply, rho_apply,
+                   rho_lowering, rho_raising)
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
                         harmonic_basis, harmonic_dim_nullspace)
 from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
@@ -31,7 +32,7 @@ from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
 from .liealg import TKK, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
-from .scalars import HALF, I, ONE, PiScalar, QQi, _acc
+from .scalars import HALF, I, ONE, ZERO, PiScalar, QQi, _acc
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, radial_expand)
 from .sbtransform import (SBTransform, b_series_coeff, b_series_truncation,
@@ -41,6 +42,11 @@ from .algebra import theta2
 
 ALL_SUITES = ("algebra", "quotient", "harmonics", "liealg", "schrodinger",
               "integral", "fock", "sb", "specfun")
+
+# Largest monomial basis, over all degrees <= max_degree + 1, that a run may
+# span.  The pairing tables and operator sweeps grow with it (the tables with
+# its square); the acceptance matrix peaks at 606, at (7,1) with degree <= 4.
+MAX_BASIS = 1000
 
 
 @dataclasses.dataclass
@@ -61,6 +67,10 @@ class RunConfig:
         bad = [s for s in self.suites if s not in ALL_SUITES]
         if bad:
             raise ValueError(f"unknown suites: {bad}")
+        basis = sum(dim_P(self.m, self.n, d) for d in range(self.max_degree + 2))
+        if basis > MAX_BASIS:
+            raise ValueError(f"{basis} monomials of degree <= {self.max_degree + 1} "
+                             f"exceed the budget of {MAX_BASIS}")
 
     @property
     def M(self) -> int:
@@ -96,10 +106,9 @@ class Context:
             return cached
         keys = monomials_up_to(self.sig_z, max_degree)
         table = {}
-        for ka in keys:
-            for kb in keys:
-                v = bf_mono_pair(self.sig_z, ka, kb)
-                if not v.is_zero():
+        for d in range(max_degree + 1):
+            for ka, vec in bf_covectors(self.sig_z, d).items():
+                for kb, v in sorted(vec.items()):
                     table[(ka, kb)] = v
         self._bf_tables[max_degree] = (keys, table)
         return keys, table
@@ -939,7 +948,7 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
             lhs = bf_product(p.scale(a), q.scale(b))
             if lhs != a * b.conjugate() * bf_product(p, q):
                 return False, "sesquilinearity fails"
-    # shift identity from the table
+    # shift identity from the table, with Bessel(z_i) z^b read from its matrix
     for ka in keys:
         if deg[ka] > max_degree - 1:
             continue
@@ -949,15 +958,15 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
             if zia.is_zero():
                 continue
             (zkey, zc), = zia.terms.items()
-            for kb in keys:
-                if deg[kb] != deg[ka] + 1:
-                    continue
-                lhs = zc * table.get((zkey, kb), QQi(0))
-                rhs = QQi(0)
-                for bkey, bc in bessel_modified(i, SuperPolynomial.monomial(sig, kb)).terms.items():
-                    rhs = rhs + bc * table.get((ka, bkey), QQi(0))
-                s = QQi(-1 if (sig.parity(i) and par[ka]) else 1)
-                if lhs != s * rhs:
+            s = QQi(-1 if (sig.parity(i) and par[ka]) else 1)
+            for kb, image in bessel_matrix(sig, i, deg[ka] + 1).items():
+                g = table.get((zkey, kb))
+                terms = [bc * h for bkey, bc in image.items()
+                         if (h := table.get((ka, bkey))) is not None]
+                if g is None and not terms:
+                    continue  # both sides vanish
+                lhs = zc * (ZERO if g is None else g)
+                if lhs != s * sum(terms, ZERO):
                     return False, f"shift identity fails: i={i}, p={ka}, q={kb}"
     return True, f"table over all monomial pairs of degree <= {max_degree}"
 
@@ -1002,12 +1011,22 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
 
 
 def check_bf_oracle(ctx: Context, max_degree: int = 3):
+    """The word route against the shift-identity route on seeded polynomials,
+    and against the covector table on every same-degree monomial pair of
+    degree <= 2."""
     sig = ctx.sig_z
     polys = ctx.sample_polys(max_degree, 8, sig)
     for p in polys:
         for q in polys:
             if bf_product(p, q) != bf_product_shift_oracle(p, q):
                 return False, f"routes disagree on ({p}, {q})"
+    for d in range(min(max_degree, 2) + 1):
+        cov = bf_covectors(sig, d)
+        for ka in monomial_keys(sig, d):
+            for kb in monomial_keys(sig, d):
+                word = bf_word_apply(ka, SuperPolynomial.monomial(sig, kb)).constant_term()
+                if cov[ka].get(kb, QQi(0)) != word:
+                    return False, f"covector table disagrees with the word route on ({ka}, {kb})"
     return True, ""
 
 

@@ -1,10 +1,14 @@
+import importlib
 import json
+import pkgutil
 import re
 
 import pytest
 
+import superfock
+from superfock import cli
 from superfock.cli import main
-from superfock.verify import (RunConfig, report_json, report_text,
+from superfock.verify import (MAX_BASIS, RunConfig, report_json, report_text,
                               run_check, run_suite)
 
 
@@ -20,6 +24,31 @@ def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(m=4, n=0, suites=("nope",))
     assert RunConfig(m=6, n=1).M == 4
+
+
+def test_runconfig_refuses_a_basis_above_the_budget(monkeypatch, capsys):
+    assert MAX_BASIS > 606  # (7,1) at degree <= 4, the largest acceptance basis
+    RunConfig(m=7, n=1, max_degree=3)
+    with pytest.raises(ValueError, match="budget"):
+        RunConfig(m=7, n=1, max_degree=9)
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("a suite ran"))
+    assert main(["--m", "7", "--n", "1", "--max-degree", "9"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_clear_caches_empties_every_module_cache():
+    run_suite(RunConfig(m=4, n=1, max_degree=2, suites=("quotient", "harmonics", "fock", "sb")))
+    caches = []
+    for info in pkgutil.iter_modules(superfock.__path__):
+        mod = importlib.import_module(f"superfock.{info.name}")
+        caches += [obj for obj in vars(mod).values()
+                   if hasattr(obj, "cache_info")
+                   and getattr(obj, "__module__", None) == mod.__name__]
+    names = {obj.__name__ for obj in caches}
+    assert {"bessel_matrix", "bf_covectors", "monomial_keys", "tkk_for"} <= names
+    assert any(obj.cache_info().currsize for obj in caches)
+    superfock.clear_caches()
+    assert [obj.__name__ for obj in caches if obj.cache_info().currsize] == []
 
 
 def test_run_check_captures_exceptions():

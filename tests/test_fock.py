@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from superfock import fock
 from superfock.algebra import (R2, Signature, SuperPolynomial, bessel_modified,
-                               monomial_keys, random_polynomial)
-from superfock.bipoly import LEFT, slot_constant
-from superfock.fock import (bf_mono_pair, bf_product, bf_product_shift_oracle,
-                            gram_json, gram_nullspace, gram_rank, kernel,
-                            kernel_coefficient, kernel_pair, pi_complex_apply,
-                            rho_apply, rho_lowering, rho_raising)
+                               monomial_keys, monomials_up_to, random_polynomial)
+from superfock.bipoly import LEFT, RIGHT, slot_bessel_mod, slot_constant
+from superfock.fock import (bessel_matrix, bf_covectors, bf_product,
+                            bf_product_shift_oracle, bf_word_apply, gram_json,
+                            gram_nullspace, gram_rank, kernel,
+                            kernel_coefficient, kernel_pair, kernel_sum,
+                            pi_complex_apply, rho_apply, rho_lowering,
+                            rho_raising)
 from superfock.harmonics import harmonic_basis
 from superfock.liealg import tkk_for
 from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
@@ -192,9 +195,54 @@ def test_rho_skew_sample():
         assert bf_product(rho_apply(X, p), q) + s * bf_product(p, rho_apply(X, q)) == QQi(0)
 
 
-def test_bf_mono_pair_cache_agrees():
-    keys = monomial_keys(SIG, 2)
-    for ka in keys[:6]:
-        for kb in keys[:6]:
-            assert bf_mono_pair(SIG, ka, kb) == bf_product(
-                SuperPolynomial.monomial(SIG, ka), SuperPolynomial.monomial(SIG, kb))
+@pytest.mark.parametrize("m,n", [(4, 1), (2, 2), (5, 0)])
+def test_bf_covectors_agree_with_the_word_route(m, n):
+    sig = Signature(m, n, varset="z")
+    keys = monomials_up_to(sig, 3)
+    for ka in keys:
+        vec = bf_covectors(sig, sum(ka[0]) + len(ka[1]))[ka]
+        for kb in keys:
+            word = bf_word_apply(ka, SuperPolynomial.monomial(sig, kb)).constant_term()
+            assert vec.get(kb, QQi(0)) == word, (ka, kb)
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (2, 2), (5, 0)])
+def test_bessel_matrix_images_are_homogeneous(m, n):
+    sig = Signature(m, n, varset="z")
+    for k in range(5):
+        for i in range(sig.nvars):
+            mat = bessel_matrix(sig, i, k)
+            assert list(mat) == list(monomial_keys(sig, k))
+            for key, image in mat.items():
+                assert all(sum(ev) + len(odd) == k - 1 for ev, odd in image)
+                assert image == bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
+
+
+def test_bessel_matrix_refuses_an_image_of_the_wrong_degree(monkeypatch):
+    monkeypatch.setattr(fock, "bessel_modified", lambda i, p: p.mul_var(i))
+    with pytest.raises(AssertionError):
+        bessel_matrix.__wrapped__(SIG, 0, 1)
+
+
+def slot_bessel_kernel_pair(p, kern):
+    """The Bessel word of each term of p on the kernel's first slot, then its
+    constant in that slot."""
+    total = SuperPolynomial.zero(kern.sig.halves[RIGHT])
+    for key, a in p.terms.items():
+        cur = kern
+        for i in reversed(fock._word_indices(key)):
+            cur = slot_bessel_mod(cur, LEFT, i)
+            if cur.is_zero():
+                break
+        total = total + slot_constant(cur, LEFT).scale(a)
+    return total
+
+
+@pytest.mark.parametrize("m,n", [(5, 1), (4, 0)])
+def test_kernel_pair_agrees_with_the_slot_bessel_word(m, n):
+    sig = Signature(m, n, varset="z")
+    sigw = Signature(m, n, varset="w")
+    kern = kernel_sum(3, sig, sigw)
+    for key in monomials_up_to(sig, 3):
+        p = SuperPolynomial.monomial(sig, key, QQi(1, 2, 3))
+        assert kernel_pair(p, kern) == slot_bessel_kernel_pair(p, kern), key
