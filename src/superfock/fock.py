@@ -13,8 +13,10 @@ as independent oracles.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The complexified Schrodinger action is ``schrodinger.pi_table``
-at rate 0; the Fock action ``rho_apply`` keeps its own table, which
-``verify.check_rho_composition`` compares with the Cayley twist of the former.
+at rate 0; the Fock action ``rho_apply`` keeps its own table.
+``verify.check_rho_composition`` reads the columns of ``rho_apply`` on the
+monomials of F (``verify.Context.rho_column``) and compares each with
+``pi_complex_apply`` of the Cayley twist c(X) on the same monomial.
 """
 
 from __future__ import annotations

@@ -199,9 +199,3 @@ class SBTransform:
         rhs = self.sb_inverse(rho_apply(X, p))
         return lhs.poly - rhs.poly
 
-    def check_unitary(self, f: WElement, g: WElement):
-        """Pair (Fock-side product of transforms, W-side form)."""
-        from .fock import bf_product
-        from .integral import w_form
-        return bf_product(self.sb(f), self.sb(g)), w_form(f, g)
-

@@ -74,9 +74,6 @@ class QQi:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)

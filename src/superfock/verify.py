@@ -4,6 +4,12 @@ Every check is an exact identity (or an explicit numeric bound in the
 ``specfun`` suite) evaluated at one configuration (m, n).  Checks carry a
 human-readable identity string, return pass/fail/skip plus a witness on
 failure, and never raise: unexpected exceptions are reported as failures.
+
+Action columns on monomials (``Context.pi_column``, ``Context.rho_column``)
+and pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized per
+``Context``.  One commutator loop over columns (``_representation_failure``)
+checks the representations D, pi and rho; one contraction of a pairing table
+against columns (``_skew_failure``) checks the adjointness of pi, rho, L_ij.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
 from .scalars import HALF, I, ONE, ZERO, PiScalar, QQi, _acc
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
-                          lowest_vector, make_w, pi_apply, radial_expand)
+                          lowest_vector, make_w, pi_apply, pi_table,
+                          radial_expand)
 from .sbtransform import (SBTransform, b_series_coeff, b_series_truncation,
                           exp_z0_truncation)
 from . import specfun
@@ -88,7 +95,7 @@ class CheckResult:
 
 
 class Context:
-    """Shared per-configuration caches used across suites."""
+    """Shared per-configuration caches used across suites; they go with the instance."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -98,6 +105,33 @@ class Context:
         self._tkk = None
         self._sb = None
         self._bf_tables: dict[int, tuple] = {}
+        self._pi_cols: dict = {}
+        self._rho_cols: dict = {}
+        self._w_pairs: dict = {}
+
+    def pi_column(self, a: int, key) -> dict:
+        """Terms of the Schrodinger action of basis element a on x^key exp(-2 x_0)."""
+        col = self._pi_cols.get((a, key))
+        if col is None:
+            col = self._pi_cols[a, key] = pi_table(
+                self.tkk.basis_element(a), SuperPolynomial.monomial(self.sig, key), 2).terms
+        return col
+
+    def rho_column(self, a: int, key) -> dict:
+        """Terms of the Fock action of basis element a on z^key."""
+        col = self._rho_cols.get((a, key))
+        if col is None:
+            col = self._rho_cols[a, key] = rho_apply(
+                self.tkk.basis_element(a), SuperPolynomial.monomial(self.sig_z, key)).terms
+        return col
+
+    def w_pair(self, p, q) -> QQi:
+        """W-form of the rate-2 monomial vectors x^p and x^q."""
+        val = self._w_pairs.get((p, q))
+        if val is None:
+            val = self._w_pairs[p, q] = w_form(
+                *(WElement(2, SuperPolynomial.monomial(self.sig, k)) for k in (p, q)))
+        return val
 
     def bf_table(self, max_degree: int):
         """All pairings of monomials of degree <= max_degree, as a sparse dict."""
@@ -127,13 +161,10 @@ class Context:
 
     def w_monomials(self, max_deg: int) -> list[WElement]:
         return [make_w(SuperPolynomial.monomial(self.sig, key), 2)
-                for d in range(max_deg + 1)
-                for key in normal_form_keys(self.sig, d)]
+                for key in _nf_keys(self.sig, max_deg)]
 
     def fock_monomials(self, max_deg: int) -> list[SuperPolynomial]:
-        return [SuperPolynomial.monomial(self.sig_z, key)
-                for d in range(max_deg + 1)
-                for key in normal_form_keys(self.sig_z, d)]
+        return [SuperPolynomial.monomial(self.sig_z, key) for key in _nf_keys(self.sig_z, max_deg)]
 
     def sample_polys(self, degree: int, count: int, sig=None) -> list[SuperPolynomial]:
         sig = sig or self.sig
@@ -167,6 +198,57 @@ def run_check(suite: str, name: str, identity: str, fn) -> CheckResult:
 
 def skip(suite: str, name: str, identity: str, reason: str) -> CheckResult:
     return CheckResult(suite, name, identity, "skip", reason)
+
+
+def _nf_keys(sig: Signature, max_degree: int) -> list:
+    """Normal-form monomial keys of degree <= max_degree, by degree."""
+    return [key for d in range(max_degree + 1) for key in normal_form_keys(sig, d)]
+
+
+def _representation_failure(tkk: TKK, pairs, keys, column):
+    """First (a, b, key) with [op(X_a), op(X_b)] x^key != op([X_a, X_b]) x^key,
+    or None.  ``column(a, key)`` holds the terms of op(X_a) x^key; op is linear,
+    so both sides are read off the columns of the basis elements."""
+    for (a, b) in pairs:
+        minus_Z = -tkk.bracket(tkk.basis_element(a), tkk.basis_element(b))
+        minus_s = QQi(1 if (tkk.parity(a) and tkk.parity(b)) else -1)
+        for key in keys:
+            resid: dict = {}
+            for k2, c in column(b, key).items():
+                for k3, v in column(a, k2).items():
+                    _acc(resid, k3, c * v)
+            for k2, c in column(a, key).items():
+                for k3, v in column(b, k2).items():
+                    _acc(resid, k3, minus_s * c * v)
+            for idx, cc in minus_Z.coeffs.items():
+                for k3, v in column(idx, key).items():
+                    _acc(resid, k3, cc * v)
+            if resid:
+                return a, b, key
+    return None
+
+
+def _skew_failure(table: dict, keys, column, sign):
+    """First (p, q) of keys with <op p, q> + sign(p) <p, op q> != 0, or None.
+
+    ``table`` holds the nonzero entries {(p, q): <p, q>} of a sesquilinear
+    pairing (linear in p, conjugate-linear in q) and ``column(p)`` the terms
+    of op p; both sides are scatter sums of the table against the columns."""
+    signs = {p: sign(p) for p in keys}
+    pre: dict = {}  # r -> [(p, c)]: the monomial r appears in op p with coefficient c
+    for p in keys:
+        for r, c in column(p).items():
+            pre.setdefault(r, []).append((p, c))
+    resid: dict = {}
+    for (r, q), g in table.items():
+        if q in signs:
+            for (p, c) in pre.get(r, ()):
+                _acc(resid, (p, q), c * g)
+    for (p, r), g in table.items():
+        if p in signs:
+            for (q, c) in pre.get(r, ()):
+                _acc(resid, (p, q), signs[p] * c.conjugate() * g)
+    return next(iter(resid), None)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +340,7 @@ def check_bessel_supercommute(ctx: Context, max_degree: int = 3):
                     s = -1 if (sig.parity(i) and sig.parity(j)) else 1
                     lhs = bessel_modified(j, bi)
                     rhs = bessel_modified(i, bessel_modified(j, p)).scale(s)
-                    if lhs != rhs.scale(1):
+                    if lhs != rhs:
                         return False, f"supercommutativity fails at ({i},{j}) on {p}"
     return True, ""
 
@@ -592,21 +674,18 @@ def check_cayley(ctx: Context):
 def check_realization(ctx: Context, max_degree: int = 2, pair_limit: int = 900):
     tkk = ctx.tkk
     bsig = tkk.big_signature
-    polys = [SuperPolynomial.monomial(bsig, key)
-             for key in monomials_up_to(bsig, max_degree)]
-    ops = {a: tkk.realize(tkk.basis_element(a)) for a in range(tkk.dim)}
+    keys = monomials_up_to(bsig, max_degree)
+    ops = [tkk.realize(tkk.basis_element(a)) for a in range(tkk.dim)]
+    # the realized operators preserve the degree, so these columns are closed
+    cols = {(a, key): op(SuperPolynomial.monomial(bsig, key)).terms
+            for a, op in enumerate(ops) for key in keys}
     pairs = [(a, b) for a in range(tkk.dim) for b in range(tkk.dim)]
     if len(pairs) > pair_limit:
         rng = ctx.rng
-        pairs = [tuple(rng.sample(range(tkk.dim), 1) * 2) for _ in range(0)] or \
-            [(rng.randrange(tkk.dim), rng.randrange(tkk.dim)) for _ in range(pair_limit)]
-    for (a, b) in pairs:
-        br = tkk.realize(tkk.bracket(tkk.basis_element(a), tkk.basis_element(b)))
-        s = -1 if (tkk.parity(a) and tkk.parity(b)) else 1
-        for p in polys:
-            lhs = ops[a](ops[b](p)) - ops[b](ops[a](p)).scale(s)
-            if lhs != br(p):
-                return False, f"homomorphism fails at pair ({a},{b})"
+        pairs = [(rng.randrange(tkk.dim), rng.randrange(tkk.dim)) for _ in range(pair_limit)]
+    bad = _representation_failure(tkk, pairs, keys, lambda a, key: cols[a, key])
+    if bad:
+        return False, f"homomorphism fails at pair ({bad[0]},{bad[1]})"
     return True, f"{len(pairs)} basis pairs on monomials of degree <= {max_degree}"
 
 
@@ -708,21 +787,12 @@ def check_pi_examples(ctx: Context):
 
 
 def check_pi_representation(ctx: Context, max_degree: int = 2):
-    sig = ctx.sig
     tkk = ctx.tkk
-    fs = ctx.w_monomials(max_degree)
-    for a in range(tkk.dim):
-        X = tkk.basis_element(a)
-        Xfs = [pi_apply(X, f) for f in fs]
-        for b in range(a, tkk.dim):
-            Y = tkk.basis_element(b)
-            Z = tkk.bracket(X, Y)
-            s = QQi(-1 if (tkk.parity(a) and tkk.parity(b)) else 1)
-            for f, Xf in zip(fs, Xfs):
-                lhs = pi_apply(X, pi_apply(Y, f)).poly \
-                    - pi_apply(Y, Xf).poly.scale(s)
-                if reduce_poly(lhs) != pi_apply(Z, f).poly:
-                    return False, f"pairs ({a},{b}) on {f.poly}"
+    pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
+    bad = _representation_failure(tkk, pairs, _nf_keys(ctx.sig, max_degree), ctx.pi_column)
+    if bad:
+        a, b, key = bad
+        return False, f"pairs ({a},{b}) on {SuperPolynomial.monomial(ctx.sig, key)}"
     return True, f"all basis pairs on monomial vectors of degree <= {max_degree}"
 
 
@@ -828,29 +898,30 @@ def check_euler_vanishing(ctx: Context, samples: int = 20):
 
 
 def check_pi_skew(ctx: Context, max_degree: int = 2):
-    sig = ctx.sig
     tkk = ctx.tkk
-    fs = ctx.w_monomials(max_degree)
+    keys = _nf_keys(ctx.sig, max_degree)
+    wider = _nf_keys(ctx.sig, max_degree + 1)
+    # pi raises the degree by at most one: pair degree <= d with degree <= d + 1
+    table = {pair: v for p in keys for q in wider for pair in ((p, q), (q, p))
+             if (v := ctx.w_pair(*pair))}
     for a in range(tkk.dim):
-        X = tkk.basis_element(a)
         pX = tkk.parity(a)
-        Xfs = [pi_apply(X, f) for f in fs]
-        for f, Xf in zip(fs, Xfs):
-            sgn = QQi(-1 if (pX and f.poly.parity()) else 1)
-            for g, Xg in zip(fs, Xfs):
-                if w_form(Xf, g) + sgn * w_form(f, Xg) != QQi(0):
-                    return False, f"{tkk.basis_label(a)} on ({f.poly}, {g.poly})"
+        bad = _skew_failure(table, keys, lambda p: ctx.pi_column(a, p),
+                            lambda p: QQi(-1 if (pX and len(p[1]) & 1) else 1))
+        if bad:
+            f, g = (SuperPolynomial.monomial(ctx.sig, k) for k in bad)
+            return False, f"{tkk.basis_label(a)} on ({f}, {g})"
     return True, f"every basis element on vectors of degree <= {max_degree}"
 
 
 def check_form_superhermitian(ctx: Context, max_degree: int = 2):
-    fs = ctx.w_monomials(max_degree)
-    for f in fs:
-        pf = f.poly.parity()
-        for g in fs:
-            s = QQi(-1 if (pf and g.poly.parity()) else 1)
-            if w_form(f, g) != s * w_form(g, f).conjugate():
-                return False, f"({f.poly}, {g.poly})"
+    keys = _nf_keys(ctx.sig, max_degree)
+    for p in keys:
+        for q in keys:
+            s = QQi(-1 if (len(p[1]) & 1 and len(q[1]) & 1) else 1)
+            if ctx.w_pair(p, q) != s * ctx.w_pair(q, p).conjugate():
+                f, g = (SuperPolynomial.monomial(ctx.sig, k) for k in (p, q))
+                return False, f"({f}, {g})"
     v0 = lowest_vector(ctx.sig)
     if w_form(v0, v0) != QQi(1):
         return False, "lowest vector does not have unit norm"
@@ -977,36 +1048,17 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
     for all monomials p, q is a pair of scatter sums over nonzero pairings."""
     sig = ctx.sig_z
     keys, table = ctx.bf_table(max_degree)
-    par = {k: len(k[1]) & 1 for k in keys}
-
     index_pairs = [(i, j) for i in range(sig.nvars) for j in range(i, sig.nvars)
                    if i != j or sig.parity(i)]
     for (i, j) in index_pairs:
-        # pre[r] = pairs (p, c) with the monomial r appearing in L(p) with coefficient c
-        pre: dict = {}
-        for ka in keys:
-            img = angular_L(i, j, SuperPolynomial.monomial(sig, ka))
-            for r, c in img.terms.items():
-                pre.setdefault(r, []).append((ka, c))
         eps = (sig.parity(i) + sig.parity(j)) & 1
-        zero_side = i == 0
-        lhs: dict = {}
-        rhs: dict = {}
-        for (r, q), g in table.items():
-            for (p, c) in pre.get(r, ()):
-                _acc(lhs, (p, q), c * g)
-        for (p, s_), g in table.items():
-            for (q, c) in pre.get(s_, ()):
-                _acc(rhs, (p, q), c.conjugate() * g)
-        for key in set(lhs) | set(rhs):
-            p, q = key
-            s = QQi(-1 if (eps and par[p]) else 1)
-            if zero_side:
-                ok = lhs.get(key, QQi(0)) == s * rhs.get(key, QQi(0))
-            else:
-                ok = lhs.get(key, QQi(0)) == -s * rhs.get(key, QQi(0))
-            if not ok:
-                return False, f"adjointness fails at L({i},{j}) on {key}"
+        # L_0j is self-adjoint up to the parity sign, every other L_ij skew
+        flip = -1 if i == 0 else 1
+        bad = _skew_failure(
+            table, keys, lambda p: angular_L(i, j, SuperPolynomial.monomial(sig, p)).terms,
+            lambda p: QQi(-flip if (eps and len(p[1]) & 1) else flip))
+        if bad:
+            return False, f"adjointness fails at L({i},{j}) on {bad}"
     return True, f"all angular index pairs on monomials of degree <= {max_degree}"
 
 
@@ -1091,62 +1143,25 @@ def check_gram(ctx: Context, max_degree: int = 3):
     return True, f"degree {k}: rank {r} < dim {d}, certified null vector"
 
 
-def _rho_columns(ctx: Context, max_degree: int):
-    tkk = ctx.tkk
-    keys = [key for d in range(max_degree + 1)
-            for key in normal_form_keys(ctx.sig_z, d)]
-    cols = {}
-    for a in range(tkk.dim):
-        X = tkk.basis_element(a)
-        cols[a] = {key: rho_apply(X, SuperPolynomial.monomial(ctx.sig_z, key)).terms
-                   for key in keys}
-    return keys, cols
-
-
 def check_rho_composition(ctx: Context, max_degree: int = 3):
     tkk = ctx.tkk
-    fs = ctx.fock_monomials(max_degree)
+    keys = _nf_keys(ctx.sig_z, max_degree)
     for a in range(tkk.dim):
-        X = tkk.basis_element(a)
-        cX = tkk.cayley(X)
-        for p in fs:
-            if rho_apply(X, p) != pi_complex_apply(cX, p):
+        cX = tkk.cayley(tkk.basis_element(a))
+        for key in keys:
+            p = SuperPolynomial.monomial(ctx.sig_z, key)
+            if ctx.rho_column(a, key) != pi_complex_apply(cX, p).terms:
                 return False, f"{tkk.basis_label(a)} on {p}"
     return True, f"rho agrees with the Cayley twist on F_<= {max_degree}"
 
 
 def check_rho_representation(ctx: Context, max_degree: int = 3):
     tkk = ctx.tkk
-    keys3 = [key for d in range(max_degree + 1)
-             for key in normal_form_keys(ctx.sig_z, d)]
-    _, cols = _rho_columns(ctx, max_degree + 1)
-
-    def apply_cols(colmap, vec: dict) -> dict:
-        out: dict = {}
-        for key, c in vec.items():
-            img = colmap.get(key)
-            if img is None:
-                raise KeyError(f"column {key} missing")
-            for k2, v in img.items():
-                _acc(out, k2, c * v)
-        return out
-
-    for a in range(tkk.dim):
-        for b in range(a, tkk.dim):
-            Z = tkk.bracket(tkk.basis_element(a), tkk.basis_element(b))
-            s = QQi(-1 if (tkk.parity(a) and tkk.parity(b)) else 1)
-            for key in keys3:
-                vec = {key: QQi(1)}
-                lhs = apply_cols(cols[a], apply_cols(cols[b], vec))
-                rhs2 = apply_cols(cols[b], apply_cols(cols[a], vec))
-                for k2, v in rhs2.items():
-                    _acc(lhs, k2, -(s * v))
-                want: dict = {}
-                for cidx, cc in Z.coeffs.items():
-                    for k2, v in cols[cidx][key].items():
-                        _acc(want, k2, cc * v)
-                if lhs != want:
-                    return False, f"commutator fails at ({a},{b}) on {key}"
+    pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
+    bad = _representation_failure(tkk, pairs, _nf_keys(ctx.sig_z, max_degree),
+                                  ctx.rho_column)
+    if bad:
+        return False, f"commutator fails at ({bad[0]},{bad[1]}) on {bad[2]}"
     return True, f"all basis pairs on F_<= {max_degree}"
 
 
@@ -1173,32 +1188,14 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
     pairing table against the action columns, equivalent to checking every
     pair of normal-form basis vectors of F up to the given degree."""
     tkk = ctx.tkk
-    keys = [key for d in range(max_degree + 1)
-            for key in normal_form_keys(ctx.sig_z, d)]
-    keyset = set(keys)
-    par = {k: len(k[1]) & 1 for k in keys}
+    keys = _nf_keys(ctx.sig_z, max_degree)
     _, table = ctx.bf_table(max_degree + 1)
     for a in range(tkk.dim):
-        X = tkk.basis_element(a)
         pX = tkk.parity(a)
-        pre: dict = {}
-        for key in keys:
-            img = rho_apply(X, SuperPolynomial.monomial(ctx.sig_z, key))
-            for r, c in img.terms.items():
-                pre.setdefault(r, []).append((key, c))
-        resid: dict = {}
-        for (r, q), g in table.items():
-            if q in keyset:
-                for (p, c) in pre.get(r, ()):
-                    _acc(resid, (p, q), c * g)
-        for (p, s_), g in table.items():
-            if p in keyset:
-                for (q, c) in pre.get(s_, ()):
-                    sgn = QQi(-1 if (pX and par[p]) else 1)
-                    _acc(resid, (p, q), sgn * c.conjugate() * g)
-        if resid:
-            p, q = next(iter(resid))
-            return False, f"{tkk.basis_label(a)} on ({p},{q})"
+        bad = _skew_failure(table, keys, lambda p: ctx.rho_column(a, p),
+                            lambda p: QQi(-1 if (pX and len(p[1]) & 1) else 1))
+        if bad:
+            return False, f"{tkk.basis_label(a)} on ({bad[0]},{bad[1]})"
     return True, f"every basis element on F_<= {max_degree}"
 
 
