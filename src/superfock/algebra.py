@@ -201,7 +201,7 @@ class SuperPolynomial:
     # -- ring operations -------------------------------------------------
 
     def _check(self, other: "SuperPolynomial"):
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise ValueError("signature mismatch")
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
@@ -232,7 +232,7 @@ class SuperPolynomial:
         return p
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
+        if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QQi)):
             return self.scale(other)
         self._check(other)
         out: dict[MonKey, QQi] = {}
@@ -296,32 +296,33 @@ class SuperPolynomial:
         becomes d_upper(0) - c."""
         if rate and i == 0:
             return self.d_upper(0) - self.scale(rate)
-        sig = self.sig
-        out: dict[MonKey, QQi] = {}
-        if i < sig.m:
-            for (ev, odd), c in self.terms.items():
-                e = ev[i]
-                if e:
-                    ev2 = ev[:i] + (e - 1,) + ev[i + 1:]
-                    _acc(out, (ev2, odd), c * e)
-        else:
-            for (ev, odd), c in self.terms.items():
-                if i not in odd:
-                    continue
-                pos = odd.index(i)
-                odd2 = odd[:pos] + odd[pos + 1:]
-                _acc(out, (ev, odd2), -c if pos & 1 else c)
         p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = sig, out
+        p.sig, p.terms = self.sig, self._derive_into({}, ((i, 1),))
         return p
 
     def d_lower(self, j: int, rate=0) -> "SuperPolynomial":
         """Metric-lowered derivation: sum_i d_upper(i, rate) * beta[j][i]."""
         if rate and self.sig.beta[j][0]:
             return self.d_lower(j) - self.scale(QQi.coerce(rate) * self.sig.beta[j][0])
-        out = SuperPolynomial.zero(self.sig)
-        for i, b in self.sig.beta_rows[j]:
-            out = out + self.d_upper(i).scale(b)
+        p = SuperPolynomial.__new__(SuperPolynomial)
+        p.sig, p.terms = self.sig, self._derive_into({}, self.sig.beta_rows[j])
+        return p
+
+    def _derive_into(self, out: dict, row) -> dict:
+        """Add sum_i b * d_upper(i) of self into the term map out, for (i, b) in row."""
+        m = self.sig.m
+        for i, b in row:
+            if i < m:
+                for (ev, odd), c in self.terms.items():
+                    e = ev[i]
+                    if e:
+                        _acc(out, (ev[:i] + (e - 1,) + ev[i + 1:], odd), c * (b * e))
+            else:
+                for (ev, odd), c in self.terms.items():
+                    if i not in odd:
+                        continue
+                    pos = odd.index(i)
+                    _acc(out, (ev, odd[:pos] + odd[pos + 1:]), c * (-b if pos & 1 else b))
         return out
 
     # -- comparison / rendering ------------------------------------------
@@ -413,13 +414,21 @@ def euler(p: SuperPolynomial, rate=0) -> SuperPolynomial:
 
 def laplacian(p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """Metric Laplacian sum_i d_lower(i) d_upper(i)."""
-    out = SuperPolynomial.zero(p.sig)
-    for i in range(p.sig.nvars):
-        out = out + p.d_upper(i).d_lower(i)
+    sig = p.sig
+    out: dict[MonKey, QQi] = {}
+    for i in range(sig.nvars):
+        p.d_upper(i)._derive_into(out, sig.beta_rows[i])
     if rate:
         c = QQi.coerce(rate)
-        out = out - p.d_lower(0).scale(c + c) + p.scale(c * c * p.sig.beta[0][0])
-    return out
+        # - 2c d_lower(0) p + c^2 beta[0][0] p, into the same term map
+        p._derive_into(out, [(i, b * -(c + c)) for i, b in sig.beta_rows[0]])
+        cc = c * c * sig.beta[0][0]
+        if not cc.is_zero():
+            for key, v in p.terms.items():
+                _acc(out, key, v * cc)
+    q = SuperPolynomial.__new__(SuperPolynomial)
+    q.sig, q.terms = sig, out
+    return q
 
 
 def sl2_ops(p: SuperPolynomial):

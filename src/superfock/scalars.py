@@ -4,25 +4,27 @@ All symbolic computation in this package runs over ``QQi`` (numbers of the
 form (a + b*i)/d with integer a, b, d).  Integral values that carry
 half-integer powers of pi (sphere areas, Gamma values at half-integers)
 live in ``PiScalar``, a Laurent ring in pi^(1/2) with QQi coefficients.
+
+Every ``QQi`` is stored in lowest terms: d > 0 and gcd(a, b, d) = 1, so equal
+numbers have equal parts and ``==``, ``hash`` and ``str`` read the parts.
+``QQi(a, b, d)`` is the one constructor that normalizes: it accepts ints and
+``Fraction``s, raises ``TypeError`` on anything else and ``ZeroDivisionError``
+on d = 0, and skips the gcd only when a, b, d are ints and d = 1.  The
+private ``QQi._raw`` stores its parts unchecked and is used only where the
+result is reduced by construction:
+
+- negation and conjugation change the sign of a and b, which keeps the gcd;
+- sums, differences and products of two numbers with d = 1 have d = 1;
+- ``coerce`` of an int has d = 1;
+- k * (a + b*i)/d for an int k is reduced by gcd(k, d) alone (``_times_int``),
+  which covers products by +-1, +-i and by any Gaussian integer that is real
+  or imaginary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-def _normalize(a: int, b: int, d: int) -> tuple[int, int, int]:
-    if d == 0:
-        raise ZeroDivisionError("zero denominator")
-    if d < 0:
-        a, b, d = -a, -b, -d
-    g = gcd(gcd(abs(a), abs(b)), d)
-    if g > 1:
-        a //= g
-        b //= g
-        d //= g
-    return a, b, d
 
 
 def _acc(terms: dict, key, val):
@@ -45,13 +47,33 @@ class QQi:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d=1):
-        if isinstance(a, Fraction) or isinstance(b, Fraction) or isinstance(d, Fraction):
-            fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
-            den = fa.denominator * fb.denominator * fd.denominator
-            a = int(fa * den)
-            b = int(fb * den)
-            d = int(fd * den)
-        self.a, self.b, self.d = _normalize(a, b, d)
+        if type(a) is not int or type(b) is not int or type(d) is not int:
+            if isinstance(a, Fraction) or isinstance(b, Fraction) or isinstance(d, Fraction):
+                fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
+                den = fa.denominator * fb.denominator * fd.denominator
+                a = int(fa * den)
+                b = int(fb * den)
+                d = int(fd * den)
+        elif d == 1:
+            self.a, self.b, self.d = a, b, 1
+            return
+        if d <= 0:
+            if d == 0:
+                raise ZeroDivisionError("zero denominator")
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)  # also the TypeError for inputs that are not integers
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+        self.a, self.b, self.d = a, b, d
+
+    @staticmethod
+    def _raw(a: int, b: int, d: int) -> "QQi":
+        """(a + b*i)/d from parts already in lowest terms with d > 0; no check."""
+        q = _new(QQi)
+        q.a, q.b, q.d = a, b, d
+        return q
 
     # -- construction helpers ------------------------------------------------
 
@@ -61,6 +83,11 @@ class QQi:
 
     @staticmethod
     def coerce(x) -> "QQi":
+        t = type(x)
+        if t is QQi:
+            return x
+        if t is int:
+            return _raw(x, 0, 1)
         if isinstance(x, QQi):
             return x
         if isinstance(x, int):
@@ -83,31 +110,52 @@ class QQi:
         return Fraction(self.b, self.d)
 
     def conjugate(self) -> "QQi":
-        return QQi(self.a, -self.b, self.d)
+        return _raw(self.a, -self.b, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "QQi":
-        o = QQi.coerce(other)
-        return QQi(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
+        o = other if type(other) is QQi else QQi.coerce(other)
+        d, e = self.d, o.d
+        if d == 1 and e == 1:
+            return _raw(self.a + o.a, self.b + o.b, 1)
+        return QQi(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QQi":
-        q = QQi.__new__(QQi)
-        q.a, q.b, q.d = -self.a, -self.b, self.d
-        return q
+        return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "QQi":
-        o = QQi.coerce(other)
-        return QQi(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
+        o = other if type(other) is QQi else QQi.coerce(other)
+        d, e = self.d, o.d
+        if d == 1 and e == 1:
+            return _raw(self.a - o.a, self.b - o.b, 1)
+        return QQi(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, other) -> "QQi":
         return QQi.coerce(other) - self
 
     def __mul__(self, other) -> "QQi":
-        o = QQi.coerce(other)
-        return QQi(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
+        t = type(other)
+        if t is int:
+            return _times_int(self.a, self.b, self.d, other)
+        o = other if t is QQi else QQi.coerce(other)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = o.a, o.b, o.d
+        if f == 1:
+            if d == 1:
+                return _raw(a * c - b * e, a * e + b * c, 1)
+            if e == 0:
+                return _times_int(a, b, d, c)
+            if c == 0:
+                return _times_int(-b, a, d, e)  # e*i times self
+        elif d == 1:
+            if b == 0:
+                return _times_int(c, e, f, a)
+            if a == 0:
+                return _times_int(-e, c, f, b)
+        return QQi(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -138,10 +186,11 @@ class QQi:
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QQi.coerce(other)
-        if not isinstance(other, QQi):
-            return NotImplemented
+        if type(other) is not QQi:
+            if isinstance(other, (int, Fraction)):
+                other = QQi.coerce(other)
+            if not isinstance(other, QQi):
+                return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
@@ -165,6 +214,23 @@ class QQi:
 
     def __repr__(self) -> str:
         return f"QQi({self})"
+
+
+_new = object.__new__
+_raw = QQi._raw
+
+
+def _times_int(a: int, b: int, d: int, k: int) -> QQi:
+    """k * (a + b*i)/d for an int k and parts in lowest terms with d > 0.
+
+    Only gcd(k, d) can cancel: k/g and d/g are coprime for g = gcd(k, d), and
+    a prime of d/g dividing both k*a/g and k*b/g would divide a, b and d."""
+    if d != 1:
+        g = gcd(k, d)
+        if g != 1:
+            k //= g
+            d //= g
+    return _raw(a * k, b * k, d)
 
 
 ZERO = QQi(0)

@@ -1186,7 +1186,14 @@ def check_rho_ladders(ctx: Context, kmax: int = 5):
 def check_rho_skew(ctx: Context, max_degree: int = 3):
     """Skew-supersymmetry of the Fock action via sparse contractions of the
     pairing table against the action columns, equivalent to checking every
-    pair of normal-form basis vectors of F up to the given degree."""
+    pair of normal-form basis vectors of F up to the given degree.
+
+    The check sees an action only through the Bessel-Fischer form, so it
+    tests skewness modulo the radical of that form.  At M = 2 the form
+    vanishes on degree 1 (``fock/gram-rank`` reports rank 0 there), so an
+    error on F_1 goes unseen: doubling the action column of the constant
+    monomial passes this check with max_degree 1 at (4,1) and fails it at
+    (5,1)."""
     tkk = ctx.tkk
     keys = _nf_keys(ctx.sig_z, max_degree)
     _, table = ctx.bf_table(max_degree + 1)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from superfock.algebra import (R2, Signature, SuperPolynomial, angular_L,
                                bessel, bessel_modified, dim_P, euler,
                                laplacian, merge_odd, monomial_keys,
-                               r2_small, random_polynomial, sl2_ops, theta2)
-from superfock.scalars import QQi
+                               monomials_up_to, r2_small, random_polynomial,
+                               sl2_ops, theta2)
+from superfock.scalars import QQi, _acc
 
 SIG = Signature(4, 1)
 
@@ -158,3 +159,50 @@ def test_serialization_format():
     q = var(0).scale(QQi(0, -1)) + SuperPolynomial.one(SIG)
     assert str(q) == "1 + -1*i*x0"
     assert str(SuperPolynomial.zero(SIG)) == "0"
+
+
+# The chained derivations that the one-pass kernel replaced, kept as its oracle.
+
+def chained_d_upper(p, i):
+    sig = p.sig
+    out = {}
+    for (ev, odd), c in p.terms.items():
+        if i < sig.m:
+            if ev[i]:
+                _acc(out, (ev[:i] + (ev[i] - 1,) + ev[i + 1:], odd), c * ev[i])
+        elif i in odd:
+            pos = odd.index(i)
+            _acc(out, (ev, odd[:pos] + odd[pos + 1:]), -c if pos & 1 else c)
+    return SuperPolynomial(sig, out)
+
+
+def chained_d_lower(p, j, rate=0):
+    if rate and p.sig.beta[j][0]:
+        return chained_d_lower(p, j) - p.scale(QQi.coerce(rate) * p.sig.beta[j][0])
+    out = SuperPolynomial.zero(p.sig)
+    for i, b in p.sig.beta_rows[j]:
+        out = out + chained_d_upper(p, i).scale(b)
+    return out
+
+
+def chained_laplacian(p, rate=0):
+    out = SuperPolynomial.zero(p.sig)
+    for i in range(p.sig.nvars):
+        out = out + chained_d_lower(chained_d_upper(p, i), i)
+    if rate:
+        c = QQi.coerce(rate)
+        out = out - chained_d_lower(p, 0).scale(c + c) + p.scale(c * c * p.sig.beta[0][0])
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (2, 2), (5, 0)])
+def test_one_pass_derivations_agree_with_the_chained_sums(m, n):
+    sig = Signature(m, n)
+    for key in monomials_up_to(sig, 3):
+        p = SuperPolynomial.monomial(sig, key, QQi(1, 2, 3))
+        for i in range(sig.nvars):
+            assert p.d_upper(i) == chained_d_upper(p, i), (key, i)
+        for rate in (0, 2):
+            for j in range(sig.nvars):
+                assert p.d_lower(j, rate) == chained_d_lower(p, j, rate), (key, j, rate)
+            assert laplacian(p, rate) == chained_laplacian(p, rate), (key, rate)

@@ -47,8 +47,12 @@ def test_clear_caches_empties_every_module_cache():
     names = {obj.__name__ for obj in caches}
     assert {"bessel_matrix", "bf_covectors", "monomial_keys", "tkk_for"} <= names
     assert any(obj.cache_info().currsize for obj in caches)
+    stats = superfock.cache_stats()
+    assert set(stats) == {f"{obj.__module__}.{obj.__qualname__}" for obj in caches}
+    assert any(info.misses > 0 for info in stats.values())
     superfock.clear_caches()
     assert [obj.__name__ for obj in caches if obj.cache_info().currsize] == []
+    assert [name for name, info in superfock.cache_stats().items() if info.currsize] == []
 
 
 def test_run_check_captures_exceptions():

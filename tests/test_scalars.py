@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,3 +82,107 @@ def test_pi_scalar_ring():
         (a + b).as_qqi()
     assert (a / a).as_qqi() == ONE
     assert str(PiScalar.of(QQi(1, 0, 4), 2)) == "(1/4)*pi"
+
+
+def _pair(x):
+    """Reference value of an int, Fraction or QQi as a (re, im) pair of Fractions."""
+    if isinstance(x, QQi):
+        return Fraction(x.a, x.d), Fraction(x.b, x.d)
+    return Fraction(x), Fraction(0)
+
+
+def _operands(rng, count):
+    out = [0, 1, -1, QQi(0), QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1), QQi(0, 0, 7)]
+    for _ in range(count):
+        kind = rng.randrange(4)
+        a, b = rng.randint(-12, 12), rng.randint(-12, 12)
+        if kind == 0:
+            out.append(a)
+        elif kind == 1:
+            out.append(Fraction(a, rng.randint(1, 12)))
+        elif kind == 2:
+            out.append(QQi(a, b))
+        else:
+            out.append(QQi(a, b, rng.randint(2, 12)))
+    return out
+
+
+def _check(result, re, im):
+    """result is a reduced QQi with value re + im*i, equal in every part,
+    ``str`` and ``hash`` to the number built by the normalizing constructor."""
+    assert type(result) is QQi
+    assert all(type(v) is int for v in (result.a, result.b, result.d))
+    assert result.d > 0 and gcd(result.a, result.b, result.d) == 1
+    assert (Fraction(result.a, result.d), Fraction(result.b, result.d)) == (re, im)
+    ref = QQi(re, im)
+    assert (result.a, result.b, result.d) == (ref.a, ref.b, ref.d)
+    assert result == ref and hash(result) == hash(ref) and str(result) == str(ref)
+
+
+def test_arithmetic_agrees_with_fraction_pairs():
+    """Every operation, on ints, Fractions and QQi with d = 1 and d > 1, gives
+    the value of the Fraction-pair reference and stays in lowest terms,
+    including the results that bypass normalization."""
+    rng = random.Random(20)
+    xs = _operands(rng, 60)
+    for x in xs:
+        if not isinstance(x, QQi):
+            _check(QQi.coerce(x), *_pair(x))
+            continue
+        xr, xi = _pair(x)
+        _check(-x, -xr, -xi)
+        _check(x.conjugate(), xr, -xi)
+        norm = xr * xr + xi * xi
+        if norm:
+            _check(x.inverse(), xr / norm, -xi / norm)
+        for k in range(-3 if norm else 0, 4):
+            ref = (Fraction(1), Fraction(0))
+            base = (xr, xi) if k >= 0 else (xr / norm, -xi / norm)
+            for _ in range(abs(k)):
+                ref = (ref[0] * base[0] - ref[1] * base[1], ref[0] * base[1] + ref[1] * base[0])
+            _check(x ** k, *ref)
+        for y in xs:
+            yr, yi = _pair(y)
+            _check(x + y, xr + yr, xi + yi)
+            _check(y + x, xr + yr, xi + yi)
+            _check(x - y, xr - yr, xi - yi)
+            _check(y - x, yr - xr, yi - xi)
+            prod = (xr * yr - xi * yi, xr * yi + xi * yr)
+            _check(x * y, *prod)
+            _check(y * x, *prod)
+            ynorm = yr * yr + yi * yi
+            if ynorm:
+                _check(x / y, (xr * yr + xi * yi) / ynorm, (xi * yr - xr * yi) / ynorm)
+            if norm:
+                _check(y / x, (yr * xr + yi * xi) / norm, (yi * xr - yr * xi) / norm)
+            assert (x == y) == ((xr, xi) == (yr, yi))
+
+
+def test_raw_results_are_reduced():
+    """The results built without normalization: negation, conjugation, sums and
+    products of Gaussian integers, products by ints, +-1 and +-i."""
+    x = QQi(6, -4, 9)
+    for k in (0, 1, -1, 3, -6, 9, 12, 27):
+        _check(x * k, Fraction(6 * k, 9), Fraction(-4 * k, 9))
+        _check(k * x, Fraction(6 * k, 9), Fraction(-4 * k, 9))
+        _check(x * QQi(k), Fraction(6 * k, 9), Fraction(-4 * k, 9))
+        _check(x * QQi(0, k), Fraction(4 * k, 9), Fraction(6 * k, 9))
+        _check(QQi(0, k) * x, Fraction(4 * k, 9), Fraction(6 * k, 9))
+    _check(QQi(3, 4) * QQi(-2, 5), Fraction(-26), Fraction(7))
+    _check(QQi(3, 4) + QQi(-3, -4), Fraction(0), Fraction(0))
+    _check(QQi(1, 0, 6) + QQi(1, 0, 6), Fraction(1, 3), Fraction(0))
+    _check(QQi(1, 0, 6) - QQi(-5, 0, 6), Fraction(1), Fraction(0))
+
+
+def test_non_numeric_input_is_refused():
+    for args in ((1.5,), (2.0,), (1, 0, 2.0), ("1",), (1, "2"), (1, 0, None)):
+        with pytest.raises(TypeError):
+            QQi(*args)
+    with pytest.raises(ZeroDivisionError):
+        QQi(1, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQi(Fraction(1, 2), 0, 0)
+    with pytest.raises(TypeError):
+        QQi.coerce(1.5)
+    with pytest.raises(TypeError):
+        QQi(1) * 1.5

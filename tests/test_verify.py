@@ -87,3 +87,13 @@ def test_memoized_columns_do_not_outlive_the_context():
     del ctx, results
     gc.collect()
     assert ref() is None
+
+
+def test_rho_skew_is_blind_on_degree_one_at_m_2():
+    # Pinned limitation, see check_rho_skew: the Bessel-Fischer form vanishes
+    # on F_1 at M = 2, so the corruption that fails at (5,1) passes at (4,1).
+    ctx = small_context(4, 1)
+    one = ((0,) * ctx.sig_z.m, ())
+    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one))
+    ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
+    assert check_rho_skew(ctx, 1)[0] is True
