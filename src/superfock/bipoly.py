@@ -94,12 +94,6 @@ def embed(p: SuperPolynomial, bsig: BiSignature, slot: int) -> SuperPolynomial:
     return SuperPolynomial(bsig, out)
 
 
-def slot_degree_part(p: SuperPolynomial, slot: int, d: int) -> SuperPolynomial:
-    """Terms whose monomial in the given slot has degree d."""
-    degree = p.sig.slot_degree
-    return SuperPolynomial(p.sig, {k: c for k, c in p.terms.items() if degree(k, slot) == d})
-
-
 def slot_constant(p: SuperPolynomial, slot: int) -> SuperPolynomial:
     """Terms free of the slot's variables, as a polynomial on the other slot."""
     bsig = p.sig
@@ -119,34 +113,67 @@ def slot_euler(p: SuperPolynomial, slot: int) -> SuperPolynomial:
     return SuperPolynomial(p.sig, out)
 
 
-def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int) -> SuperPolynomial:
-    """``algebra.bessel_modified(k)`` on one slot, with lambda = 2 - M of that slot."""
-    a = p.sig.slots[slot][k]
-    lam = QQi(2 - p.sig.halves[slot].M)
-    laplacian = SuperPolynomial.zero(p.sig)
+def slot_laplacian(p: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """The metric Laplacian of one slot, sum_b d_lower(b) d_upper(b) over its variables."""
+    rows = p.sig.beta_rows
+    out: dict = {}
     for b in p.sig.slots[slot]:
-        laplacian = laplacian + p.d_upper(b).d_lower(b)
-    t = p.d_lower(a)
-    res = t.scale(-lam) + slot_euler(t, slot).scale(2) - laplacian.mul_var(a)
-    return -res if k == 0 else res
+        p.d_upper(b)._derive_into(out, rows[b])
+    q = SuperPolynomial.__new__(SuperPolynomial)
+    q.sig, q.terms = p.sig, out
+    return q
+
+
+def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int,
+                    laplacian: SuperPolynomial | None = None) -> SuperPolynomial:
+    """``algebra.bessel_modified(k)`` on one slot, with lambda = 2 - M of that slot.
+
+    ``laplacian`` is ``slot_laplacian(p, slot)``; a caller that applies the
+    operator at several indices computes it once and passes it in."""
+    bsig = p.sig
+    if laplacian is None:
+        laplacian = slot_laplacian(p, slot)
+    a = bsig.slots[slot][k]
+    lam = 2 - bsig.halves[slot].M
+    sign = -1 if k == 0 else 1
+    degree = bsig.slot_degree
+    out: dict = {}
+    # (2E - lambda) d_lower(a), E counting the slot degree
+    for key, c in p.d_lower(a).terms.items():
+        f = sign * (2 * degree(key, slot) - lam)
+        if f:
+            out[key] = c * f
+    for key, c in laplacian.mul_var(a).terms.items():
+        _acc(out, key, c if sign < 0 else -c)
+    q = SuperPolynomial.__new__(SuperPolynomial)
+    q.sig, q.terms = bsig, out
+    return q
 
 
 def reduce_slot(p: SuperPolynomial, slot: int) -> SuperPolynomial:
     """Normal form of one slot modulo its R^2 ideal.
 
-    The substituted r^2 is even, so the other slot's signs are unaffected."""
+    The map is linear, and it keeps each term's degree in both slots: x_0^2
+    becomes r^2 in the reduced slot, and the other slot is left alone.  So it
+    commutes with truncation in either slot's degree.  The substituted r^2 is
+    even, so the other slot's signs are unaffected."""
     from .quotient import reduce_poly
     bsig = p.sig
+    half = bsig.halves[slot]
+    reduced: dict = {}  # slot key -> terms of its normal form, for this call
     out: dict = {}
     for key, c in p.terms.items():
         halves = list(bsig.split(key))
-        if halves[slot][0][0] <= 1:
+        skey = halves[slot]
+        if skey[0][0] <= 1:
             _acc(out, key, c)
             continue
-        red = reduce_poly(SuperPolynomial.monomial(bsig.halves[slot], halves[slot]))
-        for skey, sc in red.terms.items():
-            halves[slot] = skey
-            _acc(out, bsig.join(*halves), c * sc)
+        red = reduced.get(skey)
+        if red is None:
+            red = reduced[skey] = reduce_poly(SuperPolynomial.monomial(half, skey)).terms
+        for rkey, rc in red.items():
+            halves[slot] = rkey
+            _acc(out, bsig.join(*halves), c * rc)
     return SuperPolynomial(bsig, out)
 
 

@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 
 from superfock.algebra import Signature, SuperPolynomial, monomial_keys
+from superfock import sbtransform
 from superfock.bipoly import (LEFT, RIGHT, bi_signature, pairing, pairing_power,
-                              reduce_slot, slot_bessel_mod, slot_degree_part)
+                              reduce_slot, slot_bessel_mod, slot_euler, slot_laplacian)
 from superfock.fock import bf_product
 from superfock.integral import w_form
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import (SBTransform, b_series_coeff,
                                    b_series_truncation, exp_z0_truncation)
-from superfock.scalars import I, QQi
+from superfock.scalars import I, QQi, _acc
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
+from superfock.verify import (Context, RunConfig, _first_degree, b0_identity_differences,
+                              check_b0_identities)
 
 SIG = Signature(4, 0)
 SB = SBTransform(SIG)
@@ -158,9 +161,128 @@ def test_exp_truncation():
     assert e == want
 
 
+# The route that check_b0_identities replaced, kept as its oracle: the full
+# series on both sides, a chained slot Laplacian, each side reduced on its own
+# one monomial at a time, then compared one right-slot degree at a time.
+
+def slot_degree_part(p, slot, d):
+    degree = p.sig.slot_degree
+    return SuperPolynomial(p.sig, {k: c for k, c in p.terms.items() if degree(k, slot) == d})
+
+
+def chained_slot_bessel_mod(p, slot, k):
+    a = p.sig.slots[slot][k]
+    lam = QQi(2 - p.sig.halves[slot].M)
+    laplacian = SuperPolynomial.zero(p.sig)
+    for b in p.sig.slots[slot]:
+        laplacian = laplacian + p.d_upper(b).d_lower(b)
+    t = p.d_lower(a)
+    res = t.scale(-lam) + slot_euler(t, slot).scale(2) - laplacian.mul_var(a)
+    return -res if k == 0 else res
+
+
+def monomialwise_reduce_slot(p, slot):
+    bsig = p.sig
+    out = {}
+    for key, c in p.terms.items():
+        halves = list(bsig.split(key))
+        red = reduce_poly(SuperPolynomial.monomial(bsig.halves[slot], halves[slot]))
+        for skey, sc in red.terms.items():
+            halves[slot] = skey
+            _acc(out, bsig.join(*halves), c * sc)
+    return SuperPolynomial(bsig, out)
+
+
+def oracle_b0_failures(sig, sigz, max_degree):
+    """(label, first right-slot degree where the sides differ, or None) per identity."""
+    b0 = b_series_truncation(sig, sigz, 0, max_degree + 1)
+    b1 = b_series_truncation(sig, sigz, 1, max_degree + 1)
+    x, z = b0.sig.slots
+
+    def first(lhs, rhs):
+        return next((d for d in range(max_degree + 1)
+                     if slot_degree_part(lhs, RIGHT, d) != slot_degree_part(rhs, RIGHT, d)),
+                    None)
+
+    out = [(f"z-derivative (k={k})",
+            first(b0.d_lower(z[k]), b1.mul_var(x[k]).scale(-2 if k == 0 else 2)))
+           for k in list(range(1, sig.nvars)) + [0]]
+    out.append(("Euler contraction",
+                first(slot_euler(b0, RIGHT), pairing_power(sig, sigz, 1) * b1)))
+    for i in range(sig.nvars):
+        out.append((f"Bessel eigenfunction (z side, i={i})",
+                    first(monomialwise_reduce_slot(chained_slot_bessel_mod(b0, RIGHT, i), LEFT),
+                          monomialwise_reduce_slot(b0.mul_var(x[i]).scale(4), LEFT))))
+        out.append((f"Bessel eigenfunction (x side, i={i})",
+                    first(monomialwise_reduce_slot(chained_slot_bessel_mod(b0, LEFT, i), RIGHT),
+                          monomialwise_reduce_slot(b0.mul_var(z[i]).scale(4), RIGHT))))
+    return out
+
+
+def oracle_verdict(failures, max_degree):
+    for label, d in failures:
+        if d is not None:
+            return False, f"{label} fails at degree {d}"
+    return True, f"series identities to degree {max_degree}"
+
+
+def difference_failures(sig, sigz, max_degree):
+    bsig = bi_signature(sig, sigz)
+    return [(label, _first_degree(diff, lambda key: bsig.slot_degree(key, RIGHT), max_degree))
+            for label, diff in b0_identity_differences(sig, sigz, max_degree)]
+
+
 def test_b0_truncation_eigenfunction_mod_ideal():
     b0 = b_series_truncation(SIG, SIGZ, 0, 4)
     lhs = reduce_slot(slot_bessel_mod(b0, RIGHT, 0), LEFT)
     rhs = reduce_slot(b0.mul_var(b0.sig.slots[LEFT][0]).scale(4), LEFT)
     for d in range(4):
         assert slot_degree_part(lhs, RIGHT, d) == slot_degree_part(rhs, RIGHT, d)
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (3, 1)])
+def test_hoisted_slot_laplacian_gives_the_chained_bessel_operator(m, n):
+    sig = Signature(m, n)
+    sigz = Signature(m, n, varset="z")
+    b0 = b_series_truncation(sig, sigz, 0, 4)
+    for slot in (LEFT, RIGHT):
+        lap = slot_laplacian(b0, slot)
+        for k in range(sig.nvars):
+            want = chained_slot_bessel_mod(b0, slot, k)
+            assert slot_bessel_mod(b0, slot, k, lap) == want, (slot, k)
+            assert slot_bessel_mod(b0, slot, k) == want, (slot, k)
+
+
+def test_slot_reduction_agrees_with_the_monomialwise_route():
+    b0 = b_series_truncation(Signature(3, 1), Signature(3, 1, varset="z"), 0, 4)
+    for slot in (LEFT, RIGHT):
+        assert reduce_slot(b0, slot) == monomialwise_reduce_slot(b0, slot)
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])
+def test_b0_identities_agree_with_the_oracle(m, n):
+    ctx = Context(RunConfig(m=m, n=n, max_degree=1))
+    failures = oracle_b0_failures(ctx.sig, ctx.sig_z, 4)
+    assert all(d is None for _, d in failures)
+    assert check_b0_identities(ctx, 4) == oracle_verdict(failures, 4) \
+        == (True, "series identities to degree 4")
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])
+def test_a_wrong_series_coefficient_fails_every_identity_family_as_the_oracle_does(
+        m, n, monkeypatch):
+    coeff = sbtransform.b_series_coeff
+
+    def doubled_at_l_2(M, alpha, l):
+        value = coeff(M, alpha, l)
+        return 2 * value if (alpha, l) == (0, 2) else value
+
+    monkeypatch.setattr(sbtransform, "b_series_coeff", doubled_at_l_2)
+    ctx = Context(RunConfig(m=m, n=n, max_degree=1))
+    failures = oracle_b0_failures(ctx.sig, ctx.sig_z, 4)
+    assert difference_failures(ctx.sig, ctx.sig_z, 4) == failures
+    families = {label.split("=")[0] for label, d in failures if d is not None}
+    assert families == {"z-derivative (k", "Euler contraction",
+                        "Bessel eigenfunction (z side, i", "Bessel eigenfunction (x side, i"}
+    assert check_b0_identities(ctx, 4) == oracle_verdict(failures, 4) \
+        == (False, "z-derivative (k=1) fails at degree 1")

@@ -12,7 +12,7 @@ from superfock.verify import (Context, RunConfig, check_bf_l_adjoint,
                               check_pi_representation, check_pi_skew,
                               check_realization, check_rho_composition,
                               check_rho_representation, check_rho_skew,
-                              suite_fock)
+                              run_suite, suite_fock)
 
 
 def small_context(m=5, n=1) -> Context:
@@ -97,3 +97,15 @@ def test_rho_skew_is_blind_on_degree_one_at_m_2():
     a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one))
     ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
     assert check_rho_skew(ctx, 1)[0] is True
+
+
+@pytest.mark.parametrize("m,n", [(2, 0), (3, 1), (3, 2)])
+def test_small_shapes_run_the_schrodinger_and_specfun_checks_without_raising(m, n):
+    # (2,0) has two variables, one short of the angular descriptor L_12;
+    # at (3,1) and (3,2), M = 1 and -1 put the order-zero Laguerre
+    # normalization 1/Gamma(mu/2 + 1) on a pole of Gamma
+    results = run_suite(RunConfig(m=m, n=n, max_degree=1, suites=("schrodinger", "specfun")))
+    assert len(results) == 8
+    raised = [(r.name, r.detail) for r in results
+              if r.detail.split(":")[0].endswith(("Error", "Exception"))]
+    assert raised == []
