@@ -431,11 +431,6 @@ def laplacian(p: SuperPolynomial, rate=0) -> SuperPolynomial:
     return q
 
 
-def sl2_ops(p: SuperPolynomial):
-    """(R^2 * p, E p, Delta p)."""
-    return R2(p.sig) * p, euler(p), laplacian(p)
-
-
 def angular_L(i: int, j: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """L_ij = x_i d_lower(j) - (-1)^{|i||j|} x_j d_lower(i)."""
     sig = p.sig
@@ -459,6 +454,21 @@ def bessel_modified(k: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """Tangential-parameter Bessel operator with the sign flipped at index 0."""
     res = bessel(QQi(2 - p.sig.M), k, p, rate)
     return -res if k == 0 else res
+
+
+# The operators by descriptor (name, *args), each acting on p at rate c.
+_OPS = {
+    "d_upper": lambda p, c, i: p.d_upper(i, c),
+    "d_lower": lambda p, c, i: p.d_lower(i, c),
+    "E": lambda p, c: euler(p, c),
+    "Delta": lambda p, c: laplacian(p, c),
+    "L": lambda p, c, i, j: angular_L(i, j, p, c),
+    "bessel": lambda p, c, lam, k: bessel(lam, k, p, c),
+    "bessel_mod": lambda p, c, k: bessel_modified(k, p, c),
+    "mul": lambda p, c, i: p.mul_var(i),
+    "R2": lambda p, c: R2(p.sig) * p,
+    "one": lambda p, c: p,
+}
 
 
 # -- enumeration and dimensions ----------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (Signature, SuperPolynomial, angular_L, bessel,
-                      bessel_modified, euler, laplacian, merge_odd, theta2)
+from .algebra import (_OPS, Signature, SuperPolynomial, angular_L,
+                      bessel_modified, euler, merge_odd, theta2)
 from .liealg import TKKElement
 from .quotient import reduce_poly
 from .scalars import HALF, I, QQi, _acc
@@ -66,18 +66,6 @@ def make_w(q: SuperPolynomial, rate) -> WElement:
 
 def lowest_vector(sig: Signature) -> WElement:
     return make_w(SuperPolynomial.one(sig), 2)
-
-
-_OPS = {
-    "d_upper": lambda p, c, i: p.d_upper(i, c),
-    "d_lower": lambda p, c, i: p.d_lower(i, c),
-    "E": lambda p, c: euler(p, c),
-    "Delta": lambda p, c: laplacian(p, c),
-    "L": lambda p, c, i, j: angular_L(i, j, p, c),
-    "bessel": lambda p, c, lam, k: bessel(lam, k, p, c),
-    "bessel_mod": lambda p, c, k: bessel_modified(k, p, c),
-    "mul": lambda p, c, i: p.mul_var(i),
-}
 
 
 def diffop_on_w(descriptor: tuple, f: WElement) -> WElement:

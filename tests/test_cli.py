@@ -23,6 +23,13 @@ def test_runconfig_validation():
         RunConfig(m=4, n=-1)
     with pytest.raises(ValueError):
         RunConfig(m=4, n=0, suites=("nope",))
+    # below degree 1 the scopes are empty or degenerate: -1 crashed
+    # fock/dual-route, -2 passed vacuously, 0 failed sb/hermite at (6,1)
+    for max_degree in (-2, -1, 0):
+        with pytest.raises(ValueError, match="max_degree"):
+            RunConfig(m=6, n=1, max_degree=max_degree)
+        assert main(["--m", "6", "--n", "1", "--max-degree", str(max_degree)]) == 2
+    assert RunConfig(m=6, n=1, max_degree=1).M == 4
     assert RunConfig(m=6, n=1).M == 4
 
 

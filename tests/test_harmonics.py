@@ -8,6 +8,7 @@ from superfock.harmonics import (dim_harmonic, fischer_decompose,
                                  harmonic_dim_nullspace)
 from superfock.quotient import graded_dim_F
 from superfock.scalars import QQi
+from superfock.verify import Context, RunConfig, check_generalized
 
 
 def test_dim_examples():
@@ -78,6 +79,19 @@ def test_generalized_contains_harmonics():
     for h in hb:
         target = {dom[kk]: c for kk, c in h.terms.items()}
         assert linalg.solve_columns(cols, target) is not None
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 3)])
+def test_generalized_space_is_larger_on_the_window_of_exceptional_m(m, n):
+    # [Delta, R^2] = 4E + 2M puts the extra generalized harmonics R^(2j) h_l
+    # at the degrees 2 - M/2 <= k <= 2 - M; check_generalized tests the first
+    sig = Signature(m, n)
+    M = sig.M
+    larger = [k for k in range(4 - M)
+              if len(generalized_basis(k, sig)) > len(harmonic_basis(k, sig))]
+    assert larger == list(range(2 - M // 2, 3 - M))
+    ok, detail = check_generalized(Context(RunConfig(m=m, n=n, max_degree=1)))
+    assert ok and f"GSH_{2 - M // 2}" in detail
 
 
 def test_generalized_low_degrees_are_everything():

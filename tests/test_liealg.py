@@ -122,6 +122,14 @@ def test_k_subalgebra():
     assert len(k_basis(tkk)) == tkk.sig.nvars + len(tkk.inn_pairs)
 
 
+def test_k_is_abelian_only_at_2_0():
+    # k = so(2) + osp(m|2n); osp(2|0) = so(2) is the one summand with a centre
+    for (m, n), want in [((2, 0), 2), ((2, 1), 1), ((2, 2), 1), ((3, 0), 1), ((4, 0), 1)]:
+        tkk = tkk_for(Signature(m, n))
+        assert k_center_dimension(tkk) == want, (m, n)
+    assert len(k_basis(tkk_for(Signature(2, 0)))) == 2
+
+
 def test_structure_constant_export():
     tkk = tkk_for(Signature(2, 1))
     blob = tkk.structure_constants_json()

@@ -1,18 +1,26 @@
 """The shared commutator and adjointness loops of ``verify`` must be able to
-fail: each check, run on a context whose action columns or pairing table carry
-one wrong entry, reports a failure with a witness."""
+fail: each check, run on a context whose action columns, operator table or
+pairing table carry one wrong entry, reports a failure with a witness.  Every
+shape the CLI accepts at small size passes every suite."""
 
 import gc
+import re
 import weakref
 
 import pytest
 
+from superfock import verify
+from superfock.algebra import _OPS, SuperPolynomial, monomials_up_to
 from superfock.liealg import TKK
-from superfock.verify import (Context, RunConfig, check_bf_l_adjoint,
+from superfock.scalars import QQi
+from superfock.verify import (ALL_SUITES, Context, RunConfig,
+                              check_angular_commutes, check_bessel_commutator,
+                              check_bessel_product_rule,
+                              check_bessel_supercommute, check_bf_l_adjoint,
                               check_pi_representation, check_pi_skew,
                               check_realization, check_rho_composition,
                               check_rho_representation, check_rho_skew,
-                              run_suite, suite_fock)
+                              check_sl2_triple, run_suite, suite_fock)
 
 
 def small_context(m=5, n=1) -> Context:
@@ -106,6 +114,118 @@ def test_small_shapes_run_the_schrodinger_and_specfun_checks_without_raising(m, 
     # normalization 1/Gamma(mu/2 + 1) on a pole of Gamma
     results = run_suite(RunConfig(m=m, n=n, max_degree=1, suites=("schrodinger", "specfun")))
     assert len(results) == 8
+    raised = [(r.name, r.detail) for r in results
+              if r.detail.split(":")[0].endswith(("Error", "Exception"))]
+    assert raised == []
+
+
+def doubled_on(fn, key, *only):
+    """Wrap an operator table entry so that its image of the monomial x^key
+    (times any scalar) is doubled, for operator arguments starting with only."""
+    def wrapped(p, rate, *args):
+        out = fn(p, rate, *args)
+        return out.scale(2) if p.terms.keys() == {key} and args[:len(only)] == only else out
+    return wrapped
+
+
+def x1x2(sig):
+    (key,) = SuperPolynomial.variable(sig, 1).mul_var(2).terms
+    return key
+
+
+WITNESS = {
+    check_sl2_triple: r"\[(Delta,R\^2|Delta,E|R\^2,E)\] fails on \S.*",
+    check_bessel_supercommute: r"supercommutativity fails at \(\d+,\d+\) on \S.*",
+    check_bessel_commutator: r"commutator fails at \(\d+,\d+\) on \S.*",
+    check_bessel_product_rule: r"product rule fails: i=\d+, phi=\S.*, psi=\S.*",
+}
+
+
+@pytest.mark.parametrize("check,op", [
+    (check_sl2_triple, ("E",)),
+    (check_sl2_triple, ("R2",)),
+    # doubling every B_i on one monomial would keep B_i B_j = +-B_j B_i
+    (check_bessel_supercommute, ("bessel_mod", 1)),
+    (check_bessel_commutator, ("L",)),
+    (check_bessel_commutator, ("mul",)),
+    (check_bessel_product_rule, ("bessel",)),
+    (check_bessel_product_rule, ("d_lower",)),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_a_corrupted_operator_fails_the_algebra_check(monkeypatch, check, op):
+    # at M = 2 the Bessel operators kill some degree-2 images, so take M = 3
+    ctx = small_context(5, 1)
+    assert check(ctx, 2)[0] is True
+    name, *only = op
+    monkeypatch.setitem(_OPS, name, doubled_on(_OPS[name], x1x2(ctx.sig), *only))
+    ok, witness = check(ctx, 2)
+    assert ok is False and re.fullmatch(WITNESS[check], witness), witness
+
+
+def product_rule_oracle(ctx, max_degree):
+    """The polynomial route that check_bessel_product_rule replaced, with the
+    Bessel operator inline; it reads E, Delta and d_lower from the operator
+    table, so a corrupted entry reaches it as well."""
+    E, lap = (lambda p: _OPS["E"](p, 0)), (lambda p: _OPS["Delta"](p, 0))
+    sig = ctx.sig
+    lam = QQi(2 - sig.M)
+    monos = monomials_up_to(sig, max_degree)
+    nv = sig.nvars
+    cache = []
+    for key in monos:
+        p = SuperPolynomial.monomial(sig, key)
+        cache.append((p, E(p), lap(p), [_OPS["d_lower"](p, 0, r) for r in range(nv)]))
+    for (phi, ephi, lphi, dphi) in cache:
+        pphi = phi.parity()
+        for (psi, epsi, lpsi, dpsi) in cache:
+            prod = phi * psi
+            lprod = lap(prod)
+            cross = SuperPolynomial.zero(sig)
+            for r, s, b in sig.beta_inv_pairs:
+                sr = -1 if (pphi and sig.parity(r)) else 1
+                cross = cross + (dphi[r] * dpsi[s]).scale(b * sr)
+            for i in range(nv):
+                si = -1 if (sig.parity(i) and pphi) else 1
+                bphi = dphi[i].scale(-lam) + E(dphi[i]).scale(2) - lphi.mul_var(i)
+                bpsi = dpsi[i].scale(-lam) + E(dpsi[i]).scale(2) - lpsi.mul_var(i)
+                rhs = bphi * psi + (phi * bpsi).scale(si) \
+                    + (ephi * dpsi[i]).scale(2 * si) \
+                    + (dphi[i] * epsi).scale(2) \
+                    - cross.mul_var(i).scale(2)
+                dprod = _OPS["d_lower"](prod, 0, i)
+                lhs = dprod.scale(-lam) + E(dprod).scale(2) - lprod.mul_var(i)
+                if lhs != rhs:
+                    return False, f"product rule fails: i={i}, phi={phi}, psi={psi}"
+    return True, f"all monomial pairs of degree <= {max_degree}"
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (2, 2)])
+@pytest.mark.parametrize("op", [None, "E", "d_lower"])
+def test_product_rule_gives_the_verdict_of_the_polynomial_route(monkeypatch, m, n, op):
+    ctx = small_context(m, n)
+    if op:
+        monkeypatch.setitem(_OPS, op, doubled_on(_OPS[op], x1x2(ctx.sig)))
+    want = product_rule_oracle(ctx, 2)
+    assert want[0] is (op is None)
+    got = check_bessel_product_rule(ctx, 2)
+    assert got[0] is want[0]
+    if op is None:
+        assert got == want
+
+
+def test_a_corrupted_angular_operator_fails_the_angular_commutant(monkeypatch):
+    ctx = small_context(4, 1)
+    assert check_angular_commutes(ctx, 2)[0] is True
+    monkeypatch.setattr(verify, "angular_L",
+                        lambda i, j, p: doubled_on(_OPS["L"], x1x2(ctx.sig))(p, 0, i, j))
+    ok, witness = check_angular_commutes(ctx, 2)
+    assert ok is False and re.fullmatch(r"\[L_\d+, (R\^2|E|Delta)\] fails on \S.*", witness)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in (0, 1, 2)])
+def test_small_shapes_pass_every_suite(m, n):
+    results = run_suite(RunConfig(m=m, n=n, max_degree=1))
+    assert {r.suite for r in results} == set(ALL_SUITES)
+    assert [(r.suite, r.name, r.detail) for r in results if r.status == "fail"] == []
     raised = [(r.name, r.detail) for r in results
               if r.detail.split(":")[0].endswith(("Error", "Exception"))]
     assert raised == []
