@@ -474,6 +474,11 @@ _OPS = {
 # -- enumeration and dimensions ----------------------------------------------
 
 
+def in_minus_2n(x: int) -> bool:
+    """Whether x lies in -2N = {0, -2, -4, ...}, where the Gamma-type factors degenerate."""
+    return x <= 0 and x % 2 == 0
+
+
 def dim_P(m: int, n: int, k: int) -> int:
     """Dimension of the degree-k slice of the polynomial algebra on C^{m|2n}."""
     if k < 0:

@@ -8,8 +8,8 @@ in closed form and cross-checked against each other.
 from __future__ import annotations
 
 from . import linalg
-from .algebra import (R2, Signature, SuperPolynomial, dim_P, laplacian,
-                      monomial_keys)
+from .algebra import (R2, Signature, SuperPolynomial, dim_P, in_minus_2n,
+                      laplacian, monomial_keys)
 from .scalars import QQi
 
 
@@ -67,7 +67,7 @@ def fischer_decompose(p: SuperPolynomial) -> list[tuple[int, SuperPolynomial]]:
     use :func:`generalized_basis` instead.
     """
     sig = p.sig
-    if sig.M <= 0 and sig.M % 2 == 0:
+    if in_minus_2n(sig.M):
         raise ValueError("M in -2N: Fischer decomposition degenerates; "
                          "use generalized_basis")
     comps = p.homogeneous_components()

@@ -2,10 +2,13 @@
 
 The TKK algebra is graded as (minus copy of J) + istr(J) + (plus copy of J),
 with istr(J) spanned by left multiplications L_a and the inner derivations
-[L_a, L_b].  All structure constants are computed once from the Jordan
-product and cached on the :class:`TKK` instance; the Cayley transform and the
-differential-operator realization are derived from them and cached per instance
-too.
+D_ab = [L_a, L_b}.  All structure constants are computed once, in closed form
+from the identities that define the construction: [e_a^+, e_b^-] =
+2(L_{e_a e_b} + D_ab), [L_a, e^+-] = +-(e_a e)^+-, [D, e^+-] = (D e)^+-, and
+inner derivations act as derivations of J and of istr(J).  No operator matrix
+is built and nothing is solved.  The constants are cached on the :class:`TKK`
+instance; the Cayley transform and the differential-operator realization are
+derived from them and cached per instance too.
 """
 
 from __future__ import annotations
@@ -58,11 +61,6 @@ class Jordan:
         return [[cols[k][r] for k in range(self.dim)] for r in range(self.dim)]
 
 
-def _mat_apply(mat, vec):
-    n = len(mat)
-    return [sum((mat[r][c] * vec[c] for c in range(n) if vec[c]), QQi(0)) for r in range(n)]
-
-
 def _graded_comm(a, b, pa: int, pb: int):
     ab = linalg.mat_mul(a, b)
     ba = linalg.mat_mul(b, a)
@@ -89,31 +87,10 @@ class TKK:
         self.index = {d: k for k, d in enumerate(self.basis)}
         self.dim = len(self.basis)
 
-        self._lmat = [self.jordan.left_mult_matrix(l) for l in range(nv)]
-        self._innmat = {}
-        for (i, j) in self.inn_pairs:
-            self._innmat[(i, j)] = _graded_comm(self._lmat[i], self._lmat[j],
-                                                sig.parity(i), sig.parity(j))
-        self._inn_columns = [
-            {r * nv + c: m[r][c] for r in range(nv) for c in range(nv) if m[r][c]}
-            for m in (self._innmat[p] for p in self.inn_pairs)
-        ]
-        if linalg.rank([dict(col) for col in self._transpose_cols(self._inn_columns, nv * nv)],
-                       len(self._inn_columns)) != len(self._inn_columns):
-            raise AssertionError("inner-derivation candidates are dependent")
-
         self.struct: dict[tuple[int, int], dict[int, QQi]] = {}
         for a in range(self.dim):
             for b in range(self.dim):
                 self.struct[(a, b)] = self._basis_bracket(a, b)
-
-    @staticmethod
-    def _transpose_cols(columns, nrows):
-        rows: dict[int, dict[int, QQi]] = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                rows.setdefault(r, {})[c] = v
-        return [rows.get(r, {}) for r in range(nrows)]
 
     # -- structure ---------------------------------------------------------
 
@@ -123,72 +100,74 @@ class TKK:
             return (self.sig.parity(d[1]) + self.sig.parity(d[2])) & 1
         return self.sig.parity(d[1])
 
-    def _decompose_inn(self, mat) -> dict[int, QQi]:
-        nv = self.sig.nvars
-        target = {r * nv + c: mat[r][c] for r in range(nv) for c in range(nv) if mat[r][c]}
-        sol = linalg.solve_columns(self._inn_columns, target)
-        if sol is None:
-            raise AssertionError("operator not in the span of inner derivations")
-        base = len(self.basis) - self.sig.nvars - len(self.inn_pairs)
-        return {base + k: v for k, v in sol.items()}
-
-    def _decompose_istr(self, mat) -> dict[int, QQi]:
-        """Split an istr operator into L-part (read off at e_0) plus inner part."""
-        nv = self.sig.nvars
-        u = [mat[r][0] for r in range(nv)]
-        out: dict[int, QQi] = {}
-        rest = [row[:] for row in mat]
-        for l in range(nv):
-            if u[l]:
-                out[self.index[("L", l)]] = u[l]
-                lm = self._lmat[l]
-                for r in range(nv):
-                    for c in range(nv):
-                        if lm[r][c]:
-                            rest[r][c] = rest[r][c] - u[l] * lm[r][c]
-        out.update(self._decompose_inn(rest))
-        return {k: v for k, v in out.items() if v}
-
-    def _istr_matrix(self, desc) -> list[list[QQi]]:
+    def _image(self, desc, k: int) -> dict[int, QQi]:
+        """X e_k as {l: coefficient} for X = L_l or D_ij = [L_i, L_j}."""
+        beta = self.sig.beta
         if desc[0] == "L":
-            return self._lmat[desc[1]]
-        return self._innmat[(desc[1], desc[2])]
+            l = desc[1]
+            if l == 0 or k == 0:  # e_0 is the unit
+                return {l + k: ONE}
+            return {0: beta[l][k]} if beta[l][k] else {}
+        # D_ij e_0 = 0 and D_ij e_k = beta_jk e_i - s_ij beta_ik e_j
+        _, i, j = desc
+        out: dict[int, QQi] = {}
+        if not k:
+            return out
+        if beta[j][k]:
+            _acc(out, i, beta[j][k])
+        if beta[i][k]:
+            _acc(out, j, beta[i][k] if self.sig.parity(i) and self.sig.parity(j)
+                 else -beta[i][k])
+        return out
+
+    def _add_inn(self, out: dict[int, QQi], i: int, j: int, c: QQi) -> None:
+        """Add c D_ij in the basis: D_0j = 0, D_ji = -s_ij D_ij, D_ii = 0 for even i."""
+        if i > j:
+            i, j = j, i
+            if not (self.sig.parity(i) and self.sig.parity(j)):
+                c = -c
+        idx = self.index.get(("inn", i, j))
+        if idx is not None:
+            _acc(out, idx, c)
 
     def _basis_bracket(self, a: int, b: int) -> dict[int, QQi]:
         da, db = self.basis[a], self.basis[b]
         ka, kb = da[0], db[0]
-        nv = self.sig.nvars
+        out: dict[int, QQi] = {}
         if (ka, kb) in (("minus", "minus"), ("plus", "plus")):
-            return {}
-        if ka in ("L", "inn") and kb in ("L", "inn"):
-            comm = _graded_comm(self._istr_matrix(da), self._istr_matrix(db),
-                                self.parity(a), self.parity(b))
-            return self._decompose_istr(comm)
-        if ka == "plus" and kb == "minus":
-            jp = self.jordan.basis_product(da[1], db[1])
-            out: dict[int, QQi] = {}
-            for l, v in enumerate(jp):
-                if v:
-                    out[self.index[("L", l)]] = v + v
-            comm = _graded_comm(self._lmat[da[1]], self._lmat[db[1]],
-                                self.parity(a), self.parity(b))
-            for k, v in self._decompose_inn(comm).items():
-                _acc(out, k, v + v)
             return out
-        if ka in ("L", "inn") and kb in ("minus", "plus"):
-            mat = self._istr_matrix(da)
-            vec = [QQi(0)] * nv
-            vec[db[1]] = ONE
-            img = _mat_apply(mat, vec)
-            if kb == "minus" and ka == "L":
-                img = [-v for v in img]
-            return {self.index[(kb, l)]: v for l, v in enumerate(img) if v}
-        # remaining cases by graded antisymmetry
-        sign = -1 if (self.parity(a) and self.parity(b)) else 1
-        rev = self.struct.get((b, a))
-        if rev is None:
-            rev = self._basis_bracket(b, a)
-        return {k: (-v if sign > 0 else v) for k, v in rev.items()}
+        if ka == "L" and kb == "L":
+            self._add_inn(out, da[1], db[1], ONE)
+        elif ka == "inn" and kb == "L":
+            # [D, L_a} = L_{D e_a}
+            for l, v in self._image(da, db[1]).items():
+                out[self.index[("L", l)]] = v
+        elif ka == "inn" and kb == "inn":
+            # [D, D_kl} = D_{D e_k, e_l} + (-1)^{|D||k|} D_{e_k, D e_l}
+            _, k, l = db
+            for p, v in self._image(da, k).items():
+                self._add_inn(out, p, l, v)
+            sign = self.parity(a) and self.sig.parity(k)
+            for q, v in self._image(da, l).items():
+                self._add_inn(out, k, q, -v if sign else v)
+        elif ka == "plus" and kb == "minus":
+            # [e_a^+, e_b^-] = 2 L_{e_a e_b} + 2 D_ab
+            for l, v in self._image(("L", da[1]), db[1]).items():
+                out[self.index[("L", l)]] = v + v
+            self._add_inn(out, da[1], db[1], QQi(2))
+        elif ka in ("L", "inn") and kb in ("minus", "plus"):
+            # [L_a, e_b^+-] = +-(e_a e_b)^+- and [D, e_b^+-] = (D e_b)^+-
+            neg = ka == "L" and kb == "minus"
+            for l, v in self._image(da, db[1]).items():
+                out[self.index[(kb, l)]] = -v if neg else v
+        else:
+            # remaining cases by graded antisymmetry
+            sign = -1 if (self.parity(a) and self.parity(b)) else 1
+            rev = self.struct.get((b, a))
+            if rev is None:
+                rev = self._basis_bracket(b, a)
+            return {k: (-v if sign > 0 else v) for k, v in rev.items()}
+        return dict(sorted(out.items()))
 
     # -- elements ------------------------------------------------------------
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import Signature, SuperPolynomial, dim_P, monomial_keys, r2_small
+from .algebra import (Signature, SuperPolynomial, dim_P, in_minus_2n, monomial_keys,
+                      r2_small)
 
 
 @lru_cache(maxsize=None)
@@ -82,5 +83,5 @@ def graded_dim_F(k: int, sig: Signature) -> FockDim:
     closed = dim_P(sig.m - 1, sig.n, k) + dim_P(sig.m - 1, sig.n, k - 1)
     if count != closed:
         raise AssertionError(f"normal-form count {count} != closed form {closed}")
-    ok = not (sig.M - 1 <= 0 and (sig.M - 1) % 2 == 0)
+    ok = not in_minus_2n(sig.M - 1)
     return FockDim(count, ok)

@@ -3,8 +3,10 @@
 The forward transform pairs the integrand against the entire Bessel-type
 series B_0 evaluated on the mixed pairing x|z; because the source elements
 are polynomial times exponential, only finitely many series terms
-contribute, and each z-degree is a finite exact integral.  The inverse is a
-closed Bessel-Fischer pairing and needs no integration at all.
+contribute, so the truncated series is integrated once, term by term, and
+multiplied by exp(-z_0).  The inverse is a closed Bessel-Fischer pairing with
+the kernel exp(-z_0) B_0(x|z), built once per z-degree, and needs no
+integration at all.
 """
 
 from __future__ import annotations
@@ -61,27 +63,9 @@ class SBTransform:
         self.M = sig_x.M
         self._mono_cache: dict[MonKey, SuperPolynomial] = {}
         self._inv_cache: dict[MonKey, SuperPolynomial] = {}
+        self._kernels: dict[int, dict] = {}
 
     # -- forward -----------------------------------------------------------
-
-    def _graded_piece(self, mono: MonKey, l: int) -> SuperPolynomial:
-        """Coefficient of the z-degree-l slice before the exp(-z_0) factor."""
-        weight = QQi.coerce(b_series_coeff(self.M, 0, l))
-        carrier = pairing_power(self.sig_x, self.sig_z, l) \
-            * embed(SuperPolynomial.monomial(self.sig_x, mono), self.bsig, LEFT)
-        gamma = gamma_engine(self.sig_x)
-        acc: dict = {}
-        for key, c in carrier.terms.items():
-            xkey, zkey = self.bsig.split(key)
-            val = unnormalized_integral(SuperPolynomial.monomial(self.sig_x, xkey),
-                                        4)
-            if val.is_zero():
-                continue
-            coeff = (val * PiScalar.of(c * weight) / gamma).as_qqi()
-            if coeff.is_zero():
-                continue
-            _acc(acc, zkey, coeff)
-        return SuperPolynomial(self.sig_z, acc)
 
     def sb_monomial(self, mono: MonKey) -> SuperPolynomial:
         """Transform of a single normal-form monomial times exp(-2 x_0)."""
@@ -89,25 +73,22 @@ class SBTransform:
         if cached is not None:
             return cached
         cap = sum(mono[0]) + len(mono[1])
-        pieces = [self._graded_piece(mono, l) for l in range(cap + 3)]
-        z0 = SuperPolynomial.variable(self.sig_z, 0)
-        z0pow = [SuperPolynomial.one(self.sig_z)]
-        for _ in range(cap + 2):
-            z0pow.append(z0pow[-1] * z0)
-        total = SuperPolynomial.zero(self.sig_z)
-        for d in range(cap + 3):
-            part = SuperPolynomial.zero(self.sig_z)
-            for l in range(d + 1):
-                e = d - l
-                c = QQi.coerce(Fraction((-1) ** e, factorial_fraction(e)))
-                part = part + (z0pow[e] * pieces[l]).scale(c)
-            part = reduce_poly(part)
-            if d <= cap:
-                total = total + part
-            elif not part.is_zero():
-                raise AssertionError(
-                    f"transform tail does not vanish at degree {d} for {mono}")
-        result = reduce_poly(total)
+        carrier = b_series_truncation(self.sig_x, self.sig_z, 0, cap + 2) \
+            * embed(SuperPolynomial.monomial(self.sig_x, mono), self.bsig, LEFT)
+        gamma = gamma_engine(self.sig_x)
+        acc: dict = {}
+        for key, c in carrier.terms.items():
+            xkey, zkey = self.bsig.split(key)
+            val = unnormalized_integral(SuperPolynomial.monomial(self.sig_x, xkey), 4)
+            if not val.is_zero():
+                _acc(acc, zkey, (val * PiScalar.of(c) / gamma).as_qqi())
+        image = SuperPolynomial(self.sig_z, acc) * exp_z0_truncation(self.sig_z, cap + 2)
+        result = reduce_poly(SuperPolynomial(self.sig_z, {
+            key: c for key, c in image.terms.items() if sum(key[0]) + len(key[1]) <= cap + 2}))
+        tail = [d for d in result.homogeneous_components() if d > cap]
+        if tail:
+            raise AssertionError(
+                f"transform tail does not vanish at degree {tail[0]} for {mono}")
         self._mono_cache[mono] = result
         return result
 
@@ -125,32 +106,35 @@ class SBTransform:
 
     # -- inverse -----------------------------------------------------------
 
+    def _inverse_kernel(self, k: int) -> dict[MonKey, list[tuple[MonKey, QQi]]]:
+        """The z-degree-k part of exp(-z_0) B_0(x|z), as zkey -> [(xkey, c)]."""
+        kernel = self._kernels.get(k)
+        if kernel is None:
+            try:
+                series = b_series_truncation(self.sig_x, self.sig_z, 0, k) \
+                    * embed(exp_z0_truncation(self.sig_z, k), self.bsig, RIGHT)
+            except ValueError:
+                raise ValueError(f"inverse transform undefined at degree {k}: "
+                                 "M - 2 lies in -2N") from None
+            kernel = self._kernels[k] = {}
+            for bkey, c in series.terms.items():
+                if self.bsig.slot_degree(bkey, RIGHT) == k:
+                    xkey, zkey = self.bsig.split(bkey)
+                    kernel.setdefault(zkey, []).append((xkey, c))
+        return kernel
+
     def _inverse_monomial(self, key: MonKey) -> SuperPolynomial:
         cached = self._inv_cache.get(key)
         if cached is not None:
             return cached
         k = sum(key[0]) + len(key[1])
-        out: dict = {}
         cov = bf_covectors(self.sig_z, k)
-        z0_poly = SuperPolynomial.variable(self.sig_z, 0)
-        for j in range(k + 1):
-            try:
-                gfac = 1 / poch(Fraction(self.M, 2) - 1, k - j)
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"inverse transform undefined at degree {k}: "
-                    "M - 2 lies in -2N") from None
-            scal = QQi.coerce(
-                Fraction((-1) ** j,
-                         factorial_fraction(j) * factorial_fraction(k - j)) * gfac)
-            carrier = pairing_power(self.sig_x, self.sig_z, k - j) \
-                * embed(z0_poly ** j, self.bsig, RIGHT)
-            for bkey, c in carrier.terms.items():
-                xkey, zkey = self.bsig.split(bkey)
-                val = cov[zkey].get(key)
-                if val is None:
-                    continue
-                _acc(out, xkey, c * val * scal)
+        out: dict = {}
+        for zkey, xterms in self._inverse_kernel(k).items():
+            val = cov[zkey].get(key)
+            if val is not None:
+                for xkey, c in xterms:
+                    _acc(out, xkey, c * val)
         result = SuperPolynomial(self.sig_x, out)
         self._inv_cache[key] = result
         return result

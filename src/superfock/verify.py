@@ -26,8 +26,8 @@ from functools import cache
 
 from . import linalg
 from .algebra import (_OPS, R2, Signature, SuperPolynomial, angular_L, bessel,
-                      bessel_modified, dim_P, euler, laplacian, monomial_keys,
-                      monomials_up_to, random_polynomial)
+                      bessel_modified, dim_P, euler, in_minus_2n, laplacian,
+                      monomial_keys, monomials_up_to, random_polynomial)
 from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
                      slot_bessel_mod, slot_euler, slot_laplacian)
 from .fock import (bessel_matrix, bf_covectors, bf_product,
@@ -495,9 +495,7 @@ def check_harmonic_basis_sizes(ctx: Context, max_degree: int = 4):
 
 def check_fischer(ctx: Context, max_degree: int = 4):
     sig = ctx.sig
-    M = sig.M
-    exceptional = M <= 0 and M % 2 == 0
-    if exceptional:
+    if in_minus_2n(sig.M):
         try:
             fischer_decompose(SuperPolynomial.variable(sig, 1))
         except ValueError:
@@ -523,7 +521,7 @@ def check_generalized(ctx: Context):
     2 - M/2 <= k <= 2 - M.  The check takes k = 2 - M/2 there, else k = 3."""
     sig = ctx.sig
     M = sig.M
-    exceptional = M <= 0 and M % 2 == 0
+    exceptional = in_minus_2n(M)
     k = 2 - M // 2 if exceptional else 3
     gsh = generalized_basis(k, sig)
     hb = harmonic_basis(k, sig)
@@ -1096,7 +1094,7 @@ def check_bf_ideal(ctx: Context, max_degree: int = 2):
 
 def check_kernel(ctx: Context, max_degree: int = 4):
     sig = ctx.sig_z
-    if (sig.M - 2) <= 0 and (sig.M - 2) % 2 == 0:
+    if in_minus_2n(sig.M - 2):
         bad_degree = 2 - sig.M // 2  # first degree whose coefficient divides by zero
         try:
             kernel(bad_degree, sig)
@@ -1117,7 +1115,7 @@ def check_kernel(ctx: Context, max_degree: int = 4):
 
 def check_gram(ctx: Context, max_degree: int = 3):
     sig = ctx.sig_z
-    degenerate = (sig.M - 2) <= 0 and (sig.M - 2) % 2 == 0
+    degenerate = in_minus_2n(sig.M - 2)
     if not degenerate:
         for k in range(max_degree + 1):
             r = gram_rank(k, sig)
@@ -1348,23 +1346,18 @@ def check_intertwining(ctx: Context, max_degree: int = 2, word_samples: int = 12
         f = v0
         for _ in range(rng.randrange(3)):
             f = pi_apply(tkk.basis_element(rng.randrange(tkk.dim)), f)
-        X = tkk.basis_element(rng.randrange(tkk.dim))
-        diff = ctx.sb.check_intertwine(X, f)
+        a = rng.randrange(tkk.dim)
+        diff = ctx.sb.check_intertwine(tkk.basis_element(a), f)
         if not diff.is_zero():
-            return False, f"{tkk.basis_label(X)} on a sampled word vector"
+            return False, f"{tkk.basis_label(a)} on a sampled word vector"
     return True, f"every basis element against vectors of degree <= {max_degree}, " \
                  f"plus {word_samples} sampled word vectors"
 
 
 def inverse_depth(M: int, cap: int) -> int:
-    """Largest degree (at most cap) at which the inverse pairing is defined."""
-    from .scalars import poch
-    d = 0
-    while d < cap:
-        if poch(Fraction(M, 2) - 1, d + 1) == 0:
-            break
-        d += 1
-    return d
+    """Largest degree (at most cap) at which the inverse pairing is defined:
+    (M/2 - 1)_(d+1) vanishes exactly for M - 2 in -2N and d >= 1 - M/2."""
+    return min(cap, 1 - M // 2) if in_minus_2n(M - 2) else cap
 
 
 def check_intertwining_inverse(ctx: Context, max_degree: int = 3):
@@ -1461,7 +1454,7 @@ def check_sb_span(ctx: Context, max_degree: int = 3):
 
 def suite_sb(ctx: Context):
     forward = ctx.cfg.M >= 4
-    series_defined = not ((ctx.cfg.M - 2) <= 0 and (ctx.cfg.M - 2) % 2 == 0)
+    series_defined = not in_minus_2n(ctx.cfg.M - 2)
     if series_defined:
         yield run_check("sb", "series-coefficients",
                         "termwise derivative of the kernel series shifts its order",

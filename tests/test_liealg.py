@@ -4,9 +4,13 @@ import json
 import random
 import weakref
 
+import pytest
+
+from superfock import linalg
 from superfock.algebra import Signature, SuperPolynomial, monomials_up_to
-from superfock.liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
-from superfock.scalars import I, ONE, QQi
+from superfock.liealg import (TKK, _graded_comm, k_basis, k_center_dimension,
+                              k_closes, tkk_for)
+from superfock.scalars import I, ONE, QQi, _acc
 
 TKK41 = tkk_for(Signature(4, 1))
 
@@ -145,3 +149,78 @@ def test_cayley_cache_does_not_keep_the_algebra_alive():
     del tkk
     gc.collect()
     assert ref() is None
+
+
+def matrix_route_struct(tkk: TKK) -> dict:
+    """The structure constants through matrices: istr(J) realized by the
+    matrices of L_a and [L_a, L_b}, each graded commutator decomposed by exact
+    elimination against the inner-derivation columns."""
+    sig, nv = tkk.sig, tkk.sig.nvars
+    lmat = [tkk.jordan.left_mult_matrix(l) for l in range(nv)]
+    innmat = {(i, j): _graded_comm(lmat[i], lmat[j], sig.parity(i), sig.parity(j))
+              for (i, j) in tkk.inn_pairs}
+
+    def flat(mat):
+        return {r * nv + c: mat[r][c] for r in range(nv) for c in range(nv) if mat[r][c]}
+
+    columns = [flat(innmat[p]) for p in tkk.inn_pairs]
+    rows = [{c: col[r] for c, col in enumerate(columns) if r in col} for r in range(nv * nv)]
+    assert linalg.rank(rows, len(columns)) == len(columns), "inner derivations are dependent"
+    base = tkk.index[("inn",) + tkk.inn_pairs[0]] if tkk.inn_pairs else None
+
+    def decompose_inn(mat):
+        sol = linalg.solve_columns(columns, flat(mat))
+        assert sol is not None, "operator not in the span of inner derivations"
+        return {base + k: v for k, v in sol.items()}
+
+    def decompose_istr(mat):
+        out = {}
+        rest = [row[:] for row in mat]
+        for l in range(nv):
+            u = mat[l][0]
+            if u:
+                out[tkk.index[("L", l)]] = u
+                rest = [[rest[r][c] - u * lmat[l][r][c] for c in range(nv)] for r in range(nv)]
+        out.update(decompose_inn(rest))
+        return {k: v for k, v in out.items() if v}
+
+    def istr(desc):
+        return lmat[desc[1]] if desc[0] == "L" else innmat[desc[1:]]
+
+    struct = {}
+
+    def bracket(a, b):
+        (ka, *ta), (kb, *tb) = tkk.basis[a], tkk.basis[b]
+        if (ka, kb) in (("minus", "minus"), ("plus", "plus")):
+            return {}
+        if ka in ("L", "inn") and kb in ("L", "inn"):
+            return decompose_istr(_graded_comm(istr(tkk.basis[a]), istr(tkk.basis[b]),
+                                               tkk.parity(a), tkk.parity(b)))
+        if ka == "plus" and kb == "minus":
+            out = {tkk.index[("L", l)]: v + v
+                   for l, v in enumerate(tkk.jordan.basis_product(ta[0], tb[0])) if v}
+            comm = _graded_comm(lmat[ta[0]], lmat[tb[0]], tkk.parity(a), tkk.parity(b))
+            for k, v in decompose_inn(comm).items():
+                _acc(out, k, v + v)
+            return out
+        if ka in ("L", "inn") and kb in ("minus", "plus"):
+            col = [row[tb[0]] for row in istr(tkk.basis[a])]
+            sign = -1 if (ka, kb) == ("L", "minus") else 1
+            return {tkk.index[(kb, l)]: v * sign for l, v in enumerate(col) if v}
+        s = -1 if (tkk.parity(a) and tkk.parity(b)) else 1
+        rev = struct[(b, a)] if (b, a) in struct else bracket(b, a)
+        return {k: v * -s for k, v in rev.items()}
+
+    for a in range(tkk.dim):
+        for b in range(tkk.dim):
+            struct[(a, b)] = bracket(a, b)
+    return struct
+
+
+@pytest.mark.parametrize("m,n", [(2, 0), (2, 1), (3, 0), (4, 0), (4, 1), (2, 2), (3, 2), (5, 1)])
+def test_structure_constants_match_the_matrix_route(m, n):
+    tkk = TKK(Signature(m, n))
+    want = matrix_route_struct(tkk)
+    assert list(tkk.struct) == list(want)
+    for key, st in tkk.struct.items():
+        assert list(st.items()) == list(want[key].items()), [tkk.basis[k] for k in key]

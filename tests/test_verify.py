@@ -4,6 +4,7 @@ pairing table carry one wrong entry, reports a failure with a witness.  Every
 shape the CLI accepts at small size passes every suite."""
 
 import gc
+import random
 import re
 import weakref
 
@@ -17,10 +18,11 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_product_rule,
                               check_bessel_supercommute, check_bf_l_adjoint,
-                              check_pi_representation, check_pi_skew,
-                              check_realization, check_rho_composition,
-                              check_rho_representation, check_rho_skew,
-                              check_sl2_triple, run_suite, suite_fock)
+                              check_intertwining, check_pi_representation,
+                              check_pi_skew, check_realization,
+                              check_rho_composition, check_rho_representation,
+                              check_rho_skew, check_sl2_triple, check_tkk_axioms,
+                              run_suite, suite_fock)
 
 
 def small_context(m=5, n=1) -> Context:
@@ -74,6 +76,34 @@ def test_a_corrupted_realization_fails_the_check(monkeypatch):
 
     monkeypatch.setattr(TKK, "realize", doubled_first_element)
     assert_fails(check_realization(small_context(), 1))
+
+
+@pytest.mark.parametrize("check", [check_realization, check_tkk_axioms,
+                                   check_pi_representation])
+def test_a_corrupted_structure_constant_fails_the_check(check):
+    # a fresh algebra, so that the shared one of the shape stays intact
+    ctx = small_context(4, 1)
+    tkk = ctx._tkk = TKK(ctx.sig)
+    args = () if check is check_tkk_axioms else (1,)
+    assert check(ctx, *args)[0] is True
+    inn = [a for a, d in enumerate(tkk.basis) if d[0] == "inn"]
+    a, b = next((a, b) for a in inn for b in inn if tkk.struct[a, b])
+    for key in ((a, b), (b, a)):  # both orders, so that antisymmetry still holds
+        tkk.struct[key] = {k: v * 2 for k, v in tkk.struct[key].items()}
+    assert_fails(check(ctx, *args))
+
+
+def test_a_failing_word_sample_names_its_basis_element():
+    ctx = small_context()
+    tkk = ctx.tkk
+    nonzero = SuperPolynomial.one(ctx.sig_z)
+    ctx.sb.check_intertwine = lambda X, f: nonzero
+    # no monomials of degree <= -1, so the first word sample is the witness
+    rng = random.Random(ctx.cfg.seed + 1)
+    for _ in range(rng.randrange(3)):
+        rng.randrange(tkk.dim)
+    label = tkk.basis_label(rng.randrange(tkk.dim))
+    assert check_intertwining(ctx, -1) == (False, f"{label} on a sampled word vector")
 
 
 def test_a_corrupted_pairing_fails_the_angular_adjointness():
