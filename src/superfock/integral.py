@@ -181,24 +181,8 @@ def _full_odd(sig: Signature) -> tuple[int, ...]:
     return tuple(range(sig.m, sig.nvars))
 
 
-@lru_cache(maxsize=None)
-def _monomial_integral(sig: Signature, key, rate: Fraction) -> PiScalar:
-    mono = SuperPolynomial.monomial(sig, key)
-    return _integral_direct(mono, rate)
-
-
-def unnormalized_integral(p: SuperPolynomial, rate, trace: list | None = None) -> PiScalar:
-    """The raw integral of p exp(-rate x_0), before gamma normalization."""
-    if trace is not None:
-        return _integral_direct(p, rate, trace)
-    rate = Fraction(rate)
-    total = PiScalar()
-    for key, c in p.terms.items():
-        total = total + PiScalar.of(c) * _monomial_integral(p.sig, key, rate)
-    return total
-
-
 def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiScalar:
+    """The raw integral of p exp(-rate x_0), before gamma normalization."""
     sig = p.sig
     rs = RadialSuperfunction.from_poly(p, rate).phi_sharp().mul_weights()
     ray = rs.restrict_to_ray()
@@ -208,15 +192,15 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
     for (N, alpha, odd), v in sorted(ray.items()):
         if odd != full:
             continue
-        moment = sphere_moment(alpha, sig.m)
-        if moment.is_zero():
+        sphere = sphere_moment(alpha, sig.m)
+        if sphere.is_zero():
             continue
         try:
             rad = radial_integral(N, c)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"{exc} from term omega^{alpha} (coefficient {v})") from None
-        contrib = moment * PiScalar.of(v * QQi.coerce(rad))
+        contrib = sphere * PiScalar.of(v * QQi.coerce(rad))
         total = total + contrib
         if trace is not None:
             trace.append({
@@ -224,7 +208,7 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
                 "rate": str(c),
                 "omega_exponents": list(alpha),
                 "coefficient": str(v),
-                "sphere_moment": str(moment),
+                "sphere_moment": str(sphere),
                 "radial_integral": str(rad),
                 "berezin_sign": 1,
             })
@@ -232,9 +216,24 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
 
 
 @lru_cache(maxsize=None)
+def moment(sig: Signature, key, rate) -> QQi:
+    """Normalized integral of x^key exp(-rate x_0) over W.
+
+    Zero, with nothing integrated, when an omega exponent key[0][1:] is odd:
+    phi#, the weights and the restriction to the ray all keep alpha = ev[1:],
+    and _integral_direct skips a zero sphere moment before it reaches
+    radial_integral, so no DivergenceError is hidden.  A pi power that
+    survives the normalization raises, per monomial."""
+    if any(a % 2 for a in key[0][1:]):
+        return QQi(0)
+    mono = SuperPolynomial.monomial(sig, key)
+    return (_integral_direct(mono, rate) / gamma_engine(sig)).as_qqi()
+
+
+@lru_cache(maxsize=None)
 def gamma_engine(sig: Signature) -> PiScalar:
     """Normalization constant: the raw integral of exp(-4 x_0)."""
-    return unnormalized_integral(SuperPolynomial.one(sig), 4)
+    return _integral_direct(SuperPolynomial.one(sig), 4)
 
 
 def gamma_closed_form(m: int, n: int) -> PiScalar:
@@ -247,21 +246,19 @@ def gamma_closed_form(m: int, n: int) -> PiScalar:
     return out * gamma_half(2 * (M - 2))
 
 
-def _as_poly_rate(f) -> tuple[SuperPolynomial, Fraction]:
-    if isinstance(f, WElement):
-        return f.poly, f.rate
-    poly, rate = f
-    return poly, Fraction(rate)
-
-
 def integrate_w(f, trace: list | None = None) -> QQi:
-    """Normalized integral over W; exact, with all pi powers cancelling."""
-    poly, rate = _as_poly_rate(f)
+    """Normalized integral over W, summed from the moment table; exact, with
+    all pi powers cancelling.  A traced run integrates the polynomial whole."""
+    poly, rate = (f.poly, f.rate) if isinstance(f, WElement) else (f[0], Fraction(f[1]))
     sig = poly.sig
     if sig.M < 4:
         raise ValueError("the integral is only defined for superdimension >= 4")
-    raw = unnormalized_integral(poly, rate, trace)
-    return (raw / gamma_engine(sig)).as_qqi()
+    if trace is not None:
+        return (_integral_direct(poly, rate, trace) / gamma_engine(sig)).as_qqi()
+    total = QQi(0)
+    for key, c in poly.terms.items():
+        total = total + c * moment(sig, key, rate)
+    return total
 
 
 def w_form(f: WElement, g: WElement) -> QQi:

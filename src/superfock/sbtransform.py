@@ -3,10 +3,10 @@
 The forward transform pairs the integrand against the entire Bessel-type
 series B_0 evaluated on the mixed pairing x|z; because the source elements
 are polynomial times exponential, only finitely many series terms
-contribute, so the truncated series is integrated once, term by term, and
-multiplied by exp(-z_0).  The inverse is a closed Bessel-Fischer pairing with
-the kernel exp(-z_0) B_0(x|z), built once per z-degree, and needs no
-integration at all.
+contribute, and each x-monomial of the truncated series is read from the
+table of normalized moments (``integral.moment``) before exp(-z_0) is
+applied.  The inverse is a closed Bessel-Fischer pairing with the kernel
+exp(-z_0) B_0(x|z), built once per z-degree, and needs no integration.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from fractions import Fraction
 from .algebra import MonKey, Signature, SuperPolynomial, bessel_modified
 from .bipoly import LEFT, RIGHT, bi_signature, embed, pairing_power
 from .fock import _word_indices, bf_covectors, rho_apply
-from .integral import gamma_engine, unnormalized_integral
+from .integral import moment
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import PiScalar, QQi, _acc, factorial_fraction, poch
+from .scalars import QQi, _acc, factorial_fraction, poch
 from .schrodinger import WElement, make_w, pi_apply
 
 
@@ -75,16 +75,18 @@ class SBTransform:
         cap = sum(mono[0]) + len(mono[1])
         carrier = b_series_truncation(self.sig_x, self.sig_z, 0, cap + 2) \
             * embed(SuperPolynomial.monomial(self.sig_x, mono), self.bsig, LEFT)
-        gamma = gamma_engine(self.sig_x)
         acc: dict = {}
         for key, c in carrier.terms.items():
             xkey, zkey = self.bsig.split(key)
-            val = unnormalized_integral(SuperPolynomial.monomial(self.sig_x, xkey), 4)
-            if not val.is_zero():
-                _acc(acc, zkey, (val * PiScalar.of(c) / gamma).as_qqi())
-        image = SuperPolynomial(self.sig_z, acc) * exp_z0_truncation(self.sig_z, cap + 2)
-        result = reduce_poly(SuperPolynomial(self.sig_z, {
-            key: c for key, c in image.terms.items() if sum(key[0]) + len(key[1]) <= cap + 2}))
+            _acc(acc, zkey, c * moment(self.sig_x, xkey, 4))
+        # times exp(-z_0) up to degree cap + 2; z_0 is even, so z_0^e only
+        # raises the first exponent
+        exp_coeffs = [QQi.coerce((-1) ** e / factorial_fraction(e)) for e in range(cap + 3)]
+        image: dict = {}
+        for (ev, odd), c in acc.items():
+            for e in range(cap + 3 - sum(ev) - len(odd)):
+                _acc(image, ((ev[0] + e,) + ev[1:], odd), c * exp_coeffs[e])
+        result = reduce_poly(SuperPolynomial(self.sig_z, image))
         tail = [d for d in result.homogeneous_components() if d > cap]
         if tail:
             raise AssertionError(
@@ -98,11 +100,11 @@ class SBTransform:
             raise ValueError("forward transform requires superdimension >= 4")
         if f.rate != 2:
             raise ValueError("forward transform expects rate 2")
-        q = reduce_poly(f.poly)
-        out = SuperPolynomial.zero(self.sig_z)
-        for key, c in q.terms.items():
-            out = out + self.sb_monomial(key).scale(c)
-        return reduce_poly(out)
+        out: dict = {}
+        for key, c in reduce_poly(f.poly).terms.items():
+            for zkey, v in self.sb_monomial(key).terms.items():
+                _acc(out, zkey, c * v)
+        return SuperPolynomial(self.sig_z, out)
 
     # -- inverse -----------------------------------------------------------
 
@@ -143,10 +145,11 @@ class SBTransform:
         """Inverse transform via the closed Bessel-Fischer pairing formula."""
         if p.sig != self.sig_z:
             p = SuperPolynomial(self.sig_z, dict(p.terms))
-        out = SuperPolynomial.zero(self.sig_x)
+        out: dict = {}
         for key, c in p.terms.items():
-            out = out + self._inverse_monomial(key).scale(c)
-        return make_w(out, 2)
+            for xkey, v in self._inverse_monomial(key).terms.items():
+                _acc(out, xkey, c * v)
+        return make_w(SuperPolynomial(self.sig_x, out), 2)
 
     # -- Hermite functions -------------------------------------------------
 

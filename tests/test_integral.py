@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.algebra import (R2, Signature, SuperPolynomial, euler,
+from superfock.algebra import (R2, Signature, SuperPolynomial, euler, monomial_keys,
                                random_polynomial)
-from superfock.integral import (DivergenceError, berezin, gamma_closed_form,
-                                gamma_engine, integrate_w, radial_integral,
-                                sphere_moment, w_form)
+from superfock.integral import (DivergenceError, _integral_direct, berezin,
+                                gamma_closed_form, gamma_engine, integrate_w, moment,
+                                radial_integral, sphere_moment, w_form)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
+from superfock.verify import Context, RunConfig
 
 SIG40 = Signature(4, 0)
 SIG61 = Signature(6, 1)
@@ -65,6 +66,27 @@ def test_normalized_examples():
     assert integrate_w((x1, 4)) == QQi(0)
     with pytest.raises(ValueError):
         integrate_w((SuperPolynomial.one(Signature(4, 1)), 4))
+
+
+@pytest.mark.parametrize("m,n,max_degree", [(5, 0, 6), (6, 1, 5), (7, 1, 4), (8, 2, 3)])
+def test_moment_table_equals_the_direct_integral(m, n, max_degree):
+    # every monomial, not only normal forms; the odd-omega shortcut included
+    sig = Signature(m, n)
+    gamma = gamma_engine(sig)
+    for d in range(max_degree + 1):
+        for key in monomial_keys(sig, d):
+            mono = SuperPolynomial.monomial(sig, key)
+            for rate in (2, 4):
+                want = (_integral_direct(mono, rate) / gamma).as_qqi()
+                assert moment(sig, key, rate) == want, (key, rate)
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (6, 1)])
+def test_traced_integral_equals_the_moment_table(m, n):
+    ctx = Context(RunConfig(m=m, n=n, max_degree=2))
+    for q in ctx.sample_polys(3, 6):
+        for rate in (2, 4):
+            assert integrate_w((q, rate), trace=[]) == integrate_w((q, rate))
 
 
 def test_representative_independence():

@@ -5,15 +5,15 @@ import pytest
 
 from superfock.algebra import Signature, SuperPolynomial, monomial_keys
 from superfock import sbtransform
-from superfock.bipoly import (LEFT, RIGHT, bi_signature, pairing, pairing_power,
+from superfock.bipoly import (LEFT, RIGHT, bi_signature, embed, pairing, pairing_power,
                               reduce_slot, slot_bessel_mod, slot_euler, slot_laplacian)
 from superfock.fock import bf_product
-from superfock.integral import w_form
+from superfock.integral import _integral_direct, gamma_engine, w_form
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import (SBTransform, b_series_coeff,
                                    b_series_truncation, exp_z0_truncation)
-from superfock.scalars import I, QQi, _acc
+from superfock.scalars import I, PiScalar, QQi, _acc
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
 from superfock.verify import (Context, RunConfig, _first_degree, b0_identity_differences,
                               check_b0_identities)
@@ -151,6 +151,37 @@ def test_inverse_refused_where_undefined():
     sb = SBTransform(sig)
     with pytest.raises(ValueError):
         sb.sb_inverse(SuperPolynomial.variable(sb.sig_z, 0))
+
+
+def integral_route_image(sb, mono, integrals):
+    """The forward image by the route that sb_monomial replaced, kept as its
+    oracle: each x-monomial of the carrier integrated as a PiScalar (memoized
+    in integrals) and normalized on its own, then the full product with the
+    exp(-z_0) series, truncated at degree cap + 2."""
+    cap = sum(mono[0]) + len(mono[1])
+    carrier = b_series_truncation(sb.sig_x, sb.sig_z, 0, cap + 2) \
+        * embed(SuperPolynomial.monomial(sb.sig_x, mono), sb.bsig, LEFT)
+    gamma = gamma_engine(sb.sig_x)
+    acc = {}
+    for key, c in carrier.terms.items():
+        xkey, zkey = sb.bsig.split(key)
+        val = integrals.get(xkey)
+        if val is None:
+            val = integrals[xkey] = _integral_direct(SuperPolynomial.monomial(sb.sig_x, xkey), 4)
+        if not val.is_zero():
+            _acc(acc, zkey, (val * PiScalar.of(c) / gamma).as_qqi())
+    image = SuperPolynomial(sb.sig_z, acc) * exp_z0_truncation(sb.sig_z, cap + 2)
+    return reduce_poly(SuperPolynomial(sb.sig_z, {
+        key: c for key, c in image.terms.items() if sum(key[0]) + len(key[1]) <= cap + 2}))
+
+
+@pytest.mark.parametrize("m,n", [(5, 0), (6, 1)])
+def test_forward_images_agree_with_the_integral_route(m, n):
+    sb = SBTransform(Signature(m, n))
+    integrals = {}
+    for d in range(4):
+        for key in normal_form_keys(sb.sig_x, d):
+            assert sb.sb_monomial(key) == integral_route_image(sb, key, integrals), key
 
 
 def test_exp_truncation():

@@ -1,6 +1,7 @@
 """The shared commutator and adjointness loops of ``verify`` must be able to
-fail: each check, run on a context whose action columns, operator table or
-pairing table carry one wrong entry, reports a failure with a witness.  Every
+fail: each check, run on a context whose action columns, operator table,
+pairing table or moment table carry one wrong entry, reports a failure with a
+witness (or, for the forward transform, raises on its nonvanishing tail).  Every
 shape the CLI accepts at small size passes every suite."""
 
 import gc
@@ -10,7 +11,7 @@ import weakref
 
 import pytest
 
-from superfock import verify
+from superfock import integral, sbtransform, verify
 from superfock.algebra import _OPS, SuperPolynomial, monomials_up_to
 from superfock.liealg import TKK
 from superfock.scalars import QQi
@@ -22,7 +23,7 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_pi_skew, check_realization,
                               check_rho_composition, check_rho_representation,
                               check_rho_skew, check_sl2_triple, check_tkk_axioms,
-                              run_suite, suite_fock)
+                              check_unitarity, run_suite, suite_fock)
 
 
 def small_context(m=5, n=1) -> Context:
@@ -249,6 +250,43 @@ def test_a_corrupted_angular_operator_fails_the_angular_commutant(monkeypatch):
                         lambda i, j, p: doubled_on(_OPS["L"], x1x2(ctx.sig))(p, 0, i, j))
     ok, witness = check_angular_commutes(ctx, 2)
     assert ok is False and re.fullmatch(r"\[L_\d+, (R\^2|E|Delta)\] fails on \S.*", witness)
+
+
+def doubled_moment(sig, key, rate=4):
+    """The moment table with the value at (sig, key, rate) doubled."""
+    moment = integral.moment
+
+    def wrapped(s, k, r):
+        value = moment(s, k, r)
+        return value * 2 if (s, k, r) == (sig, key, rate) else value
+    return wrapped
+
+
+@pytest.mark.parametrize("m,n", [(5, 0), (6, 1)])
+@pytest.mark.parametrize("check", [check_intertwining, check_unitarity])
+def test_a_corrupted_moment_fails_the_forward_checks(monkeypatch, check, m, n):
+    ctx = small_context(m, n)
+    assert check(ctx, 1)[0] is True
+    x0_squared = ((2,) + (0,) * (m - 1), ())
+    assert not integral.moment(ctx.sig, x0_squared, 4).is_zero()
+    wrapped = doubled_moment(ctx.sig, x0_squared)
+    monkeypatch.setattr(integral, "moment", wrapped)
+    monkeypatch.setattr(sbtransform, "moment", wrapped)
+    try:
+        outcome = check(small_context(m, n), 1)
+    except AssertionError as exc:
+        # the forward images check their own tail
+        assert str(exc).startswith("transform tail does not vanish")
+    else:
+        assert_fails(outcome)
+
+
+def test_a_corrupted_w_side_moment_fails_the_unitarity(monkeypatch):
+    # the forward images keep the true table, so the verdict, not the tail, fails
+    ctx = small_context(5, 0)
+    monkeypatch.setattr(integral, "moment", doubled_moment(ctx.sig, ((2, 0, 0, 0, 0), ())))
+    ok, witness = check_unitarity(ctx, 1)
+    assert ok is False and witness.startswith("forms differ on")
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in (0, 1, 2)])
