@@ -13,10 +13,13 @@ as independent oracles.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The complexified Schrodinger action is ``schrodinger.pi_table``
-at rate 0; the Fock action ``rho_apply`` keeps its own table.
-``verify.check_rho_composition`` reads the columns of ``rho_apply`` on the
-monomials of F (``verify.Context.rho_column``) and compares each with
-``pi_complex_apply`` of the Cayley twist c(X) on the same monomial.
+at rate 0.  The Fock action has its own table, ``rho_table``: each basis
+element as a short combination of ``algebra._OPS`` operators.  ``rho_apply``
+applies it to polynomials.  ``rho_columns`` applies it to one monomial for
+every basis element at once, each operator once, and returns integer columns;
+``verify.Context.rho_column`` memoizes them, and
+``verify.check_rho_composition`` compares them with the Cayley twist,
+sum_b c(X)_b pi_C(X_b), on the same monomials.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebra import (MonKey, Signature, SuperPolynomial, angular_L,
-                      bessel_modified, euler, monomial_keys)
+from .algebra import (_OPS, MonKey, Signature, SuperPolynomial,
+                      bessel_modified, monomial_keys)
 from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
-from .scalars import HALF, I, QQi, _acc, poch
+from .scalars import HALF, I, ONE, QQi, _acc, int_column, poch
 from .schrodinger import pi_table
 
 
@@ -235,35 +238,59 @@ def pi_complex_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
     return pi_table(X, p, 0)
 
 
+def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
+    """The Fock action of basis element a as [(descriptor, coefficient)] over
+    the operators of ``algebra._OPS``; B_l is ``bessel_modified(l)``:
+
+    - inn_ij -> L_ij;
+    - L_l -> (z_l - B_l)/2;
+    - minus_l, plus_l with l != 0 -> -i/2 (z_l + B_l +- 2 L_0l);
+    - minus_0, plus_0 -> -i/2 (z_0 + B_0 +- ((M - 2) + 2E)).
+
+    The images still have to be reduced modulo R^2."""
+    kind, *rest = tkk.basis[a]
+    if kind == "inn":
+        return [(("L", *rest), ONE)]
+    l = rest[0]
+    if kind == "L":
+        return [(("mul", l), HALF), (("bessel_mod", l), -HALF)]
+    c = -I * HALF
+    pm = 1 if kind == "minus" else -1
+    out = [(("mul", l), c), (("bessel_mod", l), c)]
+    if l:
+        return out + [(("L", 0, l), c * (2 * pm))]
+    return out + [(("E",), c * (2 * pm)), (("one",), c * (pm * (tkk.sig.M - 2)))]
+
+
+def rho_columns(tkk, p: SuperPolynomial) -> list[tuple[int, dict]]:
+    """Integer columns of rho(X_a) p for every basis element a; each operator
+    of ``rho_table`` is applied to p and reduced once."""
+    images: dict = {}
+    columns = []
+    for a in range(tkk.dim):
+        out: dict = {}
+        for op, c in rho_table(tkk, a):
+            image = images.get(op)
+            if image is None:
+                image = images[op] = reduce_poly(_OPS[op[0]](p, 0, *op[1:])).terms
+            for k, v in image.items():
+                _acc(out, k, v * c)
+        columns.append(int_column(out))
+    return columns
+
+
 def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
-    """Fock action: the Cayley twist of the complexified Schrodinger action."""
-    tkk = X.tkk
-    sig = p.sig
-    M = sig.M
-    out = SuperPolynomial.zero(sig)
+    """Fock action: the Cayley twist of the complexified Schrodinger action,
+    applied through ``rho_table`` with each operator applied once."""
+    ops: dict = {}
     for idx, coeff in X.coeffs.items():
-        kind, *rest = tkk.basis[idx]
-        l = rest[0] if rest else None
-        if kind == "inn":
-            term = angular_L(rest[0], rest[1], p)
-        elif kind == "L":
-            term = (p.mul_var(l) - bessel_modified(l, p)).scale(HALF)
-        elif kind == "minus":
-            core = p.mul_var(l) + bessel_modified(l, p)
-            if l == 0:
-                core = core + p.scale(M - 2) + euler(p).scale(2)
-            else:
-                core = core + (p.d_lower(l).mul_var(0) - p.d_lower(0).mul_var(l)).scale(2)
-            term = core.scale(-I * HALF)
-        else:  # plus
-            core = p.mul_var(l) + bessel_modified(l, p)
-            if l == 0:
-                core = core + p.scale(2 - M) - euler(p).scale(2)
-            else:
-                core = core + (p.d_lower(l).mul_var(0) - p.d_lower(0).mul_var(l)).scale(-2)
-            term = core.scale(-I * HALF)
-        out = out + term.scale(coeff)
-    return reduce_poly(out)
+        for op, c in rho_table(X.tkk, idx):
+            _acc(ops, op, coeff * c)
+    out: dict = {}
+    for (name, *args), c in ops.items():
+        for key, v in _OPS[name](p, 0, *args).terms.items():
+            _acc(out, key, v * c)
+    return reduce_poly(SuperPolynomial(p.sig, out))
 
 
 def rho_lowering(tkk) -> TKKElement:

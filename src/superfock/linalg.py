@@ -1,12 +1,18 @@
-"""Exact Gaussian elimination over QQi.
+"""Exact linear algebra over QQi: Gaussian elimination and sparse contractions.
 
 Matrices are lists of sparse rows (dict column -> QQi).  There is no pivot
 tolerance anywhere: a pivot is any exactly nonzero entry.
+
+The contractions (``commutator_failure``, ``skew_failure``) read operators as
+integer columns (``scalars.int_column``) and sum plain ints, so they box no
+``QQi``; each returns the first point where an identity fails.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, QQi
+from math import lcm
+
+from .scalars import ONE, QQi, column_combination
 
 
 def rref(rows: list[dict[int, QQi]], ncols: int):
@@ -127,3 +133,63 @@ def mat_mul(a: list[list[QQi]], b: list[list[QQi]]) -> list[list[QQi]]:
                 if bt[j]:
                     oi[j] = oi[j] + v * bt[j]
     return out
+
+
+# -- contractions of integer columns -------------------------------------------
+
+
+def commutator_failure(column, keys, identities):
+    """First (label, key) with A B x^key - s B A x^key != sum c C x^key, or None.
+
+    An identity is (label, A, B, s, {C: c}); ``column(op, key)`` is the
+    integer column of op x^key, and linearity reads every side off the
+    columns, in Gaussian integers (``scalars.column_combination``)."""
+    for label, A, B, s, rhs in identities:
+        minus_rhs = [(C, -q.a, -q.b, q.d) for C, c in rhs.items()
+                     if (q := QQi.coerce(c))]  # zero terms stay unread
+        for key in keys:
+            terms = []
+            for outer, inner, sign in ((B, A, 1), (A, B, -s)):
+                d0, nums = column(outer, key)
+                for k2, (x, y) in nums.items():
+                    d1, inums = column(inner, k2)
+                    terms.append((sign * x, sign * y, d0 * d1, inums))
+            for C, x, y, e in minus_rhs:
+                d0, nums = column(C, key)
+                terms.append((x, y, d0 * e, nums))
+            if any(re or im for re, im in column_combination(terms)[1].values()):
+                return label, key
+    return None
+
+
+def skew_failure(table: tuple, keys, column, sign):
+    """First (p, q) of keys with <op p, q> + sign(p) <p, op q> != 0, or None.
+
+    ``table`` is the integer column of the nonzero entries {(p, q): <p, q>} of
+    a sesquilinear pairing (linear in p, conjugate-linear in q), ``column(p)``
+    the integer column of op p and ``sign(p)`` +-1; both sides are scatter
+    sums of the table against the columns, brought to one denominator."""
+    columns = {p: column(p) for p in keys}
+    den = lcm(*(d for d, _ in columns.values()))
+    signs = {p: sign(p) for p in keys}
+    pre: dict = {}  # r -> [(p, x, y)]: r appears in op p with coefficient (x + y i)/den
+    for p, (d, nums) in columns.items():
+        f = den // d
+        for r, (x, y) in nums.items():
+            pre.setdefault(r, []).append((p, x * f, y * f))
+    resid: dict = {}
+    entries = table[1]
+    for (r, q), (u, v) in entries.items():
+        if q in signs:
+            for p, x, y in pre.get(r, ()):
+                z = resid.setdefault((p, q), [0, 0])
+                z[0] += x * u - y * v
+                z[1] += x * v + y * u
+    for (p, r), (u, v) in entries.items():
+        s = signs.get(p)
+        if s is not None:
+            for q, x, y in pre.get(r, ()):  # sign(p) conj(c) <p, r>
+                z = resid.setdefault((p, q), [0, 0])
+                z[0] += s * (x * u + y * v)
+                z[1] += s * (x * v - y * u)
+    return next((pq for pq, (a, b) in resid.items() if a or b), None)

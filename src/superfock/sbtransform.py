@@ -64,6 +64,15 @@ class SBTransform:
         self._mono_cache: dict[MonKey, SuperPolynomial] = {}
         self._inv_cache: dict[MonKey, SuperPolynomial] = {}
         self._kernels: dict[int, dict] = {}
+        self._series: dict[int, SuperPolynomial] = {}
+
+    def _b_series(self, degree: int) -> SuperPolynomial:
+        """``b_series_truncation`` of B_0(x|z) at degree, memoized per degree."""
+        series = self._series.get(degree)
+        if series is None:
+            series = self._series[degree] = b_series_truncation(
+                self.sig_x, self.sig_z, 0, degree)
+        return series
 
     # -- forward -----------------------------------------------------------
 
@@ -73,7 +82,7 @@ class SBTransform:
         if cached is not None:
             return cached
         cap = sum(mono[0]) + len(mono[1])
-        carrier = b_series_truncation(self.sig_x, self.sig_z, 0, cap + 2) \
+        carrier = self._b_series(cap + 2) \
             * embed(SuperPolynomial.monomial(self.sig_x, mono), self.bsig, LEFT)
         acc: dict = {}
         for key, c in carrier.terms.items():
@@ -113,7 +122,7 @@ class SBTransform:
         kernel = self._kernels.get(k)
         if kernel is None:
             try:
-                series = b_series_truncation(self.sig_x, self.sig_z, 0, k) \
+                series = self._b_series(k) \
                     * embed(exp_z0_truncation(self.sig_z, k), self.bsig, RIGHT)
             except ValueError:
                 raise ValueError(f"inverse transform undefined at degree {k}: "

@@ -19,6 +19,11 @@ result is reduced by construction:
 - k * (a + b*i)/d for an int k is reduced by gcd(k, d) alone (``_times_int``),
   which covers products by +-1, +-i and by any Gaussian integer that is real
   or imaginary.
+
+Hot contraction loops read sparse maps of ``QQi`` values as integer columns
+(``int_column``): Gaussian-integer numerator pairs over one positive
+denominator, so they add and multiply plain ints; ``column_terms`` converts
+back.
 """
 
 from __future__ import annotations
@@ -231,6 +236,53 @@ def _times_int(a: int, b: int, d: int, k: int) -> QQi:
             k //= g
             d //= g
     return _raw(a * k, b * k, d)
+
+
+def int_column(terms: dict) -> tuple[int, dict]:
+    """A sparse map {key: QQi} as (d, {key: (a, b)}) with value (a + b*i)/d at
+    key; d > 0 is the least common multiple of the denominators."""
+    d = 1
+    for c in terms.values():
+        e = c.d
+        if d % e:
+            d = d // gcd(d, e) * e
+    return d, {k: (c.a * (d // c.d), c.b * (d // c.d)) for k, c in terms.items()}
+
+
+def column_terms(column: tuple[int, dict]) -> dict:
+    """The map {key: QQi} of an integer column (d, {key: (a, b)})."""
+    d, nums = column
+    return {k: QQi(a, b, d) for k, (a, b) in nums.items()}
+
+
+def column_combination(terms) -> tuple[int, dict]:
+    """sum (x + y*i)/e * nums over terms (x, y, e, nums), with ints x, y and
+    e > 0 and nums the numerators of an integer column, as (d, {key: [a, b]})
+    with value (a + b*i)/d; entries that cancel stay, as [0, 0].  Plain ints
+    are summed over a running common denominator d, rescaled only when a new
+    e does not divide it."""
+    out: dict = {}
+    d = 1
+    for x, y, e, nums in terms:
+        if d % e:
+            new = d // gcd(d, e) * e
+            g = new // d
+            for r in out.values():
+                r[0] *= g
+                r[1] *= g
+            d = new
+        f = d // e
+        if f != 1:
+            x *= f
+            y *= f
+        for k, (u, v) in nums.items():
+            r = out.get(k)
+            if r is None:
+                out[k] = [x * u - y * v, x * v + y * u]
+            else:
+                r[0] += x * u - y * v
+                r[1] += x * v + y * u
+    return d, out
 
 
 ZERO = QQi(0)

@@ -7,11 +7,14 @@ failure, and never raise: unexpected exceptions are reported as failures.
 
 Action columns on monomials (``Context.pi_column``, ``Context.rho_column``)
 and pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized per
-``Context``, columns of ``algebra`` operators per check.  One commutator loop
-over columns (``_commutator_failure``) checks the sl2 triple, the Bessel
-operator identities and the representations D, pi and rho; one contraction of
-a pairing table against columns (``_skew_failure``) checks the adjointness of
-pi, rho, L_ij.
+``Context``, columns of ``algebra`` operators per check.  ``rho_column`` reads
+``fock.rho_columns``, which fills the columns of every basis element on one
+monomial at once.  Columns are integer columns (``scalars.int_column``):
+Gaussian-integer numerator pairs over one positive denominator.  One
+commutator loop over columns (``linalg.commutator_failure``) checks the sl2
+triple, the Bessel operator identities and the representations D, pi and
+rho; one contraction of a pairing table against columns
+(``linalg.skew_failure``) checks the adjointness of pi, rho, L_ij.
 """
 
 from __future__ import annotations
@@ -33,15 +36,17 @@ from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
 from .fock import (bessel_matrix, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, pi_complex_apply, rho_apply,
-                   rho_lowering, rho_raising)
+                   rho_columns, rho_lowering, rho_raising)
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
                         harmonic_basis, harmonic_dim_nullspace)
 from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
                        radial_integral, sphere_moment, w_form, DivergenceError)
+from .linalg import commutator_failure, skew_failure
 from .liealg import TKK, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
-from .scalars import HALF, I, ONE, ZERO, PiScalar, QQi, _acc
+from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, column_combination,
+                      column_terms, int_column)
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_table,
                           radial_expand)
@@ -110,13 +115,14 @@ class Context:
         self._tkk = None
         self._sb = None
         self._bf_tables: dict[int, tuple] = {}
-        # Memos that hold no reference to the Context: the terms of the actions of
-        # basis element a on x^key exp(-2 x_0) (Schrodinger) and on z^key (Fock),
-        # and the W-form of the rate-2 monomial vectors x^p and x^q.
-        self.pi_column = cache(lambda a, key: pi_table(
-            tkk_for(sig).basis_element(a), SuperPolynomial.monomial(sig, key), 2).terms)
-        self.rho_column = cache(lambda a, key: rho_apply(
-            tkk_for(sig).basis_element(a), SuperPolynomial.monomial(sig_z, key)).terms)
+        # Memos that hold no reference to the Context: the integer columns of
+        # the actions of basis element a on x^key exp(-2 x_0) (Schrodinger) and
+        # on z^key (Fock, all a at once), and the W-form of the rate-2 monomial
+        # vectors x^p and x^q.
+        self.pi_column = cache(lambda a, key: int_column(pi_table(
+            tkk_for(sig).basis_element(a), SuperPolynomial.monomial(sig, key), 2).terms))
+        columns = cache(lambda key: rho_columns(tkk_for(sig), SuperPolynomial.monomial(sig_z, key)))
+        self.rho_column = cache(lambda a, key: columns(key)[a])
         self.w_pair = cache(lambda p, q: w_form(
             *(WElement(2, SuperPolynomial.monomial(sig, k)) for k in (p, q))))
 
@@ -192,31 +198,6 @@ def _nf_keys(sig: Signature, max_degree: int) -> list:
     return [key for d in range(max_degree + 1) for key in normal_form_keys(sig, d)]
 
 
-def _commutator_failure(column, keys, identities):
-    """First (label, key) with A B x^key - s B A x^key != sum c C x^key, or None.
-
-    An identity is (label, A, B, s, {C: c}); ``column(op, key)`` holds the
-    terms of op x^key, and linearity reads every side off the columns."""
-    for label, A, B, s, rhs in identities:
-        minus_s = QQi(-s)
-        minus_rhs = [(C, -c) for C, c in rhs.items() if c]  # zero terms stay unread
-        for key in keys:
-            resid: dict = {}
-            for k2, c in column(B, key).items():
-                for k3, v in column(A, k2).items():
-                    _acc(resid, k3, c * v)
-            for k2, c in column(A, key).items():
-                c = minus_s * c
-                for k3, v in column(B, k2).items():
-                    _acc(resid, k3, c * v)
-            for C, cc in minus_rhs:
-                for k3, v in column(C, key).items():
-                    _acc(resid, k3, v * cc)
-            if resid:
-                return label, key
-    return None
-
-
 def _bracket_identities(tkk: TKK, pairs):
     """op [X_a, X_b} = op [X_a, X_b] for each basis pair, labelled (a, b)."""
     return (((a, b), a, b, -1 if (tkk.parity(a) and tkk.parity(b)) else 1, tkk.struct[a, b])
@@ -224,35 +205,13 @@ def _bracket_identities(tkk: TKK, pairs):
 
 
 def _operator_columns(sig: Signature):
-    """column(op, key): the terms of the ``algebra._OPS`` descriptor op on x^key.
-    The memo goes with the function, so it is dropped with the check using it."""
+    """column(op, key): the integer column of the ``algebra._OPS`` descriptor op
+    on x^key.  The memo goes with the function, so it is dropped with the check
+    using it."""
     @cache
     def column(op, key):
-        return _OPS[op[0]](SuperPolynomial.monomial(sig, key), 0, *op[1:]).terms
+        return int_column(_OPS[op[0]](SuperPolynomial.monomial(sig, key), 0, *op[1:]).terms)
     return column
-
-
-def _skew_failure(table: dict, keys, column, sign):
-    """First (p, q) of keys with <op p, q> + sign(p) <p, op q> != 0, or None.
-
-    ``table`` holds the nonzero entries {(p, q): <p, q>} of a sesquilinear
-    pairing (linear in p, conjugate-linear in q) and ``column(p)`` the terms
-    of op p; both sides are scatter sums of the table against the columns."""
-    signs = {p: sign(p) for p in keys}
-    pre: dict = {}  # r -> [(p, c)]: the monomial r appears in op p with coefficient c
-    for p in keys:
-        for r, c in column(p).items():
-            pre.setdefault(r, []).append((p, c))
-    resid: dict = {}
-    for (r, q), g in table.items():
-        if q in signs:
-            for (p, c) in pre.get(r, ()):
-                _acc(resid, (p, q), c * g)
-    for (p, r), g in table.items():
-        if p in signs:
-            for (q, c) in pre.get(r, ()):
-                _acc(resid, (p, q), signs[p] * c.conjugate() * g)
-    return next(iter(resid), None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +222,7 @@ def _skew_failure(table: dict, keys, column, sign):
 def check_sl2_triple(ctx: Context, max_degree: int = 5):
     sig = ctx.sig
     D, E, R = ("Delta",), ("E",), ("R2",)
-    bad = _commutator_failure(_operator_columns(sig), monomials_up_to(sig, max_degree), [
+    bad = commutator_failure(_operator_columns(sig), monomials_up_to(sig, max_degree), [
         ("[Delta,R^2]", D, R, 1, {E: 4, ("one",): 2 * sig.M}),
         ("[Delta,E]", D, E, 1, {D: 2}),
         ("[R^2,E]", R, E, 1, {R: -2}),
@@ -301,7 +260,7 @@ def check_bessel_product_rule(ctx: Context, max_degree: int = 3):
     B = [("bessel", QQi(2 - sig.M), i) for i in range(nv)]
 
     def image(op, key, c=1):
-        return SuperPolynomial(sig, {k: v * c for k, v in column(op, key).items()})
+        return SuperPolynomial(sig, column_terms(column(op, key))).scale(c)
     # (phi, 2 E phi, [d_lower(r) phi], [B_i phi]) for each monomial phi
     monos = [(SuperPolynomial.monomial(sig, key), image(("E",), key, 2),
               [image(("d_lower", r), key) for r in range(nv)], [image(b, key) for b in B])
@@ -311,16 +270,19 @@ def check_bessel_product_rule(ctx: Context, max_degree: int = 3):
         for (psi, epsi2, dpsi, bpsi) in monos:
             # phi psi is a signed monomial or zero, and B_i is linear
             prod = (phi * psi).terms.items()
-            # twice the index-independent cross term
+            # twice the index-independent cross term; d_r(phi) d_s(psi) is zero
+            # unless x_r divides phi and x_s divides psi
             cross2 = SuperPolynomial.zero(sig)
             for r, s, b in sig.beta_inv_pairs:
-                sr = -2 if (pphi and sig.parity(r)) else 2
-                cross2 = cross2 + (dphi[r] * dpsi[s]).scale(b * sr)
+                if dphi[r].terms and dpsi[s].terms:
+                    sr = -2 if (pphi and sig.parity(r)) else 2
+                    cross2 = cross2 + (dphi[r] * dpsi[s]).scale(b * sr)
             for i in range(nv):
                 si = -1 if (sig.parity(i) and pphi) else 1
                 rhs = bphi[i] * psi + (phi * bpsi[i] + ephi2 * dpsi[i]).scale(si) \
                     + dphi[i] * epsi2 - cross2.mul_var(i)
-                lhs = {k3: c * v for k, c in prod for k3, v in column(B[i], k).items()}
+                lhs = {k3: c * v for k, c in prod
+                       for k3, v in column_terms(column(B[i], k)).items()}
                 if lhs != rhs.terms:
                     return False, f"product rule fails: i={i}, phi={phi}, psi={psi}"
     return True, f"all monomial pairs of degree <= {max_degree}"
@@ -330,7 +292,7 @@ def check_bessel_supercommute(ctx: Context, max_degree: int = 3):
     sig = ctx.sig
     nv = sig.nvars
     B = [("bessel_mod", i) for i in range(nv)]
-    bad = _commutator_failure(
+    bad = commutator_failure(
         _operator_columns(sig), monomials_up_to(sig, max_degree),
         [(f"supercommutativity fails at ({i},{j})", B[j], B[i],
           -1 if (sig.parity(i) and sig.parity(j)) else 1, {})
@@ -344,7 +306,7 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
     sig = ctx.sig
     nv, M, beta = sig.nvars, sig.M, sig.beta
     # L_ii exists for odd i only; the even L_ii term has coefficient 0
-    bad = _commutator_failure(
+    bad = commutator_failure(
         _operator_columns(sig), monomials_up_to(sig, max_degree),
         [(f"commutator fails at ({i},{j})", ("bessel", QQi(2 - M), i), ("mul", j),
           -1 if (sig.parity(i) and sig.parity(j)) else 1,
@@ -357,7 +319,7 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
 
 
 def check_angular_commutes(ctx: Context, max_degree: int = 4):
-    """On polynomials, not in ``_commutator_failure``: each L_ij column is used
+    """On polynomials, not in ``commutator_failure``: each L_ij column is used
     about once.  At (7,1), max_degree 3, on a shared 2-vCPU host: 7.8 s and
     18 MB peak RSS this way, 6.9 s and 127 MB with memoized columns (260k L_ij
     columns), 9.5 s and 21 MB with a memo per (i, j), 13.9 s through the loop."""
@@ -673,12 +635,12 @@ def check_realization(ctx: Context, max_degree: int = 2, pair_limit: int = 900):
     bsig = tkk.big_signature
     keys = monomials_up_to(bsig, max_degree)
     ops = [tkk.realize(tkk.basis_element(a)) for a in range(tkk.dim)]
-    column = cache(lambda a, key: ops[a](SuperPolynomial.monomial(bsig, key)).terms)
+    column = cache(lambda a, key: int_column(ops[a](SuperPolynomial.monomial(bsig, key)).terms))
     pairs = [(a, b) for a in range(tkk.dim) for b in range(tkk.dim)]
     if len(pairs) > pair_limit:
         rng = ctx.rng
         pairs = [(rng.randrange(tkk.dim), rng.randrange(tkk.dim)) for _ in range(pair_limit)]
-    bad = _commutator_failure(column, keys, _bracket_identities(tkk, pairs))
+    bad = commutator_failure(column, keys, _bracket_identities(tkk, pairs))
     if bad:
         return False, "homomorphism fails at pair ({},{})".format(*bad[0])
     return True, f"{len(pairs)} basis pairs on monomials of degree <= {max_degree}"
@@ -787,8 +749,8 @@ def check_pi_examples(ctx: Context):
 def check_pi_representation(ctx: Context, max_degree: int = 2):
     tkk = ctx.tkk
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
-    bad = _commutator_failure(ctx.pi_column, _nf_keys(ctx.sig, max_degree),
-                              _bracket_identities(tkk, pairs))
+    bad = commutator_failure(ctx.pi_column, _nf_keys(ctx.sig, max_degree),
+                             _bracket_identities(tkk, pairs))
     if bad:
         (a, b), key = bad
         return False, f"pairs ({a},{b}) on {SuperPolynomial.monomial(ctx.sig, key)}"
@@ -902,12 +864,12 @@ def check_pi_skew(ctx: Context, max_degree: int = 2):
     keys = _nf_keys(ctx.sig, max_degree)
     wider = _nf_keys(ctx.sig, max_degree + 1)
     # pi raises the degree by at most one: pair degree <= d with degree <= d + 1
-    table = {pair: v for p in keys for q in wider for pair in ((p, q), (q, p))
-             if (v := ctx.w_pair(*pair))}
+    table = int_column({pair: v for p in keys for q in wider for pair in ((p, q), (q, p))
+                        if (v := ctx.w_pair(*pair))})
     for a in range(tkk.dim):
         pX = tkk.parity(a)
-        bad = _skew_failure(table, keys, lambda p: ctx.pi_column(a, p),
-                            lambda p: QQi(-1 if (pX and len(p[1]) & 1) else 1))
+        bad = skew_failure(table, keys, lambda p: ctx.pi_column(a, p),
+                           lambda p: -1 if (pX and len(p[1]) & 1) else 1)
         if bad:
             f, g = (SuperPolynomial.monomial(ctx.sig, k) for k in bad)
             return False, f"{tkk.basis_label(a)} on ({f}, {g})"
@@ -1048,15 +1010,17 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
     for all monomials p, q is a pair of scatter sums over nonzero pairings."""
     sig = ctx.sig_z
     keys, table = ctx.bf_table(max_degree)
+    table = int_column(table)
     index_pairs = [(i, j) for i in range(sig.nvars) for j in range(i, sig.nvars)
                    if i != j or sig.parity(i)]
     for (i, j) in index_pairs:
         eps = (sig.parity(i) + sig.parity(j)) & 1
         # L_0j is self-adjoint up to the parity sign, every other L_ij skew
         flip = -1 if i == 0 else 1
-        bad = _skew_failure(
-            table, keys, lambda p: angular_L(i, j, SuperPolynomial.monomial(sig, p)).terms,
-            lambda p: QQi(-flip if (eps and len(p[1]) & 1) else flip))
+        bad = skew_failure(
+            table, keys,
+            lambda p: int_column(angular_L(i, j, SuperPolynomial.monomial(sig, p)).terms),
+            lambda p: -flip if (eps and len(p[1]) & 1) else flip)
         if bad:
             return False, f"adjointness fails at L({i},{j}) on {bad}"
     return True, f"all angular index pairs on monomials of degree <= {max_degree}"
@@ -1144,22 +1108,33 @@ def check_gram(ctx: Context, max_degree: int = 3):
 
 
 def check_rho_composition(ctx: Context, max_degree: int = 3):
+    """By linearity, rho(X_a) z^key = sum_b c(X_a)_b pi_C(X_b) z^key for every
+    basis element a and monomial; the pi_C columns are memoized for this
+    check only."""
     tkk = ctx.tkk
-    keys = _nf_keys(ctx.sig_z, max_degree)
+    sig = ctx.sig_z
+    keys = _nf_keys(sig, max_degree)
+    pi_c = cache(lambda b, key: int_column(pi_complex_apply(
+        tkk.basis_element(b), SuperPolynomial.monomial(sig, key)).terms))
     for a in range(tkk.dim):
-        cX = tkk.cayley(tkk.basis_element(a))
+        twist = [(b, -c.a, -c.b, c.d)
+                 for b, c in tkk.cayley(tkk.basis_element(a)).coeffs.items()]
         for key in keys:
-            p = SuperPolynomial.monomial(ctx.sig_z, key)
-            if ctx.rho_column(a, key) != pi_complex_apply(cX, p).terms:
-                return False, f"{tkk.basis_label(a)} on {p}"
+            d, nums = ctx.rho_column(a, key)
+            terms = [(1, 0, d, nums)]
+            for b, x, y, e in twist:
+                d, nums = pi_c(b, key)
+                terms.append((x, y, d * e, nums))
+            if any(re or im for re, im in column_combination(terms)[1].values()):
+                return False, f"{tkk.basis_label(a)} on {SuperPolynomial.monomial(sig, key)}"
     return True, f"rho agrees with the Cayley twist on F_<= {max_degree}"
 
 
 def check_rho_representation(ctx: Context, max_degree: int = 3):
     tkk = ctx.tkk
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
-    bad = _commutator_failure(ctx.rho_column, _nf_keys(ctx.sig_z, max_degree),
-                              _bracket_identities(tkk, pairs))
+    bad = commutator_failure(ctx.rho_column, _nf_keys(ctx.sig_z, max_degree),
+                             _bracket_identities(tkk, pairs))
     if bad:
         (a, b), key = bad
         return False, f"commutator fails at ({a},{b}) on {key}"
@@ -1197,11 +1172,11 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
     (5,1)."""
     tkk = ctx.tkk
     keys = _nf_keys(ctx.sig_z, max_degree)
-    _, table = ctx.bf_table(max_degree + 1)
+    table = int_column(ctx.bf_table(max_degree + 1)[1])
     for a in range(tkk.dim):
         pX = tkk.parity(a)
-        bad = _skew_failure(table, keys, lambda p: ctx.rho_column(a, p),
-                            lambda p: QQi(-1 if (pX and len(p[1]) & 1) else 1))
+        bad = skew_failure(table, keys, lambda p: ctx.rho_column(a, p),
+                           lambda p: -1 if (pX and len(p[1]) & 1) else 1)
         if bad:
             return False, f"{tkk.basis_label(a)} on ({bad[0]},{bad[1]})"
     return True, f"every basis element on F_<= {max_degree}"

@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from superfock.scalars import (HALF, I, ONE, PiScalar, QQi, factorial_fraction,
-                               gamma_half, poch)
+from superfock.scalars import (HALF, I, ONE, PiScalar, QQi, column_combination,
+                               column_terms, factorial_fraction, gamma_half,
+                               int_column, poch)
 
 small_ints = st.integers(min_value=-30, max_value=30)
 denoms = st.integers(min_value=1, max_value=12)
@@ -186,3 +187,45 @@ def test_non_numeric_input_is_refused():
         QQi.coerce(1.5)
     with pytest.raises(TypeError):
         QQi(1) * 1.5
+
+
+def test_integer_columns_round_trip():
+    terms = {"re": QQi(3, 0, 2), "im": QQi(0, -5, 3), "int": QQi(7), "both": QQi(1, 1, 6)}
+    column = int_column(terms)
+    assert column == (6, {"re": (9, 0), "im": (0, -10), "int": (42, 0), "both": (1, 1)})
+    assert column_terms(column) == terms
+    assert int_column({}) == (1, {}) and column_terms((1, {})) == {}
+
+
+nonzero_qqis = qqis.filter(lambda q: not q.is_zero())
+
+
+@given(st.dictionaries(st.integers(0, 20), nonzero_qqis, max_size=8))
+def test_integer_columns_keep_every_value(terms):
+    d, nums = int_column(terms)
+    assert d > 0 and all(d % q.d == 0 for q in terms.values())
+    back = column_terms((d, nums))
+    assert back == terms
+    assert all(type(v) is QQi and (v.a, v.b, v.d) == (terms[k].a, terms[k].b, terms[k].d)
+               for k, v in back.items())
+
+
+@given(st.lists(st.tuples(nonzero_qqis, st.dictionaries(st.integers(0, 6), nonzero_qqis,
+                                                        max_size=4)), max_size=6))
+def test_column_combination_is_the_qqi_sum(terms):
+    want: dict = {}
+    ints = []
+    for c, col in terms:
+        for k, v in col.items():
+            want[k] = want.get(k, QQi(0)) + c * v
+        d, nums = int_column(col)
+        ints.append((c.a, c.b, c.d * d, nums))
+    d, out = column_combination(ints)
+    assert d > 0 and set(out) == set(want)
+    assert all(QQi(a, b, d) == want[k] for k, (a, b) in out.items())
+
+
+def test_column_combination_rescales_to_a_common_denominator():
+    # 1/2 then 1/3 does not divide 2: the running denominator becomes 6
+    d, out = column_combination([(1, 0, 2, {"x": (1, 0)}), (0, 1, 3, {"x": (1, 0), "y": (0, 2)})])
+    assert d == 6 and out == {"x": [3, 2], "y": [-4, 0]}

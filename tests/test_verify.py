@@ -1,8 +1,9 @@
-"""The shared commutator and adjointness loops of ``verify`` must be able to
+"""The shared commutator and adjointness loops (``linalg``) must be able to
 fail: each check, run on a context whose action columns, operator table,
 pairing table or moment table carry one wrong entry, reports a failure with a
-witness (or, for the forward transform, raises on its nonvanishing tail).  Every
-shape the CLI accepts at small size passes every suite."""
+witness (or, for the forward transform, raises on its nonvanishing tail).  The
+integer commutator loop finds the first failure of the ``QQi`` loop it
+replaced.  Every shape the CLI accepts at small size passes every suite."""
 
 import gc
 import random
@@ -13,8 +14,10 @@ import pytest
 
 from superfock import integral, sbtransform, verify
 from superfock.algebra import _OPS, SuperPolynomial, monomials_up_to
+from superfock.fock import rho_apply
+from superfock.linalg import commutator_failure, skew_failure
 from superfock.liealg import TKK
-from superfock.scalars import QQi
+from superfock.scalars import QQi, _acc, column_terms, int_column
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_product_rule,
@@ -31,12 +34,13 @@ def small_context(m=5, n=1) -> Context:
 
 
 def double_one_column(column, target):
-    """Wrap a column lookup so that the column at target = (a, key) is doubled."""
+    """Wrap a lookup of integer columns so that every numerator of the column
+    at target = (a, key) is doubled."""
     def wrapped(a, key):
-        col = column(a, key)
+        den, nums = column(a, key)
         if (a, key) == target:
-            return {k: v * 2 for k, v in col.items()}
-        return col
+            return den, {k: (2 * x, 2 * y) for k, (x, y) in nums.items()}
+        return den, nums
     return wrapped
 
 
@@ -59,9 +63,149 @@ def test_a_corrupted_action_column_fails_the_check(check, name):
     column = getattr(ctx, name)
     sig = ctx.sig_z if name == "rho_column" else ctx.sig
     one = ((0,) * sig.m, ())  # the constant monomial
-    a = next(a for a in range(ctx.tkk.dim) if column(a, one))
+    a = next(a for a in range(ctx.tkk.dim) if column(a, one)[1])
     setattr(ctx, name, double_one_column(column, (a, one)))
     assert_fails(check(ctx, 1))
+
+
+def qqi_commutator_failure(column, keys, identities):
+    """The commutator loop over ``QQi`` columns {key: QQi} that the integer
+    loop replaced; an oracle for ``linalg.commutator_failure``."""
+    for label, A, B, s, rhs in identities:
+        minus_s = QQi(-s)
+        minus_rhs = [(C, -c) for C, c in rhs.items() if c]
+        for key in keys:
+            resid: dict = {}
+            for k2, c in column(B, key).items():
+                for k3, v in column(A, k2).items():
+                    _acc(resid, k3, c * v)
+            for k2, c in column(A, key).items():
+                c = minus_s * c
+                for k3, v in column(B, k2).items():
+                    _acc(resid, k3, c * v)
+            for C, cc in minus_rhs:
+                for k3, v in column(C, key).items():
+                    _acc(resid, k3, v * cc)
+            if resid:
+                return label, key
+    return None
+
+
+def random_qqi(rng, zero_parts=True):
+    """A nonzero Gaussian rational over 1, 2, 3 or 6, often with a zero part."""
+    while True:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if zero_parts and rng.random() < 0.4:
+            a, b = (0, b) if rng.random() < 0.5 else (a, 0)
+        if a or b:
+            return QQi(a, b, rng.choice((1, 2, 3, 6)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_integer_commutator_loop_finds_the_failure_of_the_qqi_loop(seed):
+    rng = random.Random(seed)
+    keys = list(range(6))
+
+    def random_column():
+        return {k: random_qqi(rng) for k in rng.sample(keys, rng.randint(0, 3))}
+    cols = {op: {k: random_column() for k in keys} for op in ("A", "B", "D")}
+    identities = []
+    for label, s in (("even", 1), ("odd", -1)):
+        # C = (A B - s B A - d D) / c, so that [A, B}_s = c C + d D holds exactly
+        c, d = random_qqi(rng), random_qqi(rng)
+        C = f"C{label}"
+        cols[C] = {}
+        for key in keys:
+            resid: dict = {}
+            for k2, x in cols["B"][key].items():
+                for k3, v in cols["A"][k2].items():
+                    _acc(resid, k3, x * v)
+            for k2, x in cols["A"][key].items():
+                for k3, v in cols["B"][k2].items():
+                    _acc(resid, k3, x * v * -s)
+            for k3, v in cols["D"][key].items():
+                _acc(resid, k3, -d * v)
+            cols[C][key] = {k: v / c for k, v in resid.items()}
+        identities.append((label, "A", "B", s, {C: c, "D": d, "A": QQi(0)}))
+    if seed % 3:  # one wrong entry, at a random key of a random identity
+        C = rng.choice(("Ceven", "Codd"))
+        key = rng.choice(keys)
+        k3 = rng.choice(keys)
+        col = cols[C][key]
+        col[k3] = col.get(k3, QQi(0)) + random_qqi(rng)
+        if col[k3].is_zero():
+            del col[k3]
+    int_cols = {(op, key): int_column(col) for op, by_key in cols.items()
+                for key, col in by_key.items()}
+    want = qqi_commutator_failure(lambda op, key: cols[op][key], keys, identities)
+    got = commutator_failure(lambda op, key: int_cols[op, key], keys, identities)
+    assert got == want
+    assert (want is None) == (seed % 3 == 0)
+
+
+def qqi_skew_residual(table, keys, column, sign):
+    """The nonzero entries {(p, q): <op p, q> + sign(p) <p, op q>} of the QQi
+    contraction that the integer one replaced; ``column(p)`` is {r: QQi}."""
+    pre: dict = {}
+    for p in keys:
+        for r, c in column(p).items():
+            pre.setdefault(r, []).append((p, c))
+    resid: dict = {}
+    for (r, q), g in table.items():
+        if q in keys:
+            for p, c in pre.get(r, ()):
+                _acc(resid, (p, q), c * g)
+    for (p, r), g in table.items():
+        if p in keys:
+            for q, c in pre.get(r, ()):
+                _acc(resid, (p, q), sign(p) * c.conjugate() * g)
+    return resid
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_integer_skew_contraction_finds_a_failure_of_the_qqi_one(seed):
+    # A diagonal pairing g_p = omega r_p with complex omega and rational r_p,
+    # and an operator C with C[p][q] g_q = -s conj(C[q][p]) g_p, so that
+    # <C p, q> + s <p, C q> = 0; complex entries on both sides, so the
+    # conjugation is seen.
+    rng = random.Random(seed)
+    keys = list(range(5))
+    omega = random_qqi(rng, zero_parts=False)
+    g = {p: omega * QQi(rng.choice((1, 2, 3, -1, -2)), 0, rng.choice((1, 2, 3, 6)))
+         for p in keys}
+    s = rng.choice((1, -1))
+    cols: dict = {p: {} for p in keys}
+    for p in keys:
+        for q in keys[p:]:
+            if rng.random() < 0.5:
+                continue
+            c = random_qqi(rng)
+            if p == q:  # C[p][p] = -s conj(C[p][p])
+                cols[p][p] = QQi(0, c.b or 1, c.d) if s == 1 else QQi(c.a or 1, 0, c.d)
+            else:
+                cols[q][p] = c
+                cols[p][q] = -s * c.conjugate() * g[p] / g[q]
+    if seed % 3:  # one wrong off-diagonal entry
+        p, q = rng.sample(keys, 2)
+        cols[p][q] = cols[p].get(q, QQi(0)) + random_qqi(rng)
+        if cols[p][q].is_zero():
+            del cols[p][q]
+    table = {(p, p): v for p, v in g.items()}
+    want = qqi_skew_residual(table, keys, lambda p: cols[p], lambda p: s)
+    got = skew_failure(int_column(table), keys, lambda p: int_column(cols[p]), lambda p: s)
+    assert (got is None) == (not want) == (seed % 3 == 0)
+    assert got is None or got in want
+
+
+@pytest.mark.parametrize("m,n", [(5, 1), (4, 1)])
+def test_rho_apply_equals_the_rho_columns(m, n):
+    ctx = small_context(m, n)
+    sig = ctx.sig_z
+    for key in monomials_up_to(sig, 2):
+        p = SuperPolynomial.monomial(sig, key)
+        for a in range(ctx.tkk.dim):
+            assert column_terms(ctx.rho_column(a, key)) == \
+                rho_apply(ctx.tkk.basis_element(a), p).terms
 
 
 def test_a_corrupted_realization_fails_the_check(monkeypatch):
@@ -133,7 +277,7 @@ def test_rho_skew_is_blind_on_degree_one_at_m_2():
     # on F_1 at M = 2, so the corruption that fails at (5,1) passes at (4,1).
     ctx = small_context(4, 1)
     one = ((0,) * ctx.sig_z.m, ())
-    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one))
+    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one)[1])
     ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
     assert check_rho_skew(ctx, 1)[0] is True
 
