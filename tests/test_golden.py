@@ -1,11 +1,13 @@
 """Golden files pin the serialized interchange formats byte-for-byte."""
 
+import json
 import pathlib
 
 from superfock.algebra import R2, Signature, SuperPolynomial
 from superfock.fock import gram_json
 from superfock.liealg import tkk_for
 from superfock.scalars import QQi
+from superfock.verify import RunConfig, report_json, run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -25,3 +27,13 @@ def test_polynomial_rendering_pinned():
     assert str(R2(sig)) == "2*t1*t2 + 1*x3^2 + 1*x2^2 + 1*x1^2 + -1*x0^2"
     p = SuperPolynomial.monomial(sig, ((1, 0, 2, 0), (4,)), QQi(-1, 2, 3))
     assert str(p) == "-1/3+2/3*i*x0*x2^2*t1"
+
+
+def test_verification_report_golden():
+    # every suite at (4,0), degree 2, seed 0; only the timings may move
+    cfg = RunConfig(m=4, n=0, max_degree=2, seed=0)
+    payload = json.loads(report_json(cfg, run_suite(cfg)))
+    for check in payload["checks"]:
+        del check["seconds"]
+    blob = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert blob == (GOLDEN / "report_4_0_d2.json").read_text()
