@@ -24,6 +24,7 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_bessel_supercommute, check_bf_l_adjoint,
                               check_intertwining, check_pi_representation,
                               check_pi_skew, check_realization,
+                              check_representative_independence,
                               check_rho_composition, check_rho_representation,
                               check_rho_skew, check_sl2_triple, check_tkk_axioms,
                               check_unitarity, run_suite, suite_fock)
@@ -334,6 +335,25 @@ def test_a_corrupted_operator_fails_the_algebra_check(monkeypatch, check, op):
     monkeypatch.setitem(_OPS, name, doubled_on(_OPS[name], x1x2(ctx.sig), *only))
     ok, witness = check(ctx, 2)
     assert ok is False and re.fullmatch(WITNESS[check], witness), witness
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (4, 0), (5, 1)])
+def test_representative_independence_passes(m, n):
+    assert check_representative_independence(small_context(m, n)) == (True, "")
+
+
+def test_a_non_tangential_operator_fails_representative_independence(monkeypatch):
+    ctx = small_context(4, 0)
+    monkeypatch.setitem(_OPS, "E", _OPS["Delta"])
+    ok, witness = check_representative_independence(ctx)
+    assert ok is False and witness.startswith("('E',) depends on the representative")
+
+
+def test_the_delta_control_of_representative_independence_is_live(monkeypatch):
+    ctx = small_context(4, 0)
+    monkeypatch.setitem(_OPS, "Delta", _OPS["E"])
+    assert check_representative_independence(ctx) == \
+        (False, "control: Delta maps R^2 into the ideal")
 
 
 def product_rule_oracle(ctx, max_degree):
