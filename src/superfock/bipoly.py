@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import MonKey, Signature, SuperPolynomial
+from .quotient import _r2_power, add_term_product
 from .scalars import QQi, _acc
 
 LEFT, RIGHT = 0, 1
@@ -150,31 +151,35 @@ def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int,
     return q
 
 
+@lru_cache(maxsize=None)
+def _slot_r2_power(bsig: BiSignature, slot: int, j: int) -> SuperPolynomial:
+    """r^(2j) of one slot, as a bi-polynomial."""
+    return embed(_r2_power(bsig.halves[slot], j), bsig, slot)
+
+
 def reduce_slot(p: SuperPolynomial, slot: int) -> SuperPolynomial:
     """Normal form of one slot modulo its R^2 ideal.
 
     The map is linear, and it keeps each term's degree in both slots: x_0^2
     becomes r^2 in the reduced slot, and the other slot is left alone.  So it
     commutes with truncation in either slot's degree.  The substituted r^2 is
-    even, so the other slot's signs are unaffected."""
-    from .quotient import reduce_poly
+    even, so the other slot's signs are unaffected: a term with slot exponent
+    a >= 2 of x_0 becomes the slot's r^(2 floor(a/2)) times the term with
+    exponent a mod 2, one product on the joined alphabet."""
     bsig = p.sig
-    half = bsig.halves[slot]
-    reduced: dict = {}  # slot key -> terms of its normal form, for this call
+    x0 = bsig.slots[slot][0]
     out: dict = {}
     for key, c in p.terms.items():
-        halves = list(bsig.split(key))
-        skey = halves[slot]
-        if skey[0][0] <= 1:
+        ev, odd = key
+        a = ev[x0]
+        if a <= 1:
             _acc(out, key, c)
-            continue
-        red = reduced.get(skey)
-        if red is None:
-            red = reduced[skey] = reduce_poly(SuperPolynomial.monomial(half, skey)).terms
-        for rkey, rc in red.items():
-            halves[slot] = rkey
-            _acc(out, bsig.join(*halves), c * rc)
-    return SuperPolynomial(bsig, out)
+        else:
+            add_term_product(out, _slot_r2_power(bsig, slot, a // 2),
+                             (ev[:x0] + (a % 2,) + ev[x0 + 1:], odd), c)
+    q = SuperPolynomial.__new__(SuperPolynomial)
+    q.sig, q.terms = bsig, out
+    return q
 
 
 def pairing(sig_left: Signature, sig_right: Signature) -> SuperPolynomial:

@@ -2,14 +2,27 @@
 
 The Bessel-Fischer product substitutes the tangential Bessel operators for
 the variables of its first argument, applies the word to the coefficient
-conjugate of the second, and evaluates at zero.  Pairings of monomials, which
-the pairing table, the Gram matrices, the kernel pairing and the inverse
-Segal-Bargmann transform read, come from sparse matrices of the Bessel
-operators built once per degree (``bessel_matrix``): the pairing covector of
-z^a z_i is that of z^a times the matrix of Bessel(z_i) (``bf_covectors``).
-The word route (``bf_word_apply``, ``bf_product``) and the degree-shift route
-(``bf_product_shift_oracle``) apply the operators to polynomials and are kept
-as independent oracles.
+conjugate of the second, and evaluates at zero.  Every Fock-side Bessel
+operator at rate 0 reads one memo, ``bessel_image``: the integer column
+(``scalars.int_column``) of ``algebra.bessel_modified(i)`` on one monomial,
+in a bounded ``lru_cache`` (``BESSEL_IMAGES`` entries, least recently used
+dropped first).  Its readers are:
+
+- ``bessel_matrix``, the sparse matrix of one operator per degree (the memo's
+  own columns), from which ``bf_covectors`` builds the pairing covectors that
+  the pairing table, the Gram matrices, the kernel pairing and the inverse
+  Segal-Bargmann transform read: the covector of z^a z_i is that of z^a times
+  the matrix of Bessel(z_i);
+- the word route (``bf_word_apply``, ``bf_product``), which applies the word
+  to q-bar in Gaussian-integer arithmetic;
+- the Bessel operators of the Fock action (``rho_columns``, ``rho_apply``).
+
+The oracles stay on the formula: the degree-shift route
+(``bf_product_shift_oracle``), the complexified Schrodinger action
+(``pi_complex_apply``), the Hermite route of ``sbtransform`` and the
+exponential identities of the ``sb`` suite call ``bessel_modified``
+directly, so ``fock/dual-route`` and ``fock/cayley-composition`` compare the
+memo with the formula.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The complexified Schrodinger action is ``schrodinger.pi_table``
@@ -33,7 +46,8 @@ from .algebra import (_OPS, MonKey, Signature, SuperPolynomial,
 from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
-from .scalars import HALF, I, ONE, QQi, _acc, int_column, poch
+from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_combination,
+                      column_terms, int_column, poch)
 from .schrodinger import pi_table
 
 
@@ -47,37 +61,71 @@ def _word_indices(key: MonKey) -> list[int]:
     return out
 
 
+# Bound of the ``bessel_image`` memo.  A full run at (7,1), max_degree 3,
+# fills about 5,500 entries.
+BESSEL_IMAGES = 1 << 14
+
+
+@lru_cache(maxsize=BESSEL_IMAGES)
+def bessel_image(sig: Signature, i: int, key: MonKey) -> tuple[int, dict]:
+    """Integer column of ``bessel_modified(i)`` on the monomial z^key, at rate 0."""
+    return int_column(bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms)
+
+
+def bessel_column(sig: Signature, i: int, column: tuple[int, dict]) -> tuple[int, dict]:
+    """``bessel_modified(i)`` of an integer column, summed from ``bessel_image``;
+    entries that cancel are dropped."""
+    d, nums = column
+    terms = []
+    for key, (a, b) in nums.items():
+        e, image = bessel_image(sig, i, key)
+        terms.append((a, b, d * e, image))
+    d, out = column_combination(terms)
+    return d, {key: (a, b) for key, (a, b) in out.items() if a or b}
+
+
+def _word_column(sig: Signature, key: MonKey, column: tuple[int, dict]) -> tuple[int, dict]:
+    """The Bessel word of a monomial applied to an integer column, rightmost
+    factor first."""
+    for i in reversed(_word_indices(key)):
+        if not column[1]:
+            break
+        column = bessel_column(sig, i, column)
+    return column
+
+
 def bf_word_apply(key: MonKey, q: SuperPolynomial) -> SuperPolynomial:
     """Apply the Bessel word of a monomial to q, rightmost factor first."""
-    for i in reversed(_word_indices(key)):
-        if q.is_zero():
-            break
-        q = bessel_modified(i, q)
-    return q
+    return SuperPolynomial(q.sig, column_terms(_word_column(q.sig, key, int_column(q.terms))))
 
 
 def bf_product(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
     """Bessel-Fischer product: p(Bessel) applied to the coefficient conjugate of q, at 0."""
     if p.sig != q.sig:
         raise ValueError("signature mismatch")
-    qbar = q.conjugate()
-    total = QQi(0)
-    for key, a in p.terms.items():
-        total = total + a * bf_word_apply(key, qbar).constant_term()
+    qbar = int_column(q.conjugate().terms)
+    one = ((0,) * p.sig.m, ())
+    total = ZERO
+    for key, c in p.terms.items():
+        e, image = _word_column(p.sig, key, qbar)
+        v = image.get(one)
+        if v is not None:
+            total = total + c * QQi(v[0], v[1], e)
     return total
 
 
 @lru_cache(maxsize=None)
-def bessel_matrix(sig: Signature, i: int, k: int) -> dict[MonKey, dict[MonKey, QQi]]:
+def bessel_matrix(sig: Signature, i: int, k: int) -> dict[MonKey, tuple[int, dict]]:
     """Sparse matrix of ``bessel_modified(i)`` from P_k to P_{k-1}: each degree-k
-    monomial key maps to the terms of its image.
+    monomial key maps to the integer column of its image, the one that
+    ``bessel_image`` holds.
 
     Every image must be homogeneous of degree k - 1; orthogonality of the
     product across degrees rests on that, so it is asserted here."""
     out = {}
     for key in monomial_keys(sig, k):
-        image = bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
-        for ikey in image:
+        image = bessel_image(sig, i, key)
+        for ikey in image[1]:
             if sum(ikey[0]) + len(ikey[1]) != k - 1:
                 raise AssertionError(f"Bessel({i}) of {key} has a term {ikey} "
                                      f"outside degree {k - 1}")
@@ -104,9 +152,9 @@ def bf_covectors(sig: Signature, k: int) -> dict[MonKey, dict[MonKey, QQi]]:
         col = columns.get(i)
         if col is None:
             col = columns[i] = {}
-            for bkey, image in bessel_matrix(sig, i, k).items():
-                for ckey, c in image.items():
-                    col.setdefault(ckey, {})[bkey] = c
+            for bkey, (d, image) in bessel_matrix(sig, i, k).items():
+                for ckey, (a, b) in image.items():
+                    col.setdefault(ckey, {})[bkey] = QQi(a, b, d)
         ev, odd = key
         rest = (ev[:i] + (ev[i] - 1,) + ev[i + 1:], odd) if i < sig.m else (ev, odd[:-1])
         vec: dict[MonKey, QQi] = {}
@@ -262,6 +310,16 @@ def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     return out + [(("E",), c * (2 * pm)), (("one",), c * (pm * (tkk.sig.M - 2)))]
 
 
+def _rho_op(op: tuple, p: SuperPolynomial) -> SuperPolynomial:
+    """One operator of ``rho_table`` on p at rate 0; the Bessel operators read
+    ``bessel_image``."""
+    name, *args = op
+    if name == "bessel_mod":
+        return SuperPolynomial(p.sig, column_terms(
+            bessel_column(p.sig, args[0], int_column(p.terms))))
+    return _OPS[name](p, 0, *args)
+
+
 def rho_columns(tkk, p: SuperPolynomial) -> list[tuple[int, dict]]:
     """Integer columns of rho(X_a) p for every basis element a; each operator
     of ``rho_table`` is applied to p and reduced once."""
@@ -272,7 +330,7 @@ def rho_columns(tkk, p: SuperPolynomial) -> list[tuple[int, dict]]:
         for op, c in rho_table(tkk, a):
             image = images.get(op)
             if image is None:
-                image = images[op] = reduce_poly(_OPS[op[0]](p, 0, *op[1:])).terms
+                image = images[op] = reduce_poly(_rho_op(op, p)).terms
             for k, v in image.items():
                 _acc(out, k, v * c)
         columns.append(int_column(out))
@@ -287,8 +345,8 @@ def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
         for op, c in rho_table(X.tkk, idx):
             _acc(ops, op, coeff * c)
     out: dict = {}
-    for (name, *args), c in ops.items():
-        for key, v in _OPS[name](p, 0, *args).terms.items():
+    for op, c in ops.items():
+        for key, v in _rho_op(op, p).terms.items():
             _acc(out, key, v * c)
     return reduce_poly(SuperPolynomial(p.sig, out))
 

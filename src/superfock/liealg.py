@@ -207,57 +207,59 @@ class TKK:
 
     # -- Cayley transform ------------------------------------------------
 
-    def _ad_matrix(self, idx: int) -> list[list[QQi]]:
-        cols = []
-        for b in range(self.dim):
-            st = self.struct[(idx, b)]
-            cols.append([st.get(r, QQi(0)) for r in range(self.dim)])
-        return [[cols[c][r] for c in range(self.dim)] for r in range(self.dim)]
+    def _ad(self, idx: int, v: dict[int, QQi]) -> dict[int, QQi]:
+        """[X_idx, v] for a sparse coordinate vector v, through ``struct``."""
+        out: dict[int, QQi] = {}
+        for b, c in v.items():
+            for k, s in self.struct[(idx, b)].items():
+                _acc(out, k, c * s)
+        return out
 
-    @property
-    def cayley_matrix(self) -> list[list[QQi]]:
-        return self._cayley_matrices[0]
-
-    @property
-    def cayley_inverse_matrix(self) -> list[list[QQi]]:
-        return self._cayley_matrices[1]
+    def _exp_ad(self, idx: int, t: QQi, v: dict[int, QQi]) -> dict[int, QQi]:
+        """exp(t ad X_idx) v = v + t [X, v] + t^2/2 [X, [X, v]]; ad X_idx is
+        3-step nilpotent for X_idx = e_0^+-, which ``_cayley_columns`` asserts."""
+        once = self._ad(idx, v)
+        twice = self._ad(idx, once)
+        out = dict(v)
+        for k, c in once.items():
+            _acc(out, k, t * c)
+        half_t2 = t * t * HALF
+        for k, c in twice.items():
+            _acc(out, k, half_t2 * c)
+        return out
 
     @cached_property
-    def _cayley_matrices(self):
-        n = self.dim
-        am = self._ad_matrix(self.index[("minus", 0)])
-        ap = self._ad_matrix(self.index[("plus", 0)])
-        for mat in (am, ap):
-            cube = linalg.mat_mul(mat, linalg.mat_mul(mat, mat))
-            if any(any(v for v in row) for row in cube):
+    def _cayley_columns(self) -> tuple[list[dict[int, QQi]], list[dict[int, QQi]]]:
+        """Sparse images of every basis element under the Cayley transform
+        c = exp(i/2 ad e_0^-) exp(i ad e_0^+) and under its inverse
+        exp(-i ad e_0^+) exp(-i/2 ad e_0^-)."""
+        em, ep = self.index[("minus", 0)], self.index[("plus", 0)]
+        units = [{b: ONE} for b in range(self.dim)]
+        for idx in (em, ep):
+            if any(self._ad(idx, self._ad(idx, self._ad(idx, u))) for u in units):
                 raise AssertionError("ad(e_0^+/-) is not 3-step nilpotent")
-
-        def expo(mat, t: QQi):
-            half_t2 = t * t * HALF
-            sq = linalg.mat_mul(mat, mat)
-            out = [[(ONE if r == c else QQi(0)) + t * mat[r][c] + half_t2 * sq[r][c]
-                    for c in range(n)] for r in range(n)]
-            return out
-
-        c = linalg.mat_mul(expo(am, I * HALF), expo(ap, I))
-        cinv = linalg.mat_mul(expo(ap, -I), expo(am, -I * HALF))
-        prod = linalg.mat_mul(c, cinv)
-        assert all(prod[r][c] == (ONE if r == c else QQi(0)) for r in range(n) for c in range(n))
+        c = [dict(sorted(self._exp_ad(em, I * HALF, self._exp_ad(ep, I, u)).items()))
+             for u in units]
+        cinv = [dict(sorted(self._exp_ad(ep, -I, self._exp_ad(em, -I * HALF, u)).items()))
+                for u in units]
+        for b, u in enumerate(units):
+            if self._apply_columns(c, cinv[b]) != u:
+                raise AssertionError(f"Cayley transform not inverted on basis element {b}")
         return c, cinv
 
     def cayley(self, x: "TKKElement") -> "TKKElement":
-        return self._apply_matrix(self.cayley_matrix, x)
+        return TKKElement(self, self._apply_columns(self._cayley_columns[0], x.coeffs))
 
     def cayley_inverse(self, x: "TKKElement") -> "TKKElement":
-        return self._apply_matrix(self.cayley_inverse_matrix, x)
+        return TKKElement(self, self._apply_columns(self._cayley_columns[1], x.coeffs))
 
-    def _apply_matrix(self, mat, x: "TKKElement") -> "TKKElement":
+    @staticmethod
+    def _apply_columns(cols: list[dict[int, QQi]], v: dict[int, QQi]) -> dict[int, QQi]:
         out: dict[int, QQi] = {}
-        for c, v in x.coeffs.items():
-            for r in range(self.dim):
-                if mat[r][c]:
-                    _acc(out, r, mat[r][c] * v)
-        return TKKElement(self, out)
+        for b, c in v.items():
+            for r, s in cols[b].items():
+                _acc(out, r, s * c)
+        return out
 
     # -- differential realization and matrix model ------------------------
 

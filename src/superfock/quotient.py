@@ -11,8 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import (Signature, SuperPolynomial, dim_P, in_minus_2n, monomial_keys,
-                      r2_small)
+from .algebra import (Signature, SuperPolynomial, dim_P, in_minus_2n, merge_odd,
+                      monomial_keys, r2_small)
+from .scalars import _acc
 
 
 @lru_cache(maxsize=None)
@@ -22,18 +23,32 @@ def _r2_power(sig: Signature, k: int) -> SuperPolynomial:
     return _r2_power(sig, k - 1) * r2_small(sig)
 
 
+def add_term_product(out: dict, poly: SuperPolynomial, key, c) -> None:
+    """Add poly * (c x^key) into the term map out, for an even poly."""
+    ev, odd = key
+    for (pev, podd), pc in poly.terms.items():
+        merged = merge_odd(podd, odd)
+        if merged is None:
+            continue
+        sign, merged_odd = merged
+        v = pc * c
+        _acc(out, (tuple(x + y for x, y in zip(pev, ev)), merged_odd), -v if sign < 0 else v)
+
+
 def reduce_poly(p: SuperPolynomial) -> SuperPolynomial:
-    """Unique representative of p mod <R^2> with variable-0 degree <= 1."""
+    """Unique representative of p mod <R^2> with variable-0 degree <= 1.
+
+    r^2 has no variable 0, so substituting x_0^a -> x_0^(a mod 2) r^(2 floor(a/2))
+    lands in normal form in one pass; every product is summed into one map."""
     sig = p.sig
-    out = SuperPolynomial(sig, {key: c for key, c in p.terms.items() if key[0][0] <= 1})
+    out = {key: c for key, c in p.terms.items() if key[0][0] <= 1}
     for (ev, odd), c in p.terms.items():
         a = ev[0]
         if a >= 2:
-            # r^2 has no variable 0, so substituting x_0^{2j} -> r^{2j} lands
-            # in normal form in one pass
-            mono = SuperPolynomial(sig, {((a % 2,) + ev[1:], odd): c})
-            out = out + _r2_power(sig, a // 2) * mono
-    return out
+            add_term_product(out, _r2_power(sig, a // 2), ((a % 2,) + ev[1:], odd), c)
+    q = SuperPolynomial.__new__(SuperPolynomial)
+    q.sig, q.terms = sig, out
+    return q
 
 
 def reduce_with_quotient(p: SuperPolynomial):

@@ -1004,9 +1004,9 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
                 continue
             (zkey, zc), = zia.terms.items()
             s = QQi(-1 if (sig.parity(i) and par[ka]) else 1)
-            for kb, image in bessel_matrix(sig, i, deg[ka] + 1).items():
+            for kb, (d, image) in bessel_matrix(sig, i, deg[ka] + 1).items():
                 g = table.get((zkey, kb))
-                terms = [bc * h for bkey, bc in image.items()
+                terms = [QQi(a, b, d) * h for bkey, (a, b) in image.items()
                          if (h := table.get((ka, bkey))) is not None]
                 if g is None and not terms:
                     continue  # both sides vanish

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+import superfock
 from superfock import fock
 from superfock.algebra import (R2, Signature, SuperPolynomial, bessel_modified,
                                monomial_keys, monomials_up_to, random_polynomial)
 from superfock.bipoly import LEFT, RIGHT, slot_bessel_mod, slot_constant
-from superfock.fock import (bessel_matrix, bf_covectors, bf_product,
+from superfock.fock import (bessel_image, bessel_matrix, bf_covectors, bf_product,
                             bf_product_shift_oracle, bf_word_apply, gram_json,
                             gram_nullspace, gram_rank, kernel,
                             kernel_coefficient, kernel_pair, kernel_sum,
@@ -15,7 +16,8 @@ from superfock.fock import (bessel_matrix, bf_covectors, bf_product,
 from superfock.harmonics import harmonic_basis
 from superfock.liealg import tkk_for
 from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
-from superfock.scalars import I, QQi
+from superfock.scalars import I, QQi, column_terms
+from superfock.verify import Context, RunConfig, check_bf_oracle, check_rho_composition
 
 SIG = Signature(4, 1, varset="z")
 SIGX = Signature(4, 1)
@@ -214,14 +216,111 @@ def test_bessel_matrix_images_are_homogeneous(m, n):
             mat = bessel_matrix(sig, i, k)
             assert list(mat) == list(monomial_keys(sig, k))
             for key, image in mat.items():
-                assert all(sum(ev) + len(odd) == k - 1 for ev, odd in image)
-                assert image == bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
+                assert all(sum(ev) + len(odd) == k - 1 for ev, odd in image[1])
+                assert column_terms(image) == \
+                    bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
 
 
 def test_bessel_matrix_refuses_an_image_of_the_wrong_degree(monkeypatch):
+    # bessel_matrix reads the images from the bessel_image memo, which earlier
+    # tests have filled; empty it so that the patched operator is called, and
+    # again so that its wrong images do not outlive the test
     monkeypatch.setattr(fock, "bessel_modified", lambda i, p: p.mul_var(i))
-    with pytest.raises(AssertionError):
-        bessel_matrix.__wrapped__(SIG, 0, 1)
+    bessel_image.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            bessel_matrix.__wrapped__(SIG, 0, 1)
+    finally:
+        bessel_image.cache_clear()
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (5, 1), (6, 0)])
+def test_bessel_image_equals_bessel_modified(m, n):
+    sig = Signature(m, n, varset="z")
+    for key in monomials_up_to(sig, 4):
+        mono = SuperPolynomial.monomial(sig, key)
+        for i in range(sig.nvars):
+            d, nums = bessel_image(sig, i, key)
+            assert d > 0 and all(a or b for a, b in nums.values())
+            assert column_terms((d, nums)) == bessel_modified(i, mono).terms, (i, key)
+
+
+# The polynomial word route that the integer columns replaced, kept as their
+# oracle: the Bessel word applied by ``bessel_modified`` itself.
+
+def polynomial_word_apply(key, q):
+    for i in reversed(fock._word_indices(key)):
+        if q.is_zero():
+            break
+        q = bessel_modified(i, q)
+    return q
+
+
+def polynomial_bf_product(p, q):
+    qbar = q.conjugate()
+    total = QQi(0)
+    for key, a in p.terms.items():
+        total = total + a * polynomial_word_apply(key, qbar).constant_term()
+    return total
+
+
+def gaussian_polynomial(sig, rng, degree, nterms):
+    """Seeded terms of degree <= degree with coefficients (a + b i)/d: zero
+    real or imaginary parts among them, denominators 1, 2, 3, 6."""
+    terms = {}
+    for _ in range(nterms):
+        keys = monomial_keys(sig, rng.randrange(degree + 1))
+        a, b = rng.choice([(rng.randrange(-3, 4), 0), (0, rng.randrange(-3, 4)),
+                           (rng.randrange(-3, 4), rng.randrange(-3, 4))])
+        if a or b:
+            terms[keys[rng.randrange(len(keys))]] = QQi(a, b, rng.choice([1, 2, 3, 6]))
+    return SuperPolynomial(sig, terms)
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (5, 1)])
+def test_integer_word_route_agrees_with_the_polynomial_word_route(m, n):
+    sig = Signature(m, n, varset="z")
+    rng = random.Random(m * 10 + n)
+    polys = [gaussian_polynomial(sig, rng, 4, 6) for _ in range(16)]
+    assert any(c.d > 1 for p in polys for c in p.terms.values())
+    assert any(c.a == 0 for p in polys for c in p.terms.values())
+    assert any(c.b == 0 for p in polys for c in p.terms.values())
+    seen_nonzero = 0
+    for p in polys:
+        for q in polys:
+            want = polynomial_bf_product(p, q)
+            assert bf_product(p, q) == want
+            seen_nonzero += not want.is_zero()
+        for key in p.terms:
+            assert bf_word_apply(key, p) == polynomial_word_apply(key, p), key
+    assert seen_nonzero > len(polys)
+
+
+@pytest.fixture
+def empty_caches():
+    superfock.clear_caches()
+    yield
+    superfock.clear_caches()
+
+
+# Images on normal-form monomials of degree <= 2 at (5,1).  Doubled alone,
+# each of the 82 nonzero ones fails check_rho_composition, which compares
+# every rho column with pi_C on the formula; the word route against the
+# shift route (check_bf_oracle) sees 18 of them through its seeded samples.
+@pytest.mark.parametrize("i,key", [
+    (0, ((1, 0, 0, 0, 0), ())),            # B_0 z_0
+    (1, ((0, 1, 1, 0, 0), ())),            # B_1 z_1 z_2
+    (3, ((1, 0, 0, 1, 0), ())),            # B_3 z_0 z_3
+    (6, ((0, 0, 0, 0, 1), (5,))),          # B_t2 z_4 t_1
+    (5, ((0, 0, 0, 0, 0), (5, 6))),        # B_t1 t_1 t_2
+])
+def test_a_doubled_bessel_image_fails_the_oracles(empty_caches, i, key):
+    ctx = Context(RunConfig(5, 1, max_degree=2, suites=("fock",)))
+    d, nums = bessel_image(ctx.sig_z, i, key)
+    assert nums
+    for k, (a, b) in nums.items():
+        nums[k] = (2 * a, 2 * b)
+    assert not check_rho_composition(ctx, 2)[0] or not check_bf_oracle(ctx, 2)[0]
 
 
 def slot_bessel_kernel_pair(p, kern):

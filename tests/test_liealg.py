@@ -86,6 +86,41 @@ def test_cayley_is_invertible_bracket_morphism():
             tkk.bracket(tkk.cayley(X), tkk.cayley(Y))
 
 
+def dense_cayley_matrices(tkk):
+    """The dense route that the sparse Cayley columns replaced, kept as their
+    oracle: the matrices of ad(e_0^-+), exp(t ad) = 1 + t ad + t^2/2 ad^2 as
+    matrices, and their products."""
+    n = tkk.dim
+
+    def ad_matrix(idx):
+        return [[tkk.struct[(idx, c)].get(r, QQi(0)) for c in range(n)] for r in range(n)]
+
+    def expo(mat, t):
+        sq = linalg.mat_mul(mat, mat)
+        return [[(ONE if r == c else QQi(0)) + t * mat[r][c] + t * t * QQi(1, 0, 2) * sq[r][c]
+                 for c in range(n)] for r in range(n)]
+
+    am, ap = ad_matrix(tkk.index[("minus", 0)]), ad_matrix(tkk.index[("plus", 0)])
+    return (linalg.mat_mul(expo(am, I * QQi(1, 0, 2)), expo(ap, I)),
+            linalg.mat_mul(expo(ap, -I), expo(am, -I * QQi(1, 0, 2))))
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (4, 1), (2, 2)])
+def test_sparse_cayley_columns_equal_the_dense_matrices(m, n):
+    tkk = TKK(Signature(m, n))
+    for mat, cols in zip(dense_cayley_matrices(tkk), tkk._cayley_columns):
+        for c in range(tkk.dim):
+            assert cols[c] == {r: mat[r][c] for r in range(tkk.dim) if mat[r][c]}, c
+
+
+def test_sparse_cayley_refuses_an_ad_that_is_not_nilpotent():
+    tkk = TKK(Signature(3, 0))
+    ep = tkk.index[("plus", 0)]
+    tkk.struct[(ep, ep)] = {ep: ONE}
+    with pytest.raises(AssertionError, match="nilpotent"):
+        tkk._cayley_columns
+
+
 def test_realization_anchor():
     tkk = TKK41
     bsig = tkk.big_signature
@@ -144,7 +179,7 @@ def test_structure_constant_export():
 
 def test_cayley_cache_does_not_keep_the_algebra_alive():
     tkk = TKK(Signature(3, 0))
-    assert tkk.cayley_matrix is tkk.cayley_matrix
+    assert tkk._cayley_columns is tkk._cayley_columns
     ref = weakref.ref(tkk)
     del tkk
     gc.collect()

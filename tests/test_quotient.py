@@ -1,10 +1,14 @@
 import random
 
+import pytest
+
 from superfock.algebra import (R2, Signature, SuperPolynomial, r2_small,
                                random_polynomial)
-from superfock.quotient import (graded_dim_F, ideal_member, is_normal_form,
+from superfock.bipoly import LEFT, RIGHT, bi_signature, reduce_slot
+from superfock.quotient import (_r2_power, graded_dim_F, ideal_member, is_normal_form,
                                 normal_form_keys, reduce_poly,
                                 reduce_with_quotient)
+from superfock.scalars import QQi, _acc
 
 SIG = Signature(4, 1, varset="z")
 
@@ -52,3 +56,85 @@ def test_dimensions():
         keys = normal_form_keys(SIG, k)
         assert all(key[0][0] <= 1 for key in keys)
         assert len(keys) == graded_dim_F(k, SIG).count
+
+
+def termwise_reduce_poly(p):
+    """The route that ``reduce_poly`` replaced, kept as its oracle: one
+    polynomial sum per term with x_0 exponent >= 2."""
+    sig = p.sig
+    out = SuperPolynomial(sig, {key: c for key, c in p.terms.items() if key[0][0] <= 1})
+    for (ev, odd), c in p.terms.items():
+        a = ev[0]
+        if a >= 2:
+            mono = SuperPolynomial(sig, {((a % 2,) + ev[1:], odd): c})
+            out = out + _r2_power(sig, a // 2) * mono
+    return out
+
+
+def seeded_polynomial(sig, rng, nterms, x0_exponents=(0,)):
+    """Terms with random even exponents (variable 0 at the given joined
+    indices up to 5), random odd subsets and coefficients (a + b i)/d with
+    zero real or imaginary parts and denominators 1, 2, 3, 6."""
+    odd_vars = range(sig.m, sig.nvars)
+    terms = {}
+    for _ in range(nterms):
+        ev = [rng.randrange(3) for _ in range(sig.m)]
+        for i in x0_exponents:
+            ev[i] = rng.randrange(6)
+        odd = tuple(sorted(rng.sample(odd_vars, rng.randrange(min(3, sig.nvars - sig.m) + 1))))
+        a, b = rng.choice([(rng.randrange(-3, 4), 0), (0, rng.randrange(-3, 4)),
+                           (rng.randrange(-3, 4), rng.randrange(-3, 4))])
+        if a or b:
+            terms[(tuple(ev), odd)] = QQi(a, b, rng.choice([1, 2, 3, 6]))
+    return SuperPolynomial(sig, terms)
+
+
+# n >= 2 so that merging an odd pair of r^2 into a term can change its sign
+@pytest.mark.parametrize("m,n", [(4, 1), (3, 2), (5, 0)])
+def test_reduce_poly_agrees_with_the_termwise_route(m, n):
+    rng = random.Random(m * 10 + n)
+    sig = Signature(m, n)
+    for _ in range(40):
+        p = seeded_polynomial(sig, rng, 8)
+        assert max(key[0][0] for key in p.terms) >= 2
+        want = termwise_reduce_poly(p)
+        got = reduce_poly(p)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def split_join_reduce_slot(p, slot):
+    """The route that ``reduce_slot`` replaced, kept as its oracle: every term
+    split into its slot keys, the slot key reduced by ``reduce_poly`` once per
+    call, and the pieces joined again."""
+    bsig = p.sig
+    half = bsig.halves[slot]
+    reduced = {}
+    out = {}
+    for key, c in p.terms.items():
+        halves = list(bsig.split(key))
+        skey = halves[slot]
+        if skey[0][0] <= 1:
+            _acc(out, key, c)
+            continue
+        red = reduced.get(skey)
+        if red is None:
+            red = reduced[skey] = termwise_reduce_poly(SuperPolynomial.monomial(half, skey)).terms
+        for rkey, rc in red.items():
+            halves[slot] = rkey
+            _acc(out, bsig.join(*halves), c * rc)
+    return SuperPolynomial(bsig, out)
+
+
+# n >= 2 so that merging an odd pair of r^2 into a term can change its sign
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (4, 0)])
+def test_reduce_slot_agrees_with_the_split_join_route(m, n):
+    rng = random.Random(m * 10 + n)
+    bsig = bi_signature(Signature(m, n), Signature(m, n, varset="z"))
+    x0s = tuple(idx[0] for idx in bsig.slots)
+    for _ in range(30):
+        p = seeded_polynomial(bsig, rng, 8, x0s)
+        for slot in (LEFT, RIGHT):
+            assert max(key[0][x0s[slot]] for key in p.terms) >= 2
+            want = split_join_reduce_slot(p, slot)
+            got = reduce_slot(p, slot)
+            assert list(got.terms.items()) == list(want.terms.items()), slot
