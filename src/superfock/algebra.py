@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .scalars import I, QQi, _acc
+from .scalars import I, QQi, _acc, int_column
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -469,6 +469,49 @@ _OPS = {
     "R2": lambda p, c: R2(p.sig) * p,
     "one": lambda p, c: p,
 }
+
+
+def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
+    """The ``_OPS`` operator of a descriptor, e.g. ("L", 0, 1), on p at rate."""
+    return _OPS[descriptor[0]](p, rate, *descriptor[1:])
+
+
+def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
+    """X = sum_a c_a X_a applied to p through an action table, which maps
+    (tkk, a) to basis element a as [(descriptor, coefficient)]; op(descriptor,
+    p, rate) is the image of one descriptor.  The tables are
+    ``schrodinger.pi_table`` (pi, pi_C), ``fock.rho_table`` (rho) and
+    ``liealg.TKK.realization_table`` (D, on the big signature).  Coefficients
+    are gathered per descriptor first, so each operator is applied once."""
+    tkk = X.tkk
+    if (tkk.sig.m, tkk.sig.n) != (p.sig.m, p.sig.n) and p.sig != tkk.big_signature:
+        raise ValueError("TKK element and polynomial have different shapes")
+    ops: dict = {}
+    for a, x in X.coeffs.items():
+        for d, c in table(tkk, a):
+            _acc(ops, d, x * c)
+    out: dict = {}
+    for d, c in ops.items():
+        for key, v in op(d, p, rate).terms.items():
+            _acc(out, key, v * c)
+    return SuperPolynomial(p.sig, out)
+
+
+def table_columns(table, op, tkk, p: SuperPolynomial, rate=0) -> list[tuple[int, dict]]:
+    """Integer columns (``scalars.int_column``) of X_a p for every basis element
+    a of tkk, through an action table; each descriptor is applied to p once."""
+    images: dict = {}
+    columns = []
+    for a in range(tkk.dim):
+        out: dict = {}
+        for d, c in table(tkk, a):
+            image = images.get(d)
+            if image is None:
+                image = images[d] = op(d, p, rate).terms
+            for key, v in image.items():
+                _acc(out, key, v * c)
+        columns.append(int_column(out))
+    return columns
 
 
 # -- enumeration and dimensions ----------------------------------------------

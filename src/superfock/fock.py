@@ -15,24 +15,22 @@ dropped first).  Its readers are:
   the matrix of Bessel(z_i);
 - the word route (``bf_word_apply``, ``bf_product``), which applies the word
   to q-bar in Gaussian-integer arithmetic;
-- the Bessel operators of the Fock action (``rho_columns``, ``rho_apply``).
+- ``rho_op``, the operators of the Fock action.
 
 The oracles stay on the formula: the degree-shift route
-(``bf_product_shift_oracle``), the complexified Schrodinger action
-(``pi_complex_apply``), the Hermite route of ``sbtransform`` and the
+(``bf_product_shift_oracle``), pi_C (``schrodinger.pi_table`` applied by
+``pi_op`` at rate 0), the Hermite route of ``sbtransform`` and the
 exponential identities of the ``sb`` suite call ``bessel_modified``
 directly, so ``fock/dual-route`` and ``fock/cayley-composition`` compare the
-memo with the formula.
+memo with the formula; ``fock/dual-route`` also compares the two directly on
+every monomial of degree <= 2.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
-``bipoly``.  The complexified Schrodinger action is ``schrodinger.pi_table``
-at rate 0.  The Fock action has its own table, ``rho_table``: each basis
-element as a short combination of ``algebra._OPS`` operators.  ``rho_apply``
-applies it to polynomials.  ``rho_columns`` applies it to one monomial for
-every basis element at once, each operator once, and returns integer columns;
-``verify.Context.rho_column`` memoizes them, and
-``verify.check_rho_composition`` compares them with the Cayley twist,
-sum_b c(X)_b pi_C(X_b), on the same monomials.
+``bipoly``.  The Fock action rho(X) = pi_C(c(X)) is the action table
+``rho_table`` with the operator map ``rho_op``, applied to polynomials by
+``algebra.table_apply`` (``rho_apply``) and to monomials, as the columns of
+every basis element at once, by ``algebra.table_columns``
+(``verify.Context.rho_column``).
 """
 
 from __future__ import annotations
@@ -41,14 +39,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebra import (_OPS, MonKey, Signature, SuperPolynomial,
-                      bessel_modified, monomial_keys)
+from .algebra import (MonKey, Signature, SuperPolynomial, apply_op,
+                      bessel_modified, monomial_keys, table_apply)
 from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
 from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_combination,
                       column_terms, int_column, poch)
-from .schrodinger import pi_table
 
 
 def _word_indices(key: MonKey) -> list[int]:
@@ -278,12 +275,7 @@ def gram_json(k: int, sig: Signature) -> str:
     }, indent=1)
 
 
-# -- complexified Schrodinger action and the Fock action ----------------------
-
-
-def pi_complex_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
-    """Complexified Schrodinger action on the polynomial Fock space (reduced)."""
-    return pi_table(X, p, 0)
+# -- the Fock action -----------------------------------------------------------
 
 
 def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
@@ -295,7 +287,7 @@ def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     - minus_l, plus_l with l != 0 -> -i/2 (z_l + B_l +- 2 L_0l);
     - minus_0, plus_0 -> -i/2 (z_0 + B_0 +- ((M - 2) + 2E)).
 
-    The images still have to be reduced modulo R^2."""
+    Applied by ``rho_op``."""
     kind, *rest = tkk.basis[a]
     if kind == "inn":
         return [(("L", *rest), ONE)]
@@ -310,45 +302,19 @@ def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     return out + [(("E",), c * (2 * pm)), (("one",), c * (pm * (tkk.sig.M - 2)))]
 
 
-def _rho_op(op: tuple, p: SuperPolynomial) -> SuperPolynomial:
-    """One operator of ``rho_table`` on p at rate 0; the Bessel operators read
-    ``bessel_image``."""
-    name, *args = op
-    if name == "bessel_mod":
-        return SuperPolynomial(p.sig, column_terms(
-            bessel_column(p.sig, args[0], int_column(p.terms))))
-    return _OPS[name](p, 0, *args)
-
-
-def rho_columns(tkk, p: SuperPolynomial) -> list[tuple[int, dict]]:
-    """Integer columns of rho(X_a) p for every basis element a; each operator
-    of ``rho_table`` is applied to p and reduced once."""
-    images: dict = {}
-    columns = []
-    for a in range(tkk.dim):
-        out: dict = {}
-        for op, c in rho_table(tkk, a):
-            image = images.get(op)
-            if image is None:
-                image = images[op] = reduce_poly(_rho_op(op, p)).terms
-            for k, v in image.items():
-                _acc(out, k, v * c)
-        columns.append(int_column(out))
-    return columns
+def rho_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
+    """One operator of ``rho_table`` on p at rate 0, reduced modulo R^2; the
+    Bessel operators read ``bessel_image``."""
+    if descriptor[0] != "bessel_mod":
+        return reduce_poly(apply_op(descriptor, p, rate))
+    column = bessel_column(p.sig, descriptor[1], int_column(p.terms))
+    return reduce_poly(SuperPolynomial(p.sig, column_terms(column)))
 
 
 def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
     """Fock action: the Cayley twist of the complexified Schrodinger action,
-    applied through ``rho_table`` with each operator applied once."""
-    ops: dict = {}
-    for idx, coeff in X.coeffs.items():
-        for op, c in rho_table(X.tkk, idx):
-            _acc(ops, op, coeff * c)
-    out: dict = {}
-    for op, c in ops.items():
-        for key, v in _rho_op(op, p).terms.items():
-            _acc(out, key, v * c)
-    return reduce_poly(SuperPolynomial(p.sig, out))
+    applied through ``rho_table``."""
+    return table_apply(rho_table, rho_op, X, p, 0)
 
 
 def rho_lowering(tkk) -> TKKElement:

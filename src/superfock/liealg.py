@@ -7,8 +7,9 @@ from the identities that define the construction: [e_a^+, e_b^-] =
 2(L_{e_a e_b} + D_ab), [L_a, e^+-] = +-(e_a e)^+-, [D, e^+-] = (D e)^+-, and
 inner derivations act as derivations of J and of istr(J).  No operator matrix
 is built and nothing is solved.  The constants are cached on the :class:`TKK`
-instance; the Cayley transform and the differential-operator realization are
-derived from them and cached per instance too.
+instance; the Cayley transform is derived from them and cached per instance
+too.  The differential realization D is the action table
+``TKK.realization_table`` of angular operators on the big signature.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .algebra import Signature, SuperPolynomial, angular_L
+from .algebra import Signature, SuperPolynomial, apply_op, table_apply
 from .scalars import HALF, I, ONE, QQi, _acc
 
 Vec = tuple[QQi, ...]
@@ -281,49 +282,36 @@ class TKK:
     def _tilde(self, i: int) -> int:
         return i if i < self.sig.m else i + 2
 
-    def realization_pairs(self, idx: int) -> list[tuple[QQi, int, int]]:
-        """Basis image as a combination sum c * L_{a,b} on the big algebra."""
+    def realization_table(self, idx: int) -> list[tuple[tuple, QQi]]:
+        """The differential realization D of a basis element as
+        [(("L", a, b), coefficient)], angular operators on the big algebra."""
         m = self.sig.m
         kind, *rest = self.basis[idx]
         if kind == "minus":
             l = rest[0]
             a = m if l == 0 else self._tilde(l)
-            return [(ONE, a, m + 1), (ONE, a, 0)]
+            return [(("L", a, m + 1), ONE), (("L", a, 0), ONE)]
         if kind == "plus":
             l = rest[0]
             if l == 0:
-                return [(QQi(-1), m, m + 1), (ONE, m, 0)]
-            return [(ONE, self._tilde(l), m + 1), (QQi(-1), self._tilde(l), 0)]
+                return [(("L", m, m + 1), QQi(-1)), (("L", m, 0), ONE)]
+            return [(("L", self._tilde(l), m + 1), ONE), (("L", self._tilde(l), 0), QQi(-1))]
         if kind == "L":
             l = rest[0]
             if l == 0:
-                return [(ONE, 0, m + 1)]
-            return [(ONE, self._tilde(l), m)]
+                return [(("L", 0, m + 1), ONE)]
+            return [(("L", self._tilde(l), m), ONE)]
         i, j = rest
-        return [(ONE, self._tilde(i), self._tilde(j))]
-
-    def realize(self, x: "TKKElement"):
-        """Differential operator on the big polynomial algebra."""
-        pairs: list[tuple[QQi, int, int]] = []
-        for idx, c in x.coeffs.items():
-            pairs.extend((c * s, a, b) for s, a, b in self.realization_pairs(idx))
-
-        def op(p: SuperPolynomial) -> SuperPolynomial:
-            out = SuperPolynomial.zero(p.sig)
-            for s, a, b in pairs:
-                out = out + angular_L(a, b, p).scale(s)
-            return out
-
-        return op
+        return [(("L", self._tilde(i), self._tilde(j)), ONE)]
 
     def osp_matrix(self, x: "TKKElement") -> list[list[QQi]]:
         """Matrix of the realized operator on the span of the big variables."""
         bsig = self.big_signature
-        op = self.realize(x)
         nv = bsig.nvars
         mat = [[QQi(0)] * nv for _ in range(nv)]
         for c in range(nv):
-            img = op(SuperPolynomial.variable(bsig, c))
+            img = table_apply(TKK.realization_table, apply_op, x,
+                              SuperPolynomial.variable(bsig, c))
             for (ev, odd), coeff in img.terms.items():
                 if odd:
                     r = odd[0]

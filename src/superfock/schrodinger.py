@@ -5,8 +5,10 @@ and stands for q(x) exp(-c|X|) restricted to x_0 > 0, where the radial
 superfunction |X| coincides with x_0 modulo <R^2>.  All operators act through
 the representative q exp(-c x_0): they are the ``algebra`` operators called
 with ``rate=c``, which conjugates them by exp(-c x_0), and results are reduced
-at the end.  ``pi_table`` is the one table of actions of the TKK basis; the
-Fock side calls it at rate 0.
+at the end.  The Schrodinger action is the action table ``pi_table`` with
+the operator map ``pi_op`` (``algebra._OPS``, then ``reduce_poly``), applied
+by ``algebra.table_apply``: at rate 2 on W, at rate 0 as pi_C on the Fock
+space, where ``bessel_modified`` acts by its formula, not through the memo.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (_OPS, Signature, SuperPolynomial, angular_L,
-                      bessel_modified, euler, merge_odd, theta2)
+from .algebra import (Signature, SuperPolynomial, apply_op, merge_odd,
+                      table_apply, theta2)
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import HALF, I, QQi, _acc
+from .scalars import HALF, I, ONE, QQi, _acc
 
 
 class WElement:
@@ -68,49 +70,39 @@ def lowest_vector(sig: Signature) -> WElement:
     return make_w(SuperPolynomial.one(sig), 2)
 
 
+def pi_op(descriptor: tuple, q: SuperPolynomial, rate) -> SuperPolynomial:
+    """One ``algebra._OPS`` operator on q exp(-rate x_0), reduced modulo R^2."""
+    return reduce_poly(apply_op(descriptor, q, rate))
+
+
 def diffop_on_w(descriptor: tuple, f: WElement) -> WElement:
     """Apply a first-order operator descriptor, e.g. ("L", 0, 1) or ("bessel_mod", 2)."""
-    name, *args = descriptor
-    try:
-        fn = _OPS[name]
-    except KeyError:
-        raise ValueError(f"unknown operator {name!r}") from None
-    return WElement(f.rate, reduce_poly(fn(f.poly, f.rate, *args)))
+    return WElement(f.rate, pi_op(descriptor, f.poly, f.rate))
 
 
-def pi_table(X: TKKElement, q: SuperPolynomial, rate) -> SuperPolynomial:
-    """Action of a TKK element on q exp(-rate x_0), as a reduced polynomial.
-
-    At rate 2 this is the Schrodinger action on W; at rate 0 it is the
-    complexified action on the polynomial Fock space."""
-    tkk = X.tkk
-    sig = q.sig
-    if (tkk.sig.m, tkk.sig.n) != (sig.m, sig.n):
-        raise ValueError("TKK element and polynomial have different shapes")
-    out = SuperPolynomial.zero(sig)
-    for idx, coeff in X.coeffs.items():
-        kind, *rest = tkk.basis[idx]
-        if kind == "minus":
-            term = q.mul_var(rest[0]).scale(-2 * I)
-        elif kind == "L":
-            l = rest[0]
-            if l == 0:
-                term = q.scale(QQi(2 - sig.M, 0, 2)) - euler(q, rate)
-            else:
-                term = q.d_lower(0, rate).mul_var(l) - q.d_lower(l, rate).mul_var(0)
-        elif kind == "inn":
-            term = angular_L(rest[0], rest[1], q, rate)
-        else:  # plus
-            term = bessel_modified(rest[0], q, rate).scale(-I * HALF)
-        out = out + term.scale(coeff)
-    return reduce_poly(out)
+def pi_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
+    """The Schrodinger action of basis element a as [(descriptor, coefficient)]
+    over ``algebra._OPS``, applied by ``pi_op``: minus_l -> -2i x_l, plus_l ->
+    -i/2 bessel_modified(l), inn_ij -> L_ij, L_l -> L_l0 for l != 0 and L_0 ->
+    (2 - M)/2 - E.  At rate 2 it acts on W, at rate 0 (pi_C) on the Fock space."""
+    kind, *rest = tkk.basis[a]
+    if kind == "inn":
+        return [(("L", *rest), ONE)]
+    l = rest[0]
+    if kind == "minus":
+        return [(("mul", l), -2 * I)]
+    if kind == "plus":
+        return [(("bessel_mod", l), -I * HALF)]
+    if l:
+        return [(("L", l, 0), ONE)]
+    return [(("one",), QQi(2 - tkk.sig.M, 0, 2)), (("E",), -ONE)]
 
 
 def pi_apply(X: TKKElement, f: WElement) -> WElement:
     """Schrodinger action of a TKK element on W (defined at rate 2)."""
     if f.rate != 2:
         raise ValueError("the Schrodinger action is defined at rate 2")
-    return WElement(f.rate, pi_table(X, f.poly, f.rate))
+    return WElement(f.rate, table_apply(pi_table, pi_op, X, f.poly, f.rate))
 
 
 # -- radial superfunctions ---------------------------------------------------

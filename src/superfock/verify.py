@@ -5,11 +5,12 @@ Every check is an exact identity (or an explicit numeric bound in the
 human-readable identity string, return pass/fail/skip plus a witness on
 failure, and never raise: unexpected exceptions are reported as failures.
 
-Action columns on monomials (``Context.pi_column``, ``Context.rho_column``)
-and pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized per
-``Context``, columns of ``algebra`` operators per check.  ``rho_column`` reads
-``fock.rho_columns``, which fills the columns of every basis element on one
-monomial at once.  Columns are integer columns (``scalars.int_column``):
+Action columns on monomials come from one memo, ``action_columns``, which
+fills the columns of every basis element on one monomial at once through an
+action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They and
+the pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized per
+``Context`` (``pi_column``, ``rho_column``) or per check (pi_C, D, columns of
+``algebra`` operators).  Columns are integer columns (``scalars.int_column``):
 Gaussian-integer numerator pairs over one positive denominator.  One
 commutator loop over columns (``linalg.commutator_failure``) checks the sl2
 triple, the Bessel operator identities and the representations D, pi and
@@ -28,15 +29,16 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .algebra import (_OPS, R2, Signature, SuperPolynomial, angular_L, bessel,
-                      bessel_modified, dim_P, euler, in_minus_2n, laplacian,
-                      monomial_keys, monomials_up_to, random_polynomial)
+from .algebra import (R2, Signature, SuperPolynomial, angular_L, apply_op,
+                      bessel, bessel_modified, dim_P, euler, in_minus_2n,
+                      laplacian, monomial_keys, monomials_up_to,
+                      random_polynomial, table_columns)
 from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
                      slot_bessel_mod, slot_euler, slot_laplacian)
-from .fock import (bessel_matrix, bf_covectors, bf_product,
+from .fock import (bessel_image, bessel_matrix, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
-                   gram_rank, kernel, kernel_pair, pi_complex_apply, rho_apply,
-                   rho_columns, rho_lowering, rho_raising)
+                   gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
+                   rho_op, rho_raising, rho_table)
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
                         harmonic_basis, harmonic_dim_nullspace)
 from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
@@ -48,7 +50,7 @@ from .quotient import (graded_dim_F, ideal_member, is_normal_form,
 from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, column_combination,
                       column_terms, int_column)
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
-                          lowest_vector, make_w, pi_apply, pi_table,
+                          lowest_vector, make_w, pi_apply, pi_op, pi_table,
                           radial_expand)
 from .sbtransform import (SBTransform, b_series_coeff, b_series_truncation,
                           exp_z0_truncation)
@@ -112,17 +114,15 @@ class Context:
         sig = self.sig = Signature(cfg.m, cfg.n)
         sig_z = self.sig_z = Signature(cfg.m, cfg.n, varset="z")
         self.rng = random.Random(cfg.seed)
-        self._tkk = None
+        tkk = self.tkk = tkk_for(sig)
         self._sb = None
         self._bf_tables: dict[int, tuple] = {}
         # Memos that hold no reference to the Context: the integer columns of
         # the actions of basis element a on x^key exp(-2 x_0) (Schrodinger) and
-        # on z^key (Fock, all a at once), and the W-form of the rate-2 monomial
-        # vectors x^p and x^q.
-        self.pi_column = cache(lambda a, key: int_column(pi_table(
-            tkk_for(sig).basis_element(a), SuperPolynomial.monomial(sig, key), 2).terms))
-        columns = cache(lambda key: rho_columns(tkk_for(sig), SuperPolynomial.monomial(sig_z, key)))
-        self.rho_column = cache(lambda a, key: columns(key)[a])
+        # on z^key (Fock), and the W-form of the rate-2 monomial vectors x^p
+        # and x^q.
+        self.pi_column = action_columns(pi_table, pi_op, tkk, sig, 2)
+        self.rho_column = action_columns(rho_table, rho_op, tkk, sig_z, 0)
         self.w_pair = cache(lambda p, q: w_form(
             *(WElement(2, SuperPolynomial.monomial(sig, k)) for k in (p, q))))
 
@@ -139,12 +139,6 @@ class Context:
                     table[(ka, kb)] = v
         self._bf_tables[max_degree] = (keys, table)
         return keys, table
-
-    @property
-    def tkk(self) -> TKK:
-        if self._tkk is None:
-            self._tkk = tkk_for(self.sig)
-        return self._tkk
 
     @property
     def sb(self) -> SBTransform:
@@ -204,13 +198,23 @@ def _bracket_identities(tkk: TKK, pairs):
             for a, b in pairs)
 
 
+def action_columns(table, op, tkk: TKK, sig: Signature, rate):
+    """column(a, key): the integer column of basis element a of tkk on x^key,
+    through an action table (``algebra.table_columns``).  The memo is kept per
+    monomial and filled for every basis element at once; it holds no
+    reference to a Context and goes with the function."""
+    columns = cache(lambda key: table_columns(
+        table, op, tkk, SuperPolynomial.monomial(sig, key), rate))
+    return lambda a, key: columns(key)[a]
+
+
 def _operator_columns(sig: Signature):
     """column(op, key): the integer column of the ``algebra._OPS`` descriptor op
     on x^key.  The memo goes with the function, so it is dropped with the check
     using it."""
     @cache
     def column(op, key):
-        return int_column(_OPS[op[0]](SuperPolynomial.monomial(sig, key), 0, *op[1:]).terms)
+        return int_column(apply_op(op, SuperPolynomial.monomial(sig, key)).terms)
     return column
 
 
@@ -636,8 +640,7 @@ def check_realization(ctx: Context, max_degree: int = 2, pair_limit: int = 900):
     tkk = ctx.tkk
     bsig = tkk.big_signature
     keys = monomials_up_to(bsig, max_degree)
-    ops = [tkk.realize(tkk.basis_element(a)) for a in range(tkk.dim)]
-    column = cache(lambda a, key: int_column(ops[a](SuperPolynomial.monomial(bsig, key)).terms))
+    column = action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
     pairs = [(a, b) for a in range(tkk.dim) for b in range(tkk.dim)]
     if len(pairs) > pair_limit:
         rng = ctx.rng
@@ -779,9 +782,9 @@ def check_representative_independence(ctx: Context, max_degree: int = 2):
     shifts = [r2 * SuperPolynomial.monomial(sig, key) for key in monomials_up_to(sig, max_degree)]
     for d in descriptors:
         for shift in shifts:
-            if not ideal_member(_OPS[d[0]](shift, 2, *d[1:])):
+            if not ideal_member(apply_op(d, shift, 2)):
                 return False, f"{d} depends on the representative: leaks on {shift}"
-    if ideal_member(_OPS["Delta"](r2, 2)):
+    if ideal_member(apply_op(("Delta",), r2, 2)):
         return False, "control: Delta maps R^2 into the ideal"
     return True, ""
 
@@ -1039,10 +1042,16 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
 
 
 def check_bf_oracle(ctx: Context, max_degree: int = 3):
-    """The word route against the shift-identity route on seeded polynomials,
-    and against the covector table on every same-degree monomial pair of
-    degree <= 2."""
+    """The memo ``bessel_image`` against ``bessel_modified`` on every monomial
+    of degree <= 2 (what the covectors of degree <= 2 read); the word route
+    against the shift-identity route on seeded polynomials, and against the
+    covector table on every same-degree monomial pair of degree <= 2."""
     sig = ctx.sig_z
+    for key in monomials_up_to(sig, min(max_degree, 2)):
+        mono = SuperPolynomial.monomial(sig, key)
+        for i in range(sig.nvars):
+            if bessel_image(sig, i, key) != int_column(bessel_modified(i, mono).terms):
+                return False, f"memo image of Bessel({i}) on {mono} disagrees with the formula"
     polys = ctx.sample_polys(max_degree, 8, sig)
     for p in polys:
         for q in polys:
@@ -1121,13 +1130,13 @@ def check_gram(ctx: Context, max_degree: int = 3):
 
 def check_rho_composition(ctx: Context, max_degree: int = 3):
     """By linearity, rho(X_a) z^key = sum_b c(X_a)_b pi_C(X_b) z^key for every
-    basis element a and monomial; the pi_C columns are memoized for this
-    check only."""
+    basis element a and monomial.  The pi_C columns, ``pi_table`` at rate 0,
+    apply ``bessel_modified`` by its formula and are memoized for this check
+    only; the rho columns read ``fock.bessel_image``."""
     tkk = ctx.tkk
     sig = ctx.sig_z
     keys = _nf_keys(sig, max_degree)
-    pi_c = cache(lambda b, key: int_column(pi_complex_apply(
-        tkk.basis_element(b), SuperPolynomial.monomial(sig, key)).terms))
+    pi_c = action_columns(pi_table, pi_op, tkk, sig, 0)
     for a in range(tkk.dim):
         twist = [(b, -c.a, -c.b, c.d)
                  for b, c in tkk.cayley(tkk.basis_element(a)).coeffs.items()]

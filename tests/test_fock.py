@@ -5,18 +5,19 @@ import pytest
 import superfock
 from superfock import fock
 from superfock.algebra import (R2, Signature, SuperPolynomial, bessel_modified,
-                               monomial_keys, monomials_up_to, random_polynomial)
+                               monomial_keys, monomials_up_to, random_polynomial,
+                               table_apply)
 from superfock.bipoly import LEFT, RIGHT, slot_bessel_mod, slot_constant
 from superfock.fock import (bessel_image, bessel_matrix, bf_covectors, bf_product,
                             bf_product_shift_oracle, bf_word_apply, gram_json,
                             gram_nullspace, gram_rank, kernel,
                             kernel_coefficient, kernel_pair, kernel_sum,
-                            pi_complex_apply, rho_apply, rho_lowering,
-                            rho_raising)
+                            rho_apply, rho_lowering, rho_raising)
 from superfock.harmonics import harmonic_basis
 from superfock.liealg import tkk_for
 from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
 from superfock.scalars import I, QQi, column_terms
+from superfock.schrodinger import pi_op, pi_table
 from superfock.verify import Context, RunConfig, check_bf_oracle, check_rho_composition
 
 SIG = Signature(4, 1, varset="z")
@@ -127,6 +128,11 @@ def test_gram_degenerate_with_witness():
     hr = reduce_poly(h)
     for key in normal_form_keys(sig, k):
         assert bf_product(SuperPolynomial.monomial(sig, key), hr) == QQi(0)
+
+
+def pi_complex_apply(X, p):
+    """The complexified Schrodinger action pi_C: ``pi_table`` at rate 0."""
+    return table_apply(pi_table, pi_op, X, p, 0)
 
 
 def test_pi_complex_values():
@@ -305,8 +311,8 @@ def empty_caches():
 
 # Images on normal-form monomials of degree <= 2 at (5,1).  Doubled alone,
 # each of the 82 nonzero ones fails check_rho_composition, which compares
-# every rho column with pi_C on the formula; the word route against the
-# shift route (check_bf_oracle) sees 18 of them through its seeded samples.
+# every rho column with pi_C on the formula, and check_bf_oracle, which
+# compares the memo with the formula on every monomial of degree <= 2.
 @pytest.mark.parametrize("i,key", [
     (0, ((1, 0, 0, 0, 0), ())),            # B_0 z_0
     (1, ((0, 1, 1, 0, 0), ())),            # B_1 z_1 z_2
@@ -316,11 +322,29 @@ def empty_caches():
 ])
 def test_a_doubled_bessel_image_fails_the_oracles(empty_caches, i, key):
     ctx = Context(RunConfig(5, 1, max_degree=2, suites=("fock",)))
-    d, nums = bessel_image(ctx.sig_z, i, key)
+    double_bessel_image(ctx.sig_z, i, key)
+    assert not check_rho_composition(ctx, 2)[0]
+    assert not check_bf_oracle(ctx, 2)[0]
+
+
+def double_bessel_image(sig, i, key):
+    d, nums = bessel_image(sig, i, key)
     assert nums
     for k, (a, b) in nums.items():
         nums[k] = (2 * a, 2 * b)
-    assert not check_rho_composition(ctx, 2)[0] or not check_bf_oracle(ctx, 2)[0]
+
+
+def test_each_doubled_bessel_image_fails_the_dual_route(empty_caches):
+    sig = Signature(5, 1, varset="z")
+    images = [(i, key) for d in range(3) for key in normal_form_keys(sig, d)
+              for i in range(sig.nvars) if bessel_image(sig, i, key)[1]]
+    assert len(images) == 82
+    for i, key in images:
+        superfock.clear_caches()
+        ctx = Context(RunConfig(5, 1, max_degree=2, suites=("fock",)))
+        double_bessel_image(ctx.sig_z, i, key)
+        ok, detail = check_bf_oracle(ctx, 2)
+        assert ok is False and f"Bessel({i})" in detail, (i, key)
 
 
 def slot_bessel_kernel_pair(p, kern):

@@ -12,7 +12,7 @@ from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
-from superfock.verify import Context, RunConfig
+from superfock.verify import Context, RunConfig, check_normalization
 
 SIG40 = Signature(4, 0)
 SIG61 = Signature(6, 1)
@@ -53,6 +53,16 @@ def test_gamma_values():
     assert gamma_engine(SIG61) == PiScalar.of(2) * gamma_closed_form(6, 1)
     with pytest.raises(ValueError):
         gamma_closed_form(4, 1)
+
+
+def test_gamma_ratio_is_pinned_where_it_departs_from_2_to_the_n():
+    # Known discrepancy, pinned and not resolved: the engine and the closed
+    # form differ by 2^n at n <= 1 only.  Whoever resolves it updates these
+    # ratios and the check_normalization failure below.
+    for (m, n), want in [((4, 0), 1), ((6, 1), 2), ((8, 2), -8), ((10, 3), -48)]:
+        assert gamma_engine(Signature(m, n)) / gamma_closed_form(m, n) == PiScalar.of(want), (m, n)
+    ok, detail = check_normalization(Context(RunConfig(8, 2, max_degree=1)))
+    assert ok is False and "ratio -8" in detail
 
 
 def test_normalized_examples():

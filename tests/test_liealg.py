@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 from superfock import linalg
-from superfock.algebra import Signature, SuperPolynomial, monomials_up_to
+from superfock.algebra import (Signature, SuperPolynomial, angular_L, apply_op,
+                               monomials_up_to, table_apply)
 from superfock.liealg import (TKK, _graded_comm, k_basis, k_center_dimension,
                               k_closes, tkk_for)
 from superfock.scalars import I, ONE, QQi, _acc
@@ -121,21 +122,77 @@ def test_sparse_cayley_refuses_an_ad_that_is_not_nilpotent():
         tkk._cayley_columns
 
 
+def realized(x):
+    """D(x) through the realization table."""
+    return lambda p: table_apply(TKK.realization_table, apply_op, x, p)
+
+
 def test_realization_anchor():
     tkk = TKK41
     bsig = tkk.big_signature
     # the unit multiplication goes to a single angular operator:
     # L_{0,(m+1)} y0 = -y_{m+1} with the block metric
-    op = tkk.realize(tkk.L(0))
+    op = realized(tkk.L(0))
     y0 = SuperPolynomial.variable(bsig, 0)
     assert op(y0) == SuperPolynomial.variable(bsig, 5).scale(-1)
     # homomorphism on a generating pair
     X, Y = tkk.minus(1), tkk.plus(1)
-    opx, opy = tkk.realize(X), tkk.realize(Y)
-    br = tkk.realize(tkk.bracket(X, Y))
+    opx, opy = realized(X), realized(Y)
+    br = realized(tkk.bracket(X, Y))
     for key in monomials_up_to(bsig, 2):
         p = SuperPolynomial.monomial(bsig, key)
         assert opx(opy(p)) - opy(opx(p)) == br(p)
+
+
+def realization_pairs(tkk, idx):
+    """D of a basis element as [(c, a, b)] for sum c L_ab, written out case by
+    case as before the realization table; an oracle for the table."""
+    m = tkk.sig.m
+    tilde = tkk._tilde
+    kind, *rest = tkk.basis[idx]
+    if kind == "minus":
+        l = rest[0]
+        a = m if l == 0 else tilde(l)
+        return [(ONE, a, m + 1), (ONE, a, 0)]
+    if kind == "plus":
+        l = rest[0]
+        if l == 0:
+            return [(QQi(-1), m, m + 1), (ONE, m, 0)]
+        return [(ONE, tilde(l), m + 1), (QQi(-1), tilde(l), 0)]
+    if kind == "L":
+        l = rest[0]
+        if l == 0:
+            return [(ONE, 0, m + 1)]
+        return [(ONE, tilde(l), m)]
+    i, j = rest
+    return [(ONE, tilde(i), tilde(j))]
+
+
+def realize(tkk, x):
+    """The differential operator of x, summed from ``realization_pairs``."""
+    pairs = [(c * s, a, b) for idx, c in x.coeffs.items()
+             for s, a, b in realization_pairs(tkk, idx)]
+
+    def op(p):
+        out = SuperPolynomial.zero(p.sig)
+        for s, a, b in pairs:
+            out = out + angular_L(a, b, p).scale(s)
+        return out
+
+    return op
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (3, 1)])
+def test_realization_table_equals_the_case_dispatch(m, n):
+    tkk = tkk_for(Signature(m, n))
+    bsig = tkk.big_signature
+    elements = [tkk.basis_element(a) for a in range(tkk.dim)]
+    elements.append(tkk.minus(0) + tkk.plus(0, I) + tkk.L(1, 2))
+    for x in elements:
+        want, got = realize(tkk, x), realized(x)
+        for key in monomials_up_to(bsig, 2):
+            p = SuperPolynomial.monomial(bsig, key)
+            assert got(p) == want(p), (x, key)
 
 
 def test_osp_matrix_preserves_metric():

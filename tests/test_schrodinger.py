@@ -5,14 +5,15 @@ import pytest
 
 from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, angular_L,
                                bessel_modified, euler, laplacian,
-                               monomials_up_to, random_polynomial, theta2)
+                               monomials_up_to, random_polynomial,
+                               table_apply, theta2)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import exp_z0_truncation
 from superfock.scalars import I, QQi
 from superfock.schrodinger import (RadialPower, abs_X, diffop_on_w,
-                                   lowest_vector, make_w, pi_apply,
-                                   radial_expand)
+                                   lowest_vector, make_w, pi_apply, pi_op,
+                                   pi_table, radial_expand)
 
 SIG = Signature(4, 1)
 TKK = tkk_for(SIG)
@@ -54,6 +55,47 @@ def test_pi_table_values():
             SuperPolynomial.variable(SIG, k).scale(-2 * I)
     with pytest.raises(ValueError):
         pi_apply(TKK.minus(0), make_w(SuperPolynomial.one(SIG), 4))
+
+
+def pi_dispatch(X, q, rate):
+    """The action of a TKK element written out case by case, the dispatch that
+    ``pi_table`` replaced; an oracle for the table."""
+    tkk, sig = X.tkk, q.sig
+    out = SuperPolynomial.zero(sig)
+    for idx, coeff in X.coeffs.items():
+        kind, *rest = tkk.basis[idx]
+        if kind == "minus":
+            term = q.mul_var(rest[0]).scale(-2 * I)
+        elif kind == "L":
+            l = rest[0]
+            if l == 0:
+                term = q.scale(QQi(2 - sig.M, 0, 2)) - euler(q, rate)
+            else:
+                term = q.d_lower(0, rate).mul_var(l) - q.d_lower(l, rate).mul_var(0)
+        elif kind == "inn":
+            term = angular_L(rest[0], rest[1], q, rate)
+        else:  # plus
+            term = bessel_modified(rest[0], q, rate).scale(-I * Fraction(1, 2))
+        out = out + term.scale(coeff)
+    return reduce_poly(out)
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (5, 1), (2, 2)])
+def test_pi_table_equals_the_case_dispatch(m, n):
+    sig = Signature(m, n)
+    tkk = tkk_for(sig)
+    keys = [key for d in range(3) for key in normal_form_keys(sig, d)]
+    for rate in (0, 2):
+        for a in range(tkk.dim):
+            X = tkk.basis_element(a)
+            for key in keys:
+                q = SuperPolynomial.monomial(sig, key)
+                assert table_apply(pi_table, pi_op, X, q, rate) == pi_dispatch(X, q, rate), \
+                    (rate, a, key)
+    # a combination of basis elements, so that shared operators are gathered
+    X = tkk.L(0) + tkk.minus(1, I) + tkk.plus(0, 3)
+    q = SuperPolynomial.monomial(sig, keys[-1])
+    assert table_apply(pi_table, pi_op, X, q, 2) == pi_dispatch(X, q, 2)
 
 
 def test_pi_representation_property():

@@ -13,11 +13,12 @@ import weakref
 import pytest
 
 from superfock import integral, sbtransform, verify
-from superfock.algebra import _OPS, SuperPolynomial, monomials_up_to
+from superfock.algebra import _OPS, Signature, SuperPolynomial, monomials_up_to
 from superfock.fock import rho_apply
 from superfock.linalg import commutator_failure, skew_failure
-from superfock.liealg import TKK
+from superfock.liealg import TKK, tkk_for
 from superfock.scalars import QQi, _acc, column_terms, int_column
+from superfock.schrodinger import make_w, pi_apply
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_product_rule,
@@ -212,16 +213,21 @@ def test_rho_apply_equals_the_rho_columns(m, n):
 def test_a_corrupted_realization_fails_the_check(monkeypatch):
     ctx = small_context()
     assert check_realization(ctx, 1)[0] is True
-    realize = TKK.realize
+    table = TKK.realization_table
 
-    def doubled_first_element(tkk, x):
-        op = realize(tkk, x)
-        if x.coeffs.keys() == {0}:
-            return lambda p: op(p).scale(2)
-        return op
+    def doubled_first_element(tkk, a):
+        return [(d, c * 2 if a == 0 else c) for d, c in table(tkk, a)]
 
-    monkeypatch.setattr(TKK, "realize", doubled_first_element)
+    monkeypatch.setattr(TKK, "realization_table", doubled_first_element)
     assert_fails(check_realization(small_context(), 1))
+
+
+def test_the_actions_refuse_an_element_of_another_shape():
+    X = tkk_for(Signature(4, 1)).minus(0)
+    with pytest.raises(ValueError, match="different shapes"):
+        pi_apply(X, make_w(SuperPolynomial.one(Signature(5, 1)), 2))
+    with pytest.raises(ValueError, match="different shapes"):
+        rho_apply(X, SuperPolynomial.one(Signature(5, 1, varset="z")))
 
 
 @pytest.mark.parametrize("check", [check_realization, check_tkk_axioms,
@@ -229,7 +235,7 @@ def test_a_corrupted_realization_fails_the_check(monkeypatch):
 def test_a_corrupted_structure_constant_fails_the_check(check):
     # a fresh algebra, so that the shared one of the shape stays intact
     ctx = small_context(4, 1)
-    tkk = ctx._tkk = TKK(ctx.sig)
+    tkk = ctx.tkk = TKK(ctx.sig)
     args = () if check is check_tkk_axioms else (1,)
     assert check(ctx, *args)[0] is True
     inn = [a for a, d in enumerate(tkk.basis) if d[0] == "inn"]
