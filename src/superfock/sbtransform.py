@@ -3,23 +3,30 @@
 The forward transform pairs the integrand against the entire Bessel-type
 series B_0 evaluated on the mixed pairing x|z; because the source elements
 are polynomial times exponential, only finitely many series terms
-contribute, and each x-monomial of the truncated series is read from the
+contribute.  The truncated series is split once per degree into entries
+(xkey, zkey, c, |odd(zkey)| mod 2), bucketed by the parity of xkey's omega
+exponents.  The image of x^key reads one bucket, the one whose parity
+matches key's omega exponents (every other entry has zero moment), merges
+the odd parts with their signs and reads each product monomial from the
 table of normalized moments (``integral.moment``) before exp(-z_0) is
-applied.  The inverse is a closed Bessel-Fischer pairing with the kernel
-exp(-z_0) B_0(x|z), built once per z-degree, and needs no integration.
+applied; no bi-polynomial is multiplied or split per monomial.  The
+inverse is a closed Bessel-Fischer pairing with the kernel exp(-z_0)
+B_0(x|z), built once per z-degree, and needs no integration.  Both
+directions keep integer columns of their monomial images (``sb_column``,
+``inverse_column``) for the intertwining checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import MonKey, Signature, SuperPolynomial, bessel_modified
-from .bipoly import LEFT, RIGHT, bi_signature, embed, pairing_power
+from .algebra import MonKey, Signature, SuperPolynomial, bessel_modified, merge_odd
+from .bipoly import RIGHT, bi_signature, embed, pairing_power
 from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import moment
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import QQi, _acc, factorial_fraction, poch
+from .scalars import QQi, _acc, factorial_fraction, int_column, poch
 from .schrodinger import WElement, make_w, pi_apply
 
 
@@ -65,6 +72,10 @@ class SBTransform:
         self._inv_cache: dict[MonKey, SuperPolynomial] = {}
         self._kernels: dict[int, dict] = {}
         self._series: dict[int, SuperPolynomial] = {}
+        self._split: dict[int, dict] = {}
+        self._exp_coeffs: list[QQi] = []
+        self._columns: dict[MonKey, tuple[int, dict]] = {}
+        self._inv_columns: dict[MonKey, tuple[int, dict]] = {}
 
     def _b_series(self, degree: int) -> SuperPolynomial:
         """``b_series_truncation`` of B_0(x|z) at degree, memoized per degree."""
@@ -76,21 +87,49 @@ class SBTransform:
 
     # -- forward -----------------------------------------------------------
 
+    def _split_series(self, degree: int) -> dict:
+        """``_b_series(degree)`` as entries (xkey, zkey, c, |odd(zkey)| mod 2),
+        bucketed by the parity pattern of xkey[0][1:]; memoized per degree."""
+        buckets = self._split.get(degree)
+        if buckets is None:
+            buckets = self._split[degree] = {}
+            for key, c in self._b_series(degree).terms.items():
+                xkey, zkey = self.bsig.split(key)
+                buckets.setdefault(tuple(e & 1 for e in xkey[0][1:]), []).append(
+                    (xkey, zkey, c, len(zkey[1]) & 1))
+        return buckets
+
     def sb_monomial(self, mono: MonKey) -> SuperPolynomial:
-        """Transform of a single normal-form monomial times exp(-2 x_0)."""
+        """Transform of a single normal-form monomial times exp(-2 x_0).
+
+        The carrier B_0(x|z) x^mono is summed from the pre-split series
+        (``_split_series``) at degree cap + 2: only the bucket whose omega
+        parity matches mono's can have a nonzero moment.  An entry's
+        x-monomial times x^mono is (merge_odd(xodd, mono_odd), even exponents
+        added), with the crossing sign (-1)^(|z odd| |mono odd|) of x^mono
+        passing the entry's odd z-variables."""
         cached = self._mono_cache.get(mono)
         if cached is not None:
             return cached
-        cap = sum(mono[0]) + len(mono[1])
-        carrier = self._b_series(cap + 2) \
-            * embed(SuperPolynomial.monomial(self.sig_x, mono), self.bsig, LEFT)
+        mev, modd = mono
+        cap = sum(mev) + len(modd)
+        crossing = len(modd) & 1
         acc: dict = {}
-        for key, c in carrier.terms.items():
-            xkey, zkey = self.bsig.split(key)
-            _acc(acc, zkey, c * moment(self.sig_x, xkey, 4))
+        bucket = self._split_series(cap + 2).get(tuple(e & 1 for e in mev[1:]), ())
+        for (xev, xodd), zkey, c, zodd in bucket:
+            merged = merge_odd(xodd, modd)
+            if merged is None:
+                continue
+            sign, odd = merged
+            if crossing and zodd:
+                sign = -sign
+            v = c * moment(self.sig_x, (tuple(a + b for a, b in zip(xev, mev)), odd), 4)
+            _acc(acc, zkey, v if sign > 0 else -v)
         # times exp(-z_0) up to degree cap + 2; z_0 is even, so z_0^e only
         # raises the first exponent
-        exp_coeffs = [QQi.coerce((-1) ** e / factorial_fraction(e)) for e in range(cap + 3)]
+        exp_coeffs = self._exp_coeffs
+        for e in range(len(exp_coeffs), cap + 3):
+            exp_coeffs.append(QQi.coerce((-1) ** e / factorial_fraction(e)))
         image: dict = {}
         for (ev, odd), c in acc.items():
             for e in range(cap + 3 - sum(ev) - len(odd)):
@@ -102,6 +141,14 @@ class SBTransform:
                 f"transform tail does not vanish at degree {tail[0]} for {mono}")
         self._mono_cache[mono] = result
         return result
+
+    def sb_column(self, mono: MonKey) -> tuple[int, dict]:
+        """``sb_monomial(mono)`` as an integer column (``scalars.int_column``),
+        memoized."""
+        column = self._columns.get(mono)
+        if column is None:
+            column = self._columns[mono] = int_column(self.sb_monomial(mono).terms)
+        return column
 
     def sb(self, f: WElement) -> SuperPolynomial:
         """Forward transform of f in W; exact reduced polynomial in z."""
@@ -150,6 +197,16 @@ class SBTransform:
         self._inv_cache[key] = result
         return result
 
+    def inverse_column(self, key: MonKey) -> tuple[int, dict]:
+        """The reduced inverse image of z^key, ``reduce_poly`` of
+        ``_inverse_monomial(key)`` as ``sb_inverse`` forms it through
+        ``make_w``, as an integer column; memoized."""
+        column = self._inv_columns.get(key)
+        if column is None:
+            column = self._inv_columns[key] = int_column(
+                reduce_poly(self._inverse_monomial(key)).terms)
+        return column
+
     def sb_inverse(self, p: SuperPolynomial) -> WElement:
         """Inverse transform via the closed Bessel-Fischer pairing formula."""
         if p.sig != self.sig_z:
@@ -188,10 +245,3 @@ class SBTransform:
         lhs = self.sb(pi_apply(X, f))
         rhs = rho_apply(X, self.sb(f))
         return lhs - rhs
-
-    def check_intertwine_inverse(self, X: TKKElement, p: SuperPolynomial):
-        """Difference pi(X) SBinv(p) - SBinv(rho(X) p) on the Fock side."""
-        lhs = pi_apply(X, self.sb_inverse(p))
-        rhs = self.sb_inverse(rho_apply(X, p))
-        return lhs.poly - rhs.poly
-

@@ -15,7 +15,11 @@ Gaussian-integer numerator pairs over one positive denominator.  One
 commutator loop over columns (``linalg.commutator_failure``) checks the sl2
 triple, the Bessel operator identities and the representations D, pi and
 rho; one contraction of a pairing table against columns
-(``linalg.skew_failure``) checks the adjointness of pi, rho, L_ij.
+(``linalg.skew_failure``) checks the adjointness of pi, rho, L_ij.  Both
+intertwining checks sum the pi and rho columns against the integer columns
+of the forward and reduced inverse images (``SBTransform.sb_column``,
+``SBTransform.inverse_column``) in one ``column_combination`` per basis
+element and monomial (``_column_difference``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import linalg
 from .algebra import (R2, Signature, SuperPolynomial, angular_L, apply_op,
@@ -1326,15 +1330,34 @@ def check_sb_lowest(ctx: Context):
     return True, ""
 
 
+def _column_difference(sig: Signature, first, first_image, second, second_image):
+    """sum_k first[k] first_image(k) - sum_k second[k] second_image(k) for integer
+    columns first and second and integer-column lookups first_image and
+    second_image, summed by ``column_combination``; the nonzero entries as a
+    polynomial on sig."""
+    terms = []
+    for (d, nums), image, s in ((first, first_image, 1), (second, second_image, -1)):
+        for k, (x, y) in nums.items():
+            e, column = image(k)
+            terms.append((s * x, s * y, d * e, column))
+    d, out = column_combination(terms)
+    return SuperPolynomial(sig, {k: QQi(x, y, d) for k, (x, y) in out.items() if x or y})
+
+
 def check_intertwining(ctx: Context, max_degree: int = 2, word_samples: int = 12):
-    tkk = ctx.tkk
-    fs = ctx.w_monomials(max_degree)
+    """SB(pi(X_a) x^key) - rho(X_a) SB(x^key) for each basis element a and each
+    normal-form key, summed over integer columns: the pi column at rate 2
+    against the forward images (``SBTransform.sb_column``), minus the rho
+    columns over the image of key."""
+    tkk, sb = ctx.tkk, ctx.sb
+    keys = _nf_keys(ctx.sig, max_degree)
     for a in range(tkk.dim):
-        X = tkk.basis_element(a)
-        for f in fs:
-            diff = ctx.sb.check_intertwine(X, f)
+        for key in keys:
+            diff = _column_difference(ctx.sig_z, ctx.pi_column(a, key), sb.sb_column,
+                                      sb.sb_column(key), partial(ctx.rho_column, a))
             if not diff.is_zero():
-                return False, f"{tkk.basis_label(a)} on {f.poly}: residue {diff}"
+                f = SuperPolynomial.monomial(ctx.sig, key)
+                return False, f"{tkk.basis_label(a)} on {f}: residue {diff}"
     # literal action words of length <= 2 applied to the lowest vector
     rng = random.Random(ctx.cfg.seed + 1)
     v0 = lowest_vector(ctx.sig)
@@ -1357,17 +1380,22 @@ def inverse_depth(M: int, cap: int) -> int:
 
 
 def check_intertwining_inverse(ctx: Context, max_degree: int = 3):
-    tkk = ctx.tkk
+    """pi(X_a) SBinv(z^key) - SBinv(rho(X_a) z^key) for each basis element a and
+    each normal-form key, summed over integer columns: the pi columns at rate 2
+    over the reduced inverse image of key (``SBTransform.inverse_column``),
+    minus the reduced inverse images over the rho column."""
+    tkk, sb = ctx.tkk, ctx.sb
     depth = inverse_depth(ctx.cfg.M, max_degree + 1)
     usable = min(max_degree, depth - 1)
     if usable < 0:
         return True, "inverse pairing undefined beyond degree 0; nothing to test"
-    fs = ctx.fock_monomials(usable)
     for a in range(tkk.dim):
-        X = tkk.basis_element(a)
-        for p in fs:
-            diff = ctx.sb.check_intertwine_inverse(X, p)
+        for key in _nf_keys(ctx.sig_z, usable):
+            diff = _column_difference(ctx.sig, sb.inverse_column(key),
+                                      partial(ctx.pi_column, a),
+                                      ctx.rho_column(a, key), sb.inverse_column)
             if not diff.is_zero():
+                p = SuperPolynomial.monomial(ctx.sig_z, key)
                 return False, f"{tkk.basis_label(a)} on {p}: residue {diff}"
     return True, f"every basis element on F_<= {usable}"
 

@@ -128,6 +128,15 @@ def test_criterion_12_intertwining_inverse(m, n):
            m, n, check_intertwining_inverse(ctx_for(m, n), 3))
 
 
+def test_criterion_12_intertwining_with_two_odd_pairs():
+    # (8,2): n = 2 with M >= 4, on top of the matrix, at degree <= 2
+    ctx = Context(RunConfig(m=8, n=2, max_degree=2, seed=0))
+    report("12a (forward intertwining on the degree <= 2 spanning set)",
+           8, 2, check_intertwining(ctx, 2))
+    report("12b (inverse-side intertwining on F_<=2)",
+           8, 2, check_intertwining_inverse(ctx, 2))
+
+
 @pytest.mark.parametrize("m,n", INTEGRAL_MATRIX)
 def test_criterion_13_unitarity(m, n):
     report("13 (the transform preserves the sesquilinear forms, degree <= 2)",

@@ -7,7 +7,7 @@ from superfock.algebra import Signature, SuperPolynomial, monomial_keys
 from superfock import sbtransform
 from superfock.bipoly import (LEFT, RIGHT, bi_signature, embed, pairing, pairing_power,
                               reduce_slot, slot_bessel_mod, slot_euler, slot_laplacian)
-from superfock.fock import bf_product
+from superfock.fock import bf_product, rho_apply
 from superfock.integral import _integral_direct, gamma_engine, w_form
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
@@ -115,6 +115,13 @@ def test_hermite_odd_support():
     assert sb.sb(h2) == reduce_poly(SuperPolynomial.monomial(sb.sig_z, key2, QQi(4)))
 
 
+def intertwine_inverse(sb, X, p):
+    """pi(X) SBinv(p) - SBinv(rho(X) p) on polynomials, zero iff the identity
+    holds: the polynomial oracle of the column contraction in
+    ``check_intertwining_inverse``."""
+    return pi_apply(X, sb.sb_inverse(p)).poly - sb.sb_inverse(rho_apply(X, p)).poly
+
+
 def test_unitarity_and_intertwining_samples():
     fs = [make_w(SuperPolynomial.monomial(SIG, key), 2)
           for d in range(3) for key in normal_form_keys(SIG, d)]
@@ -128,7 +135,7 @@ def test_unitarity_and_intertwining_samples():
         assert SB.check_intertwine(X, f).is_zero()
         p = SuperPolynomial.monomial(SIGZ, rng.choice(
             [k for d in range(4) for k in normal_form_keys(SIGZ, d)]))
-        assert SB.check_intertwine_inverse(X, p).is_zero()
+        assert intertwine_inverse(SB, X, p).is_zero()
 
 
 def test_inverse_defined_at_m3():
@@ -143,7 +150,7 @@ def test_inverse_defined_at_m3():
     for _ in range(25):
         X = tkk.basis_element(rng.randrange(tkk.dim))
         p = rng.choice(fps)
-        assert sb.check_intertwine_inverse(X, p).is_zero()
+        assert intertwine_inverse(sb, X, p).is_zero()
 
 
 def test_inverse_refused_where_undefined():
@@ -175,11 +182,13 @@ def integral_route_image(sb, mono, integrals):
         key: c for key, c in image.terms.items() if sum(key[0]) + len(key[1]) <= cap + 2}))
 
 
-@pytest.mark.parametrize("m,n", [(5, 0), (6, 1)])
+@pytest.mark.parametrize("m,n", [(5, 0), (6, 1), (8, 2)])
 def test_forward_images_agree_with_the_integral_route(m, n):
+    # (8,2) has two odd pairs, so the odd merge and crossing signs of the
+    # pre-split series meet odd monomials on both sides; degree <= 1 there
     sb = SBTransform(Signature(m, n))
     integrals = {}
-    for d in range(4):
+    for d in range(2 if n == 2 else 4):
         for key in normal_form_keys(sb.sig_x, d):
             assert sb.sb_monomial(key) == integral_route_image(sb, key, integrals), key
 

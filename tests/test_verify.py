@@ -1,9 +1,11 @@
 """The shared commutator and adjointness loops (``linalg``) must be able to
 fail: each check, run on a context whose action columns, operator table,
-pairing table or moment table carry one wrong entry, reports a failure with a
-witness (or, for the forward transform, raises on its nonvanishing tail).  The
-integer commutator loop finds the first failure of the ``QQi`` loop it
-replaced.  Every shape the CLI accepts at small size passes every suite."""
+pairing table, moment table or transform images carry one wrong entry,
+reports a failure with a witness (or, for the forward transform, raises on
+its nonvanishing tail).  The integer commutator loop finds the first failure
+of the ``QQi`` loop it replaced, and the column route of the intertwining
+check the first failure of its polynomial loop.  Every shape the CLI
+accepts at small size passes every suite."""
 
 import gc
 import random
@@ -17,13 +19,15 @@ from superfock.algebra import _OPS, Signature, SuperPolynomial, monomials_up_to
 from superfock.fock import rho_apply
 from superfock.linalg import commutator_failure, skew_failure
 from superfock.liealg import TKK, tkk_for
+from superfock.quotient import normal_form_keys
 from superfock.scalars import QQi, _acc, column_terms, int_column
 from superfock.schrodinger import make_w, pi_apply
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_product_rule,
                               check_bessel_supercommute, check_bf_l_adjoint,
-                              check_intertwining, check_pi_representation,
+                              check_intertwining, check_intertwining_inverse,
+                              check_pi_representation,
                               check_pi_skew, check_realization,
                               check_representative_independence,
                               check_rho_composition, check_rho_representation,
@@ -256,6 +260,49 @@ def test_a_failing_word_sample_names_its_basis_element():
         rng.randrange(tkk.dim)
     label = tkk.basis_label(rng.randrange(tkk.dim))
     assert check_intertwining(ctx, -1) == (False, f"{label} on a sampled word vector")
+
+
+def intertwining_by_polynomials(ctx, max_degree):
+    """The basis-element loop of ``check_intertwining`` on polynomials, the
+    route its column contraction replaced: the first failure's detail, or None."""
+    tkk = ctx.tkk
+    for a in range(tkk.dim):
+        X = tkk.basis_element(a)
+        for f in ctx.w_monomials(max_degree):
+            diff = ctx.sb.check_intertwine(X, f)
+            if not diff.is_zero():
+                return f"{tkk.basis_label(a)} on {f.poly}: residue {diff}"
+    return None
+
+
+def test_a_doubled_forward_image_fails_the_intertwining_as_the_polynomials_do():
+    ctx = small_context(5, 0)
+    # degree 3 is out of the spanning set of degree <= 2: pi(X) f alone reads it
+    key = normal_form_keys(ctx.sig, 3)[0]
+    ctx.sb._mono_cache[key] = ctx.sb.sb_monomial(key).scale(2)
+    ok, witness = check_intertwining(ctx, 2)
+    assert ok is False
+    assert witness == intertwining_by_polynomials(ctx, 2)
+
+
+def test_a_doubled_inverse_image_fails_the_inverse_intertwining():
+    ctx = small_context(5, 0)
+    assert check_intertwining_inverse(ctx, 2)[0] is True
+    ctx = small_context(5, 0)
+    z0 = ((1,) + (0,) * (ctx.sig.m - 1), ())
+    den, nums = ctx.sb.inverse_column(z0)
+    ctx.sb._inv_columns[z0] = den, {k: (2 * x, 2 * y) for k, (x, y) in nums.items()}
+    assert_fails(check_intertwining_inverse(ctx, 2))
+
+
+@pytest.mark.parametrize("check", [check_intertwining, check_intertwining_inverse])
+def test_a_doubled_rho_column_fails_both_intertwining_checks(check):
+    ctx = small_context(5, 0)
+    one = ((0,) * ctx.sig.m, ())
+    # both checks read rho(X_a) on 1: SB(1) = 1, and 1 lies in F_<=2
+    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one)[1])
+    ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
+    assert_fails(check(ctx, 2))
 
 
 def test_a_corrupted_pairing_fails_the_angular_adjointness():
