@@ -13,10 +13,10 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from . import linalg
-from .scalars import I, QQi, _acc, int_column
+from .scalars import I, QQi, _acc, column_combination, int_column
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -476,6 +476,17 @@ def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     return _OPS[descriptor[0]](p, rate, *descriptor[1:])
 
 
+def _check_shape(table, tkk, sig: Signature) -> None:
+    """pi and rho act on polynomials of the algebra's shape (m, n), D
+    (``TKK.realization_table``) on its big signature and nowhere else."""
+    if table is type(tkk).realization_table:
+        same = sig == tkk.big_signature
+    else:
+        same = (sig.m, sig.n) == (tkk.sig.m, tkk.sig.n)
+    if not same:
+        raise ValueError("TKK element and polynomial have different shapes")
+
+
 def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     """X = sum_a c_a X_a applied to p through an action table, which maps
     (tkk, a) to basis element a as [(descriptor, coefficient)]; op(descriptor,
@@ -484,8 +495,7 @@ def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     ``liealg.TKK.realization_table`` (D, on the big signature).  Coefficients
     are gathered per descriptor first, so each operator is applied once."""
     tkk = X.tkk
-    if (tkk.sig.m, tkk.sig.n) != (p.sig.m, p.sig.n) and p.sig != tkk.big_signature:
-        raise ValueError("TKK element and polynomial have different shapes")
+    _check_shape(table, tkk, p.sig)
     ops: dict = {}
     for a, x in X.coeffs.items():
         for d, c in table(tkk, a):
@@ -497,21 +507,43 @@ def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     return SuperPolynomial(p.sig, out)
 
 
-def table_columns(table, op, tkk, p: SuperPolynomial, rate=0) -> list[tuple[int, dict]]:
-    """Integer columns (``scalars.int_column``) of X_a p for every basis element
-    a of tkk, through an action table; each descriptor is applied to p once."""
-    images: dict = {}
-    columns = []
-    for a in range(tkk.dim):
-        out: dict = {}
-        for d, c in table(tkk, a):
-            image = images.get(d)
-            if image is None:
-                image = images[d] = op(d, p, rate).terms
-            for key, v in image.items():
-                _acc(out, key, v * c)
-        columns.append(int_column(out))
-    return columns
+def table_columns(table, op, tkk, sig: Signature, rate=0):
+    """fill(key): the integer columns (``scalars.int_column``) of X_a x^key for
+    every basis element a of tkk, through an action table.  The shape is
+    checked here; the table is read once per algebra, on the first fill, so
+    that a filler no check uses reads nothing.
+
+    Each descriptor is applied to x^key once and its image made an integer
+    column once; the column of X_a is one ``column_combination`` of those
+    images with a's coefficients, in plain ints.  Cancelled entries are
+    dropped and the content gcd divided out, so that the column equals
+    ``int_column`` of ``table_apply(table, op, X_a, x^key, rate)`` exactly,
+    down to its denominator."""
+    _check_shape(table, tkk, sig)
+    rows = []
+
+    def fill(key) -> list[tuple[int, dict]]:
+        if not rows:
+            rows.extend([(d, c.a, c.b, c.d) for d, c in table(tkk, a)] for a in range(tkk.dim))
+        p = SuperPolynomial.monomial(sig, key)
+        images: dict = {}
+        columns = []
+        for row in rows:
+            terms = []
+            for d, x, y, e in row:
+                image = images.get(d)
+                if image is None:
+                    image = images[d] = int_column(op(d, p, rate).terms)
+                terms.append((x, y, e * image[0], image[1]))
+            if len(row) == 1 and row[0][1:] == (1, 0, 1):
+                columns.append(image)  # one descriptor with coefficient 1
+                continue
+            den, out = column_combination(terms)
+            g = gcd(den, *itertools.chain.from_iterable(out.values()))
+            columns.append((den // g, {k: (u // g, v // g) for k, (u, v) in out.items()
+                                       if u or v}))
+        return columns
+    return fill
 
 
 # -- enumeration and dimensions ----------------------------------------------

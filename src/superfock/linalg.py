@@ -5,14 +5,18 @@ tolerance anywhere: a pivot is any exactly nonzero entry.
 
 The contractions (``commutator_failure``, ``skew_failure``) read operators as
 integer columns (``scalars.int_column``) and sum plain ints, so they box no
-``QQi``; each returns the first point where an identity fails.
+``QQi``; each returns the first point where an identity fails.  The
+commutator loop sums all identities key-major, one monomial at a time, and
+still reports the first failure in identity-major order.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
-from .scalars import ONE, QQi, column_combination
+from .scalars import ONE, QQi
 
 
 def rref(rows: list[dict[int, QQi]], ncols: int):
@@ -143,23 +147,69 @@ def commutator_failure(column, keys, identities):
 
     An identity is (label, A, B, s, {C: c}); ``column(op, key)`` is the
     integer column of op x^key, and linearity reads every side off the
-    columns, in Gaussian integers (``scalars.column_combination``)."""
-    for label, A, B, s, rhs in identities:
-        minus_rhs = [(C, -q.a, -q.b, q.d) for C, c in rhs.items()
-                     if (q := QQi.coerce(c))]  # zero terms stay unread
-        for key in keys:
-            terms = []
-            for outer, inner, sign in ((B, A, 1), (A, B, -s)):
-                d0, nums = column(outer, key)
-                for k2, (x, y) in nums.items():
-                    d1, inums = column(inner, k2)
-                    terms.append((sign * x, sign * y, d0 * d1, inums))
-            for C, x, y, e in minus_rhs:
-                d0, nums = column(C, key)
-                terms.append((x, y, d0 * e, nums))
-            if any(re or im for re, im in column_combination(terms)[1].values()):
-                return label, key
-    return None
+    columns.  The failure reported is the first in identity-major order: the
+    first failing identity, on its first failing key.
+
+    The sum runs key-major.  For each key, every ordered pair of operators
+    (first, then) that some identity composes is read once: each entry of
+    the column of first on x^key scales the column of then on the x^k2 it
+    names, as one term of every identity using the pair, with sign +1 (then
+    = A) or -s (then = B).  The right-hand sides add one term per nonzero
+    coefficient.  The terms are then sorted by identity, and the residue of
+    each identity is summed into one map {k3: [re, im]} in Gaussian
+    integers, over one common denominator for the key, and tested for zero
+    before the next identity's map is made.  Only the columns that an
+    identity uses are read; zero coefficients stay unread."""
+    labels = []
+    plan: dict = {}  # first -> [(then, identity, sign)]
+    rhs: dict = {}  # C -> [(identity, x, y, e)]: -c = (x + y i)/e
+    for i, (label, A, B, s, sides) in enumerate(identities):
+        labels.append(label)
+        for first, then, sign in ((A, B, -s), (B, A, 1)):
+            plan.setdefault(first, []).append((then, i, sign))
+        for C, c in sides.items():
+            if (q := QQi.coerce(c)):
+                rhs.setdefault(C, []).append((i, -q.a, -q.b, q.d))
+    plan, rhs = list(plan.items()), list(rhs.items())
+    best = None  # (identity, key) of the first failure found
+    resid: dict = {}  # k3 -> [re, im] over den, for one identity at a time
+    for key in keys:
+        terms = []  # (identity, x, y, e, nums): (x + y i)/e times a column
+        for first, targets in plan:
+            d0, nums = column(first, key)
+            for k2, (x, y) in nums.items():
+                for then, i, sign in targets:
+                    d1, inums = column(then, k2)
+                    if inums:
+                        terms.append((i, sign * x, sign * y, d0 * d1, inums))
+        for C, targets in rhs:
+            d0, nums = column(C, key)
+            if nums:
+                terms += [(i, x, y, e * d0, nums) for i, x, y, e in targets]
+        den = lcm(*{t[3] for t in terms})
+        terms.sort(key=itemgetter(0))
+        for i, group in groupby(terms, itemgetter(0)):
+            if best is not None and i >= best[0]:
+                break  # keys come in order: only an earlier identity improves
+            resid.clear()
+            for _, x, y, e, nums in group:
+                if e != den:
+                    f = den // e
+                    x *= f
+                    y *= f
+                for k3, (u, v) in nums.items():
+                    r = resid.get(k3)
+                    if r is None:
+                        resid[k3] = [x * u - y * v, x * v + y * u]
+                    else:
+                        r[0] += x * u - y * v
+                        r[1] += x * v + y * u
+            if any(map(any, resid.values())):
+                best = i, key
+                break
+        if best is not None and best[0] == 0:
+            break
+    return None if best is None else (labels[best[0]], best[1])
 
 
 def skew_failure(table: tuple, keys, column, sign):

@@ -207,8 +207,7 @@ def action_columns(table, op, tkk: TKK, sig: Signature, rate):
     through an action table (``algebra.table_columns``).  The memo is kept per
     monomial and filled for every basis element at once; it holds no
     reference to a Context and goes with the function."""
-    columns = cache(lambda key: table_columns(
-        table, op, tkk, SuperPolynomial.monomial(sig, key), rate))
+    columns = cache(table_columns(table, op, tkk, sig, rate))
     return lambda a, key: columns(key)[a]
 
 

@@ -17,6 +17,7 @@ from superfock.verify import (Context, RunConfig, check_bessel_tangential,
                               check_intertwining, check_intertwining_inverse,
                               check_k_exponential, check_kernel,
                               check_laguerre, check_normalization,
+                              check_pi_representation,
                               check_pi_skew, check_rho_composition,
                               check_rho_ladders, check_rho_representation,
                               check_round_trips, check_sl2_triple,
@@ -87,6 +88,15 @@ def test_criterion_07_fock_action(m, n):
     report("7a (Cayley composition on F_<=3)", m, n, check_rho_composition(ctx, 3))
     report("7b (commutation relations on F_<=3)", m, n, check_rho_representation(ctx, 3))
     report("7c (ladder values, k <= 5)", m, n, check_rho_ladders(ctx, 5))
+
+
+def test_criterion_07_representations_with_two_odd_pairs():
+    # (8,2): n = 2, on top of the matrix, at degree <= 2; each check, with its
+    # columns filled, takes about 1.1-1.4 s on a shared 2-vCPU host (1.9-2.3 s
+    # with the identity-major commutator loop and the QQi fill)
+    ctx = Context(RunConfig(m=8, n=2, max_degree=2, seed=0))
+    report("7b (commutation relations on F_<=2)", 8, 2, check_rho_representation(ctx, 2))
+    report("7d (commutation relations of pi on W_<=2)", 8, 2, check_pi_representation(ctx, 2))
 
 
 @pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)

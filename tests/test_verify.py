@@ -2,10 +2,12 @@
 fail: each check, run on a context whose action columns, operator table,
 pairing table, moment table or transform images carry one wrong entry,
 reports a failure with a witness (or, for the forward transform, raises on
-its nonvanishing tail).  The integer commutator loop finds the first failure
-of the ``QQi`` loop it replaced, and the column route of the intertwining
-check the first failure of its polynomial loop.  Every shape the CLI
-accepts at small size passes every suite."""
+its nonvanishing tail).  The key-major integer commutator loop finds the
+first failure of the identity-major loops it replaced, over ``QQi`` and over
+integer columns; the integer fill of the action columns equals the columns
+of the polynomial applier; and the column route of the intertwining check
+finds the first failure of its polynomial loop.  Every shape the CLI accepts
+at small size passes every suite."""
 
 import gc
 import random
@@ -15,13 +17,15 @@ import weakref
 import pytest
 
 from superfock import integral, sbtransform, verify
-from superfock.algebra import _OPS, Signature, SuperPolynomial, monomials_up_to
-from superfock.fock import rho_apply
+from superfock.algebra import (_OPS, Signature, SuperPolynomial, apply_op,
+                               monomials_up_to, table_apply, table_columns)
+from superfock.fock import rho_apply, rho_op, rho_table
 from superfock.linalg import commutator_failure, skew_failure
 from superfock.liealg import TKK, tkk_for
 from superfock.quotient import normal_form_keys
-from superfock.scalars import QQi, _acc, column_terms, int_column
-from superfock.schrodinger import make_w, pi_apply
+from superfock.scalars import (QQi, _acc, column_combination, column_terms,
+                               int_column)
+from superfock.schrodinger import WElement, make_w, pi_apply, pi_op, pi_table
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_product_rule,
@@ -107,8 +111,33 @@ def random_qqi(rng, zero_parts=True):
             return QQi(a, b, rng.choice((1, 2, 3, 6)))
 
 
-@pytest.mark.parametrize("seed", range(40))
+def identity_major_commutator_failure(column, keys, identities):
+    """The identity-major integer loop that the key-major one replaced: one
+    ``column_combination`` per (identity, key); an oracle for
+    ``linalg.commutator_failure``."""
+    for label, A, B, s, rhs in identities:
+        minus_rhs = [(C, -q.a, -q.b, q.d) for C, c in rhs.items()
+                     if (q := QQi.coerce(c))]  # zero terms stay unread
+        for key in keys:
+            terms = []
+            for outer, inner, sign in ((B, A, 1), (A, B, -s)):
+                d0, nums = column(outer, key)
+                for k2, (x, y) in nums.items():
+                    d1, inums = column(inner, k2)
+                    terms.append((sign * x, sign * y, d0 * d1, inums))
+            for C, x, y, e in minus_rhs:
+                d0, nums = column(C, key)
+                terms.append((x, y, d0 * e, nums))
+            if any(re or im for re, im in column_combination(terms)[1].values()):
+                return label, key
+    return None
+
+
+@pytest.mark.parametrize("seed", range(60))
 def test_the_integer_commutator_loop_finds_the_failure_of_the_qqi_loop(seed):
+    # seeds 40 and up plant two wrong entries: one for identity 1 on key 0
+    # and one for identity 0 on a later key, so that the first failure in
+    # identity-major order is not the first failing key
     rng = random.Random(seed)
     keys = list(range(6))
 
@@ -133,20 +162,61 @@ def test_the_integer_commutator_loop_finds_the_failure_of_the_qqi_loop(seed):
                 _acc(resid, k3, -d * v)
             cols[C][key] = {k: v / c for k, v in resid.items()}
         identities.append((label, "A", "B", s, {C: c, "D": d, "A": QQi(0)}))
-    if seed % 3:  # one wrong entry, at a random key of a random identity
-        C = rng.choice(("Ceven", "Codd"))
-        key = rng.choice(keys)
+
+    def plant(C, key):  # C x^key gains a nonzero entry
         k3 = rng.choice(keys)
         col = cols[C][key]
         col[k3] = col.get(k3, QQi(0)) + random_qqi(rng)
         if col[k3].is_zero():
             del col[k3]
+    if seed >= 40:
+        later = rng.choice(keys[1:])
+        plant("Codd", keys[0])
+        plant("Ceven", later)
+    elif seed % 3:  # one wrong entry, at a random key of a random identity
+        plant(rng.choice(("Ceven", "Codd")), rng.choice(keys))
     int_cols = {(op, key): int_column(col) for op, by_key in cols.items()
                 for key, col in by_key.items()}
     want = qqi_commutator_failure(lambda op, key: cols[op][key], keys, identities)
     got = commutator_failure(lambda op, key: int_cols[op, key], keys, identities)
     assert got == want
-    assert (want is None) == (seed % 3 == 0)
+    assert identity_major_commutator_failure(
+        lambda op, key: int_cols[op, key], keys, identities) == want
+    if seed >= 40:
+        assert want == ("even", later)
+    else:
+        assert (want is None) == (seed % 3 == 0)
+
+
+def representation_loop_inputs(ctx, action):
+    """(column, keys, identities) of the commutator loop of one representation
+    check at max_degree 1: rho and pi on normal forms, D on the big signature."""
+    tkk = ctx.tkk
+    pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
+    if action == "D":
+        bsig = tkk.big_signature
+        column = verify.action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
+        keys = monomials_up_to(bsig, 1)
+    else:
+        column = ctx.rho_column if action == "rho" else ctx.pi_column
+        keys = verify._nf_keys(ctx.sig_z if action == "rho" else ctx.sig, 1)
+    return column, keys, list(verify._bracket_identities(tkk, pairs))
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (5, 1), (3, 1)])
+@pytest.mark.parametrize("action", ["rho", "pi", "D"])
+@pytest.mark.parametrize("seed", range(2))
+def test_a_doubled_column_fails_both_commutator_loops_alike(m, n, action, seed):
+    ctx = small_context(m, n)
+    column, keys, identities = representation_loop_inputs(ctx, action)
+    assert commutator_failure(column, keys, identities) is None
+    rng = random.Random(f"{m},{n},{action},{seed}")
+    target = rng.choice([(a, key) for key in keys for a in range(ctx.tkk.dim)
+                         if column(a, key)[1]])
+    doubled = double_one_column(column, target)
+    want = identity_major_commutator_failure(doubled, keys, identities)
+    assert want is not None
+    assert commutator_failure(doubled, keys, identities) == want
 
 
 def qqi_skew_residual(table, keys, column, sign):
@@ -227,11 +297,47 @@ def test_a_corrupted_realization_fails_the_check(monkeypatch):
 
 
 def test_the_actions_refuse_an_element_of_another_shape():
-    X = tkk_for(Signature(4, 1)).minus(0)
+    tkk = tkk_for(Signature(4, 1))
+    X = tkk.minus(0)
     with pytest.raises(ValueError, match="different shapes"):
         pi_apply(X, make_w(SuperPolynomial.one(Signature(5, 1)), 2))
     with pytest.raises(ValueError, match="different shapes"):
         rho_apply(X, SuperPolynomial.one(Signature(5, 1, varset="z")))
+    # pi and rho act on the algebra's shape, D on its big signature only
+    y1 = SuperPolynomial.variable(tkk.big_signature, 1)
+    x1 = SuperPolynomial.variable(tkk.sig, 1)
+    with pytest.raises(ValueError, match="different shapes"):
+        pi_apply(X, WElement(2, y1))
+    with pytest.raises(ValueError, match="different shapes"):
+        rho_apply(X, y1)
+    with pytest.raises(ValueError, match="different shapes"):
+        table_apply(TKK.realization_table, apply_op, X, x1)
+    for table, op, sig in ((pi_table, pi_op, tkk.big_signature),
+                           (rho_table, rho_op, tkk.big_signature),
+                           (TKK.realization_table, apply_op, tkk.sig),
+                           (rho_table, rho_op, Signature(5, 1, varset="z"))):
+        with pytest.raises(ValueError, match="different shapes"):
+            table_columns(table, op, tkk, sig)
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (5, 1), (2, 2)])
+def test_the_integer_fill_equals_the_columns_of_the_polynomial_applier(m, n):
+    # the same tuple, denominator included: pi at rates 0 and 2, rho and D
+    tkk = tkk_for(Signature(m, n))
+    sig, sig_z, bsig = tkk.sig, Signature(m, n, varset="z"), tkk.big_signature
+    nf = [key for d in range(3) for key in normal_form_keys(sig, d)]
+    nf_z = [key for d in range(3) for key in normal_form_keys(sig_z, d)]
+    for table, op, space, rate, keys in (
+            (pi_table, pi_op, sig, 2, nf), (pi_table, pi_op, sig_z, 0, nf_z),
+            (rho_table, rho_op, sig_z, 0, nf_z),
+            (TKK.realization_table, apply_op, bsig, 0, monomials_up_to(bsig, 2))):
+        fill = table_columns(table, op, tkk, space, rate)
+        for key in keys:
+            p = SuperPolynomial.monomial(space, key)
+            columns = fill(key)
+            for a in range(tkk.dim):
+                want = int_column(table_apply(table, op, tkk.basis_element(a), p, rate).terms)
+                assert columns[a] == want, (table.__name__, rate, a, key)
 
 
 @pytest.mark.parametrize("check", [check_realization, check_tkk_axioms,
@@ -334,6 +440,24 @@ def test_rho_skew_is_blind_on_degree_one_at_m_2():
     a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one)[1])
     ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
     assert check_rho_skew(ctx, 1)[0] is True
+
+
+def test_a_doubled_rho_table_coefficient_fails_the_cayley_route_at_m_2(monkeypatch):
+    # Second route for the blind spot above: doubling the z_1 coefficient of
+    # rho(L_1) changes rho only by terms of degree >= 1 on F_<=1, which the
+    # form at M = 2 cannot see, so rho-skew passes at (4,1) and fails at
+    # (5,1); the Cayley route compares rho with pi_C, which reads pi_table,
+    # and fails at (4,1).
+    def doubled(tkk, a):
+        row = rho_table(tkk, a)
+        if tkk.basis[a] == ("L", 1):
+            return [(d, 2 * c if d[0] == "mul" else c) for d, c in row]
+        return row
+    monkeypatch.setattr(verify, "rho_table", doubled)
+    ctx = small_context(4, 1)
+    assert check_rho_skew(ctx, 1)[0] is True
+    assert check_rho_composition(ctx, 1) == (False, "L1 on 1")
+    assert_fails(check_rho_skew(small_context(5, 1), 1))
 
 
 @pytest.mark.parametrize("m,n", [(2, 0), (3, 1), (3, 2)])
