@@ -29,11 +29,20 @@ def test_polynomial_rendering_pinned():
     assert str(p) == "-1/3+2/3*i*x0*x2^2*t1"
 
 
-def test_verification_report_golden():
-    # every suite at (4,0), degree 2, seed 0; only the timings may move
-    cfg = RunConfig(m=4, n=0, max_degree=2, seed=0)
+def report_without_timings(cfg: RunConfig) -> str:
     payload = json.loads(report_json(cfg, run_suite(cfg)))
     for check in payload["checks"]:
         del check["seconds"]
-    blob = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    assert blob == (GOLDEN / "report_4_0_d2.json").read_text()
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def test_verification_report_golden():
+    # every suite at (4,0), degree 2, seed 0; only the timings may move
+    cfg = RunConfig(m=4, n=0, max_degree=2, seed=0)
+    assert report_without_timings(cfg) == (GOLDEN / "report_4_0_d2.json").read_text()
+
+
+def test_verification_report_golden_with_odd_variables():
+    # the Fock, integral and SB suites at (6,1), degree 2, seed 0
+    cfg = RunConfig(m=6, n=1, max_degree=2, seed=0, suites=("fock", "integral", "sb"))
+    assert report_without_timings(cfg) == (GOLDEN / "report_6_1_d2.json").read_text()
