@@ -109,7 +109,7 @@ def main(argv=None) -> int:
         for t in odd:
             mono = mono * SuperPolynomial.variable(sig, sig.m + t - 1)
         records: list = []
-        value = integrate_w((mono, rate), trace=records)
+        value = integrate_w(mono, rate, trace=records)
         print(json.dumps({"integrand": str(mono), "rate": args.rate,
                           "value": str(value), "terms": records}, indent=1))
         return 0

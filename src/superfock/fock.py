@@ -6,13 +6,13 @@ conjugate of the second, and evaluates at zero.  Every Fock-side Bessel
 operator at rate 0 reads one memo, ``bessel_image``: the integer column
 (``scalars.int_column``) of ``algebra.bessel_modified(i)`` on one monomial,
 in a bounded ``lru_cache`` (``BESSEL_IMAGES`` entries, least recently used
-dropped first).  Its readers are:
+dropped first); each image is asserted homogeneous of degree one less than
+its monomial.  Its readers are:
 
-- ``bessel_matrix``, the sparse matrix of one operator per degree (the memo's
-  own columns), from which ``bf_covectors`` builds the pairing covectors that
-  the pairing table, the Gram matrices, the kernel pairing and the inverse
-  Segal-Bargmann transform read: the covector of z^a z_i is that of z^a times
-  the matrix of Bessel(z_i);
+- ``bf_covectors``, the pairing covectors that the pairing table, the Gram
+  matrices, the kernel pairing and the inverse Segal-Bargmann transform
+  read: the covector of z^a z_i is that of z^a times the images of
+  Bessel(z_i);
 - the word route (``bf_word_apply``, ``bf_product``), which applies the word
   to q-bar in Gaussian-integer arithmetic;
 - ``rho_op``, the operators of the Fock action.
@@ -36,7 +36,7 @@ every basis element at once, by ``algebra.table_columns``
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import linalg
 from .algebra import (MonKey, Signature, SuperPolynomial, apply_op,
@@ -44,8 +44,8 @@ from .algebra import (MonKey, Signature, SuperPolynomial, apply_op,
 from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
-from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_combination,
-                      column_terms, int_column, poch)
+from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_image, column_terms,
+                      int_column, poch)
 
 
 def _word_indices(key: MonKey) -> list[int]:
@@ -65,20 +65,17 @@ BESSEL_IMAGES = 1 << 14
 
 @lru_cache(maxsize=BESSEL_IMAGES)
 def bessel_image(sig: Signature, i: int, key: MonKey) -> tuple[int, dict]:
-    """Integer column of ``bessel_modified(i)`` on the monomial z^key, at rate 0."""
-    return int_column(bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms)
+    """Integer column of ``bessel_modified(i)`` on the monomial z^key, at rate 0.
 
-
-def bessel_column(sig: Signature, i: int, column: tuple[int, dict]) -> tuple[int, dict]:
-    """``bessel_modified(i)`` of an integer column, summed from ``bessel_image``;
-    entries that cancel are dropped."""
-    d, nums = column
-    terms = []
-    for key, (a, b) in nums.items():
-        e, image = bessel_image(sig, i, key)
-        terms.append((a, b, d * e, image))
-    d, out = column_combination(terms)
-    return d, {key: (a, b) for key, (a, b) in out.items() if a or b}
+    The image must be homogeneous of degree deg(key) - 1; orthogonality of the
+    product across degrees rests on that, so it is asserted here."""
+    image = int_column(bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms)
+    k = sum(key[0]) + len(key[1])
+    for ikey in image[1]:
+        if sum(ikey[0]) + len(ikey[1]) != k - 1:
+            raise AssertionError(f"Bessel({i}) of {key} has a term {ikey} "
+                                 f"outside degree {k - 1}")
+    return image
 
 
 def _word_column(sig: Signature, key: MonKey, column: tuple[int, dict]) -> tuple[int, dict]:
@@ -87,7 +84,7 @@ def _word_column(sig: Signature, key: MonKey, column: tuple[int, dict]) -> tuple
     for i in reversed(_word_indices(key)):
         if not column[1]:
             break
-        column = bessel_column(sig, i, column)
+        column = column_image(column, partial(bessel_image, sig, i))
     return column
 
 
@@ -112,44 +109,27 @@ def bf_product(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
 
 
 @lru_cache(maxsize=None)
-def bessel_matrix(sig: Signature, i: int, k: int) -> dict[MonKey, tuple[int, dict]]:
-    """Sparse matrix of ``bessel_modified(i)`` from P_k to P_{k-1}: each degree-k
-    monomial key maps to the integer column of its image, the one that
-    ``bessel_image`` holds.
-
-    Every image must be homogeneous of degree k - 1; orthogonality of the
-    product across degrees rests on that, so it is asserted here."""
-    out = {}
-    for key in monomial_keys(sig, k):
-        image = bessel_image(sig, i, key)
-        for ikey in image[1]:
-            if sum(ikey[0]) + len(ikey[1]) != k - 1:
-                raise AssertionError(f"Bessel({i}) of {key} has a term {ikey} "
-                                     f"outside degree {k - 1}")
-        out[key] = image
-    return out
-
-
-@lru_cache(maxsize=None)
 def bf_covectors(sig: Signature, k: int) -> dict[MonKey, dict[MonKey, QQi]]:
     """Pairing covectors of the degree-k monomials: a -> {b: <z^a, z^b>}, nonzero
     entries only (pairings across degrees vanish).
 
     With i the last index of the word of a, so that a = a' z_i and
     ``bf_word_apply`` applies Bessel(z_i) first, <z^a, z^b> is the sum over c
-    of Bessel(z_i)[b][c] <z^a', z^c>: one sparse product per monomial."""
+    of the coefficient of z^c in Bessel(z_i) z^b times <z^a', z^c>: one
+    sparse product per monomial."""
     if k == 0:
         one = ((0,) * sig.m, ())
         return {one: {one: QQi(1)}}
     prev = bf_covectors(sig, k - 1)
-    columns: dict[int, dict] = {}  # i -> {c: {b: Bessel(z_i)[b][c]}}
+    columns: dict[int, dict] = {}  # i -> {c: {b: coefficient of z^c in Bessel(z_i) z^b}}
     out = {}
     for key in monomial_keys(sig, k):
         i = _word_indices(key)[-1]
         col = columns.get(i)
         if col is None:
             col = columns[i] = {}
-            for bkey, (d, image) in bessel_matrix(sig, i, k).items():
+            for bkey in monomial_keys(sig, k):
+                d, image = bessel_image(sig, i, bkey)
                 for ckey, (a, b) in image.items():
                     col.setdefault(ckey, {})[bkey] = QQi(a, b, d)
         ev, odd = key
@@ -307,7 +287,7 @@ def rho_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     Bessel operators read ``bessel_image``."""
     if descriptor[0] != "bessel_mod":
         return reduce_poly(apply_op(descriptor, p, rate))
-    column = bessel_column(p.sig, descriptor[1], int_column(p.terms))
+    column = column_image(int_column(p.terms), partial(bessel_image, p.sig, descriptor[1]))
     return reduce_poly(SuperPolynomial(p.sig, column_terms(column)))
 
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .algebra import Signature, SuperPolynomial, merge_odd, theta2
 from .scalars import PiScalar, QQi, _acc, factorial_fraction, gamma_half, poch
-from .schrodinger import WElement
 
 
 class DivergenceError(ArithmeticError):
@@ -246,10 +245,11 @@ def gamma_closed_form(m: int, n: int) -> PiScalar:
     return out * gamma_half(2 * (M - 2))
 
 
-def integrate_w(f, trace: list | None = None) -> QQi:
-    """Normalized integral over W, summed from the moment table; exact, with
-    all pi powers cancelling.  A traced run integrates the polynomial whole."""
-    poly, rate = (f.poly, f.rate) if isinstance(f, WElement) else (f[0], Fraction(f[1]))
+def integrate_w(poly: SuperPolynomial, rate, trace: list | None = None) -> QQi:
+    """Normalized integral of poly exp(-rate x_0) over W, summed from the
+    moment table; exact, with all pi powers cancelling.  A traced run
+    integrates the polynomial whole."""
+    rate = Fraction(rate)
     sig = poly.sig
     if sig.M < 4:
         raise ValueError("the integral is only defined for superdimension >= 4")
@@ -261,11 +261,12 @@ def integrate_w(f, trace: list | None = None) -> QQi:
     return total
 
 
-def w_form(f: WElement, g: WElement) -> QQi:
-    """Sesquilinear form on W: integral of f times the conjugate of g."""
+def w_form(f, g) -> QQi:
+    """Sesquilinear form on W (``schrodinger.WElement``): integral of f times
+    the conjugate of g."""
     if f.poly.sig != g.poly.sig:
         raise ValueError("signature mismatch")
     rate = f.rate + g.rate
     if rate <= 0:
         raise ValueError("rates must sum to a positive rational")
-    return integrate_w((f.poly * g.poly.conjugate(), rate))
+    return integrate_w(f.poly * g.poly.conjugate(), rate)

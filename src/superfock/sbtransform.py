@@ -11,9 +11,10 @@ the odd parts with their signs and reads each product monomial from the
 table of normalized moments (``integral.moment``) before exp(-z_0) is
 applied; no bi-polynomial is multiplied or split per monomial.  The
 inverse is a closed Bessel-Fischer pairing with the kernel exp(-z_0)
-B_0(x|z), built once per z-degree, and needs no integration.  Both
-directions keep integer columns of their monomial images (``sb_column``,
-``inverse_column``) for the intertwining checks.
+B_0(x|z), built once per z-degree, and needs no integration.  Each
+direction keeps one memo, the integer columns of its monomial images
+(``sb_column``, and ``inverse_column`` reduced modulo R^2); ``sb``,
+``sb_inverse`` and the intertwining checks sum those columns.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import moment
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import QQi, _acc, factorial_fraction, int_column, poch
+from .scalars import (QQi, _acc, column_image, column_terms, factorial_fraction,
+                      int_column, poch)
 from .schrodinger import WElement, make_w, pi_apply
 
 
@@ -68,8 +70,6 @@ class SBTransform:
         self.sig_z = sig_z or Signature(sig_x.m, sig_x.n, varset="z", beta=sig_x.beta)
         self.bsig = bi_signature(self.sig_x, self.sig_z)
         self.M = sig_x.M
-        self._mono_cache: dict[MonKey, SuperPolynomial] = {}
-        self._inv_cache: dict[MonKey, SuperPolynomial] = {}
         self._kernels: dict[int, dict] = {}
         self._series: dict[int, SuperPolynomial] = {}
         self._split: dict[int, dict] = {}
@@ -108,9 +108,6 @@ class SBTransform:
         x-monomial times x^mono is (merge_odd(xodd, mono_odd), even exponents
         added), with the crossing sign (-1)^(|z odd| |mono odd|) of x^mono
         passing the entry's odd z-variables."""
-        cached = self._mono_cache.get(mono)
-        if cached is not None:
-            return cached
         mev, modd = mono
         cap = sum(mev) + len(modd)
         crossing = len(modd) & 1
@@ -139,7 +136,6 @@ class SBTransform:
         if tail:
             raise AssertionError(
                 f"transform tail does not vanish at degree {tail[0]} for {mono}")
-        self._mono_cache[mono] = result
         return result
 
     def sb_column(self, mono: MonKey) -> tuple[int, dict]:
@@ -156,11 +152,8 @@ class SBTransform:
             raise ValueError("forward transform requires superdimension >= 4")
         if f.rate != 2:
             raise ValueError("forward transform expects rate 2")
-        out: dict = {}
-        for key, c in reduce_poly(f.poly).terms.items():
-            for zkey, v in self.sb_monomial(key).terms.items():
-                _acc(out, zkey, c * v)
-        return SuperPolynomial(self.sig_z, out)
+        column = column_image(int_column(reduce_poly(f.poly).terms), self.sb_column)
+        return SuperPolynomial(self.sig_z, column_terms(column))
 
     # -- inverse -----------------------------------------------------------
 
@@ -182,9 +175,7 @@ class SBTransform:
         return kernel
 
     def _inverse_monomial(self, key: MonKey) -> SuperPolynomial:
-        cached = self._inv_cache.get(key)
-        if cached is not None:
-            return cached
+        """The inverse image of z^key, before reduction modulo R^2."""
         k = sum(key[0]) + len(key[1])
         cov = bf_covectors(self.sig_z, k)
         out: dict = {}
@@ -193,14 +184,11 @@ class SBTransform:
             if val is not None:
                 for xkey, c in xterms:
                     _acc(out, xkey, c * val)
-        result = SuperPolynomial(self.sig_x, out)
-        self._inv_cache[key] = result
-        return result
+        return SuperPolynomial(self.sig_x, out)
 
     def inverse_column(self, key: MonKey) -> tuple[int, dict]:
         """The reduced inverse image of z^key, ``reduce_poly`` of
-        ``_inverse_monomial(key)`` as ``sb_inverse`` forms it through
-        ``make_w``, as an integer column; memoized."""
+        ``_inverse_monomial(key)``, as an integer column; memoized."""
         column = self._inv_columns.get(key)
         if column is None:
             column = self._inv_columns[key] = int_column(
@@ -208,14 +196,11 @@ class SBTransform:
         return column
 
     def sb_inverse(self, p: SuperPolynomial) -> WElement:
-        """Inverse transform via the closed Bessel-Fischer pairing formula."""
-        if p.sig != self.sig_z:
-            p = SuperPolynomial(self.sig_z, dict(p.terms))
-        out: dict = {}
-        for key, c in p.terms.items():
-            for xkey, v in self._inverse_monomial(key).terms.items():
-                _acc(out, xkey, c * v)
-        return make_w(SuperPolynomial(self.sig_x, out), 2)
+        """Inverse transform via the closed Bessel-Fischer pairing formula,
+        summed from the reduced monomial images; ``reduce_poly`` is linear and
+        idempotent, so this is the reduction of the unreduced sum."""
+        column = column_image(int_column(p.terms), self.inverse_column)
+        return make_w(SuperPolynomial(self.sig_x, column_terms(column)), 2)
 
     # -- Hermite functions -------------------------------------------------
 

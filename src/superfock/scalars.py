@@ -285,6 +285,18 @@ def column_combination(terms) -> tuple[int, dict]:
     return d, out
 
 
+def column_image(column: tuple[int, dict], image) -> tuple[int, dict]:
+    """The linear map taking each key to the integer column image(key),
+    applied to an integer column; entries that cancel are dropped."""
+    d, nums = column
+    terms = []
+    for key, (a, b) in nums.items():
+        e, out = image(key)
+        terms.append((a, b, d * e, out))
+    d, out = column_combination(terms)
+    return d, {key: (a, b) for key, (a, b) in out.items() if a or b}
+
+
 ZERO = QQi(0)
 ONE = QQi(1)
 I = QQi(0, 1)

@@ -8,18 +8,20 @@ failure, and never raise: unexpected exceptions are reported as failures.
 Action columns on monomials come from one memo, ``action_columns``, which
 fills the columns of every basis element on one monomial at once through an
 action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They and
-the pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized per
-``Context`` (``pi_column``, ``rho_column``) or per check (pi_C, D, columns of
-``algebra`` operators).  Columns are integer columns (``scalars.int_column``):
-Gaussian-integer numerator pairs over one positive denominator.  One
-commutator loop over columns (``linalg.commutator_failure``) checks the sl2
-triple, the Bessel operator identities and the representations D, pi and
-rho; one contraction of a pairing table against columns
-(``linalg.skew_failure``) checks the adjointness of pi, rho, L_ij.  Both
-intertwining checks sum the pi and rho columns against the integer columns
-of the forward and reduced inverse images (``SBTransform.sb_column``,
-``SBTransform.inverse_column``) in one ``column_combination`` per basis
-element and monomial (``_column_difference``).
+the pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized
+per ``Context`` (``pi_column``, ``rho_column``) or per check (pi_C, D,
+columns of ``algebra`` operators); the Bessel-Fischer table is one integer
+column, rebuilt only for a larger degree.  Columns are integer columns
+(``scalars.int_column``): Gaussian-integer numerator pairs over one positive
+denominator.  One commutator loop over columns
+(``linalg.commutator_failure``) checks the sl2 triple, the Bessel operator
+identities and the representations D, pi and rho; one contraction of a
+pairing table against columns (``linalg.skew_failure``) checks the
+adjointness of pi, rho, L_ij.  Both intertwining checks sum the pi and rho
+columns against the integer columns of the forward and reduced inverse
+images (``SBTransform.sb_column``, ``SBTransform.inverse_column``) in one
+``column_combination`` per basis element and monomial
+(``_column_difference``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .algebra import (R2, Signature, SuperPolynomial, angular_L, apply_op,
                       random_polynomial, table_columns)
 from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
                      slot_bessel_mod, slot_euler, slot_laplacian)
-from .fock import (bessel_image, bessel_matrix, bf_covectors, bf_product,
+from .fock import (bessel_image, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
                    rho_op, rho_raising, rho_table)
@@ -120,7 +122,7 @@ class Context:
         self.rng = random.Random(cfg.seed)
         tkk = self.tkk = tkk_for(sig)
         self._sb = None
-        self._bf_tables: dict[int, tuple] = {}
+        self._bf_table: tuple[int, tuple] | None = None
         # Memos that hold no reference to the Context: the integer columns of
         # the actions of basis element a on x^key exp(-2 x_0) (Schrodinger) and
         # on z^key (Fock), and the W-form of the rate-2 monomial vectors x^p
@@ -130,19 +132,20 @@ class Context:
         self.w_pair = cache(lambda p, q: w_form(
             *(WElement(2, SuperPolynomial.monomial(sig, k)) for k in (p, q))))
 
-    def bf_table(self, max_degree: int):
-        """All pairings of monomials of degree <= max_degree, as a sparse dict."""
-        cached = self._bf_tables.get(max_degree)
-        if cached is not None:
-            return cached
-        keys = monomials_up_to(self.sig_z, max_degree)
-        table = {}
-        for d in range(max_degree + 1):
-            for ka, vec in bf_covectors(self.sig_z, d).items():
-                for kb, v in sorted(vec.items()):
-                    table[(ka, kb)] = v
-        self._bf_tables[max_degree] = (keys, table)
-        return keys, table
+    def bf_table(self, max_degree: int) -> tuple[int, dict]:
+        """The nonzero pairings {(a, b): <z^a, z^b>} of the monomials of degree
+        <= max_degree, as the integer column that ``linalg.skew_failure`` reads.
+
+        One table is kept, rebuilt when a larger degree is asked for.  Its
+        entries above max_degree pair no monomial of degree <= max_degree, as
+        pairings across degrees vanish, so a contraction over such monomials
+        skips them."""
+        if self._bf_table is None or self._bf_table[0] < max_degree:
+            self._bf_table = max_degree, int_column({
+                (ka, kb): v for d in range(max_degree + 1)
+                for ka, vec in bf_covectors(self.sig_z, d).items()
+                for kb, v in sorted(vec.items())})
+        return self._bf_table[1]
 
     @property
     def sb(self) -> SBTransform:
@@ -487,7 +490,9 @@ def check_generalized(ctx: Context):
     """GSH_k = ker(Delta R^2 Delta) against H_k = ker(Delta) on P_k.  By
     [Delta, R^2] = 4E + 2M, Delta R^(2j) h = 2j(2l + 2j - 2 + M) R^(2j-2) h for
     h in H_l, so GSH_k is larger than H_k only for M in -2N and
-    2 - M/2 <= k <= 2 - M.  The check takes k = 2 - M/2 there, else k = 3."""
+    2 - M/2 <= k <= 2 - M.  The check takes k = 2 - M/2 there, else k = 3.
+    H_k lies in GSH_k exactly when adding the harmonic basis to the (linearly
+    independent) GSH basis leaves the rank at dim GSH_k."""
     sig = ctx.sig
     M = sig.M
     exceptional = in_minus_2n(M)
@@ -495,11 +500,9 @@ def check_generalized(ctx: Context):
     gsh = generalized_basis(k, sig)
     hb = harmonic_basis(k, sig)
     dom = {key: r for r, key in enumerate(monomial_keys(sig, k))}
-    cols = [{dom[kk]: c for kk, c in g.terms.items()} for g in gsh]
-    for h in hb:
-        target = {dom[kk]: c for kk, c in h.terms.items()}
-        if linalg.solve_columns(cols, target) is None:
-            return False, "harmonics not contained in generalized harmonics"
+    rows = [{dom[kk]: c for kk, c in v.terms.items()} for v in gsh + hb]
+    if linalg.rank(rows, len(dom)) != len(gsh):
+        return False, "harmonics not contained in generalized harmonics"
     if exceptional:
         if len(gsh) <= len(hb):
             return False, "exceptional case: generalized space not strictly larger"
@@ -839,7 +842,7 @@ def suite_schrodinger(ctx: Context):
 def check_normalization(ctx: Context):
     sig = ctx.sig
     one = SuperPolynomial.one(sig)
-    if integrate_w((one, 4)) != QQi(1):
+    if integrate_w(one, 4) != QQi(1):
         return False, "normalized integral of the squared lowest vector is not 1"
     engine = gamma_engine(sig)
     closed = gamma_closed_form(sig.m, sig.n)
@@ -860,9 +863,9 @@ def check_normalization(ctx: Context):
 def check_integral_well_defined(ctx: Context, samples: int = 20):
     sig = ctx.sig
     for q in ctx.sample_polys(3, samples):
-        a = integrate_w((q, 4))
+        a = integrate_w(q, 4)
         for p in ctx.sample_polys(3, 2):
-            if integrate_w((q + R2(sig) * p, 4)) != a:
+            if integrate_w(q + R2(sig) * p, 4) != a:
                 return False, f"value moved under R^2 shift of {q}"
     return True, ""
 
@@ -872,7 +875,7 @@ def check_euler_vanishing(ctx: Context, samples: int = 20):
     M = sig.M
     rate = Fraction(4)
     for q in ctx.sample_polys(3, samples):
-        if integrate_w((euler(q, rate) + q.scale(M - 2), rate)) != QQi(0):
+        if integrate_w(euler(q, rate) + q.scale(M - 2), rate) != QQi(0):
             return False, f"(E + M - 2) integral fails on {q}"
     return True, ""
 
@@ -980,17 +983,17 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
         zmn = SuperPolynomial.variable(sig, sig.m + sig.n)
         if bf_product(zm, zmn) != QQi(2 - M) or bf_product(zmn, zm) != QQi(M - 2):
             return False, "odd-block values"
-    keys, table = ctx.bf_table(max_degree)
-    deg = {k: sum(k[0]) + len(k[1]) for k in keys}
-    par = {k: len(k[1]) & 1 for k in keys}
-    # orthogonality and superhermitianity from the table
-    for (ka, kb), v in table.items():
-        if deg[ka] != deg[kb]:
-            return False, f"orthogonality fails at ({ka},{kb})"
-        s = -1 if (par[ka] and par[kb]) else 1
-        w = table.get((kb, ka), QQi(0))
-        if v != QQi(s) * w.conjugate():
-            return False, f"superhermitianity fails at ({ka},{kb})"
+    covs = [bf_covectors(sig, k) for k in range(max_degree + 1)]
+    # orthogonality and superhermitianity from the covectors
+    for k, cov in enumerate(covs):
+        for ka, vec in cov.items():
+            for kb, v in sorted(vec.items()):
+                if sum(kb[0]) + len(kb[1]) != k:
+                    return False, f"orthogonality fails at ({ka},{kb})"
+                s = -1 if (len(ka[1]) & 1 and len(kb[1]) & 1) else 1
+                w = cov[kb].get(ka, QQi(0))
+                if v != QQi(s) * w.conjugate():
+                    return False, f"superhermitianity fails at ({ka},{kb})"
     # sesquilinearity on seeded combinations
     polys = ctx.sample_polys(2, 4, sig)
     for p in polys[:3]:
@@ -999,26 +1002,27 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
             lhs = bf_product(p.scale(a), q.scale(b))
             if lhs != a * b.conjugate() * bf_product(p, q):
                 return False, "sesquilinearity fails"
-    # shift identity from the table, with Bessel(z_i) z^b read from its matrix
-    for ka in keys:
-        if deg[ka] > max_degree - 1:
-            continue
-        pa = SuperPolynomial.monomial(sig, ka)
-        for i in range(sig.nvars):
-            zia = pa.mul_var(i)
-            if zia.is_zero():
-                continue
-            (zkey, zc), = zia.terms.items()
-            s = QQi(-1 if (sig.parity(i) and par[ka]) else 1)
-            for kb, (d, image) in bessel_matrix(sig, i, deg[ka] + 1).items():
-                g = table.get((zkey, kb))
-                terms = [QQi(a, b, d) * h for bkey, (a, b) in image.items()
-                         if (h := table.get((ka, bkey))) is not None]
-                if g is None and not terms:
-                    continue  # both sides vanish
-                lhs = zc * (ZERO if g is None else g)
-                if lhs != s * sum(terms, ZERO):
-                    return False, f"shift identity fails: i={i}, p={ka}, q={kb}"
+    # shift identity from the covectors, with Bessel(z_i) z^b read from its memo
+    for k in range(max_degree):
+        for ka in monomial_keys(sig, k):
+            pa = SuperPolynomial.monomial(sig, ka)
+            for i in range(sig.nvars):
+                zia = pa.mul_var(i)
+                if zia.is_zero():
+                    continue
+                (zkey, zc), = zia.terms.items()
+                s = QQi(-1 if (sig.parity(i) and len(ka[1]) & 1) else 1)
+                upper, lower = covs[k + 1][zkey], covs[k][ka]
+                for kb in monomial_keys(sig, k + 1):
+                    d, image = bessel_image(sig, i, kb)
+                    g = upper.get(kb)
+                    terms = [QQi(a, b, d) * h for bkey, (a, b) in image.items()
+                             if (h := lower.get(bkey)) is not None]
+                    if g is None and not terms:
+                        continue  # both sides vanish
+                    lhs = zc * (ZERO if g is None else g)
+                    if lhs != s * sum(terms, ZERO):
+                        return False, f"shift identity fails: i={i}, p={ka}, q={kb}"
     return True, f"table over all monomial pairs of degree <= {max_degree}"
 
 
@@ -1027,8 +1031,8 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
     contractions of the pairing table: the condition <L p, q> = sign <p, L q>
     for all monomials p, q is a pair of scatter sums over nonzero pairings."""
     sig = ctx.sig_z
-    keys, table = ctx.bf_table(max_degree)
-    table = int_column(table)
+    keys = monomials_up_to(sig, max_degree)
+    table = ctx.bf_table(max_degree)
     index_pairs = [(i, j) for i in range(sig.nvars) for j in range(i, sig.nvars)
                    if i != j or sig.parity(i)]
     for (i, j) in index_pairs:
@@ -1196,7 +1200,10 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
     (5,1)."""
     tkk = ctx.tkk
     keys = _nf_keys(ctx.sig_z, max_degree)
-    table = int_column(ctx.bf_table(max_degree + 1)[1])
+    # rho raises the degree by at most one, but pairings across degrees
+    # vanish, so <rho(X) p, q> for p, q of degree <= max_degree reads only
+    # pairs of that degree
+    table = ctx.bf_table(max_degree)
     for a in range(tkk.dim):
         pX = tkk.parity(a)
         bad = skew_failure(table, keys, lambda p: ctx.rho_column(a, p),

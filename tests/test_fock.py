@@ -8,7 +8,7 @@ from superfock.algebra import (R2, Signature, SuperPolynomial, bessel_modified,
                                monomial_keys, monomials_up_to, random_polynomial,
                                table_apply)
 from superfock.bipoly import LEFT, RIGHT, slot_bessel_mod, slot_constant
-from superfock.fock import (bessel_image, bessel_matrix, bf_covectors, bf_product,
+from superfock.fock import (bessel_image, bf_covectors, bf_product,
                             bf_product_shift_oracle, bf_word_apply, gram_json,
                             gram_nullspace, gram_rank, kernel,
                             kernel_coefficient, kernel_pair, kernel_sum,
@@ -215,29 +215,31 @@ def test_bf_covectors_agree_with_the_word_route(m, n):
 
 
 @pytest.mark.parametrize("m,n", [(4, 1), (2, 2), (5, 0)])
-def test_bessel_matrix_images_are_homogeneous(m, n):
+def test_bessel_images_are_homogeneous(m, n):
     sig = Signature(m, n, varset="z")
     for k in range(5):
         for i in range(sig.nvars):
-            mat = bessel_matrix(sig, i, k)
-            assert list(mat) == list(monomial_keys(sig, k))
-            for key, image in mat.items():
+            for key in monomial_keys(sig, k):
+                image = bessel_image(sig, i, key)
                 assert all(sum(ev) + len(odd) == k - 1 for ev, odd in image[1])
                 assert column_terms(image) == \
                     bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
 
 
-def test_bessel_matrix_refuses_an_image_of_the_wrong_degree(monkeypatch):
-    # bessel_matrix reads the images from the bessel_image memo, which earlier
-    # tests have filled; empty it so that the patched operator is called, and
-    # again so that its wrong images do not outlive the test
+def test_bessel_image_refuses_an_image_of_the_wrong_degree(monkeypatch):
+    # the uncached function calls the patched operator, which multiplies by
+    # z_0 where Bessel(z_0) lowers the degree
     monkeypatch.setattr(fock, "bessel_modified", lambda i, p: p.mul_var(i))
-    bessel_image.cache_clear()
-    try:
-        with pytest.raises(AssertionError):
-            bessel_matrix.__wrapped__(SIG, 0, 1)
-    finally:
-        bessel_image.cache_clear()
+    with pytest.raises(AssertionError, match="outside degree 0"):
+        bessel_image.__wrapped__(SIG, 0, ((1, 0, 0, 0), ()))
+
+
+def test_the_word_route_refuses_an_image_of_the_wrong_degree(monkeypatch, empty_caches):
+    # the memo is emptied first, so that the word route reaches the patched
+    # operator; a refused image is not cached
+    monkeypatch.setattr(fock, "bessel_modified", lambda i, p: p.mul_var(i))
+    with pytest.raises(AssertionError, match="outside degree 0"):
+        bf_word_apply(((1, 0, 0, 0), ()), zvar(0))
 
 
 @pytest.mark.parametrize("m,n", [(4, 1), (5, 1), (6, 0)])

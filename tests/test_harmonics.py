@@ -1,6 +1,6 @@
 import pytest
 
-from superfock import linalg
+from superfock import linalg, verify
 from superfock.algebra import (R2, Signature, SuperPolynomial, dim_P, euler,
                                laplacian, monomial_keys)
 from superfock.harmonics import (dim_harmonic, fischer_decompose,
@@ -92,6 +92,20 @@ def test_generalized_space_is_larger_on_the_window_of_exceptional_m(m, n):
     assert larger == list(range(2 - M // 2, 3 - M))
     ok, detail = check_generalized(Context(RunConfig(m=m, n=n, max_degree=1)))
     assert ok and f"GSH_{2 - M // 2}" in detail
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (4, 1), (3, 0)])
+def test_a_harmonic_vector_outside_the_generalized_space_fails_the_check(monkeypatch, m, n):
+    # M is not in -2N at these shapes, so the check compares at degree 3
+    sig = Signature(m, n)
+    ctx = Context(RunConfig(m=m, n=n, max_degree=1))
+    assert check_generalized(ctx)[0] is True
+    r2 = R2(sig)
+    monos = (SuperPolynomial.monomial(sig, key) for key in monomial_keys(sig, 3))
+    outside = next(v for v in monos if not laplacian(r2 * laplacian(v)).is_zero())
+    monkeypatch.setattr(verify, "harmonic_basis",
+                        lambda k, sig: harmonic_basis(k, sig) + [outside])
+    assert check_generalized(ctx) == (False, "harmonics not contained in generalized harmonics")
 
 
 def test_generalized_low_degrees_are_everything():
