@@ -5,18 +5,24 @@ last 2n anticommuting ("odd").  A monomial is a pair (even exponent tuple,
 strictly increasing tuple of odd indices); every sign is produced by counting
 transpositions needed to reach that canonical order.  Coefficients are exact
 Gaussian rationals.
+
+The operators (derivations, Euler, Laplace, angular and Bessel operators,
+multiplications) are one calculus: each ``_OPS`` entry is a closed form on a
+monomial (``op_image``), read as an integer column by ``op_column``, and
+``apply_op`` is its linear extension, the one polynomial applier.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
 from . import linalg
-from .scalars import I, QQi, _acc, column_combination, int_column
+from .scalars import I, ONE, QQi, _acc, column_combination, int_column
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -269,61 +275,16 @@ class SuperPolynomial:
         return p
 
     def mul_var(self, i: int) -> "SuperPolynomial":
-        """Left multiplication by variable i."""
-        sig = self.sig
-        out: dict[MonKey, QQi] = {}
-        if i < sig.m:
-            for (ev, odd), c in self.terms.items():
-                ev2 = ev[:i] + (ev[i] + 1,) + ev[i + 1:]
-                out[(ev2, odd)] = c
-        else:
-            for (ev, odd), c in self.terms.items():
-                if i in odd:
-                    continue
-                pos = sum(1 for o in odd if o < i)
-                odd2 = tuple(sorted(odd + (i,)))
-                out[(ev, odd2)] = -c if pos & 1 else c
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = sig, out
-        return p
-
-    # -- derivations -----------------------------------------------------
-
-    def d_upper(self, i: int, rate=0) -> "SuperPolynomial":
-        """The derivation with d_upper(x_j) = delta_ij, acting from the left.
-
-        A nonzero rate c conjugates by exp(-c x_0): the index-0 derivation
-        becomes d_upper(0) - c."""
-        if rate and i == 0:
-            return self.d_upper(0) - self.scale(rate)
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = self.sig, self._derive_into({}, ((i, 1),))
-        return p
-
-    def d_lower(self, j: int, rate=0) -> "SuperPolynomial":
-        """Metric-lowered derivation: sum_i d_upper(i, rate) * beta[j][i]."""
-        if rate and self.sig.beta[j][0]:
-            return self.d_lower(j) - self.scale(QQi.coerce(rate) * self.sig.beta[j][0])
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = self.sig, self._derive_into({}, self.sig.beta_rows[j])
-        return p
-
-    def _derive_into(self, out: dict, row) -> dict:
-        """Add sum_i b * d_upper(i) of self into the term map out, for (i, b) in row."""
+        """Left multiplication by variable i (``mul_key`` on each term)."""
         m = self.sig.m
-        for i, b in row:
-            if i < m:
-                for (ev, odd), c in self.terms.items():
-                    e = ev[i]
-                    if e:
-                        _acc(out, (ev[:i] + (e - 1,) + ev[i + 1:], odd), c * (b * e))
-            else:
-                for (ev, odd), c in self.terms.items():
-                    if i not in odd:
-                        continue
-                    pos = odd.index(i)
-                    _acc(out, (ev, odd[:pos] + odd[pos + 1:]), c * (-b if pos & 1 else b))
-        return out
+        out: dict[MonKey, QQi] = {}
+        for key, c in self.terms.items():
+            t = mul_key(m, i, key)
+            if t:
+                out[t[1]] = c if t[0] > 0 else -c
+        p = SuperPolynomial.__new__(SuperPolynomial)
+        p.sig, p.terms = self.sig, out
+        return p
 
     # -- comparison / rendering ------------------------------------------
 
@@ -352,6 +313,19 @@ class SuperPolynomial:
 
     def __repr__(self) -> str:
         return f"SuperPolynomial({self})"
+
+
+def add_term_product(out: dict, poly: SuperPolynomial, key: MonKey, c) -> dict:
+    """Add poly * (c x^key) into the term map out, and return it."""
+    ev, odd = key
+    for (pev, podd), pc in poly.terms.items():
+        merged = merge_odd(podd, odd)
+        if merged is None:
+            continue
+        sign, merged_odd = merged
+        v = pc * c
+        _acc(out, (tuple(x + y for x, y in zip(pev, ev)), merged_odd), -v if sign < 0 else v)
+    return out
 
 
 # -- distinguished elements ------------------------------------------------
@@ -392,88 +366,153 @@ def theta2(sig: Signature) -> SuperPolynomial:
     return SuperPolynomial(sig, {k: c for k, c in R2(sig).terms.items() if k[1]})
 
 
-# -- operators ---------------------------------------------------------------
+# -- the operator calculus ----------------------------------------------------
 #
-# Each operator takes a rate c, default 0.  A nonzero rate gives the operator
-# conjugated by exp(-c x_0), i.e. its action on q through q exp(-c x_0); it is
-# the plain operator plus closed-form correction terms at index 0.
+# Each ``_OPS`` entry maps (sig, key, c, *args) to the image {key: QQi} of
+# x^key at the rate c (a ``QQi``): the operator conjugated by exp(-c x_0),
+# which adds correction terms at index 0.
 
 
-def euler(p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """Euler operator; multiplies each homogeneous term by its degree."""
-    out = {}
-    for key, c in p.terms.items():
-        k = sum(key[0]) + len(key[1])
-        if k:
-            out[key] = c * k
-    out = SuperPolynomial(p.sig, out)
-    if rate:
-        out = out - p.mul_var(0).scale(rate)
+def derive_key(m: int, i: int, key: MonKey):
+    """d_upper(i) x^key, acting from the left, as (coefficient, key), or None."""
+    ev, odd = key
+    if i < m:
+        e = ev[i]
+        return (e, (ev[:i] + (e - 1,) + ev[i + 1:], odd)) if e else None
+    if i not in odd:
+        return None
+    pos = odd.index(i)
+    return (-1 if pos & 1 else 1), (ev, odd[:pos] + odd[pos + 1:])
+
+
+def mul_key(m: int, i: int, key: MonKey):
+    """x_i x^key, multiplied from the left, as (sign, key), or None."""
+    ev, odd = key
+    if i < m:
+        return 1, (ev[:i] + (ev[i] + 1,) + ev[i + 1:], odd)
+    if i in odd:
+        return None
+    pos = bisect(odd, i)
+    return (-1 if pos & 1 else 1), (ev, odd[:pos] + (i,) + odd[pos:])
+
+
+def _derive(sig, key, c, row):
+    """sum b d_upper(i, c) over (i, b) in row; d_upper(0, c) = d_upper(0) - c."""
+    out: dict = {}
+    for i, b in row:
+        t = derive_key(sig.m, i, key)
+        if t:
+            _acc(out, t[1], b * t[0])
+        if c and i == 0:
+            _acc(out, key, -c * b)
     return out
 
 
-def laplacian(p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """Metric Laplacian sum_i d_lower(i) d_upper(i)."""
-    sig = p.sig
-    out: dict[MonKey, QQi] = {}
-    for i in range(sig.nvars):
-        p.d_upper(i)._derive_into(out, sig.beta_rows[i])
-    if rate:
-        c = QQi.coerce(rate)
-        # - 2c d_lower(0) p + c^2 beta[0][0] p, into the same term map
-        p._derive_into(out, [(i, b * -(c + c)) for i, b in sig.beta_rows[0]])
-        cc = c * c * sig.beta[0][0]
-        if not cc.is_zero():
-            for key, v in p.terms.items():
-                _acc(out, key, v * cc)
+def _euler(sig, key, c):
+    k = sum(key[0]) + len(key[1])
+    out = {key: QQi.coerce(k)} if k else {}
+    if c:
+        _acc(out, mul_key(sig.m, 0, key)[1], -c)
+    return out
+
+
+def laplacian_key(sig: Signature, key: MonKey, indices) -> dict:
+    """sum_i d_lower(i) d_upper(i) x^key over indices (all: the Laplacian)."""
+    out: dict = {}
+    for i in indices:
+        t = derive_key(sig.m, i, key)
+        if t:
+            for k1, v in _derive(sig, t[1], 0, sig.beta_rows[i]).items():
+                _acc(out, k1, t[0] * v)
+    return out
+
+
+def _laplacian(sig, key, c):
+    out = laplacian_key(sig, key, range(sig.nvars))
+    if c:  # - 2c d_lower(0) + c^2 beta[0][0]
+        for k1, v in _derive(sig, key, 0, sig.beta_rows[0]).items():
+            _acc(out, k1, -2 * c * v)
+        _acc(out, key, c * c * sig.beta[0][0])
+    return out
+
+
+def _angular(sig, key, c, i, j):
+    """L_ij = x_i d_lower(j) - (-1)^{|i||j|} x_j d_lower(i)."""
+    m = sig.m
+    if i == j and i < m:
+        raise ValueError("L_ii is only defined for odd indices")
+    out: dict = {}
+    for a, b, f in ((i, j, 1), (j, i, 1 if (i >= m and j >= m) else -1)):
+        for k1, v in _derive(sig, key, c, sig.beta_rows[b]).items():
+            t = mul_key(m, a, k1)
+            if t:
+                _acc(out, t[1], f * t[0] * v)
+    return out
+
+
+def _bessel(sig, key, c, lam, k):
+    """((-lambda + 2E) d_lower(k) - x_k Delta), every factor at rate c."""
+    m = sig.m
+    out: dict = {}
+    for k1, v in _derive(sig, key, c, sig.beta_rows[k]).items():
+        _acc(out, k1, (2 * (sum(k1[0]) + len(k1[1])) - lam) * v)
+        if c:
+            _acc(out, mul_key(m, 0, k1)[1], -2 * c * v)
+    for k1, v in _laplacian(sig, key, c).items():
+        t = mul_key(m, k, k1)
+        if t:
+            _acc(out, t[1], -t[0] * v)
+    return out
+
+
+def _bessel_mod(sig, key, c, k):
+    """The tangential parameter lambda = 2 - M, with the sign flipped at k = 0."""
+    out = _bessel(sig, key, c, 2 - sig.M, k)
+    return {k1: -v for k1, v in out.items()} if k == 0 else out
+
+
+def _mul(sig, key, c, i):
+    t = mul_key(sig.m, i, key)
+    return {t[1]: QQi.coerce(t[0])} if t else {}
+
+
+# The operators by descriptor (name, *args).
+_OPS = {
+    "d_upper": lambda sig, key, c, i: _derive(sig, key, c, ((i, ONE),)),
+    "d_lower": lambda sig, key, c, j: _derive(sig, key, c, sig.beta_rows[j]),
+    "E": _euler,
+    "Delta": _laplacian,
+    "L": _angular,
+    "bessel": _bessel,
+    "bessel_mod": _bessel_mod,
+    "mul": _mul,
+    "R2": lambda sig, key, c: add_term_product({}, R2(sig), key, ONE),
+    "one": lambda sig, key, c: {key: ONE},
+}
+
+
+def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
+    """The ``_OPS`` operator of a descriptor, e.g. ("L", 0, 1), on p at rate,
+    as the linear extension of its closed form into one term map."""
+    image, args = _OPS[descriptor[0]], descriptor[1:]
+    sig, c = p.sig, QQi.coerce(rate)
+    out: dict = {}
+    for key, x in p.terms.items():
+        for k, v in image(sig, key, c, *args).items():
+            _acc(out, k, x * v)
     q = SuperPolynomial.__new__(SuperPolynomial)
     q.sig, q.terms = sig, out
     return q
 
 
-def angular_L(i: int, j: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """L_ij = x_i d_lower(j) - (-1)^{|i||j|} x_j d_lower(i)."""
-    sig = p.sig
-    if i == j and sig.parity(i) == 0:
-        raise ValueError("L_ii is only defined for odd indices")
-    left = p.d_lower(j, rate).mul_var(i)
-    right = p.d_lower(i, rate).mul_var(j)
-    if sig.parity(i) and sig.parity(j):
-        return left + right
-    return left - right
+def op_image(sig: Signature, descriptor: tuple, key: MonKey, rate=0) -> dict:
+    """The ``_OPS`` image {key: QQi} of x^key at rate."""
+    return _OPS[descriptor[0]](sig, key, QQi.coerce(rate), *descriptor[1:])
 
 
-def bessel(lam, k: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """Bessel operator ((-lambda + 2E) d_lower(k) - x_k Delta) p."""
-    lam = QQi.coerce(lam)
-    t = p.d_lower(k, rate)
-    return t.scale(-lam) + euler(t, rate).scale(2) - laplacian(p, rate).mul_var(k)
-
-
-def bessel_modified(k: int, p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """Tangential-parameter Bessel operator with the sign flipped at index 0."""
-    res = bessel(QQi(2 - p.sig.M), k, p, rate)
-    return -res if k == 0 else res
-
-
-# The operators by descriptor (name, *args), each acting on p at rate c.
-_OPS = {
-    "d_upper": lambda p, c, i: p.d_upper(i, c),
-    "d_lower": lambda p, c, i: p.d_lower(i, c),
-    "E": lambda p, c: euler(p, c),
-    "Delta": lambda p, c: laplacian(p, c),
-    "L": lambda p, c, i, j: angular_L(i, j, p, c),
-    "bessel": lambda p, c, lam, k: bessel(lam, k, p, c),
-    "bessel_mod": lambda p, c, k: bessel_modified(k, p, c),
-    "mul": lambda p, c, i: p.mul_var(i),
-    "R2": lambda p, c: R2(p.sig) * p,
-    "one": lambda p, c: p,
-}
-
-
-def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """The ``_OPS`` operator of a descriptor, e.g. ("L", 0, 1), on p at rate."""
-    return _OPS[descriptor[0]](p, rate, *descriptor[1:])
+def op_column(sig: Signature, descriptor: tuple, key: MonKey, rate=0) -> tuple[int, dict]:
+    """``op_image`` as an integer column (``scalars.int_column``)."""
+    return int_column(op_image(sig, descriptor, key, rate))
 
 
 def _check_shape(table, tkk, sig: Signature) -> None:

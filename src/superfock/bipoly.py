@@ -6,19 +6,20 @@ right even, left odd, right odd, and its metric is block diagonal.  Even
 variables commute past everything, so the canonical order of a joined
 monomial is the left monomial followed by the right one, and the sign of an
 odd right-slot variable crossing the odd left variables is the position sign
-that ``SuperPolynomial`` already counts.  Products and the derivations and
-multiplications of either slot are therefore the ``SuperPolynomial`` ones at
-the slot's joined indices (``BiSignature.slots``).  Only the slot Bessel operator, the
-reduction of one slot modulo its R^2, and the slot degree bookkeeping need
-the split.
+that ``SuperPolynomial`` already counts.  Products are therefore the ring
+product, and the derivations, multiplications and Laplacian of either slot
+are the closed forms of ``algebra`` at the slot's joined indices
+(``BiSignature.slots``).  Only the slot Bessel operator, the reduction of one
+slot modulo its R^2, and the slot degree bookkeeping need the split.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import MonKey, Signature, SuperPolynomial
-from .quotient import _r2_power, add_term_product
+from .algebra import (MonKey, Signature, SuperPolynomial, add_term_product, apply_op,
+                      laplacian_key)
+from .quotient import _r2_power
 from .scalars import QQi, _acc
 
 LEFT, RIGHT = 0, 1
@@ -116,18 +117,20 @@ def slot_euler(p: SuperPolynomial, slot: int) -> SuperPolynomial:
 
 def slot_laplacian(p: SuperPolynomial, slot: int) -> SuperPolynomial:
     """The metric Laplacian of one slot, sum_b d_lower(b) d_upper(b) over its variables."""
-    rows = p.sig.beta_rows
+    sig = p.sig
     out: dict = {}
-    for b in p.sig.slots[slot]:
-        p.d_upper(b)._derive_into(out, rows[b])
+    for key, c in p.terms.items():
+        for k, v in laplacian_key(sig, key, sig.slots[slot]).items():
+            _acc(out, k, c * v)
     q = SuperPolynomial.__new__(SuperPolynomial)
-    q.sig, q.terms = p.sig, out
+    q.sig, q.terms = sig, out
     return q
 
 
 def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int,
                     laplacian: SuperPolynomial | None = None) -> SuperPolynomial:
-    """``algebra.bessel_modified(k)`` on one slot, with lambda = 2 - M of that slot.
+    """``bessel_mod`` (``algebra._OPS``) at index k of one slot, with lambda =
+    2 - M of that slot.
 
     ``laplacian`` is ``slot_laplacian(p, slot)``; a caller that applies the
     operator at several indices computes it once and passes it in."""
@@ -140,7 +143,7 @@ def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int,
     degree = bsig.slot_degree
     out: dict = {}
     # (2E - lambda) d_lower(a), E counting the slot degree
-    for key, c in p.d_lower(a).terms.items():
+    for key, c in apply_op(("d_lower", a), p).terms.items():
         f = sign * (2 * degree(key, slot) - lam)
         if f:
             out[key] = c * f

@@ -4,8 +4,8 @@ The Bessel-Fischer product substitutes the tangential Bessel operators for
 the variables of its first argument, applies the word to the coefficient
 conjugate of the second, and evaluates at zero.  Every Fock-side Bessel
 operator at rate 0 reads one memo, ``bessel_image``: the integer column
-(``scalars.int_column``) of ``algebra.bessel_modified(i)`` on one monomial,
-in a bounded ``lru_cache`` (``BESSEL_IMAGES`` entries, least recently used
+(``algebra.op_column``) of ``bessel_mod`` at index i on one monomial, in a
+bounded ``lru_cache`` (``BESSEL_IMAGES`` entries, least recently used
 dropped first); each image is asserted homogeneous of degree one less than
 its monomial.  Its readers are:
 
@@ -17,13 +17,12 @@ its monomial.  Its readers are:
   to q-bar in Gaussian-integer arithmetic;
 - ``rho_op``, the operators of the Fock action.
 
-The oracles stay on the formula: the degree-shift route
-(``bf_product_shift_oracle``), pi_C (``schrodinger.pi_table`` applied by
-``pi_op`` at rate 0), the Hermite route of ``sbtransform`` and the
-exponential identities of the ``sb`` suite call ``bessel_modified``
-directly, so ``fock/dual-route`` and ``fock/cayley-composition`` compare the
-memo with the formula; ``fock/dual-route`` also compares the two directly on
-every monomial of degree <= 2.
+The degree-shift route (``bf_product_shift_oracle``), pi_C (``pi_op`` at
+rate 0), the Hermite route of ``sbtransform`` and the exponential identities
+of the ``sb`` suite apply the operator through ``algebra.apply_op`` instead,
+so ``fock/dual-route`` and ``fock/cayley-composition`` compare the memo with
+the closed form's linear extension; ``fock/dual-route`` also compares it
+with a fresh ``op_column`` on every monomial of degree <= 2.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The Fock action rho(X) = pi_C(c(X)) is the action table
@@ -39,8 +38,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import linalg
-from .algebra import (MonKey, Signature, SuperPolynomial, apply_op,
-                      bessel_modified, monomial_keys, table_apply)
+from .algebra import (MonKey, Signature, SuperPolynomial, apply_op, derive_key,
+                      monomial_keys, op_column, table_apply)
 from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys, reduce_poly
@@ -65,11 +64,12 @@ BESSEL_IMAGES = 1 << 14
 
 @lru_cache(maxsize=BESSEL_IMAGES)
 def bessel_image(sig: Signature, i: int, key: MonKey) -> tuple[int, dict]:
-    """Integer column of ``bessel_modified(i)`` on the monomial z^key, at rate 0.
+    """Integer column of the Bessel operator ``bessel_mod`` at index i on the
+    monomial z^key, at rate 0 (``algebra.op_column``).
 
     The image must be homogeneous of degree deg(key) - 1; orthogonality of the
     product across degrees rests on that, so it is asserted here."""
-    image = int_column(bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms)
+    image = op_column(sig, ("bessel_mod", i), key)
     k = sum(key[0]) + len(key[1])
     for ikey in image[1]:
         if sum(ikey[0]) + len(ikey[1]) != k - 1:
@@ -132,8 +132,7 @@ def bf_covectors(sig: Signature, k: int) -> dict[MonKey, dict[MonKey, QQi]]:
                 d, image = bessel_image(sig, i, bkey)
                 for ckey, (a, b) in image.items():
                     col.setdefault(ckey, {})[bkey] = QQi(a, b, d)
-        ev, odd = key
-        rest = (ev[:i] + (ev[i] - 1,) + ev[i + 1:], odd) if i < sig.m else (ev, odd[:-1])
+        rest = derive_key(sig.m, i, key)[1]
         vec: dict[MonKey, QQi] = {}
         for ckey, v in prev[rest].items():
             for bkey, c in col.get(ckey, {}).items():
@@ -153,13 +152,9 @@ def bf_product_shift_oracle(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
         if not idxs:
             return qb.constant_term()
         i = idxs[0]
-        ev, odd = key
-        if i < p.sig.m:
-            rest = (ev[:i] + (ev[i] - 1,) + ev[i + 1:], odd)
-        else:
-            rest = (ev, odd[1:])
+        rest = derive_key(p.sig.m, i, key)[1]
         rest_parity = (len(rest[1]) & 1) and p.sig.parity(i)
-        val = pair_mono(rest, bessel_modified(i, qb))
+        val = pair_mono(rest, apply_op(("bessel_mod", i), qb))
         return -val if rest_parity else val
 
     qbar = q.conjugate()
@@ -260,7 +255,7 @@ def gram_json(k: int, sig: Signature) -> str:
 
 def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     """The Fock action of basis element a as [(descriptor, coefficient)] over
-    the operators of ``algebra._OPS``; B_l is ``bessel_modified(l)``:
+    the operators of ``algebra._OPS``; B_l is ``bessel_mod`` at l:
 
     - inn_ij -> L_ij;
     - L_l -> (z_l - B_l)/2;

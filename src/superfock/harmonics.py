@@ -7,43 +7,49 @@ in closed form and cross-checked against each other.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import linalg
-from .algebra import (R2, Signature, SuperPolynomial, dim_P, in_minus_2n,
-                      laplacian, monomial_keys)
+from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
+                      in_minus_2n, monomial_keys, op_image)
 from .scalars import QQi
 
+_DELTA = ("Delta",)
 
-def _operator_rows(sig: Signature, k: int, op, out_degree: int):
-    """Rows of the matrix of ``op`` from P_k to P_{out_degree} on monomial bases."""
+
+def _operator_rows(sig: Signature, k: int, image):
+    """Rows of the matrix from P_k to P_(k-2), on monomial bases, of the map
+    taking x^key to the term map image(key)."""
     dom = monomial_keys(sig, k)
-    cod = {key: r for r, key in enumerate(monomial_keys(sig, out_degree))}
+    cod = {key: r for r, key in enumerate(monomial_keys(sig, k - 2))}
     rows: list[dict[int, QQi]] = [{} for _ in cod]
     for c, key in enumerate(dom):
-        image = op(SuperPolynomial.monomial(sig, key))
-        for ikey, coeff in image.terms.items():
+        for ikey, coeff in image(key).items():
             rows[cod[ikey]][c] = coeff
     return rows, dom
 
 
-def laplacian_rows(sig: Signature, k: int):
-    return _operator_rows(sig, k, laplacian, k - 2) if k >= 2 else ([], monomial_keys(sig, k))
+def _kernel_basis(sig: Signature, k: int, image) -> list[SuperPolynomial]:
+    """Echelon-normalized basis of the kernel inside P_k of a map that lowers
+    the degree by two (``_operator_rows``)."""
+    dom = monomial_keys(sig, k)
+    if k < 2:
+        return [SuperPolynomial.monomial(sig, key) for key in dom]
+    rows, dom = _operator_rows(sig, k, image)
+    vectors = linalg.nullspace(rows, len(dom))
+    return [SuperPolynomial(sig, {dom[c]: v for c, v in vec.items()}) for vec in vectors]
 
 
 def harmonic_basis(k: int, sig: Signature) -> list[SuperPolynomial]:
     """Echelon-normalized basis of ker(Delta) inside P_k."""
-    dom = monomial_keys(sig, k)
-    if k < 2:
-        return [SuperPolynomial.monomial(sig, key) for key in dom]
-    rows, dom = laplacian_rows(sig, k)
-    vectors = linalg.nullspace(rows, len(dom))
-    return [SuperPolynomial(sig, {dom[c]: v for c, v in vec.items()}) for vec in vectors]
+    return _kernel_basis(sig, k, partial(op_image, sig, _DELTA))
 
 
 def harmonic_dim_nullspace(k: int, sig: Signature) -> int:
     """dim ker(Delta|P_k) via exact rank, without materializing the basis."""
     if k < 2:
         return dim_P(sig.m, sig.n, k)
-    rows, dom = laplacian_rows(sig, k)
+    rows, dom = _operator_rows(sig, k, partial(op_image, sig, _DELTA))
     return len(dom) - linalg.rank(rows, len(dom))
 
 
@@ -110,10 +116,7 @@ def fischer_decompose(p: SuperPolynomial) -> list[tuple[int, SuperPolynomial]]:
 
 def generalized_basis(k: int, sig: Signature) -> list[SuperPolynomial]:
     """Exact nullspace of Delta R^2 Delta on P_k (generalized harmonics)."""
-    dom = monomial_keys(sig, k)
-    if k < 2:
-        return [SuperPolynomial.monomial(sig, key) for key in dom]
-    r2 = R2(sig)
-    rows, dom = _operator_rows(sig, k, lambda q: laplacian(r2 * laplacian(q)), k - 2)
-    vectors = linalg.nullspace(rows, len(dom))
-    return [SuperPolynomial(sig, {dom[c]: v for c, v in vec.items()}) for vec in vectors]
+    def image(key):
+        r2_delta = apply_op(("R2",), SuperPolynomial(sig, op_image(sig, _DELTA, key)))
+        return apply_op(_DELTA, r2_delta).terms
+    return _kernel_basis(sig, k, image)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Signature, SuperPolynomial, merge_odd, theta2
+from .algebra import Signature, SuperPolynomial, apply_op, merge_odd, theta2
 from .scalars import PiScalar, QQi, _acc, factorial_fraction, gamma_half, poch
 
 
@@ -49,7 +49,7 @@ def berezin(p: SuperPolynomial) -> SuperPolynomial:
     """Iterated odd derivative d^{m+2n-1} ... d^{m}, applied right to left."""
     out = p
     for i in range(p.sig.m, p.sig.nvars):
-        out = out.d_upper(i)
+        out = apply_op(("d_upper", i), out)
     return out
 
 

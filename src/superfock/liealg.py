@@ -21,8 +21,6 @@ from . import linalg
 from .algebra import Signature, SuperPolynomial, apply_op, table_apply
 from .scalars import HALF, I, ONE, QQi, _acc
 
-Vec = tuple[QQi, ...]
-
 
 class Jordan:
     """J = K e_0 + V with product (a e_0 + u)(b e_0 + v) = (ab + <u,v>) e_0 + a v + b u."""
@@ -56,19 +54,6 @@ class Jordan:
         b[j] = ONE
         return self.multiply(a, b)
 
-    def left_mult_matrix(self, l: int) -> list[list[QQi]]:
-        """Matrix of L_{e_l} in the basis (e_0, ..., e_{dim-1})."""
-        cols = [self.basis_product(l, k) for k in range(self.dim)]
-        return [[cols[k][r] for k in range(self.dim)] for r in range(self.dim)]
-
-
-def _graded_comm(a, b, pa: int, pb: int):
-    ab = linalg.mat_mul(a, b)
-    ba = linalg.mat_mul(b, a)
-    s = -1 if (pa and pb) else 1
-    n = len(a)
-    return [[ab[r][c] - ba[r][c] if s > 0 else ab[r][c] + ba[r][c] for c in range(n)]
-            for r in range(n)]
 
 
 class TKK:

@@ -122,21 +122,6 @@ def inv_dense(mat: list[list[QQi]]) -> list[list[QQi]]:
     return out
 
 
-def mat_mul(a: list[list[QQi]], b: list[list[QQi]]) -> list[list[QQi]]:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[QQi(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            v = ai[t]
-            if not v:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] = oi[j] + v * bt[j]
-    return out
 
 
 # -- contractions of integer columns -------------------------------------------

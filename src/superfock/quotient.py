@@ -11,9 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import (Signature, SuperPolynomial, dim_P, in_minus_2n, merge_odd,
-                      monomial_keys, r2_small)
-from .scalars import _acc
+from .algebra import (Signature, SuperPolynomial, add_term_product, dim_P,
+                      in_minus_2n, monomial_keys, r2_small)
 
 
 @lru_cache(maxsize=None)
@@ -21,18 +20,6 @@ def _r2_power(sig: Signature, k: int) -> SuperPolynomial:
     if k == 0:
         return SuperPolynomial.one(sig)
     return _r2_power(sig, k - 1) * r2_small(sig)
-
-
-def add_term_product(out: dict, poly: SuperPolynomial, key, c) -> None:
-    """Add poly * (c x^key) into the term map out, for an even poly."""
-    ev, odd = key
-    for (pev, podd), pc in poly.terms.items():
-        merged = merge_odd(podd, odd)
-        if merged is None:
-            continue
-        sign, merged_odd = merged
-        v = pc * c
-        _acc(out, (tuple(x + y for x, y in zip(pev, ev)), merged_odd), -v if sign < 0 else v)
 
 
 def reduce_poly(p: SuperPolynomial) -> SuperPolynomial:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import MonKey, Signature, SuperPolynomial, bessel_modified, merge_odd
+from .algebra import MonKey, Signature, SuperPolynomial, apply_op, merge_odd
 from .bipoly import RIGHT, bi_signature, embed, pairing_power
 from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import moment
@@ -213,7 +213,7 @@ class SBTransform:
         q = SuperPolynomial.one(self.sig_x)
         indices = _word_indices(alpha)
         for i in reversed(indices):
-            q = bessel_modified(i, q, 4).scale(QQi(1, 0, 2))
+            q = apply_op(("bessel_mod", i), q, 4).scale(QQi(1, 0, 2))
         direct = reduce_poly(q)
         degree = len(indices)
         two_z = SuperPolynomial.monomial(self.sig_z, alpha, QQi(2 ** degree))

@@ -3,12 +3,12 @@
 A ``WElement`` stores the exponential rate c > 0 and a reduced polynomial q,
 and stands for q(x) exp(-c|X|) restricted to x_0 > 0, where the radial
 superfunction |X| coincides with x_0 modulo <R^2>.  All operators act through
-the representative q exp(-c x_0): they are the ``algebra`` operators called
-with ``rate=c``, which conjugates them by exp(-c x_0), and results are reduced
-at the end.  The Schrodinger action is the action table ``pi_table`` with
-the operator map ``pi_op`` (``algebra._OPS``, then ``reduce_poly``), applied
-by ``algebra.table_apply``: at rate 2 on W, at rate 0 as pi_C on the Fock
-space, where ``bessel_modified`` acts by its formula, not through the memo.
+the representative q exp(-c x_0): they are the ``algebra._OPS`` operators
+applied by ``algebra.apply_op`` with ``rate=c``, which conjugates them by
+exp(-c x_0), and results are reduced at the end.  The Schrodinger action is
+the action table ``pi_table`` with the operator map ``pi_op`` (``apply_op``,
+then ``reduce_poly``), applied by ``algebra.table_apply``: at rate 2 on W, at
+rate 0 as pi_C on the Fock space.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def diffop_on_w(descriptor: tuple, f: WElement) -> WElement:
 def pi_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     """The Schrodinger action of basis element a as [(descriptor, coefficient)]
     over ``algebra._OPS``, applied by ``pi_op``: minus_l -> -2i x_l, plus_l ->
-    -i/2 bessel_modified(l), inn_ij -> L_ij, L_l -> L_l0 for l != 0 and L_0 ->
+    -i/2 bessel_mod(l), inn_ij -> L_ij, L_l -> L_l0 for l != 0 and L_0 ->
     (2 - M)/2 - E.  At rate 2 it acts on W, at rate 0 (pi_C) on the Fock space."""
     kind, *rest = tkk.basis[a]
     if kind == "inn":

@@ -35,10 +35,9 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import linalg
-from .algebra import (R2, Signature, SuperPolynomial, angular_L, apply_op,
-                      bessel, bessel_modified, dim_P, euler, in_minus_2n,
-                      laplacian, monomial_keys, monomials_up_to,
-                      random_polynomial, table_columns)
+from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
+                      in_minus_2n, monomial_keys, monomials_up_to, mul_key,
+                      op_column, random_polynomial, table_columns)
 from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
                      slot_bessel_mod, slot_euler, slot_laplacian)
 from .fock import (bessel_image, bf_covectors, bf_product,
@@ -53,7 +52,7 @@ from .linalg import commutator_failure, skew_failure
 from .liealg import TKK, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
-from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, column_combination,
+from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, _acc, column_combination,
                       column_terms, int_column)
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_op, pi_table,
@@ -216,12 +215,9 @@ def action_columns(table, op, tkk: TKK, sig: Signature, rate):
 
 def _operator_columns(sig: Signature):
     """column(op, key): the integer column of the ``algebra._OPS`` descriptor op
-    on x^key.  The memo goes with the function, so it is dropped with the check
-    using it."""
-    @cache
-    def column(op, key):
-        return int_column(apply_op(op, SuperPolynomial.monomial(sig, key)).terms)
-    return column
+    on x^key (``algebra.op_column``).  The memo goes with the function, so it
+    is dropped with the check using it."""
+    return cache(partial(op_column, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ def check_bessel_tangential(ctx: Context, max_degree: int = 4):
         for key in monomial_keys(sig, d):
             q = SuperPolynomial.monomial(sig, key)
             for k in range(sig.nvars):
-                if not ideal_member(bessel(lam, k, r2 * q)):
+                if not ideal_member(apply_op(("bessel", lam, k), r2 * q)):
                     return False, f"B_(2-M)(x_{k}) leaks on R^2*{q}"
     # a counterexample must exist one parameter off
     lam_bad = QQi(3 - sig.M)
@@ -258,7 +254,7 @@ def check_bessel_tangential(ctx: Context, max_degree: int = 4):
         for key in monomial_keys(sig, d):
             q = SuperPolynomial.monomial(sig, key)
             for k in range(sig.nvars):
-                if not ideal_member(bessel(lam_bad, k, r2 * q)):
+                if not ideal_member(apply_op(("bessel", lam_bad, k), r2 * q)):
                     return True, f"witness at lambda=3-M: k={k}, q={q}"
     return False, "no counterexample found at lambda = 3-M"
 
@@ -330,23 +326,24 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
 
 def check_angular_commutes(ctx: Context, max_degree: int = 4):
     """On polynomials, not in ``commutator_failure``: each L_ij column is used
-    about once.  At (7,1), max_degree 3, on a shared 2-vCPU host: 7.8 s and
-    18 MB peak RSS this way, 6.9 s and 127 MB with memoized columns (260k L_ij
-    columns), 9.5 s and 21 MB with a memo per (i, j), 13.9 s through the loop."""
+    about once.  At (7,1), max_degree 3, on a shared 2-vCPU host: 4.0-4.9 s
+    and 19 MB peak RSS this way, 2.7-3.4 s and 144 MB through the loop, whose
+    memo holds every L_ij, R^2, E and Delta column (``algebra.op_column``)."""
     sig = ctx.sig
-    r2 = R2(sig)
+    r2, E, D = R2(sig), ("E",), ("Delta",)
     pairs = [(i, j) for i in range(sig.nvars) for j in range(sig.nvars)
              if i != j or sig.parity(i)]
     for d in range(max_degree + 1):
         for key in monomial_keys(sig, d):
             p = SuperPolynomial.monomial(sig, key)
             for (i, j) in pairs:
-                lp = angular_L(i, j, p)
-                if angular_L(i, j, r2 * p) != r2 * lp:
+                L = ("L", i, j)
+                lp = apply_op(L, p)
+                if apply_op(L, r2 * p) != r2 * lp:
                     return False, f"[L_{i}{j}, R^2] fails on {p}"
-                if angular_L(i, j, euler(p)) != euler(lp):
+                if apply_op(L, apply_op(E, p)) != apply_op(E, lp):
                     return False, f"[L_{i}{j}, E] fails on {p}"
-                if angular_L(i, j, laplacian(p)) != laplacian(lp):
+                if apply_op(L, apply_op(D, p)) != apply_op(D, lp):
                     return False, f"[L_{i}{j}, Delta] fails on {p}"
     return True, ""
 
@@ -458,9 +455,9 @@ def check_harmonic_basis_sizes(ctx: Context, max_degree: int = 4):
         if len(basis) != dim_harmonic(k, sig):
             return False, f"k={k}: basis {len(basis)} != formula {dim_harmonic(k, sig)}"
         for h in basis:
-            if not laplacian(h).is_zero():
+            if not apply_op(("Delta",), h).is_zero():
                 return False, f"non-harmonic basis vector at k={k}"
-            if euler(h) != h.scale(k):
+            if apply_op(("E",), h) != h.scale(k):
                 return False, f"non-homogeneous basis vector at k={k}"
     return True, ""
 
@@ -481,7 +478,7 @@ def check_fischer(ctx: Context, max_degree: int = 4):
         for d, comp in p.homogeneous_components().items():
             parts = fischer_decompose(comp)  # raises if reconstruction fails
             for _, h in parts:
-                if not laplacian(h).is_zero():
+                if not apply_op(("Delta",), h).is_zero():
                     return False, f"non-harmonic component at degree {d}"
     return True, ""
 
@@ -535,52 +532,49 @@ def check_jordan(ctx: Context, triples: int = 80):
     J = tkk.jordan
     sig = ctx.sig
     nv = sig.nvars
-    e0 = [ONE] + [QQi(0)] * (nv - 1)
-    if J.multiply(e0, e0) != e0:
+    # the basis products, from ``Jordan.multiply``, as sparse vectors
+    table = [[{r: v for r, v in enumerate(J.basis_product(i, j)) if v} for j in range(nv)]
+             for i in range(nv)]
+    if table[0][0] != {0: ONE}:
         return False, "unit is not idempotent"
     for i in range(nv):
-        a = [QQi(0)] * nv
-        a[i] = ONE
-        if J.multiply(e0, a) != a or J.multiply(a, e0) != a:
+        if table[0][i] != {i: ONE} or table[i][0] != {i: ONE}:
             return False, f"unit fails on e_{i}"
     for i in range(nv):
         for j in range(nv):
-            ei = J.basis_product(i, j)
-            ej = J.basis_product(j, i)
-            s = QQi(-1 if (sig.parity(i) and sig.parity(j)) else 1)
-            if ei != [v * s for v in ej]:
+            s = -1 if (sig.parity(i) and sig.parity(j)) else 1
+            if table[i][j] != {r: v * s for r, v in table[j][i].items()}:
                 return False, f"supercommutativity fails at ({i},{j})"
-    # Jordan identity on sampled basis triples, as a matrix identity
-    from .liealg import _graded_comm
 
-    def lmat(vec):
-        out = [[QQi(0)] * nv for _ in range(nv)]
-        for l, v in enumerate(vec):
-            if v:
-                m = J.left_mult_matrix(l)
-                for r in range(nv):
-                    for c in range(nv):
-                        if m[r][c]:
-                            out[r][c] = out[r][c] + v * m[r][c]
+    def mul(x, y):
+        out = {}
+        for i, u in x.items():
+            for j, w in y.items():
+                for r, v in table[i][j].items():
+                    _acc(out, r, u * w * v)
         return out
 
+    # Jordan identity on sampled basis triples: the cyclic sum of the graded
+    # commutators [L_a, L_(bc)}, with L_v left multiplication by v, vanishes
+    # on every basis vector
     rng = ctx.rng
     for _ in range(triples):
         x, y, z = (rng.randrange(nv) for _ in range(3))
         px, py, pz = (sig.parity(t) for t in (x, y, z))
-        acc = [[QQi(0)] * nv for _ in range(nv)]
-        for (a, b, c, pa, pb, pc) in ((x, y, z, px, py, pz),
-                                      (y, z, x, py, pz, px),
-                                      (z, x, y, pz, px, py)):
-            comm = _graded_comm(J.left_mult_matrix(a), lmat(J.basis_product(b, c)),
-                                pa, (pb + pc) & 1)
-            sgn = QQi(-1 if (pa and pc) else 1)
-            for r in range(nv):
-                for cc in range(nv):
-                    if comm[r][cc]:
-                        acc[r][cc] = acc[r][cc] + sgn * comm[r][cc]
-        if any(any(v for v in row) for row in acc):
-            return False, f"Jordan identity fails on basis triple ({x},{y},{z})"
+        terms = [({a: ONE}, table[b][c], -1 if (pa and (pb + pc) & 1) else 1,
+                  -1 if (pa and pc) else 1)
+                 for (a, b, c, pa, pb, pc) in ((x, y, z, px, py, pz),
+                                               (y, z, x, py, pz, px),
+                                               (z, x, y, pz, px, py))]
+        for k in range(nv):
+            e, acc = {k: ONE}, {}
+            for ea, v, s, sgn in terms:
+                for r, u in mul(ea, mul(v, e)).items():
+                    _acc(acc, r, u * sgn)
+                for r, u in mul(v, mul(ea, e)).items():
+                    _acc(acc, r, u * (-s * sgn))
+            if acc:
+                return False, f"Jordan identity fails on basis triple ({x},{y},{z})"
     return True, ""
 
 
@@ -875,7 +869,7 @@ def check_euler_vanishing(ctx: Context, samples: int = 20):
     M = sig.M
     rate = Fraction(4)
     for q in ctx.sample_polys(3, samples):
-        if integrate_w(euler(q, rate) + q.scale(M - 2), rate) != QQi(0):
+        if integrate_w(apply_op(("E",), q, rate) + q.scale(M - 2), rate) != QQi(0):
             return False, f"(E + M - 2) integral fails on {q}"
     return True, ""
 
@@ -1005,12 +999,10 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
     # shift identity from the covectors, with Bessel(z_i) z^b read from its memo
     for k in range(max_degree):
         for ka in monomial_keys(sig, k):
-            pa = SuperPolynomial.monomial(sig, ka)
             for i in range(sig.nvars):
-                zia = pa.mul_var(i)
-                if zia.is_zero():
+                if not (zia := mul_key(sig.m, i, ka)):
                     continue
-                (zkey, zc), = zia.terms.items()
+                zc, zkey = zia
                 s = QQi(-1 if (sig.parity(i) and len(ka[1]) & 1) else 1)
                 upper, lower = covs[k + 1][zkey], covs[k][ka]
                 for kb in monomial_keys(sig, k + 1):
@@ -1039,17 +1031,15 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
         eps = (sig.parity(i) + sig.parity(j)) & 1
         # L_0j is self-adjoint up to the parity sign, every other L_ij skew
         flip = -1 if i == 0 else 1
-        bad = skew_failure(
-            table, keys,
-            lambda p: int_column(angular_L(i, j, SuperPolynomial.monomial(sig, p)).terms),
-            lambda p: -flip if (eps and len(p[1]) & 1) else flip)
+        bad = skew_failure(table, keys, partial(op_column, sig, ("L", i, j)),
+                           lambda p: -flip if (eps and len(p[1]) & 1) else flip)
         if bad:
             return False, f"adjointness fails at L({i},{j}) on {bad}"
     return True, f"all angular index pairs on monomials of degree <= {max_degree}"
 
 
 def check_bf_oracle(ctx: Context, max_degree: int = 3):
-    """The memo ``bessel_image`` against ``bessel_modified`` on every monomial
+    """The memo ``bessel_image`` against a fresh ``op_column`` on every monomial
     of degree <= 2 (what the covectors of degree <= 2 read); the word route
     against the shift-identity route on seeded polynomials, and against the
     covector table on every same-degree monomial pair of degree <= 2."""
@@ -1057,7 +1047,7 @@ def check_bf_oracle(ctx: Context, max_degree: int = 3):
     for key in monomials_up_to(sig, min(max_degree, 2)):
         mono = SuperPolynomial.monomial(sig, key)
         for i in range(sig.nvars):
-            if bessel_image(sig, i, key) != int_column(bessel_modified(i, mono).terms):
+            if bessel_image(sig, i, key) != op_column(sig, ("bessel_mod", i), key):
                 return False, f"memo image of Bessel({i}) on {mono} disagrees with the formula"
     polys = ctx.sample_polys(max_degree, 8, sig)
     for p in polys:
@@ -1138,8 +1128,8 @@ def check_gram(ctx: Context, max_degree: int = 3):
 def check_rho_composition(ctx: Context, max_degree: int = 3):
     """By linearity, rho(X_a) z^key = sum_b c(X_a)_b pi_C(X_b) z^key for every
     basis element a and monomial.  The pi_C columns, ``pi_table`` at rate 0,
-    apply ``bessel_modified`` by its formula and are memoized for this check
-    only; the rho columns read ``fock.bessel_image``."""
+    apply the Bessel operators through ``algebra.apply_op`` and are memoized
+    for this check only; the rho columns read ``fock.bessel_image``."""
     tkk = ctx.tkk
     sig = ctx.sig_z
     keys = _nf_keys(sig, max_degree)
@@ -1289,7 +1279,7 @@ def b0_identity_differences(sig: Signature, sig_z: Signature, max_degree: int):
     x, z = b0.sig.slots  # joined indices of the x and z variables
     for k in list(range(1, sig.nvars)) + [0]:
         yield (f"z-derivative (k={k})",
-               b0.d_lower(z[k]) - b1.mul_var(x[k]).scale(-2 if k == 0 else 2))
+               apply_op(("d_lower", z[k]), b0) - b1.mul_var(x[k]).scale(-2 if k == 0 else 2))
     yield ("Euler contraction",
            slot_euler(b0_cut, RIGHT) - pairing_power(sig, sig_z, 1) * series(1, max_degree - 1))
     # the eigenfunction identity holds modulo the R^2 ideal of the inert slot:
@@ -1322,7 +1312,7 @@ def check_exp_identities(ctx: Context, max_degree: int = 6):
     z0 = SuperPolynomial.variable(sigz, 0)
     for k in range(sigz.nvars):
         rhs = e.scale(2 - M) + z0 * e if k == 0 else SuperPolynomial.variable(sigz, k) * e
-        d = _first_degree(bessel_modified(k, e) - rhs,
+        d = _first_degree(apply_op(("bessel_mod", k), e) - rhs,
                           lambda key: sum(key[0]) + len(key[1]), max_degree)
         if d is not None:
             return False, f"index-{k} case fails at degree {d}"

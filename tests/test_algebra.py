@@ -1,14 +1,17 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superfock.algebra import (R2, Signature, SuperPolynomial, angular_L,
-                               bessel, bessel_modified, dim_P, euler,
-                               laplacian, merge_odd, monomial_keys,
-                               monomials_up_to, r2_small, random_polynomial,
+from fractions import Fraction
+
+from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
+                               dim_P, merge_odd, monomial_keys, monomials_up_to,
+                               op_column, op_image, r2_small, random_polynomial,
                                theta2)
-from superfock.scalars import QQi, _acc
+from superfock.bipoly import bi_signature
+from superfock.scalars import QQi, _acc, column_terms
 
 SIG = Signature(4, 1)
 
@@ -55,17 +58,33 @@ def test_odd_squares_vanish():
     assert p * p == var(1) * var(1) + (var(1) * (t1 * t2)).scale(2)
 
 
+def d_upper(p, i):
+    return apply_op(("d_upper", i), p)
+
+
 def test_derivations():
     t1, t2 = var(4), var(5)
-    assert var(1).d_upper(1) == SuperPolynomial.one(SIG)
-    assert var(0).d_lower(0) == SuperPolynomial.constant(SIG, -1)
-    assert (t1 * t2).d_upper(4) == t2
-    assert (t1 * t2).d_upper(5) == -t1
+    assert d_upper(var(1), 1) == SuperPolynomial.one(SIG)
+    assert apply_op(("d_lower", 0), var(0)) == SuperPolynomial.constant(SIG, -1)
+    assert d_upper(t1 * t2, 4) == t2
+    assert d_upper(t1 * t2, 5) == -t1
     # graded Leibniz for an odd derivation
     p, q = t1 * var(1), t2
-    lhs = (p * q).d_upper(4)
-    rhs = p.d_upper(4) * q + (p * q.d_upper(4)).scale(-1)
+    lhs = d_upper(p * q, 4)
+    rhs = d_upper(p, 4) * q + (p * d_upper(q, 4)).scale(-1)
     assert lhs == rhs
+
+
+def euler(p, rate=0):
+    return apply_op(("E",), p, rate)
+
+
+def laplacian(p, rate=0):
+    return apply_op(("Delta",), p, rate)
+
+
+def angular_L(i, j, p, rate=0):
+    return apply_op(("L", i, j), p, rate)
 
 
 def test_sl2_examples():
@@ -104,7 +123,7 @@ def test_bessel_examples():
     sigz = Signature(4, 1, varset="z")
     z0 = SuperPolynomial.variable(sigz, 0)
     # Btilde(z0) z0 = M - 2
-    assert bessel_modified(0, z0) == SuperPolynomial.constant(sigz, sigz.M - 2)
+    assert apply_op(("bessel_mod", 0), z0) == SuperPolynomial.constant(sigz, sigz.M - 2)
 
 
 def test_bessel_supercommutativity_and_commutator():
@@ -116,9 +135,10 @@ def test_bessel_supercommutativity_and_commutator():
         i = rng.randrange(sig.nvars)
         j = rng.randrange(sig.nvars)
         s = -1 if (sig.parity(i) and sig.parity(j)) else 1
-        assert bessel_modified(i, bessel_modified(j, p)) == \
-            bessel_modified(j, bessel_modified(i, p)).scale(s)
-        lhs = bessel(lam, i, p.mul_var(j)) - bessel(lam, i, p).mul_var(j).scale(s)
+        Bi, Bj = ("bessel_mod", i), ("bessel_mod", j)
+        assert apply_op(Bi, apply_op(Bj, p)) == apply_op(Bj, apply_op(Bi, p)).scale(s)
+        B = ("bessel", lam, i)
+        lhs = apply_op(B, p.mul_var(j)) - apply_op(B, p).mul_var(j).scale(s)
         lij = SuperPolynomial.zero(sig) if (i == j and sig.parity(i) == 0) \
             else angular_L(i, j, p)
         rhs = (p.scale(sig.M - 2) + euler(p).scale(2)).scale(sig.beta[i][j]) - lij.scale(2)
@@ -160,9 +180,11 @@ def test_serialization_format():
     assert str(SuperPolynomial.zero(SIG)) == "0"
 
 
-# The chained derivations that the one-pass kernel replaced, kept as its oracle.
+# The polynomial operators that the closed forms of ``_OPS`` replaced, kept as
+# their oracle: chained single derivations, ring products and the rate
+# corrections written out on polynomials.
 
-def chained_d_upper(p, i):
+def chained_d_upper(p, i, rate=0):
     sig = p.sig
     out = {}
     for (ev, odd), c in p.terms.items():
@@ -172,15 +194,17 @@ def chained_d_upper(p, i):
         elif i in odd:
             pos = odd.index(i)
             _acc(out, (ev, odd[:pos] + odd[pos + 1:]), -c if pos & 1 else c)
-    return SuperPolynomial(sig, out)
+    out = SuperPolynomial(sig, out)
+    return out - p.scale(rate) if rate and i == 0 else out
 
 
 def chained_d_lower(p, j, rate=0):
     if rate and p.sig.beta[j][0]:
         return chained_d_lower(p, j) - p.scale(QQi.coerce(rate) * p.sig.beta[j][0])
     out = SuperPolynomial.zero(p.sig)
-    for i, b in p.sig.beta_rows[j]:
-        out = out + chained_d_upper(p, i).scale(b)
+    for i, b in enumerate(p.sig.beta[j]):
+        if b:
+            out = out + chained_d_upper(p, i).scale(b)
     return out
 
 
@@ -194,14 +218,89 @@ def chained_laplacian(p, rate=0):
     return out
 
 
-@pytest.mark.parametrize("m,n", [(4, 1), (2, 2), (5, 0)])
+@cache
+def variables(sig):
+    return [SuperPolynomial.variable(sig, i) for i in range(sig.nvars)]
+
+
+def chained_euler(p, rate=0):
+    out = SuperPolynomial(p.sig, {key: c * (sum(key[0]) + len(key[1]))
+                                  for key, c in p.terms.items()})
+    return out - (variables(p.sig)[0] * p).scale(rate) if rate else out
+
+
+def oracle_images(p, rate):
+    """name -> (args -> image of p at rate) for each ``_OPS`` name, with the
+    derivations and the Laplacian of p formed once."""
+    sig, x = p.sig, variables(p.sig)
+    dl = [chained_d_lower(p, j, rate) for j in range(sig.nvars)]
+    lap = chained_laplacian(p, rate)
+
+    def angular(i, j):
+        if i == j and sig.parity(i) == 0:
+            raise ValueError("L_ii is only defined for odd indices")
+        left, right = x[i] * dl[j], x[j] * dl[i]
+        return left + right if sig.parity(i) and sig.parity(j) else left - right
+
+    def bessel(lam, k):
+        t = dl[k]
+        return (t.scale(-QQi.coerce(lam)) + chained_euler(t, rate).scale(2)
+                - x[k] * lap)
+
+    return {
+        "d_upper": lambda i: chained_d_upper(p, i, rate),
+        "d_lower": dl.__getitem__,
+        "E": lambda: chained_euler(p, rate),
+        "Delta": lambda: lap,
+        "L": angular,
+        "bessel": bessel,
+        "bessel_mod": lambda k: bessel(2 - sig.M, k).scale(-1 if k == 0 else 1),
+        "mul": lambda i: x[i] * p,
+        "R2": lambda: R2(sig) * p,
+        "one": lambda: p,
+    }
+
+
+def every_descriptor(sig):
+    idx = range(sig.nvars)
+    out = [("E",), ("Delta",), ("R2",), ("one",)]
+    out += [(name, i) for name in ("d_upper", "d_lower", "mul", "bessel_mod") for i in idx]
+    out += [("bessel", QQi(1, 1, 2), k) for k in idx]
+    out += [("L", i, j) for i in idx for j in idx if i != j or sig.parity(i)]
+    return out
+
+
+@pytest.mark.parametrize("m,n", [
+    (4, 1), (2, 2), (5, 0), (6, 1),
+    pytest.param((2, 0), (2, 1), id="bi-2-0-2-1"),
+])
 def test_one_pass_derivations_agree_with_the_chained_sums(m, n):
-    sig = Signature(m, n)
-    for key in monomials_up_to(sig, 3):
-        p = SuperPolynomial.monomial(sig, key, QQi(1, 2, 3))
-        for i in range(sig.nvars):
-            assert p.d_upper(i) == chained_d_upper(p, i), (key, i)
-        for rate in (0, 2):
-            for j in range(sig.nvars):
-                assert p.d_lower(j, rate) == chained_d_lower(p, j, rate), (key, j, rate)
-            assert laplacian(p, rate) == chained_laplacian(p, rate), (key, rate)
+    """Each closed form against its polynomial oracle at rates 0, 2, 4 and 1/3:
+    ``op_image`` (every coefficient a ``QQi``) and ``op_column`` on every
+    monomial of degree <= 4, and their linear extension
+    ``apply_op`` on the sum of all those monomials with seeded Gaussian
+    coefficients, so that a wrong image of any one monomial shows."""
+    if isinstance(m, tuple):
+        sig = bi_signature(Signature(*m), Signature(*n, varset="z"))
+    else:
+        sig = Signature(m, n)
+    descriptors = every_descriptor(sig)
+    keys = monomials_up_to(sig, 4)
+    rng = random.Random(0)
+    p = SuperPolynomial(sig, {key: QQi(rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 4))
+                              for key in keys})
+    for rate in (0, 2, 4, Fraction(1, 3)):
+        for key in keys:
+            images = oracle_images(SuperPolynomial.monomial(sig, key), rate)
+            assert set(images) == set(_OPS)
+            for d in descriptors:
+                want = images[d[0]](*d[1:]).terms
+                image = op_image(sig, d, key, rate)
+                assert image == want and all(type(v) is QQi for v in image.values()), \
+                    (key, d, rate)
+                assert column_terms(op_column(sig, d, key, rate)) == want, (key, d, rate)
+        images = oracle_images(p, rate)
+        for d in descriptors:
+            assert apply_op(d, p, rate) == images[d[0]](*d[1:]), (d, rate)
+    with pytest.raises(ValueError):
+        op_column(sig, ("L", 1, 1), keys[0])

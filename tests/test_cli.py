@@ -51,8 +51,16 @@ def test_clear_caches_empties_every_module_cache():
         caches += [obj for obj in vars(mod).values()
                    if hasattr(obj, "cache_info")
                    and getattr(obj, "__module__", None) == mod.__name__]
-    names = {obj.__name__ for obj in caches}
-    assert {"bessel_image", "bf_covectors", "moment", "monomial_keys", "tkk_for"} <= names
+    # the exact set, so that a new module-level cache shows up here
+    assert {f"{obj.__module__}.{obj.__qualname__}" for obj in caches} == {
+        "superfock.algebra.R2", "superfock.algebra.monomial_keys",
+        "superfock.algebra.r2_small", "superfock.algebra.theta2",
+        "superfock.bipoly._slot_r2_power", "superfock.bipoly.bi_signature",
+        "superfock.bipoly.pairing_power", "superfock.fock.bessel_image",
+        "superfock.fock.bf_covectors", "superfock.integral._theta_powers",
+        "superfock.integral.gamma_engine", "superfock.integral.moment",
+        "superfock.liealg.tkk_for", "superfock.quotient._r2_power",
+        "superfock.schrodinger.abs_X"}
     assert any(obj.cache_info().currsize for obj in caches)
     stats = superfock.cache_stats()
     assert set(stats) == {f"{obj.__module__}.{obj.__qualname__}" for obj in caches}

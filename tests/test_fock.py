@@ -3,8 +3,8 @@ import random
 import pytest
 
 import superfock
-from superfock import fock
-from superfock.algebra import (R2, Signature, SuperPolynomial, bessel_modified,
+from superfock import algebra, fock
+from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op,
                                monomial_keys, monomials_up_to, random_polynomial,
                                table_apply)
 from superfock.bipoly import LEFT, RIGHT, slot_bessel_mod, slot_constant
@@ -68,7 +68,7 @@ def test_bf_shift_identity():
         if zp.is_zero():
             continue
         s = QQi(-1 if (SIG.parity(i) and p.parity()) else 1)
-        assert bf_product(zp, q) == s * bf_product(p, bessel_modified(i, q))
+        assert bf_product(zp, q) == s * bf_product(p, bessel(i, q))
 
 
 def test_bf_ideal_annihilation():
@@ -223,21 +223,27 @@ def test_bessel_images_are_homogeneous(m, n):
                 image = bessel_image(sig, i, key)
                 assert all(sum(ev) + len(odd) == k - 1 for ev, odd in image[1])
                 assert column_terms(image) == \
-                    bessel_modified(i, SuperPolynomial.monomial(sig, key)).terms
+                    bessel(i, SuperPolynomial.monomial(sig, key)).terms
+
+
+def multiply_in_place_of_bessel(monkeypatch):
+    """Patch the calculus's Bessel entry to multiply by z_i where Bessel(z_i)
+    lowers the degree."""
+    mul = algebra._OPS["mul"]
+    monkeypatch.setitem(algebra._OPS, "bessel_mod", lambda sig, key, c, i: mul(sig, key, c, i))
 
 
 def test_bessel_image_refuses_an_image_of_the_wrong_degree(monkeypatch):
-    # the uncached function calls the patched operator, which multiplies by
-    # z_0 where Bessel(z_0) lowers the degree
-    monkeypatch.setattr(fock, "bessel_modified", lambda i, p: p.mul_var(i))
+    # the uncached function reads the patched closed form
+    multiply_in_place_of_bessel(monkeypatch)
     with pytest.raises(AssertionError, match="outside degree 0"):
         bessel_image.__wrapped__(SIG, 0, ((1, 0, 0, 0), ()))
 
 
 def test_the_word_route_refuses_an_image_of_the_wrong_degree(monkeypatch, empty_caches):
     # the memo is emptied first, so that the word route reaches the patched
-    # operator; a refused image is not cached
-    monkeypatch.setattr(fock, "bessel_modified", lambda i, p: p.mul_var(i))
+    # closed form; a refused image is not cached
+    multiply_in_place_of_bessel(monkeypatch)
     with pytest.raises(AssertionError, match="outside degree 0"):
         bf_word_apply(((1, 0, 0, 0), ()), zvar(0))
 
@@ -250,17 +256,21 @@ def test_bessel_image_equals_bessel_modified(m, n):
         for i in range(sig.nvars):
             d, nums = bessel_image(sig, i, key)
             assert d > 0 and all(a or b for a, b in nums.values())
-            assert column_terms((d, nums)) == bessel_modified(i, mono).terms, (i, key)
+            assert column_terms((d, nums)) == bessel(i, mono).terms, (i, key)
+
+
+def bessel(i, q):
+    return apply_op(("bessel_mod", i), q)
 
 
 # The polynomial word route that the integer columns replaced, kept as their
-# oracle: the Bessel word applied by ``bessel_modified`` itself.
+# oracle: the Bessel word applied to polynomials by ``apply_op``.
 
 def polynomial_word_apply(key, q):
     for i in reversed(fock._word_indices(key)):
         if q.is_zero():
             break
-        q = bessel_modified(i, q)
+        q = bessel(i, q)
     return q
 
 

@@ -7,10 +7,9 @@ import weakref
 import pytest
 
 from superfock import linalg
-from superfock.algebra import (Signature, SuperPolynomial, angular_L, apply_op,
+from superfock.algebra import (Signature, SuperPolynomial, apply_op,
                                monomials_up_to, table_apply)
-from superfock.liealg import (TKK, _graded_comm, k_basis, k_center_dimension,
-                              k_closes, tkk_for)
+from superfock.liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
 from superfock.scalars import I, ONE, QQi, _acc
 
 TKK41 = tkk_for(Signature(4, 1))
@@ -87,6 +86,33 @@ def test_cayley_is_invertible_bracket_morphism():
             tkk.bracket(tkk.cayley(X), tkk.cayley(Y))
 
 
+# Dense matrices, for the matrix routes kept as oracles below.
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[QQi(0)] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            v = a[i][t]
+            if v:
+                for j in range(m):
+                    if b[t][j]:
+                        out[i][j] = out[i][j] + v * b[t][j]
+    return out
+
+
+def left_mult_matrix(jordan, l):
+    """Matrix of L_{e_l} in the basis (e_0, ..., e_{dim-1})."""
+    cols = [jordan.basis_product(l, k) for k in range(jordan.dim)]
+    return [[cols[k][r] for k in range(jordan.dim)] for r in range(jordan.dim)]
+
+
+def graded_comm(a, b, pa, pb):
+    ab, ba = mat_mul(a, b), mat_mul(b, a)
+    s = -1 if (pa and pb) else 1
+    return [[x - s * y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
 def dense_cayley_matrices(tkk):
     """The dense route that the sparse Cayley columns replaced, kept as their
     oracle: the matrices of ad(e_0^-+), exp(t ad) = 1 + t ad + t^2/2 ad^2 as
@@ -97,13 +123,13 @@ def dense_cayley_matrices(tkk):
         return [[tkk.struct[(idx, c)].get(r, QQi(0)) for c in range(n)] for r in range(n)]
 
     def expo(mat, t):
-        sq = linalg.mat_mul(mat, mat)
+        sq = mat_mul(mat, mat)
         return [[(ONE if r == c else QQi(0)) + t * mat[r][c] + t * t * QQi(1, 0, 2) * sq[r][c]
                  for c in range(n)] for r in range(n)]
 
     am, ap = ad_matrix(tkk.index[("minus", 0)]), ad_matrix(tkk.index[("plus", 0)])
-    return (linalg.mat_mul(expo(am, I * QQi(1, 0, 2)), expo(ap, I)),
-            linalg.mat_mul(expo(ap, -I), expo(am, -I * QQi(1, 0, 2))))
+    return (mat_mul(expo(am, I * QQi(1, 0, 2)), expo(ap, I)),
+            mat_mul(expo(ap, -I), expo(am, -I * QQi(1, 0, 2))))
 
 
 @pytest.mark.parametrize("m,n", [(3, 0), (4, 1), (2, 2)])
@@ -176,7 +202,7 @@ def realize(tkk, x):
     def op(p):
         out = SuperPolynomial.zero(p.sig)
         for s, a, b in pairs:
-            out = out + angular_L(a, b, p).scale(s)
+            out = out + apply_op(("L", a, b), p).scale(s)
         return out
 
     return op
@@ -248,8 +274,8 @@ def matrix_route_struct(tkk: TKK) -> dict:
     matrices of L_a and [L_a, L_b}, each graded commutator decomposed by exact
     elimination against the inner-derivation columns."""
     sig, nv = tkk.sig, tkk.sig.nvars
-    lmat = [tkk.jordan.left_mult_matrix(l) for l in range(nv)]
-    innmat = {(i, j): _graded_comm(lmat[i], lmat[j], sig.parity(i), sig.parity(j))
+    lmat = [left_mult_matrix(tkk.jordan, l) for l in range(nv)]
+    innmat = {(i, j): graded_comm(lmat[i], lmat[j], sig.parity(i), sig.parity(j))
               for (i, j) in tkk.inn_pairs}
 
     def flat(mat):
@@ -286,12 +312,12 @@ def matrix_route_struct(tkk: TKK) -> dict:
         if (ka, kb) in (("minus", "minus"), ("plus", "plus")):
             return {}
         if ka in ("L", "inn") and kb in ("L", "inn"):
-            return decompose_istr(_graded_comm(istr(tkk.basis[a]), istr(tkk.basis[b]),
+            return decompose_istr(graded_comm(istr(tkk.basis[a]), istr(tkk.basis[b]),
                                                tkk.parity(a), tkk.parity(b)))
         if ka == "plus" and kb == "minus":
             out = {tkk.index[("L", l)]: v + v
                    for l, v in enumerate(tkk.jordan.basis_product(ta[0], tb[0])) if v}
-            comm = _graded_comm(lmat[ta[0]], lmat[tb[0]], tkk.parity(a), tkk.parity(b))
+            comm = graded_comm(lmat[ta[0]], lmat[tb[0]], tkk.parity(a), tkk.parity(b))
             for k, v in decompose_inn(comm).items():
                 _acc(out, k, v + v)
             return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.algebra import Signature, SuperPolynomial, monomial_keys
+from superfock.algebra import Signature, SuperPolynomial, apply_op, monomial_keys
 from superfock import sbtransform
 from superfock.bipoly import (LEFT, RIGHT, bi_signature, embed, pairing, pairing_power,
                               reduce_slot, slot_bessel_mod, slot_euler, slot_laplacian)
@@ -215,8 +215,8 @@ def chained_slot_bessel_mod(p, slot, k):
     lam = QQi(2 - p.sig.halves[slot].M)
     laplacian = SuperPolynomial.zero(p.sig)
     for b in p.sig.slots[slot]:
-        laplacian = laplacian + p.d_upper(b).d_lower(b)
-    t = p.d_lower(a)
+        laplacian = laplacian + apply_op(("d_lower", b), apply_op(("d_upper", b), p))
+    t = apply_op(("d_lower", a), p)
     res = t.scale(-lam) + slot_euler(t, slot).scale(2) - laplacian.mul_var(a)
     return -res if k == 0 else res
 
@@ -245,7 +245,7 @@ def oracle_b0_failures(sig, sigz, max_degree):
                     None)
 
     out = [(f"z-derivative (k={k})",
-            first(b0.d_lower(z[k]), b1.mul_var(x[k]).scale(-2 if k == 0 else 2)))
+            first(apply_op(("d_lower", z[k]), b0), b1.mul_var(x[k]).scale(-2 if k == 0 else 2)))
            for k in list(range(1, sig.nvars)) + [0]]
     out.append(("Euler contraction",
                 first(slot_euler(b0, RIGHT), pairing_power(sig, sigz, 1) * b1)))

@@ -13,6 +13,7 @@ import gc
 import random
 import re
 import weakref
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from superfock.algebra import (_OPS, Signature, SuperPolynomial, apply_op,
                                monomials_up_to, table_apply, table_columns)
 from superfock.fock import rho_apply, rho_op, rho_table
 from superfock.linalg import commutator_failure, skew_failure
-from superfock.liealg import TKK, tkk_for
+from superfock.liealg import TKK, Jordan, tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import (QQi, _acc, column_combination, column_terms,
                                int_column)
@@ -31,7 +32,7 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_bessel_product_rule,
                               check_bessel_supercommute, check_bf_l_adjoint,
                               check_intertwining, check_intertwining_inverse,
-                              check_pi_representation,
+                              check_jordan, check_pi_representation,
                               check_pi_skew, check_realization,
                               check_representative_independence,
                               check_rho_composition, check_rho_representation,
@@ -475,11 +476,13 @@ def test_small_shapes_run_the_schrodinger_and_specfun_checks_without_raising(m, 
 
 
 def doubled_on(fn, key, *only):
-    """Wrap an operator table entry so that its image of the monomial x^key
-    (times any scalar) is doubled, for operator arguments starting with only."""
-    def wrapped(p, rate, *args):
-        out = fn(p, rate, *args)
-        return out.scale(2) if p.terms.keys() == {key} and args[:len(only)] == only else out
+    """Wrap a closed form of the operator table so that its image of the
+    monomial x^key is doubled, for operator arguments starting with only."""
+    def wrapped(sig, k, rate, *args):
+        out = fn(sig, k, rate, *args)
+        if k == key and args[:len(only)] == only:
+            return {image_key: 2 * v for image_key, v in out.items()}
+        return out
     return wrapped
 
 
@@ -539,7 +542,7 @@ def product_rule_oracle(ctx, max_degree):
     """The polynomial route that check_bessel_product_rule replaced, with the
     Bessel operator inline; it reads E, Delta and d_lower from the operator
     table, so a corrupted entry reaches it as well."""
-    E, lap = (lambda p: _OPS["E"](p, 0)), (lambda p: _OPS["Delta"](p, 0))
+    E, lap = partial(apply_op, ("E",)), partial(apply_op, ("Delta",))
     sig = ctx.sig
     lam = QQi(2 - sig.M)
     monos = monomials_up_to(sig, max_degree)
@@ -547,7 +550,7 @@ def product_rule_oracle(ctx, max_degree):
     cache = []
     for key in monos:
         p = SuperPolynomial.monomial(sig, key)
-        cache.append((p, E(p), lap(p), [_OPS["d_lower"](p, 0, r) for r in range(nv)]))
+        cache.append((p, E(p), lap(p), [apply_op(("d_lower", r), p) for r in range(nv)]))
     for (phi, ephi, lphi, dphi) in cache:
         pphi = phi.parity()
         for (psi, epsi, lpsi, dpsi) in cache:
@@ -565,7 +568,7 @@ def product_rule_oracle(ctx, max_degree):
                     + (ephi * dpsi[i]).scale(2 * si) \
                     + (dphi[i] * epsi).scale(2) \
                     - cross.mul_var(i).scale(2)
-                dprod = _OPS["d_lower"](prod, 0, i)
+                dprod = apply_op(("d_lower", i), prod)
                 lhs = dprod.scale(-lam) + E(dprod).scale(2) - lprod.mul_var(i)
                 if lhs != rhs:
                     return False, f"product rule fails: i={i}, phi={phi}, psi={psi}"
@@ -589,10 +592,26 @@ def test_product_rule_gives_the_verdict_of_the_polynomial_route(monkeypatch, m, 
 def test_a_corrupted_angular_operator_fails_the_angular_commutant(monkeypatch):
     ctx = small_context(4, 1)
     assert check_angular_commutes(ctx, 2)[0] is True
-    monkeypatch.setattr(verify, "angular_L",
-                        lambda i, j, p: doubled_on(_OPS["L"], x1x2(ctx.sig))(p, 0, i, j))
+    monkeypatch.setitem(_OPS, "L", doubled_on(_OPS["L"], x1x2(ctx.sig)))
     ok, witness = check_angular_commutes(ctx, 2)
     assert ok is False and re.fullmatch(r"\[L_\d+, (R\^2|E|Delta)\] fails on \S.*", witness)
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (4, 1)])
+def test_a_corrupted_jordan_product_fails_the_jordan_identity(monkeypatch, m, n):
+    # e_1 e_1 gains an e_2 term: symmetric, and e_0 stays the unit
+    multiply = Jordan.multiply
+
+    def corrupted(self, a, b):
+        out = multiply(self, a, b)
+        out[2] = out[2] + a[1] * b[1]
+        return out
+    ctx = small_context(m, n)
+    assert check_jordan(ctx) == (True, "")
+    monkeypatch.setattr(Jordan, "multiply", corrupted)
+    ok, witness = check_jordan(small_context(m, n))
+    assert ok is False and re.fullmatch(r"Jordan identity fails on basis triple \(\d+,\d+,\d+\)",
+                                        witness), witness
 
 
 def doubled_moment(sig, key, rate=4):
