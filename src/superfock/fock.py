@@ -2,34 +2,29 @@
 
 The Bessel-Fischer product substitutes the tangential Bessel operators for
 the variables of its first argument, applies the word to the coefficient
-conjugate of the second, and evaluates at zero.  Every Fock-side Bessel
-operator at rate 0 reads one memo, ``bessel_image``: the integer column
-(``algebra.op_column``) of ``bessel_mod`` at index i on one monomial, in a
-bounded ``lru_cache`` (``BESSEL_IMAGES`` entries, least recently used
-dropped first); each image is asserted homogeneous of degree one less than
-its monomial.  Its readers are:
+conjugate of the second, and evaluates at zero.  The product reads one memo,
+``bessel_image``: the integer column (``algebra.op_column``) of
+``bessel_mod`` at index i on one monomial, in a bounded ``lru_cache``
+(``BESSEL_IMAGES`` entries, least recently used dropped first); each image is
+asserted homogeneous of degree one less than its monomial.  Its readers are:
 
 - ``bf_covectors``, the pairing covectors that the pairing table, the Gram
   matrices, the kernel pairing and the inverse Segal-Bargmann transform
   read: the covector of z^a z_i is that of z^a times the images of
   Bessel(z_i);
 - the word route (``bf_word_apply``, ``bf_product``), which applies the word
-  to q-bar in Gaussian-integer arithmetic;
-- ``rho_op``, the operators of the Fock action.
+  to q-bar in Gaussian-integer arithmetic.
 
-The degree-shift route (``bf_product_shift_oracle``), pi_C (``pi_op`` at
-rate 0), the Hermite route of ``sbtransform`` and the exponential identities
-of the ``sb`` suite apply the operator through ``algebra.apply_op`` instead,
-so ``fock/dual-route`` and ``fock/cayley-composition`` compare the memo with
-the closed form's linear extension; ``fock/dual-route`` also compares it
-with a fresh ``op_column`` on every monomial of degree <= 2.
+The degree-shift route (``bf_product_shift_oracle``) applies the operator
+through ``algebra.apply_op`` instead, and ``fock/dual-route`` compares the
+memo with a fresh ``op_column`` on every monomial of degree <= 2.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The Fock action rho(X) = pi_C(c(X)) is the action table
-``rho_table`` with the operator map ``rho_op``, applied to polynomials by
-``algebra.table_apply`` (``rho_apply``) and to monomials, as the columns of
-every basis element at once, by ``algebra.table_columns``
-(``verify.Context.rho_column``).
+``rho_table`` over the operator map of pi and pi_C, ``schrodinger.pi_op`` at
+rate 0, applied to polynomials by ``algebra.table_apply`` (``rho_apply``) and
+to monomials, as the columns of every basis element at once, by
+``algebra.table_columns`` (``verify.Context.rho_column``).
 """
 
 from __future__ import annotations
@@ -42,9 +37,10 @@ from .algebra import (MonKey, Signature, SuperPolynomial, apply_op, derive_key,
                       monomial_keys, op_column, table_apply)
 from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
-from .quotient import normal_form_keys, reduce_poly
+from .quotient import normal_form_keys
 from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_image, column_terms,
                       int_column, poch)
+from .schrodinger import pi_op
 
 
 def _word_indices(key: MonKey) -> list[int]:
@@ -262,7 +258,7 @@ def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     - minus_l, plus_l with l != 0 -> -i/2 (z_l + B_l +- 2 L_0l);
     - minus_0, plus_0 -> -i/2 (z_0 + B_0 +- ((M - 2) + 2E)).
 
-    Applied by ``rho_op``."""
+    Applied by ``schrodinger.pi_op`` at rate 0."""
     kind, *rest = tkk.basis[a]
     if kind == "inn":
         return [(("L", *rest), ONE)]
@@ -277,19 +273,10 @@ def rho_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     return out + [(("E",), c * (2 * pm)), (("one",), c * (pm * (tkk.sig.M - 2)))]
 
 
-def rho_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """One operator of ``rho_table`` on p at rate 0, reduced modulo R^2; the
-    Bessel operators read ``bessel_image``."""
-    if descriptor[0] != "bessel_mod":
-        return reduce_poly(apply_op(descriptor, p, rate))
-    column = column_image(int_column(p.terms), partial(bessel_image, p.sig, descriptor[1]))
-    return reduce_poly(SuperPolynomial(p.sig, column_terms(column)))
-
-
 def rho_apply(X: TKKElement, p: SuperPolynomial) -> SuperPolynomial:
     """Fock action: the Cayley twist of the complexified Schrodinger action,
     applied through ``rho_table``."""
-    return table_apply(rho_table, rho_op, X, p, 0)
+    return table_apply(rho_table, pi_op, X, p, 0)
 
 
 def rho_lowering(tkk) -> TKKElement:

@@ -9,10 +9,9 @@ the ideal.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import (Signature, SuperPolynomial, add_term_product, dim_P,
-                      in_minus_2n, monomial_keys, r2_small)
+                      monomial_keys, r2_small)
 
 
 @lru_cache(maxsize=None)
@@ -64,26 +63,19 @@ def is_normal_form(p: SuperPolynomial) -> bool:
     return all(ev[0] <= 1 for ev, _ in p.terms)
 
 
-class FockDim(NamedTuple):
-    count: int
-    harmonic_identification_proved: bool
-
-
 def normal_form_keys(sig: Signature, k: int):
     """Degree-k monomials with variable-0 exponent at most 1."""
     return [key for key in monomial_keys(sig, k) if key[0][0] <= 1]
 
 
-def graded_dim_F(k: int, sig: Signature) -> FockDim:
+def graded_dim_F(k: int, sig: Signature) -> int:
     """Dimension of the degree-k slice of P/<R^2> by normal-form count.
 
-    The count always equals dim P_k(m-1|2n) + dim P_{k-1}(m-1|2n).  The flag
-    records whether M-1 is outside -2N, the range where that number is also
-    known to equal dim H_k(m|2n).
+    The count always equals dim P_k(m-1|2n) + dim P_{k-1}(m-1|2n), which is
+    asserted here.
     """
     count = len(normal_form_keys(sig, k))
     closed = dim_P(sig.m - 1, sig.n, k) + dim_P(sig.m - 1, sig.n, k - 1)
     if count != closed:
         raise AssertionError(f"normal-form count {count} != closed form {closed}")
-    ok = not in_minus_2n(sig.M - 1)
-    return FockDim(count, ok)
+    return count

@@ -8,7 +8,8 @@ applied by ``algebra.apply_op`` with ``rate=c``, which conjugates them by
 exp(-c x_0), and results are reduced at the end.  The Schrodinger action is
 the action table ``pi_table`` with the operator map ``pi_op`` (``apply_op``,
 then ``reduce_poly``), applied by ``algebra.table_apply``: at rate 2 on W, at
-rate 0 as pi_C on the Fock space.
+rate 0 as pi_C on the Fock space.  The Fock action's table ``fock.rho_table``
+is applied through the same map at rate 0.
 """
 
 from __future__ import annotations

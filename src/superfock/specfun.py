@@ -25,27 +25,23 @@ def _rgamma(x: float) -> float:
 
 
 def itilde(alpha: float, t: float, terms: int = 40) -> SeriesValue:
-    """Renormalized I-Bessel: sum_k (t/2)^{2k} / (k! Gamma(k+alpha+1))."""
-    w = (t / 2.0) ** 2
-    total = 0.0
-    wp = 1.0
-    last = 0.0
-    for k in range(terms + 1):
-        term = wp * _rgamma(k + alpha + 1) / math.factorial(k)
-        total += term
-        last = abs(term)
-        wp *= w
-    return SeriesValue(total, last)
+    """Renormalized I-Bessel: sum_k (t/2)^{2k} / (k! Gamma(k+alpha+1)), the
+    real part of ``_itilde_c``."""
+    value, tail = _itilde_c(alpha, t, terms)
+    return SeriesValue(value.real, tail)
 
 
-def _itilde_c(alpha: float, t: complex, terms: int) -> complex:
+def _itilde_c(alpha: float, t: complex, terms: int) -> tuple[complex, float]:
+    """The I-Bessel series at complex t, with the magnitude of its last term."""
     w = (t / 2.0) ** 2
     total = 0.0 + 0.0j
     wp = 1.0 + 0.0j
+    term = 0.0
     for k in range(terms + 1):
-        total += wp * _rgamma(k + alpha + 1) / math.factorial(k)
+        term = wp * _rgamma(k + alpha + 1) / math.factorial(k)
+        total += term
         wp *= w
-    return total
+    return total, abs(term)
 
 
 def _ktilde_c(alpha: float, t: complex, terms: int) -> complex:
@@ -54,8 +50,8 @@ def _ktilde_c(alpha: float, t: complex, terms: int) -> complex:
         return 0.5 * (_ktilde_c(alpha + eps, t, terms) + _ktilde_c(alpha - eps, t, terms))
     pref = math.pi / (2.0 * math.sin(math.pi * alpha))
     half = t / 2.0
-    return pref * (half ** (-2.0 * alpha) * _itilde_c(-alpha, t, terms)
-                   - _itilde_c(alpha, t, terms))
+    return pref * (half ** (-2.0 * alpha) * _itilde_c(-alpha, t, terms)[0]
+                   - _itilde_c(alpha, t, terms)[0])
 
 
 def _ktilde_half_integer(alpha: float, t: float) -> float:
@@ -103,7 +99,8 @@ def g2(mu: float, nu: float, s: complex, t: float, terms: int = 40) -> complex:
     """Generating function (1-s)^{-(mu+nu+2)/2} Itilde_{mu/2}(st/(1-s)) Ktilde_{nu/2}(t/(1-s))."""
     oms = 1.0 - s
     pref = oms ** (-(mu + nu + 2) / 2.0)
-    return pref * _itilde_c(mu / 2.0, s * t / oms, terms) * _ktilde_c(nu / 2.0, t / oms, terms)
+    return (pref * _itilde_c(mu / 2.0, s * t / oms, terms)[0]
+            * _ktilde_c(nu / 2.0, t / oms, terms))
 
 
 def laguerre_lambda(j: int, mu: float, nu: float, t: float,

@@ -10,16 +10,20 @@ fills the columns of every basis element on one monomial at once through an
 action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They and
 the pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized
 per ``Context`` (``pi_column``, ``rho_column``) or per check (pi_C, D,
-columns of ``algebra`` operators); the Bessel-Fischer table is one integer
+columns of ``algebra`` operators, which the angular commutant reads
+unmemoized); the Bessel-Fischer table is one integer
 column, rebuilt only for a larger degree.  Columns are integer columns
 (``scalars.int_column``): Gaussian-integer numerator pairs over one positive
 denominator.  One commutator loop over columns
 (``linalg.commutator_failure``) checks the sl2 triple, the Bessel operator
-identities and the representations D, pi and rho; one contraction of a
-pairing table against columns (``linalg.skew_failure``) checks the
-adjointness of pi, rho, L_ij.  Both intertwining checks sum the pi and rho
-columns against the integer columns of the forward and reduced inverse
-images (``SBTransform.sb_column``, ``SBTransform.inverse_column``) in one
+identities, the angular commutant and the representations D, pi and rho;
+one contraction of a pairing table against columns
+(``linalg.skew_failure``) checks the adjointness of pi, rho, L_ij; one loop
+(``_first_leak``) checks that operators map R^2 P into <R^2>.  Both
+intertwining checks sum the pi and rho columns against the integer columns
+of the forward and reduced inverse images (``SBTransform.sb_column``,
+``SBTransform.inverse_column``), and the Cayley composition sums the rho
+columns against the pi_C columns of the Cayley twist, in one
 ``column_combination`` per basis element and monomial
 (``_column_difference``).
 """
@@ -37,13 +41,13 @@ from functools import cache, partial
 from . import linalg
 from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
                       in_minus_2n, monomial_keys, monomials_up_to, mul_key,
-                      op_column, random_polynomial, table_columns)
+                      op_column, op_image, random_polynomial, table_columns)
 from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
                      slot_bessel_mod, slot_euler, slot_laplacian)
 from .fock import (bessel_image, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
-                   rho_op, rho_raising, rho_table)
+                   rho_raising, rho_table)
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
                         harmonic_basis, harmonic_dim_nullspace)
 from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
@@ -53,7 +57,7 @@ from .liealg import TKK, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
 from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, _acc, column_combination,
-                      column_terms, int_column)
+                      int_column)
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_op, pi_table,
                           radial_expand)
@@ -127,7 +131,7 @@ class Context:
         # on z^key (Fock), and the W-form of the rate-2 monomial vectors x^p
         # and x^q.
         self.pi_column = action_columns(pi_table, pi_op, tkk, sig, 2)
-        self.rho_column = action_columns(rho_table, rho_op, tkk, sig_z, 0)
+        self.rho_column = action_columns(rho_table, pi_op, tkk, sig_z, 0)
         self.w_pair = cache(lambda p, q: w_form(
             *(WElement(2, SuperPolynomial.monomial(sig, k)) for k in (p, q))))
 
@@ -238,35 +242,42 @@ def check_sl2_triple(ctx: Context, max_degree: int = 5):
     return True, f"checked all monomials of degree <= {max_degree}"
 
 
+def _first_leak(sig: Signature, keys, descriptors, rate):
+    """First (key, descriptor), keys outer, for which the ``algebra._OPS``
+    operator maps R^2 x^key out of <R^2> at rate, or None."""
+    r2 = R2(sig)
+    for key in keys:
+        shift = r2 * SuperPolynomial.monomial(sig, key)
+        for d in descriptors:
+            if not ideal_member(apply_op(d, shift, rate)):
+                return key, d
+    return None
+
+
 def check_bessel_tangential(ctx: Context, max_degree: int = 4):
     sig = ctx.sig
-    lam = QQi(2 - sig.M)
-    r2 = R2(sig)
-    for d in range(max_degree - 1):
-        for key in monomial_keys(sig, d):
-            q = SuperPolynomial.monomial(sig, key)
-            for k in range(sig.nvars):
-                if not ideal_member(apply_op(("bessel", lam, k), r2 * q)):
-                    return False, f"B_(2-M)(x_{k}) leaks on R^2*{q}"
+    bad = _first_leak(sig, monomials_up_to(sig, max_degree - 2),
+                      [("bessel", QQi(2 - sig.M), k) for k in range(sig.nvars)], 0)
+    if bad:
+        key, (_, _, k) = bad
+        return False, f"B_(2-M)(x_{k}) leaks on R^2*{SuperPolynomial.monomial(sig, key)}"
     # a counterexample must exist one parameter off
-    lam_bad = QQi(3 - sig.M)
-    for d in range(4):
-        for key in monomial_keys(sig, d):
-            q = SuperPolynomial.monomial(sig, key)
-            for k in range(sig.nvars):
-                if not ideal_member(apply_op(("bessel", lam_bad, k), r2 * q)):
-                    return True, f"witness at lambda=3-M: k={k}, q={q}"
+    bad = _first_leak(sig, monomials_up_to(sig, 3),
+                      [("bessel", QQi(3 - sig.M), k) for k in range(sig.nvars)], 0)
+    if bad:
+        key, (_, _, k) = bad
+        return True, f"witness at lambda=3-M: k={k}, q={SuperPolynomial.monomial(sig, key)}"
     return False, "no counterexample found at lambda = 3-M"
 
 
 def check_bessel_product_rule(ctx: Context, max_degree: int = 3):
     sig = ctx.sig
     nv = sig.nvars
-    column = _operator_columns(sig)
+    op = cache(partial(op_image, sig))
     B = [("bessel", QQi(2 - sig.M), i) for i in range(nv)]
 
-    def image(op, key, c=1):
-        return SuperPolynomial(sig, column_terms(column(op, key))).scale(c)
+    def image(d, key, c=1):
+        return SuperPolynomial(sig, op(d, key)).scale(c)
     # (phi, 2 E phi, [d_lower(r) phi], [B_i phi]) for each monomial phi
     monos = [(SuperPolynomial.monomial(sig, key), image(("E",), key, 2),
               [image(("d_lower", r), key) for r in range(nv)], [image(b, key) for b in B])
@@ -287,8 +298,7 @@ def check_bessel_product_rule(ctx: Context, max_degree: int = 3):
                 si = -1 if (sig.parity(i) and pphi) else 1
                 rhs = bphi[i] * psi + (phi * bpsi[i] + ephi2 * dpsi[i]).scale(si) \
                     + dphi[i] * epsi2 - cross2.mul_var(i)
-                lhs = {k3: c * v for k, c in prod
-                       for k3, v in column_terms(column(B[i], k)).items()}
+                lhs = {k3: c * v for k, c in prod for k3, v in op(B[i], k).items()}
                 if lhs != rhs.terms:
                     return False, f"product rule fails: i={i}, phi={phi}, psi={psi}"
     return True, f"all monomial pairs of degree <= {max_degree}"
@@ -325,26 +335,17 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
 
 
 def check_angular_commutes(ctx: Context, max_degree: int = 4):
-    """On polynomials, not in ``commutator_failure``: each L_ij column is used
-    about once.  At (7,1), max_degree 3, on a shared 2-vCPU host: 4.0-4.9 s
-    and 19 MB peak RSS this way, 2.7-3.4 s and 144 MB through the loop, whose
-    memo holds every L_ij, R^2, E and Delta column (``algebra.op_column``)."""
+    """[L_ij, R^2] = [L_ij, E] = [L_ij, Delta] = 0 in the commutator loop, on
+    columns computed from the closed forms (``algebra.op_column``) with no
+    memo: each L_ij column is read about once per key."""
     sig = ctx.sig
-    r2, E, D = R2(sig), ("E",), ("Delta",)
-    pairs = [(i, j) for i in range(sig.nvars) for j in range(sig.nvars)
-             if i != j or sig.parity(i)]
-    for d in range(max_degree + 1):
-        for key in monomial_keys(sig, d):
-            p = SuperPolynomial.monomial(sig, key)
-            for (i, j) in pairs:
-                L = ("L", i, j)
-                lp = apply_op(L, p)
-                if apply_op(L, r2 * p) != r2 * lp:
-                    return False, f"[L_{i}{j}, R^2] fails on {p}"
-                if apply_op(L, apply_op(E, p)) != apply_op(E, lp):
-                    return False, f"[L_{i}{j}, E] fails on {p}"
-                if apply_op(L, apply_op(D, p)) != apply_op(D, lp):
-                    return False, f"[L_{i}{j}, Delta] fails on {p}"
+    bad = commutator_failure(
+        partial(op_column, sig), monomials_up_to(sig, max_degree),
+        [(f"[L_{i}{j}, {name}]", ("L", i, j), C, 1, {})
+         for i in range(sig.nvars) for j in range(sig.nvars) if i != j or sig.parity(i)
+         for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))])
+    if bad:
+        return False, f"{bad[0]} fails on {SuperPolynomial.monomial(sig, bad[1])}"
     return True, ""
 
 
@@ -415,12 +416,12 @@ def check_reduce_ring(ctx: Context, samples: int = 30):
 def check_dimension_chain(ctx: Context, max_degree: int = 5):
     sig, sig_z = ctx.sig, ctx.sig_z
     for k in range(max_degree + 1):
-        fd = graded_dim_F(k, sig_z)
+        count = graded_dim_F(k, sig_z)
         closed = dim_P(sig.m - 1, sig.n, k) + dim_P(sig.m - 1, sig.n, k - 1)
         null = harmonic_dim_nullspace(k, sig)
         formula = dim_harmonic(k, sig)
-        if not fd.count == closed == null == formula:
-            return False, f"k={k}: count={fd.count} closed={closed} " \
+        if not count == closed == null == formula:
+            return False, f"k={k}: count={count} closed={closed} " \
                           f"nullspace={null} formula={formula}"
     return True, f"F_k = P_k + P_(k-1) = H_k for k <= {max_degree}"
 
@@ -778,13 +779,12 @@ def check_representative_independence(ctx: Context, max_degree: int = 2):
         descriptors.insert(2, ("L", 1, 2))
     if sig.n:
         descriptors += [("L", sig.m, sig.m + sig.n), ("bessel_mod", sig.m)]
-    r2 = R2(sig)
-    shifts = [r2 * SuperPolynomial.monomial(sig, key) for key in monomials_up_to(sig, max_degree)]
-    for d in descriptors:
-        for shift in shifts:
-            if not ideal_member(apply_op(d, shift, 2)):
-                return False, f"{d} depends on the representative: leaks on {shift}"
-    if ideal_member(apply_op(("Delta",), r2, 2)):
+    bad = _first_leak(sig, monomials_up_to(sig, max_degree), descriptors, 2)
+    if bad:
+        key, d = bad
+        shift = R2(sig) * SuperPolynomial.monomial(sig, key)
+        return False, f"{d} depends on the representative: leaks on {shift}"
+    if _first_leak(sig, monomials_up_to(sig, 0), [("Delta",)], 2) is None:
         return False, "control: Delta maps R^2 into the ideal"
     return True, ""
 
@@ -1101,13 +1101,13 @@ def check_gram(ctx: Context, max_degree: int = 3):
     if not degenerate:
         for k in range(max_degree + 1):
             r = gram_rank(k, sig)
-            d = graded_dim_F(k, sig).count
+            d = graded_dim_F(k, sig)
             if r != d:
                 return False, f"rank {r} != dim {d} at degree {k}"
         return True, f"full rank on F_k for k <= {max_degree}"
     k = 2 - sig.M // 2
     r = gram_rank(k, sig)
-    d = graded_dim_F(k, sig).count
+    d = graded_dim_F(k, sig)
     if r >= d:
         return False, f"expected singular Gram at degree {k}"
     nulls = gram_nullspace(k, sig)
@@ -1127,23 +1127,20 @@ def check_gram(ctx: Context, max_degree: int = 3):
 
 def check_rho_composition(ctx: Context, max_degree: int = 3):
     """By linearity, rho(X_a) z^key = sum_b c(X_a)_b pi_C(X_b) z^key for every
-    basis element a and monomial.  The pi_C columns, ``pi_table`` at rate 0,
-    apply the Bessel operators through ``algebra.apply_op`` and are memoized
-    for this check only; the rho columns read ``fock.bessel_image``."""
+    basis element a and monomial: the unit column of a against the integer
+    column of its Cayley twist, in one ``_column_difference``.  rho and pi_C
+    (``pi_table`` at rate 0, memoized for this check only) are action tables
+    over one operator map, ``schrodinger.pi_op``."""
     tkk = ctx.tkk
     sig = ctx.sig_z
     keys = _nf_keys(sig, max_degree)
     pi_c = action_columns(pi_table, pi_op, tkk, sig, 0)
     for a in range(tkk.dim):
-        twist = [(b, -c.a, -c.b, c.d)
-                 for b, c in tkk.cayley(tkk.basis_element(a)).coeffs.items()]
+        twist = int_column(tkk.cayley(tkk.basis_element(a)).coeffs)
         for key in keys:
-            d, nums = ctx.rho_column(a, key)
-            terms = [(1, 0, d, nums)]
-            for b, x, y, e in twist:
-                d, nums = pi_c(b, key)
-                terms.append((x, y, d * e, nums))
-            if any(re or im for re, im in column_combination(terms)[1].values()):
+            diff = _column_difference(sig, (1, {a: (1, 0)}), lambda b: ctx.rho_column(b, key),
+                                      twist, lambda b: pi_c(b, key))
+            if not diff.is_zero():
                 return False, f"{tkk.basis_label(a)} on {SuperPolynomial.monomial(sig, key)}"
     return True, f"rho agrees with the Cayley twist on F_<= {max_degree}"
 
@@ -1463,7 +1460,7 @@ def check_sb_span(ctx: Context, max_degree: int = 3):
         rows = [{cols[k]: v for k, v in vec.items()} for vec in vecs]
         ranks[d] = linalg.rank(rows, len(cols))
     for d in range(max_degree + 1):
-        dim_fd = graded_dim_F(d, sig_z).count
+        dim_fd = graded_dim_F(d, sig_z)
         r = ranks.get(d, 0)
         if r > dim_fd:
             return False, f"degree {d}: rank {r} exceeds dim F_{d}"
@@ -1474,21 +1471,19 @@ def check_sb_span(ctx: Context, max_degree: int = 3):
 
 def suite_sb(ctx: Context):
     forward = ctx.cfg.M >= 4
-    series_defined = not in_minus_2n(ctx.cfg.M - 2)
-    if series_defined:
-        yield run_check("sb", "series-coefficients",
-                        "termwise derivative of the kernel series shifts its order",
-                        lambda: check_b_series(ctx))
-        yield run_check("sb", "kernel-series-identities",
-                        "derivative/Euler identities for the kernel series; "
-                        "Bessel eigenfunction property modulo the inert-slot ideal",
-                        lambda: check_b0_identities(ctx, 6 if ctx.sig.nvars <= 7 else 4))
-    else:
-        reason = f"kernel series undefined: M - 2 = {ctx.cfg.M - 2} lies in -2N"
-        yield skip("sb", "series-coefficients",
-                   "termwise derivative of the kernel series shifts its order", reason)
-        yield skip("sb", "kernel-series-identities",
-                   "derivative/Euler identities for the kernel series", reason)
+    series = [
+        ("series-coefficients", "termwise derivative of the kernel series shifts its order",
+         lambda: check_b_series(ctx)),
+        ("kernel-series-identities", "derivative/Euler identities for the kernel series; "
+         "Bessel eigenfunction property modulo the inert-slot ideal",
+         lambda: check_b0_identities(ctx, 6 if ctx.sig.nvars <= 7 else 4)),
+    ]
+    for name, ident, fn in series:
+        if in_minus_2n(ctx.cfg.M - 2):
+            yield skip("sb", name, ident,
+                       f"kernel series undefined: M - 2 = {ctx.cfg.M - 2} lies in -2N")
+        else:
+            yield run_check("sb", name, ident, fn)
     yield run_check("sb", "exponential-identities",
                     "Bessel action on exp(-z0), degreewise",
                     lambda: check_exp_identities(ctx))

@@ -122,4 +122,4 @@ def test_dim_chain_with_quotient():
         sig = Signature(m, n)
         sigz = Signature(m, n, varset="z")
         for k in range(5):
-            assert graded_dim_F(k, sigz).count == harmonic_dim_nullspace(k, sig)
+            assert graded_dim_F(k, sigz) == harmonic_dim_nullspace(k, sig)

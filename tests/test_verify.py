@@ -18,9 +18,9 @@ from functools import partial
 import pytest
 
 from superfock import integral, sbtransform, verify
-from superfock.algebra import (_OPS, Signature, SuperPolynomial, apply_op,
+from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
                                monomials_up_to, table_apply, table_columns)
-from superfock.fock import rho_apply, rho_op, rho_table
+from superfock.fock import rho_apply, rho_table
 from superfock.linalg import commutator_failure, skew_failure
 from superfock.liealg import TKK, Jordan, tkk_for
 from superfock.quotient import normal_form_keys
@@ -29,6 +29,7 @@ from superfock.scalars import (QQi, _acc, column_combination, column_terms,
 from superfock.schrodinger import WElement, make_w, pi_apply, pi_op, pi_table
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
+                              check_bessel_tangential,
                               check_bessel_product_rule,
                               check_bessel_supercommute, check_bf_l_adjoint,
                               check_intertwining, check_intertwining_inverse,
@@ -314,9 +315,9 @@ def test_the_actions_refuse_an_element_of_another_shape():
     with pytest.raises(ValueError, match="different shapes"):
         table_apply(TKK.realization_table, apply_op, X, x1)
     for table, op, sig in ((pi_table, pi_op, tkk.big_signature),
-                           (rho_table, rho_op, tkk.big_signature),
+                           (rho_table, pi_op, tkk.big_signature),
                            (TKK.realization_table, apply_op, tkk.sig),
-                           (rho_table, rho_op, Signature(5, 1, varset="z"))):
+                           (rho_table, pi_op, Signature(5, 1, varset="z"))):
         with pytest.raises(ValueError, match="different shapes"):
             table_columns(table, op, tkk, sig)
 
@@ -330,7 +331,7 @@ def test_the_integer_fill_equals_the_columns_of_the_polynomial_applier(m, n):
     nf_z = [key for d in range(3) for key in normal_form_keys(sig_z, d)]
     for table, op, space, rate, keys in (
             (pi_table, pi_op, sig, 2, nf), (pi_table, pi_op, sig_z, 0, nf_z),
-            (rho_table, rho_op, sig_z, 0, nf_z),
+            (rho_table, pi_op, sig_z, 0, nf_z),
             (TKK.realization_table, apply_op, bsig, 0, monomials_up_to(bsig, 2))):
         fill = table_columns(table, op, tkk, space, rate)
         for key in keys:
@@ -536,6 +537,37 @@ def test_the_delta_control_of_representative_independence_is_live(monkeypatch):
     monkeypatch.setitem(_OPS, "Delta", _OPS["E"])
     assert check_representative_independence(ctx) == \
         (False, "control: Delta maps R^2 into the ideal")
+
+
+def test_a_doubled_bessel_image_on_a_term_of_r2_fails_the_tangentiality(monkeypatch):
+    ctx = small_context(4, 0)
+    assert check_bessel_tangential(ctx, 3)[0] is True
+    x1_squared = ((0, 2, 0, 0), ())
+    assert x1_squared in R2(ctx.sig).terms
+    monkeypatch.setitem(_OPS, "bessel", doubled_on(_OPS["bessel"], x1_squared))
+    assert check_bessel_tangential(ctx, 3) == (False, "B_(2-M)(x_0) leaks on R^2*1")
+
+
+def test_a_bessel_operator_blind_to_lambda_has_no_counterexample(monkeypatch):
+    ctx = small_context(4, 0)
+    bessel = _OPS["bessel"]
+    monkeypatch.setitem(_OPS, "bessel",
+                        lambda sig, key, rate, lam, k: bessel(sig, key, rate, QQi(2 - sig.M), k))
+    assert check_bessel_tangential(ctx, 3) == (False, "no counterexample found at lambda = 3-M")
+
+
+def test_each_sb_check_carries_one_identity_whether_it_runs_or_skips():
+    # the kernel series is undefined at M = 2: (4,1) skips it and (5,0) runs it
+    runs = {(m, n): run_suite(RunConfig(m=m, n=n, max_degree=1, suites=("sb",)))
+            for m, n in ((4, 1), (5, 0))}
+    status = {shape: {r.status for r in results if r.name == "kernel-series-identities"}
+              for shape, results in runs.items()}
+    assert status == {(4, 1): {"skip"}, (5, 0): {"pass"}}
+    identities: dict = {}
+    for results in runs.values():
+        for r in results:
+            identities.setdefault(r.name, set()).add(r.identity)
+    assert {name: len(v) for name, v in identities.items() if len(v) > 1} == {}
 
 
 def product_rule_oracle(ctx, max_degree):
