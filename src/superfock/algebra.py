@@ -416,19 +416,14 @@ def _euler(sig, key, c):
     return out
 
 
-def laplacian_key(sig: Signature, key: MonKey, indices) -> dict:
-    """sum_i d_lower(i) d_upper(i) x^key over indices (all: the Laplacian)."""
+def _laplacian(sig, key, c):
+    """sum_i d_lower(i, c) d_upper(i, c) x^key."""
     out: dict = {}
-    for i in indices:
+    for i in range(sig.nvars):
         t = derive_key(sig.m, i, key)
         if t:
             for k1, v in _derive(sig, t[1], 0, sig.beta_rows[i]).items():
                 _acc(out, k1, t[0] * v)
-    return out
-
-
-def _laplacian(sig, key, c):
-    out = laplacian_key(sig, key, range(sig.nvars))
     if c:  # - 2c d_lower(0) + c^2 beta[0][0]
         for k1, v in _derive(sig, key, 0, sig.beta_rows[0]).items():
             _acc(out, k1, -2 * c * v)

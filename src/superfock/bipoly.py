@@ -9,18 +9,18 @@ odd right-slot variable crossing the odd left variables is the position sign
 that ``SuperPolynomial`` already counts.  Products are therefore the ring
 product, and the derivations, multiplications and Laplacian of either slot
 are the closed forms of ``algebra`` at the slot's joined indices
-(``BiSignature.slots``).  Only the slot Bessel operator, the reduction of one
-slot modulo its R^2, and the slot degree bookkeeping need the split.
+(``BiSignature.slots``).  Only the slot degree bookkeeping and the reduction
+of one slot modulo its R^2, on integer term maps, need the split.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
-from .algebra import (MonKey, Signature, SuperPolynomial, add_term_product, apply_op,
-                      laplacian_key)
+from .algebra import MonKey, Signature, SuperPolynomial, merge_odd
 from .quotient import _r2_power
-from .scalars import QQi, _acc
+from .scalars import QQi
 
 LEFT, RIGHT = 0, 1
 
@@ -96,93 +96,48 @@ def embed(p: SuperPolynomial, bsig: BiSignature, slot: int) -> SuperPolynomial:
     return SuperPolynomial(bsig, out)
 
 
-def slot_constant(p: SuperPolynomial, slot: int) -> SuperPolynomial:
-    """Terms free of the slot's variables, as a polynomial on the other slot."""
-    bsig = p.sig
-    return SuperPolynomial(bsig.halves[1 - slot],
-                           {bsig.split(k)[1 - slot]: c for k, c in p.terms.items()
-                            if not bsig.slot_degree(k, slot)})
-
-
-def slot_euler(p: SuperPolynomial, slot: int) -> SuperPolynomial:
-    """Euler operator of one slot: each term times its degree in that slot."""
-    degree = p.sig.slot_degree
-    out = {}
-    for key, c in p.terms.items():
-        k = degree(key, slot)
-        if k:
-            out[key] = c * k
-    return SuperPolynomial(p.sig, out)
-
-
-def slot_laplacian(p: SuperPolynomial, slot: int) -> SuperPolynomial:
-    """The metric Laplacian of one slot, sum_b d_lower(b) d_upper(b) over its variables."""
-    sig = p.sig
-    out: dict = {}
-    for key, c in p.terms.items():
-        for k, v in laplacian_key(sig, key, sig.slots[slot]).items():
-            _acc(out, k, c * v)
-    q = SuperPolynomial.__new__(SuperPolynomial)
-    q.sig, q.terms = sig, out
-    return q
-
-
-def slot_bessel_mod(p: SuperPolynomial, slot: int, k: int,
-                    laplacian: SuperPolynomial | None = None) -> SuperPolynomial:
-    """``bessel_mod`` (``algebra._OPS``) at index k of one slot, with lambda =
-    2 - M of that slot.
-
-    ``laplacian`` is ``slot_laplacian(p, slot)``; a caller that applies the
-    operator at several indices computes it once and passes it in."""
-    bsig = p.sig
-    if laplacian is None:
-        laplacian = slot_laplacian(p, slot)
-    a = bsig.slots[slot][k]
-    lam = 2 - bsig.halves[slot].M
-    sign = -1 if k == 0 else 1
-    degree = bsig.slot_degree
-    out: dict = {}
-    # (2E - lambda) d_lower(a), E counting the slot degree
-    for key, c in apply_op(("d_lower", a), p).terms.items():
-        f = sign * (2 * degree(key, slot) - lam)
-        if f:
-            out[key] = c * f
-    for key, c in laplacian.mul_var(a).terms.items():
-        _acc(out, key, c if sign < 0 else -c)
-    q = SuperPolynomial.__new__(SuperPolynomial)
-    q.sig, q.terms = bsig, out
-    return q
-
-
 @lru_cache(maxsize=None)
 def _slot_r2_power(bsig: BiSignature, slot: int, j: int) -> SuperPolynomial:
     """r^(2j) of one slot, as a bi-polynomial."""
     return embed(_r2_power(bsig.halves[slot], j), bsig, slot)
 
 
-def reduce_slot(p: SuperPolynomial, slot: int) -> SuperPolynomial:
-    """Normal form of one slot modulo its R^2 ideal.
+def real_int(c: QQi, what: str) -> int:
+    """c as an int, or ValueError if it is not a real integer."""
+    if c.b or c.d != 1:
+        raise ValueError(f"integer slot arithmetic needs {what} with real "
+                         f"integer coefficients, not {c}")
+    return c.a
 
-    The map is linear, and it keeps each term's degree in both slots: x_0^2
-    becomes r^2 in the reduced slot, and the other slot is left alone.  So it
-    commutes with truncation in either slot's degree.  The substituted r^2 is
-    even, so the other slot's signs are unaffected: a term with slot exponent
-    a >= 2 of x_0 becomes the slot's r^(2 floor(a/2)) times the term with
-    exponent a mod 2, one product on the joined alphabet."""
-    bsig = p.sig
+
+def add_times(out: dict, key: MonKey, c: int, terms) -> None:
+    """Add c x^key times the (key, int) terms into the int map out."""
+    ev, odd = key
+    for (tev, todd), v in terms:
+        merged = merge_odd(odd, todd)
+        if merged:
+            k = (tuple(map(add, ev, tev)), merged[1])
+            out[k] = out.get(k, 0) + merged[0] * v * c
+
+
+def reduce_slot_ints(terms: dict, bsig: BiSignature, slot: int) -> dict:
+    """{key: int} terms modulo the R^2 ideal of one slot, keeping both slot
+    degrees: each x_0^2 of the slot becomes its r^2, which is even, so no sign
+    of the other slot changes; one power of x_0 at a time from the highest
+    down, so each power's terms are summed before they are multiplied."""
     x0 = bsig.slots[slot][0]
-    out: dict = {}
-    for key, c in p.terms.items():
-        ev, odd = key
-        a = ev[x0]
-        if a <= 1:
-            _acc(out, key, c)
-        else:
-            add_term_product(out, _slot_r2_power(bsig, slot, a // 2),
-                             (ev[:x0] + (a % 2,) + ev[x0 + 1:], odd), c)
-    q = SuperPolynomial.__new__(SuperPolynomial)
-    q.sig, q.terms = bsig, out
-    return q
+    r2 = [(k, real_int(v, "a metric")) for k, v in _slot_r2_power(bsig, slot, 1).terms.items()]
+    levels: dict = {}
+    for key, c in terms.items():
+        levels.setdefault(key[0][x0], {})[key] = c
+    for a in range(max(levels, default=0), 1, -1):
+        below = levels.setdefault(a - 2, {})
+        for (ev, odd), c in levels.pop(a, {}).items():
+            if c:
+                add_times(below, (ev[:x0] + (a - 2,) + ev[x0 + 1:], odd), c, r2)
+    out = levels.get(0, {})
+    out.update(levels.get(1, {}))
+    return out
 
 
 def pairing(sig_left: Signature, sig_right: Signature) -> SuperPolynomial:

@@ -214,7 +214,13 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
     return total
 
 
-@lru_cache(maxsize=None)
+# Bound of the ``moment`` table.  The integral and sb suites at (8,2),
+# max_degree 2, fill about 7,600 entries, and the whole test suite in one
+# process about 8,200.
+MOMENTS = 1 << 14
+
+
+@lru_cache(maxsize=MOMENTS)
 def moment(sig: Signature, key, rate) -> QQi:
     """Normalized integral of x^key exp(-rate x_0) over W.
 

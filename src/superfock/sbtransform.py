@@ -14,15 +14,18 @@ inverse is a closed Bessel-Fischer pairing with the kernel exp(-z_0)
 B_0(x|z), built once per z-degree, and needs no integration.  Each
 direction keeps one memo, the integer columns of its monomial images
 (``sb_column``, and ``inverse_column`` reduced modulo R^2); ``sb``,
-``sb_inverse`` and the intertwining checks sum those columns.
+``sb_inverse`` and the intertwining checks sum those columns.  The
+series' own identities (``b0_identity_failures``) are checked term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
-from .algebra import MonKey, Signature, SuperPolynomial, apply_op, merge_odd
-from .bipoly import RIGHT, bi_signature, embed, pairing_power
+from .algebra import MonKey, Signature, SuperPolynomial, apply_op, derive_key, merge_odd, mul_key
+from .bipoly import (LEFT, RIGHT, add_times, bi_signature, embed, pairing_power, real_int,
+                     reduce_slot_ints)
 from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import moment
 from .liealg import TKKElement
@@ -49,6 +52,92 @@ def b_series_truncation(sig_x: Signature, sig_z: Signature, alpha: int,
         c = QQi.coerce(b_series_coeff(sig_x.M, alpha, l))
         out = out + pairing_power(sig_x, sig_z, l).scale(c)
     return out
+
+
+def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=None):
+    """(label, first right-slot degree <= max_degree where the identity fails,
+    or None) for each kernel-series identity, in checking order.
+
+    B_alpha's l-th term is c_alpha(l) P^l with P^l = ``pairing_power(l)`` of
+    bidegree (l, l), and each operator moves the right-slot degree by a fixed
+    step, so the degree-d part of an identity's difference is A T(P^l) -
+    B S(P^(l-1)) for one l, the two coefficients cleared to integers A, B:
+    l = d + 1 for d/dz and the z-side Bessel operator, l = d for the Euler
+    and x-side identities.  The parts are {key: int} maps on the joined
+    alphabet; a metric or pairing that is not integral raises ValueError.  The
+    Bessel identities hold modulo the R^2 ideal of the inert slot, so their
+    parts are reduced there: the second-order part of the Bessel operator
+    contracts two variables of one alphabet into R^2 of the other, which every
+    consumer kills.  lam is the Bessel operators' lambda, 2 - M unless given."""
+    bsig = bi_signature(sig, sig_z)
+    m, slots = bsig.m, bsig.slots
+    lam = 2 - sig.M if lam is None else lam
+    coeff = partial(b_series_coeff, sig.M)
+    rows = [[(b, real_int(v, "a metric")) for b, v in row] for row in bsig.beta_rows]
+    powers = [{key: real_int(c, "a pairing")
+               for key, c in pairing_power(sig, sig_z, l).terms.items()}
+              for l in range(max_degree + 2)]
+
+    def cleared(a, b):  # A T - B S vanishes iff a T = b S
+        return a.numerator * b.denominator, b.numerator * a.denominator
+
+    def add_d_lower(out, p, a, f):
+        for key, c in p.items():
+            for b, v in rows[a]:
+                t = derive_key(m, b, key)
+                if t:
+                    out[t[1]] = out.get(t[1], 0) + f * c * v * t[0]
+
+    def add_mul(out, p, a, f):
+        for key, c in p.items():
+            t = mul_key(m, a, key)
+            if t:
+                out[t[1]] = out.get(t[1], 0) + f * c * t[0]
+
+    @cache
+    def laplacian(slot, l):  # shared by every index of the slot
+        out: dict = {}
+        for i in slots[slot]:
+            add_d_lower(out, {t[1]: c * t[0] for key, c in powers[l].items()
+                              if (t := derive_key(m, i, key))}, i, 1)
+        return out
+
+    def derivative(k, d):
+        A, B = cleared(coeff(0, d + 1), (-2 if k == 0 else 2) * coeff(1, d))
+        out: dict = {}
+        add_d_lower(out, powers[d + 1], slots[RIGHT][k], A)
+        add_mul(out, powers[d], slots[LEFT][k], -B)
+        return out
+
+    def euler(d):
+        if not d:
+            return {}
+        A, B = cleared(d * coeff(0, d), coeff(1, d - 1))
+        out = {key: A * c for key, c in powers[d].items()}
+        for key, c in powers[d - 1].items():  # B P^(d-1) times the pairing
+            add_times(out, key, -B * c, powers[1].items())
+        return out
+
+    def bessel(slot, i, d):
+        l, a, s = d + 1 if slot == RIGHT else d, slots[slot][i], -1 if i == 0 else 1
+        if not l:
+            return {}
+        A, B = cleared(coeff(0, l), 4 * coeff(0, l - 1))
+        out: dict = {}  # (2E - lam) d_lower(a) - x_a Delta, E = l - 1 after d_lower
+        add_d_lower(out, powers[l], a, s * A * (2 * (l - 1) - lam))
+        add_mul(out, laplacian(slot, l), a, -s * A)
+        add_mul(out, powers[l - 1], slots[1 - slot][i], -B)
+        return reduce_slot_ints(out, bsig, 1 - slot)
+
+    identities = [(f"z-derivative (k={k})", partial(derivative, k))
+                  for k in list(range(1, sig.nvars)) + [0]]
+    identities.append(("Euler contraction", euler))
+    for i in range(sig.nvars):
+        identities += [(f"Bessel eigenfunction (z side, i={i})", partial(bessel, RIGHT, i)),
+                       (f"Bessel eigenfunction (x side, i={i})", partial(bessel, LEFT, i))]
+    for label, residue in identities:
+        yield label, next((d for d in range(max_degree + 1) if any(residue(d).values())),
+                          None)
 
 
 def exp_z0_truncation(sig: Signature, max_degree: int, scale=-1) -> SuperPolynomial:

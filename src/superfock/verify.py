@@ -42,8 +42,6 @@ from . import linalg
 from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
                       in_minus_2n, monomial_keys, monomials_up_to, mul_key,
                       op_column, op_image, random_polynomial, table_columns)
-from .bipoly import (LEFT, RIGHT, bi_signature, pairing_power, reduce_slot,
-                     slot_bessel_mod, slot_euler, slot_laplacian)
 from .fock import (bessel_image, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
@@ -61,7 +59,7 @@ from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, _acc, column_combinatio
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_op, pi_table,
                           radial_expand)
-from .sbtransform import (SBTransform, b_series_coeff, b_series_truncation,
+from .sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
                           exp_z0_truncation)
 from . import specfun
 from .algebra import theta2
@@ -1250,52 +1248,8 @@ def check_b_series(ctx: Context, lmax: int = 8):
     return True, "termwise derivative shifts the series index"
 
 
-def _first_degree(diff: SuperPolynomial, degree, max_degree: int):
-    """The smallest degree <= max_degree among the terms of diff, or None.
-
-    For diff = lhs - rhs this is the first degree at which an ascending
-    degree-by-degree comparison of the two sides finds them unequal."""
-    return min((d for d in map(degree, diff.terms) if d <= max_degree), default=None)
-
-
-def b0_identity_differences(sig: Signature, sig_z: Signature, max_degree: int):
-    """(label, lhs - rhs) for each kernel-series identity, in checking order.
-
-    Only the terms of right-slot degree at most max_degree are compared.  Each
-    operator moves that degree by a fixed step, and B_alpha's l-th series term
-    has degree l in both slots, so each series enters truncated at the degree
-    its side needs: d/dz and the z-side Bessel operator lower it by one, the
-    x-side operators, the Euler operator and ``reduce_slot`` keep it, and a
-    factor z_i or the pairing raises it by one."""
-    def series(alpha, top):
-        return b_series_truncation(sig, sig_z, alpha, top)
-
-    b0 = series(0, max_degree + 1)
-    b0_cut, b0_low = series(0, max_degree), series(0, max_degree - 1)
-    b1 = series(1, max_degree)
-    x, z = b0.sig.slots  # joined indices of the x and z variables
-    for k in list(range(1, sig.nvars)) + [0]:
-        yield (f"z-derivative (k={k})",
-               apply_op(("d_lower", z[k]), b0) - b1.mul_var(x[k]).scale(-2 if k == 0 else 2))
-    yield ("Euler contraction",
-           slot_euler(b0_cut, RIGHT) - pairing_power(sig, sig_z, 1) * series(1, max_degree - 1))
-    # the eigenfunction identity holds modulo the R^2 ideal of the inert slot:
-    # the second-order part of the Bessel operator contracts two variables of
-    # one alphabet into R^2 of the other, which every consumer kills
-    lap_z, lap_x = slot_laplacian(b0, RIGHT), slot_laplacian(b0_cut, LEFT)
-    for i in range(sig.nvars):
-        yield (f"Bessel eigenfunction (z side, i={i})",
-               reduce_slot(slot_bessel_mod(b0, RIGHT, i, lap_z)
-                           - b0_cut.mul_var(x[i]).scale(4), LEFT))
-        yield (f"Bessel eigenfunction (x side, i={i})",
-               reduce_slot(slot_bessel_mod(b0_cut, LEFT, i, lap_x)
-                           - b0_low.mul_var(z[i]).scale(4), RIGHT))
-
-
 def check_b0_identities(ctx: Context, max_degree: int = 6):
-    bsig = bi_signature(ctx.sig, ctx.sig_z)
-    for label, diff in b0_identity_differences(ctx.sig, ctx.sig_z, max_degree):
-        d = _first_degree(diff, lambda key: bsig.slot_degree(key, RIGHT), max_degree)
+    for label, d in b0_identity_failures(ctx.sig, ctx.sig_z, max_degree):
         if d is not None:
             return False, f"{label} fails at degree {d}"
     return True, f"series identities to degree {max_degree}"
@@ -1309,9 +1263,9 @@ def check_exp_identities(ctx: Context, max_degree: int = 6):
     z0 = SuperPolynomial.variable(sigz, 0)
     for k in range(sigz.nvars):
         rhs = e.scale(2 - M) + z0 * e if k == 0 else SuperPolynomial.variable(sigz, k) * e
-        d = _first_degree(apply_op(("bessel_mod", k), e) - rhs,
-                          lambda key: sum(key[0]) + len(key[1]), max_degree)
-        if d is not None:
+        diff = apply_op(("bessel_mod", k), e) - rhs  # lowest degree: the first failing one
+        d = min((sum(ev) + len(odd) for ev, odd in diff.terms), default=max_degree + 1)
+        if d <= max_degree:
             return False, f"index-{k} case fails at degree {d}"
     return True, f"action on the exponential series to degree {max_degree}"
 

@@ -7,7 +7,7 @@ from superfock import algebra, fock
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op,
                                monomial_keys, monomials_up_to, random_polynomial,
                                table_apply)
-from superfock.bipoly import LEFT, RIGHT, slot_bessel_mod, slot_constant
+from superfock.bipoly import LEFT, RIGHT
 from superfock.fock import (bessel_image, bf_covectors, bf_product,
                             bf_product_shift_oracle, bf_word_apply, gram_json,
                             gram_nullspace, gram_rank, kernel,
@@ -19,6 +19,7 @@ from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
 from superfock.scalars import I, QQi, column_terms
 from superfock.schrodinger import pi_op, pi_table
 from superfock.verify import Context, RunConfig, check_bf_oracle, check_bf_products
+from test_sb import slot_bessel_mod
 
 SIG = Signature(4, 1, varset="z")
 SIGX = Signature(4, 1)
@@ -358,6 +359,14 @@ def test_each_doubled_bessel_image_fails_the_dual_route(empty_caches):
         double_bessel_image(ctx.sig_z, i, key)
         ok, detail = check_bf_oracle(ctx, 2)
         assert ok is False and f"Bessel({i})" in detail, (i, key)
+
+
+def slot_constant(p, slot):
+    """Terms free of the slot's variables, as a polynomial on the other slot."""
+    bsig = p.sig
+    return SuperPolynomial(bsig.halves[1 - slot],
+                           {bsig.split(k)[1 - slot]: c for k, c in p.terms.items()
+                            if not bsig.slot_degree(k, slot)})
 
 
 def slot_bessel_kernel_pair(p, kern):

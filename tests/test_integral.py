@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from superfock import integral
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op, monomial_keys,
                                random_polynomial)
 from superfock.integral import (DivergenceError, _integral_direct, berezin,
@@ -89,6 +90,12 @@ def test_moment_table_equals_the_direct_integral(m, n, max_degree):
             for rate in (2, 4):
                 want = (_integral_direct(mono, rate) / gamma).as_qqi()
                 assert moment(sig, key, rate) == want, (key, rate)
+
+
+def test_the_moment_table_is_bounded():
+    # as fock.BESSEL_IMAGES bounds the Bessel images, and above the ~7,600
+    # moments that the integral and sb suites read at (8,2), max_degree 2
+    assert moment.cache_info().maxsize == integral.MOMENTS >= 8000
 
 
 @pytest.mark.parametrize("m,n", [(4, 0), (6, 1)])

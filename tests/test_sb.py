@@ -3,20 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.algebra import Signature, SuperPolynomial, apply_op, monomial_keys
+from superfock.algebra import (Signature, SuperPolynomial, add_term_product, apply_op,
+                               derive_key, monomial_keys)
 from superfock import sbtransform
-from superfock.bipoly import (LEFT, RIGHT, bi_signature, embed, pairing, pairing_power,
-                              reduce_slot, slot_bessel_mod, slot_euler, slot_laplacian)
+from superfock.bipoly import (LEFT, RIGHT, _slot_r2_power, bi_signature, embed, pairing,
+                              pairing_power)
 from superfock.fock import bf_product, rho_apply
 from superfock.integral import _integral_direct, gamma_engine, w_form
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
-from superfock.sbtransform import (SBTransform, b_series_coeff,
+from superfock.sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
                                    b_series_truncation, exp_z0_truncation)
 from superfock.scalars import I, PiScalar, QQi, _acc
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
-from superfock.verify import (Context, RunConfig, _first_degree, b0_identity_differences,
-                              check_b0_identities)
+from superfock.verify import Context, RunConfig, check_b0_identities
 
 SIG = Signature(4, 0)
 SB = SBTransform(SIG)
@@ -201,9 +201,107 @@ def test_exp_truncation():
     assert e == want
 
 
-# The route that check_b0_identities replaced, kept as its oracle: the full
-# series on both sides, a chained slot Laplacian, each side reduced on its own
-# one monomial at a time, then compared one right-slot degree at a time.
+# The slot operators of bi-polynomials that the integer route of
+# check_b0_identities (sbtransform.b0_identity_failures) replaced, and that route:
+# one slot-reduced difference per identity, each series truncated at the degree
+# its side needs.  The Fock tests read slot_bessel_mod as well.
+
+def slot_euler(p, slot):
+    """Euler operator of one slot: each term times its degree in that slot."""
+    degree = p.sig.slot_degree
+    return SuperPolynomial(p.sig, {key: c * degree(key, slot) for key, c in p.terms.items()})
+
+
+def slot_laplacian(p, slot):
+    """The metric Laplacian of one slot, sum_b d_lower(b) d_upper(b) over its
+    variables, each term's d_upper(b) image taken once."""
+    sig = p.sig
+    out = {}
+    for key, c in p.terms.items():
+        for b in sig.slots[slot]:
+            t = derive_key(sig.m, b, key)
+            if t:
+                lower = apply_op(("d_lower", b), SuperPolynomial.monomial(sig, t[1]))
+                for k, v in lower.terms.items():
+                    _acc(out, k, c * t[0] * v)
+    return SuperPolynomial(sig, out)
+
+
+def slot_bessel_mod(p, slot, k, laplacian=None, lam=None):
+    """``bessel_mod`` at index k of one slot, with lambda = 2 - M of that slot
+    unless given; ``laplacian`` is ``slot_laplacian(p, slot)``, computed once
+    by a caller that applies the operator at several indices."""
+    bsig = p.sig
+    if laplacian is None:
+        laplacian = slot_laplacian(p, slot)
+    a = bsig.slots[slot][k]
+    if lam is None:
+        lam = 2 - bsig.halves[slot].M
+    sign = -1 if k == 0 else 1
+    out = {}
+    # (2E - lambda) d_lower(a), E counting the slot degree
+    for key, c in apply_op(("d_lower", a), p).terms.items():
+        _acc(out, key, c * (sign * (2 * bsig.slot_degree(key, slot) - lam)))
+    for key, c in laplacian.mul_var(a).terms.items():
+        _acc(out, key, c if sign < 0 else -c)
+    return SuperPolynomial(bsig, out)
+
+
+def reduce_slot(p, slot):
+    """Normal form of one slot modulo its R^2 ideal: a term with slot exponent
+    a >= 2 of x_0 becomes the slot's r^(2 floor(a/2)) times the term with
+    exponent a mod 2, one product on the joined alphabet."""
+    bsig = p.sig
+    x0 = bsig.slots[slot][0]
+    out = {}
+    for key, c in p.terms.items():
+        ev, odd = key
+        a = ev[x0]
+        if a <= 1:
+            _acc(out, key, c)
+        else:
+            add_term_product(out, _slot_r2_power(bsig, slot, a // 2),
+                             (ev[:x0] + (a % 2,) + ev[x0 + 1:], odd), c)
+    return SuperPolynomial(bsig, out)
+
+
+def b0_identity_differences(sig, sig_z, max_degree, lam=None):
+    """(label, lhs - rhs) for each kernel-series identity, in checking order,
+    on the terms of right-slot degree <= max_degree."""
+    def series(alpha, top):
+        return b_series_truncation(sig, sig_z, alpha, top)
+
+    b0 = series(0, max_degree + 1)
+    b0_cut, b0_low = series(0, max_degree), series(0, max_degree - 1)
+    b1 = series(1, max_degree)
+    x, z = b0.sig.slots  # joined indices of the x and z variables
+    for k in list(range(1, sig.nvars)) + [0]:
+        yield (f"z-derivative (k={k})",
+               apply_op(("d_lower", z[k]), b0) - b1.mul_var(x[k]).scale(-2 if k == 0 else 2))
+    yield ("Euler contraction",
+           slot_euler(b0_cut, RIGHT) - pairing_power(sig, sig_z, 1) * series(1, max_degree - 1))
+    lap_z, lap_x = slot_laplacian(b0, RIGHT), slot_laplacian(b0_cut, LEFT)
+    for i in range(sig.nvars):
+        yield (f"Bessel eigenfunction (z side, i={i})",
+               reduce_slot(slot_bessel_mod(b0, RIGHT, i, lap_z, lam)
+                           - b0_cut.mul_var(x[i]).scale(4), LEFT))
+        yield (f"Bessel eigenfunction (x side, i={i})",
+               reduce_slot(slot_bessel_mod(b0_cut, LEFT, i, lap_x, lam)
+                           - b0_low.mul_var(z[i]).scale(4), RIGHT))
+
+
+def difference_route_failures(sig, sigz, max_degree, lam=None):
+    """(label, smallest right-slot degree <= max_degree of a term of the
+    difference, or None) per identity."""
+    degree = bi_signature(sig, sigz).slot_degree
+    return [(label, min((d for d in (degree(key, RIGHT) for key in diff.terms)
+                         if d <= max_degree), default=None))
+            for label, diff in b0_identity_differences(sig, sigz, max_degree, lam)]
+
+
+# The route that b0_identity_differences replaced, kept as the oracle of both:
+# the full series on both sides, a chained slot Laplacian, each side reduced on
+# its own one monomial at a time, then compared one right-slot degree at a time.
 
 def slot_degree_part(p, slot, d):
     degree = p.sig.slot_degree
@@ -266,12 +364,6 @@ def oracle_verdict(failures, max_degree):
     return True, f"series identities to degree {max_degree}"
 
 
-def difference_failures(sig, sigz, max_degree):
-    bsig = bi_signature(sig, sigz)
-    return [(label, _first_degree(diff, lambda key: bsig.slot_degree(key, RIGHT), max_degree))
-            for label, diff in b0_identity_differences(sig, sigz, max_degree)]
-
-
 def test_b0_truncation_eigenfunction_mod_ideal():
     b0 = b_series_truncation(SIG, SIGZ, 0, 4)
     lhs = reduce_slot(slot_bessel_mod(b0, RIGHT, 0), LEFT)
@@ -320,9 +412,35 @@ def test_a_wrong_series_coefficient_fails_every_identity_family_as_the_oracle_do
     monkeypatch.setattr(sbtransform, "b_series_coeff", doubled_at_l_2)
     ctx = Context(RunConfig(m=m, n=n, max_degree=1))
     failures = oracle_b0_failures(ctx.sig, ctx.sig_z, 4)
-    assert difference_failures(ctx.sig, ctx.sig_z, 4) == failures
+    assert list(b0_identity_failures(ctx.sig, ctx.sig_z, 4)) == failures
     families = {label.split("=")[0] for label, d in failures if d is not None}
     assert families == {"z-derivative (k", "Euler contraction",
                         "Bessel eigenfunction (z side, i", "Bessel eigenfunction (x side, i"}
     assert check_b0_identities(ctx, 4) == oracle_verdict(failures, 4) \
         == (False, "z-derivative (k=1) fails at degree 1")
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])
+def test_a_wrong_bessel_lambda_fails_at_the_same_label_and_degree_on_both_routes(m, n):
+    sig, sigz = Signature(m, n), Signature(m, n, varset="z")
+    failures = list(b0_identity_failures(sig, sigz, 4, lam=3 - sig.M))
+    assert failures == difference_route_failures(sig, sigz, 4, lam=3 - sig.M)
+    # lambda enters only the Bessel identities: the z side first fails on the
+    # constant term of its image, the x side on the linear one
+    for label, d in failures:
+        assert d == (None if not label.startswith("Bessel") else 0 if "z side" in label
+                     else 1), label
+
+
+def test_a_pairing_that_is_not_integral_is_refused():
+    beta = ((-1, 0, 0), (0, 1, 0), (0, 0, 4))  # the pairing has x_2 z_2 / 2
+    sig, sigz = Signature(3, 0, beta=beta), Signature(3, 0, varset="z", beta=beta)
+    with pytest.raises(ValueError, match="a pairing with real integer coefficients"):
+        list(b0_identity_failures(sig, sigz, 2))
+
+
+def test_b0_identities_hold_at_two_odd_pairs():
+    # (8,2) at the suite's budget for more than 7 variables: no shape of the
+    # acceptance matrix has n >= 2 with M >= 4
+    ctx = Context(RunConfig(m=8, n=2, max_degree=1))
+    assert check_b0_identities(ctx, 4) == (True, "series identities to degree 4")
