@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .algebra import Signature, SuperPolynomial, apply_op, merge_odd, theta2
 from .scalars import PiScalar, QQi, _acc, factorial_fraction, gamma_half, poch
@@ -219,20 +220,57 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
 # process about 8,200.
 MOMENTS = 1 << 14
 
+# Bound of the class table behind it (``_moment_class``).  The 3,642 moments
+# of ``sb/intertwining`` at (8,2), max_degree 2, fall into 246 classes.
+MOMENT_CLASSES = 1 << 12
+
+
+def _sphere_ratio(alpha: tuple[int, ...]) -> Fraction:
+    """sphere_moment(alpha) / sphere_moment((|alpha|, 0, ..., 0)) for even
+    omega exponents: prod (a_i - 1)!! / (|alpha| - 1)!!."""
+    return Fraction(prod(prod(range(1, a, 2)) for a in alpha),
+                    prod(range(1, sum(alpha), 2)))
+
+
+@lru_cache(maxsize=MOMENT_CLASSES)
+def _moment_class(sig: Signature, a0: int, s: int, odd: tuple[int, ...], rate) -> QQi:
+    """Normalized integral of the class representative x_0^a0 x_1^s theta_odd
+    exp(-rate x_0), integrated directly."""
+    ev = (a0, s) + (0,) * (sig.m - 2)
+    mono = SuperPolynomial.monomial(sig, (ev, odd))
+    return (_integral_direct(mono, rate) / gamma_engine(sig)).as_qqi()
+
 
 @lru_cache(maxsize=MOMENTS)
 def moment(sig: Signature, key, rate) -> QQi:
-    """Normalized integral of x^key exp(-rate x_0) over W.
+    """Normalized integral of x^key exp(-rate x_0) over W, from its class.
 
-    Zero, with nothing integrated, when an omega exponent key[0][1:] is odd:
-    phi#, the weights and the restriction to the ray all keep alpha = ev[1:],
-    and _integral_direct skips a zero sphere moment before it reaches
-    radial_integral, so no DivergenceError is hidden.  A pi power that
-    survives the normalization raises, per monomial."""
-    if any(a % 2 for a in key[0][1:]):
+    Write key = (x_0^a omega^alpha s^|alpha|, theta_J) in ray coordinates.
+    ``RadialSuperfunction.from_poly`` keeps (a, |alpha|, alpha, J), and
+    phi#, the weights and the restriction to the ray act on a, |alpha| and
+    J only: they carry alpha through unchanged.  So the raw integral of
+    x^key is sphere_moment(alpha) times a value of (a, |alpha|, J, rate),
+    and the same value times sphere_moment((|alpha|, 0, ..., 0)) is the raw
+    integral of the class representative x_0^a x_1^|alpha| theta_J.
+
+    When an omega exponent is odd the sphere moment is zero, and so is the
+    moment, with nothing integrated; _integral_direct skips a zero sphere
+    moment before it reaches radial_integral, so no DivergenceError is
+    hidden.  When every a_i is even, sphere_moment(alpha) is
+    2 prod Gamma((a_i+1)/2) / Gamma((|alpha|+m-1)/2) and
+    Gamma((a+1)/2) = (a-1)!! sqrt(pi) / 2^(a/2), so the two sphere moments
+    differ by the rational prod (a_i-1)!! / (|alpha|-1)!! (``_sphere_ratio``).
+    The moment is that rational times the representative's moment
+    (``_moment_class``, one direct integral per class).  The radial terms
+    of the two integrals are the same, so both raise alike; a pi power that
+    survives the normalization raises, per class."""
+    ev, odd = key
+    alpha = ev[1:]
+    if any(a % 2 for a in alpha):
         return QQi(0)
-    mono = SuperPolynomial.monomial(sig, key)
-    return (_integral_direct(mono, rate) / gamma_engine(sig)).as_qqi()
+    value = _moment_class(sig, ev[0], sum(alpha), odd, rate)
+    ratio = _sphere_ratio(alpha)
+    return value if ratio == 1 else value * ratio
 
 
 @lru_cache(maxsize=None)
@@ -265,6 +303,22 @@ def integrate_w(poly: SuperPolynomial, rate, trace: list | None = None) -> QQi:
     for key, c in poly.terms.items():
         total = total + c * moment(sig, key, rate)
     return total
+
+
+def w_pair(sig: Signature, p, q) -> QQi:
+    """The W-form of the monomial vectors x^p exp(-2 x_0) and x^q exp(-2 x_0):
+    the merge sign of their odd parts times the moment of x^(p+q) at rate 4.
+
+    A monomial's conjugate is itself, and x^p x^q is x^(p+q) up to the sign
+    of merging the odd parts; it is zero when they share an index."""
+    if sig.M < 4:
+        raise ValueError("the integral is only defined for superdimension >= 4")
+    merged = merge_odd(p[1], q[1])
+    if merged is None:
+        return QQi(0)
+    sign, odd = merged
+    v = moment(sig, (tuple(a + b for a, b in zip(p[0], q[0])), odd), 4)
+    return v if sign > 0 else -v
 
 
 def w_form(f, g) -> QQi:

@@ -7,14 +7,15 @@ failure, and never raise: unexpected exceptions are reported as failures.
 
 Action columns on monomials come from one memo, ``action_columns``, which
 fills the columns of every basis element on one monomial at once through an
-action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They and
-the pairing tables (``Context.w_pair``, ``Context.bf_table``) are memoized
-per ``Context`` (``pi_column``, ``rho_column``) or per check (pi_C, D,
-columns of ``algebra`` operators, which the angular commutant reads
-unmemoized); the Bessel-Fischer table is one integer
-column, rebuilt only for a larger degree.  Columns are integer columns
-(``scalars.int_column``): Gaussian-integer numerator pairs over one positive
-denominator.  One commutator loop over columns
+action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They are
+memoized per ``Context`` (``pi_column``, ``rho_column``) or per check (pi_C,
+D, columns of ``algebra`` operators, which the angular commutant reads
+unmemoized).  Of the pairing tables, the Bessel-Fischer table
+(``Context.bf_table``) is one integer column per ``Context``, rebuilt only
+for a larger degree; the W-form of two monomials (``Context.w_pair``) has no
+memo of its own, as it is one signed read of the moment table
+(``integral.w_pair``).  Columns are integer columns (``scalars.int_column``):
+Gaussian-integer numerator pairs over one positive denominator.  One commutator loop over columns
 (``linalg.commutator_failure``) checks the sl2 triple, the Bessel operator
 identities, the angular commutant and the representations D, pi and rho;
 one contraction of a pairing table against columns
@@ -49,7 +50,8 @@ from .fock import (bessel_image, bf_covectors, bf_product,
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
                         harmonic_basis, harmonic_dim_nullspace)
 from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
-                       radial_integral, sphere_moment, w_form, DivergenceError)
+                       radial_integral, sphere_moment, w_form, w_pair,
+                       DivergenceError)
 from .linalg import commutator_failure, skew_failure
 from .liealg import TKK, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
@@ -126,12 +128,11 @@ class Context:
         self._bf_table: tuple[int, tuple] | None = None
         # Memos that hold no reference to the Context: the integer columns of
         # the actions of basis element a on x^key exp(-2 x_0) (Schrodinger) and
-        # on z^key (Fock), and the W-form of the rate-2 monomial vectors x^p
-        # and x^q.
+        # on z^key (Fock).  The W-form of the rate-2 monomial vectors x^p and
+        # x^q is one signed read of the moment table, so it has no memo here.
         self.pi_column = action_columns(pi_table, pi_op, tkk, sig, 2)
         self.rho_column = action_columns(rho_table, pi_op, tkk, sig_z, 0)
-        self.w_pair = cache(lambda p, q: w_form(
-            *(WElement(2, SuperPolynomial.monomial(sig, k)) for k in (p, q))))
+        self.w_pair = partial(w_pair, sig)
 
     def bf_table(self, max_degree: int) -> tuple[int, dict]:
         """The nonzero pairings {(a, b): <z^a, z^b>} of the monomials of degree
@@ -1348,11 +1349,12 @@ def check_intertwining_inverse(ctx: Context, max_degree: int = 3):
 
 
 def check_unitarity(ctx: Context, max_degree: int = 2):
+    keys = _nf_keys(ctx.sig, max_degree)
     fs = ctx.w_monomials(max_degree)
     imgs = [ctx.sb.sb(f) for f in fs]
-    for f, sf in zip(fs, imgs):
-        for g, sg in zip(fs, imgs):
-            if bf_product(sf, sg) != w_form(f, g):
+    for p, f, sf in zip(keys, fs, imgs):
+        for q, g, sg in zip(keys, fs, imgs):
+            if bf_product(sf, sg) != ctx.w_pair(p, q):
                 return False, f"forms differ on ({f.poly}, {g.poly})"
     return True, f"pairs over the degree <= {max_degree} spanning set"
 

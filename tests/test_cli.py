@@ -58,7 +58,8 @@ def test_clear_caches_empties_every_module_cache():
         "superfock.bipoly._slot_r2_power", "superfock.bipoly.bi_signature",
         "superfock.bipoly.pairing_power", "superfock.fock.bessel_image",
         "superfock.fock.bf_covectors", "superfock.integral._theta_powers",
-        "superfock.integral.gamma_engine", "superfock.integral.moment",
+        "superfock.integral._moment_class", "superfock.integral.gamma_engine",
+        "superfock.integral.moment",
         "superfock.liealg.tkk_for", "superfock.quotient._r2_power",
         "superfock.schrodinger.abs_X"}
     assert any(obj.cache_info().currsize for obj in caches)

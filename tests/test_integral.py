@@ -79,23 +79,73 @@ def test_normalized_examples():
         integrate_w(SuperPolynomial.one(Signature(4, 1)), 4)
 
 
-@pytest.mark.parametrize("m,n,max_degree", [(5, 0, 6), (6, 1, 5), (7, 1, 4), (8, 2, 3)])
-def test_moment_table_equals_the_direct_integral(m, n, max_degree):
-    # every monomial, not only normal forms; the odd-omega shortcut included
-    sig = Signature(m, n)
+def moment_mismatches(sig, max_degree, rates=(2, 4)):
+    """(key, rate) of every monomial of degree <= max_degree whose table
+    moment differs from its direct integral."""
     gamma = gamma_engine(sig)
+    out = []
     for d in range(max_degree + 1):
         for key in monomial_keys(sig, d):
             mono = SuperPolynomial.monomial(sig, key)
-            for rate in (2, 4):
-                want = (_integral_direct(mono, rate) / gamma).as_qqi()
-                assert moment(sig, key, rate) == want, (key, rate)
+            for rate in rates:
+                if moment(sig, key, rate) != (_integral_direct(mono, rate) / gamma).as_qqi():
+                    out.append((key, rate))
+    return out
+
+
+@pytest.mark.parametrize("m,n,max_degree",
+                         [(4, 0, 6), (5, 0, 6), (6, 1, 5), (7, 1, 4), (8, 2, 3)])
+def test_moment_table_equals_the_direct_integral(m, n, max_degree):
+    # every monomial, not only normal forms or class representatives; the
+    # odd-omega shortcut and one rate that is not an integer included
+    assert moment_mismatches(Signature(m, n), max_degree, (2, 4, Fraction(3, 2))) == []
+
+
+@pytest.fixture
+def fresh_moment_tables():
+    """Empty the moment and class tables around a test that corrupts them."""
+    tables = moment, integral._moment_class
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+def test_a_corrupted_class_value_fails_the_comparison(monkeypatch, fresh_moment_tables):
+    # the class of x_0 x_i^2 at rate 4: every i and no other class
+    sig = Signature(5, 0)
+    value = integral._moment_class
+
+    def wrapped(s, a0, total, odd, rate):
+        v = value(s, a0, total, odd, rate)
+        return v * 2 if (a0, total, odd, rate) == (1, 2, (), 4) else v
+    monkeypatch.setattr(integral, "_moment_class", wrapped)
+    assert sorted(moment_mismatches(sig, 3)) == [
+        (((1,) + alpha, ()), 4)
+        for alpha in ((0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0))]
+
+
+def test_a_corrupted_sphere_ratio_fails_the_comparison(monkeypatch, fresh_moment_tables):
+    # omega_1^2 omega_2^2: the true ratio is 1/3, the corrupted one 1
+    sig = Signature(5, 0)
+    ratio = integral._sphere_ratio
+    monkeypatch.setattr(integral, "_sphere_ratio",
+                        lambda alpha: ratio(alpha) * (3 if alpha == (2, 2, 0, 0) else 1))
+    assert moment_mismatches(sig, 4) == [
+        (((0, 2, 2, 0, 0), ()), 2), (((0, 2, 2, 0, 0), ()), 4)]
 
 
 def test_the_moment_table_is_bounded():
     # as fock.BESSEL_IMAGES bounds the Bessel images, and above the ~7,600
     # moments that the integral and sb suites read at (8,2), max_degree 2
     assert moment.cache_info().maxsize == integral.MOMENTS >= 8000
+
+
+def test_the_moment_class_table_is_bounded():
+    # above the 246 classes of the moments that sb/intertwining reads at
+    # (8,2), max_degree 2
+    assert integral._moment_class.cache_info().maxsize == integral.MOMENT_CLASSES >= 2000
 
 
 @pytest.mark.parametrize("m,n", [(4, 0), (6, 1)])
@@ -122,6 +172,20 @@ def test_euler_identity():
             q = random_polynomial(sig, 3, rng)
             val = integrate_w(apply_op(("E",), q, 4) + q.scale(sig.M - 2), 4)
             assert val == QQi(0)
+
+
+@pytest.mark.parametrize("m,n", [(5, 0), (6, 1), (8, 2)])
+def test_w_pair_equals_the_form_of_two_monomial_vectors(m, n):
+    # the signed moment against the product of two WElements, integrated
+    ctx = Context(RunConfig(m=m, n=n, max_degree=1))
+    sig = ctx.sig
+    vec = {key: make_w(SuperPolynomial.monomial(sig, key), 2)
+           for d in range(4) for key in normal_form_keys(sig, d)}
+    low = [key for d in range(3) for key in normal_form_keys(sig, d)]
+    for p in low:
+        for q in vec:
+            assert ctx.w_pair(p, q) == w_form(vec[p], vec[q]), (p, q)
+            assert ctx.w_pair(q, p) == w_form(vec[q], vec[p]), (q, p)
 
 
 def test_w_form_basics():
