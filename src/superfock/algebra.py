@@ -7,9 +7,15 @@ transpositions needed to reach that canonical order.  Coefficients are exact
 Gaussian rationals.
 
 The operators (derivations, Euler, Laplace, angular and Bessel operators,
-multiplications) are one calculus: each ``_OPS`` entry is a closed form on a
-monomial (``op_image``), read as an integer column by ``op_column``, and
-``apply_op`` is its linear extension, the one polynomial applier.
+multiplications, R^2) are one calculus in ints: each ``_OPS`` entry is a
+closed form whose image of a monomial is a map {key: int} at an integral rate
+and lambda (``Signature`` keeps its metric rows and R^2 in ints); a rate,
+lambda or metric entry that is not an integer is made a ``QQi`` once
+(``scalars.int_or_qqi``) and runs through the same code.  ``op_terms`` is the
+linear extension and ``add_term_product`` the one term product.  ``QQi``
+appears only at the boundary: ``op_image`` and ``apply_op`` return ``QQi``
+maps and polynomials, ``op_column`` and ``table_columns`` wrap the ints as
+integer columns.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import add
 
 from . import linalg
-from .scalars import I, ONE, QQi, _acc, column_combination, int_column
+from .scalars import I, QQi, _acc, column_combination, column_terms, int_column, int_or_qqi
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -44,7 +51,7 @@ class Signature:
     """Variable layout (m even, 2n odd) plus the metric and its exact inverse."""
 
     __slots__ = ("m", "n", "varset", "beta", "beta_inv", "nvars",
-                 "beta_rows", "beta_inv_pairs", "_hash")
+                 "beta_rows", "beta_inv_pairs", "r2_terms", "_hash")
 
     def __init__(self, m: int, n: int, varset: str = "x", beta=None):
         if m < 2:
@@ -73,15 +80,16 @@ class Signature:
                     raise ValueError("metric must be supersymmetric")
         self.beta = beta
         self.beta_inv = tuple(tuple(r) for r in linalg.inv_dense([list(r) for r in beta]))
-        self.beta_rows = tuple(
-            tuple((i, row[i]) for i in range(self.nvars) if row[i]) for row in self.beta
-        )
-        self.beta_inv_pairs = tuple(
-            (i, j, self.beta_inv[i][j])
-            for i in range(self.nvars)
-            for j in range(self.nvars)
-            if self.beta_inv[i][j]
-        )
+        # the metric, its inverse and R^2 in ints where they are integral
+        self.beta_rows = tuple(tuple((i, int_or_qqi(row[i])) for i in range(self.nvars)
+                                     if row[i]) for row in self.beta)
+        self.beta_inv_pairs = tuple((i, j, int_or_qqi(self.beta_inv[i][j]))
+                                    for i in range(self.nvars) for j in range(self.nvars)
+                                    if self.beta_inv[i][j])
+        self.r2_terms = {}  # R^2 = sum beta^{ij} x_i x_j
+        for i, j, b in self.beta_inv_pairs:
+            if (t := mul_key(m, j, ((0,) * m, ()))) and (u := mul_key(m, i, t[1])):
+                _acc(self.r2_terms, u[1], b * t[0] * u[0])
         self._hash = hash((m, n, varset, beta))
 
     @property
@@ -133,7 +141,9 @@ def merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
 
 
 class SuperPolynomial:
-    """Finitely supported map (even exponents, odd subset) -> QQi."""
+    """Finitely supported map (even exponents, odd subset) -> QQi.  ``apply_op``
+    and ``quotient.reduce_poly`` keep the number type of the coefficients, so
+    ``table_columns`` runs them on a monomial with the int coefficient 1."""
 
     __slots__ = ("sig", "terms")
 
@@ -147,6 +157,13 @@ class SuperPolynomial:
                     self.terms[k] = c
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, sig: Signature, terms: dict) -> "SuperPolynomial":
+        """The polynomial of a term map with no zero values, taken as it is."""
+        p = cls.__new__(cls)
+        p.sig, p.terms = sig, terms
+        return p
 
     @classmethod
     def zero(cls, sig: Signature) -> "SuperPolynomial":
@@ -187,10 +204,6 @@ class SuperPolynomial:
             return -1
         return max(sum(ev) + len(odd) for ev, odd in self.terms)
 
-    def degree_part(self, k: int) -> "SuperPolynomial":
-        return SuperPolynomial(self.sig, {key: c for key, c in self.terms.items()
-                                          if sum(key[0]) + len(key[1]) == k})
-
     def homogeneous_components(self) -> dict[int, "SuperPolynomial"]:
         out: dict[int, dict] = {}
         for key, c in self.terms.items():
@@ -215,15 +228,10 @@ class SuperPolynomial:
         out = dict(self.terms)
         for k, c in other.terms.items():
             _acc(out, k, c)
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = self.sig, out
-        return p
+        return SuperPolynomial._wrap(self.sig, out)
 
     def __neg__(self) -> "SuperPolynomial":
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig = self.sig
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
+        return SuperPolynomial._wrap(self.sig, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         return self + (-other)
@@ -232,28 +240,16 @@ class SuperPolynomial:
         c = QQi.coerce(c)
         if c.is_zero():
             return SuperPolynomial(self.sig)
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig = self.sig
-        p.terms = {k: v * c for k, v in self.terms.items()}
-        return p
+        return SuperPolynomial._wrap(self.sig, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QQi)):
             return self.scale(other)
         self._check(other)
-        out: dict[MonKey, QQi] = {}
-        for (ev1, od1), c1 in self.terms.items():
-            for (ev2, od2), c2 in other.terms.items():
-                merged = merge_odd(od1, od2)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                c = c1 * c2
-                _acc(out, (ev, odd), -c if sign < 0 else c)
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = self.sig, out
-        return p
+        out: dict = {}
+        for key, c in self.terms.items():
+            add_term_product(out, other.terms, key, c)
+        return SuperPolynomial._wrap(self.sig, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -269,22 +265,11 @@ class SuperPolynomial:
         return out
 
     def conjugate(self) -> "SuperPolynomial":
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig = self.sig
-        p.terms = {k: c.conjugate() for k, c in self.terms.items()}
-        return p
+        return SuperPolynomial._wrap(self.sig, {k: c.conjugate() for k, c in self.terms.items()})
 
     def mul_var(self, i: int) -> "SuperPolynomial":
-        """Left multiplication by variable i (``mul_key`` on each term)."""
-        m = self.sig.m
-        out: dict[MonKey, QQi] = {}
-        for key, c in self.terms.items():
-            t = mul_key(m, i, key)
-            if t:
-                out[t[1]] = c if t[0] > 0 else -c
-        p = SuperPolynomial.__new__(SuperPolynomial)
-        p.sig, p.terms = self.sig, out
-        return p
+        """Left multiplication by variable i, the ``_OPS`` operator ("mul", i)."""
+        return apply_op(("mul", i), self)
 
     # -- comparison / rendering ------------------------------------------
 
@@ -315,16 +300,16 @@ class SuperPolynomial:
         return f"SuperPolynomial({self})"
 
 
-def add_term_product(out: dict, poly: SuperPolynomial, key: MonKey, c) -> dict:
-    """Add poly * (c x^key) into the term map out, and return it."""
+def add_term_product(out: dict, terms: dict, key: MonKey, c) -> dict:
+    """Add (c x^key) * (the term map terms) into the term map out, and return
+    it; the values are ints or ``QQi``, and the products are as their factors."""
     ev, odd = key
-    for (pev, podd), pc in poly.terms.items():
-        merged = merge_odd(podd, odd)
+    for (tev, todd), v in terms.items():
+        merged = merge_odd(odd, todd)
         if merged is None:
             continue
-        sign, merged_odd = merged
-        v = pc * c
-        _acc(out, (tuple(x + y for x, y in zip(pev, ev)), merged_odd), -v if sign < 0 else v)
+        v = c * v
+        _acc(out, (tuple(map(add, ev, tev)), merged[1]), -v if merged[0] < 0 else v)
     return out
 
 
@@ -334,23 +319,7 @@ def add_term_product(out: dict, poly: SuperPolynomial, key: MonKey, c) -> dict:
 @lru_cache(maxsize=None)
 def R2(sig: Signature) -> SuperPolynomial:
     """Square of the radial coordinate, sum beta^{ij} x_i x_j."""
-    out: dict[MonKey, QQi] = {}
-    zero_ev = (0,) * sig.m
-    for i, j, b in sig.beta_inv_pairs:
-        if i < sig.m and j < sig.m:
-            ev = list(zero_ev)
-            ev[i] += 1
-            ev[j] += 1
-            _acc(out, (tuple(ev), ()), b)
-        elif i >= sig.m and j >= sig.m:
-            if i == j:
-                continue
-            sign = 1 if i < j else -1
-            odd = (min(i, j), max(i, j))
-            _acc(out, (zero_ev, odd), b * sign)
-        else:
-            raise AssertionError("metric mixes parities")
-    return SuperPolynomial(sig, out)
+    return SuperPolynomial(sig, sig.r2_terms)
 
 
 @lru_cache(maxsize=None)
@@ -368,9 +337,9 @@ def theta2(sig: Signature) -> SuperPolynomial:
 
 # -- the operator calculus ----------------------------------------------------
 #
-# Each ``_OPS`` entry maps (sig, key, c, *args) to the image {key: QQi} of
-# x^key at the rate c (a ``QQi``): the operator conjugated by exp(-c x_0),
-# which adds correction terms at index 0.
+# Each ``_OPS`` entry maps (sig, key, c, *args) to the image {key: number}
+# of x^key at the rate c, the operator conjugated by exp(-c x_0): ints when
+# c, lambda and the metric are integral, else ``QQi``.
 
 
 def derive_key(m: int, i: int, key: MonKey):
@@ -397,20 +366,21 @@ def mul_key(m: int, i: int, key: MonKey):
 
 
 def _derive(sig, key, c, row):
-    """sum b d_upper(i, c) over (i, b) in row; d_upper(0, c) = d_upper(0) - c."""
+    """sum b d_upper(i, c) over (i, b) in row; d_upper(0, c) = d_upper(0) - c.
+    The keys of the terms are distinct, so each is set once."""
     out: dict = {}
     for i, b in row:
         t = derive_key(sig.m, i, key)
         if t:
-            _acc(out, t[1], b * t[0])
+            out[t[1]] = b * t[0]
         if c and i == 0:
-            _acc(out, key, -c * b)
+            out[key] = -c * b
     return out
 
 
 def _euler(sig, key, c):
     k = sum(key[0]) + len(key[1])
-    out = {key: QQi.coerce(k)} if k else {}
+    out = {key: k} if k else {}
     if c:
         _acc(out, mul_key(sig.m, 0, key)[1], -c)
     return out
@@ -427,7 +397,7 @@ def _laplacian(sig, key, c):
     if c:  # - 2c d_lower(0) + c^2 beta[0][0]
         for k1, v in _derive(sig, key, 0, sig.beta_rows[0]).items():
             _acc(out, k1, -2 * c * v)
-        _acc(out, key, c * c * sig.beta[0][0])
+        _acc(out, key, c * c * dict(sig.beta_rows[0]).get(0, 0))
     return out
 
 
@@ -448,6 +418,7 @@ def _angular(sig, key, c, i, j):
 def _bessel(sig, key, c, lam, k):
     """((-lambda + 2E) d_lower(k) - x_k Delta), every factor at rate c."""
     m = sig.m
+    lam = int_or_qqi(lam)
     out: dict = {}
     for k1, v in _derive(sig, key, c, sig.beta_rows[k]).items():
         _acc(out, k1, (2 * (sum(k1[0]) + len(k1[1])) - lam) * v)
@@ -468,12 +439,12 @@ def _bessel_mod(sig, key, c, k):
 
 def _mul(sig, key, c, i):
     t = mul_key(sig.m, i, key)
-    return {t[1]: QQi.coerce(t[0])} if t else {}
+    return {t[1]: t[0]} if t else {}
 
 
 # The operators by descriptor (name, *args).
 _OPS = {
-    "d_upper": lambda sig, key, c, i: _derive(sig, key, c, ((i, ONE),)),
+    "d_upper": lambda sig, key, c, i: _derive(sig, key, c, ((i, 1),)),
     "d_lower": lambda sig, key, c, j: _derive(sig, key, c, sig.beta_rows[j]),
     "E": _euler,
     "Delta": _laplacian,
@@ -481,33 +452,45 @@ _OPS = {
     "bessel": _bessel,
     "bessel_mod": _bessel_mod,
     "mul": _mul,
-    "R2": lambda sig, key, c: add_term_product({}, R2(sig), key, ONE),
-    "one": lambda sig, key, c: {key: ONE},
+    "R2": lambda sig, key, c: add_term_product({}, sig.r2_terms, key, 1),
+    "one": lambda sig, key, c: {key: 1},
 }
 
 
-def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
-    """The ``_OPS`` operator of a descriptor, e.g. ("L", 0, 1), on p at rate,
-    as the linear extension of its closed form into one term map."""
+def _column(image: dict) -> tuple[int, dict]:
+    """An image as an integer column: its ints over 1, or its ``QQi`` values
+    (from a rate, lambda or metric that is not integral) by ``int_column``."""
+    if all(type(v) is int for v in image.values()):
+        return 1, {k: (v, 0) for k, v in image.items()}
+    return int_column({k: QQi.coerce(v) for k, v in image.items()})
+
+
+def op_terms(sig: Signature, descriptor: tuple, terms: dict, rate=0) -> dict:
+    """The ``_OPS`` operator of a descriptor, e.g. ("L", 0, 1), on the term map
+    terms at rate: the linear extension of its closed form into one term map,
+    in the number type of terms and the images."""
     image, args = _OPS[descriptor[0]], descriptor[1:]
-    sig, c = p.sig, QQi.coerce(rate)
+    c = int_or_qqi(rate)
     out: dict = {}
-    for key, x in p.terms.items():
+    for key, x in terms.items():
         for k, v in image(sig, key, c, *args).items():
             _acc(out, k, x * v)
-    q = SuperPolynomial.__new__(SuperPolynomial)
-    q.sig, q.terms = sig, out
-    return q
+    return out
+
+
+def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
+    """``op_terms`` on the terms of p, as a polynomial."""
+    return SuperPolynomial._wrap(p.sig, op_terms(p.sig, descriptor, p.terms, rate))
 
 
 def op_image(sig: Signature, descriptor: tuple, key: MonKey, rate=0) -> dict:
     """The ``_OPS`` image {key: QQi} of x^key at rate."""
-    return _OPS[descriptor[0]](sig, key, QQi.coerce(rate), *descriptor[1:])
+    return column_terms(op_column(sig, descriptor, key, rate))
 
 
 def op_column(sig: Signature, descriptor: tuple, key: MonKey, rate=0) -> tuple[int, dict]:
-    """``op_image`` as an integer column (``scalars.int_column``)."""
-    return int_column(op_image(sig, descriptor, key, rate))
+    """The ``_OPS`` image of x^key at rate as an integer column."""
+    return _column(_OPS[descriptor[0]](sig, key, int_or_qqi(rate), *descriptor[1:]))
 
 
 def _check_shape(table, tkk, sig: Signature) -> None:
@@ -542,13 +525,14 @@ def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
 
 
 def table_columns(table, op, tkk, sig: Signature, rate=0):
-    """fill(key): the integer columns (``scalars.int_column``) of X_a x^key for
-    every basis element a of tkk, through an action table.  The shape is
-    checked here; the table is read once per algebra, on the first fill, so
-    that a filler no check uses reads nothing.
+    """fill(key): the integer columns of X_a x^key for every basis element a
+    of tkk, through an action table.  The shape is checked here; the table is
+    read once per algebra, on the first fill, so that a filler no check uses
+    reads nothing.
 
-    Each descriptor is applied to x^key once and its image made an integer
-    column once; the column of X_a is one ``column_combination`` of those
+    Each descriptor is applied to x^key once, by op on the monomial with the
+    int coefficient 1, so that its image stays in ints and is a column as it
+    is; the column of X_a is one ``column_combination`` of those
     images with a's coefficients, in plain ints.  Cancelled entries are
     dropped and the content gcd divided out, so that the column equals
     ``int_column`` of ``table_apply(table, op, X_a, x^key, rate)`` exactly,
@@ -559,7 +543,7 @@ def table_columns(table, op, tkk, sig: Signature, rate=0):
     def fill(key) -> list[tuple[int, dict]]:
         if not rows:
             rows.extend([(d, c.a, c.b, c.d) for d, c in table(tkk, a)] for a in range(tkk.dim))
-        p = SuperPolynomial.monomial(sig, key)
+        p = SuperPolynomial._wrap(sig, {key: 1})
         images: dict = {}
         columns = []
         for row in rows:
@@ -567,7 +551,7 @@ def table_columns(table, op, tkk, sig: Signature, rate=0):
             for d, x, y, e in row:
                 image = images.get(d)
                 if image is None:
-                    image = images[d] = int_column(op(d, p, rate).terms)
+                    image = images[d] = _column(op(d, p, rate).terms)
                 terms.append((x, y, e * image[0], image[1]))
             if len(row) == 1 and row[0][1:] == (1, 0, 1):
                 columns.append(image)  # one descriptor with coefficient 1

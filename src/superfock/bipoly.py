@@ -9,18 +9,19 @@ odd right-slot variable crossing the odd left variables is the position sign
 that ``SuperPolynomial`` already counts.  Products are therefore the ring
 product, and the derivations, multiplications and Laplacian of either slot
 are the closed forms of ``algebra`` at the slot's joined indices
-(``BiSignature.slots``).  Only the slot degree bookkeeping and the reduction
-of one slot modulo its R^2, on integer term maps, need the split.
+(``BiSignature.slots``).  Only the slot degree bookkeeping and the powers of
+r^2 of one slot (``_slot_r2_power``) need the split.  Those powers and the
+pairing's (``pairing_power``) are term maps {key: int}; ``QQi`` appears only
+in ``pairing``, a polynomial, and in the callers that make polynomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 
-from .algebra import MonKey, Signature, SuperPolynomial, merge_odd
+from .algebra import MonKey, Signature, SuperPolynomial, add_term_product
 from .quotient import _r2_power
-from .scalars import QQi
+from .scalars import QQi, int_or_qqi
 
 LEFT, RIGHT = 0, 1
 
@@ -97,46 +98,15 @@ def embed(p: SuperPolynomial, bsig: BiSignature, slot: int) -> SuperPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _slot_r2_power(bsig: BiSignature, slot: int, j: int) -> SuperPolynomial:
-    """r^(2j) of one slot, as a bi-polynomial."""
-    return embed(_r2_power(bsig.halves[slot], j), bsig, slot)
-
-
-def real_int(c: QQi, what: str) -> int:
-    """c as an int, or ValueError if it is not a real integer."""
-    if c.b or c.d != 1:
-        raise ValueError(f"integer slot arithmetic needs {what} with real "
-                         f"integer coefficients, not {c}")
-    return c.a
-
-
-def add_times(out: dict, key: MonKey, c: int, terms) -> None:
-    """Add c x^key times the (key, int) terms into the int map out."""
-    ev, odd = key
-    for (tev, todd), v in terms:
-        merged = merge_odd(odd, todd)
-        if merged:
-            k = (tuple(map(add, ev, tev)), merged[1])
-            out[k] = out.get(k, 0) + merged[0] * v * c
-
-
-def reduce_slot_ints(terms: dict, bsig: BiSignature, slot: int) -> dict:
-    """{key: int} terms modulo the R^2 ideal of one slot, keeping both slot
-    degrees: each x_0^2 of the slot becomes its r^2, which is even, so no sign
-    of the other slot changes; one power of x_0 at a time from the highest
-    down, so each power's terms are summed before they are multiplied."""
-    x0 = bsig.slots[slot][0]
-    r2 = [(k, real_int(v, "a metric")) for k, v in _slot_r2_power(bsig, slot, 1).terms.items()]
-    levels: dict = {}
-    for key, c in terms.items():
-        levels.setdefault(key[0][x0], {})[key] = c
-    for a in range(max(levels, default=0), 1, -1):
-        below = levels.setdefault(a - 2, {})
-        for (ev, odd), c in levels.pop(a, {}).items():
-            if c:
-                add_times(below, (ev[:x0] + (a - 2,) + ev[x0 + 1:], odd), c, r2)
-    out = levels.get(0, {})
-    out.update(levels.get(1, {}))
+def _slot_r2_power(bsig: BiSignature, slot: int, j: int) -> dict:
+    """r^(2j) of one slot as a term map on the joined alphabet, which
+    ``quotient.reduce_terms`` reads to reduce that slot; r^2 is even, so this
+    changes no sign of the other slot."""
+    halves = [((0,) * sig.m, ()) for sig in bsig.halves]
+    out = {}
+    for key, c in _r2_power(bsig.halves[slot], j).items():
+        halves[slot] = key
+        out[bsig.join(*halves)] = c
     return out
 
 
@@ -156,7 +126,15 @@ def pairing(sig_left: Signature, sig_right: Signature) -> SuperPolynomial:
 
 
 @lru_cache(maxsize=None)
-def pairing_power(sig_left: Signature, sig_right: Signature, k: int) -> SuperPolynomial:
+def pairing_power(sig_left: Signature, sig_right: Signature, k: int) -> dict:
+    """P^k of the pairing P as a term map {key: int} on the joined alphabet;
+    ValueError if P has a coefficient that is not a real integer."""
     if k == 0:
-        return SuperPolynomial.one(bi_signature(sig_left, sig_right))
-    return pairing_power(sig_left, sig_right, k - 1) * pairing(sig_left, sig_right)
+        return {((0,) * (sig_left.m + sig_right.m), ()): 1}
+    p = {key: int_or_qqi(c) for key, c in pairing(sig_left, sig_right).terms.items()}
+    if any(type(c) is not int for c in p.values()):
+        raise ValueError("pairing_power needs a pairing with real integer coefficients")
+    out: dict = {}
+    for key, c in pairing_power(sig_left, sig_right, k - 1).items():
+        add_term_product(out, p, key, c)
+    return out

@@ -178,18 +178,8 @@ def kernel(k: int, sig: Signature, sig_w: Signature | None = None) -> SuperPolyn
     """Degree-k reproducing kernel as a (z, w)-polynomial."""
     if sig_w is None:
         sig_w = Signature(sig.m, sig.n, varset="w", beta=sig.beta)
-    c = kernel_coefficient(sig.M, k)
-    return pairing_power(sig, sig_w, k).scale(QQi.coerce(c))
-
-
-def kernel_sum(cap: int, sig: Signature, sig_w: Signature | None = None) -> SuperPolynomial:
-    """Reproducing kernel summed over degrees 0..cap (the full kernel, truncated)."""
-    if sig_w is None:
-        sig_w = Signature(sig.m, sig.n, varset="w", beta=sig.beta)
-    out = SuperPolynomial.zero(bi_signature(sig, sig_w))
-    for k in range(cap + 1):
-        out = out + kernel(k, sig, sig_w)
-    return out
+    return SuperPolynomial(bi_signature(sig, sig_w), pairing_power(sig, sig_w, k)).scale(
+        kernel_coefficient(sig.M, k))
 
 
 def kernel_pair(p: SuperPolynomial, kern: SuperPolynomial) -> SuperPolynomial:

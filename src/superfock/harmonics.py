@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import partial
 
 from . import linalg
-from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
-                      in_minus_2n, monomial_keys, op_image)
+from .algebra import (R2, Signature, SuperPolynomial, dim_P,
+                      in_minus_2n, monomial_keys, op_image, op_terms)
 from .scalars import QQi
 
 _DELTA = ("Delta",)
@@ -117,6 +117,5 @@ def fischer_decompose(p: SuperPolynomial) -> list[tuple[int, SuperPolynomial]]:
 def generalized_basis(k: int, sig: Signature) -> list[SuperPolynomial]:
     """Exact nullspace of Delta R^2 Delta on P_k (generalized harmonics)."""
     def image(key):
-        r2_delta = apply_op(("R2",), SuperPolynomial(sig, op_image(sig, _DELTA, key)))
-        return apply_op(_DELTA, r2_delta).terms
+        return op_terms(sig, _DELTA, op_terms(sig, ("R2",), op_image(sig, _DELTA, key)))
     return _kernel_basis(sig, k, image)

@@ -6,6 +6,18 @@ finite odd expansions of the two square-root weight factors, and restricted to
 s = x_0 = rho.  What remains factors into a Berezin integral (coefficient of
 the top odd monomial), closed-form monomial moments over the unit sphere, and
 Gamma-type radial integrals; everything is exact in the pi-graded ring.
+
+Normalization.  ``gamma_engine`` is the raw integral of exp(-4 x_0), with
+``berezin`` the plain iterated derivative: berezin(t_1 ... t_2n) = 1.
+``gamma_closed_form`` normalizes the Berezin integral of (theta^2)^n to 1
+(De Bie and Sommen, J. Phys. A 40, 2007), theta^2 = 2 sum_i t_i t_(i+n)
+being the odd part of r^2.  The pairs t_i t_(i+n) are even and square to
+zero, so (theta^2)^n is 2^n n! times their product in pair order, which
+takes n(n-1)/2 transpositions to reorder into t_1 ... t_2n.  The ratio of
+the two is therefore berezin((theta^2)^n) = (-1)^(n(n-1)/2) 2^n n!
+(``berezin_theta_power``): 1, 2, -8, -48 for n = 0..3, and 2^n only for
+n <= 1.  Normalized integrals divide by ``gamma_engine``, so no structural
+identity sees the constant.
 """
 
 from __future__ import annotations
@@ -277,6 +289,12 @@ def moment(sig: Signature, key, rate) -> QQi:
 def gamma_engine(sig: Signature) -> PiScalar:
     """Normalization constant: the raw integral of exp(-4 x_0)."""
     return _integral_direct(SuperPolynomial.one(sig), 4)
+
+
+def berezin_theta_power(n: int) -> int:
+    """berezin((theta^2)^n) = (-1)^(n(n-1)/2) 2^n n!, the ratio of
+    ``gamma_engine`` to ``gamma_closed_form`` (see the module docstring)."""
+    return (-1) ** (n * (n - 1) // 2) * 2 ** n * prod(range(1, n + 1))
 
 
 def gamma_closed_form(m: int, n: int) -> PiScalar:

@@ -4,6 +4,11 @@ The normal form keeps the exponent of variable 0 at most 1 in every term,
 rewriting x_0^2 -> r^2.  Each rewrite strictly lowers the variable-0 degree,
 so the reduction terminates and is idempotent; p - reduce(p) always lies in
 the ideal.
+
+``reduce_terms`` is the one reducer, on term maps in ints or ``QQi`` as they
+come, given the index of x_0 so that it reduces one slot of a bi-polynomial
+as well; the powers of r^2 are int maps, and ``reduce_poly`` builds no
+``QQi`` of its own.
 """
 
 from __future__ import annotations
@@ -12,29 +17,41 @@ from functools import lru_cache
 
 from .algebra import (Signature, SuperPolynomial, add_term_product, dim_P,
                       monomial_keys, r2_small)
+from .scalars import _acc
 
 
 @lru_cache(maxsize=None)
-def _r2_power(sig: Signature, k: int) -> SuperPolynomial:
+def _r2_power(sig: Signature, k: int) -> dict:
+    """r^(2k) as a term map, r^2 = R^2 + x_0^2 from the metric's int form."""
     if k == 0:
-        return SuperPolynomial.one(sig)
-    return _r2_power(sig, k - 1) * r2_small(sig)
+        return {((0,) * sig.m, ()): 1}
+    r2 = dict(sig.r2_terms)
+    _acc(r2, ((2,) + (0,) * (sig.m - 1), ()), 1)
+    out: dict = {}
+    for key, c in _r2_power(sig, k - 1).items():
+        add_term_product(out, r2, key, c)
+    return out
+
+
+def reduce_terms(terms: dict, x0: int, r2_power) -> dict:
+    """The term map terms modulo R^2, where x0 is the index of x_0 and
+    r2_power(j) is the term map of r^(2j), which has no x_0.
+
+    r^2 is even and has no x_0, so substituting x_0^a -> x_0^(a mod 2)
+    r^(2 floor(a/2)) lands in normal form in one pass; every product is
+    summed into one map, after the terms that are already reduced."""
+    out = {key: c for key, c in terms.items() if key[0][x0] <= 1}
+    for (ev, odd), c in terms.items():
+        a = ev[x0]
+        if a >= 2:
+            add_term_product(out, r2_power(a // 2), (ev[:x0] + (a % 2,) + ev[x0 + 1:], odd), c)
+    return out
 
 
 def reduce_poly(p: SuperPolynomial) -> SuperPolynomial:
-    """Unique representative of p mod <R^2> with variable-0 degree <= 1.
-
-    r^2 has no variable 0, so substituting x_0^a -> x_0^(a mod 2) r^(2 floor(a/2))
-    lands in normal form in one pass; every product is summed into one map."""
+    """Unique representative of p mod <R^2> with variable-0 degree <= 1."""
     sig = p.sig
-    out = {key: c for key, c in p.terms.items() if key[0][0] <= 1}
-    for (ev, odd), c in p.terms.items():
-        a = ev[0]
-        if a >= 2:
-            add_term_product(out, _r2_power(sig, a // 2), ((a % 2,) + ev[1:], odd), c)
-    q = SuperPolynomial.__new__(SuperPolynomial)
-    q.sig, q.terms = sig, out
-    return q
+    return SuperPolynomial._wrap(sig, reduce_terms(p.terms, 0, lambda j: _r2_power(sig, j)))
 
 
 def reduce_with_quotient(p: SuperPolynomial):

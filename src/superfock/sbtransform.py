@@ -15,7 +15,9 @@ B_0(x|z), built once per z-degree, and needs no integration.  Each
 direction keeps one memo, the integer columns of its monomial images
 (``sb_column``, and ``inverse_column`` reduced modulo R^2); ``sb``,
 ``sb_inverse`` and the intertwining checks sum those columns.  The
-series' own identities (``b0_identity_failures``) are checked term by term.
+series' own identities (``b0_identity_failures``) are checked term by term,
+on int maps in the operator calculus of ``algebra`` with no ``QQi``; the
+transform and its columns are in ``QQi``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 
-from .algebra import MonKey, Signature, SuperPolynomial, apply_op, derive_key, merge_odd, mul_key
-from .bipoly import (LEFT, RIGHT, add_times, bi_signature, embed, pairing_power, real_int,
-                     reduce_slot_ints)
+from .algebra import (MonKey, Signature, SuperPolynomial, add_term_product, apply_op,
+                      merge_odd, op_terms)
+from .bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature, embed, pairing_power
 from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import moment
 from .liealg import TKKElement
-from .quotient import reduce_poly
+from .quotient import reduce_poly, reduce_terms
 from .scalars import (QQi, _acc, column_image, column_terms, factorial_fraction,
                       int_column, poch)
 from .schrodinger import WElement, make_w, pi_apply
@@ -47,10 +49,20 @@ def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
 def b_series_truncation(sig_x: Signature, sig_z: Signature, alpha: int,
                         max_degree: int) -> SuperPolynomial:
     """Degree-truncated B_alpha(x|z) as a bi-polynomial."""
-    out = SuperPolynomial.zero(bi_signature(sig_x, sig_z))
+    bsig = bi_signature(sig_x, sig_z)
+    out = SuperPolynomial.zero(bsig)
     for l in range(max_degree + 1):
-        c = QQi.coerce(b_series_coeff(sig_x.M, alpha, l))
-        out = out + pairing_power(sig_x, sig_z, l).scale(c)
+        out = out + SuperPolynomial(bsig, pairing_power(sig_x, sig_z, l)).scale(
+            b_series_coeff(sig_x.M, alpha, l))
+    return out
+
+
+def _combination(*parts) -> dict:
+    """sum f * terms over the parts (f, terms) of term maps, as one term map."""
+    out: dict = {}
+    for f, terms in parts:
+        for key, v in terms.items():
+            _acc(out, key, f * v)
     return out
 
 
@@ -64,50 +76,37 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
     B S(P^(l-1)) for one l, the two coefficients cleared to integers A, B:
     l = d + 1 for d/dz and the z-side Bessel operator, l = d for the Euler
     and x-side identities.  The parts are {key: int} maps on the joined
-    alphabet; a metric or pairing that is not integral raises ValueError.  The
-    Bessel identities hold modulo the R^2 ideal of the inert slot, so their
-    parts are reduced there: the second-order part of the Bessel operator
-    contracts two variables of one alphabet into R^2 of the other, which every
-    consumer kills.  lam is the Bessel operators' lambda, 2 - M unless given."""
+    alphabet: d_lower, d_upper and mul are the ``_OPS`` closed forms on the
+    joined signature (``op_terms``), the slot Laplacian is sum d_lower(b)
+    d_upper(b) over the slot's indices, and a pairing that is not integral
+    raises ValueError.  The Bessel identities hold modulo the R^2 ideal of
+    the inert slot (the Bessel operator contracts two variables of one
+    alphabet into R^2 of the other), so their parts are reduced there
+    (``reduce_terms``).  That reduction commutes with the operators of the
+    other slot, so the slot Laplacian is reduced once per l and x_a times it
+    is not reduced again.  lam is the Bessel lambda, 2 - M unless given."""
     bsig = bi_signature(sig, sig_z)
-    m, slots = bsig.m, bsig.slots
+    slots = bsig.slots
     lam = 2 - sig.M if lam is None else lam
-    coeff = partial(b_series_coeff, sig.M)
-    rows = [[(b, real_int(v, "a metric")) for b, v in row] for row in bsig.beta_rows]
-    powers = [{key: real_int(c, "a pairing")
-               for key, c in pairing_power(sig, sig_z, l).terms.items()}
-              for l in range(max_degree + 2)]
+    coeff = cache(partial(b_series_coeff, sig.M))
+    powers = [pairing_power(sig, sig_z, l) for l in range(max_degree + 2)]
+    op = partial(op_terms, bsig)
 
     def cleared(a, b):  # A T - B S vanishes iff a T = b S
         return a.numerator * b.denominator, b.numerator * a.denominator
 
-    def add_d_lower(out, p, a, f):
-        for key, c in p.items():
-            for b, v in rows[a]:
-                t = derive_key(m, b, key)
-                if t:
-                    out[t[1]] = out.get(t[1], 0) + f * c * v * t[0]
-
-    def add_mul(out, p, a, f):
-        for key, c in p.items():
-            t = mul_key(m, a, key)
-            if t:
-                out[t[1]] = out.get(t[1], 0) + f * c * t[0]
+    def reduced(slot, terms):  # modulo the R^2 ideal of the other, inert slot
+        return reduce_terms(terms, slots[1 - slot][0], partial(_slot_r2_power, bsig, 1 - slot))
 
     @cache
-    def laplacian(slot, l):  # shared by every index of the slot
-        out: dict = {}
-        for i in slots[slot]:
-            add_d_lower(out, {t[1]: c * t[0] for key, c in powers[l].items()
-                              if (t := derive_key(m, i, key))}, i, 1)
-        return out
+    def laplacian(slot, l):  # reduced, and shared by every index of the slot
+        return reduced(slot, _combination(*((1, op(("d_lower", b), op(("d_upper", b), powers[l])))
+                                            for b in slots[slot])))
 
     def derivative(k, d):
         A, B = cleared(coeff(0, d + 1), (-2 if k == 0 else 2) * coeff(1, d))
-        out: dict = {}
-        add_d_lower(out, powers[d + 1], slots[RIGHT][k], A)
-        add_mul(out, powers[d], slots[LEFT][k], -B)
-        return out
+        return _combination((A, op(("d_lower", slots[RIGHT][k]), powers[d + 1])),
+                            (-B, op(("mul", slots[LEFT][k]), powers[d])))
 
     def euler(d):
         if not d:
@@ -115,7 +114,7 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
         A, B = cleared(d * coeff(0, d), coeff(1, d - 1))
         out = {key: A * c for key, c in powers[d].items()}
         for key, c in powers[d - 1].items():  # B P^(d-1) times the pairing
-            add_times(out, key, -B * c, powers[1].items())
+            add_term_product(out, powers[1], key, -B * c)
         return out
 
     def bessel(slot, i, d):
@@ -123,11 +122,13 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
         if not l:
             return {}
         A, B = cleared(coeff(0, l), 4 * coeff(0, l - 1))
-        out: dict = {}  # (2E - lam) d_lower(a) - x_a Delta, E = l - 1 after d_lower
-        add_d_lower(out, powers[l], a, s * A * (2 * (l - 1) - lam))
-        add_mul(out, laplacian(slot, l), a, -s * A)
-        add_mul(out, powers[l - 1], slots[1 - slot][i], -B)
-        return reduce_slot_ints(out, bsig, 1 - slot)
+        # (2E - lam) d_lower(a) - x_a Delta, E = l - 1 after d_lower; x_a is
+        # a variable of the slot, so x_a Delta is reduced as Delta is
+        return _combination(
+            (1, reduced(slot, _combination(
+                (s * A * (2 * (l - 1) - lam), op(("d_lower", a), powers[l])),
+                (-B, op(("mul", slots[1 - slot][i]), powers[l - 1]))))),
+            (-s * A, op(("mul", a), laplacian(slot, l))))
 
     identities = [(f"z-derivative (k={k})", partial(derivative, k))
                   for k in list(range(1, sig.nvars)) + [0]]
@@ -136,8 +137,7 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
         identities += [(f"Bessel eigenfunction (z side, i={i})", partial(bessel, RIGHT, i)),
                        (f"Bessel eigenfunction (x side, i={i})", partial(bessel, LEFT, i))]
     for label, residue in identities:
-        yield label, next((d for d in range(max_degree + 1) if any(residue(d).values())),
-                          None)
+        yield label, next((d for d in range(max_degree + 1) if residue(d)), None)
 
 
 def exp_z0_truncation(sig: Signature, max_degree: int, scale=-1) -> SuperPolynomial:

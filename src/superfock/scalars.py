@@ -24,6 +24,12 @@ Hot contraction loops read sparse maps of ``QQi`` values as integer columns
 (``int_column``): Gaussian-integer numerator pairs over one positive
 denominator, so they add and multiply plain ints; ``column_terms`` converts
 back.
+
+The operator calculus (``algebra._OPS``, ``quotient.reduce_terms``,
+``bipoly.pairing_power``) runs on term maps of plain ints: ``int_or_qqi``
+makes a rate, lambda or metric entry an int, or a ``QQi`` only where it is
+not a real integer, and ``_acc`` adds either.  ``QQi`` appears where a
+result is a polynomial, a {key: QQi} map or a column with a denominator.
 """
 
 from __future__ import annotations
@@ -33,17 +39,17 @@ from math import gcd
 
 
 def _acc(terms: dict, key, val):
-    """Add val to terms[key] in a sparse map, dropping entries that cancel."""
+    """Add val, an int or a ``QQi``, to terms[key], dropping entries that cancel."""
     cur = terms.get(key)
     if cur is None:
-        if not val.is_zero():
+        if val:
             terms[key] = val
     else:
         s = cur + val
-        if s.is_zero():
-            del terms[key]
-        else:
+        if s:
             terms[key] = s
+        else:
+            del terms[key]
 
 
 class QQi:
@@ -202,7 +208,7 @@ class QQi:
         return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.a != 0 or self.b != 0
 
     # -- rendering -----------------------------------------------------------
 
@@ -236,6 +242,15 @@ def _times_int(a: int, b: int, d: int, k: int) -> QQi:
             k //= g
             d //= g
     return _raw(a * k, b * k, d)
+
+
+def int_or_qqi(x):
+    """x as an int where it is a real integer, else as a ``QQi``: the number
+    type of the operator calculus (``algebra._OPS``)."""
+    if type(x) is int:
+        return x
+    q = QQi.coerce(x)
+    return q.a if q.d == 1 and not q.b else q
 
 
 def int_column(terms: dict) -> tuple[int, dict]:
@@ -330,12 +345,9 @@ class PiScalar:
 
     def __init__(self, terms=None):
         self.terms: dict[int, QQi] = {}
-        if terms:
-            for k, c in terms.items():
-                c = QQi.coerce(c)
-                if not c.is_zero():
-                    self.terms[k] = self.terms.get(k, ZERO) + c
-            self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+        for k, c in (terms or {}).items():
+            if c := QQi.coerce(c):
+                self.terms[k] = c
 
     @classmethod
     def of(cls, coeff, half_exponent: int = 0) -> "PiScalar":

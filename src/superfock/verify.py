@@ -49,8 +49,8 @@ from .fock import (bessel_image, bf_covectors, bf_product,
                    rho_raising, rho_table)
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
                         harmonic_basis, harmonic_dim_nullspace)
-from .integral import (berezin, gamma_closed_form, gamma_engine, integrate_w,
-                       radial_integral, sphere_moment, w_form, w_pair,
+from .integral import (berezin, berezin_theta_power, gamma_closed_form, gamma_engine,
+                       integrate_w, radial_integral, sphere_moment, w_form, w_pair,
                        DivergenceError)
 from .linalg import commutator_failure, skew_failure
 from .liealg import TKK, k_center_dimension, k_closes, tkk_for
@@ -256,13 +256,13 @@ def _first_leak(sig: Signature, keys, descriptors, rate):
 def check_bessel_tangential(ctx: Context, max_degree: int = 4):
     sig = ctx.sig
     bad = _first_leak(sig, monomials_up_to(sig, max_degree - 2),
-                      [("bessel", QQi(2 - sig.M), k) for k in range(sig.nvars)], 0)
+                      [("bessel", 2 - sig.M, k) for k in range(sig.nvars)], 0)
     if bad:
         key, (_, _, k) = bad
         return False, f"B_(2-M)(x_{k}) leaks on R^2*{SuperPolynomial.monomial(sig, key)}"
     # a counterexample must exist one parameter off
     bad = _first_leak(sig, monomials_up_to(sig, 3),
-                      [("bessel", QQi(3 - sig.M), k) for k in range(sig.nvars)], 0)
+                      [("bessel", 3 - sig.M, k) for k in range(sig.nvars)], 0)
     if bad:
         key, (_, _, k) = bad
         return True, f"witness at lambda=3-M: k={k}, q={SuperPolynomial.monomial(sig, key)}"
@@ -273,7 +273,7 @@ def check_bessel_product_rule(ctx: Context, max_degree: int = 3):
     sig = ctx.sig
     nv = sig.nvars
     op = cache(partial(op_image, sig))
-    B = [("bessel", QQi(2 - sig.M), i) for i in range(nv)]
+    B = [("bessel", 2 - sig.M, i) for i in range(nv)]
 
     def image(d, key, c=1):
         return SuperPolynomial(sig, op(d, key)).scale(c)
@@ -323,7 +323,7 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
     # L_ii exists for odd i only; the even L_ii term has coefficient 0
     bad = commutator_failure(
         _operator_columns(sig), monomials_up_to(sig, max_degree),
-        [(f"commutator fails at ({i},{j})", ("bessel", QQi(2 - M), i), ("mul", j),
+        [(f"commutator fails at ({i},{j})", ("bessel", 2 - M, i), ("mul", j),
           -1 if (sig.parity(i) and sig.parity(j)) else 1,
           {("one",): beta[i][j] * (M - 2), ("E",): beta[i][j] * 2,
            ("L", i, j): -2 if (i != j or sig.parity(i)) else 0})
@@ -837,15 +837,16 @@ def check_normalization(ctx: Context):
     one = SuperPolynomial.one(sig)
     if integrate_w(one, 4) != QQi(1):
         return False, "normalized integral of the squared lowest vector is not 1"
+    n = sig.n
     engine = gamma_engine(sig)
-    closed = gamma_closed_form(sig.m, sig.n)
-    expected_ratio = PiScalar.of(QQi(2 ** sig.n))
-    ratio = engine / closed
-    if ratio != expected_ratio:
+    closed = gamma_closed_form(sig.m, n)
+    ratio = engine / closed  # berezin((theta^2)^n), see ``integral``
+    if ratio != PiScalar.of(berezin_theta_power(n)):
         return False, f"engine gamma {engine} vs closed form {closed}: ratio {ratio}"
     detail = f"gamma = {engine}"
-    if sig.n:
-        detail += f" = 2^{sig.n} x closed form {closed}"
+    if n:  # (-1)^(n(n-1)/2) 2^n n!, written 2^1 at n = 1
+        sign = "-" if berezin_theta_power(n) < 0 else ""
+        detail += f" = {sign}2^{n}{f' {n}!' if n > 1 else ''} x closed form {closed}"
     if (sig.m, sig.n) == (4, 0):
         if engine != PiScalar.of(QQi(1, 0, 4), 2):
             return False, f"(4,0) gamma is {engine}, expected pi/4"

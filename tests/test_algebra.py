@@ -11,7 +11,7 @@ from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
                                op_column, op_image, r2_small, random_polynomial,
                                theta2)
 from superfock.bipoly import bi_signature
-from superfock.scalars import QQi, _acc, column_terms
+from superfock.scalars import QQi, _acc, column_terms, int_column
 
 SIG = Signature(4, 1)
 
@@ -304,3 +304,34 @@ def test_one_pass_derivations_agree_with_the_chained_sums(m, n):
             assert apply_op(d, p, rate) == images[d[0]](*d[1:]), (d, rate)
     with pytest.raises(ValueError):
         op_column(sig, ("L", 1, 1), keys[0])
+
+
+@pytest.mark.parametrize("m,n", [
+    (4, 1), (2, 2), (5, 0), (6, 1),
+    pytest.param((2, 0), (2, 1), id="bi-2-0-2-1"),
+])
+def test_integral_rates_and_lambdas_keep_the_closed_forms_in_ints(m, n):
+    """The boundary of the calculus, on the monomials of degree <= 4: at the
+    rates 0, 2 and 4 with the integer lambdas 2 - M and 3, every value of a
+    raw ``_OPS`` image is an int and ``op_column`` is those ints over 1; at
+    the rate 1/3, and with lambda (1 + i)/2, ``op_column`` is ``int_column``
+    of ``op_image``, down to its denominator."""
+    if isinstance(m, tuple):
+        sig = bi_signature(Signature(*m), Signature(*n, varset="z"))
+    else:
+        sig = Signature(m, n)
+    keys = monomials_up_to(sig, 4)
+    integral = [d for d in every_descriptor(sig) if d[0] != "bessel"]
+    integral += [("bessel", lam, k) for lam in (2 - sig.M, 3) for k in range(sig.nvars)]
+    for rate in (0, 2, 4):
+        for d in integral:
+            for key in keys:
+                image = _OPS[d[0]](sig, key, rate, *d[1:])
+                assert all(type(v) is int for v in image.values()), (key, d, rate)
+                assert op_column(sig, d, key, rate) == \
+                    (1, {k: (v, 0) for k, v in image.items()}), (key, d, rate)
+    for d in every_descriptor(sig):
+        for key in keys:
+            rate = 0 if d[0] == "bessel" else Fraction(1, 3)
+            assert op_column(sig, d, key, rate) == int_column(op_image(sig, d, key, rate)), \
+                (key, d)

@@ -7,11 +7,11 @@ from superfock import algebra, fock
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op,
                                monomial_keys, monomials_up_to, random_polynomial,
                                table_apply)
-from superfock.bipoly import LEFT, RIGHT
+from superfock.bipoly import LEFT, RIGHT, bi_signature
 from superfock.fock import (bessel_image, bf_covectors, bf_product,
                             bf_product_shift_oracle, bf_word_apply, gram_json,
                             gram_nullspace, gram_rank, kernel,
-                            kernel_coefficient, kernel_pair, kernel_sum,
+                            kernel_coefficient, kernel_pair,
                             rho_apply, rho_lowering, rho_raising)
 from superfock.harmonics import harmonic_basis
 from superfock.liealg import tkk_for
@@ -24,6 +24,14 @@ from test_sb import slot_bessel_mod
 SIG = Signature(4, 1, varset="z")
 SIGX = Signature(4, 1)
 TKK = tkk_for(SIGX)
+
+
+def kernel_sum(cap, sig, sig_w):
+    """The reproducing kernel summed over degrees 0..cap: the full kernel, truncated."""
+    out = SuperPolynomial.zero(bi_signature(sig, sig_w))
+    for k in range(cap + 1):
+        out = out + kernel(k, sig, sig_w)
+    return out
 
 
 def zvar(i, sig=SIG):

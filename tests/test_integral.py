@@ -5,10 +5,10 @@ import pytest
 
 from superfock import integral
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op, monomial_keys,
-                               random_polynomial)
+                               random_polynomial, theta2)
 from superfock.integral import (DivergenceError, _integral_direct, berezin,
-                                gamma_closed_form, gamma_engine, integrate_w, moment,
-                                radial_integral, sphere_moment, w_form)
+                                berezin_theta_power, gamma_closed_form, gamma_engine,
+                                integrate_w, moment, radial_integral, sphere_moment, w_form)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
@@ -57,13 +57,29 @@ def test_gamma_values():
 
 
 def test_gamma_ratio_is_pinned_where_it_departs_from_2_to_the_n():
-    # Known discrepancy, pinned and not resolved: the engine and the closed
-    # form differ by 2^n at n <= 1 only.  Whoever resolves it updates these
-    # ratios and the check_normalization failure below.
+    # The engine and the closed form differ by 2^n at n <= 1 only: the ratio
+    # is berezin((theta^2)^n) (see the integral module), which the check
+    # now expects.
     for (m, n), want in [((4, 0), 1), ((6, 1), 2), ((8, 2), -8), ((10, 3), -48)]:
         assert gamma_engine(Signature(m, n)) / gamma_closed_form(m, n) == PiScalar.of(want), (m, n)
     ok, detail = check_normalization(Context(RunConfig(8, 2, max_degree=1)))
-    assert ok is False and "ratio -8" in detail
+    assert ok is True and "= -2^2 2! x closed form" in detail
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (6, 1), (8, 2), (10, 3)])
+def test_the_berezin_integral_of_theta_squared_powers_is_the_closed_form_constant(m, n):
+    # (theta^2)^n = 2^n n! times the pairs t_i t_(i+n) in pair order, whose
+    # reordering into t_1 ... t_2n has the sign (-1)^(n(n-1)/2)
+    sig = Signature(m, n)
+    want = [1, 2, -8, -48][n]
+    assert berezin_theta_power(n) == want
+    assert berezin(theta2(sig) ** n) == SuperPolynomial.constant(sig, want)
+    assert gamma_engine(sig) / gamma_closed_form(m, n) == PiScalar.of(want)
+
+
+def test_normalization_passes_at_three_odd_pairs():
+    ok, detail = check_normalization(Context(RunConfig(10, 3, max_degree=1)))
+    assert (ok, detail) == (True, "gamma = (2)*pi^4 = -2^3 3! x closed form (-1/24)*pi^4")
 
 
 def test_normalized_examples():
@@ -251,7 +267,8 @@ def test_phi_sharp_is_multiplicative():
 
 
 def test_kernel_sum_reproduces_mixed_degrees():
-    from superfock.fock import bf_product, kernel_pair, kernel_sum
+    from superfock.fock import bf_product, kernel_pair
+    from test_fock import kernel_sum
     from superfock.quotient import reduce_poly
     sig = Signature(4, 0, varset="z")
     sigw = Signature(4, 0, varset="w")

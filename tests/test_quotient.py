@@ -1,12 +1,13 @@
 import random
+from functools import partial
 
 import pytest
 
 from superfock.algebra import (R2, Signature, SuperPolynomial, r2_small,
                                random_polynomial)
-from superfock.bipoly import LEFT, RIGHT, bi_signature, reduce_slot_ints
-from superfock.quotient import (_r2_power, graded_dim_F, ideal_member, is_normal_form,
-                                normal_form_keys, reduce_poly,
+from superfock.bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature
+from superfock.quotient import (graded_dim_F, ideal_member, is_normal_form,
+                                normal_form_keys, reduce_poly, reduce_terms,
                                 reduce_with_quotient)
 from superfock.scalars import QQi, _acc, int_column
 
@@ -66,7 +67,7 @@ def termwise_reduce_poly(p):
         a = ev[0]
         if a >= 2:
             mono = SuperPolynomial(sig, {((a % 2,) + ev[1:], odd): c})
-            out = out + _r2_power(sig, a // 2) * mono
+            out = out + r2_small(sig) ** (a // 2) * mono
     return out
 
 
@@ -102,9 +103,11 @@ def test_reduce_poly_agrees_with_the_termwise_route(m, n):
 
 
 def integer_reduce_slot(p, slot):
-    """``reduce_slot_ints`` of the real and the imaginary numerators of p."""
+    """``reduce_terms`` on one slot of the real and the imaginary numerators of p."""
     d, nums = int_column(p.terms)
-    re, im = (reduce_slot_ints({k: ab[j] for k, ab in nums.items()}, p.sig, slot)
+    bsig = p.sig
+    re, im = (reduce_terms({k: ab[j] for k, ab in nums.items()}, bsig.slots[slot][0],
+                           partial(_slot_r2_power, bsig, slot))
               for j in (0, 1))
     return SuperPolynomial(p.sig, {k: QQi(re.get(k, 0), im.get(k, 0), d)
                                    for k in re.keys() | im.keys()})

@@ -31,7 +31,19 @@ def test_pairing_polynomial():
     assert p.terms[p.sig.join(x0key, x0key)] == QQi(2)
     x1key = ((0, 1, 0, 0), ())
     assert p.terms[p.sig.join(x1key, x1key)] == QQi(2)
-    assert pairing_power(SIG, SIGZ, 0) == SuperPolynomial.one(bi_signature(SIG, SIGZ))
+    bsig = bi_signature(SIG, SIGZ)
+    assert SuperPolynomial(bsig, pairing_power(SIG, SIGZ, 0)) == SuperPolynomial.one(bsig)
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (3, 2)])
+def test_pairing_power_is_the_ring_power_of_the_pairing(m, n):
+    # the int map of P^l against l ring products of the polynomial P
+    sig, sigz = Signature(m, n), Signature(m, n, varset="z")
+    p = pairing(sig, sigz)
+    for l in range(5):
+        power = pairing_power(sig, sigz, l)
+        assert all(type(v) is int for v in power.values())
+        assert SuperPolynomial(p.sig, power) == p ** l, l
 
 
 def test_pairing_odd_block():
@@ -279,7 +291,7 @@ def b0_identity_differences(sig, sig_z, max_degree, lam=None):
         yield (f"z-derivative (k={k})",
                apply_op(("d_lower", z[k]), b0) - b1.mul_var(x[k]).scale(-2 if k == 0 else 2))
     yield ("Euler contraction",
-           slot_euler(b0_cut, RIGHT) - pairing_power(sig, sig_z, 1) * series(1, max_degree - 1))
+           slot_euler(b0_cut, RIGHT) - pairing(sig, sig_z) * series(1, max_degree - 1))
     lap_z, lap_x = slot_laplacian(b0, RIGHT), slot_laplacian(b0_cut, LEFT)
     for i in range(sig.nvars):
         yield (f"Bessel eigenfunction (z side, i={i})",
@@ -346,7 +358,7 @@ def oracle_b0_failures(sig, sigz, max_degree):
             first(apply_op(("d_lower", z[k]), b0), b1.mul_var(x[k]).scale(-2 if k == 0 else 2)))
            for k in list(range(1, sig.nvars)) + [0]]
     out.append(("Euler contraction",
-                first(slot_euler(b0, RIGHT), pairing_power(sig, sigz, 1) * b1)))
+                first(slot_euler(b0, RIGHT), pairing(sig, sigz) * b1)))
     for i in range(sig.nvars):
         out.append((f"Bessel eigenfunction (z side, i={i})",
                     first(monomialwise_reduce_slot(chained_slot_bessel_mod(b0, RIGHT, i), LEFT),
