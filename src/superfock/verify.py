@@ -9,8 +9,8 @@ Action columns on monomials come from one memo, ``action_columns``, which
 fills the columns of every basis element on one monomial at once through an
 action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They are
 memoized per ``Context`` (``pi_column``, ``rho_column``) or per check (pi_C,
-D, columns of ``algebra`` operators, which the angular commutant reads
-unmemoized).  Of the pairing tables, the Bessel-Fischer table
+D, columns of ``algebra`` operators, but for the L_ij columns of the angular
+commutant, read unmemoized).  Of the pairing tables, the Bessel-Fischer table
 (``Context.bf_table``) is one integer column per ``Context``, rebuilt only
 for a larger degree; the W-form of two monomials (``Context.w_pair``) has no
 memo of its own, as it is one signed read of the moment table
@@ -40,9 +40,10 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import linalg
-from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
-                      in_minus_2n, monomial_keys, monomials_up_to, mul_key,
-                      op_column, op_image, random_polynomial, table_columns)
+from .algebra import (_OPS, R2, Signature, SuperPolynomial, add_term_product,
+                      apply_op, dim_P, in_minus_2n, monomial_keys, monomials_up_to,
+                      mul_key, op_column, r2_small, random_polynomial, table_columns,
+                      theta2)
 from .fock import (bessel_image, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
@@ -53,7 +54,7 @@ from .integral import (berezin, berezin_theta_power, gamma_closed_form, gamma_en
                        integrate_w, radial_integral, sphere_moment, w_form, w_pair,
                        DivergenceError)
 from .linalg import commutator_failure, skew_failure
-from .liealg import TKK, k_center_dimension, k_closes, tkk_for
+from .liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
 from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, _acc, column_combination,
@@ -64,7 +65,6 @@ from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
 from .sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
                           exp_z0_truncation)
 from . import specfun
-from .algebra import theta2
 
 ALL_SUITES = ("algebra", "quotient", "harmonics", "liealg", "schrodinger",
               "integral", "fock", "sb", "specfun")
@@ -270,35 +270,41 @@ def check_bessel_tangential(ctx: Context, max_degree: int = 4):
 
 
 def check_bessel_product_rule(ctx: Context, max_degree: int = 3):
-    sig = ctx.sig
-    nv = sig.nvars
-    op = cache(partial(op_image, sig))
-    B = [("bessel", 2 - sig.M, i) for i in range(nv)]
-
-    def image(d, key, c=1):
-        return SuperPolynomial(sig, op(d, key)).scale(c)
+    """B_i(phi psi) - B_i(phi) psi - s_i (phi B_i(psi) + 2E(phi) d_i(psi)) - d_i(phi) 2E(psi)
+    + x_i cross2 as one residue per (phi, psi, i), from the ``algebra._OPS`` closed forms
+    at rate 0, read at call time, and term products (``add_term_product``)."""
+    sig, nv = ctx.sig, ctx.sig.nvars
+    bessel, d_lower, euler = _OPS["bessel"], _OPS["d_lower"], _OPS["E"]
+    images = cache(lambda key: [bessel(sig, key, 0, 2 - sig.M, i) for i in range(nv)])
+    xs = [mul_key(sig.m, i, ((0,) * sig.m, ()))[1] for i in range(nv)]  # the keys of x_i
     # (phi, 2 E phi, [d_lower(r) phi], [B_i phi]) for each monomial phi
-    monos = [(SuperPolynomial.monomial(sig, key), image(("E",), key, 2),
-              [image(("d_lower", r), key) for r in range(nv)], [image(b, key) for b in B])
+    monos = [(key, {k: 2 * v for k, v in euler(sig, key, 0).items()},
+              [d_lower(sig, key, 0, r) for r in range(nv)], images(key))
              for key in monomials_up_to(sig, max_degree)]
-    for (phi, ephi2, dphi, bphi) in monos:
-        pphi = phi.parity()
-        for (psi, epsi2, dpsi, bpsi) in monos:
+    for phi, ephi2, dphi, bphi in monos:
+        odd = len(phi[1]) & 1
+        for psi, epsi2, dpsi, bpsi in monos:
             # phi psi is a signed monomial or zero, and B_i is linear
-            prod = (phi * psi).terms.items()
+            prod = [(images(k), c) for k, c in add_term_product({}, {psi: 1}, phi, 1).items()]
             # twice the index-independent cross term; d_r(phi) d_s(psi) is zero
             # unless x_r divides phi and x_s divides psi
-            cross2 = SuperPolynomial.zero(sig)
+            cross2: dict = {}
             for r, s, b in sig.beta_inv_pairs:
-                if dphi[r].terms and dpsi[s].terms:
-                    sr = -2 if (pphi and sig.parity(r)) else 2
-                    cross2 = cross2 + (dphi[r] * dpsi[s]).scale(b * sr)
+                for k, v in (dphi[r].items() if dpsi[s] else ()):
+                    sr = -2 if (odd and sig.parity(r)) else 2
+                    add_term_product(cross2, dpsi[s], k, b * sr * v)
             for i in range(nv):
-                si = -1 if (sig.parity(i) and pphi) else 1
-                rhs = bphi[i] * psi + (phi * bpsi[i] + ephi2 * dpsi[i]).scale(si) \
-                    + dphi[i] * epsi2 - cross2.mul_var(i)
-                lhs = {k3: c * v for k, c in prod for k3, v in op(B[i], k).items()}
-                if lhs != rhs.terms:
+                si = -1 if (sig.parity(i) and odd) else 1
+                res = add_term_product({}, cross2, xs[i], 1)
+                for bprod, c in prod:
+                    for k, v in bprod[i].items():
+                        _acc(res, k, c * v)
+                for left, right, c in ((bphi[i], {psi: 1}, -1), ({phi: 1}, bpsi[i], -si),
+                                       (ephi2, dpsi[i], -si), (dphi[i], epsi2, -1)):
+                    for k, v in left.items():
+                        add_term_product(res, right, k, c * v)
+                if res:
+                    phi, psi = (SuperPolynomial.monomial(sig, key) for key in (phi, psi))
                     return False, f"product rule fails: i={i}, phi={phi}, psi={psi}"
     return True, f"all monomial pairs of degree <= {max_degree}"
 
@@ -334,12 +340,14 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
 
 
 def check_angular_commutes(ctx: Context, max_degree: int = 4):
-    """[L_ij, R^2] = [L_ij, E] = [L_ij, Delta] = 0 in the commutator loop, on
-    columns computed from the closed forms (``algebra.op_column``) with no
-    memo: each L_ij column is read about once per key."""
+    """[L_ij, R^2] = [L_ij, E] = [L_ij, Delta] = 0 in the commutator loop on the
+    ``algebra.op_column`` columns: those of R^2, E and Delta, read on keys of degree
+    <= max_degree only, memoized for the check; those of L_ij, read about once per key, not."""
     sig = ctx.sig
+    small = _operator_columns(sig)
     bad = commutator_failure(
-        partial(op_column, sig), monomials_up_to(sig, max_degree),
+        lambda op, key: op_column(sig, op, key) if op[0] == "L" else small(op, key),
+        monomials_up_to(sig, max_degree),
         [(f"[L_{i}{j}, {name}]", ("L", i, j), C, 1, {})
          for i in range(sig.nvars) for j in range(sig.nvars) if i != j or sig.parity(i)
          for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))])
@@ -391,7 +399,6 @@ def suite_algebra(ctx: Context):
 def check_reduce_ring(ctx: Context, samples: int = 30):
     sig = ctx.sig
     z0 = SuperPolynomial.variable(sig, 0)
-    from .algebra import r2_small
     if reduce_poly(z0 * z0) != r2_small(sig):
         return False, "x0^2 does not reduce to r^2"
     if not reduce_poly(R2(sig)).is_zero():
@@ -628,7 +635,6 @@ def check_cayley(ctx: Context):
             if tkk.cayley(tkk.bracket(X, Y)) != tkk.bracket(tkk.cayley(X), tkk.cayley(Y)):
                 return False, f"bracket preservation fails at ({a},{b})"
     # image of the compact-side subalgebra lands in the structure algebra
-    from .liealg import k_basis
     for x in k_basis(tkk):
         cx = tkk.cayley(x)
         if cx.part("minus") or cx.part("plus"):
@@ -662,14 +668,8 @@ def check_osp_matrices(ctx: Context):
         for u in range(nv):
             su = QQi(-1 if (bsig.parity(u) and pX) else 1)
             for v in range(nv):
-                lhs = QQi(0)
-                for r in range(nv):
-                    if mat[r][u]:
-                        lhs = lhs + mat[r][u] * bb[r][v]
-                rhs = QQi(0)
-                for r in range(nv):
-                    if mat[r][v]:
-                        rhs = rhs + bb[u][r] * mat[r][v]
+                lhs = sum((mat[r][u] * bb[r][v] for r in range(nv) if mat[r][u]), ZERO)
+                rhs = sum((bb[u][r] * mat[r][v] for r in range(nv) if mat[r][v]), ZERO)
                 if not (lhs + su * rhs).is_zero():
                     return False, f"metric not preserved by basis element {a}"
     return True, ""

@@ -9,7 +9,8 @@ bounds of criterion 16.
 
 import pytest
 
-from superfock.verify import (Context, RunConfig, check_bessel_tangential,
+from superfock.verify import (Context, RunConfig, check_angular_commutes,
+                              check_bessel_product_rule, check_bessel_tangential,
                               check_bf_l_adjoint, check_bf_products,
                               check_cayley, check_dimension_chain,
                               check_euler_vanishing, check_gram,
@@ -55,6 +56,18 @@ def test_criterion_01_sl2_triple(m, n):
 def test_criterion_02_bessel_tangentiality(m, n):
     report("2 (Bessel tangentiality on P_<=4, with witness one parameter off)",
            m, n, check_bessel_tangential(ctx_for(m, n), 4))
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)
+def test_criterion_02_bessel_product_rule(m, n):
+    report("2b (six-term product rule of B(x_i) on monomial pairs of degree <= 3)",
+           m, n, check_bessel_product_rule(ctx_for(m, n), 3))
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)
+def test_criterion_02_angular_commutant(m, n):
+    report("2c (L_ij commutes with R^2, E, Delta on degree <= 3)",
+           m, n, check_angular_commutes(ctx_for(m, n), 3))
 
 
 @pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)

@@ -5,21 +5,25 @@ reports a failure with a witness (or, for the forward transform, raises on
 its nonvanishing tail).  The key-major integer commutator loop finds the
 first failure of the identity-major loops it replaced, over ``QQi`` and over
 integer columns; the integer fill of the action columns equals the columns
-of the polynomial applier; and the column route of the intertwining check
-finds the first failure of its polynomial loop.  Every shape the CLI accepts
-at small size passes every suite."""
+of the polynomial applier; the column route of the intertwining check
+finds the first failure of its polynomial loop; and the integer route of the
+product rule and the memoized columns of the angular commutant give the
+witnesses of the polynomial route and of unmemoized columns.  Every shape the
+CLI accepts at small size passes every suite."""
 
 import gc
 import random
 import re
 import weakref
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
+import superfock
 from superfock import integral, sbtransform, verify
 from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
-                               monomials_up_to, table_apply, table_columns)
+                               monomials_up_to, op_column, op_image, table_apply,
+                               table_columns)
 from superfock.fock import rho_apply, rho_table
 from superfock.linalg import commutator_failure, skew_failure
 from superfock.liealg import TKK, Jordan, tkk_for
@@ -571,9 +575,9 @@ def test_each_sb_check_carries_one_identity_whether_it_runs_or_skips():
 
 
 def product_rule_oracle(ctx, max_degree):
-    """The polynomial route that check_bessel_product_rule replaced, with the
-    Bessel operator inline; it reads E, Delta and d_lower from the operator
-    table, so a corrupted entry reaches it as well."""
+    """An earlier polynomial route of the product rule, with the Bessel
+    operator inline; it reads E, Delta and d_lower from the operator table,
+    so a corrupted entry reaches it as well."""
     E, lap = partial(apply_op, ("E",)), partial(apply_op, ("Delta",))
     sig = ctx.sig
     lam = QQi(2 - sig.M)
@@ -607,18 +611,75 @@ def product_rule_oracle(ctx, max_degree):
     return True, f"all monomial pairs of degree <= {max_degree}"
 
 
+def polynomial_product_rule(ctx, max_degree):
+    """The polynomial route that check_bessel_product_rule replaced: every
+    image an ``op_image`` of a monomial from one per-check memo, every
+    product and sum a ``SuperPolynomial`` one."""
+    sig = ctx.sig
+    nv = sig.nvars
+    op = cache(partial(op_image, sig))
+    B = [("bessel", 2 - sig.M, i) for i in range(nv)]
+
+    def image(d, key, c=1):
+        return SuperPolynomial(sig, op(d, key)).scale(c)
+    # (phi, 2 E phi, [d_lower(r) phi], [B_i phi]) for each monomial phi
+    monos = [(SuperPolynomial.monomial(sig, key), image(("E",), key, 2),
+              [image(("d_lower", r), key) for r in range(nv)], [image(b, key) for b in B])
+             for key in monomials_up_to(sig, max_degree)]
+    for (phi, ephi2, dphi, bphi) in monos:
+        pphi = phi.parity()
+        for (psi, epsi2, dpsi, bpsi) in monos:
+            # phi psi is a signed monomial or zero, and B_i is linear
+            prod = (phi * psi).terms.items()
+            # twice the index-independent cross term; d_r(phi) d_s(psi) is zero
+            # unless x_r divides phi and x_s divides psi
+            cross2 = SuperPolynomial.zero(sig)
+            for r, s, b in sig.beta_inv_pairs:
+                if dphi[r].terms and dpsi[s].terms:
+                    sr = -2 if (pphi and sig.parity(r)) else 2
+                    cross2 = cross2 + (dphi[r] * dpsi[s]).scale(b * sr)
+            for i in range(nv):
+                si = -1 if (sig.parity(i) and pphi) else 1
+                rhs = bphi[i] * psi + (phi * bpsi[i] + ephi2 * dpsi[i]).scale(si) \
+                    + dphi[i] * epsi2 - cross2.mul_var(i)
+                lhs = {k3: c * v for k, c in prod for k3, v in op(B[i], k).items()}
+                if lhs != rhs.terms:
+                    return False, f"product rule fails: i={i}, phi={phi}, psi={psi}"
+    return True, f"all monomial pairs of degree <= {max_degree}"
+
+
+def assert_the_product_rule_routes_agree(ctx, op):
+    """The integer route gives the full verdict and witness of the polynomial
+    route, and the verdict of the inline oracle, which computes the Bessel
+    operator itself and so cannot see a corrupted "bessel" entry."""
+    got = check_bessel_product_rule(ctx, 2)
+    assert got == polynomial_product_rule(ctx, 2)
+    assert got[0] is (op is None)
+    if op != "bessel":
+        assert product_rule_oracle(ctx, 2)[0] is got[0]
+
+
 @pytest.mark.parametrize("m,n", [(4, 1), (2, 2)])
-@pytest.mark.parametrize("op", [None, "E", "d_lower"])
+@pytest.mark.parametrize("op", [None, "E", "d_lower", "bessel"])
 def test_product_rule_gives_the_verdict_of_the_polynomial_route(monkeypatch, m, n, op):
     ctx = small_context(m, n)
     if op:
         monkeypatch.setitem(_OPS, op, doubled_on(_OPS[op], x1x2(ctx.sig)))
-    want = product_rule_oracle(ctx, 2)
-    assert want[0] is (op is None)
-    got = check_bessel_product_rule(ctx, 2)
-    assert got[0] is want[0]
-    if op is None:
-        assert got == want
+    assert_the_product_rule_routes_agree(ctx, op)
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (2, 2)])
+@pytest.mark.parametrize("op", ["E", "d_lower", "bessel"])
+@pytest.mark.parametrize("odd", ["x1t1", "t1t2"])
+def test_a_corruption_on_an_odd_monomial_fails_the_product_rule_as_the_polynomial_route_does(
+        monkeypatch, m, n, op, odd):
+    # the supersign s_i and the odd-odd sign of the cross term act on these pairs
+    ctx = small_context(m, n)
+    sig = ctx.sig
+    a, b = {"x1t1": (1, sig.m), "t1t2": (sig.m, sig.m + 1)}[odd]
+    (key,) = SuperPolynomial.variable(sig, a).mul_var(b).terms
+    monkeypatch.setitem(_OPS, op, doubled_on(_OPS[op], key))
+    assert_the_product_rule_routes_agree(ctx, op)
 
 
 def test_a_corrupted_angular_operator_fails_the_angular_commutant(monkeypatch):
@@ -627,6 +688,26 @@ def test_a_corrupted_angular_operator_fails_the_angular_commutant(monkeypatch):
     monkeypatch.setitem(_OPS, "L", doubled_on(_OPS["L"], x1x2(ctx.sig)))
     ok, witness = check_angular_commutes(ctx, 2)
     assert ok is False and re.fullmatch(r"\[L_\d+, (R\^2|E|Delta)\] fails on \S.*", witness)
+
+
+@pytest.mark.parametrize("op", ["R2", "E", "Delta"])
+def test_a_corrupted_memoized_operator_fails_the_angular_commutant_as_unmemoized_columns_do(
+        monkeypatch, op):
+    ctx = small_context(4, 1)
+    sig = ctx.sig
+    # Delta vanishes on x_1 x_2, not on x_1^2
+    monkeypatch.setitem(_OPS, op, doubled_on(_OPS[op], ((0, 2, 0, 0), ())))
+    keys = monomials_up_to(sig, 2)
+    bad = commutator_failure(partial(op_column, sig), keys, [
+        (f"[L_{i}{j}, {name}]", ("L", i, j), C, 1, {})
+        for i in range(sig.nvars) for j in range(sig.nvars) if i != j or sig.parity(i)
+        for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))])
+    assert bad is not None
+    sizes = {name: info.currsize for name, info in superfock.cache_stats().items()}
+    assert check_angular_commutes(ctx, 2) == \
+        (False, f"{bad[0]} fails on {SuperPolynomial.monomial(sig, bad[1])}")
+    # the memo of the R^2, E and Delta columns goes with the check
+    assert {name: info.currsize for name, info in superfock.cache_stats().items()} == sizes
 
 
 @pytest.mark.parametrize("m,n", [(3, 0), (4, 1)])
