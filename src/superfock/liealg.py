@@ -18,8 +18,8 @@ import json
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .algebra import Signature, SuperPolynomial, apply_op, table_apply
-from .scalars import HALF, I, ONE, QQi, _acc
+from .algebra import Signature
+from .scalars import HALF, I, ONE, QQi, _acc, int_column
 
 
 class Jordan:
@@ -155,6 +155,12 @@ class TKK:
             return {k: (-v if sign > 0 else v) for k, v in rev.items()}
         return dict(sorted(out.items()))
 
+    def struct_columns(self) -> dict:
+        """{(a, b): the integer column of [X_a, X_b]}, made from ``struct`` on
+        every call: no memo, so that a change to ``struct`` is seen."""
+        empty = 1, {}
+        return {ab: int_column(st) if st else empty for ab, st in self.struct.items()}
+
     # -- elements ------------------------------------------------------------
 
     def element(self, coeffs: dict[int, QQi]) -> "TKKElement":
@@ -247,7 +253,7 @@ class TKK:
                 _acc(out, r, s * c)
         return out
 
-    # -- differential realization and matrix model ------------------------
+    # -- differential realization ------------------------------------------
 
     @cached_property
     def big_signature(self) -> Signature:
@@ -288,22 +294,6 @@ class TKK:
             return [(("L", self._tilde(l), m), ONE)]
         i, j = rest
         return [(("L", self._tilde(i), self._tilde(j)), ONE)]
-
-    def osp_matrix(self, x: "TKKElement") -> list[list[QQi]]:
-        """Matrix of the realized operator on the span of the big variables."""
-        bsig = self.big_signature
-        nv = bsig.nvars
-        mat = [[QQi(0)] * nv for _ in range(nv)]
-        for c in range(nv):
-            img = table_apply(TKK.realization_table, apply_op, x,
-                              SuperPolynomial.variable(bsig, c))
-            for (ev, odd), coeff in img.terms.items():
-                if odd:
-                    r = odd[0]
-                else:
-                    r = ev.index(1)
-                mat[r][c] = coeff
-        return mat
 
     # -- export ------------------------------------------------------------
 

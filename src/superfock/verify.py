@@ -5,28 +5,18 @@ Every check is an exact identity (or an explicit numeric bound in the
 human-readable identity string, return pass/fail/skip plus a witness on
 failure, and never raise: unexpected exceptions are reported as failures.
 
-Action columns on monomials come from one memo, ``action_columns``, which
-fills the columns of every basis element on one monomial at once through an
-action table (pi, pi_C, rho or D, see ``algebra.table_columns``).  They are
-memoized per ``Context`` (``pi_column``, ``rho_column``) or per check (pi_C,
-D, columns of ``algebra`` operators, but for the L_ij columns of the angular
-commutant, read unmemoized).  Of the pairing tables, the Bessel-Fischer table
-(``Context.bf_table``) is one integer column per ``Context``, rebuilt only
-for a larger degree; the W-form of two monomials (``Context.w_pair``) has no
-memo of its own, as it is one signed read of the moment table
-(``integral.w_pair``).  Columns are integer columns (``scalars.int_column``):
-Gaussian-integer numerator pairs over one positive denominator.  One commutator loop over columns
-(``linalg.commutator_failure``) checks the sl2 triple, the Bessel operator
-identities, the angular commutant and the representations D, pi and rho;
-one contraction of a pairing table against columns
-(``linalg.skew_failure``) checks the adjointness of pi, rho, L_ij; one loop
-(``_first_leak``) checks that operators map R^2 P into <R^2>.  Both
-intertwining checks sum the pi and rho columns against the integer columns
-of the forward and reduced inverse images (``SBTransform.sb_column``,
-``SBTransform.inverse_column``), and the Cayley composition sums the rho
-columns against the pi_C columns of the Cayley twist, in one
-``column_combination`` per basis element and monomial
-(``_column_difference``).
+Operators, actions, structure constants and pairings are read as integer
+columns (``scalars.int_column``): Gaussian-integer numerator pairs over one
+positive denominator.  ``action_columns`` fills the columns of every basis
+element on one monomial at once through an action table (pi, pi_C, rho or D,
+see ``algebra.table_columns``), memoized per ``Context`` (``pi_column``,
+``rho_column``) or per check, as are most ``algebra`` operator columns.  One
+commutator loop (``linalg.commutator_failure``) checks the sl2 triple, the
+Bessel operator identities, the angular commutant, the Jacobi identity and
+the representations D, pi and rho; one contraction of a pairing table
+against columns (``linalg.skew_failure``) checks the adjointness of pi, rho
+and L_ij; ``_first_leak`` checks that operators map R^2 P into <R^2>; the
+intertwining, Cayley, bracket and metric residues are ``column_combination``s.
 """
 
 from __future__ import annotations
@@ -57,8 +47,8 @@ from .linalg import commutator_failure, skew_failure
 from .liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
-from .scalars import (HALF, I, ONE, ZERO, PiScalar, QQi, _acc, column_combination,
-                      int_column)
+from .scalars import (HALF, I, ZERO, PiScalar, QQi, _acc, column_combination,
+                      int_column, int_or_qqi)
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_op, pi_table,
                           radial_expand)
@@ -539,13 +529,13 @@ def check_jordan(ctx: Context, triples: int = 80):
     J = tkk.jordan
     sig = ctx.sig
     nv = sig.nvars
-    # the basis products, from ``Jordan.multiply``, as sparse vectors
-    table = [[{r: v for r, v in enumerate(J.basis_product(i, j)) if v} for j in range(nv)]
-             for i in range(nv)]
-    if table[0][0] != {0: ONE}:
+    # the basis products, from ``Jordan.multiply``, as sparse int vectors
+    table = [[{r: int_or_qqi(v) for r, v in enumerate(J.basis_product(i, j)) if v}
+              for j in range(nv)] for i in range(nv)]
+    if table[0][0] != {0: 1}:
         return False, "unit is not idempotent"
     for i in range(nv):
-        if table[0][i] != {i: ONE} or table[i][0] != {i: ONE}:
+        if table[0][i] != {i: 1} or table[i][0] != {i: 1}:
             return False, f"unit fails on e_{i}"
     for i in range(nv):
         for j in range(nv):
@@ -568,13 +558,13 @@ def check_jordan(ctx: Context, triples: int = 80):
     for _ in range(triples):
         x, y, z = (rng.randrange(nv) for _ in range(3))
         px, py, pz = (sig.parity(t) for t in (x, y, z))
-        terms = [({a: ONE}, table[b][c], -1 if (pa and (pb + pc) & 1) else 1,
+        terms = [({a: 1}, table[b][c], -1 if (pa and (pb + pc) & 1) else 1,
                   -1 if (pa and pc) else 1)
                  for (a, b, c, pa, pb, pc) in ((x, y, z, px, py, pz),
                                                (y, z, x, py, pz, px),
                                                (z, x, y, pz, px, py))]
         for k in range(nv):
-            e, acc = {k: ONE}, {}
+            e, acc = {k: 1}, {}
             for ea, v, s, sgn in terms:
                 for r, u in mul(ea, mul(v, e)).items():
                     _acc(acc, r, u * sgn)
@@ -586,31 +576,30 @@ def check_jordan(ctx: Context, triples: int = 80):
 
 
 def check_tkk_axioms(ctx: Context, full_jacobi_limit: int = 36):
-    """The basis brackets P[a][b] = [X_a, X_b] are formed once; antisymmetry
-    compares them, and the Jacobi identity takes its three inner brackets
-    from them."""
+    """Antisymmetry compares the integer columns of the basis brackets; the
+    Jacobi identity [a,[b,c]] - s[b,[a,c]] = [[a,b],c] says that ad is a
+    representation, checked by the commutator loop: identity (a, b) on key c."""
     tkk = ctx.tkk
     dim = tkk.dim
-    X = [tkk.basis_element(a) for a in range(dim)]
-    P = [[tkk.bracket(x, y) for y in X] for x in X]
+    cols = tkk.struct_columns()
     odd = [tkk.parity(a) for a in range(dim)]
     for a in range(dim):
-        for b in range(dim):
-            s = -1 if (odd[a] and odd[b]) else 1
-            if P[a][b] != P[b][a].scale(-s):
+        for b in range(a, dim):  # a failure at (a, b) is one at (b, a) as well
+            s = 1 if (odd[a] and odd[b]) else -1  # -(-1)^{|a||b|}
+            d, nums = cols[b, a]
+            if cols[a, b] != (d, {k: (s * x, s * y) for k, (x, y) in nums.items()}):
                 return False, f"antisymmetry fails at ({a},{b})"
+    # (pairs, keys): every pair on every key, or one loop per sampled triple
     if dim <= full_jacobi_limit:
-        triples = [(a, b, c) for a in range(dim) for b in range(dim) for c in range(dim)]
+        runs = [([(a, b) for a in range(dim) for b in range(dim)], range(dim))]
     else:
         rng = ctx.rng
-        triples = [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-                   for _ in range(2000)]
-    for (a, b, c) in triples:
-        s = -1 if (odd[a] and odd[b]) else 1
-        lhs = tkk.bracket(X[a], P[b][c])
-        rhs = tkk.bracket(P[a][b], X[c]) + tkk.bracket(X[b], P[a][c]).scale(s)
-        if lhs != rhs:
-            return False, f"Jacobi fails at ({a},{b},{c})"
+        runs = [([(rng.randrange(dim), rng.randrange(dim))], (rng.randrange(dim),))
+                for _ in range(2000)]
+    for pairs, keys in runs:
+        if bad := commutator_failure(lambda a, c: cols[a, c], keys,
+                                     _bracket_identities(tkk, pairs)):
+            return False, "Jacobi fails at ({},{},{})".format(*bad[0], bad[1])
     mode = "all" if dim <= full_jacobi_limit else "sampled"
     return True, f"antisymmetry on all pairs; Jacobi on {mode} triples"
 
@@ -628,11 +617,17 @@ def check_cayley(ctx: Context):
     for (i, j) in tkk.inn_pairs:
         if tkk.cayley(tkk.inn(i, j)) != tkk.inn(i, j):
             return False, f"inner derivation not fixed: ({i},{j})"
-    for a in range(tkk.dim):
-        X = tkk.basis_element(a)
-        for b in range(tkk.dim):
-            Y = tkk.basis_element(b)
-            if tkk.cayley(tkk.bracket(X, Y)) != tkk.bracket(tkk.cayley(X), tkk.cayley(Y)):
+    # c([X_a, X_b]) - [c X_a, c X_b] as one combination of integer columns
+    cols = tkk.struct_columns()
+    images = [int_column(col) for col in tkk._cayley_columns[0]]
+    for a, (da, ca) in enumerate(images):
+        for b, (db, cb) in enumerate(images):
+            terms = [(v.a, v.b, v.d * images[k][0], images[k][1])
+                     for k, v in tkk.struct[a, b].items()]
+            terms += [(y1 * y2 - x1 * x2, -x1 * y2 - y1 * x2, da * db * cols[p, q][0],
+                       cols[p, q][1]) for p, (x1, y1) in ca.items()
+                      for q, (x2, y2) in cb.items() if cols[p, q][1]]
+            if any(map(any, column_combination(terms)[1].values())):
                 return False, f"bracket preservation fails at ({a},{b})"
     # image of the compact-side subalgebra lands in the structure algebra
     for x in k_basis(tkk):
@@ -658,20 +653,24 @@ def check_realization(ctx: Context, max_degree: int = 2, pair_limit: int = 900):
 
 
 def check_osp_matrices(ctx: Context):
+    """The matrix of D(X_a) on the big variables, read off D's integer columns
+    on them, preserves the block metric: summed in Gaussian integers."""
     tkk = ctx.tkk
     bsig = tkk.big_signature
-    bb = bsig.beta
-    nv = bsig.nvars
+    column = action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
+    keys = [next(iter(SuperPolynomial.variable(bsig, u).terms)) for u in range(bsig.nvars)]
+    metric = {key: {v: (b, 0) for v, b in row} for key, row in zip(keys, bsig.beta_rows)}
     for a in range(tkk.dim):
-        mat = tkk.osp_matrix(tkk.basis_element(a))
-        pX = tkk.parity(a)
-        for u in range(nv):
-            su = QQi(-1 if (bsig.parity(u) and pX) else 1)
-            for v in range(nv):
-                lhs = sum((mat[r][u] * bb[r][v] for r in range(nv) if mat[r][u]), ZERO)
-                rhs = sum((bb[u][r] * mat[r][v] for r in range(nv) if mat[r][v]), ZERO)
-                if not (lhs + su * rhs).is_zero():
-                    return False, f"metric not preserved by basis element {a}"
+        cols = [column(a, key) for key in keys]
+        for u, row in enumerate(bsig.beta_rows):
+            su = -1 if (bsig.parity(u) and tkk.parity(a)) else 1
+            # <X y_u, y_v> + su <y_u, X y_v> for every v, as one column over v
+            d, nums = cols[u]
+            terms = [(x, y, d, metric[key]) for key, (x, y) in nums.items()]
+            terms += [(su * b, 0, e, {v: col[keys[r]]}) for r, b in row
+                      for v, (e, col) in enumerate(cols) if keys[r] in col]
+            if any(map(any, column_combination(terms)[1].values())):
+                return False, f"metric not preserved by basis element {a}"
     return True, ""
 
 

@@ -18,10 +18,10 @@ from superfock.verify import (Context, RunConfig, check_angular_commutes,
                               check_intertwining, check_intertwining_inverse,
                               check_k_exponential, check_kernel,
                               check_laguerre, check_normalization,
-                              check_pi_representation,
+                              check_osp_matrices, check_pi_representation,
                               check_pi_skew, check_rho_composition,
                               check_rho_ladders, check_rho_representation,
-                              check_round_trips, check_sl2_triple,
+                              check_round_trips, check_sl2_triple, check_tkk_axioms,
                               check_truncation_consistency, check_unitarity,
                               check_i_halfinteger)
 
@@ -93,6 +93,18 @@ def test_criterion_05_gram_ranks(m, n):
 def test_criterion_06_cayley(m, n):
     report("6 (Cayley closed forms and bracket preservation)",
            m, n, check_cayley(ctx_for(m, n)))
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)
+def test_criterion_06_tkk_axioms(m, n):
+    report("6 (graded antisymmetry on all pairs; graded Jacobi on all or sampled triples)",
+           m, n, check_tkk_axioms(ctx_for(m, n)))
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)
+def test_criterion_06_matrix_model(m, n):
+    report("6 (the realization preserves the block metric on the big variables)",
+           m, n, check_osp_matrices(ctx_for(m, n)))
 
 
 @pytest.mark.parametrize("m,n", ALGEBRAIC_MATRIX)

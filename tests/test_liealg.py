@@ -10,7 +10,8 @@ from superfock import linalg
 from superfock.algebra import (Signature, SuperPolynomial, apply_op,
                                monomials_up_to, table_apply)
 from superfock.liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
-from superfock.scalars import I, ONE, QQi, _acc
+from superfock.scalars import I, ONE, QQi, _acc, column_terms
+from superfock.verify import action_columns
 
 TKK41 = tkk_for(Signature(4, 1))
 
@@ -221,20 +222,55 @@ def test_realization_table_equals_the_case_dispatch(m, n):
             assert got(p) == want(p), (x, key)
 
 
-def test_osp_matrix_preserves_metric():
-    tkk = TKK41
+def osp_matrix(tkk, x):
+    """Matrix of D(x) on the span of the big variables, mat[r][c] the
+    coefficient of y_r in D(x) y_c, through the polynomial applier; an oracle
+    for the matrices that ``verify.check_osp_matrices`` reads off D's columns."""
+    bsig = tkk.big_signature
+    nv = bsig.nvars
+    mat = [[QQi(0)] * nv for _ in range(nv)]
+    for c in range(nv):
+        img = table_apply(TKK.realization_table, apply_op, x, SuperPolynomial.variable(bsig, c))
+        for (ev, odd), coeff in img.terms.items():
+            mat[odd[0] if odd else ev.index(1)][c] = coeff
+    return mat
+
+
+def qqi_matrix_model(tkk, matrix):
+    """The ``QQi`` loop of ``check_osp_matrices`` that the Gaussian-integer sum
+    replaced, on the matrices matrix(a) of D(X_a) on the big variables."""
     bsig = tkk.big_signature
     bb = bsig.beta
     nv = bsig.nvars
-    for a in (0, 3, tkk.dim - 1, tkk.index[("L", 0)], tkk.index[("inn",) + tkk.inn_pairs[0]]):
-        mat = tkk.osp_matrix(tkk.basis_element(a))
+    for a in range(tkk.dim):
+        mat = matrix(a)
         pX = tkk.parity(a)
         for u in range(nv):
             su = QQi(-1 if (bsig.parity(u) and pX) else 1)
             for v in range(nv):
                 lhs = sum((mat[r][u] * bb[r][v] for r in range(nv) if mat[r][u]), QQi(0))
                 rhs = sum((bb[u][r] * mat[r][v] for r in range(nv) if mat[r][v]), QQi(0))
-                assert (lhs + su * rhs).is_zero()
+                if not (lhs + su * rhs).is_zero():
+                    return False, f"metric not preserved by basis element {a}"
+    return True, ""
+
+
+def test_osp_matrix_preserves_metric():
+    tkk = TKK41
+    assert qqi_matrix_model(tkk, lambda a: osp_matrix(tkk, tkk.basis_element(a))) == (True, "")
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (4, 1), (2, 2)])
+def test_the_realization_columns_on_the_variables_are_the_osp_matrices(m, n):
+    tkk = tkk_for(Signature(m, n))
+    bsig = tkk.big_signature
+    column = action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
+    keys = [next(iter(SuperPolynomial.variable(bsig, u).terms)) for u in range(bsig.nvars)]
+    for a in range(tkk.dim):
+        mat = osp_matrix(tkk, tkk.basis_element(a))
+        for u, key in enumerate(keys):
+            want = {keys[r]: mat[r][u] for r in range(bsig.nvars) if mat[r][u]}
+            assert column_terms(column(a, key)) == want, (a, u)
 
 
 def test_k_subalgebra():

@@ -8,8 +8,10 @@ integer columns; the integer fill of the action columns equals the columns
 of the polynomial applier; the column route of the intertwining check
 finds the first failure of its polynomial loop; and the integer route of the
 product rule and the memoized columns of the angular commutant give the
-witnesses of the polynomial route and of unmemoized columns.  Every shape the
-CLI accepts at small size passes every suite."""
+witnesses of the polynomial route and of unmemoized columns; the integer
+routes of the Jacobi identity, of bracket preservation under the Cayley
+transform and of the matrix model give the witnesses of their ``QQi``
+routes.  Every shape the CLI accepts at small size passes every suite."""
 
 import gc
 import random
@@ -26,9 +28,9 @@ from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
                                table_columns)
 from superfock.fock import rho_apply, rho_table
 from superfock.linalg import commutator_failure, skew_failure
-from superfock.liealg import TKK, Jordan, tkk_for
+from superfock.liealg import TKK, Jordan, k_basis, tkk_for
 from superfock.quotient import normal_form_keys
-from superfock.scalars import (QQi, _acc, column_combination, column_terms,
+from superfock.scalars import (I, QQi, _acc, column_combination, column_terms,
                                int_column)
 from superfock.schrodinger import WElement, make_w, pi_apply, pi_op, pi_table
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
@@ -36,13 +38,15 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_bessel_tangential,
                               check_bessel_product_rule,
                               check_bessel_supercommute, check_bf_l_adjoint,
-                              check_intertwining, check_intertwining_inverse,
-                              check_jordan, check_pi_representation,
+                              check_cayley, check_intertwining,
+                              check_intertwining_inverse, check_jordan,
+                              check_osp_matrices, check_pi_representation,
                               check_pi_skew, check_realization,
                               check_representative_independence,
                               check_rho_composition, check_rho_representation,
                               check_rho_skew, check_sl2_triple, check_tkk_axioms,
                               check_unitarity, run_suite, suite_fock)
+from test_liealg import osp_matrix, qqi_matrix_model
 
 
 def small_context(m=5, n=1) -> Context:
@@ -346,6 +350,17 @@ def test_the_integer_fill_equals_the_columns_of_the_polynomial_applier(m, n):
                 assert columns[a] == want, (table.__name__, rate, a, key)
 
 
+def first_inn_bracket(tkk):
+    """The first pair (a, b) of inner derivations with [X_a, X_b] != 0."""
+    inn = [a for a, d in enumerate(tkk.basis) if d[0] == "inn"]
+    return next((a, b) for a in inn for b in inn if tkk.struct[a, b])
+
+
+def double_struct(tkk, pairs):
+    for key in pairs:
+        tkk.struct[key] = {k: v * 2 for k, v in tkk.struct[key].items()}
+
+
 @pytest.mark.parametrize("check", [check_realization, check_tkk_axioms,
                                    check_pi_representation])
 def test_a_corrupted_structure_constant_fails_the_check(check):
@@ -354,11 +369,153 @@ def test_a_corrupted_structure_constant_fails_the_check(check):
     tkk = ctx.tkk = TKK(ctx.sig)
     args = () if check is check_tkk_axioms else (1,)
     assert check(ctx, *args)[0] is True
-    inn = [a for a, d in enumerate(tkk.basis) if d[0] == "inn"]
-    a, b = next((a, b) for a in inn for b in inn if tkk.struct[a, b])
-    for key in ((a, b), (b, a)):  # both orders, so that antisymmetry still holds
-        tkk.struct[key] = {k: v * 2 for k, v in tkk.struct[key].items()}
+    a, b = first_inn_bracket(tkk)
+    double_struct(tkk, [(a, b), (b, a)])  # both orders, so that antisymmetry still holds
     assert_fails(check(ctx, *args))
+
+
+def qqi_tkk_axioms(ctx, full_jacobi_limit=36):
+    """The ``QQi`` route of ``check_tkk_axioms`` that the commutator loop on
+    integer columns replaced: the basis brackets P[a][b] are formed once as
+    ``TKKElement``s, antisymmetry compares them, and the Jacobi identity takes
+    its three inner brackets from them, over all triples in lexicographic
+    order or over 2,000 sampled ones."""
+    tkk = ctx.tkk
+    dim = tkk.dim
+    X = [tkk.basis_element(a) for a in range(dim)]
+    P = [[tkk.bracket(x, y) for y in X] for x in X]
+    odd = [tkk.parity(a) for a in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            s = -1 if (odd[a] and odd[b]) else 1
+            if P[a][b] != P[b][a].scale(-s):
+                return False, f"antisymmetry fails at ({a},{b})"
+    if dim <= full_jacobi_limit:
+        triples = [(a, b, c) for a in range(dim) for b in range(dim) for c in range(dim)]
+    else:
+        rng = ctx.rng
+        triples = [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
+                   for _ in range(2000)]
+    for (a, b, c) in triples:
+        s = -1 if (odd[a] and odd[b]) else 1
+        lhs = tkk.bracket(X[a], P[b][c])
+        rhs = tkk.bracket(P[a][b], X[c]) + tkk.bracket(X[b], P[a][c]).scale(s)
+        if lhs != rhs:
+            return False, f"Jacobi fails at ({a},{b},{c})"
+    mode = "all" if dim <= full_jacobi_limit else "sampled"
+    return True, f"antisymmetry on all pairs; Jacobi on {mode} triples"
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (5, 1)])  # all triples, then sampled ones
+@pytest.mark.parametrize("sides", [0, 1, 2])
+def test_the_jacobi_loop_gives_the_witness_of_the_qqi_route(m, n, sides):
+    # one inn-inn bracket doubled on no side, on one side (antisymmetry
+    # breaks) or on both (antisymmetry holds, Jacobi breaks)
+    ctx = small_context(m, n)
+    tkk = ctx.tkk = TKK(ctx.sig)
+    a, b = first_inn_bracket(tkk)
+    double_struct(tkk, [(a, b), (b, a)][:sides])
+    state = ctx.rng.getstate()
+    got = check_tkk_axioms(ctx)
+    after = ctx.rng.getstate()
+    ctx.rng.setstate(state)
+    assert got == qqi_tkk_axioms(ctx)
+    assert ctx.rng.getstate() == after
+    assert got[0] is (sides == 0)
+    assert got[1].startswith(("antisymmetry on all", "antisymmetry fails", "Jacobi fails")[sides])
+
+
+def qqi_cayley(ctx):
+    """The ``QQi`` route of ``check_cayley`` that the integer columns replaced:
+    bracket preservation compares c([X_a, X_b]) with [c X_a, c X_b] as
+    ``TKKElement``s."""
+    tkk = ctx.tkk
+    nv = ctx.sig.nvars
+    quarter = QQi(1, 0, 4)
+    for l in range(nv):
+        if tkk.cayley(tkk.minus(l)) != tkk.minus(l, quarter) + tkk.L(l, I) + tkk.plus(l):
+            return False, f"closed form fails on minus e_{l}"
+        if tkk.cayley(tkk.L(l)) != tkk.minus(l, I * quarter) + tkk.plus(l, -I):
+            return False, f"closed form fails on L_{l}"
+        if tkk.cayley(tkk.plus(l)) != tkk.minus(l, quarter) + tkk.L(l, -I) + tkk.plus(l):
+            return False, f"closed form fails on plus e_{l}"
+    for (i, j) in tkk.inn_pairs:
+        if tkk.cayley(tkk.inn(i, j)) != tkk.inn(i, j):
+            return False, f"inner derivation not fixed: ({i},{j})"
+    for a in range(tkk.dim):
+        X = tkk.basis_element(a)
+        for b in range(tkk.dim):
+            Y = tkk.basis_element(b)
+            if tkk.cayley(tkk.bracket(X, Y)) != tkk.bracket(tkk.cayley(X), tkk.cayley(Y)):
+                return False, f"bracket preservation fails at ({a},{b})"
+    for x in k_basis(tkk):
+        cx = tkk.cayley(x)
+        if cx.part("minus") or cx.part("plus"):
+            return False, "image of (a, I, -a) has nonzero odd grade"
+    return True, "closed forms, bracket preservation, and c(k) in istr"
+
+
+@pytest.mark.parametrize("kind", ["minus", "L", "inn", "plus"])
+def test_a_doubled_cayley_image_fails_the_cayley_check_as_the_qqi_route_does(kind):
+    # the closed forms pin down the image of every basis element, so they see it
+    ctx = small_context(4, 1)
+    tkk = ctx.tkk = TKK(ctx.sig)
+    assert check_cayley(ctx)[0] is True
+    b = next(b for b, d in enumerate(tkk.basis) if d[0] == kind)
+    image = tkk._cayley_columns[0][b]
+    r = next(iter(image))
+    image[r] = image[r] * 2
+    got = check_cayley(ctx)
+    assert got[0] is False and got == qqi_cayley(ctx)
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (2, 2)])
+def test_a_corrupted_bracket_fails_the_bracket_preservation_as_the_qqi_route_does(m, n):
+    # the Cayley images are made before the corruption, so the closed forms
+    # hold; c fixes the inner derivations, so [e_1^+, e_1^-] is doubled
+    ctx = small_context(m, n)
+    tkk = ctx.tkk = TKK(ctx.sig)
+    tkk._cayley_columns
+    a, b = tkk.index[("plus", 1)], tkk.index[("minus", 1)]
+    double_struct(tkk, [(a, b), (b, a)])
+    got = check_cayley(ctx)
+    assert got[0] is False and got[1].startswith("bracket preservation fails at")
+    assert got == qqi_cayley(ctx)
+
+
+@pytest.mark.parametrize("m,n,kind", [(4, 1, "minus"), (4, 1, "inn"), (2, 2, "L")])
+def test_a_doubled_realization_entry_fails_the_matrix_model_as_the_qqi_route_does(
+        monkeypatch, m, n, kind):
+    # X_a is the first basis element of its kind, and the first nonzero entry
+    # (r, u) of its matrix, u outer, is doubled
+    ctx = small_context(m, n)
+    tkk = ctx.tkk
+    bsig = tkk.big_signature
+    a = next(a for a, d in enumerate(tkk.basis) if d[0] == kind)
+    mat = osp_matrix(tkk, tkk.basis_element(a))
+    u, r = next((u, r) for u in range(bsig.nvars) for r in range(bsig.nvars) if mat[r][u])
+    key_u, key_r = (next(iter(SuperPolynomial.variable(bsig, v).terms)) for v in (u, r))
+    assert check_osp_matrices(ctx) == (True, "")
+    action_columns = verify.action_columns
+
+    def doubled(*args):
+        column = action_columns(*args)
+
+        def wrapped(b, key):
+            den, nums = column(b, key)
+            if (b, key) == (a, key_u):
+                nums = {**nums, key_r: tuple(2 * z for z in nums[key_r])}
+            return den, nums
+        return wrapped
+
+    def doubled_matrix(b):
+        mat = osp_matrix(tkk, tkk.basis_element(b))
+        if b == a:
+            mat[r][u] = mat[r][u] * 2
+        return mat
+    monkeypatch.setattr(verify, "action_columns", doubled)
+    assert check_osp_matrices(ctx) == qqi_matrix_model(tkk, doubled_matrix) == \
+        (False, f"metric not preserved by basis element {a}")
 
 
 def test_a_failing_word_sample_names_its_basis_element():
