@@ -48,28 +48,41 @@ def standard_metric(m: int, n: int) -> tuple[tuple[QQi, ...], ...]:
 
 
 class Signature:
-    """Variable layout (m even, 2n odd) plus the metric and its exact inverse."""
+    """Variable layout (m even, 2n odd) plus the metric and its exact inverse.
+
+    ``Signature(m, n, varset, beta)`` is one shared instance per shape,
+    variable set and metric (the intern table ``_signature``), and an explicit
+    beta equal to the standard metric gives the instance of beta=None; so the
+    caches keyed by a signature and the ring operations meet the same object.
+    Equality stays structural: an instance made before
+    ``superfock.clear_caches()`` equals the one made after."""
 
     __slots__ = ("m", "n", "varset", "beta", "beta_inv", "nvars",
                  "beta_rows", "beta_inv_pairs", "r2_terms", "_hash")
 
-    def __init__(self, m: int, n: int, varset: str = "x", beta=None):
+    def __new__(cls, m: int, n: int, varset: str = "x", beta=None):
         if m < 2:
             raise ValueError("need at least two even variables")
         if n < 0:
             raise ValueError("n must be nonnegative")
         if varset not in ("x", "z", "w", "y"):
             raise ValueError(f"unknown variable set {varset!r}")
+        if beta is not None:
+            beta = tuple(tuple(QQi.coerce(v) for v in row) for row in beta)
+            if beta == standard_metric(m, n):
+                beta = None
+        return _signature(m, n, varset, beta)
+
+    def _setup(self, m: int, n: int, varset: str, beta) -> None:
+        """Check the metric (standard if None) and fill the slots."""
         self.m = m
         self.n = n
         self.varset = varset
         self.nvars = m + 2 * n
         if beta is None:
             beta = standard_metric(m, n)
-        else:
-            beta = tuple(tuple(QQi.coerce(v) for v in row) for row in beta)
-            if len(beta) != self.nvars or any(len(r) != self.nvars for r in beta):
-                raise ValueError("metric has wrong shape")
+        elif len(beta) != self.nvars or any(len(r) != self.nvars for r in beta):
+            raise ValueError("metric has wrong shape")
         for i in range(self.nvars):
             for j in range(self.nvars):
                 pi, pj = self.parity(i), self.parity(j)
@@ -114,6 +127,15 @@ class Signature:
 
     def __repr__(self):
         return f"Signature(m={self.m}, n={self.n}, varset={self.varset!r})"
+
+
+@lru_cache(maxsize=None)
+def _signature(m: int, n: int, varset: str, beta) -> Signature:
+    """The one ``Signature`` of a shape, variable set and metric (None for
+    the standard metric); a metric that fails its checks leaves no entry."""
+    sig = object.__new__(Signature)
+    sig._setup(m, n, varset, beta)
+    return sig
 
 
 def merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
@@ -408,10 +430,11 @@ def _angular(sig, key, c, i, j):
         raise ValueError("L_ii is only defined for odd indices")
     out: dict = {}
     for a, b, f in ((i, j, 1), (j, i, 1 if (i >= m and j >= m) else -1)):
-        for k1, v in _derive(sig, key, c, sig.beta_rows[b]).items():
-            t = mul_key(m, a, k1)
-            if t:
-                _acc(out, t[1], f * t[0] * v)
+        for l, v in sig.beta_rows[b]:  # x_a v d_upper(l, c), the rate term at l = 0
+            if (t := derive_key(m, l, key)) and (u := mul_key(m, a, t[1])):
+                _acc(out, u[1], f * u[0] * (v * t[0]))
+            if c and l == 0 and (u := mul_key(m, a, key)):
+                _acc(out, u[1], f * u[0] * (-c * v))
     return out
 
 

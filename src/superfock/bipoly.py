@@ -27,11 +27,13 @@ LEFT, RIGHT = 0, 1
 
 
 class BiSignature(Signature):
-    """The joined alphabet of two signatures, remembering each slot."""
+    """The joined alphabet of two signatures, remembering each slot.  Its
+    memo is ``bi_signature``; it never enters the ``Signature`` intern table."""
 
     __slots__ = ("slots", "halves", "_odd_split")
 
-    def __init__(self, left: Signature, right: Signature):
+    def __new__(cls, left: Signature, right: Signature):
+        self = object.__new__(cls)
         ml, mr, cut = left.m, right.m, left.m + right.m + 2 * left.n
         self.halves = (left, right)
         self.slots = (tuple(range(ml)) + tuple(range(ml + mr, cut)),
@@ -43,8 +45,8 @@ class BiSignature(Signature):
             for i in range(sig.nvars):
                 for j in range(sig.nvars):
                     beta[idx[i]][idx[j]] = sig.beta[i][j]
-        super().__init__(ml + mr, left.n + right.n, left.varset,
-                         tuple(tuple(r) for r in beta))
+        self._setup(ml + mr, left.n + right.n, left.varset, tuple(tuple(r) for r in beta))
+        return self
 
     def split(self, key: MonKey) -> tuple[MonKey, MonKey]:
         """The (left, right) monomial keys of a joined key."""

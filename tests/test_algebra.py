@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
-from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
-                               dim_P, merge_odd, monomial_keys, monomials_up_to,
-                               op_column, op_image, r2_small, random_polynomial,
-                               theta2)
-from superfock.bipoly import bi_signature
+import superfock
+from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, _signature,
+                               apply_op, dim_P, merge_odd, monomial_keys,
+                               monomials_up_to, op_column, op_image, r2_small,
+                               random_polynomial, standard_metric, theta2)
+from superfock.bipoly import BiSignature, bi_signature
 from superfock.scalars import QQi, _acc, column_terms, int_column
 
 SIG = Signature(4, 1)
@@ -41,6 +42,47 @@ def test_signature_metric():
     bad = [[QQi(1), QQi(1)], [QQi(1), QQi(1)]]
     with pytest.raises(ValueError):
         Signature(2, 0, beta=bad + [])
+
+
+def test_a_signature_is_one_instance_per_shape_variable_set_and_metric():
+    sig = Signature(5, 1)
+    assert Signature(5, 1) is sig
+    assert Signature(5, 1, varset="z") is not sig and Signature(5, 1, varset="z") != sig
+    # an explicit standard metric, as QQi rows or as lists of ints
+    assert Signature(5, 1, beta=standard_metric(5, 1)) is sig
+    assert Signature(5, 1, beta=[[int(v.a) for v in row] for row in sig.beta]) is sig
+    rows = [[-1, 0, 0], [0, 1, 0], [0, 0, 4]]
+    other = Signature(3, 0, beta=rows)
+    assert other is Signature(3, 0, beta=tuple(map(tuple, rows))) is not Signature(3, 0)
+    assert other.beta[2][2] == QQi(4) and other.beta_inv[2][2] == QQi(1, 0, 4)
+
+
+def test_a_refused_metric_leaves_no_intern_entry():
+    before = _signature.cache_info().currsize
+    for beta in ([[1, 1], [1, 1]], [[1, 0], [0, 1], [0, 0]], [[1, 2], [3, 1]]):
+        with pytest.raises(ValueError):
+            Signature(2, 0, beta=beta)
+    assert _signature.cache_info().currsize == before
+
+
+def test_a_joined_signature_is_never_handed_out_as_a_plain_one():
+    left, right = Signature(2, 0), Signature(2, 1, varset="z")
+    bsig = bi_signature(left, right)
+    for sig in (Signature(bsig.m, bsig.n, bsig.varset, beta=bsig.beta),
+                Signature(bsig.m, bsig.n, bsig.varset)):
+        assert type(sig) is Signature and sig is not bsig and sig != bsig
+    assert bi_signature(left, right) is bsig and type(bsig) is BiSignature
+
+
+def test_the_intern_table_is_a_cleared_module_cache():
+    old = Signature(4, 2)
+    assert "superfock.algebra._signature" in superfock.cache_stats()
+    superfock.clear_caches()
+    assert _signature.cache_info().currsize == 0
+    new = Signature(4, 2)
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert Signature(4, 2) is new
+    assert (SuperPolynomial.variable(old, 1) + SuperPolynomial.variable(new, 2)).sig is old
 
 
 def test_merge_odd_signs():
@@ -304,6 +346,37 @@ def test_one_pass_derivations_agree_with_the_chained_sums(m, n):
             assert apply_op(d, p, rate) == images[d[0]](*d[1:]), (d, rate)
     with pytest.raises(ValueError):
         op_column(sig, ("L", 1, 1), keys[0])
+
+
+# a metric with rows of two entries, row 0 among them, and a scaled odd block
+COUPLED = ((-1, 1, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 0, -3), (0, 0, 0, 3, 0))
+
+
+@pytest.mark.parametrize("m,n,beta", [
+    pytest.param(3, 0, ((-1, 0, 0), (0, 1, 0), (0, 0, 4)), id="diagonal-3-0"),
+    pytest.param(3, 1, COUPLED, id="coupled-3-1"),
+])
+def test_the_angular_closed_form_agrees_with_its_polynomial_oracle(m, n, beta):
+    """``_OPS["L"]``, read off the metric rows, against x_i d_lower(j) -+
+    x_j d_lower(i) on polynomials on two metrics that are not standard (the
+    standard ones are in the all-descriptor test above): at rates 0 and 2,
+    for every index pair (odd i = j included, even i = j refused), on every
+    monomial of degree <= 4.  On the coupled metric the rate term of
+    d_lower(0) meets a second derivative of the same row."""
+    sig = Signature(m, n, beta=beta)
+    assert max(map(len, sig.beta_rows)) == (2 if beta is COUPLED else 1)
+    pairs = [(i, j) for i in range(sig.nvars) for j in range(sig.nvars)]
+    for rate in (0, 2):
+        for key in monomials_up_to(sig, 4):
+            angular = oracle_images(SuperPolynomial.monomial(sig, key), rate)["L"]
+            for i, j in pairs:
+                if i == j and i < sig.m:
+                    with pytest.raises(ValueError):
+                        _OPS["L"](sig, key, rate, i, j)
+                    continue
+                image = _OPS["L"](sig, key, rate, i, j)
+                assert all(type(v) is int for v in image.values()), (key, i, j, rate)
+                assert SuperPolynomial(sig, image) == angular(i, j), (key, i, j, rate)
 
 
 @pytest.mark.parametrize("m,n", [

@@ -53,7 +53,7 @@ def test_clear_caches_empties_every_module_cache():
                    and getattr(obj, "__module__", None) == mod.__name__]
     # the exact set, so that a new module-level cache shows up here
     assert {f"{obj.__module__}.{obj.__qualname__}" for obj in caches} == {
-        "superfock.algebra.R2", "superfock.algebra.monomial_keys",
+        "superfock.algebra.R2", "superfock.algebra._signature", "superfock.algebra.monomial_keys",
         "superfock.algebra.r2_small", "superfock.algebra.theta2",
         "superfock.bipoly._slot_r2_power", "superfock.bipoly.bi_signature",
         "superfock.bipoly.pairing_power", "superfock.fock.bessel_image",

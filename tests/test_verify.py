@@ -45,7 +45,7 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_representative_independence,
                               check_rho_composition, check_rho_representation,
                               check_rho_skew, check_sl2_triple, check_tkk_axioms,
-                              check_unitarity, run_suite, suite_fock)
+                              check_unitarity, run_suite, suite_fock, suite_liealg)
 from test_liealg import osp_matrix, qqi_matrix_model
 
 
@@ -516,6 +516,22 @@ def test_a_doubled_realization_entry_fails_the_matrix_model_as_the_qqi_route_doe
     monkeypatch.setattr(verify, "action_columns", doubled)
     assert check_osp_matrices(ctx) == qqi_matrix_model(tkk, doubled_matrix) == \
         (False, f"metric not preserved by basis element {a}")
+
+
+def test_a_multiple_of_one_realization_passes_the_matrix_model_but_not_the_realization(
+        monkeypatch):
+    # at (4,1), D of the odd-pair inner derivation ("inn", 5, 5) maps y_6 to
+    # 2 y_7; doubled to 4 y_7, D(X_a) is still in the orthosymplectic algebra
+    ctx = small_context(4, 1)
+    tkk = ctx.tkk
+    a = tkk.basis.index(("inn", 5, 5))
+    y6 = next(iter(SuperPolynomial.variable(tkk.big_signature, 6).terms))
+    action_columns = verify.action_columns
+    monkeypatch.setattr(verify, "action_columns",
+                        lambda *args: double_one_column(action_columns(*args), (a, y6)))
+    status = {r.name: (r.status, r.detail) for r in suite_liealg(ctx)}
+    assert status["matrix-model"] == ("pass", "")
+    assert status["differential-realization"] == ("fail", f"homomorphism fails at pair (4,{a})")
 
 
 def test_a_failing_word_sample_names_its_basis_element():
