@@ -164,8 +164,7 @@ def merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
 
 class SuperPolynomial:
     """Finitely supported map (even exponents, odd subset) -> QQi.  ``apply_op``
-    and ``quotient.reduce_poly`` keep the number type of the coefficients, so
-    ``table_columns`` runs them on a monomial with the int coefficient 1."""
+    and ``quotient.reduce_poly`` keep the number type of the coefficients."""
 
     __slots__ = ("sig", "terms")
 
@@ -547,34 +546,41 @@ def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     return SuperPolynomial(p.sig, out)
 
 
-def table_columns(table, op, tkk, sig: Signature, rate=0):
-    """fill(key): the integer columns of X_a x^key for every basis element a
-    of tkk, through an action table.  The shape is checked here; the table is
-    read once per algebra, on the first fill, so that a filler no check uses
-    reads nothing.
+def table_columns(table, tkk, sig: Signature, rate=0, reduce=None):
+    """fill(key): the row of x^key, a list of the integer columns of X_a x^key
+    indexed by the basis element a of tkk, through an action table; it is the
+    row that ``linalg.commutator_failure`` reads.  reduce(sig, terms) reduces
+    an image where the action acts modulo R^2 (``quotient.nf_terms`` for pi,
+    pi_C and rho) and is None where it does not (D).  The shape is checked
+    here; the table is read once per algebra, on the first fill, so that a
+    filler no check uses reads nothing.
 
-    Each descriptor is applied to x^key once, by op on the monomial with the
-    int coefficient 1, so that its image stays in ints and is a column as it
-    is; the column of X_a is one ``column_combination`` of those
-    images with a's coefficients, in plain ints.  Cancelled entries are
-    dropped and the content gcd divided out, so that the column equals
-    ``int_column`` of ``table_apply(table, op, X_a, x^key, rate)`` exactly,
-    down to its denominator."""
+    Each descriptor's image of x^key is made once per fill, straight from its
+    ``_OPS`` closed form at rate (read at call time), as an int map that is
+    reduced and wrapped as a column as it is; no polynomial is built.  The
+    column of X_a is one ``column_combination`` of those images with a's
+    coefficients, in plain ints.  Cancelled entries are dropped and the
+    content gcd divided out, so that the column equals ``int_column`` of the
+    polynomial route ``table_apply`` on x^key exactly, down to its
+    denominator, with op ``schrodinger.pi_op`` where the fill reduces and
+    ``apply_op`` where it does not."""
     _check_shape(table, tkk, sig)
-    rows = []
+    c = int_or_qqi(rate)
+    entries = []  # per basis element, [(descriptor, x, y, e)]: coefficient (x + y i)/e
 
     def fill(key) -> list[tuple[int, dict]]:
-        if not rows:
-            rows.extend([(d, c.a, c.b, c.d) for d, c in table(tkk, a)] for a in range(tkk.dim))
-        p = SuperPolynomial._wrap(sig, {key: 1})
+        if not entries:
+            entries.extend([(d, x.a, x.b, x.d) for d, x in table(tkk, a)]
+                           for a in range(tkk.dim))
         images: dict = {}
         columns = []
-        for row in rows:
+        for row in entries:
             terms = []
             for d, x, y, e in row:
                 image = images.get(d)
                 if image is None:
-                    image = images[d] = _column(op(d, p, rate).terms)
+                    image = _OPS[d[0]](sig, key, c, *d[1:])
+                    image = images[d] = _column(reduce(sig, image) if reduce else image)
                 terms.append((x, y, e * image[0], image[1]))
             if len(row) == 1 and row[0][1:] == (1, 0, 1):
                 columns.append(image)  # one descriptor with coefficient 1

@@ -21,10 +21,11 @@ memo with a fresh ``op_column`` on every monomial of degree <= 2.
 
 Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
 ``bipoly``.  The Fock action rho(X) = pi_C(c(X)) is the action table
-``rho_table`` over the operator map of pi and pi_C, ``schrodinger.pi_op`` at
-rate 0, applied to polynomials by ``algebra.table_apply`` (``rho_apply``) and
-to monomials, as the columns of every basis element at once, by
-``algebra.table_columns`` (``verify.Context.rho_column``).
+``rho_table`` over the ``algebra._OPS`` operators at rate 0, reduced modulo
+R^2 as pi and pi_C are: applied to polynomials by ``algebra.table_apply``
+with ``schrodinger.pi_op`` (``rho_apply``), and to monomials, as the row of
+the columns of every basis element at once, by ``algebra.table_columns``
+with ``quotient.nf_terms`` (``verify.Context.rho_row``).
 """
 
 from __future__ import annotations

@@ -6,15 +6,18 @@ tolerance anywhere: a pivot is any exactly nonzero entry.
 The contractions (``commutator_failure``, ``skew_failure``) read operators as
 integer columns (``scalars.int_column``) and sum plain ints, so they box no
 ``QQi``; each returns the first point where an identity fails.  The
-commutator loop sums all identities key-major, one monomial at a time, and
-still reports the first failure in identity-major order.
+commutator loop reads rows: ``row(key)`` maps every operator to its integer
+column on x^key, so that a monomial reached through the column of one
+operator is looked up once for all the operators composed after it.  It
+sums all identities key-major, one monomial at a time, into one bucket of
+terms per identity, and still reports the first failure in identity-major
+order.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from math import lcm
-from operator import itemgetter
+from collections import defaultdict
+from math import gcd, lcm
 
 from .scalars import ONE, QQi
 
@@ -127,24 +130,26 @@ def inv_dense(mat: list[list[QQi]]) -> list[list[QQi]]:
 # -- contractions of integer columns -------------------------------------------
 
 
-def commutator_failure(column, keys, identities):
+def commutator_failure(row, keys, identities):
     """First (label, key) with A B x^key - s B A x^key != sum c C x^key, or None.
 
-    An identity is (label, A, B, s, {C: c}); ``column(op, key)`` is the
-    integer column of op x^key, and linearity reads every side off the
-    columns.  The failure reported is the first in identity-major order: the
+    An identity is (label, A, B, s, {C: c}); ``row(key)`` maps every operator
+    to its integer column on x^key, and linearity reads every side off the
+    rows.  The failure reported is the first in identity-major order: the
     first failing identity, on its first failing key.
 
-    The sum runs key-major.  For each key, every ordered pair of operators
-    (first, then) that some identity composes is read once: each entry of
-    the column of first on x^key scales the column of then on the x^k2 it
-    names, as one term of every identity using the pair, with sign +1 (then
-    = A) or -s (then = B).  The right-hand sides add one term per nonzero
-    coefficient.  The terms are then sorted by identity, and the residue of
-    each identity is summed into one map {k3: [re, im]} in Gaussian
-    integers, over one common denominator for the key, and tested for zero
-    before the next identity's map is made.  Only the columns that an
-    identity uses are read; zero coefficients stay unread."""
+    The sum runs key-major.  For each key, every operator first that some
+    identity composes is read once from the row of x^key, and each entry of
+    its column names one row, of x^k2, read once for all the operators then
+    composed after first: the column of then on x^k2, scaled by the entry,
+    is one term of every identity using the pair, with sign +1 (then = A) or
+    -s (then = B).  The right-hand sides add one term per nonzero
+    coefficient.  The terms go to one bucket per identity; the buckets are
+    summed in identity order, each into one map {k3: [re, im]} in Gaussian
+    integers over a running common denominator, and tested for zero before
+    the next.  That is ``scalars.column_combination`` written out, as a call
+    per bucket cost about a fifth of the loop's time at (8,2).  Only the
+    columns that an identity uses are read; zero coefficients stay unread."""
     labels = []
     plan: dict = {}  # first -> [(then, identity, sign)]
     rhs: dict = {}  # C -> [(identity, x, y, e)]: -c = (x + y i)/e
@@ -157,28 +162,37 @@ def commutator_failure(column, keys, identities):
                 rhs.setdefault(C, []).append((i, -q.a, -q.b, q.d))
     plan, rhs = list(plan.items()), list(rhs.items())
     best = None  # (identity, key) of the first failure found
-    resid: dict = {}  # k3 -> [re, im] over den, for one identity at a time
     for key in keys:
-        terms = []  # (identity, x, y, e, nums): (x + y i)/e times a column
+        outer = row(key)
+        buckets = defaultdict(list)  # identity -> [(x, y, e, nums)]: (x + y i)/e times a column
         for first, targets in plan:
-            d0, nums = column(first, key)
+            d0, nums = outer[first]
             for k2, (x, y) in nums.items():
+                inner = row(k2)
                 for then, i, sign in targets:
-                    d1, inums = column(then, k2)
+                    d1, inums = inner[then]
                     if inums:
-                        terms.append((i, sign * x, sign * y, d0 * d1, inums))
+                        buckets[i].append((sign * x, sign * y, d0 * d1, inums))
         for C, targets in rhs:
-            d0, nums = column(C, key)
+            d0, nums = outer[C]
             if nums:
-                terms += [(i, x, y, e * d0, nums) for i, x, y, e in targets]
-        den = lcm(*{t[3] for t in terms})
-        terms.sort(key=itemgetter(0))
-        for i, group in groupby(terms, itemgetter(0)):
+                for i, x, y, e in targets:
+                    buckets[i].append((x, y, e * d0, nums))
+        for i in sorted(buckets):
             if best is not None and i >= best[0]:
                 break  # keys come in order: only an earlier identity improves
-            resid.clear()
-            for _, x, y, e, nums in group:
+            bucket = buckets[i]
+            resid: dict = {}  # k3 -> [re, im] over den
+            den = bucket[0][2]
+            for x, y, e, nums in bucket:
                 if e != den:
+                    if den % e:
+                        new = den // gcd(den, e) * e
+                        g = new // den
+                        for r in resid.values():
+                            r[0] *= g
+                            r[1] *= g
+                        den = new
                     f = den // e
                     x *= f
                     y *= f

@@ -7,13 +7,14 @@ the ideal.
 
 ``reduce_terms`` is the one reducer, on term maps in ints or ``QQi`` as they
 come, given the index of x_0 so that it reduces one slot of a bi-polynomial
-as well; the powers of r^2 are int maps, and ``reduce_poly`` builds no
-``QQi`` of its own.
+as well; the powers of r^2 are int maps.  ``nf_terms`` applies it to a term
+map at x_0 (the action fills of ``algebra.table_columns`` read it) and
+``reduce_poly`` to a polynomial; neither builds a ``QQi`` of its own.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import (Signature, SuperPolynomial, add_term_product, dim_P,
                       monomial_keys, r2_small)
@@ -48,10 +49,14 @@ def reduce_terms(terms: dict, x0: int, r2_power) -> dict:
     return out
 
 
+def nf_terms(sig: Signature, terms: dict) -> dict:
+    """The term map terms on sig modulo R^2: ``reduce_terms`` at x_0."""
+    return reduce_terms(terms, 0, partial(_r2_power, sig))
+
+
 def reduce_poly(p: SuperPolynomial) -> SuperPolynomial:
     """Unique representative of p mod <R^2> with variable-0 degree <= 1."""
-    sig = p.sig
-    return SuperPolynomial._wrap(sig, reduce_terms(p.terms, 0, lambda j: _r2_power(sig, j)))
+    return SuperPolynomial._wrap(p.sig, nf_terms(p.sig, p.terms))
 
 
 def reduce_with_quotient(p: SuperPolynomial):

@@ -7,16 +7,21 @@ failure, and never raise: unexpected exceptions are reported as failures.
 
 Operators, actions, structure constants and pairings are read as integer
 columns (``scalars.int_column``): Gaussian-integer numerator pairs over one
-positive denominator.  ``action_columns`` fills the columns of every basis
+positive denominator, gathered into rows, one per monomial, that map each
+operator to its column there.  ``action_rows`` fills the row of every basis
 element on one monomial at once through an action table (pi, pi_C, rho or D,
-see ``algebra.table_columns``), memoized per ``Context`` (``pi_column``,
-``rho_column``) or per check, as are most ``algebra`` operator columns.  One
-commutator loop (``linalg.commutator_failure``) checks the sl2 triple, the
+see ``algebra.table_columns``), memoized per ``Context`` (``pi_row``,
+``rho_row``) or per check; ``_operator_rows`` reads the ``algebra`` operators
+into rows filled as they are read and memoized per check, except the L_ij
+columns of the angular commutant.  One commutator loop
+(``linalg.commutator_failure``) reads the rows to check the sl2 triple, the
 Bessel operator identities, the angular commutant, the Jacobi identity and
 the representations D, pi and rho; one contraction of a pairing table
 against columns (``linalg.skew_failure``) checks the adjointness of pi, rho
 and L_ij; ``_first_leak`` checks that operators map R^2 P into <R^2>; the
 intertwining, Cayley, bracket and metric residues are ``column_combination``s.
+The shift identity of the Bessel-Fischer product compares only the pairings
+where a side is nonzero (``_shift_identity_failure``).
 """
 
 from __future__ import annotations
@@ -45,12 +50,12 @@ from .integral import (berezin, berezin_theta_power, gamma_closed_form, gamma_en
                        DivergenceError)
 from .linalg import commutator_failure, skew_failure
 from .liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
-from .quotient import (graded_dim_F, ideal_member, is_normal_form,
+from .quotient import (graded_dim_F, ideal_member, is_normal_form, nf_terms,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
 from .scalars import (HALF, I, ZERO, PiScalar, QQi, _acc, column_combination,
                       int_column, int_or_qqi)
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
-                          lowest_vector, make_w, pi_apply, pi_op, pi_table,
+                          lowest_vector, make_w, pi_apply, pi_table,
                           radial_expand)
 from .sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
                           exp_z0_truncation)
@@ -116,12 +121,13 @@ class Context:
         tkk = self.tkk = tkk_for(sig)
         self._sb = None
         self._bf_table: tuple[int, tuple] | None = None
-        # Memos that hold no reference to the Context: the integer columns of
-        # the actions of basis element a on x^key exp(-2 x_0) (Schrodinger) and
-        # on z^key (Fock).  The W-form of the rate-2 monomial vectors x^p and
-        # x^q is one signed read of the moment table, so it has no memo here.
-        self.pi_column = action_columns(pi_table, pi_op, tkk, sig, 2)
-        self.rho_column = action_columns(rho_table, pi_op, tkk, sig_z, 0)
+        # Memos that hold no reference to the Context: the rows of integer
+        # columns of the actions of every basis element on x^key exp(-2 x_0)
+        # (Schrodinger) and on z^key (Fock).  The W-form of the rate-2
+        # monomial vectors x^p and x^q is one signed read of the moment
+        # table, so it has no memo here.
+        self.pi_row = action_rows(pi_table, tkk, sig, 2, nf_terms)
+        self.rho_row = action_rows(rho_table, tkk, sig_z, 0, nf_terms)
         self.w_pair = partial(w_pair, sig)
 
     def bf_table(self, max_degree: int) -> tuple[int, dict]:
@@ -197,20 +203,37 @@ def _bracket_identities(tkk: TKK, pairs):
             for a, b in pairs)
 
 
-def action_columns(table, op, tkk: TKK, sig: Signature, rate):
-    """column(a, key): the integer column of basis element a of tkk on x^key,
-    through an action table (``algebra.table_columns``).  The memo is kept per
-    monomial and filled for every basis element at once; it holds no
+def action_rows(table, tkk: TKK, sig: Signature, rate, reduce=None):
+    """row(key): the integer columns of every basis element of tkk on x^key,
+    a list indexed by basis element, through an action table
+    (``algebra.table_columns``).  The memo is kept per monomial; it holds no
     reference to a Context and goes with the function."""
-    columns = cache(table_columns(table, op, tkk, sig, rate))
-    return lambda a, key: columns(key)[a]
+    return cache(table_columns(table, tkk, sig, rate, reduce))
 
 
-def _operator_columns(sig: Signature):
-    """column(op, key): the integer column of the ``algebra._OPS`` descriptor op
-    on x^key (``algebra.op_column``).  The memo goes with the function, so it
-    is dropped with the check using it."""
-    return cache(partial(op_column, sig))
+class _OperatorRow(dict):
+    """{descriptor: the integer column of the ``algebra._OPS`` descriptor on
+    x^key} (``algebra.op_column``), made on the first read of each
+    descriptor; the columns of the descriptors whose names are in fresh are
+    made on every read and never kept."""
+
+    __slots__ = ("sig", "key", "fresh")
+
+    def __init__(self, sig: Signature, key, fresh):
+        super().__init__()
+        self.sig, self.key, self.fresh = sig, key, fresh
+
+    def __missing__(self, op):
+        column = op_column(self.sig, op, self.key)
+        if op[0] not in self.fresh:
+            self[op] = column
+        return column
+
+
+def _operator_rows(sig: Signature, fresh=()):
+    """row(key): the ``_OperatorRow`` of x^key, for the commutator loop.  The
+    rows go with the function, so they are dropped with the check using it."""
+    return cache(lambda key: _OperatorRow(sig, key, fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +244,7 @@ def _operator_columns(sig: Signature):
 def check_sl2_triple(ctx: Context, max_degree: int = 5):
     sig = ctx.sig
     D, E, R = ("Delta",), ("E",), ("R2",)
-    bad = commutator_failure(_operator_columns(sig), monomials_up_to(sig, max_degree), [
+    bad = commutator_failure(_operator_rows(sig), monomials_up_to(sig, max_degree), [
         ("[Delta,R^2]", D, R, 1, {E: 4, ("one",): 2 * sig.M}),
         ("[Delta,E]", D, E, 1, {D: 2}),
         ("[R^2,E]", R, E, 1, {R: -2}),
@@ -304,7 +327,7 @@ def check_bessel_supercommute(ctx: Context, max_degree: int = 3):
     nv = sig.nvars
     B = [("bessel_mod", i) for i in range(nv)]
     bad = commutator_failure(
-        _operator_columns(sig), monomials_up_to(sig, max_degree),
+        _operator_rows(sig), monomials_up_to(sig, max_degree),
         [(f"supercommutativity fails at ({i},{j})", B[j], B[i],
           -1 if (sig.parity(i) and sig.parity(j)) else 1, {})
          for i in range(nv) for j in range(i, nv)])
@@ -318,7 +341,7 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
     nv, M, beta = sig.nvars, sig.M, sig.beta
     # L_ii exists for odd i only; the even L_ii term has coefficient 0
     bad = commutator_failure(
-        _operator_columns(sig), monomials_up_to(sig, max_degree),
+        _operator_rows(sig), monomials_up_to(sig, max_degree),
         [(f"commutator fails at ({i},{j})", ("bessel", 2 - M, i), ("mul", j),
           -1 if (sig.parity(i) and sig.parity(j)) else 1,
           {("one",): beta[i][j] * (M - 2), ("E",): beta[i][j] * 2,
@@ -332,12 +355,12 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
 def check_angular_commutes(ctx: Context, max_degree: int = 4):
     """[L_ij, R^2] = [L_ij, E] = [L_ij, Delta] = 0 in the commutator loop on the
     ``algebra.op_column`` columns: those of R^2, E and Delta, read on keys of degree
-    <= max_degree only, memoized for the check; those of L_ij, read about once per key, not."""
+    <= max_degree only, memoized for the check; those of L_ij, read about once per
+    (operator, monomial) pair, are made on each read and not kept, as a memo of
+    them all would hold the L_ij columns of every monomial of degree <= max_degree + 2."""
     sig = ctx.sig
-    small = _operator_columns(sig)
     bad = commutator_failure(
-        lambda op, key: op_column(sig, op, key) if op[0] == "L" else small(op, key),
-        monomials_up_to(sig, max_degree),
+        _operator_rows(sig, fresh=("L",)), monomials_up_to(sig, max_degree),
         [(f"[L_{i}{j}, {name}]", ("L", i, j), C, 1, {})
          for i in range(sig.nvars) for j in range(sig.nvars) if i != j or sig.parity(i)
          for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))])
@@ -600,9 +623,9 @@ def check_tkk_axioms(ctx: Context, full_jacobi_limit: int = 36):
         # a triple whose brackets [a,b], [a,c], [b,c] are all zero cannot fail
         runs = [([(a, b)], (c,)) for a, b, c in triples
                 if cols[a, b][1] or cols[a, c][1] or cols[b, c][1]]
+    rows = [[cols[a, c] for a in range(dim)] for c in range(dim)]
     for pairs, keys in runs:
-        if bad := commutator_failure(lambda a, c: cols[a, c], keys,
-                                     _bracket_identities(tkk, pairs)):
+        if bad := commutator_failure(rows.__getitem__, keys, _bracket_identities(tkk, pairs)):
             return False, "Jacobi fails at ({},{},{})".format(*bad[0], bad[1])
     mode = "all" if dim <= full_jacobi_limit else "sampled"
     return True, f"antisymmetry on all pairs; Jacobi on {mode} triples"
@@ -645,12 +668,12 @@ def check_realization(ctx: Context, max_degree: int = 2, pair_limit: int = 900):
     tkk = ctx.tkk
     bsig = tkk.big_signature
     keys = monomials_up_to(bsig, max_degree)
-    column = action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
+    row = action_rows(TKK.realization_table, tkk, bsig, 0)
     pairs = [(a, b) for a in range(tkk.dim) for b in range(tkk.dim)]
     if len(pairs) > pair_limit:
         rng = ctx.rng
         pairs = [(rng.randrange(tkk.dim), rng.randrange(tkk.dim)) for _ in range(pair_limit)]
-    bad = commutator_failure(column, keys, _bracket_identities(tkk, pairs))
+    bad = commutator_failure(row, keys, _bracket_identities(tkk, pairs))
     if bad:
         return False, "homomorphism fails at pair ({},{})".format(*bad[0])
     return True, f"{len(pairs)} basis pairs on monomials of degree <= {max_degree}"
@@ -663,11 +686,11 @@ def check_osp_matrices(ctx: Context):
     ``check_realization`` sees such an error."""
     tkk = ctx.tkk
     bsig = tkk.big_signature
-    column = action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
     keys = [next(iter(SuperPolynomial.variable(bsig, u).terms)) for u in range(bsig.nvars)]
+    rows = list(map(action_rows(TKK.realization_table, tkk, bsig, 0), keys))
     metric = {key: {v: (b, 0) for v, b in row} for key, row in zip(keys, bsig.beta_rows)}
     for a in range(tkk.dim):
-        cols = [column(a, key) for key in keys]
+        cols = [r[a] for r in rows]
         for u, row in enumerate(bsig.beta_rows):
             su = -1 if (bsig.parity(u) and tkk.parity(a)) else 1
             # <X y_u, y_v> + su <y_u, X y_v> for every v, as one column over v
@@ -759,7 +782,7 @@ def check_pi_examples(ctx: Context):
 def check_pi_representation(ctx: Context, max_degree: int = 2):
     tkk = ctx.tkk
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
-    bad = commutator_failure(ctx.pi_column, _nf_keys(ctx.sig, max_degree),
+    bad = commutator_failure(ctx.pi_row, _nf_keys(ctx.sig, max_degree),
                              _bracket_identities(tkk, pairs))
     if bad:
         (a, b), key = bad
@@ -888,7 +911,7 @@ def check_pi_skew(ctx: Context, max_degree: int = 2):
                         if (v := ctx.w_pair(*pair))})
     for a in range(tkk.dim):
         pX = tkk.parity(a)
-        bad = skew_failure(table, keys, lambda p: ctx.pi_column(a, p),
+        bad = skew_failure(table, keys, lambda p: ctx.pi_row(p)[a],
                            lambda p: -1 if (pX and len(p[1]) & 1) else 1)
         if bad:
             f, g = (SuperPolynomial.monomial(ctx.sig, k) for k in bad)
@@ -1001,26 +1024,49 @@ def check_bf_products(ctx: Context, max_degree: int = 4):
             lhs = bf_product(p.scale(a), q.scale(b))
             if lhs != a * b.conjugate() * bf_product(p, q):
                 return False, "sesquilinearity fails"
-    # shift identity from the covectors, with Bessel(z_i) z^b read from its memo
-    for k in range(max_degree):
-        for ka in monomial_keys(sig, k):
-            for i in range(sig.nvars):
-                if not (zia := mul_key(sig.m, i, ka)):
-                    continue
-                zc, zkey = zia
-                s = QQi(-1 if (sig.parity(i) and len(ka[1]) & 1) else 1)
-                upper, lower = covs[k + 1][zkey], covs[k][ka]
-                for kb in monomial_keys(sig, k + 1):
-                    d, image = bessel_image(sig, i, kb)
-                    g = upper.get(kb)
-                    terms = [QQi(a, b, d) * h for bkey, (a, b) in image.items()
-                             if (h := lower.get(bkey)) is not None]
-                    if g is None and not terms:
-                        continue  # both sides vanish
-                    lhs = zc * (ZERO if g is None else g)
-                    if lhs != s * sum(terms, ZERO):
-                        return False, f"shift identity fails: i={i}, p={ka}, q={kb}"
+    if bad := _shift_identity_failure(sig, covs):
+        return False, "shift identity fails: i={}, p={}, q={}".format(*bad)
     return True, f"table over all monomial pairs of degree <= {max_degree}"
+
+
+def _shift_identity_failure(sig: Signature, covs) -> tuple | None:
+    """First (i, p, q), in (degree, p, i, q) order, with
+    <z_i z^p, z^q> != (-1)^{|i||p|} <z^p, Bessel(z_i) z^q>, or None; covs[k]
+    holds the covectors of degree k (``fock.bf_covectors``).
+
+    Per degree and index i, the images of ``fock.bessel_image`` on the
+    monomials q of the degree above are inverted once, into {c: [(q, Bessel
+    coefficient)]}; the right side of each p is then summed over the nonzero
+    pairings <z^p, z^c> only, and only the q where a side is nonzero are
+    compared.  The keys of a degree are sorted, so the least failing q is the
+    first in order."""
+    for k in range(len(covs) - 1):
+        keys = monomial_keys(sig, k + 1)
+        inverse: dict = {}  # i -> {c: [(q, coefficient of z^c in Bessel(z_i) z^q)]}
+        for p in monomial_keys(sig, k):
+            lower = covs[k][p]
+            for i in range(sig.nvars):
+                if not (t := mul_key(sig.m, i, p)):
+                    continue
+                zc, zkey = t
+                images = inverse.get(i)
+                if images is None:
+                    images = inverse[i] = {}
+                    for q in keys:
+                        d, image = bessel_image(sig, i, q)
+                        for c, (a, b) in image.items():
+                            images.setdefault(c, []).append((q, QQi(a, b, d)))
+                s = -1 if (sig.parity(i) and len(p[1]) & 1) else 1
+                right: dict = {}
+                for c, h in lower.items():
+                    for q, v in images.get(c, ()):
+                        _acc(right, q, v * h)
+                upper = covs[k + 1][zkey]
+                bad = [q for q in {**upper, **right}
+                       if zc * upper.get(q, ZERO) != s * right.get(q, ZERO)]
+                if bad:
+                    return i, p, min(bad)
+    return None
 
 
 def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
@@ -1133,18 +1179,19 @@ def check_gram(ctx: Context, max_degree: int = 3):
 def check_rho_composition(ctx: Context, max_degree: int = 3):
     """By linearity, rho(X_a) z^key = sum_b c(X_a)_b pi_C(X_b) z^key for every
     basis element a and monomial: the unit column of a against the integer
-    column of its Cayley twist, in one ``_column_difference``.  rho and pi_C
-    (``pi_table`` at rate 0, memoized for this check only) are action tables
-    over one operator map, ``schrodinger.pi_op``."""
+    column of its Cayley twist (``TKK._cayley_columns``), in one
+    ``_column_difference``.  rho and pi_C (``pi_table`` at rate 0, memoized for
+    this check only) are action tables filled from the same closed forms and
+    reduced modulo R^2."""
     tkk = ctx.tkk
     sig = ctx.sig_z
     keys = _nf_keys(sig, max_degree)
-    pi_c = action_columns(pi_table, pi_op, tkk, sig, 0)
-    for a in range(tkk.dim):
-        twist = int_column(tkk.cayley(tkk.basis_element(a)).coeffs)
+    pi_c = action_rows(pi_table, tkk, sig, 0, nf_terms)
+    for a, twist in enumerate(tkk._cayley_columns[0]):
+        twist = int_column(twist)
         for key in keys:
-            diff = _column_difference(sig, (1, {a: (1, 0)}), lambda b: ctx.rho_column(b, key),
-                                      twist, lambda b: pi_c(b, key))
+            diff = _column_difference(sig, (1, {a: (1, 0)}), ctx.rho_row(key).__getitem__,
+                                      twist, pi_c(key).__getitem__)
             if not diff.is_zero():
                 return False, f"{tkk.basis_label(a)} on {SuperPolynomial.monomial(sig, key)}"
     return True, f"rho agrees with the Cayley twist on F_<= {max_degree}"
@@ -1153,7 +1200,7 @@ def check_rho_composition(ctx: Context, max_degree: int = 3):
 def check_rho_representation(ctx: Context, max_degree: int = 3):
     tkk = ctx.tkk
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
-    bad = commutator_failure(ctx.rho_column, _nf_keys(ctx.sig_z, max_degree),
+    bad = commutator_failure(ctx.rho_row, _nf_keys(ctx.sig_z, max_degree),
                              _bracket_identities(tkk, pairs))
     if bad:
         (a, b), key = bad
@@ -1198,7 +1245,7 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
     table = ctx.bf_table(max_degree)
     for a in range(tkk.dim):
         pX = tkk.parity(a)
-        bad = skew_failure(table, keys, lambda p: ctx.rho_column(a, p),
+        bad = skew_failure(table, keys, lambda p: ctx.rho_row(p)[a],
                            lambda p: -1 if (pX and len(p[1]) & 1) else 1)
         if bad:
             return False, f"{tkk.basis_label(a)} on ({bad[0]},{bad[1]})"
@@ -1307,8 +1354,8 @@ def check_intertwining(ctx: Context, max_degree: int = 2, word_samples: int = 12
     keys = _nf_keys(ctx.sig, max_degree)
     for a in range(tkk.dim):
         for key in keys:
-            diff = _column_difference(ctx.sig_z, ctx.pi_column(a, key), sb.sb_column,
-                                      sb.sb_column(key), partial(ctx.rho_column, a))
+            diff = _column_difference(ctx.sig_z, ctx.pi_row(key)[a], sb.sb_column,
+                                      sb.sb_column(key), lambda k: ctx.rho_row(k)[a])
             if not diff.is_zero():
                 f = SuperPolynomial.monomial(ctx.sig, key)
                 return False, f"{tkk.basis_label(a)} on {f}: residue {diff}"
@@ -1346,8 +1393,8 @@ def check_intertwining_inverse(ctx: Context, max_degree: int = 3):
     for a in range(tkk.dim):
         for key in _nf_keys(ctx.sig_z, usable):
             diff = _column_difference(ctx.sig, sb.inverse_column(key),
-                                      partial(ctx.pi_column, a),
-                                      ctx.rho_column(a, key), sb.inverse_column)
+                                      lambda k: ctx.pi_row(k)[a],
+                                      ctx.rho_row(key)[a], sb.inverse_column)
             if not diff.is_zero():
                 p = SuperPolynomial.monomial(ctx.sig_z, key)
                 return False, f"{tkk.basis_label(a)} on {p}: residue {diff}"

@@ -9,7 +9,7 @@ bounds of criterion 16.
 
 import pytest
 
-from superfock.verify import (Context, RunConfig, check_angular_commutes,
+from superfock.verify import (ALL_SUITES, Context, RunConfig, check_angular_commutes,
                               check_bessel_product_rule, check_bessel_tangential,
                               check_bf_l_adjoint, check_bf_products,
                               check_cayley, check_dimension_chain,
@@ -23,7 +23,7 @@ from superfock.verify import (Context, RunConfig, check_angular_commutes,
                               check_rho_ladders, check_rho_representation,
                               check_round_trips, check_sl2_triple, check_tkk_axioms,
                               check_truncation_consistency, check_unitarity,
-                              check_i_halfinteger)
+                              check_i_halfinteger, run_suite)
 
 INTEGRAL_MATRIX = [(4, 0), (5, 0), (6, 1), (7, 1)]
 ALGEBRAIC_MATRIX = INTEGRAL_MATRIX + [(4, 1), (2, 2)]
@@ -117,8 +117,8 @@ def test_criterion_07_fock_action(m, n):
 
 def test_criterion_07_representations_with_two_odd_pairs():
     # (8,2): n = 2, on top of the matrix, at degree <= 2; each check, with its
-    # columns filled, takes about 1.1-1.4 s on a shared 2-vCPU host (1.9-2.3 s
-    # with the identity-major commutator loop and the QQi fill)
+    # rows filled, takes about 0.9-1.5 s on a shared 2-vCPU host (1.0-1.8 s
+    # with the commutator loop on columns and the fills through pi_op)
     ctx = Context(RunConfig(m=8, n=2, max_degree=2, seed=0))
     report("7b (commutation relations on F_<=2)", 8, 2, check_rho_representation(ctx, 2))
     report("7d (commutation relations of pi on W_<=2)", 8, 2, check_pi_representation(ctx, 2))
@@ -161,6 +161,15 @@ def test_criterion_12_intertwining_forward(m, n):
 def test_criterion_12_intertwining_inverse(m, n):
     report("12b (inverse-side intertwining on F_<=3 where the pairing exists)",
            m, n, check_intertwining_inverse(ctx_for(m, n), 3))
+
+
+def test_every_check_passes_with_two_odd_pairs():
+    # (8,2), every suite at max_degree 1: the row of two odd pairs, on top of
+    # the matrix
+    results = run_suite(RunConfig(m=8, n=2, max_degree=1, seed=0))
+    assert {r.suite for r in results} == set(ALL_SUITES) and len(results) == 54
+    assert [(r.suite, r.name, r.status, r.detail) for r in results
+            if r.status != "pass"] == []
 
 
 def test_criterion_12_intertwining_with_two_odd_pairs():

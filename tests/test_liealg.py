@@ -11,7 +11,7 @@ from superfock.algebra import (Signature, SuperPolynomial, apply_op,
                                monomials_up_to, table_apply)
 from superfock.liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
 from superfock.scalars import I, ONE, QQi, _acc, column_terms
-from superfock.verify import action_columns
+from superfock.verify import action_rows
 
 TKK41 = tkk_for(Signature(4, 1))
 
@@ -264,13 +264,13 @@ def test_osp_matrix_preserves_metric():
 def test_the_realization_columns_on_the_variables_are_the_osp_matrices(m, n):
     tkk = tkk_for(Signature(m, n))
     bsig = tkk.big_signature
-    column = action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
+    row = action_rows(TKK.realization_table, tkk, bsig, 0)
     keys = [next(iter(SuperPolynomial.variable(bsig, u).terms)) for u in range(bsig.nvars)]
     for a in range(tkk.dim):
         mat = osp_matrix(tkk, tkk.basis_element(a))
         for u, key in enumerate(keys):
             want = {keys[r]: mat[r][u] for r in range(bsig.nvars) if mat[r][u]}
-            assert column_terms(column(a, key)) == want, (a, u)
+            assert column_terms(row(key)[a]) == want, (a, u)
 
 
 def test_k_subalgebra():

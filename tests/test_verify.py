@@ -2,10 +2,13 @@
 fail: each check, run on a context whose action columns, operator table,
 pairing table, moment table or transform images carry one wrong entry,
 reports a failure with a witness (or, for the forward transform, raises on
-its nonvanishing tail).  The key-major integer commutator loop finds the
-first failure of the identity-major loops it replaced, over ``QQi`` and over
-integer columns; the integer fill of the action columns equals the columns
-of the polynomial applier; the column route of the intertwining check
+its nonvanishing tail).  The key-major integer commutator loop on rows
+finds the first failure of the identity-major loops it replaced, over
+``QQi`` and over integer columns, on random columns and on the rows of the
+representation and operator checks; the integer fill of the action columns
+equals the columns of the polynomial applier; the shift identity on the
+nonzero pairings finds the failure of the loop over every (p, i, q) it
+replaced; the column route of the intertwining check
 finds the first failure of its polynomial loop; and the integer route of the
 product rule and the memoized columns of the angular commutant give the
 witnesses of the polynomial route and of unmemoized columns; the integer
@@ -17,6 +20,8 @@ import gc
 import random
 import re
 import weakref
+from collections import ChainMap
+from fractions import Fraction
 from functools import cache, partial
 
 import pytest
@@ -24,13 +29,13 @@ import pytest
 import superfock
 from superfock import integral, sbtransform, verify
 from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
-                               monomials_up_to, op_column, op_image, table_apply,
-                               table_columns)
-from superfock.fock import rho_apply, rho_table
+                               monomial_keys, monomials_up_to, mul_key, op_column,
+                               op_image, table_apply, table_columns)
+from superfock.fock import bessel_image, bf_covectors, rho_apply, rho_table
 from superfock.linalg import commutator_failure, skew_failure
 from superfock.liealg import TKK, Jordan, k_basis, tkk_for
-from superfock.quotient import normal_form_keys
-from superfock.scalars import (I, QQi, _acc, column_combination, column_terms,
+from superfock.quotient import nf_terms, normal_form_keys
+from superfock.scalars import (I, ZERO, QQi, _acc, column_combination, column_terms,
                                int_column)
 from superfock.schrodinger import WElement, make_w, pi_apply, pi_op, pi_table
 from superfock.verify import (ALL_SUITES, Context, RunConfig,
@@ -53,14 +58,17 @@ def small_context(m=5, n=1) -> Context:
     return Context(RunConfig(m=m, n=n, max_degree=1, seed=0))
 
 
-def double_one_column(column, target):
-    """Wrap a lookup of integer columns so that every numerator of the column
-    at target = (a, key) is doubled."""
-    def wrapped(a, key):
-        den, nums = column(a, key)
-        if (a, key) == target:
-            return den, {k: (2 * x, 2 * y) for k, (x, y) in nums.items()}
-        return den, nums
+def double_one_entry(row, target):
+    """Wrap a lookup of rows of integer columns so that every numerator of
+    the column of a on x^key, target = (a, key), is doubled."""
+    a, key = target
+
+    def wrapped(k):
+        r = row(k)
+        if k != key:
+            return r
+        den, nums = r[a]
+        return ChainMap({a: (den, {k3: (2 * x, 2 * y) for k3, (x, y) in nums.items()})}, r)
     return wrapped
 
 
@@ -80,11 +88,12 @@ def test_a_corrupted_action_column_fails_the_check(check, name):
     # the W-side form needs M >= 4
     ctx = small_context(6, 1) if check is check_pi_skew else small_context()
     assert check(ctx, 1)[0] is True
-    column = getattr(ctx, name)
-    sig = ctx.sig_z if name == "rho_column" else ctx.sig
+    name = name.replace("_column", "_row")  # the row lookup of the action's columns
+    row = getattr(ctx, name)
+    sig = ctx.sig_z if name == "rho_row" else ctx.sig
     one = ((0,) * sig.m, ())  # the constant monomial
-    a = next(a for a in range(ctx.tkk.dim) if column(a, one)[1])
-    setattr(ctx, name, double_one_column(column, (a, one)))
+    a = next(a for a in range(ctx.tkk.dim) if row(one)[a][1])
+    setattr(ctx, name, double_one_entry(row, (a, one)))
     assert_fails(check(ctx, 1))
 
 
@@ -187,8 +196,9 @@ def test_the_integer_commutator_loop_finds_the_failure_of_the_qqi_loop(seed):
         plant(rng.choice(("Ceven", "Codd")), rng.choice(keys))
     int_cols = {(op, key): int_column(col) for op, by_key in cols.items()
                 for key, col in by_key.items()}
+    rows = {key: {op: int_cols[op, key] for op in cols} for key in keys}
     want = qqi_commutator_failure(lambda op, key: cols[op][key], keys, identities)
-    got = commutator_failure(lambda op, key: int_cols[op, key], keys, identities)
+    got = commutator_failure(rows.__getitem__, keys, identities)
     assert got == want
     assert identity_major_commutator_failure(
         lambda op, key: int_cols[op, key], keys, identities) == want
@@ -199,18 +209,18 @@ def test_the_integer_commutator_loop_finds_the_failure_of_the_qqi_loop(seed):
 
 
 def representation_loop_inputs(ctx, action):
-    """(column, keys, identities) of the commutator loop of one representation
+    """(row, keys, identities) of the commutator loop of one representation
     check at max_degree 1: rho and pi on normal forms, D on the big signature."""
     tkk = ctx.tkk
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
     if action == "D":
         bsig = tkk.big_signature
-        column = verify.action_columns(TKK.realization_table, apply_op, tkk, bsig, 0)
+        row = verify.action_rows(TKK.realization_table, tkk, bsig, 0)
         keys = monomials_up_to(bsig, 1)
     else:
-        column = ctx.rho_column if action == "rho" else ctx.pi_column
+        row = ctx.rho_row if action == "rho" else ctx.pi_row
         keys = verify._nf_keys(ctx.sig_z if action == "rho" else ctx.sig, 1)
-    return column, keys, list(verify._bracket_identities(tkk, pairs))
+    return row, keys, list(verify._bracket_identities(tkk, pairs))
 
 
 @pytest.mark.parametrize("m,n", [(4, 1), (5, 1), (3, 1)])
@@ -218,15 +228,51 @@ def representation_loop_inputs(ctx, action):
 @pytest.mark.parametrize("seed", range(2))
 def test_a_doubled_column_fails_both_commutator_loops_alike(m, n, action, seed):
     ctx = small_context(m, n)
-    column, keys, identities = representation_loop_inputs(ctx, action)
-    assert commutator_failure(column, keys, identities) is None
+    row, keys, identities = representation_loop_inputs(ctx, action)
+    assert commutator_failure(row, keys, identities) is None
     rng = random.Random(f"{m},{n},{action},{seed}")
     target = rng.choice([(a, key) for key in keys for a in range(ctx.tkk.dim)
-                         if column(a, key)[1]])
-    doubled = double_one_column(column, target)
-    want = identity_major_commutator_failure(doubled, keys, identities)
+                         if row(key)[a][1]])
+    doubled = double_one_entry(row, target)
+    want = identity_major_commutator_failure(lambda a, key: doubled(key)[a], keys, identities)
     assert want is not None
     assert commutator_failure(doubled, keys, identities) == want
+
+
+# the witness each operator-row check makes of a loop failure (label, key)
+ROW_WITNESS = {
+    check_sl2_triple: "{} fails on {}",
+    check_bessel_commutator: "{} on {}",
+    check_angular_commutes: "{} fails on {}",
+}
+
+
+@pytest.mark.parametrize("check,op", [
+    (check_sl2_triple, ("E",)),
+    (check_bessel_commutator, ("L", 1, 2)),
+    (check_angular_commutes, ("R2",)),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_a_doubled_operator_column_fails_the_row_check_as_the_column_oracle_does(
+        monkeypatch, check, op):
+    # the check's own rows, with the column of op on x_1 x_2 doubled, in the
+    # loop and in the identity-major oracle on the same identities
+    ctx = small_context(4, 1)
+    sig = ctx.sig
+    assert check(ctx, 2)[0] is True
+    loop = verify.commutator_failure
+    seen = {}
+
+    def doubled_loop(row, keys, identities):
+        seen["args"] = double_one_entry(row, (op, x1x2(sig))), list(keys), list(identities)
+        seen["got"] = loop(*seen["args"])
+        return seen["got"]
+    monkeypatch.setattr(verify, "commutator_failure", doubled_loop)
+    ok, witness = check(ctx, 2)
+    row, keys, identities = seen["args"]
+    want = identity_major_commutator_failure(lambda o, key: row(key)[o], keys, identities)
+    assert want is not None and seen["got"] == want
+    assert (ok, witness) == (
+        False, ROW_WITNESS[check].format(want[0], SuperPolynomial.monomial(sig, want[1])))
 
 
 def qqi_skew_residual(table, keys, column, sign):
@@ -290,7 +336,7 @@ def test_rho_apply_equals_the_rho_columns(m, n):
     for key in monomials_up_to(sig, 2):
         p = SuperPolynomial.monomial(sig, key)
         for a in range(ctx.tkk.dim):
-            assert column_terms(ctx.rho_column(a, key)) == \
+            assert column_terms(ctx.rho_row(key)[a]) == \
                 rho_apply(ctx.tkk.basis_element(a), p).terms
 
 
@@ -322,12 +368,12 @@ def test_the_actions_refuse_an_element_of_another_shape():
         rho_apply(X, y1)
     with pytest.raises(ValueError, match="different shapes"):
         table_apply(TKK.realization_table, apply_op, X, x1)
-    for table, op, sig in ((pi_table, pi_op, tkk.big_signature),
-                           (rho_table, pi_op, tkk.big_signature),
-                           (TKK.realization_table, apply_op, tkk.sig),
-                           (rho_table, pi_op, Signature(5, 1, varset="z"))):
+    for table, sig in ((pi_table, tkk.big_signature),
+                       (rho_table, tkk.big_signature),
+                       (TKK.realization_table, tkk.sig),
+                       (rho_table, Signature(5, 1, varset="z"))):
         with pytest.raises(ValueError, match="different shapes"):
-            table_columns(table, op, tkk, sig)
+            table_columns(table, tkk, sig)
 
 
 @pytest.mark.parametrize("m,n", [(4, 0), (5, 1), (2, 2)])
@@ -341,13 +387,42 @@ def test_the_integer_fill_equals_the_columns_of_the_polynomial_applier(m, n):
             (pi_table, pi_op, sig, 2, nf), (pi_table, pi_op, sig_z, 0, nf_z),
             (rho_table, pi_op, sig_z, 0, nf_z),
             (TKK.realization_table, apply_op, bsig, 0, monomials_up_to(bsig, 2))):
-        fill = table_columns(table, op, tkk, space, rate)
-        for key in keys:
-            p = SuperPolynomial.monomial(space, key)
-            columns = fill(key)
-            for a in range(tkk.dim):
-                want = int_column(table_apply(table, op, tkk.basis_element(a), p, rate).terms)
-                assert columns[a] == want, (table.__name__, rate, a, key)
+        assert_fill_equals_the_polynomial_applier(tkk, table, op, space, rate, keys)
+
+
+def assert_fill_equals_the_polynomial_applier(tkk, table, op, space, rate, keys):
+    """``table_columns`` on each key against ``int_column`` of ``table_apply``
+    of every basis element: the same tuple, denominator included.  The fill
+    reduces modulo R^2 where op is ``pi_op``."""
+    fill = table_columns(table, tkk, space, rate, nf_terms if op is pi_op else None)
+    for key in keys:
+        p = SuperPolynomial.monomial(space, key)
+        columns = fill(key)
+        for a in range(tkk.dim):
+            want = int_column(table_apply(table, op, tkk.basis_element(a), p, rate).terms)
+            assert columns[a] == want, (table.__name__, rate, a, key)
+
+
+def test_the_fill_equals_the_polynomial_applier_at_a_rational_rate_and_metric():
+    # rate 1/3 and a metric with entries 2, 1/3 and -2 run the closed forms
+    # and the reduction in QQi; D on the big signature stays integral
+    tkk = tkk_for(Signature(4, 1))
+    beta = [[0] * 6 for _ in range(6)]
+    for i, b in enumerate((-1, 2, QQi(1, 0, 3), 1)):
+        beta[i][i] = b
+    beta[4][5], beta[5][4] = -2, 2
+    odd_metric = Signature(4, 1, varset="z", beta=beta)
+    assert odd_metric.beta != Signature(4, 1, varset="z").beta
+    bsig = tkk.big_signature
+    for table, op, space, rate in ((pi_table, pi_op, tkk.sig, Fraction(1, 3)),
+                                   (pi_table, pi_op, odd_metric, 0),
+                                   (pi_table, pi_op, odd_metric, 2),
+                                   (pi_table, pi_op, odd_metric, Fraction(1, 3)),
+                                   (rho_table, pi_op, odd_metric, 0),
+                                   (TKK.realization_table, apply_op, bsig, 0)):
+        keys = (monomials_up_to(bsig, 2) if space is bsig else
+                [key for d in range(3) for key in normal_form_keys(space, d)])
+        assert_fill_equals_the_polynomial_applier(tkk, table, op, space, rate, keys)
 
 
 def first_inn_bracket(tkk):
@@ -496,16 +571,17 @@ def test_a_doubled_realization_entry_fails_the_matrix_model_as_the_qqi_route_doe
     u, r = next((u, r) for u in range(bsig.nvars) for r in range(bsig.nvars) if mat[r][u])
     key_u, key_r = (next(iter(SuperPolynomial.variable(bsig, v).terms)) for v in (u, r))
     assert check_osp_matrices(ctx) == (True, "")
-    action_columns = verify.action_columns
+    action_rows = verify.action_rows
 
     def doubled(*args):
-        column = action_columns(*args)
+        rows = action_rows(*args)
 
-        def wrapped(b, key):
-            den, nums = column(b, key)
-            if (b, key) == (a, key_u):
-                nums = {**nums, key_r: tuple(2 * z for z in nums[key_r])}
-            return den, nums
+        def wrapped(key):
+            row = rows(key)
+            if key != key_u:
+                return row
+            den, nums = row[a]
+            return ChainMap({a: (den, {**nums, key_r: tuple(2 * z for z in nums[key_r])})}, row)
         return wrapped
 
     def doubled_matrix(b):
@@ -513,7 +589,7 @@ def test_a_doubled_realization_entry_fails_the_matrix_model_as_the_qqi_route_doe
         if b == a:
             mat[r][u] = mat[r][u] * 2
         return mat
-    monkeypatch.setattr(verify, "action_columns", doubled)
+    monkeypatch.setattr(verify, "action_rows", doubled)
     assert check_osp_matrices(ctx) == qqi_matrix_model(tkk, doubled_matrix) == \
         (False, f"metric not preserved by basis element {a}")
 
@@ -526,9 +602,9 @@ def test_a_multiple_of_one_realization_passes_the_matrix_model_but_not_the_reali
     tkk = ctx.tkk
     a = tkk.basis.index(("inn", 5, 5))
     y6 = next(iter(SuperPolynomial.variable(tkk.big_signature, 6).terms))
-    action_columns = verify.action_columns
-    monkeypatch.setattr(verify, "action_columns",
-                        lambda *args: double_one_column(action_columns(*args), (a, y6)))
+    action_rows = verify.action_rows
+    monkeypatch.setattr(verify, "action_rows",
+                        lambda *args: double_one_entry(action_rows(*args), (a, y6)))
     status = {r.name: (r.status, r.detail) for r in suite_liealg(ctx)}
     assert status["matrix-model"] == ("pass", "")
     assert status["differential-realization"] == ("fail", f"homomorphism fails at pair (4,{a})")
@@ -587,8 +663,8 @@ def test_a_doubled_rho_column_fails_both_intertwining_checks(check):
     ctx = small_context(5, 0)
     one = ((0,) * ctx.sig.m, ())
     # both checks read rho(X_a) on 1: SB(1) = 1, and 1 lies in F_<=2
-    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one)[1])
-    ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
+    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_row(one)[a][1])
+    ctx.rho_row = double_one_entry(ctx.rho_row, (a, one))
     assert_fails(check(ctx, 2))
 
 
@@ -601,6 +677,53 @@ def test_a_corrupted_pairing_fails_the_angular_adjointness():
     nums[pair] = tuple(2 * x for x in nums[pair])
     assert check_bf_l_adjoint(ctx, 1) == (
         False, "adjointness fails at L(0,5) on (((1, 0, 0, 0, 0), ()), ((0, 0, 0, 0, 0), (6,)))")
+
+
+def triple_loop_shift_failure(sig, covs):
+    """The (degree, p, i, q) loop of the shift identity that the inverse
+    Bessel-image map replaced, over every q of the degree above; an oracle
+    for ``verify._shift_identity_failure``."""
+    for k in range(len(covs) - 1):
+        for ka in monomial_keys(sig, k):
+            for i in range(sig.nvars):
+                if not (zia := mul_key(sig.m, i, ka)):
+                    continue
+                zc, zkey = zia
+                s = QQi(-1 if (sig.parity(i) and len(ka[1]) & 1) else 1)
+                upper, lower = covs[k + 1][zkey], covs[k][ka]
+                for kb in monomial_keys(sig, k + 1):
+                    d, image = bessel_image(sig, i, kb)
+                    g = upper.get(kb)
+                    terms = [QQi(a, b, d) * h for bkey, (a, b) in image.items()
+                             if (h := lower.get(bkey)) is not None]
+                    if g is None and not terms:
+                        continue  # both sides vanish
+                    if zc * (ZERO if g is None else g) != s * sum(terms, ZERO):
+                        return i, ka, kb
+    return None
+
+
+@pytest.mark.parametrize("m,n", [(5, 1), (5, 0), (2, 2)])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("doubled", [1, 2])
+def test_a_doubled_covector_entry_fails_both_shift_identity_routes_alike(m, n, seed, doubled):
+    # a copy of the degree-2 covectors with one or two entries of one
+    # covector doubled: it is the upper side at degree 1 and the lower side
+    # at degree 2.  The doubled covector keeps its entries in reverse order,
+    # so that the first failing q is not the first one in the map.
+    sig = Signature(m, n, varset="z")
+    covs = [bf_covectors(sig, k) for k in range(4)]
+    assert verify._shift_identity_failure(sig, covs) is None
+    assert triple_loop_shift_failure(sig, covs) is None
+    rng = random.Random(seed)
+    p = rng.choice(sorted(p for p, vec in covs[2].items() if len(vec) >= doubled))
+    row = dict(sorted(covs[2][p].items(), reverse=True))
+    for q in rng.sample(sorted(row), doubled):
+        row[q] = row[q] * 2
+    covs[2] = {**covs[2], p: row}
+    want = triple_loop_shift_failure(sig, covs)
+    assert want is not None
+    assert verify._shift_identity_failure(sig, covs) == want
 
 
 def test_memoized_columns_do_not_outlive_the_context():
@@ -618,8 +741,8 @@ def test_rho_skew_is_blind_on_degree_one_at_m_2():
     # on F_1 at M = 2, so the corruption that fails at (5,1) passes at (4,1).
     ctx = small_context(4, 1)
     one = ((0,) * ctx.sig_z.m, ())
-    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_column(a, one)[1])
-    ctx.rho_column = double_one_column(ctx.rho_column, (a, one))
+    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_row(one)[a][1])
+    ctx.rho_row = double_one_entry(ctx.rho_row, (a, one))
     assert check_rho_skew(ctx, 1)[0] is True
 
 
@@ -871,7 +994,7 @@ def test_a_corrupted_memoized_operator_fails_the_angular_commutant_as_unmemoized
     # Delta vanishes on x_1 x_2, not on x_1^2
     monkeypatch.setitem(_OPS, op, doubled_on(_OPS[op], ((0, 2, 0, 0), ())))
     keys = monomials_up_to(sig, 2)
-    bad = commutator_failure(partial(op_column, sig), keys, [
+    bad = identity_major_commutator_failure(partial(op_column, sig), keys, [
         (f"[L_{i}{j}, {name}]", ("L", i, j), C, 1, {})
         for i in range(sig.nvars) for j in range(sig.nvars) if i != j or sig.parity(i)
         for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))])
