@@ -46,3 +46,9 @@ def test_verification_report_golden_with_odd_variables():
     # the Fock, integral and SB suites at (6,1), degree 2, seed 0
     cfg = RunConfig(m=6, n=1, max_degree=2, seed=0, suites=("fock", "integral", "sb"))
     assert report_without_timings(cfg) == (GOLDEN / "report_6_1_d2.json").read_text()
+
+
+def test_verification_report_golden_with_two_odd_pairs():
+    # every suite at (8,2), degree 2, seed 0: M = 4, so the forward SB images run
+    cfg = RunConfig(m=8, n=2, max_degree=2, seed=0)
+    assert report_without_timings(cfg) == (GOLDEN / "report_8_2_d2.json").read_text()
