@@ -29,7 +29,7 @@ from math import comb, gcd
 from operator import add
 
 from . import linalg
-from .scalars import I, QQi, _acc, column_combination, column_terms, int_column, int_or_qqi
+from .scalars import I, QQi, _acc, column_combination, int_column, int_or_qqi
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -507,7 +507,8 @@ def apply_op(descriptor: tuple, p: SuperPolynomial, rate=0) -> SuperPolynomial:
 
 def op_image(sig: Signature, descriptor: tuple, key: MonKey, rate=0) -> dict:
     """The ``_OPS`` image {key: QQi} of x^key at rate."""
-    return column_terms(op_column(sig, descriptor, key, rate))
+    image = _OPS[descriptor[0]](sig, key, int_or_qqi(rate), *descriptor[1:])
+    return {k: QQi.coerce(v) for k, v in image.items()}
 
 
 def op_column(sig: Signature, descriptor: tuple, key: MonKey, rate=0) -> tuple[int, dict]:

@@ -9,8 +9,9 @@ odd right-slot variable crossing the odd left variables is the position sign
 that ``SuperPolynomial`` already counts.  Products are therefore the ring
 product, and the derivations, multiplications and Laplacian of either slot
 are the closed forms of ``algebra`` at the slot's joined indices
-(``BiSignature.slots``).  Only the slot degree bookkeeping and the powers of
-r^2 of one slot (``_slot_r2_power``) need the split.  Those powers and the
+(``BiSignature.slots``).  Only the split of a joined key into its slots
+(``BiSignature.split``) and the powers of r^2 of one slot
+(``_slot_r2_power``) need the slot layout.  Those powers and the
 pairing's (``pairing_power``) are term maps {key: int}; ``QQi`` appears only
 in ``pairing``, a polynomial, and in the callers that make polynomials.
 """
@@ -63,14 +64,6 @@ class BiSignature(Signature):
         return (lkey[0] + rkey[0],
                 tuple(o + mr for o in lkey[1]) + tuple(o + shift for o in rkey[1]))
 
-    def slot_degree(self, key: MonKey, slot: int) -> int:
-        """Degree of a joined key in one slot's variables."""
-        ev, odd = key
-        ml, cut = self.halves[LEFT].m, self._odd_split
-        if slot == LEFT:
-            return sum(ev[:ml]) + sum(1 for o in odd if o < cut)
-        return sum(ev[ml:]) + sum(1 for o in odd if o >= cut)
-
     def var_name(self, i: int) -> str:
         for sig, idx in zip(self.halves, self.slots):
             if i in idx:
@@ -87,16 +80,6 @@ class BiSignature(Signature):
 @lru_cache(maxsize=None)
 def bi_signature(left: Signature, right: Signature) -> BiSignature:
     return BiSignature(left, right)
-
-
-def embed(p: SuperPolynomial, bsig: BiSignature, slot: int) -> SuperPolynomial:
-    """A polynomial on one slot's signature, as a bi-polynomial."""
-    halves = [((0,) * sig.m, ()) for sig in bsig.halves]
-    out = {}
-    for key, c in p.terms.items():
-        halves[slot] = key
-        out[bsig.join(*halves)] = c
-    return SuperPolynomial(bsig, out)
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,18 @@
 """Spin-factor Jordan superalgebra and the TKK Lie superalgebra built on it.
 
-The TKK algebra is graded as (minus copy of J) + istr(J) + (plus copy of J),
-with istr(J) spanned by left multiplications L_a and the inner derivations
-D_ab = [L_a, L_b}.  All structure constants are computed once, in closed form
-from the identities that define the construction: [e_a^+, e_b^-] =
-2(L_{e_a e_b} + D_ab), [L_a, e^+-] = +-(e_a e)^+-, [D, e^+-] = (D e)^+-, and
-inner derivations act as derivations of J and of istr(J).  No operator matrix
-is built and nothing is solved.  The constants are cached on the :class:`TKK`
-instance; the Cayley transform is derived from them and cached per instance
-too.  The differential realization D is the action table
-``TKK.realization_table`` of angular operators on the big signature.
+The product (a e_0 + u)(b e_0 + v) = (ab + <u,v>) e_0 + a v + b u of the spin
+factor J = K e_0 + V is implemented once, as L_a e_b in ``TKK._image``, which
+the brackets and ``verify.check_jordan`` read.  The TKK algebra is graded as
+(minus copy of J) + istr(J) + (plus copy of J), with istr(J) spanned by left
+multiplications L_a and the inner derivations D_ab = [L_a, L_b}.  All
+structure constants are computed once, in closed form from the identities
+that define the construction: [e_a^+, e_b^-] = 2(L_{e_a e_b} + D_ab),
+[L_a, e^+-] = +-(e_a e)^+-, [D, e^+-] = (D e)^+-, and inner derivations act
+as derivations of J and of istr(J).  No operator matrix is built and nothing
+is solved.  The constants are cached on the :class:`TKK` instance; the
+Cayley transform is derived from them and cached per instance too.  The
+differential realization D is the action table ``TKK.realization_table`` of
+angular operators on the big signature.
 """
 
 from __future__ import annotations
@@ -22,46 +25,11 @@ from .algebra import Signature
 from .scalars import HALF, I, ONE, QQi, _acc, int_column
 
 
-class Jordan:
-    """J = K e_0 + V with product (a e_0 + u)(b e_0 + v) = (ab + <u,v>) e_0 + a v + b u."""
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.dim = sig.nvars
-
-    def parity(self, l: int) -> int:
-        return self.sig.parity(l)
-
-    def multiply(self, a: list[QQi], b: list[QQi]) -> list[QQi]:
-        sig = self.sig
-        pair = QQi(0)
-        for i in range(1, self.dim):
-            ai = a[i]
-            if not ai:
-                continue
-            for j, bij in sig.beta_rows[i]:
-                if j >= 1 and b[j]:
-                    pair = pair + ai * bij * b[j]
-        out = [a[0] * b[0] + pair]
-        for i in range(1, self.dim):
-            out.append(a[0] * b[i] + b[0] * a[i])
-        return out
-
-    def basis_product(self, i: int, j: int) -> list[QQi]:
-        a = [QQi(0)] * self.dim
-        b = [QQi(0)] * self.dim
-        a[i] = ONE
-        b[j] = ONE
-        return self.multiply(a, b)
-
-
-
 class TKK:
     """TKK Lie superalgebra of the spin factor, with cached structure constants."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.jordan = Jordan(sig)
         nv = sig.nvars
         self.basis: list[tuple] = []
         self.basis.extend(("minus", l) for l in range(nv))
@@ -87,7 +55,7 @@ class TKK:
         return self.sig.parity(d[1])
 
     def _image(self, desc, k: int) -> dict[int, QQi]:
-        """X e_k as {l: coefficient} for X = L_l or D_ij = [L_i, L_j}."""
+        """X e_k as {l: coefficient} for X = L_l (e_l e_k) or D_ij = [L_i, L_j}."""
         beta = self.sig.beta
         if desc[0] == "L":
             l = desc[1]

@@ -1,23 +1,23 @@
 """Segal-Bargmann transform between the W-side and Fock-side models.
 
-The forward transform pairs the integrand against the entire Bessel-type
-series B_0 evaluated on the mixed pairing x|z; because the source elements
-are polynomial times exponential, only finitely many series terms
-contribute.  The truncated series is split once per degree into entries
-(xkey, zkey, c, |odd(zkey)| mod 2), bucketed by the parity of xkey's omega
-exponents.  The image of x^key reads one bucket, the one whose parity
-matches key's omega exponents (every other entry has zero moment), merges
-the odd parts with their signs and reads each product monomial from the
-table of normalized moments (``integral.moment``) before exp(-z_0) is
-applied; no bi-polynomial is multiplied or split per monomial.  The
-inverse is a closed Bessel-Fischer pairing with the kernel exp(-z_0)
-B_0(x|z), built once per z-degree, and needs no integration.  Each
-direction keeps one memo, the integer columns of its monomial images
-(``sb_column``, and ``inverse_column`` reduced modulo R^2); ``sb``,
-``sb_inverse`` and the intertwining checks sum those columns.  The
-series' own identities (``b0_identity_failures``) are checked term by term,
-on int maps in the operator calculus of ``algebra`` with no ``QQi``; the
-transform and its columns are in ``QQi``.
+Both directions use the kernel exp(-z_0) B_0(x|z), and each factor has one
+implementation: B_0 = sum_l c_l P^l, the integer powers P^l =
+``bipoly.pairing_power(l)`` of the mixed pairing x|z times c_l =
+``b_series_coeff(M, 0, l)``, and exp(-z_0) by its coefficients
+``exp_coefficient(e)``, of which ``exp_z0_truncation`` is the polynomial.
+The forward transform needs finitely many series terms, because the source
+elements are polynomial times exponential; they are split once per degree
+into entries (xkey, zkey, c, |odd(zkey)| mod 2), bucketed by the parity of
+xkey's omega exponents.  The image of x^key reads the one bucket whose
+parity matches key's omega exponents (every other entry has zero moment),
+merges the odd parts with their signs and reads each product monomial from
+the table of normalized moments (``integral.moment``) before exp(-z_0) is
+applied.  The inverse is a closed Bessel-Fischer pairing with the kernel's
+part of each z-degree and needs no integration.  Each direction keeps one
+memo, the integer columns of its monomial images (``sb_column``, and
+``inverse_column`` reduced modulo R^2); ``sb``, ``sb_inverse`` and the
+intertwining checks sum those columns.  The series' own identities
+(``b0_identity_failures``) read the same P^l and c_l term by term, in ints.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cache, partial
 
 from .algebra import (MonKey, Signature, SuperPolynomial, add_term_product, apply_op,
                       merge_odd, op_terms)
-from .bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature, embed, pairing_power
+from .bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature, pairing_power
 from .fock import _word_indices, bf_covectors, rho_apply
 from .integral import moment
 from .liealg import TKKElement
@@ -44,17 +44,6 @@ def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
     if den == 0:
         raise ValueError("series coefficient undefined: M - 2 lies in -2N")
     return 1 / den
-
-
-def b_series_truncation(sig_x: Signature, sig_z: Signature, alpha: int,
-                        max_degree: int) -> SuperPolynomial:
-    """Degree-truncated B_alpha(x|z) as a bi-polynomial."""
-    bsig = bi_signature(sig_x, sig_z)
-    out = SuperPolynomial.zero(bsig)
-    for l in range(max_degree + 1):
-        out = out + SuperPolynomial(bsig, pairing_power(sig_x, sig_z, l)).scale(
-            b_series_coeff(sig_x.M, alpha, l))
-    return out
 
 
 def _combination(*parts) -> dict:
@@ -140,15 +129,16 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
         yield label, next((d for d in range(max_degree + 1) if residue(d)), None)
 
 
+def exp_coefficient(e: int, scale=-1) -> Fraction:
+    """scale^e / e!, the coefficient of z_0^e in exp(scale * z_0)."""
+    return Fraction(scale) ** e / factorial_fraction(e)
+
+
 def exp_z0_truncation(sig: Signature, max_degree: int, scale=-1) -> SuperPolynomial:
     """Degree-truncated exp(scale * z_0)."""
-    z0 = SuperPolynomial.variable(sig, 0)
-    out = SuperPolynomial.zero(sig)
-    term = SuperPolynomial.one(sig)
-    for e in range(max_degree + 1):
-        out = out + term
-        term = (term * z0).scale(Fraction(scale, e + 1))
-    return out
+    rest = (0,) * (sig.m - 1)
+    return SuperPolynomial(sig, {((e,) + rest, ()): exp_coefficient(e, scale)
+                                 for e in range(max_degree + 1)})
 
 
 class SBTransform:
@@ -160,39 +150,32 @@ class SBTransform:
         self.bsig = bi_signature(self.sig_x, self.sig_z)
         self.M = sig_x.M
         self._kernels: dict[int, dict] = {}
-        self._series: dict[int, SuperPolynomial] = {}
         self._split: dict[int, dict] = {}
-        self._exp_coeffs: list[QQi] = []
         self._columns: dict[MonKey, tuple[int, dict]] = {}
         self._inv_columns: dict[MonKey, tuple[int, dict]] = {}
-
-    def _b_series(self, degree: int) -> SuperPolynomial:
-        """``b_series_truncation`` of B_0(x|z) at degree, memoized per degree."""
-        series = self._series.get(degree)
-        if series is None:
-            series = self._series[degree] = b_series_truncation(
-                self.sig_x, self.sig_z, 0, degree)
-        return series
 
     # -- forward -----------------------------------------------------------
 
     def _split_series(self, degree: int) -> dict:
-        """``_b_series(degree)`` as entries (xkey, zkey, c, |odd(zkey)| mod 2),
-        bucketed by the parity pattern of xkey[0][1:]; memoized per degree."""
+        """The terms c_l P^l of B_0 up to degree, as entries (xkey, zkey, c,
+        |odd(zkey)| mod 2) bucketed by the parity pattern of xkey[0][1:];
+        memoized per degree."""
         buckets = self._split.get(degree)
         if buckets is None:
             buckets = self._split[degree] = {}
-            for key, c in self._b_series(degree).terms.items():
-                xkey, zkey = self.bsig.split(key)
-                buckets.setdefault(tuple(e & 1 for e in xkey[0][1:]), []).append(
-                    (xkey, zkey, c, len(zkey[1]) & 1))
+            for l in range(degree + 1):
+                c = QQi.coerce(b_series_coeff(self.M, 0, l))
+                for key, v in pairing_power(self.sig_x, self.sig_z, l).items():
+                    xkey, zkey = self.bsig.split(key)
+                    buckets.setdefault(tuple(e & 1 for e in xkey[0][1:]), []).append(
+                        (xkey, zkey, c * v, len(zkey[1]) & 1))
         return buckets
 
     def sb_monomial(self, mono: MonKey) -> SuperPolynomial:
         """Transform of a single normal-form monomial times exp(-2 x_0).
 
-        The carrier B_0(x|z) x^mono is summed from the pre-split series
-        (``_split_series``) at degree cap + 2: only the bucket whose omega
+        The carrier B_0(x|z) x^mono is summed from the split series terms
+        (``_split_series``) up to degree cap + 2: only the bucket whose omega
         parity matches mono's can have a nonzero moment.  An entry's
         x-monomial times x^mono is (merge_odd(xodd, mono_odd), even exponents
         added), with the crossing sign (-1)^(|z odd| |mono odd|) of x^mono
@@ -213,9 +196,7 @@ class SBTransform:
             _acc(acc, zkey, v if sign > 0 else -v)
         # times exp(-z_0) up to degree cap + 2; z_0 is even, so z_0^e only
         # raises the first exponent
-        exp_coeffs = self._exp_coeffs
-        for e in range(len(exp_coeffs), cap + 3):
-            exp_coeffs.append(QQi.coerce((-1) ** e / factorial_fraction(e)))
+        exp_coeffs = [QQi.coerce(exp_coefficient(e)) for e in range(cap + 3)]
         image: dict = {}
         for (ev, odd), c in acc.items():
             for e in range(cap + 3 - sum(ev) - len(odd)):
@@ -247,20 +228,22 @@ class SBTransform:
     # -- inverse -----------------------------------------------------------
 
     def _inverse_kernel(self, k: int) -> dict[MonKey, list[tuple[MonKey, QQi]]]:
-        """The z-degree-k part of exp(-z_0) B_0(x|z), as zkey -> [(xkey, c)]."""
+        """The z-degree-k part of exp(-z_0) B_0(x|z), the sum of c_l P^l
+        (-z_0)^(k-l)/(k-l)! over l <= k, as zkey -> [(xkey, c)]; z_0 is even,
+        so (-z_0)^(k-l) only raises the first exponent of P^l's z-monomials."""
         kernel = self._kernels.get(k)
         if kernel is None:
             try:
-                series = self._b_series(k) \
-                    * embed(exp_z0_truncation(self.sig_z, k), self.bsig, RIGHT)
+                parts = [(QQi.coerce(b_series_coeff(self.M, 0, l) * exp_coefficient(k - l)),
+                          k - l, pairing_power(self.sig_x, self.sig_z, l)) for l in range(k + 1)]
             except ValueError:
                 raise ValueError(f"inverse transform undefined at degree {k}: "
                                  "M - 2 lies in -2N") from None
             kernel = self._kernels[k] = {}
-            for bkey, c in series.terms.items():
-                if self.bsig.slot_degree(bkey, RIGHT) == k:
-                    xkey, zkey = self.bsig.split(bkey)
-                    kernel.setdefault(zkey, []).append((xkey, c))
+            for c, e, power in parts:
+                for bkey, v in power.items():
+                    xkey, (zev, zodd) = self.bsig.split(bkey)
+                    kernel.setdefault(((zev[0] + e,) + zev[1:], zodd), []).append((xkey, c * v))
         return kernel
 
     def _inverse_monomial(self, key: MonKey) -> SuperPolynomial:

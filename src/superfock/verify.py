@@ -550,11 +550,10 @@ def suite_harmonics(ctx: Context):
 
 def check_jordan(ctx: Context, triples: int = 80):
     tkk = ctx.tkk
-    J = tkk.jordan
     sig = ctx.sig
     nv = sig.nvars
-    # the basis products, from ``Jordan.multiply``, as sparse int vectors
-    table = [[{r: int_or_qqi(v) for r, v in enumerate(J.basis_product(i, j)) if v}
+    # the basis products e_i e_j = L_i e_j, from ``TKK._image``, as sparse int vectors
+    table = [[{r: int_or_qqi(v) for r, v in tkk._image(("L", i), j).items()}
               for j in range(nv)] for i in range(nv)]
     if table[0][0] != {0: 1}:
         return False, "unit is not idempotent"

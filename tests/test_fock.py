@@ -19,7 +19,7 @@ from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
 from superfock.scalars import I, QQi, column_terms
 from superfock.schrodinger import pi_op, pi_table
 from superfock.verify import Context, RunConfig, check_bf_oracle, check_bf_products
-from test_sb import slot_bessel_mod
+from test_sb import slot_bessel_mod, slot_degree
 
 SIG = Signature(4, 1, varset="z")
 SIGX = Signature(4, 1)
@@ -374,7 +374,7 @@ def slot_constant(p, slot):
     bsig = p.sig
     return SuperPolynomial(bsig.halves[1 - slot],
                            {bsig.split(k)[1 - slot]: c for k, c in p.terms.items()
-                            if not bsig.slot_degree(k, slot)})
+                            if not slot_degree(bsig, k, slot)})
 
 
 def slot_bessel_kernel_pair(p, kern):

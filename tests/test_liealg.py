@@ -16,8 +16,34 @@ from superfock.verify import action_rows
 TKK41 = tkk_for(Signature(4, 1))
 
 
+class Jordan:
+    """J = K e_0 + V with product (a e_0 + u)(b e_0 + v) = (ab + <u,v>) e_0 + a v + b u,
+    on dense coordinate vectors: the oracle of the product that ``TKK._image``
+    reads off the metric."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.dim = sig.nvars
+
+    def multiply(self, a: list[QQi], b: list[QQi]) -> list[QQi]:
+        pair = QQi(0)
+        for i in range(1, self.dim):
+            if a[i]:
+                for j, bij in self.sig.beta_rows[i]:
+                    if j >= 1 and b[j]:
+                        pair = pair + a[i] * bij * b[j]
+        return [a[0] * b[0] + pair] + [a[0] * b[i] + b[0] * a[i] for i in range(1, self.dim)]
+
+    def basis_product(self, i: int, j: int) -> list[QQi]:
+        a = [QQi(0)] * self.dim
+        b = [QQi(0)] * self.dim
+        a[i] = ONE
+        b[j] = ONE
+        return self.multiply(a, b)
+
+
 def test_jordan_products():
-    J = TKK41.jordan
+    J = Jordan(TKK41.sig)
     m, n = 4, 1
     e0e0 = J.basis_product(0, 0)
     assert e0e0[0] == ONE and all(v.is_zero() for v in e0e0[1:])
@@ -310,7 +336,8 @@ def matrix_route_struct(tkk: TKK) -> dict:
     matrices of L_a and [L_a, L_b}, each graded commutator decomposed by exact
     elimination against the inner-derivation columns."""
     sig, nv = tkk.sig, tkk.sig.nvars
-    lmat = [left_mult_matrix(tkk.jordan, l) for l in range(nv)]
+    jordan = Jordan(sig)
+    lmat = [left_mult_matrix(jordan, l) for l in range(nv)]
     innmat = {(i, j): graded_comm(lmat[i], lmat[j], sig.parity(i), sig.parity(j))
               for (i, j) in tkk.inn_pairs}
 
@@ -352,7 +379,7 @@ def matrix_route_struct(tkk: TKK) -> dict:
                                                tkk.parity(a), tkk.parity(b)))
         if ka == "plus" and kb == "minus":
             out = {tkk.index[("L", l)]: v + v
-                   for l, v in enumerate(tkk.jordan.basis_product(ta[0], tb[0])) if v}
+                   for l, v in enumerate(jordan.basis_product(ta[0], tb[0])) if v}
             comm = graded_comm(lmat[ta[0]], lmat[tb[0]], tkk.parity(a), tkk.parity(b))
             for k, v in decompose_inn(comm).items():
                 _acc(out, k, v + v)

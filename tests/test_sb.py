@@ -6,22 +6,46 @@ import pytest
 from superfock.algebra import (Signature, SuperPolynomial, add_term_product, apply_op,
                                derive_key, monomial_keys)
 from superfock import sbtransform
-from superfock.bipoly import (LEFT, RIGHT, _slot_r2_power, bi_signature, embed, pairing,
-                              pairing_power)
+from superfock.bipoly import (LEFT, RIGHT, BiSignature, _slot_r2_power, bi_signature,
+                              pairing, pairing_power)
 from superfock.fock import bf_product, rho_apply
 from superfock.integral import _integral_direct, gamma_engine, w_form
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
-                                   b_series_truncation, exp_z0_truncation)
+                                   exp_coefficient, exp_z0_truncation)
 from superfock.scalars import I, PiScalar, QQi, _acc
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
-from superfock.verify import Context, RunConfig, check_b0_identities
+from superfock.verify import (Context, RunConfig, check_b0_identities,
+                              check_intertwining_inverse)
 
 SIG = Signature(4, 0)
 SB = SBTransform(SIG)
 SIGZ = SB.sig_z
 TKK = tkk_for(SIG)
+
+
+def embed(p: SuperPolynomial, bsig: BiSignature, slot: int) -> SuperPolynomial:
+    """A polynomial on one slot's signature, as a bi-polynomial."""
+    halves = [((0,) * sig.m, ()) for sig in bsig.halves]
+    out = {}
+    for key, c in p.terms.items():
+        halves[slot] = key
+        out[bsig.join(*halves)] = c
+    return SuperPolynomial(bsig, out)
+
+
+def b_series_truncation(sig_x: Signature, sig_z: Signature, alpha: int,
+                        max_degree: int) -> SuperPolynomial:
+    """Degree-truncated B_alpha(x|z) as one bi-polynomial, the oracle of the
+    term-by-term series; its coefficients are read from the module, so a
+    patched ``sbtransform.b_series_coeff`` reaches both."""
+    bsig = bi_signature(sig_x, sig_z)
+    out = SuperPolynomial.zero(bsig)
+    for l in range(max_degree + 1):
+        out = out + SuperPolynomial(bsig, pairing_power(sig_x, sig_z, l)).scale(
+            sbtransform.b_series_coeff(sig_x.M, alpha, l))
+    return out
 
 
 def test_pairing_polynomial():
@@ -211,6 +235,7 @@ def test_exp_truncation():
     want = SuperPolynomial.one(SIGZ) - z0 + (z0 * z0).scale(Fraction(1, 2)) \
         - (z0 * z0 * z0).scale(Fraction(1, 6))
     assert e == want
+    assert [exp_coefficient(e, 2) for e in range(4)] == [1, 2, 2, Fraction(4, 3)]
 
 
 # The slot operators of bi-polynomials that the integer route of
@@ -218,10 +243,16 @@ def test_exp_truncation():
 # one slot-reduced difference per identity, each series truncated at the degree
 # its side needs.  The Fock tests read slot_bessel_mod as well.
 
+def slot_degree(bsig, key, slot):
+    """Degree of a joined key in one slot's variables."""
+    ev, odd = bsig.split(key)[slot]
+    return sum(ev) + len(odd)
+
+
 def slot_euler(p, slot):
     """Euler operator of one slot: each term times its degree in that slot."""
-    degree = p.sig.slot_degree
-    return SuperPolynomial(p.sig, {key: c * degree(key, slot) for key, c in p.terms.items()})
+    return SuperPolynomial(p.sig, {key: c * slot_degree(p.sig, key, slot)
+                                   for key, c in p.terms.items()})
 
 
 def slot_laplacian(p, slot):
@@ -253,7 +284,7 @@ def slot_bessel_mod(p, slot, k, laplacian=None, lam=None):
     out = {}
     # (2E - lambda) d_lower(a), E counting the slot degree
     for key, c in apply_op(("d_lower", a), p).terms.items():
-        _acc(out, key, c * (sign * (2 * bsig.slot_degree(key, slot) - lam)))
+        _acc(out, key, c * (sign * (2 * slot_degree(bsig, key, slot) - lam)))
     for key, c in laplacian.mul_var(a).terms.items():
         _acc(out, key, c if sign < 0 else -c)
     return SuperPolynomial(bsig, out)
@@ -305,8 +336,8 @@ def b0_identity_differences(sig, sig_z, max_degree, lam=None):
 def difference_route_failures(sig, sigz, max_degree, lam=None):
     """(label, smallest right-slot degree <= max_degree of a term of the
     difference, or None) per identity."""
-    degree = bi_signature(sig, sigz).slot_degree
-    return [(label, min((d for d in (degree(key, RIGHT) for key in diff.terms)
+    bsig = bi_signature(sig, sigz)
+    return [(label, min((d for d in (slot_degree(bsig, key, RIGHT) for key in diff.terms)
                          if d <= max_degree), default=None))
             for label, diff in b0_identity_differences(sig, sigz, max_degree, lam)]
 
@@ -316,8 +347,8 @@ def difference_route_failures(sig, sigz, max_degree, lam=None):
 # its own one monomial at a time, then compared one right-slot degree at a time.
 
 def slot_degree_part(p, slot, d):
-    degree = p.sig.slot_degree
-    return SuperPolynomial(p.sig, {k: c for k, c in p.terms.items() if degree(k, slot) == d})
+    return SuperPolynomial(p.sig, {k: c for k, c in p.terms.items()
+                                   if slot_degree(p.sig, k, slot) == d})
 
 
 def chained_slot_bessel_mod(p, slot, k):
@@ -430,6 +461,9 @@ def test_a_wrong_series_coefficient_fails_every_identity_family_as_the_oracle_do
                         "Bessel eigenfunction (z side, i", "Bessel eigenfunction (x side, i"}
     assert check_b0_identities(ctx, 4) == oracle_verdict(failures, 4) \
         == (False, "z-derivative (k=1) fails at degree 1")
+    # the inverse kernel reads the same coefficients: c_2 enters at z-degree 2
+    ok, witness = check_intertwining_inverse(ctx, 1)
+    assert ok is False and witness.startswith("e0- on"), witness
 
 
 @pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])

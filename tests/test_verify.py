@@ -33,7 +33,7 @@ from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
                                op_image, table_apply, table_columns)
 from superfock.fock import bessel_image, bf_covectors, rho_apply, rho_table
 from superfock.linalg import commutator_failure, skew_failure
-from superfock.liealg import TKK, Jordan, k_basis, tkk_for
+from superfock.liealg import TKK, k_basis, tkk_for
 from superfock.quotient import nf_terms, normal_form_keys
 from superfock.scalars import (I, ZERO, QQi, _acc, column_combination, column_terms,
                                int_column)
@@ -43,14 +43,15 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_bessel_tangential,
                               check_bessel_product_rule,
                               check_bessel_supercommute, check_bf_l_adjoint,
-                              check_cayley, check_intertwining,
+                              check_cayley, check_exp_identities, check_intertwining,
                               check_intertwining_inverse, check_jordan,
                               check_osp_matrices, check_pi_representation,
                               check_pi_skew, check_realization,
                               check_representative_independence,
                               check_rho_composition, check_rho_representation,
-                              check_rho_skew, check_sl2_triple, check_tkk_axioms,
-                              check_unitarity, run_suite, suite_fock, suite_liealg)
+                              check_rho_skew, check_sb_lowest, check_sl2_triple,
+                              check_tkk_axioms, check_unitarity, run_check, run_suite,
+                              suite_fock, suite_liealg)
 from test_liealg import osp_matrix, qqi_matrix_model
 
 
@@ -1008,17 +1009,19 @@ def test_a_corrupted_memoized_operator_fails_the_angular_commutant_as_unmemoized
 
 @pytest.mark.parametrize("m,n", [(3, 0), (4, 1)])
 def test_a_corrupted_jordan_product_fails_the_jordan_identity(monkeypatch, m, n):
-    # e_1 e_1 gains an e_2 term: symmetric, and e_0 stays the unit
-    multiply = Jordan.multiply
+    # e_1 e_1 gains an e_2 term: symmetric, and e_0 stays the unit; the
+    # corrupted product builds a fresh TKK, so the ``tkk_for`` memo keeps the
+    # true one
+    image = TKK._image
 
-    def corrupted(self, a, b):
-        out = multiply(self, a, b)
-        out[2] = out[2] + a[1] * b[1]
-        return out
+    def corrupted(self, desc, k):
+        out = image(self, desc, k)
+        return {**out, 2: out.get(2, 0) + 1} if desc == ("L", 1) and k == 1 else out
     ctx = small_context(m, n)
     assert check_jordan(ctx) == (True, "")
-    monkeypatch.setattr(Jordan, "multiply", corrupted)
-    ok, witness = check_jordan(small_context(m, n))
+    monkeypatch.setattr(TKK, "_image", corrupted)
+    ctx.tkk = TKK(ctx.sig)
+    ok, witness = check_jordan(ctx)
     assert ok is False and re.fullmatch(r"Jordan identity fails on basis triple \(\d+,\d+,\d+\)",
                                         witness), witness
 
@@ -1058,6 +1061,28 @@ def test_a_corrupted_w_side_moment_fails_the_unitarity(monkeypatch):
     monkeypatch.setattr(integral, "moment", doubled_moment(ctx.sig, ((2, 0, 0, 0, 0), ())))
     ok, witness = check_unitarity(ctx, 1)
     assert ok is False and witness.startswith("forms differ on")
+
+
+@pytest.mark.parametrize("m,n", [(5, 0), (6, 1)])
+def test_a_wrong_exponential_coefficient_fails_the_series_check_and_both_transforms(
+        monkeypatch, m, n):
+    # exp(-z_0) has one coefficient function, read by ``exp_z0_truncation``,
+    # the forward images and the inverse kernel alike
+    coefficient = sbtransform.exp_coefficient
+
+    def doubled_at_2(e, scale=-1):
+        value = coefficient(e, scale)
+        return 2 * value if e == 2 else value
+    ctx = small_context(m, n)
+    assert check_exp_identities(ctx)[0] is True and check_sb_lowest(ctx)[0] is True
+    monkeypatch.setattr(sbtransform, "exp_coefficient", doubled_at_2)
+    ctx = small_context(m, n)
+    assert check_exp_identities(ctx) == (False, "index-0 case fails at degree 1")
+    # the forward image of the lowest vector reads e = 0, 1, 2 and checks its tail
+    lowest = run_check("sb", "lowest-vector", "", lambda: check_sb_lowest(ctx))
+    assert lowest.status == "fail" and lowest.detail.startswith(
+        "AssertionError: transform tail does not vanish at degree 2")
+    assert_fails(check_intertwining_inverse(ctx, 1))
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in (0, 1, 2)])
