@@ -19,13 +19,16 @@ The degree-shift route (``bf_product_shift_oracle``) applies the operator
 through ``algebra.apply_op`` instead, and ``fock/dual-route`` compares the
 memo with a fresh ``op_column`` on every monomial of degree <= 2.
 
-Reproducing kernels are bi-polynomials on the joined alphabet (z|w) of
-``bipoly``.  The Fock action rho(X) = pi_C(c(X)) is the action table
-``rho_table`` over the ``algebra._OPS`` operators at rate 0, reduced modulo
-R^2 as pi and pi_C are: applied to polynomials by ``algebra.table_apply``
-with ``schrodinger.pi_op`` (``rho_apply``), and to monomials, as the row of
-the columns of every basis element at once, by ``algebra.table_columns``
-with ``quotient.nf_terms`` (``verify.Context.rho_row``).
+The reproducing kernel of degree k is c_k P^k / 4^k, a bi-polynomial on the
+joined alphabet (z|w) of ``bipoly``, with P^k = ``pairing_power(k)`` and c_k =
+``b_series_coeff(M, 0, k)``, the coefficient of the kernel series B_0 =
+sum_l c_l P^l that ``sbtransform`` reads as well.  The Fock action rho(X) =
+pi_C(c(X)) is the action table ``rho_table`` over the ``algebra._OPS``
+operators at rate 0, reduced modulo R^2 as pi and pi_C are: applied to
+polynomials by ``algebra.table_apply`` with ``schrodinger.pi_op``
+(``rho_apply``), and to monomials, as the row of the columns of every basis
+element at once, by ``algebra.table_columns`` with ``quotient.nf_terms``
+(``verify.Context.rho_row``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys
 from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_image, column_terms,
-                      int_column, poch)
+                      factorial_fraction, int_column, poch)
 from .schrodinger import pi_op
 
 
@@ -164,15 +167,19 @@ def bf_product_shift_oracle(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
 # -- reproducing kernel -------------------------------------------------------
 
 
-def kernel_coefficient(M: int, k: int) -> Fraction:
-    """1 / (4^k k! (M/2 - 1)_k); raises when the Pochhammer factor vanishes."""
-    den = poch(Fraction(M, 2) - 1, k)
+def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
+    """Taylor coefficient of the renormalized Bessel series with shift alpha:
+    Gamma(M/2-1) / (l! Gamma(l + M/2 - 1 + alpha)) = 1/(l! (M/2-1)_{l+alpha})."""
+    den = factorial_fraction(l) * poch(Fraction(M, 2) - 1, l + alpha)
     if den == 0:
-        raise ValueError("kernel undefined: M - 2 lies in -2N")
-    out = Fraction(1)
-    for j in range(1, k + 1):
-        out /= 4 * j
-    return out / den
+        raise ValueError("series coefficient undefined: M - 2 lies in -2N")
+    return 1 / den
+
+
+def kernel_coefficient(M: int, k: int) -> Fraction:
+    """c_k / 4^k = 1 / (4^k k! (M/2 - 1)_k), with c_k the kernel series'
+    coefficient; raises when the Pochhammer factor vanishes."""
+    return b_series_coeff(M, 0, k) / 4 ** k
 
 
 def kernel(k: int, sig: Signature, sig_w: Signature | None = None) -> SuperPolynomial:

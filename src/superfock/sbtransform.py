@@ -3,21 +3,24 @@
 Both directions use the kernel exp(-z_0) B_0(x|z), and each factor has one
 implementation: B_0 = sum_l c_l P^l, the integer powers P^l =
 ``bipoly.pairing_power(l)`` of the mixed pairing x|z times c_l =
-``b_series_coeff(M, 0, l)``, and exp(-z_0) by its coefficients
-``exp_coefficient(e)``, of which ``exp_z0_truncation`` is the polynomial.
-The forward transform needs finitely many series terms, because the source
-elements are polynomial times exponential; they are split once per degree
-into entries (xkey, zkey, c, |odd(zkey)| mod 2), bucketed by the parity of
-xkey's omega exponents.  The image of x^key reads the one bucket whose
-parity matches key's omega exponents (every other entry has zero moment),
-merges the odd parts with their signs and reads each product monomial from
-the table of normalized moments (``integral.moment``) before exp(-z_0) is
-applied.  The inverse is a closed Bessel-Fischer pairing with the kernel's
-part of each z-degree and needs no integration.  Each direction keeps one
-memo, the integer columns of its monomial images (``sb_column``, and
-``inverse_column`` reduced modulo R^2); ``sb``, ``sb_inverse`` and the
-intertwining checks sum those columns.  The series' own identities
-(``b0_identity_failures``) read the same P^l and c_l term by term, in ints.
+``b_series_coeff(M, 0, l)`` (defined in ``fock``, whose reproducing kernel
+reads the same c_k, and read here as this module's own name), and exp(-z_0)
+by its coefficients ``exp_coefficient(e)``, of which ``exp_z0_truncation`` is
+the polynomial.  One memo splits each term c_l P^l once (``_split``) into
+entries (xkey, zkey, c, |odd(zkey)| mod 2), bucketed by the parity of xkey's
+omega exponents, and both directions read it.  The forward transform needs
+finitely many series terms, because the source elements are polynomial
+times exponential: the image of x^key reads, for l <= deg(key) + 2, the one
+bucket whose parity matches key's omega exponents (every other entry has
+zero moment), merges the odd parts with their signs and reads each product
+monomial from the table of normalized moments (``integral.moment``) before
+exp(-z_0) is applied.  The inverse is a closed Bessel-Fischer pairing with
+the kernel's part of each z-degree, sum c_l P^l (-z_0)^(k-l)/(k-l)! over
+l <= k, and needs no integration.  Each direction keeps one memo, the
+integer columns of its monomial images reduced modulo R^2 (``sb_column``,
+``inverse_column``); ``sb``, ``sb_inverse`` and the intertwining checks sum
+those columns.  The series' own identities (``b0_identity_failures``) read
+the same P^l and c_l term by term, in ints.
 """
 
 from __future__ import annotations
@@ -28,22 +31,12 @@ from functools import cache, partial
 from .algebra import (MonKey, Signature, SuperPolynomial, add_term_product, apply_op,
                       merge_odd, op_terms)
 from .bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature, pairing_power
-from .fock import _word_indices, bf_covectors, rho_apply
+from .fock import _word_indices, b_series_coeff, bf_covectors, rho_apply
 from .integral import moment
 from .liealg import TKKElement
-from .quotient import reduce_poly, reduce_terms
-from .scalars import (QQi, _acc, column_image, column_terms, factorial_fraction,
-                      int_column, poch)
+from .quotient import nf_terms, reduce_poly, reduce_terms
+from .scalars import QQi, _acc, column_image, column_terms, factorial_fraction, int_column
 from .schrodinger import WElement, make_w, pi_apply
-
-
-def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
-    """Taylor coefficient of the renormalized Bessel series with shift alpha:
-    Gamma(M/2-1) / (l! Gamma(l + M/2 - 1 + alpha)) = 1/(l! (M/2-1)_{l+alpha})."""
-    den = factorial_fraction(l) * poch(Fraction(M, 2) - 1, l + alpha)
-    if den == 0:
-        raise ValueError("series coefficient undefined: M - 2 lies in -2N")
-    return 1 / den
 
 
 def _combination(*parts) -> dict:
@@ -149,51 +142,60 @@ class SBTransform:
         self.sig_z = sig_z or Signature(sig_x.m, sig_x.n, varset="z", beta=sig_x.beta)
         self.bsig = bi_signature(self.sig_x, self.sig_z)
         self.M = sig_x.M
-        self._kernels: dict[int, dict] = {}
-        self._split: dict[int, dict] = {}
+        self._terms: dict[int, dict] = {}
         self._columns: dict[MonKey, tuple[int, dict]] = {}
         self._inv_columns: dict[MonKey, tuple[int, dict]] = {}
 
-    # -- forward -----------------------------------------------------------
-
-    def _split_series(self, degree: int) -> dict:
-        """The terms c_l P^l of B_0 up to degree, as entries (xkey, zkey, c,
-        |odd(zkey)| mod 2) bucketed by the parity pattern of xkey[0][1:];
-        memoized per degree."""
-        buckets = self._split.get(degree)
+    def _split(self, l: int) -> dict:
+        """The term c_l P^l of B_0 as entries (xkey, zkey, c, |odd(zkey)| mod 2)
+        bucketed by the parity pattern of xkey[0][1:]; memoized per l and read
+        by both directions."""
+        buckets = self._terms.get(l)
         if buckets is None:
-            buckets = self._split[degree] = {}
-            for l in range(degree + 1):
-                c = QQi.coerce(b_series_coeff(self.M, 0, l))
-                for key, v in pairing_power(self.sig_x, self.sig_z, l).items():
-                    xkey, zkey = self.bsig.split(key)
-                    buckets.setdefault(tuple(e & 1 for e in xkey[0][1:]), []).append(
-                        (xkey, zkey, c * v, len(zkey[1]) & 1))
+            c = QQi.coerce(b_series_coeff(self.M, 0, l))
+            buckets = {}
+            for key, v in pairing_power(self.sig_x, self.sig_z, l).items():
+                xkey, zkey = self.bsig.split(key)
+                buckets.setdefault(tuple(e & 1 for e in xkey[0][1:]), []).append(
+                    (xkey, zkey, c * v, len(zkey[1]) & 1))
+            self._terms[l] = buckets
         return buckets
 
+    # -- forward -----------------------------------------------------------
+
     def sb_monomial(self, mono: MonKey) -> SuperPolynomial:
-        """Transform of a single normal-form monomial times exp(-2 x_0).
+        """Transform of a single normal-form monomial times exp(-2 x_0): the
+        polynomial of ``sb_column(mono)``."""
+        return SuperPolynomial(self.sig_z, column_terms(self.sb_column(mono)))
+
+    def sb_column(self, mono: MonKey) -> tuple[int, dict]:
+        """The reduced transform of x^mono exp(-2 x_0) as an integer column
+        (``scalars.int_column``), memoized.
 
         The carrier B_0(x|z) x^mono is summed from the split series terms
-        (``_split_series``) up to degree cap + 2: only the bucket whose omega
-        parity matches mono's can have a nonzero moment.  An entry's
-        x-monomial times x^mono is (merge_odd(xodd, mono_odd), even exponents
-        added), with the crossing sign (-1)^(|z odd| |mono odd|) of x^mono
-        passing the entry's odd z-variables."""
+        (``_split``) for l <= cap + 2: only the bucket whose omega parity
+        matches mono's can have a nonzero moment.  An entry's x-monomial
+        times x^mono is (merge_odd(xodd, mono_odd), even exponents added),
+        with the crossing sign (-1)^(|z odd| |mono odd|) of x^mono passing
+        the entry's odd z-variables."""
+        column = self._columns.get(mono)
+        if column is not None:
+            return column
         mev, modd = mono
         cap = sum(mev) + len(modd)
         crossing = len(modd) & 1
+        parity = tuple(e & 1 for e in mev[1:])
         acc: dict = {}
-        bucket = self._split_series(cap + 2).get(tuple(e & 1 for e in mev[1:]), ())
-        for (xev, xodd), zkey, c, zodd in bucket:
-            merged = merge_odd(xodd, modd)
-            if merged is None:
-                continue
-            sign, odd = merged
-            if crossing and zodd:
-                sign = -sign
-            v = c * moment(self.sig_x, (tuple(a + b for a, b in zip(xev, mev)), odd), 4)
-            _acc(acc, zkey, v if sign > 0 else -v)
+        for l in range(cap + 3):
+            for (xev, xodd), zkey, c, zodd in self._split(l).get(parity, ()):
+                merged = merge_odd(xodd, modd)
+                if merged is None:
+                    continue
+                sign, odd = merged
+                if crossing and zodd:
+                    sign = -sign
+                v = c * moment(self.sig_x, (tuple(a + b for a, b in zip(xev, mev)), odd), 4)
+                _acc(acc, zkey, v if sign > 0 else -v)
         # times exp(-z_0) up to degree cap + 2; z_0 is even, so z_0^e only
         # raises the first exponent
         exp_coeffs = [QQi.coerce(exp_coefficient(e)) for e in range(cap + 3)]
@@ -201,19 +203,13 @@ class SBTransform:
         for (ev, odd), c in acc.items():
             for e in range(cap + 3 - sum(ev) - len(odd)):
                 _acc(image, ((ev[0] + e,) + ev[1:], odd), c * exp_coeffs[e])
-        result = reduce_poly(SuperPolynomial(self.sig_z, image))
-        tail = [d for d in result.homogeneous_components() if d > cap]
-        if tail:
+        image = nf_terms(self.sig_z, image)
+        tail = min((d for d in (sum(ev) + len(odd) for ev, odd in image) if d > cap),
+                   default=None)
+        if tail is not None:
             raise AssertionError(
-                f"transform tail does not vanish at degree {tail[0]} for {mono}")
-        return result
-
-    def sb_column(self, mono: MonKey) -> tuple[int, dict]:
-        """``sb_monomial(mono)`` as an integer column (``scalars.int_column``),
-        memoized."""
-        column = self._columns.get(mono)
-        if column is None:
-            column = self._columns[mono] = int_column(self.sb_monomial(mono).terms)
+                f"transform tail does not vanish at degree {tail} for {mono}")
+        column = self._columns[mono] = int_column(image)
         return column
 
     def sb(self, f: WElement) -> SuperPolynomial:
@@ -227,50 +223,39 @@ class SBTransform:
 
     # -- inverse -----------------------------------------------------------
 
-    def _inverse_kernel(self, k: int) -> dict[MonKey, list[tuple[MonKey, QQi]]]:
-        """The z-degree-k part of exp(-z_0) B_0(x|z), the sum of c_l P^l
-        (-z_0)^(k-l)/(k-l)! over l <= k, as zkey -> [(xkey, c)]; z_0 is even,
-        so (-z_0)^(k-l) only raises the first exponent of P^l's z-monomials."""
-        kernel = self._kernels.get(k)
-        if kernel is None:
-            try:
-                parts = [(QQi.coerce(b_series_coeff(self.M, 0, l) * exp_coefficient(k - l)),
-                          k - l, pairing_power(self.sig_x, self.sig_z, l)) for l in range(k + 1)]
-            except ValueError:
-                raise ValueError(f"inverse transform undefined at degree {k}: "
-                                 "M - 2 lies in -2N") from None
-            kernel = self._kernels[k] = {}
-            for c, e, power in parts:
-                for bkey, v in power.items():
-                    xkey, (zev, zodd) = self.bsig.split(bkey)
-                    kernel.setdefault(((zev[0] + e,) + zev[1:], zodd), []).append((xkey, c * v))
-        return kernel
+    def inverse_column(self, key: MonKey) -> tuple[int, dict]:
+        """The reduced inverse image of z^key as an integer column; memoized.
 
-    def _inverse_monomial(self, key: MonKey) -> SuperPolynomial:
-        """The inverse image of z^key, before reduction modulo R^2."""
+        The z-degree-k part of the kernel exp(-z_0) B_0(x|z) is the sum of
+        c_l P^l (-z_0)^(k-l)/(k-l)! over l <= k, read from the split terms
+        (``_split``); z_0 is even, so (-z_0)^(k-l) only raises the first
+        exponent of an entry's z-monomial, and the entry contributes its
+        x-monomial times the pairing of that z-monomial with z^key."""
+        column = self._inv_columns.get(key)
+        if column is not None:
+            return column
         k = sum(key[0]) + len(key[1])
+        try:  # (M/2 - 1)_k has every factor of (M/2 - 1)_l, l <= k: one probe
+            b_series_coeff(self.M, 0, k)
+        except ValueError:
+            raise ValueError(f"inverse transform undefined at degree {k}: "
+                             "M - 2 lies in -2N") from None
         cov = bf_covectors(self.sig_z, k)
         out: dict = {}
-        for zkey, xterms in self._inverse_kernel(k).items():
-            val = cov[zkey].get(key)
-            if val is not None:
-                for xkey, c in xterms:
-                    _acc(out, xkey, c * val)
-        return SuperPolynomial(self.sig_x, out)
-
-    def inverse_column(self, key: MonKey) -> tuple[int, dict]:
-        """The reduced inverse image of z^key, ``reduce_poly`` of
-        ``_inverse_monomial(key)``, as an integer column; memoized."""
-        column = self._inv_columns.get(key)
-        if column is None:
-            column = self._inv_columns[key] = int_column(
-                reduce_poly(self._inverse_monomial(key)).terms)
+        for l in range(k + 1):
+            e, f = k - l, QQi.coerce(exp_coefficient(k - l))
+            for bucket in self._split(l).values():
+                for xkey, (zev, zodd), c, _ in bucket:
+                    val = cov[((zev[0] + e,) + zev[1:], zodd)].get(key)
+                    if val is not None:
+                        _acc(out, xkey, c * f * val)
+        column = self._inv_columns[key] = int_column(nf_terms(self.sig_x, out))
         return column
 
     def sb_inverse(self, p: SuperPolynomial) -> WElement:
         """Inverse transform via the closed Bessel-Fischer pairing formula,
-        summed from the reduced monomial images; ``reduce_poly`` is linear and
-        idempotent, so this is the reduction of the unreduced sum."""
+        summed from the reduced monomial images; reduction modulo R^2 is
+        linear and idempotent, so this is the reduction of the unreduced sum."""
         column = column_image(int_column(p.terms), self.inverse_column)
         return make_w(SuperPolynomial(self.sig_x, column_terms(column)), 2)
 

@@ -33,13 +33,14 @@ import random
 import time
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 
 from . import linalg
 from .algebra import (_OPS, R2, Signature, SuperPolynomial, add_term_product,
                       apply_op, dim_P, in_minus_2n, monomial_keys, monomials_up_to,
                       mul_key, op_column, r2_small, random_polynomial, table_columns,
                       theta2)
-from .fock import (bessel_image, bf_covectors, bf_product,
+from .fock import (b_series_coeff, bessel_image, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
                    rho_raising, rho_table)
@@ -57,8 +58,7 @@ from .scalars import (HALF, I, ZERO, PiScalar, QQi, _acc, column_combination,
 from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_table,
                           radial_expand)
-from .sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
-                          exp_z0_truncation)
+from .sbtransform import SBTransform, b0_identity_failures, exp_z0_truncation
 from . import specfun
 
 ALL_SUITES = ("algebra", "quotient", "harmonics", "liealg", "schrodinger",
@@ -548,7 +548,7 @@ def suite_harmonics(ctx: Context):
 # ---------------------------------------------------------------------------
 
 
-def check_jordan(ctx: Context, triples: int = 80):
+def check_jordan(ctx: Context):
     tkk = ctx.tkk
     sig = ctx.sig
     nv = sig.nvars
@@ -574,12 +574,10 @@ def check_jordan(ctx: Context, triples: int = 80):
                     _acc(out, r, u * w * v)
         return out
 
-    # Jordan identity on sampled basis triples: the cyclic sum of the graded
-    # commutators [L_a, L_(bc)}, with L_v left multiplication by v, vanishes
-    # on every basis vector
-    rng = ctx.rng
-    for _ in range(triples):
-        x, y, z = (rng.randrange(nv) for _ in range(3))
+    # Jordan identity on every basis triple, in lexicographic order: the
+    # cyclic sum of the graded commutators [L_a, L_(bc)}, with L_v left
+    # multiplication by v, vanishes on every basis vector
+    for x, y, z in product(range(nv), repeat=3):
         px, py, pz = (sig.parity(t) for t in (x, y, z))
         terms = [({a: 1}, table[b][c], -1 if (pa and (pb + pc) & 1) else 1,
                   -1 if (pa and pc) else 1)

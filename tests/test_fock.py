@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from superfock.fock import (bessel_image, bf_covectors, bf_product,
 from superfock.harmonics import harmonic_basis
 from superfock.liealg import tkk_for
 from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
-from superfock.scalars import I, QQi, column_terms
+from superfock.scalars import I, QQi, column_terms, poch
 from superfock.schrodinger import pi_op, pi_table
 from superfock.verify import Context, RunConfig, check_bf_oracle, check_bf_products
 from test_sb import slot_bessel_mod, slot_degree
@@ -104,6 +105,20 @@ def test_kernel_values():
             p = SuperPolynomial.monomial(sig, key)
             assert reduce_poly(kernel_pair(p, kern)) == \
                 reduce_poly(SuperPolynomial(sigw, dict(p.terms)))
+
+
+def test_kernel_coefficient_equals_its_closed_form():
+    # the closed form that kernel_coefficient had before it read the series
+    # coefficient: 1 / (4^k k! (M/2 - 1)_k)
+    def closed_form(M, k):
+        den = poch(Fraction(M, 2) - 1, k)
+        out = Fraction(1)
+        for j in range(1, k + 1):
+            out /= 4 * j
+        return out / den
+    for M in range(3, 10):
+        for k in range(7):
+            assert kernel_coefficient(M, k) == closed_form(M, k), (M, k)
 
 
 def test_kernel_refusal():

@@ -17,7 +17,7 @@ from superfock.sbtransform import (SBTransform, b0_identity_failures, b_series_c
 from superfock.scalars import I, PiScalar, QQi, _acc
 from superfock.schrodinger import lowest_vector, make_w, pi_apply
 from superfock.verify import (Context, RunConfig, check_b0_identities,
-                              check_intertwining_inverse)
+                              check_intertwining, check_intertwining_inverse, run_check)
 
 SIG = Signature(4, 0)
 SB = SBTransform(SIG)
@@ -443,7 +443,7 @@ def test_b0_identities_agree_with_the_oracle(m, n):
         == (True, "series identities to degree 4")
 
 
-@pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])
+@pytest.mark.parametrize("m,n", [(3, 0), (5, 1), (5, 0)])
 def test_a_wrong_series_coefficient_fails_every_identity_family_as_the_oracle_does(
         m, n, monkeypatch):
     coeff = sbtransform.b_series_coeff
@@ -461,9 +461,22 @@ def test_a_wrong_series_coefficient_fails_every_identity_family_as_the_oracle_do
                         "Bessel eigenfunction (z side, i", "Bessel eigenfunction (x side, i"}
     assert check_b0_identities(ctx, 4) == oracle_verdict(failures, 4) \
         == (False, "z-derivative (k=1) fails at degree 1")
-    # the inverse kernel reads the same coefficients: c_2 enters at z-degree 2
+    # both directions read c_2 from one split of the series: the inverse at
+    # z-degree 2, and where M >= 4 the forward images, whose tail check fails
     ok, witness = check_intertwining_inverse(ctx, 1)
     assert ok is False and witness.startswith("e0- on"), witness
+    if ctx.sig.M >= 4:
+        forward = run_check("sb", "intertwining", "", lambda: check_intertwining(ctx, 1))
+        assert forward.status == "fail" and forward.detail == (
+            "AssertionError: transform tail does not vanish at degree 2 for ((0, 0, 0, 0, 0), ())")
+
+
+def test_the_inverse_passes_on_the_refusal_of_a_pairing_that_is_not_integral():
+    # M = 3, so every series coefficient is defined; only the pairing refuses
+    beta = ((-1, 0, 0), (0, 1, 0), (0, 0, 4))
+    sb = SBTransform(Signature(3, 0, beta=beta))
+    with pytest.raises(ValueError, match="a pairing with real integer coefficients"):
+        sb.sb_inverse(SuperPolynomial.variable(sb.sig_z, 0))
 
 
 @pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])

@@ -1026,6 +1026,30 @@ def test_a_corrupted_jordan_product_fails_the_jordan_identity(monkeypatch, m, n)
                                         witness), witness
 
 
+@pytest.mark.parametrize("m,n,target,extra,triple", [
+    (4, 1, {(1, 3), (3, 1)}, 2, (1, 1, 3)),  # e_1 e_3 = e_3 e_1 gains e_2
+    (5, 1, {(2, 2)}, 1, (2, 2, 2)),  # e_2 e_2 gains e_1
+])
+def test_a_corrupted_jordan_product_fails_at_its_first_basis_triple(
+        monkeypatch, m, n, target, extra, triple):
+    # Both corruptions keep the unit and supercommutativity, and 80 triples
+    # drawn from a fresh context at seed 0 miss every failing one; the check
+    # visits every triple, so it names the first failing one
+    image = TKK._image
+
+    def corrupted(self, desc, k):
+        out = image(self, desc, k)
+        if desc[0] == "L" and (desc[1], k) in target:
+            return {**out, extra: out.get(extra, 0) + 1}
+        return out
+    assert check_jordan(small_context(m, n)) == (True, "")
+    monkeypatch.setattr(TKK, "_image", corrupted)
+    ctx = small_context(m, n)
+    ctx.tkk = TKK(ctx.sig)
+    assert check_jordan(ctx) == (False, "Jordan identity fails on basis triple ({},{},{})"
+                                 .format(*triple))
+
+
 def doubled_moment(sig, key, rate=4):
     """The moment table with the value at (sig, key, rate) doubled."""
     moment = integral.moment
