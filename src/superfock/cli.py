@@ -6,12 +6,14 @@ Examples:
     superfock-verify --m 6 --n 1 --suite integral --suite sb --format json --out report.json
     superfock-verify --m 6 --n 1 --trace 2,0,0,0,0,0 --trace-odd 1,2 --rate 4
 
-Exit code is 0 exactly when no check failed (skips do not fail a run).
+Exit code is 0 exactly when no check failed (skips do not fail a run), 1 when
+one failed, and 2 when the configuration or the --out path is refused.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .verify import ALL_SUITES, RunConfig, report_json, report_text, run_suite
@@ -114,11 +116,18 @@ def main(argv=None) -> int:
                           "value": str(value), "terms": records}, indent=1))
         return 0
 
+    if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+        print(f"--out: no directory for {cfg.out}", file=sys.stderr)
+        return 2
     results = run_suite(cfg)
     text = report_json(cfg, results) if cfg.fmt == "json" else report_text(cfg, results)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"--out: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            return 2
         summary = [r for r in results if r.status != "pass"]
         print(f"wrote {cfg.out}: {len(results)} checks, "
               f"{sum(1 for r in results if r.status == 'fail')} failures, "

@@ -1,24 +1,19 @@
 """Exact scalar domains: Gaussian rationals and their pi-graded extension.
 
-All symbolic computation in this package runs over ``QQi`` (numbers of the
-form (a + b*i)/d with integer a, b, d).  Integral values that carry
-half-integer powers of pi (sphere areas, Gamma values at half-integers)
-live in ``PiScalar``, a Laurent ring in pi^(1/2) with QQi coefficients.
+``QQi`` holds numbers of the form (a + b*i)/d with integer a, b, d: the
+coefficients of polynomials, of {key: QQi} maps and of columns with a
+denominator.  Integral values that carry half-integer powers of pi (sphere
+areas, Gamma values at half-integers) live in ``PiScalar``, a Laurent ring in
+pi^(1/2) with QQi coefficients.
 
 Every ``QQi`` is stored in lowest terms: d > 0 and gcd(a, b, d) = 1, so equal
 numbers have equal parts and ``==``, ``hash`` and ``str`` read the parts.
-``QQi(a, b, d)`` is the one constructor that normalizes: it accepts ints and
-``Fraction``s, raises ``TypeError`` on anything else and ``ZeroDivisionError``
-on d = 0, and skips the gcd only when a, b, d are ints and d = 1.  The
-private ``QQi._raw`` stores its parts unchecked and is used only where the
-result is reduced by construction:
-
-- negation and conjugation change the sign of a and b, which keeps the gcd;
-- sums, differences and products of two numbers with d = 1 have d = 1;
-- ``coerce`` of an int has d = 1;
-- k * (a + b*i)/d for an int k is reduced by gcd(k, d) alone (``_times_int``),
-  which covers products by +-1, +-i and by any Gaussian integer that is real
-  or imaginary.
+``QQi(a, b, d)`` is the one constructor, and every operation builds its
+result through it: each part must be an int (a bool is stored as an int) or
+a ``Fraction``, anything else raises ``TypeError``, d = 0 raises
+``ZeroDivisionError``, and the gcd is skipped only when a, b, d are ints and
+d = 1.  ``PiScalar(terms)`` is likewise the one constructor of its type; it
+coerces each coefficient and drops the zeros.
 
 Hot contraction loops read sparse maps of ``QQi`` values as integer columns
 (``int_column``): Gaussian-integer numerator pairs over one positive
@@ -28,9 +23,7 @@ back.
 The operator calculus (``algebra._OPS``, ``quotient.reduce_terms``,
 ``bipoly.pairing_power``) runs on term maps of plain ints: ``int_or_qqi``
 makes a rate, lambda or metric entry an int, or a ``QQi`` only where it is
-not a real integer, and ``_acc`` adds either.  ``QQi`` appears where a
-result is a polynomial, a {key: QQi} map or a column with a denominator.
-"""
+not a real integer, and ``_acc`` adds either."""
 
 from __future__ import annotations
 
@@ -59,12 +52,15 @@ class QQi:
 
     def __init__(self, a=0, b=0, d=1):
         if type(a) is not int or type(b) is not int or type(d) is not int:
-            if isinstance(a, Fraction) or isinstance(b, Fraction) or isinstance(d, Fraction):
-                fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
-                den = fa.denominator * fb.denominator * fd.denominator
-                a = int(fa * den)
-                b = int(fb * den)
-                d = int(fd * den)
+            for x in (a, b, d):
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"a QQi part must be an int or a Fraction, "
+                                    f"not {type(x).__name__}")
+            fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
+            den = fa.denominator * fb.denominator * fd.denominator
+            a = (fa * den).numerator
+            b = (fb * den).numerator
+            d = (fd * den).numerator
         elif d == 1:
             self.a, self.b, self.d = a, b, 1
             return
@@ -72,7 +68,7 @@ class QQi:
             if d == 0:
                 raise ZeroDivisionError("zero denominator")
             a, b, d = -a, -b, -d
-        g = gcd(a, b, d)  # also the TypeError for inputs that are not integers
+        g = gcd(a, b, d)
         if g != 1:
             a //= g
             b //= g
@@ -80,25 +76,7 @@ class QQi:
         self.a, self.b, self.d = a, b, d
 
     @staticmethod
-    def _raw(a: int, b: int, d: int) -> "QQi":
-        """(a + b*i)/d from parts already in lowest terms with d > 0; no check."""
-        q = _new(QQi)
-        q.a, q.b, q.d = a, b, d
-        return q
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> "QQi":
-        return cls(x.numerator, 0, x.denominator)
-
-    @staticmethod
     def coerce(x) -> "QQi":
-        t = type(x)
-        if t is QQi:
-            return x
-        if t is int:
-            return _raw(x, 0, 1)
         if isinstance(x, QQi):
             return x
         if isinstance(x, int):
@@ -121,52 +99,34 @@ class QQi:
         return Fraction(self.b, self.d)
 
     def conjugate(self) -> "QQi":
-        return _raw(self.a, -self.b, self.d)
+        return QQi(self.a, -self.b, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "QQi":
         o = other if type(other) is QQi else QQi.coerce(other)
         d, e = self.d, o.d
-        if d == 1 and e == 1:
-            return _raw(self.a + o.a, self.b + o.b, 1)
         return QQi(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QQi":
-        return _raw(-self.a, -self.b, self.d)
+        return QQi(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "QQi":
         o = other if type(other) is QQi else QQi.coerce(other)
         d, e = self.d, o.d
-        if d == 1 and e == 1:
-            return _raw(self.a - o.a, self.b - o.b, 1)
         return QQi(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, other) -> "QQi":
         return QQi.coerce(other) - self
 
     def __mul__(self, other) -> "QQi":
-        t = type(other)
-        if t is int:
-            return _times_int(self.a, self.b, self.d, other)
-        o = other if t is QQi else QQi.coerce(other)
-        a, b, d = self.a, self.b, self.d
-        c, e, f = o.a, o.b, o.d
-        if f == 1:
-            if d == 1:
-                return _raw(a * c - b * e, a * e + b * c, 1)
-            if e == 0:
-                return _times_int(a, b, d, c)
-            if c == 0:
-                return _times_int(-b, a, d, e)  # e*i times self
-        elif d == 1:
-            if b == 0:
-                return _times_int(c, e, f, a)
-            if a == 0:
-                return _times_int(-e, c, f, b)
-        return QQi(a * c - b * e, a * e + b * c, d * f)
+        if type(other) is int:
+            return QQi(self.a * other, self.b * other, self.d)
+        o = other if type(other) is QQi else QQi.coerce(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return QQi(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -225,23 +185,6 @@ class QQi:
 
     def __repr__(self) -> str:
         return f"QQi({self})"
-
-
-_new = object.__new__
-_raw = QQi._raw
-
-
-def _times_int(a: int, b: int, d: int, k: int) -> QQi:
-    """k * (a + b*i)/d for an int k and parts in lowest terms with d > 0.
-
-    Only gcd(k, d) can cancel: k/g and d/g are coprime for g = gcd(k, d), and
-    a prime of d/g dividing both k*a/g and k*b/g would divide a, b and d."""
-    if d != 1:
-        g = gcd(k, d)
-        if g != 1:
-            k //= g
-            d //= g
-    return _raw(a * k, b * k, d)
 
 
 def int_or_qqi(x):
@@ -351,13 +294,13 @@ class PiScalar:
 
     @classmethod
     def of(cls, coeff, half_exponent: int = 0) -> "PiScalar":
-        return cls({half_exponent: QQi.coerce(coeff)})
+        return cls({half_exponent: coeff})
 
     @staticmethod
     def coerce(x) -> "PiScalar":
         if isinstance(x, PiScalar):
             return x
-        return PiScalar.of(QQi.coerce(x))
+        return PiScalar.of(x)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -367,16 +310,12 @@ class PiScalar:
         out = dict(self.terms)
         for k, c in o.terms.items():
             _acc(out, k, c)
-        p = PiScalar.__new__(PiScalar)
-        p.terms = out
-        return p
+        return PiScalar(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        p = PiScalar.__new__(PiScalar)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
+        return PiScalar({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "PiScalar":
         return self + (-PiScalar.coerce(other))
@@ -388,9 +327,7 @@ class PiScalar:
             for k2, c2 in o.terms.items():
                 k = k1 + k2
                 _acc(out, k, c1 * c2)
-        p = PiScalar.__new__(PiScalar)
-        p.terms = out
-        return p
+        return PiScalar(out)
 
     __rmul__ = __mul__
 
@@ -400,9 +337,7 @@ class PiScalar:
             raise ZeroDivisionError("PiScalar division needs a single-power divisor")
         (k, c), = o.terms.items()
         cinv = c.inverse()
-        p = PiScalar.__new__(PiScalar)
-        p.terms = {kk - k: cc * cinv for kk, cc in self.terms.items()}
-        return p
+        return PiScalar({kk - k: cc * cinv for kk, cc in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QQi)):
@@ -447,7 +382,7 @@ def gamma_half(k: int) -> PiScalar:
     if k <= 0:
         raise ValueError("Gamma pole or nonpositive argument")
     if k % 2 == 0:
-        return PiScalar.of(QQi.from_fraction(factorial_fraction(k // 2 - 1)))
+        return PiScalar.of(factorial_fraction(k // 2 - 1))
     j = (k - 1) // 2  # Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi)
     val = factorial_fraction(2 * j) / (Fraction(4) ** j * factorial_fraction(j))
-    return PiScalar.of(QQi.from_fraction(val), 1)
+    return PiScalar.of(val, 1)

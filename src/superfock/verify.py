@@ -90,6 +90,9 @@ class RunConfig:
         bad = [s for s in self.suites if s not in ALL_SUITES]
         if bad:
             raise ValueError(f"unknown suites: {bad}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"repeated suites: {repeated}")
         basis = sum(dim_P(self.m, self.n, d) for d in range(self.max_degree + 2))
         if basis > MAX_BASIS:
             raise ValueError(f"{basis} monomials of degree <= {self.max_degree + 1} "

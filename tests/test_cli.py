@@ -43,6 +43,26 @@ def test_runconfig_refuses_a_basis_above_the_budget(monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_runconfig_refuses_a_repeated_suite(monkeypatch, capsys):
+    with pytest.raises(ValueError, match="repeated suites: \\['quotient'\\]"):
+        RunConfig(m=4, n=0, suites=("quotient", "algebra", "quotient"))
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("a suite ran"))
+    assert main(["--m", "4", "--n", "0", "--suite", "quotient", "--suite", "quotient"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_out_path_it_cannot_write(tmp_path, monkeypatch, capsys):
+    args = ["--m", "4", "--n", "0", "--max-degree", "1", "--suite", "quotient"]
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("a suite ran"))
+    missing = tmp_path / "missing" / "r.json"
+    assert main(args + ["--out", str(missing)]) == 2
+    assert "--out" in capsys.readouterr().err and not missing.parent.exists()
+    # the directory exists but the path is a directory: open() fails after the run
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: [])
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_clear_caches_empties_every_module_cache():
     run_suite(RunConfig(m=4, n=1, max_degree=2, suites=("quotient", "harmonics", "fock", "sb")))
     caches = []

@@ -85,6 +85,72 @@ def test_pi_scalar_ring():
     assert str(PiScalar.of(QQi(1, 0, 4), 2)) == "(1/4)*pi"
 
 
+def _pi_ref(x):
+    """Reference value of a PiScalar as {half-exponent: (re, im)} with no zero pair."""
+    return {k: (c.re, c.im) for k, c in x.terms.items()}
+
+
+def _pi_combine(x, y, sign):
+    out = dict(x)
+    for k, (re, im) in y.items():
+        r = out.get(k, (Fraction(0), Fraction(0)))
+        out[k] = (r[0] + sign * re, r[1] + sign * im)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _pi_times(x, y):
+    out: dict = {}
+    for k1, (a, b) in x.items():
+        for k2, (c, e) in y.items():
+            r = out.get(k1 + k2, (Fraction(0), Fraction(0)))
+            out[k1 + k2] = (r[0] + a * c - b * e, r[1] + a * e + b * c)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _pi_check(result, ref):
+    """result is the PiScalar of the reference map, with no zero coefficient stored;
+    an empty reference equals and hashes like PiScalar()."""
+    assert type(result) is PiScalar
+    assert all(type(c) is QQi and c for c in result.terms.values())
+    assert _pi_ref(result) == ref
+    if not ref:
+        assert result == PiScalar() and hash(result) == hash(PiScalar())
+        assert result.is_zero() and str(result) == "0"
+
+
+def test_pi_scalar_arithmetic_agrees_with_fraction_pair_maps():
+    """+, -, * and division by a single power against {half-exponent: (re, im)}
+    maps of Fractions, on operands whose powers cancel and on ones that do not."""
+    rng = random.Random(28)
+    xs = [PiScalar(), PiScalar.of(1), PiScalar.of(QQi(0, 1, 3), -1),
+          PiScalar({1: QQi(1, 2), 2: QQi(-1, 0, 4)})]
+    for _ in range(30):
+        terms = {rng.randint(-3, 3): QQi(rng.randint(-4, 4), rng.randint(-4, 4),
+                                         rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))}
+        xs.append(PiScalar(terms))
+        xs.append(-PiScalar(terms) + PiScalar.of(rng.randint(-2, 2), rng.randint(-3, 3)))
+    for x in xs:
+        xr = _pi_ref(x)
+        _pi_check(-x, {k: (-re, -im) for k, (re, im) in xr.items()})
+        _pi_check(x - x, {})
+        _pi_check(x + (-x), {})
+        for y in xs:
+            yr = _pi_ref(y)
+            _pi_check(x + y, _pi_combine(xr, yr, 1))
+            _pi_check(x - y, _pi_combine(xr, yr, -1))
+            _pi_check(x * y, _pi_times(xr, yr))
+            if len(yr) == 1:
+                (k, (re, im)), = yr.items()
+                norm = re * re + im * im
+                _pi_check(x / y, _pi_times(xr, {-k: (re / norm, -im / norm)}))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+    _pi_check(PiScalar.of(QQi(1, 1), 1) * PiScalar.of(0, 2), {})
+    _pi_check(PiScalar({3: QQi(0), 1: 2}), {1: (Fraction(2), Fraction(0))})
+
+
 def _pair(x):
     """Reference value of an int, Fraction or QQi as a (re, im) pair of Fractions."""
     if isinstance(x, QQi):
@@ -176,9 +242,14 @@ def test_raw_results_are_reduced():
 
 
 def test_non_numeric_input_is_refused():
-    for args in ((1.5,), (2.0,), (1, 0, 2.0), ("1",), (1, "2"), (1, 0, None)):
+    for args in ((1.5,), (2.0,), (1, 0, 2.0), ("1",), (1, "2"), (1, 0, None),
+                 (1.5, Fraction(0)), (Fraction(1, 2), 0.25), (Fraction(1), 0, 2.0),
+                 ("3", Fraction(1))):
         with pytest.raises(TypeError):
             QQi(*args)
+    assert str(QQi(True)) == "1"
+    q = QQi(True, 0, 2)
+    assert all(type(v) is int for v in (q.a, q.b, q.d))
     with pytest.raises(ZeroDivisionError):
         QQi(1, 0, 0)
     with pytest.raises(ZeroDivisionError):
