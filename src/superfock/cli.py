@@ -6,8 +6,9 @@ Examples:
     superfock-verify --m 6 --n 1 --suite integral --suite sb --format json --out report.json
     superfock-verify --m 6 --n 1 --trace 2,0,0,0,0,0 --trace-odd 1,2 --rate 4
 
-Exit code is 0 exactly when no check failed (skips do not fail a run), 1 when
-one failed, and 2 when the configuration or the --out path is refused.
+--out writes what would go to stdout, in every mode, to a file instead.  Exit
+code is 0 exactly when no check failed (skips do not fail a run), 1 when one
+failed, and 2 when the configuration or the --out path is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--suite", action="append", choices=ALL_SUITES, default=None,
                     help="suite to run; may be repeated (default: all)")
     ap.add_argument("--seed", type=int, default=0, help="seed for sampled polynomials")
-    ap.add_argument("--out", type=str, default=None, help="write the report to this path")
+    ap.add_argument("--out", type=str, default=None,
+                    help="write the output to this path instead of stdout")
     ap.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
     ap.add_argument("--gamma", action="store_true",
                     help="print the normalization constant and exit")
@@ -53,7 +55,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(m=args.m, n=args.n, max_degree=args.max_degree,
                         suites=tuple(args.suite) if args.suite else ALL_SUITES,
-                        seed=args.seed, out=args.out, fmt=args.fmt)
+                        seed=args.seed)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -62,28 +64,26 @@ def main(argv=None) -> int:
         print(f"the integral needs M >= 4; M = {cfg.M}", file=sys.stderr)
         return 2
 
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        print(f"--out: no directory for {args.out}", file=sys.stderr)
+        return 2
+
+    results = None
     if args.gamma:
         from .algebra import Signature
         from .integral import gamma_engine
-        print(gamma_engine(Signature(cfg.m, cfg.n)))
-        return 0
-
-    if args.structure_constants:
+        text = str(gamma_engine(Signature(cfg.m, cfg.n)))
+    elif args.structure_constants:
         from .algebra import Signature
         from .liealg import tkk_for
-        print(tkk_for(Signature(cfg.m, cfg.n)).structure_constants_json())
-        return 0
-
-    if args.specfun_table:
+        text = tkk_for(Signature(cfg.m, cfg.n)).structure_constants_json()
+    elif args.specfun_table:
         from .specfun import value_table
         rows = value_table(max(cfg.M - 3, 1), -1.0, [0.5, 1.0, 1.5, 2.0])
         cols = list(rows[0].keys())
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(f"{row[c]:.12g}" for c in cols))
-        return 0
-
-    if args.trace is not None:
+        text = "\n".join([",".join(cols)] + [",".join(f"{row[c]:.12g}" for c in cols)
+                                              for row in rows])
+    elif args.trace is not None:
         import json
         from fractions import Fraction
         from .algebra import Signature, SuperPolynomial
@@ -112,31 +112,31 @@ def main(argv=None) -> int:
             mono = mono * SuperPolynomial.variable(sig, sig.m + t - 1)
         records: list = []
         value = integrate_w(mono, rate, trace=records)
-        print(json.dumps({"integrand": str(mono), "rate": args.rate,
-                          "value": str(value), "terms": records}, indent=1))
-        return 0
+        text = json.dumps({"integrand": str(mono), "rate": args.rate,
+                           "value": str(value), "terms": records}, indent=1)
+    else:
+        results = run_suite(cfg)
+        text = report_json(cfg, results) if args.fmt == "json" else report_text(cfg, results)
 
-    if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
-        print(f"--out: no directory for {cfg.out}", file=sys.stderr)
-        return 2
-    results = run_suite(cfg)
-    text = report_json(cfg, results) if cfg.fmt == "json" else report_text(cfg, results)
-    if cfg.out:
+    if not args.out:
+        print(text)
+    else:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"--out: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            print(f"--out: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
-        summary = [r for r in results if r.status != "pass"]
-        print(f"wrote {cfg.out}: {len(results)} checks, "
-              f"{sum(1 for r in results if r.status == 'fail')} failures, "
-              f"{sum(1 for r in results if r.status == 'skip')} skipped")
-        for r in summary:
-            print(f"  [{r.status.upper()}] {r.suite}/{r.name} {r.detail}")
-    else:
-        print(text)
-    return 1 if any(r.status == "fail" for r in results) else 0
+        if results is None:
+            print(f"wrote {args.out}")
+        else:
+            print(f"wrote {args.out}: {len(results)} checks, "
+                  f"{sum(1 for r in results if r.status == 'fail')} failures, "
+                  f"{sum(1 for r in results if r.status == 'skip')} skipped")
+            for r in results:
+                if r.status != "pass":
+                    print(f"  [{r.status.upper()}] {r.suite}/{r.name} {r.detail}")
+    return 1 if results and any(r.status == "fail" for r in results) else 0
 
 
 if __name__ == "__main__":

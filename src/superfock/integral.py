@@ -184,10 +184,6 @@ class RadialSuperfunction:
             _acc(out, (a + b + shift, alpha, odd), v)
         return out
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RadialSuperfunction) and self.sig == other.sig
-                and self.rate == other.rate and self.terms == other.terms)
-
 
 def _full_odd(sig: Signature) -> tuple[int, ...]:
     return tuple(range(sig.m, sig.nvars))

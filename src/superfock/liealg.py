@@ -135,9 +135,6 @@ class TKK:
         return TKKElement(self, {k: QQi.coerce(v) for k, v in coeffs.items()
                                  if not QQi.coerce(v).is_zero()})
 
-    def zero(self) -> "TKKElement":
-        return TKKElement(self, {})
-
     def minus(self, l: int, c=1) -> "TKKElement":
         return self.element({self.index[("minus", l)]: c})
 

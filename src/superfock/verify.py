@@ -1,9 +1,12 @@
 """Check registry behind the verification CLI and the acceptance suite.
 
 Every check is an exact identity (or an explicit numeric bound in the
-``specfun`` suite) evaluated at one configuration (m, n).  Checks carry a
-human-readable identity string, return pass/fail/skip plus a witness on
-failure, and never raise: unexpected exceptions are reported as failures.
+``specfun`` suite) evaluated at one configuration (m, n).  The checks are the
+rows of one ordered table, ``CHECKS``: suite, name, human-readable identity,
+check function, degree budget and skip rule.  ``run_checks`` walks the rows of
+the requested suites; a check returns (ok, witness), a row whose skip rule
+gives a reason reports a skip with it, and ``run_check`` reports an
+unexpected exception as a failure.
 
 Operators, actions, structure constants and pairings are read as integer
 columns (``scalars.int_column``): Gaussian-integer numerator pairs over one
@@ -77,8 +80,6 @@ class RunConfig:
     max_degree: int = 3
     suites: tuple[str, ...] = ALL_SUITES
     seed: int = 0
-    out: str | None = None
-    fmt: str = "text"
 
     def __post_init__(self):
         if self.m < 2:
@@ -175,24 +176,16 @@ class Context:
 
 
 def run_check(suite: str, name: str, identity: str, fn) -> CheckResult:
+    """Run fn, which returns (ok, detail); an exception is a failed check."""
     start = time.perf_counter()
     try:
-        out = fn()
+        ok, detail = fn()
     except Exception as exc:  # fatal errors become failed checks
         return CheckResult(suite, name, identity, "fail",
                            f"{type(exc).__name__}: {exc}",
                            time.perf_counter() - start)
-    dt = time.perf_counter() - start
-    if out is None or out is True:
-        return CheckResult(suite, name, identity, "pass", "", dt)
-    if out is False:
-        return CheckResult(suite, name, identity, "fail", "", dt)
-    ok, detail = out
-    return CheckResult(suite, name, identity, "pass" if ok else "fail", detail, dt)
-
-
-def skip(suite: str, name: str, identity: str, reason: str) -> CheckResult:
-    return CheckResult(suite, name, identity, "skip", reason)
+    return CheckResult(suite, name, identity, "pass" if ok else "fail", detail,
+                       time.perf_counter() - start)
 
 
 def _nf_keys(sig: Signature, max_degree: int) -> list:
@@ -383,43 +376,19 @@ def check_serialization(ctx: Context):
     return True, ""
 
 
-def suite_algebra(ctx: Context):
-    d = min(ctx.cfg.max_degree + 2, 5)
-    yield run_check("algebra", "sl2-triple",
-                    "[Delta,R^2]=4E+2M, [Delta,E]=2Delta, [R^2,E]=-2R^2",
-                    lambda: check_sl2_triple(ctx, d))
-    yield run_check("algebra", "bessel-tangentiality",
-                    "B_(2-M) preserves <R^2>; B_(3-M) does not",
-                    lambda: check_bessel_tangential(ctx, min(ctx.cfg.max_degree + 1, 4)))
-    yield run_check("algebra", "bessel-product-rule",
-                    "six-term expansion of B(x_i)(phi psi)",
-                    lambda: check_bessel_product_rule(ctx, min(ctx.cfg.max_degree, 3)))
-    yield run_check("algebra", "bessel-supercommutativity",
-                    "B(x_i)B(x_j) = (-1)^{|i||j|} B(x_j)B(x_i)",
-                    lambda: check_bessel_supercommute(ctx, min(ctx.cfg.max_degree, 3)))
-    yield run_check("algebra", "bessel-commutator",
-                    "[B(x_i), x_j] = beta_ij(M-2+2E) - 2L_ij",
-                    lambda: check_bessel_commutator(ctx, min(ctx.cfg.max_degree, 3)))
-    yield run_check("algebra", "angular-commutant",
-                    "L_ij commutes with R^2, E, Delta",
-                    lambda: check_angular_commutes(ctx, min(ctx.cfg.max_degree + 1, 4)))
-    yield run_check("algebra", "serialization-deterministic",
-                    "rendering is deterministic", lambda: check_serialization(ctx))
-
-
 # ---------------------------------------------------------------------------
 # quotient suite
 # ---------------------------------------------------------------------------
 
 
-def check_reduce_ring(ctx: Context, samples: int = 30):
+def check_reduce_ring(ctx: Context):
     sig = ctx.sig
     z0 = SuperPolynomial.variable(sig, 0)
     if reduce_poly(z0 * z0) != r2_small(sig):
         return False, "x0^2 does not reduce to r^2"
     if not reduce_poly(R2(sig)).is_zero():
         return False, "R^2 does not reduce to zero"
-    for p in ctx.sample_polys(4, samples):
+    for p in ctx.sample_polys(4, 30):
         nf, q = reduce_with_quotient(p)
         if not is_normal_form(nf) or nf + R2(sig) * q != p:
             return False, f"division identity fails on {p}"
@@ -449,27 +418,18 @@ def check_dimension_chain(ctx: Context, max_degree: int = 5):
     return True, f"F_k = P_k + P_(k-1) = H_k for k <= {max_degree}"
 
 
-def suite_quotient(ctx: Context):
-    yield run_check("quotient", "normal-form-ring",
-                    "x0^2 -> r^2 rewriting is an idempotent ring reduction",
-                    lambda: check_reduce_ring(ctx))
-    yield run_check("quotient", "dimension-chain",
-                    "dim F_k = dim P_k(m-1|2n) + dim P_(k-1)(m-1|2n) = dim H_k(m|2n)",
-                    lambda: check_dimension_chain(ctx, min(ctx.cfg.max_degree + 2, 5)))
-
-
 # ---------------------------------------------------------------------------
 # harmonics suite
 # ---------------------------------------------------------------------------
 
 
-def check_dim_formulas_grid(m_max: int = 7, n_max: int = 2, k_max: int = 6):
-    for m in range(2, m_max + 1):
-        for n in range(n_max + 1):
+def check_dim_formulas_grid():
+    for m in range(2, 8):
+        for n in range(3):
             sig = Signature(m, n)
-            for k in range(k_max + 1):
+            for k in range(7):
                 dim_harmonic(k, sig)  # raises if the two closed forms disagree
-    return True, f"m <= {m_max}, n <= {n_max}, k <= {k_max}"
+    return True, "m <= 7, n <= 2, k <= 6"
 
 
 def check_harmonic_basis_sizes(ctx: Context, max_degree: int = 4):
@@ -531,21 +491,6 @@ def check_generalized(ctx: Context):
     return True, f"dim GSH_{k}={len(gsh)}, dim H_{k}={len(hb)}"
 
 
-def suite_harmonics(ctx: Context):
-    yield run_check("harmonics", "dimension-formulas",
-                    "dim P_k - dim P_(k-2) = dim P_k(m-1) + dim P_(k-1)(m-1)",
-                    lambda: check_dim_formulas_grid())
-    yield run_check("harmonics", "nullspace-basis",
-                    "harmonic basis = exact kernel of Delta on P_k",
-                    lambda: check_harmonic_basis_sizes(ctx, min(ctx.cfg.max_degree + 1, 4)))
-    yield run_check("harmonics", "fischer-decomposition",
-                    "p = sum_j R^(2j) h_(k-2j) with harmonic components",
-                    lambda: check_fischer(ctx, min(ctx.cfg.max_degree + 1, 5)))
-    yield run_check("harmonics", "generalized-harmonics",
-                    "ker(Delta R^2 Delta) contains ker(Delta); strictly larger iff M in -2N",
-                    lambda: check_generalized(ctx))
-
-
 # ---------------------------------------------------------------------------
 # liealg suite
 # ---------------------------------------------------------------------------
@@ -599,7 +544,7 @@ def check_jordan(ctx: Context):
     return True, ""
 
 
-def check_tkk_axioms(ctx: Context, full_jacobi_limit: int = 36):
+def check_tkk_axioms(ctx: Context):
     """Antisymmetry compares the integer columns of the basis brackets; the
     Jacobi identity [a,[b,c]] - s[b,[a,c]] = [[a,b],c] says that ad is a
     representation, checked by the commutator loop: identity (a, b) on key c."""
@@ -614,7 +559,7 @@ def check_tkk_axioms(ctx: Context, full_jacobi_limit: int = 36):
             if cols[a, b] != (d, {k: (s * x, s * y) for k, (x, y) in nums.items()}):
                 return False, f"antisymmetry fails at ({a},{b})"
     # (pairs, keys): every pair on every key, or one loop per sampled triple
-    if dim <= full_jacobi_limit:
+    if dim <= 36:
         runs = [([(a, b) for a in range(dim) for b in range(dim)], range(dim))]
     else:
         rng = ctx.rng
@@ -627,7 +572,7 @@ def check_tkk_axioms(ctx: Context, full_jacobi_limit: int = 36):
     for pairs, keys in runs:
         if bad := commutator_failure(rows.__getitem__, keys, _bracket_identities(tkk, pairs)):
             return False, "Jacobi fails at ({},{},{})".format(*bad[0], bad[1])
-    mode = "all" if dim <= full_jacobi_limit else "sampled"
+    mode = "all" if dim <= 36 else "sampled"
     return True, f"antisymmetry on all pairs; Jacobi on {mode} triples"
 
 
@@ -664,15 +609,15 @@ def check_cayley(ctx: Context):
     return True, "closed forms, bracket preservation, and c(k) in istr"
 
 
-def check_realization(ctx: Context, max_degree: int = 2, pair_limit: int = 900):
+def check_realization(ctx: Context, max_degree: int = 2):
     tkk = ctx.tkk
     bsig = tkk.big_signature
     keys = monomials_up_to(bsig, max_degree)
     row = action_rows(TKK.realization_table, tkk, bsig, 0)
     pairs = [(a, b) for a in range(tkk.dim) for b in range(tkk.dim)]
-    if len(pairs) > pair_limit:
+    if len(pairs) > 900:
         rng = ctx.rng
-        pairs = [(rng.randrange(tkk.dim), rng.randrange(tkk.dim)) for _ in range(pair_limit)]
+        pairs = [(rng.randrange(tkk.dim), rng.randrange(tkk.dim)) for _ in range(900)]
     bad = commutator_failure(row, keys, _bracket_identities(tkk, pairs))
     if bad:
         return False, "homomorphism fails at pair ({},{})".format(*bad[0])
@@ -724,31 +669,6 @@ def check_struct_export(ctx: Context):
         return False, "export not deterministic"
     json.loads(a)
     return True, f"{len(a)} bytes"
-
-
-def suite_liealg(ctx: Context):
-    yield run_check("liealg", "jordan-product",
-                    "unit, supercommutativity of the spin-factor product",
-                    lambda: check_jordan(ctx))
-    yield run_check("liealg", "tkk-axioms",
-                    "graded antisymmetry and graded Jacobi identity",
-                    lambda: check_tkk_axioms(ctx))
-    yield run_check("liealg", "cayley",
-                    "c(a,0,0)=(a/4,iL_a,a); c(0,L_a+I,0)=(ia/4,I,-ia); "
-                    "c(0,0,a)=(a/4,-iL_a,a); c[X,Y]=[cX,cY]",
-                    lambda: check_cayley(ctx))
-    yield run_check("liealg", "differential-realization",
-                    "[D(X),D(Y)] = D([X,Y]) on low-degree polynomials",
-                    lambda: check_realization(ctx))
-    yield run_check("liealg", "matrix-model",
-                    "<Xu,v> + (-1)^{|u||X|}<u,Xv> = 0 for the block metric",
-                    lambda: check_osp_matrices(ctx))
-    yield run_check("liealg", "k-subalgebra",
-                    "closure of {(x,I,-x)} and its one-dimensional center",
-                    lambda: check_k_subalgebra(ctx))
-    yield run_check("liealg", "structure-constants-export",
-                    "JSON export is valid and deterministic",
-                    lambda: check_struct_export(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -840,21 +760,6 @@ def check_radial(ctx: Context):
     return True, ""
 
 
-def suite_schrodinger(ctx: Context):
-    yield run_check("schrodinger", "action-table",
-                    "multiplication/Euler/Bessel values on the lowest vector",
-                    lambda: check_pi_examples(ctx))
-    yield run_check("schrodinger", "representation-property",
-                    "[pi(X),pi(Y)] = pi([X,Y]) on low-degree vectors",
-                    lambda: check_pi_representation(ctx, 2))
-    yield run_check("schrodinger", "representative-independence",
-                    "tangential operators ignore R^2 shifts of the representative",
-                    lambda: check_representative_independence(ctx))
-    yield run_check("schrodinger", "radial-superfunctions",
-                    "terminating Taylor composition; |X|^2 = (x0^2+r^2)/2",
-                    lambda: check_radial(ctx))
-
-
 # ---------------------------------------------------------------------------
 # integral suite
 # ---------------------------------------------------------------------------
@@ -882,9 +787,9 @@ def check_normalization(ctx: Context):
     return True, detail
 
 
-def check_integral_well_defined(ctx: Context, samples: int = 20):
+def check_integral_well_defined(ctx: Context):
     sig = ctx.sig
-    for q in ctx.sample_polys(3, samples):
+    for q in ctx.sample_polys(3, 20):
         a = integrate_w(q, 4)
         for p in ctx.sample_polys(3, 2):
             if integrate_w(q + R2(sig) * p, 4) != a:
@@ -892,11 +797,11 @@ def check_integral_well_defined(ctx: Context, samples: int = 20):
     return True, ""
 
 
-def check_euler_vanishing(ctx: Context, samples: int = 20):
+def check_euler_vanishing(ctx: Context):
     sig = ctx.sig
     M = sig.M
     rate = Fraction(4)
-    for q in ctx.sample_polys(3, samples):
+    for q in ctx.sample_polys(3, 20):
         if integrate_w(apply_op(("E",), q, rate) + q.scale(M - 2), rate) != QQi(0):
             return False, f"(E + M - 2) integral fails on {q}"
     return True, ""
@@ -965,26 +870,6 @@ def check_integral_primitives(ctx: Context):
     if not moment.is_zero():
         return False, "odd moment should vanish"
     return True, ""
-
-
-def suite_integral(ctx: Context):
-    gate = ctx.cfg.M >= 4
-    checks = [
-        ("normalization", "integral of exp(-4|X|) is 1; gamma matches the closed form "
-                          "up to the arbitrated 2^n factor", check_normalization),
-        ("well-defined", "value is invariant under adding R^2 p", check_integral_well_defined),
-        ("euler-vanishing", "integral of (E + M - 2) f vanishes", check_euler_vanishing),
-        ("pi-skew-supersymmetry",
-         "<pi(X)f, g> = -(-1)^{|X||f|} <f, pi(X)g>", check_pi_skew),
-        ("superhermitian", "<f,g> = (-1)^{|f||g|} conj <g,f>", check_form_superhermitian),
-        ("primitives", "sphere moments, radial integrals, Berezin values",
-         check_integral_primitives),
-    ]
-    for name, ident, fn in checks:
-        if not gate:
-            yield skip("integral", name, ident, f"requires M >= 4, have M = {ctx.cfg.M}")
-        else:
-            yield run_check("integral", name, ident, lambda fn=fn: fn(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -1252,49 +1137,15 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
     return True, f"every basis element on F_<= {max_degree}"
 
 
-def suite_fock(ctx: Context):
-    d = min(ctx.cfg.max_degree + 1, 4)
-    yield run_check("fock", "bessel-fischer-product",
-                    "<z0,z0>=M-2; orthogonality, superhermitianity, shift identity",
-                    lambda: check_bf_products(ctx, d))
-    yield run_check("fock", "l-adjointness",
-                    "<L_ij p, q> = -(-1)^{(|i|+|j|)|p|} <p, L_ij q>",
-                    lambda: check_bf_l_adjoint(ctx, min(ctx.cfg.max_degree, 3)))
-    yield run_check("fock", "dual-route",
-                    "word substitution agrees with the shift-identity recursion",
-                    lambda: check_bf_oracle(ctx, min(ctx.cfg.max_degree, 3)))
-    yield run_check("fock", "ideal-annihilation",
-                    "<R^2 p, q> = 0 = <p, R^2 q>",
-                    lambda: check_bf_ideal(ctx))
-    yield run_check("fock", "reproducing-kernel",
-                    "<p, K^k(.,w)> = p(w) mod R^2_w",
-                    lambda: check_kernel(ctx, d))
-    yield run_check("fock", "gram-rank",
-                    "Gram matrices have full rank iff M-2 avoids -2N",
-                    lambda: check_gram(ctx, min(ctx.cfg.max_degree, 3)))
-    yield run_check("fock", "cayley-composition",
-                    "rho(X) = pi_C(c(X)) as operators on the Fock space",
-                    lambda: check_rho_composition(ctx, ctx.cfg.max_degree))
-    yield run_check("fock", "rho-representation",
-                    "[rho(X),rho(Y)] = rho([X,Y]) on F_<=3",
-                    lambda: check_rho_representation(ctx, ctx.cfg.max_degree))
-    yield run_check("fock", "rho-ladders",
-                    "lowering acts by i k(M+k-3) on powers of z0; raising by i z0",
-                    lambda: check_rho_ladders(ctx))
-    yield run_check("fock", "rho-skew-supersymmetry",
-                    "<rho(X)p, q> = -(-1)^{|X||p|} <p, rho(X)q>",
-                    lambda: check_rho_skew(ctx, ctx.cfg.max_degree))
-
-
 # ---------------------------------------------------------------------------
 # sb suite
 # ---------------------------------------------------------------------------
 
 
-def check_b_series(ctx: Context, lmax: int = 8):
+def check_b_series(ctx: Context):
     M = ctx.sig.M
     for alpha in range(3):
-        for l in range(1, lmax + 1):
+        for l in range(1, 9):
             lhs = l * b_series_coeff(M, alpha, l)
             rhs = b_series_coeff(M, alpha + 1, l - 1)
             if lhs != rhs:
@@ -1345,7 +1196,7 @@ def _column_difference(sig: Signature, first, first_image, second, second_image)
     return SuperPolynomial(sig, {k: QQi(x, y, d) for k, (x, y) in out.items() if x or y})
 
 
-def check_intertwining(ctx: Context, max_degree: int = 2, word_samples: int = 12):
+def check_intertwining(ctx: Context, max_degree: int = 2):
     """SB(pi(X_a) x^key) - rho(X_a) SB(x^key) for each basis element a and each
     normal-form key, summed over integer columns: the pi column at rate 2
     against the forward images (``SBTransform.sb_column``), minus the rho
@@ -1362,7 +1213,7 @@ def check_intertwining(ctx: Context, max_degree: int = 2, word_samples: int = 12
     # literal action words of length <= 2 applied to the lowest vector
     rng = random.Random(ctx.cfg.seed + 1)
     v0 = lowest_vector(ctx.sig)
-    for _ in range(word_samples):
+    for _ in range(12):
         f = v0
         for _ in range(rng.randrange(3)):
             f = pi_apply(tkk.basis_element(rng.randrange(tkk.dim)), f)
@@ -1371,7 +1222,7 @@ def check_intertwining(ctx: Context, max_degree: int = 2, word_samples: int = 12
         if not diff.is_zero():
             return False, f"{tkk.basis_label(a)} on a sampled word vector"
     return True, f"every basis element against vectors of degree <= {max_degree}, " \
-                 f"plus {word_samples} sampled word vectors"
+                 "plus 12 sampled word vectors"
 
 
 def inverse_depth(M: int, cap: int) -> int:
@@ -1478,48 +1329,6 @@ def check_sb_span(ctx: Context, max_degree: int = 3):
     return True, f"image ranks {dict(sorted(ranks.items()))}"
 
 
-def suite_sb(ctx: Context):
-    forward = ctx.cfg.M >= 4
-    series = [
-        ("series-coefficients", "termwise derivative of the kernel series shifts its order",
-         lambda: check_b_series(ctx)),
-        ("kernel-series-identities", "derivative/Euler identities for the kernel series; "
-         "Bessel eigenfunction property modulo the inert-slot ideal",
-         lambda: check_b0_identities(ctx, 6 if ctx.sig.nvars <= 7 else 4)),
-    ]
-    for name, ident, fn in series:
-        if in_minus_2n(ctx.cfg.M - 2):
-            yield skip("sb", name, ident,
-                       f"kernel series undefined: M - 2 = {ctx.cfg.M - 2} lies in -2N")
-        else:
-            yield run_check("sb", name, ident, fn)
-    yield run_check("sb", "exponential-identities",
-                    "Bessel action on exp(-z0), degreewise",
-                    lambda: check_exp_identities(ctx))
-    fchecks = [
-        ("lowest-vector", "transform of exp(-2|X|) is 1", check_sb_lowest, ()),
-        ("intertwining", "SB(pi(X) f) = rho(X) SB(f)", check_intertwining,
-         (min(ctx.cfg.max_degree, 2),)),
-        ("unitarity", "<SB f, SB g> equals <f, g>", check_unitarity,
-         (min(ctx.cfg.max_degree, 2),)),
-        ("round-trips", "inverse composes to the identity both ways",
-         check_round_trips, (ctx.cfg.max_degree,)),
-        ("hermite", "dual-route Hermite polynomials map to monomials",
-         check_hermite, (min(ctx.cfg.max_degree, 2),)),
-        ("image-span", "transform images fill the graded Fock slices",
-         check_sb_span, (ctx.cfg.max_degree,)),
-    ]
-    for name, ident, fn, args in fchecks:
-        if not forward:
-            yield skip("sb", name, ident, f"forward transform needs M >= 4, have {ctx.cfg.M}")
-        else:
-            yield run_check("sb", name, ident, lambda fn=fn, args=args: fn(ctx, *args))
-    yield run_check("sb", "intertwining-inverse",
-                    "pi(X) SBinv = SBinv rho(X) on the degrees where the "
-                    "inverse pairing is defined",
-                    lambda: check_intertwining_inverse(ctx, ctx.cfg.max_degree))
-
-
 # ---------------------------------------------------------------------------
 # specfun suite
 # ---------------------------------------------------------------------------
@@ -1582,44 +1391,172 @@ def check_truncation_consistency():
     return True, ""
 
 
-def suite_specfun(ctx: Context):
-    yield run_check("specfun", "k-exponential",
-                    "Ktilde(-1/2, t) = sqrt(pi)/2 exp(-t) to 1e-12",
-                    check_k_exponential)
-    yield run_check("specfun", "i-halfinteger",
-                    "Itilde(1/2, t) = 2 sinh(t)/(t sqrt(pi)); monotone growth",
-                    check_i_halfinteger)
-    yield run_check("specfun", "laguerre-generator",
-                    "order-zero Laguerre value is proportional to exp(-t) to 1e-10",
-                    lambda: check_laguerre(ctx.cfg.M))
-    yield run_check("specfun", "truncation",
-                    "series values agree at truncation 40 and 60",
-                    check_truncation_consistency)
-
-
 # ---------------------------------------------------------------------------
-# driver
+# the check table and its runner
 # ---------------------------------------------------------------------------
 
-SUITE_RUNNERS = {
-    "algebra": suite_algebra,
-    "quotient": suite_quotient,
-    "harmonics": suite_harmonics,
-    "liealg": suite_liealg,
-    "schrodinger": suite_schrodinger,
-    "integral": suite_integral,
-    "fock": suite_fock,
-    "sb": suite_sb,
-    "specfun": suite_specfun,
-}
+
+def _cap(extra: int, cap: int):
+    """The degree budget min(max_degree + extra, cap)."""
+    return lambda ctx: min(ctx.cfg.max_degree + extra, cap)
+
+
+def _max_degree(ctx: Context) -> int:
+    return ctx.cfg.max_degree
+
+
+def _integral_skip(ctx: Context) -> str:
+    return "" if ctx.cfg.M >= 4 else f"requires M >= 4, have M = {ctx.cfg.M}"
+
+
+def _forward_skip(ctx: Context) -> str:
+    return "" if ctx.cfg.M >= 4 else f"forward transform needs M >= 4, have {ctx.cfg.M}"
+
+
+def _series_skip(ctx: Context) -> str:
+    if in_minus_2n(ctx.cfg.M - 2):
+        return f"kernel series undefined: M - 2 = {ctx.cfg.M - 2} lies in -2N"
+    return ""
+
+
+# Every check, one row each in report order: (suite, name, identity, check,
+# degree, skip).  The check runs as check(ctx), or as check(ctx, degree(ctx))
+# when degree is not None; when skip is not None and skip(ctx) gives a
+# reason, it does not run and that reason is the witness of a skip.
+CHECKS = (
+    ("algebra", "sl2-triple", "[Delta,R^2]=4E+2M, [Delta,E]=2Delta, [R^2,E]=-2R^2",
+     check_sl2_triple, _cap(2, 5), None),
+    ("algebra", "bessel-tangentiality", "B_(2-M) preserves <R^2>; B_(3-M) does not",
+     check_bessel_tangential, _cap(1, 4), None),
+    ("algebra", "bessel-product-rule", "six-term expansion of B(x_i)(phi psi)",
+     check_bessel_product_rule, _cap(0, 3), None),
+    ("algebra", "bessel-supercommutativity", "B(x_i)B(x_j) = (-1)^{|i||j|} B(x_j)B(x_i)",
+     check_bessel_supercommute, _cap(0, 3), None),
+    ("algebra", "bessel-commutator", "[B(x_i), x_j] = beta_ij(M-2+2E) - 2L_ij",
+     check_bessel_commutator, _cap(0, 3), None),
+    ("algebra", "angular-commutant", "L_ij commutes with R^2, E, Delta",
+     check_angular_commutes, _cap(1, 4), None),
+    ("algebra", "serialization-deterministic", "rendering is deterministic",
+     check_serialization, None, None),
+    ("quotient", "normal-form-ring", "x0^2 -> r^2 rewriting is an idempotent ring reduction",
+     check_reduce_ring, None, None),
+    ("quotient", "dimension-chain",
+     "dim F_k = dim P_k(m-1|2n) + dim P_(k-1)(m-1|2n) = dim H_k(m|2n)",
+     check_dimension_chain, _cap(2, 5), None),
+    ("harmonics", "dimension-formulas",
+     "dim P_k - dim P_(k-2) = dim P_k(m-1) + dim P_(k-1)(m-1)",
+     lambda ctx: check_dim_formulas_grid(), None, None),
+    ("harmonics", "nullspace-basis", "harmonic basis = exact kernel of Delta on P_k",
+     check_harmonic_basis_sizes, _cap(1, 4), None),
+    ("harmonics", "fischer-decomposition", "p = sum_j R^(2j) h_(k-2j) with harmonic components",
+     check_fischer, _cap(1, 5), None),
+    ("harmonics", "generalized-harmonics",
+     "ker(Delta R^2 Delta) contains ker(Delta); strictly larger iff M in -2N",
+     check_generalized, None, None),
+    ("liealg", "jordan-product", "unit, supercommutativity of the spin-factor product",
+     check_jordan, None, None),
+    ("liealg", "tkk-axioms", "graded antisymmetry and graded Jacobi identity",
+     check_tkk_axioms, None, None),
+    ("liealg", "cayley", "c(a,0,0)=(a/4,iL_a,a); c(0,L_a+I,0)=(ia/4,I,-ia); "
+     "c(0,0,a)=(a/4,-iL_a,a); c[X,Y]=[cX,cY]", check_cayley, None, None),
+    ("liealg", "differential-realization", "[D(X),D(Y)] = D([X,Y]) on low-degree polynomials",
+     check_realization, None, None),
+    ("liealg", "matrix-model", "<Xu,v> + (-1)^{|u||X|}<u,Xv> = 0 for the block metric",
+     check_osp_matrices, None, None),
+    ("liealg", "k-subalgebra", "closure of {(x,I,-x)} and its one-dimensional center",
+     check_k_subalgebra, None, None),
+    ("liealg", "structure-constants-export", "JSON export is valid and deterministic",
+     check_struct_export, None, None),
+    ("schrodinger", "action-table", "multiplication/Euler/Bessel values on the lowest vector",
+     check_pi_examples, None, None),
+    ("schrodinger", "representation-property",
+     "[pi(X),pi(Y)] = pi([X,Y]) on low-degree vectors",
+     check_pi_representation, lambda ctx: 2, None),
+    ("schrodinger", "representative-independence",
+     "tangential operators ignore R^2 shifts of the representative",
+     check_representative_independence, None, None),
+    ("schrodinger", "radial-superfunctions",
+     "terminating Taylor composition; |X|^2 = (x0^2+r^2)/2", check_radial, None, None),
+    ("integral", "normalization", "integral of exp(-4|X|) is 1; gamma matches the closed form "
+     "up to the arbitrated 2^n factor", check_normalization, None, _integral_skip),
+    ("integral", "well-defined", "value is invariant under adding R^2 p",
+     check_integral_well_defined, None, _integral_skip),
+    ("integral", "euler-vanishing", "integral of (E + M - 2) f vanishes",
+     check_euler_vanishing, None, _integral_skip),
+    ("integral", "pi-skew-supersymmetry", "<pi(X)f, g> = -(-1)^{|X||f|} <f, pi(X)g>",
+     check_pi_skew, None, _integral_skip),
+    ("integral", "superhermitian", "<f,g> = (-1)^{|f||g|} conj <g,f>",
+     check_form_superhermitian, None, _integral_skip),
+    ("integral", "primitives", "sphere moments, radial integrals, Berezin values",
+     check_integral_primitives, None, _integral_skip),
+    ("fock", "bessel-fischer-product",
+     "<z0,z0>=M-2; orthogonality, superhermitianity, shift identity",
+     check_bf_products, _cap(1, 4), None),
+    ("fock", "l-adjointness", "<L_ij p, q> = -(-1)^{(|i|+|j|)|p|} <p, L_ij q>",
+     check_bf_l_adjoint, _cap(0, 3), None),
+    ("fock", "dual-route", "word substitution agrees with the shift-identity recursion",
+     check_bf_oracle, _cap(0, 3), None),
+    ("fock", "ideal-annihilation", "<R^2 p, q> = 0 = <p, R^2 q>", check_bf_ideal, None, None),
+    ("fock", "reproducing-kernel", "<p, K^k(.,w)> = p(w) mod R^2_w",
+     check_kernel, _cap(1, 4), None),
+    ("fock", "gram-rank", "Gram matrices have full rank iff M-2 avoids -2N",
+     check_gram, _cap(0, 3), None),
+    ("fock", "cayley-composition", "rho(X) = pi_C(c(X)) as operators on the Fock space",
+     check_rho_composition, _max_degree, None),
+    ("fock", "rho-representation", "[rho(X),rho(Y)] = rho([X,Y]) on F_<=3",
+     check_rho_representation, _max_degree, None),
+    ("fock", "rho-ladders", "lowering acts by i k(M+k-3) on powers of z0; raising by i z0",
+     check_rho_ladders, None, None),
+    ("fock", "rho-skew-supersymmetry", "<rho(X)p, q> = -(-1)^{|X||p|} <p, rho(X)q>",
+     check_rho_skew, _max_degree, None),
+    ("sb", "series-coefficients", "termwise derivative of the kernel series shifts its order",
+     check_b_series, None, _series_skip),
+    ("sb", "kernel-series-identities", "derivative/Euler identities for the kernel series; "
+     "Bessel eigenfunction property modulo the inert-slot ideal",
+     check_b0_identities, lambda ctx: 6 if ctx.sig.nvars <= 7 else 4, _series_skip),
+    ("sb", "exponential-identities", "Bessel action on exp(-z0), degreewise",
+     check_exp_identities, None, None),
+    ("sb", "lowest-vector", "transform of exp(-2|X|) is 1", check_sb_lowest, None, _forward_skip),
+    ("sb", "intertwining", "SB(pi(X) f) = rho(X) SB(f)",
+     check_intertwining, _cap(0, 2), _forward_skip),
+    ("sb", "unitarity", "<SB f, SB g> equals <f, g>", check_unitarity, _cap(0, 2), _forward_skip),
+    ("sb", "round-trips", "inverse composes to the identity both ways",
+     check_round_trips, _max_degree, _forward_skip),
+    ("sb", "hermite", "dual-route Hermite polynomials map to monomials",
+     check_hermite, _cap(0, 2), _forward_skip),
+    ("sb", "image-span", "transform images fill the graded Fock slices",
+     check_sb_span, _max_degree, _forward_skip),
+    ("sb", "intertwining-inverse", "pi(X) SBinv = SBinv rho(X) on the degrees where the "
+     "inverse pairing is defined", check_intertwining_inverse, _max_degree, None),
+    ("specfun", "k-exponential", "Ktilde(-1/2, t) = sqrt(pi)/2 exp(-t) to 1e-12",
+     lambda ctx: check_k_exponential(), None, None),
+    ("specfun", "i-halfinteger", "Itilde(1/2, t) = 2 sinh(t)/(t sqrt(pi)); monotone growth",
+     lambda ctx: check_i_halfinteger(), None, None),
+    ("specfun", "laguerre-generator",
+     "order-zero Laguerre value is proportional to exp(-t) to 1e-10",
+     lambda ctx: check_laguerre(ctx.cfg.M), None, None),
+    ("specfun", "truncation", "series values agree at truncation 40 and 60",
+     lambda ctx: check_truncation_consistency(), None, None),
+)
+
+
+def run_checks(ctx: Context, suites) -> list[CheckResult]:
+    """The rows of CHECKS for each suite in suites, in table order."""
+    results = []
+    for suite in suites:
+        for row_suite, name, identity, check, degree, skip in CHECKS:
+            if row_suite != suite:
+                continue
+            if skip and (reason := skip(ctx)):
+                results.append(CheckResult(suite, name, identity, "skip", reason))
+                continue
+            args = (ctx,) if degree is None else (ctx, degree(ctx))
+            results.append(run_check(suite, name, identity, partial(check, *args)))
+    return results
 
 
 def run_suite(cfg: RunConfig) -> list[CheckResult]:
-    ctx = Context(cfg)
-    results: list[CheckResult] = []
-    for suite in cfg.suites:
-        results.extend(SUITE_RUNNERS[suite](ctx))
-    return results
+    return run_checks(Context(cfg), cfg.suites)
 
 
 def report_json(cfg: RunConfig, results: list[CheckResult]) -> str:

@@ -63,6 +63,30 @@ def test_cli_refuses_an_out_path_it_cannot_write(tmp_path, monkeypatch, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [
+    ["--m", "4", "--n", "0", "--gamma"],
+    ["--m", "2", "--n", "1", "--structure-constants"],
+    ["--m", "5", "--n", "0", "--specfun-table"],
+    ["--m", "6", "--n", "1", "--trace", "2,0,0,0,0,0", "--trace-odd", "1,2"],
+    ["--m", "4", "--n", "0", "--max-degree", "1", "--suite", "quotient", "--format", "json"],
+])
+def test_out_writes_what_stdout_would_show_in_every_mode(mode, tmp_path, capsys):
+    assert main(mode) == 0
+    shown = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert main(mode + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {path}")
+    written = path.read_text()
+    if "--suite" in mode:  # the report carries timings
+        shown, written = strip_times(shown), strip_times(written)
+    assert written == shown
+    missing = tmp_path / "missing" / "out.txt"
+    assert main(mode + ["--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err
+    assert not missing.parent.exists()
+
+
 def test_clear_caches_empties_every_module_cache():
     run_suite(RunConfig(m=4, n=1, max_degree=2, suites=("quotient", "harmonics", "fock", "sb")))
     caches = []
@@ -95,7 +119,7 @@ def test_run_check_captures_exceptions():
     res = run_check("s", "boom", "x", lambda: 1 / 0)
     assert res.status == "fail"
     assert "ZeroDivisionError" in res.detail
-    assert run_check("s", "ok", "x", lambda: True).status == "pass"
+    assert run_check("s", "ok", "x", lambda: (True, "")).status == "pass"
     assert run_check("s", "no", "x", lambda: (False, "w")).detail == "w"
 
 

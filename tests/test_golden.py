@@ -52,3 +52,11 @@ def test_verification_report_golden_with_two_odd_pairs():
     # every suite at (8,2), degree 2, seed 0: M = 4, so the forward SB images run
     cfg = RunConfig(m=8, n=2, max_degree=2, seed=0)
     assert report_without_timings(cfg) == (GOLDEN / "report_8_2_d2.json").read_text()
+
+
+def test_verification_report_golden_below_m4():
+    # every suite at (4,1), degree 2, seed 0: M = 2, so the integral, the
+    # forward SB checks and the kernel series skip, and the Fock suite takes
+    # its degenerate M - 2 paths
+    cfg = RunConfig(m=4, n=1, max_degree=2, seed=0)
+    assert report_without_timings(cfg) == (GOLDEN / "report_4_1_d2.json").read_text()

@@ -38,7 +38,7 @@ from superfock.quotient import nf_terms, normal_form_keys
 from superfock.scalars import (I, ZERO, QQi, _acc, column_combination, column_terms,
                                int_column)
 from superfock.schrodinger import WElement, make_w, pi_apply, pi_op, pi_table
-from superfock.verify import (ALL_SUITES, Context, RunConfig,
+from superfock.verify import (ALL_SUITES, CHECKS, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_tangential,
                               check_bessel_product_rule,
@@ -50,8 +50,8 @@ from superfock.verify import (ALL_SUITES, Context, RunConfig,
                               check_representative_independence,
                               check_rho_composition, check_rho_representation,
                               check_rho_skew, check_sb_lowest, check_sl2_triple,
-                              check_tkk_axioms, check_unitarity, run_check, run_suite,
-                              suite_fock, suite_liealg)
+                              check_tkk_axioms, check_unitarity, run_check, run_checks,
+                              run_suite)
 from test_liealg import osp_matrix, qqi_matrix_model
 
 
@@ -606,7 +606,7 @@ def test_a_multiple_of_one_realization_passes_the_matrix_model_but_not_the_reali
     action_rows = verify.action_rows
     monkeypatch.setattr(verify, "action_rows",
                         lambda *args: double_one_entry(action_rows(*args), (a, y6)))
-    status = {r.name: (r.status, r.detail) for r in suite_liealg(ctx)}
+    status = {r.name: (r.status, r.detail) for r in run_checks(ctx, ("liealg",))}
     assert status["matrix-model"] == ("pass", "")
     assert status["differential-realization"] == ("fail", f"homomorphism fails at pair (4,{a})")
 
@@ -729,7 +729,7 @@ def test_a_doubled_covector_entry_fails_both_shift_identity_routes_alike(m, n, s
 
 def test_memoized_columns_do_not_outlive_the_context():
     ctx = small_context()
-    results = list(suite_fock(ctx))
+    results = run_checks(ctx, ("fock",))
     assert results and all(r.status == "pass" for r in results)
     ref = weakref.ref(ctx)
     del ctx, results
@@ -1117,3 +1117,12 @@ def test_small_shapes_pass_every_suite(m, n):
     raised = [(r.name, r.detail) for r in results
               if r.detail.split(":")[0].endswith(("Error", "Exception"))]
     assert raised == []
+
+
+def test_check_table_names_the_suites_in_order_and_each_check_once():
+    suites = [row[0] for row in CHECKS]
+    assert tuple(dict.fromkeys(suites)) == ALL_SUITES
+    # the rows of a suite are contiguous, so a run reports them in table order
+    assert suites == sorted(suites, key=ALL_SUITES.index)
+    names = [row[:2] for row in CHECKS]
+    assert len(set(names)) == len(names)
