@@ -1,9 +1,12 @@
 """Golden files pin the serialized interchange formats byte-for-byte."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 from superfock.algebra import R2, Signature, SuperPolynomial
+from superfock.cli import main
 from superfock.fock import gram_json
 from superfock.liealg import tkk_for
 from superfock.scalars import QQi
@@ -60,3 +63,30 @@ def test_verification_report_golden_below_m4():
     # its degenerate M - 2 paths
     cfg = RunConfig(m=4, n=1, max_degree=2, seed=0)
     assert report_without_timings(cfg) == (GOLDEN / "report_4_1_d2.json").read_text()
+
+
+# --trace prints every record of phi#, the weights and the ray restriction
+# that reaches the top odd monomial; --gamma the raw integral of exp(-4 x_0)
+CLI_RUNS = (
+    "--m 6 --n 1 --trace 2,0,0,0,0,0",
+    "--m 8 --n 2 --max-degree 1 --trace 2,2,0,0,0,0,0,0",
+    "--m 10 --n 3 --max-degree 1 --trace 0,0,0,0,0,0,0,0,0,0",
+    "--m 6 --n 1 --gamma",
+    "--m 8 --n 2 --max-degree 1 --gamma",
+    "--m 10 --n 3 --max-degree 1 --gamma",
+)
+
+
+def cli_transcript() -> str:
+    """Each run of CLI_RUNS as a "$ superfock-verify ARGS" line and its stdout."""
+    parts = []
+    for args in CLI_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args.split()) == 0
+        parts.append(f"$ superfock-verify {args}\n{out.getvalue()}")
+    return "".join(parts)
+
+
+def test_traced_integrals_and_gamma_golden():
+    assert cli_transcript() == (GOLDEN / "trace_gamma.txt").read_text()

@@ -163,6 +163,19 @@ def test_radial_expand():
         radial_expand(th, [1])  # table too short for the surviving power
 
 
+@pytest.mark.parametrize("other", [(5, 1), (3, 1), (4, 0), (4, 2)])
+@pytest.mark.parametrize("order", [0, 1])
+def test_radial_expand_refuses_a_derivative_on_another_signature(other, order):
+    # exponent tuples of another length must not be added short, nor a
+    # polynomial of the same m but other odd variables taken as one of SIG
+    f = SuperPolynomial.variable(SIG, 0) + \
+        SuperPolynomial.variable(SIG, 4) * SuperPolynomial.variable(SIG, 5)
+    table = [SuperPolynomial.one(SIG)] * 3
+    table[order] = SuperPolynomial.variable(Signature(*other), 1)
+    with pytest.raises(ValueError, match="signature mismatch"):
+        radial_expand(f, table)
+
+
 def test_abs_X_squares_back():
     for (m, n) in [(4, 1), (2, 2)]:
         sig = Signature(m, n)
