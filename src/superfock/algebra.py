@@ -12,7 +12,9 @@ closed form whose image of a monomial is a map {key: int} at an integral rate
 and lambda (``Signature`` keeps its metric rows and R^2 in ints); a rate,
 lambda or metric entry that is not an integer is made a ``QQi`` once
 (``scalars.int_or_qqi``) and runs through the same code.  ``op_terms`` is the
-linear extension and ``add_term_product`` the one term product.  ``QQi``
+linear extension and ``add_term_product`` the one term product, which
+``term_product`` sums into the product of two term maps; ``taylor_terms`` is
+the one composition of a scalar function with a nilpotent.  ``QQi``
 appears only at the boundary: ``op_image`` and ``apply_op`` return ``QQi``
 maps and polynomials, ``op_column`` and ``table_columns`` wrap the ints as
 integer columns.
@@ -267,10 +269,7 @@ class SuperPolynomial:
         if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QQi)):
             return self.scale(other)
         self._check(other)
-        out: dict = {}
-        for key, c in self.terms.items():
-            add_term_product(out, other.terms, key, c)
-        return SuperPolynomial._wrap(self.sig, out)
+        return SuperPolynomial._wrap(self.sig, term_product(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -332,6 +331,33 @@ def add_term_product(out: dict, terms: dict, key: MonKey, c) -> dict:
         v = c * v
         _acc(out, (tuple(map(add, ev, tev)), merged[1]), -v if merged[0] < 0 else v)
     return out
+
+
+def term_product(a: dict, b: dict) -> dict:
+    """The product of the term maps a and b, a on the left (``add_term_product``
+    per term of a).  Keys are pairs (even exponents, odd indices), monomial
+    keys or any equal-length exponent tuples: Laurent or in half powers."""
+    out: dict = {}
+    for key, c in a.items():
+        add_term_product(out, b, key, c)
+    return out
+
+
+def taylor_terms(nil: dict, derivatives, one: dict) -> dict:
+    """sum_j nil^j d_j / j!, d_j = derivatives[j]: the scalar function whose
+    j-th derivative at an even body is d_j, composed with body + nil, nil
+    nilpotent; one is the term map of 1.  The sum stops where nil^j
+    vanishes; ValueError if the table runs out first."""
+    out: dict = {}
+    power = one  # nil^j / j!
+    for j in itertools.count():
+        if not power:
+            return out
+        if j >= len(derivatives):
+            raise ValueError(f"derivative table too short: need order {j}")
+        for key, v in term_product(power, derivatives[j]).items():
+            _acc(out, key, v)
+        power = {key: v * Fraction(1, j + 1) for key, v in term_product(power, nil).items()}
 
 
 # -- distinguished elements ------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import MonKey, Signature, SuperPolynomial, add_term_product
+from .algebra import MonKey, Signature, SuperPolynomial, term_product
 from .quotient import _r2_power
 from .scalars import QQi, int_or_qqi
 
@@ -119,7 +119,4 @@ def pairing_power(sig_left: Signature, sig_right: Signature, k: int) -> dict:
     p = {key: int_or_qqi(c) for key, c in pairing(sig_left, sig_right).terms.items()}
     if any(type(c) is not int for c in p.values()):
         raise ValueError("pairing_power needs a pairing with real integer coefficients")
-    out: dict = {}
-    for key, c in pairing_power(sig_left, sig_right, k - 1).items():
-        add_term_product(out, p, key, c)
-    return out
+    return term_product(pairing_power(sig_left, sig_right, k - 1), p)

@@ -3,9 +3,13 @@
 The integrand q(x) exp(-c x_0) is rewritten in ray coordinates x_i = omega_i s
 (i = 1..m-1), pushed through the twisting morphism phi#, multiplied by the
 finite odd expansions of the two square-root weight factors, and restricted to
-s = x_0 = rho.  What remains factors into a Berezin integral (coefficient of
-the top odd monomial), closed-form monomial moments over the unit sphere, and
-Gamma-type radial integrals; everything is exact in the pi-graded ring.
+s = x_0 = rho.  These are term maps on keys ((a, b) + alpha, J) for
+x_0^a s^b omega^alpha theta_J (``RadialSuperfunction``), multiplied by
+``algebra.term_product``; each weight factor is one finite Taylor sum in the
+nilpotent theta^2 (``algebra.taylor_terms``).  What remains factors into a
+Berezin integral (coefficient of the top odd monomial), closed-form monomial
+moments over the unit sphere, and Gamma-type radial integrals; everything is
+exact in the pi-graded ring.
 
 Normalization.  ``gamma_engine`` is the raw integral of exp(-4 x_0), with
 ``berezin`` the plain iterated derivative: berezin(t_1 ... t_2n) = 1.
@@ -18,6 +22,9 @@ the two is therefore berezin((theta^2)^n) = (-1)^(n(n-1)/2) 2^n n!
 (``berezin_theta_power``): 1, 2, -8, -48 for n = 0..3, and 2^n only for
 n <= 1.  Normalized integrals divide by ``gamma_engine``, so no structural
 identity sees the constant.
+
+A rate is an int or a ``Fraction`` (``scalars.exact_rate``); a float or a
+string raises TypeError.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .algebra import Signature, SuperPolynomial, apply_op, merge_odd, theta2
-from .scalars import PiScalar, QQi, _acc, factorial_fraction, gamma_half, poch
+from .algebra import (Signature, SuperPolynomial, apply_op, merge_odd, taylor_terms,
+                      term_product, theta2)
+from .scalars import (HALF, PiScalar, QQi, _acc, exact_rate, factorial_fraction, gamma_half,
+                      poch)
 
 
 class DivergenceError(ArithmeticError):
@@ -50,7 +59,7 @@ def sphere_moment(alpha: tuple[int, ...], m: int) -> PiScalar:
 
 def radial_integral(N: int, c: Fraction) -> Fraction:
     """Integral of rho^N exp(-c rho) over (0, inf): N! / c^(N+1)."""
-    c = Fraction(c)
+    c = exact_rate(c)
     if c <= 0:
         raise ValueError("rate must be positive")
     if N < 0:
@@ -66,122 +75,85 @@ def berezin(p: SuperPolynomial) -> SuperPolynomial:
     return out
 
 
-@lru_cache(maxsize=None)
-def _theta_powers(sig: Signature):
-    """theta^{2j} for j = 0..n as odd polynomials (term dicts on odd keys)."""
-    out = [SuperPolynomial.one(sig)]
-    t2 = theta2(sig)
-    for _ in range(sig.n):
-        out.append(out[-1] * t2)
-    return [{odd: c for (_, odd), c in p.terms.items()} for p in out]
+def _ray_terms(p: SuperPolynomial, a: int = 0, b: int = 0) -> dict:
+    """x_0^a s^b p on the keys of ``RadialSuperfunction``: x^(ev, J) is
+    x_0^ev[0] s^|alpha| omega^alpha theta_J with alpha = ev[1:]."""
+    return {((ev[0] + a, sum(ev[1:]) + b) + ev[1:], odd): c for (ev, odd), c in p.terms.items()}
 
 
 class RadialSuperfunction:
-    """Sums of coeff * x_0^a s^b omega^alpha theta_J exp(-c x_0), a and b Laurent."""
+    """Sums of coeff * x_0^a s^b omega^alpha theta_J exp(-c x_0), a and b
+    Laurent, as a term map {((a, b) + alpha, J): coeff} with no zero values.
+    x_0, s and omega are even, so ``algebra.term_product`` multiplies two
+    such maps as it multiplies polynomials."""
 
     __slots__ = ("sig", "rate", "terms")
 
-    def __init__(self, sig: Signature, rate: Fraction, terms=None):
+    def __init__(self, sig: Signature, rate: Fraction, terms: dict):
         self.sig = sig
-        self.rate = Fraction(rate)
-        self.terms: dict = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
+        self.rate = exact_rate(rate)
+        self.terms = terms
 
     @classmethod
     def from_poly(cls, p: SuperPolynomial, rate) -> "RadialSuperfunction":
-        terms = {}
-        for (ev, odd), c in p.terms.items():
-            alpha = ev[1:]
-            key = (ev[0], sum(alpha), alpha, odd)
-            _acc(terms, key, c)
-        return cls(p.sig, rate, terms)
+        return cls(p.sig, rate, _ray_terms(p))
 
-    def _mixing_step(self) -> "RadialSuperfunction":
+    def _mixing_step(self, terms: dict) -> dict:
         """One application of (1/(4 x_0)) d_{x_0} - (1/(4 s)) d_s."""
         c = QQi.coerce(self.rate)
         quarter = QQi(1, 0, 4)
         out: dict = {}
-        for (a, b, alpha, odd), v in self.terms.items():
+        for (ev, odd), v in terms.items():
+            a, b, alpha = ev[0], ev[1], ev[2:]
             if a:
-                _acc(out, (a - 2, b, alpha, odd), v * a * quarter)
-            _acc(out, (a - 1, b, alpha, odd), -v * c * quarter)
+                _acc(out, ((a - 2, b) + alpha, odd), v * a * quarter)
+            _acc(out, ((a - 1, b) + alpha, odd), -v * c * quarter)
             if b:
-                _acc(out, (a, b - 2, alpha, odd), -v * b * quarter)
-        return RadialSuperfunction(self.sig, self.rate, out)
-
-    def _mul_theta_power(self, j: int, scalar: QQi) -> dict:
-        """Terms of self multiplied by scalar * theta^{2j}."""
-        theta = _theta_powers(self.sig)[j]
-        out: dict = {}
-        for (a, b, alpha, odd), v in self.terms.items():
-            for todd, tc in theta.items():
-                merged = merge_odd(todd, odd)
-                if merged is None:
-                    continue
-                sign, modd = merged
-                _acc(out, (a, b, alpha, modd), v * tc * scalar * sign)
+                _acc(out, ((a, b - 2) + alpha, odd), -v * b * quarter)
         return out
 
     def phi_sharp(self) -> "RadialSuperfunction":
-        """sum_j (theta^{2j}/j!) D^j, D the mixing derivation above."""
-        sig = self.sig
-        out: dict = {}
-        cur = self
-        fact = 1
-        for j in range(sig.n + 1):
+        """sum_{j <= n} (theta^{2j}/j!) D^j, D the mixing derivation above:
+        an operator exponential, not a scalar function of a nilpotent, so
+        its products are ``term_product`` and not ``taylor_terms``."""
+        theta = _ray_terms(theta2(self.sig))
+        power = {((0,) * (self.sig.m + 1), ()): 1}  # theta^{2j}/j!
+        out, cur = {}, self.terms
+        for j in range(self.sig.n + 1):
             if j:
-                fact *= j
-                cur = cur._mixing_step()
-            part = cur._mul_theta_power(j, QQi(1, 0, fact))
-            for k, v in part.items():
+                cur = self._mixing_step(cur)
+                power = {k: v * Fraction(1, j) for k, v in term_product(power, theta).items()}
+            for k, v in term_product(power, cur).items():
                 _acc(out, k, v)
-        return RadialSuperfunction(sig, self.rate, out)
+        return RadialSuperfunction(self.sig, self.rate, out)
 
     def mul_weights(self) -> "RadialSuperfunction":
-        """Multiply by (1+eta)^{m-3} (1+xi)^{-1}, expanded in theta powers."""
+        """Multiply by the two square-root weight factors, each a Taylor sum
+        (``taylor_terms``) of a power t^p at t = 1, whose j-th derivative is
+        p (p - 1) ... (p - j + 1): t^((m-3)/2) at t = 1 - theta^2/(2 s^2)
+        and t^(-1/2) at t = 1 + theta^2/(2 x_0^2)."""
         sig = self.sig
-        n, m = sig.n, sig.m
-        eta = [QQi.coerce(poch(Fraction(3 - m, 2), j) / (factorial_fraction(j) * 2 ** j))
-               for j in range(n + 1)]
-        xi = [QQi.coerce((-1) ** j * poch(Fraction(1, 2), j)
-                         / (factorial_fraction(j) * 2 ** j)) for j in range(n + 1)]
-        out: dict = {}
-        for j2 in range(n + 1):
-            for j3 in range(n + 1):
-                if j2 + j3 > n:
-                    continue
-                scal = eta[j2] * xi[j3]
-                if scal.is_zero():
-                    continue
-                shifted = RadialSuperfunction(
-                    sig, self.rate,
-                    {(a - 2 * j3, b - 2 * j2, alpha, odd): v
-                     for (a, b, alpha, odd), v in self.terms.items()})
-                for k, v in shifted._mul_theta_power(j2 + j3, scal).items():
-                    _acc(out, k, v)
-        return RadialSuperfunction(sig, self.rate, out)
+        unit = ((0,) * (sig.m + 1), ())
+
+        def weight(p: Fraction, nil: dict) -> dict:
+            table = [{unit: QQi.coerce((-1) ** j * poch(-p, j))} for j in range(sig.n + 1)]
+            return taylor_terms(nil, table, {unit: 1})
+
+        half_theta = theta2(sig).scale(HALF)
+        weights = term_product(weight(Fraction(sig.m - 3, 2), _ray_terms(-half_theta, b=-2)),
+                               weight(Fraction(-1, 2), _ray_terms(half_theta, a=-2)))
+        return RadialSuperfunction(sig, self.rate, term_product(weights, self.terms))
 
     def __mul__(self, other: "RadialSuperfunction") -> "RadialSuperfunction":
-        out: dict = {}
-        for (a1, b1, al1, o1), c1 in self.terms.items():
-            for (a2, b2, al2, o2), c2 in other.terms.items():
-                merged = merge_odd(o1, o2)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                alpha = tuple(x + y for x, y in zip(al1, al2))
-                _acc(out, (a1 + a2, b1 + b2, alpha, odd), c1 * c2 * sign)
-        return RadialSuperfunction(self.sig, self.rate + other.rate, out)
+        return RadialSuperfunction(self.sig, self.rate + other.rate,
+                                   term_product(self.terms, other.terms))
 
     def restrict_to_ray(self) -> dict:
         """Set s = x_0 = rho and include rho^{m-3}: keys (N, alpha, odd)."""
         out: dict = {}
         shift = self.sig.m - 3
-        for (a, b, alpha, odd), v in self.terms.items():
-            _acc(out, (a + b + shift, alpha, odd), v)
+        for (ev, odd), v in self.terms.items():
+            _acc(out, (ev[0] + ev[1] + shift, ev[2:], odd), v)
         return out
 
 
@@ -196,7 +168,7 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
     ray = rs.restrict_to_ray()
     full = _full_odd(sig)
     total = PiScalar()
-    c = Fraction(rate)
+    c = exact_rate(rate)
     for (N, alpha, odd), v in sorted(ray.items()):
         if odd != full:
             continue
@@ -254,7 +226,7 @@ def moment(sig: Signature, key, rate) -> QQi:
     """Normalized integral of x^key exp(-rate x_0) over W, from its class.
 
     Write key = (x_0^a omega^alpha s^|alpha|, theta_J) in ray coordinates.
-    ``RadialSuperfunction.from_poly`` keeps (a, |alpha|, alpha, J), and
+    ``RadialSuperfunction.from_poly`` keeps ((a, |alpha|) + alpha, J), and
     phi#, the weights and the restriction to the ray act on a, |alpha| and
     J only: they carry alpha through unchanged.  So the raw integral of
     x^key is sphere_moment(alpha) times a value of (a, |alpha|, J, rate),
@@ -307,7 +279,7 @@ def integrate_w(poly: SuperPolynomial, rate, trace: list | None = None) -> QQi:
     """Normalized integral of poly exp(-rate x_0) over W, summed from the
     moment table; exact, with all pi powers cancelling.  A traced run
     integrates the polynomial whole."""
-    rate = Fraction(rate)
+    rate = exact_rate(rate)
     sig = poly.sig
     if sig.M < 4:
         raise ValueError("the integral is only defined for superdimension >= 4")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .algebra import (Signature, SuperPolynomial, add_term_product, dim_P,
-                      monomial_keys, r2_small)
+                      monomial_keys, r2_small, term_product)
 from .scalars import _acc
 
 
@@ -28,10 +28,7 @@ def _r2_power(sig: Signature, k: int) -> dict:
         return {((0,) * sig.m, ()): 1}
     r2 = dict(sig.r2_terms)
     _acc(r2, ((2,) + (0,) * (sig.m - 1), ()), 1)
-    out: dict = {}
-    for key, c in _r2_power(sig, k - 1).items():
-        add_term_product(out, r2, key, c)
-    return out
+    return term_product(_r2_power(sig, k - 1), r2)
 
 
 def reduce_terms(terms: dict, x0: int, r2_power) -> dict:

@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 
-from .algebra import (MonKey, Signature, SuperPolynomial, add_term_product, apply_op,
-                      merge_odd, op_terms)
+from .algebra import (MonKey, Signature, SuperPolynomial, apply_op, merge_odd, op_terms,
+                      term_product)
 from .bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature, pairing_power
 from .fock import _word_indices, b_series_coeff, bf_covectors, rho_apply
 from .integral import moment
@@ -94,10 +94,7 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
         if not d:
             return {}
         A, B = cleared(d * coeff(0, d), coeff(1, d - 1))
-        out = {key: A * c for key, c in powers[d].items()}
-        for key, c in powers[d - 1].items():  # B P^(d-1) times the pairing
-            add_term_product(out, powers[1], key, -B * c)
-        return out
+        return _combination((A, powers[d]), (-B, term_product(powers[d - 1], powers[1])))
 
     def bessel(slot, i, d):
         l, a, s = d + 1 if slot == RIGHT else d, slots[slot][i], -1 if i == 0 else 1

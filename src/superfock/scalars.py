@@ -196,6 +196,14 @@ def int_or_qqi(x):
     return q.a if q.d == 1 and not q.b else q
 
 
+def exact_rate(x) -> Fraction:
+    """An exponential rate, an int or a ``Fraction`` as a ``QQi`` part is, as a
+    ``Fraction``; TypeError for a float or a string, which are not read."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"a rate must be an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
+
+
 def int_column(terms: dict) -> tuple[int, dict]:
     """A sparse map {key: QQi} as (d, {key: (a, b)}) with value (a + b*i)/d at
     key; d > 0 is the least common multiple of the denominators."""

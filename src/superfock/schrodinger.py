@@ -10,6 +10,10 @@ the action table ``pi_table`` with the operator map ``pi_op`` (``apply_op``,
 then ``reduce_poly``), applied by ``algebra.table_apply``: at rate 2 on W, at
 rate 0 as pi_C on the Fock space.  The Fock action's table ``fock.rho_table``
 is applied through the same map at rate 0.
+
+Radial superfunctions are one finite Taylor sum (``algebra.taylor_terms``):
+``radial_expand`` on a polynomial, and |X| (``abs_X``), sqrt at the body
+(x_0^2 + s^2)/2 composed with theta^2/2.  A rate is ``scalars.exact_rate``.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (Signature, SuperPolynomial, apply_op, merge_odd,
-                      table_apply, theta2)
+from .algebra import (Signature, SuperPolynomial, apply_op, table_apply, taylor_terms,
+                      theta2)
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import HALF, I, ONE, QQi, _acc
+from .scalars import HALF, I, ONE, QQi, exact_rate, poch
 
 
 class WElement:
@@ -30,7 +34,7 @@ class WElement:
     __slots__ = ("rate", "poly")
 
     def __init__(self, rate: Fraction, poly: SuperPolynomial):
-        self.rate = Fraction(rate)
+        self.rate = exact_rate(rate)
         self.poly = poly
 
     def is_zero(self) -> bool:
@@ -61,7 +65,7 @@ class WElement:
 
 
 def make_w(q: SuperPolynomial, rate) -> WElement:
-    rate = Fraction(rate)
+    rate = exact_rate(rate)
     if rate <= 0:
         raise ValueError("exponential rate must be positive")
     return WElement(rate, reduce_poly(q))
@@ -110,117 +114,33 @@ def pi_apply(X: TKKElement, f: WElement) -> WElement:
 
 
 def radial_expand(f: SuperPolynomial, derivatives) -> SuperPolynomial:
-    """Compose a scalar function with a superfunction via its Taylor expansion.
+    """Compose a scalar function with a superfunction via its Taylor expansion
+    (``algebra.taylor_terms``).
 
     ``derivatives[j]`` must be the j-th derivative of the base function
     evaluated at the body of f (the part free of odd variables), given as a
-    SuperPolynomial or scalar.  The nilpotent remainder of f drives the finite
-    Taylor sum; the table must cover every nonvanishing power.
+    SuperPolynomial of f's signature or a scalar.  The nilpotent remainder of
+    f drives the finite Taylor sum; the table must cover every nonvanishing
+    power.
     """
     sig = f.sig
-    body = SuperPolynomial(sig, {k: c for k, c in f.terms.items() if not k[1]})
-    nil = f - body
-    out = SuperPolynomial.zero(sig)
-    power = SuperPolynomial.one(sig)
-    fact = 1
-    j = 0
-    while True:
-        if j >= len(derivatives):
-            if power.is_zero():
-                break
-            raise ValueError(f"derivative table too short: need order {j}")
-        d = derivatives[j]
-        if not isinstance(d, SuperPolynomial):
-            d = SuperPolynomial.constant(sig, d)
-        out = out + (power * d).scale(Fraction(1, fact))
-        power = power * nil
-        if power.is_zero():
-            break
-        j += 1
-        fact *= j
-    return out
-
-
-class RadialPower:
-    """Finite sums of u^(e/2) times odd monomials, u a positive even body.
-
-    Used to realize |X| = sqrt((x_0^2 + r^2)/2) exactly: with u the body
-    (x_0^2 + s^2)/2 the square root has a terminating Taylor expansion in the
-    nilpotent odd part, and squaring back is an identity this ring can verify.
-    """
-
-    __slots__ = ("sig", "terms")
-
-    def __init__(self, sig: Signature, terms: dict | None = None):
-        self.sig = sig
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = QQi.coerce(c)
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    @classmethod
-    def u_power(cls, sig: Signature, half_exp: int, coeff=1) -> "RadialPower":
-        return cls(sig, {(half_exp, ()): coeff})
-
-    @classmethod
-    def from_odd_poly(cls, p: SuperPolynomial) -> "RadialPower":
-        terms = {}
-        for (ev, odd), c in p.terms.items():
-            if any(ev):
-                raise ValueError("expected a purely odd polynomial")
-            terms[(0, odd)] = c
-        return cls(p.sig, terms)
-
-    def __add__(self, other: "RadialPower") -> "RadialPower":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return RadialPower(self.sig, out)
-
-    def __sub__(self, other: "RadialPower") -> "RadialPower":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "RadialPower":
-        c = QQi.coerce(c)
-        return RadialPower(self.sig, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "RadialPower") -> "RadialPower":
-        out: dict = {}
-        for (e1, o1), c1 in self.terms.items():
-            for (e2, o2), c2 in other.terms.items():
-                merged = merge_odd(o1, o2)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                key = (e1 + e2, odd)
-                _acc(out, key, c1 * c2 * sign)
-        return RadialPower(self.sig, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RadialPower) and self.sig == other.sig
-                and self.terms == other.terms)
+    table = []
+    for d in derivatives:
+        d = d if isinstance(d, SuperPolynomial) else SuperPolynomial.constant(sig, d)
+        f._check(d)
+        table.append(d.terms)
+    nil = {k: c for k, c in f.terms.items() if k[1]}
+    return SuperPolynomial(sig, taylor_terms(nil, table, SuperPolynomial.one(sig).terms))
 
 
 @lru_cache(maxsize=None)
-def abs_X(sig: Signature) -> RadialPower:
-    """|X| as a radial superfunction: sqrt at the body u, Taylor in theta^2/2."""
-    nil = RadialPower.from_odd_poly(theta2(sig).scale(Fraction(1, 2)))
-    out = RadialPower(sig)
-    power = RadialPower.u_power(sig, 0)
-    coeff = Fraction(1)
-    fact = 1
-    j = 0
-    while True:
-        # coeff = j-th derivative prefactor of sqrt: (1/2)(1/2-1)...(1/2-j+1)
-        out = out + power.scale(QQi.coerce(coeff / fact)) * RadialPower.u_power(sig, 1 - 2 * j)
-        power = power * nil
-        if power.is_zero():
-            return out
-        coeff *= Fraction(1, 2) - j
-        j += 1
-        fact *= j
+def abs_X(sig: Signature) -> dict:
+    """|X| = sqrt((x_0^2 + r^2)/2) as a term map {((e,), odd): c} standing for
+    c u^(e/2) t^odd, u = (x_0^2 + s^2)/2 the body: sqrt at u composed with the
+    nilpotent theta^2/2 (``algebra.taylor_terms``).  The j-th derivative of
+    sqrt at u is (1/2)(1/2 - 1)...(1/2 - j + 1) u^(1/2 - j), and
+    (theta^2)^(n+1) = 0."""
+    nil = {((0,), odd): c * HALF for (_, odd), c in theta2(sig).terms.items()}
+    table = [{((1 - 2 * j,), ()): QQi.coerce((-1) ** j * poch(Fraction(-1, 2), j))}
+             for j in range(sig.n + 1)]
+    return taylor_terms(nil, table, {((0,), ()): 1})

@@ -42,7 +42,7 @@ from . import linalg
 from .algebra import (_OPS, R2, Signature, SuperPolynomial, add_term_product,
                       apply_op, dim_P, in_minus_2n, monomial_keys, monomials_up_to,
                       mul_key, op_column, r2_small, random_polynomial, table_columns,
-                      theta2)
+                      term_product, theta2)
 from .fock import (b_series_coeff, bessel_image, bf_covectors, bf_product,
                    bf_product_shift_oracle, bf_word_apply, gram_nullspace,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
@@ -58,7 +58,7 @@ from .quotient import (graded_dim_F, ideal_member, is_normal_form, nf_terms,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
 from .scalars import (HALF, I, ZERO, PiScalar, QQi, _acc, column_combination,
                       int_column, int_or_qqi)
-from .schrodinger import (WElement, abs_X, RadialPower, diffop_on_w,
+from .schrodinger import (WElement, abs_X, diffop_on_w,
                           lowest_vector, make_w, pi_apply, pi_table,
                           radial_expand)
 from .sbtransform import SBTransform, b0_identity_failures, exp_z0_truncation
@@ -752,10 +752,10 @@ def check_radial(ctx: Context):
     table = [x0 * x0, x0.scale(2), SuperPolynomial.constant(sig, 2)] + [0] * (2 * sig.n)
     if radial_expand(f, table) != f * f:
         return False, "square-table expansion"
-    aX = abs_X(sig)
-    want = RadialPower.u_power(sig, 2) + \
-        RadialPower.from_odd_poly(theta2(sig).scale(Fraction(1, 2)))
-    if aX * aX != want:
+    # |X|^2 = u + theta^2/2 on the keys ((e,), odd) of c u^(e/2) t^odd
+    want = {((2,), ()): QQi(1)}
+    want.update({((0,), odd): c * HALF for (_, odd), c in theta2(sig).terms.items()})
+    if term_product(abs_X(sig), abs_X(sig)) != want:
         return False, "the radial square root does not square back"
     return True, ""
 

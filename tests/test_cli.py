@@ -101,7 +101,7 @@ def test_clear_caches_empties_every_module_cache():
         "superfock.algebra.r2_small", "superfock.algebra.theta2",
         "superfock.bipoly._slot_r2_power", "superfock.bipoly.bi_signature",
         "superfock.bipoly.pairing_power", "superfock.fock.bessel_image",
-        "superfock.fock.bf_covectors", "superfock.integral._theta_powers",
+        "superfock.fock.bf_covectors",
         "superfock.integral._moment_class", "superfock.integral.gamma_engine",
         "superfock.integral.moment",
         "superfock.liealg.tkk_for", "superfock.quotient._r2_power",
@@ -173,6 +173,14 @@ def test_cli_gamma_and_trace(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == "1/2"
     assert payload["terms"][0]["rho_power"] == 2
+
+
+def test_cli_trace_reads_a_decimal_rate_exactly(capsys):
+    # --rate is parsed as an exact rational, so 0.1 is 1/10 and not a float
+    assert main(["--m", "4", "--n", "0", "--trace", "0,0,0,0", "--rate", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == "1600"
+    assert {t["rate"] for t in payload["terms"]} == {"1/10"}
 
 
 def test_cli_structure_constants(capsys):

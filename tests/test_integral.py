@@ -6,13 +6,14 @@ import pytest
 from superfock import integral
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op, monomial_keys,
                                random_polynomial, theta2)
-from superfock.integral import (DivergenceError, _integral_direct, berezin,
-                                berezin_theta_power, gamma_closed_form, gamma_engine,
-                                integrate_w, moment, radial_integral, sphere_moment, w_form)
+from superfock.integral import (DivergenceError, RadialSuperfunction, _integral_direct,
+                                berezin, berezin_theta_power, gamma_closed_form,
+                                gamma_engine, integrate_w, moment, radial_integral,
+                                sphere_moment, w_form)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
-from superfock.schrodinger import lowest_vector, make_w, pi_apply
+from superfock.schrodinger import WElement, lowest_vector, make_w, pi_apply
 from superfock.verify import Context, RunConfig, check_normalization
 
 SIG40 = Signature(4, 0)
@@ -34,6 +35,21 @@ def test_radial_integrals():
     assert radial_integral(3, Fraction(2)) == Fraction(6, 16)
     with pytest.raises(DivergenceError):
         radial_integral(-1, Fraction(4))
+
+
+@pytest.mark.parametrize("rate", [0.1, 4.0, "4", "1/10"])
+def test_a_rate_that_is_not_an_int_or_a_fraction_is_refused(rate):
+    # a float's binary expansion or a parsed string is never taken as a rate
+    one = SuperPolynomial.one(SIG40)
+    for call in (lambda: radial_integral(1, rate), lambda: integrate_w(one, rate),
+                 lambda: integrate_w(one, rate, trace=[]), lambda: make_w(one, rate),
+                 lambda: WElement(rate, one), lambda: _integral_direct(one, rate),
+                 lambda: RadialSuperfunction.from_poly(one, rate),
+                 lambda: apply_op(("E",), one, rate)):
+        with pytest.raises(TypeError):
+            call()
+    assert integrate_w(one, Fraction(1, 10)) == integrate_w(one, Fraction(1, 10), trace=[])
+    assert make_w(one, True).rate == 1
 
 
 def test_berezin():

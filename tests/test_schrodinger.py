@@ -5,12 +5,12 @@ import pytest
 
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op,
                                monomials_up_to, random_polynomial,
-                               table_apply, theta2)
+                               table_apply, term_product, theta2)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import exp_z0_truncation
 from superfock.scalars import I, QQi
-from superfock.schrodinger import (RadialPower, abs_X, diffop_on_w,
+from superfock.schrodinger import (abs_X, diffop_on_w,
                                    lowest_vector, make_w, pi_apply, pi_op,
                                    pi_table, radial_expand)
 
@@ -177,12 +177,13 @@ def test_radial_expand_refuses_a_derivative_on_another_signature(other, order):
 
 
 def test_abs_X_squares_back():
+    # term maps {((e,), odd): c} for c u^(e/2) t^odd: |X|^2 = u + theta^2/2
     for (m, n) in [(4, 1), (2, 2)]:
         sig = Signature(m, n)
         aX = abs_X(sig)
-        want = RadialPower.u_power(sig, 2) + \
-            RadialPower.from_odd_poly(theta2(sig).scale(Fraction(1, 2)))
-        assert aX * aX == want
+        want = {((2,), ()): 1}
+        want.update({((0,), odd): c * Fraction(1, 2) for (_, odd), c in theta2(sig).terms.items()})
+        assert term_product(aX, aX) == want
 
 
 def test_welement_arithmetic():

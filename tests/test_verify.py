@@ -14,7 +14,10 @@ product rule and the memoized columns of the angular commutant give the
 witnesses of the polynomial route and of unmemoized columns; the integer
 routes of the Jacobi identity, of bracket preservation under the Cayley
 transform and of the matrix model give the witnesses of their ``QQi``
-routes.  Every shape the CLI accepts at small size passes every suite."""
+routes.  One wrong derivative in the Taylor sums (``algebra.taylor_terms``)
+that |X| and the W-integral's weight factors share fails the radial check
+and the integral checks.  Every shape the CLI accepts at small size passes
+every suite."""
 
 import gc
 import random
@@ -27,7 +30,7 @@ from functools import cache, partial
 import pytest
 
 import superfock
-from superfock import integral, sbtransform, verify
+from superfock import algebra, integral, sbtransform, schrodinger, verify
 from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
                                monomial_keys, monomials_up_to, mul_key, op_column,
                                op_image, table_apply, table_columns)
@@ -1085,6 +1088,32 @@ def test_a_corrupted_w_side_moment_fails_the_unitarity(monkeypatch):
     monkeypatch.setattr(integral, "moment", doubled_moment(ctx.sig, ((2, 0, 0, 0, 0), ())))
     ok, witness = check_unitarity(ctx, 1)
     assert ok is False and witness.startswith("forms differ on")
+
+
+def test_a_doubled_first_derivative_of_the_taylor_sums_fails_radial_and_integral_checks(
+        monkeypatch):
+    # |X| (schrodinger) and the weight factors of the W-integral (integral)
+    # read one Taylor composition, so one wrong derivative reaches both
+    taylor_terms = algebra.taylor_terms
+
+    def doubled(nil, derivatives, one):
+        table = list(derivatives)
+        if len(table) > 1:
+            table[1] = {key: 2 * v for key, v in table[1].items()}
+        return taylor_terms(nil, table, one)
+    monkeypatch.setattr(schrodinger, "taylor_terms", doubled)
+    monkeypatch.setattr(integral, "taylor_terms", doubled)
+    superfock.clear_caches()
+    try:
+        results = run_suite(RunConfig(m=6, n=1, max_degree=2,
+                                      suites=("schrodinger", "integral")))
+    finally:
+        superfock.clear_caches()
+    failed = {f"{r.suite}/{r.name}": r.detail for r in results if r.status == "fail"}
+    assert set(failed) == {"schrodinger/radial-superfunctions", "integral/normalization",
+                           "integral/pi-skew-supersymmetry"}
+    assert failed["integral/normalization"] == (
+        "engine gamma (-5/6)*pi^2 vs closed form (-1/4)*pi^2: ratio 10/3")
 
 
 @pytest.mark.parametrize("m,n", [(5, 0), (6, 1)])
