@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``scalars``      exact Gaussian rationals and the pi-graded ring
+- ``scalars``      exact Gaussian rationals and their multiples of powers of pi
 - ``algebra``      superpolynomials, derivations, Bessel operators
 - ``quotient``     normal forms modulo the ideal generated by R^2
 - ``harmonics``    spherical harmonics and Fischer decomposition

@@ -233,17 +233,6 @@ def gram_nullspace(k: int, sig: Signature) -> list[SuperPolynomial]:
     return [SuperPolynomial(sig, {keys[c]: v for c, v in vec.items()}) for vec in vecs]
 
 
-def gram_json(k: int, sig: Signature) -> str:
-    import json
-    keys, mat = gram(k, sig)
-    names = [str(SuperPolynomial.monomial(sig, key)) for key in keys]
-    return json.dumps({
-        "degree": k,
-        "basis": names,
-        "entries": [[str(v) for v in row] for row in mat],
-    }, indent=1)
-
-
 # -- the Fock action -----------------------------------------------------------
 
 

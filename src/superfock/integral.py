@@ -1,15 +1,15 @@
 """Exact evaluation of the W-integral and the sesquilinear form on W.
 
 The integrand q(x) exp(-c x_0) is rewritten in ray coordinates x_i = omega_i s
-(i = 1..m-1), pushed through the twisting morphism phi#, multiplied by the
-finite odd expansions of the two square-root weight factors, and restricted to
-s = x_0 = rho.  These are term maps on keys ((a, b) + alpha, J) for
-x_0^a s^b omega^alpha theta_J (``RadialSuperfunction``), multiplied by
-``algebra.term_product``; each weight factor is one finite Taylor sum in the
-nilpotent theta^2 (``algebra.taylor_terms``).  What remains factors into a
-Berezin integral (coefficient of the top odd monomial), closed-form monomial
-moments over the unit sphere, and Gamma-type radial integrals; everything is
-exact in the pi-graded ring.
+(i = 1..m-1), pushed through the twisting morphism phi# (``phi_sharp``),
+multiplied by the finite odd expansions of the two square-root weight factors
+(``weights``), and restricted to s = x_0 = rho.  These are ray term maps on
+keys ((a, b) + alpha, J) for x_0^a s^b omega^alpha theta_J (``_ray_terms``),
+multiplied by ``algebra.term_product``; each weight factor is one finite
+Taylor sum in the nilpotent theta^2 (``algebra.taylor_terms``).  What remains
+factors into a Berezin integral (coefficient of the top odd monomial),
+closed-form monomial moments over the unit sphere, and Gamma-type radial
+integrals; every value is a rational times one power of pi (``PiScalar``).
 
 Normalization.  ``gamma_engine`` is the raw integral of exp(-4 x_0), with
 ``berezin`` the plain iterated derivative: berezin(t_1 ... t_2n) = 1.
@@ -51,7 +51,7 @@ def sphere_moment(alpha: tuple[int, ...], m: int) -> PiScalar:
         raise ValueError("alpha must have length m-1")
     if any(a % 2 for a in alpha):
         return PiScalar()
-    num = PiScalar.of(2)
+    num = PiScalar(2)
     for a in alpha:
         num = num * gamma_half(a + 1)
     return num / gamma_half(sum(alpha) + m - 1)
@@ -76,99 +76,71 @@ def berezin(p: SuperPolynomial) -> SuperPolynomial:
 
 
 def _ray_terms(p: SuperPolynomial, a: int = 0, b: int = 0) -> dict:
-    """x_0^a s^b p on the keys of ``RadialSuperfunction``: x^(ev, J) is
-    x_0^ev[0] s^|alpha| omega^alpha theta_J with alpha = ev[1:]."""
+    """x_0^a s^b p as a ray term map {((a, b) + alpha, J): coeff} for
+    coeff x_0^a s^b omega^alpha theta_J, a and b Laurent: x^(ev, J) is
+    x_0^ev[0] s^|alpha| omega^alpha theta_J with alpha = ev[1:].  x_0, s and
+    omega are even, so ``algebra.term_product`` multiplies two such maps as
+    it multiplies polynomials."""
     return {((ev[0] + a, sum(ev[1:]) + b) + ev[1:], odd): c for (ev, odd), c in p.terms.items()}
 
 
-class RadialSuperfunction:
-    """Sums of coeff * x_0^a s^b omega^alpha theta_J exp(-c x_0), a and b
-    Laurent, as a term map {((a, b) + alpha, J): coeff} with no zero values.
-    x_0, s and omega are even, so ``algebra.term_product`` multiplies two
-    such maps as it multiplies polynomials."""
-
-    __slots__ = ("sig", "rate", "terms")
-
-    def __init__(self, sig: Signature, rate: Fraction, terms: dict):
-        self.sig = sig
-        self.rate = exact_rate(rate)
-        self.terms = terms
-
-    @classmethod
-    def from_poly(cls, p: SuperPolynomial, rate) -> "RadialSuperfunction":
-        return cls(p.sig, rate, _ray_terms(p))
-
-    def _mixing_step(self, terms: dict) -> dict:
-        """One application of (1/(4 x_0)) d_{x_0} - (1/(4 s)) d_s."""
-        c = QQi.coerce(self.rate)
-        quarter = QQi(1, 0, 4)
-        out: dict = {}
-        for (ev, odd), v in terms.items():
-            a, b, alpha = ev[0], ev[1], ev[2:]
-            if a:
-                _acc(out, ((a - 2, b) + alpha, odd), v * a * quarter)
-            _acc(out, ((a - 1, b) + alpha, odd), -v * c * quarter)
-            if b:
-                _acc(out, ((a, b - 2) + alpha, odd), -v * b * quarter)
-        return out
-
-    def phi_sharp(self) -> "RadialSuperfunction":
-        """sum_{j <= n} (theta^{2j}/j!) D^j, D the mixing derivation above:
-        an operator exponential, not a scalar function of a nilpotent, so
-        its products are ``term_product`` and not ``taylor_terms``."""
-        theta = _ray_terms(theta2(self.sig))
-        power = {((0,) * (self.sig.m + 1), ()): 1}  # theta^{2j}/j!
-        out, cur = {}, self.terms
-        for j in range(self.sig.n + 1):
-            if j:
-                cur = self._mixing_step(cur)
-                power = {k: v * Fraction(1, j) for k, v in term_product(power, theta).items()}
-            for k, v in term_product(power, cur).items():
-                _acc(out, k, v)
-        return RadialSuperfunction(self.sig, self.rate, out)
-
-    def mul_weights(self) -> "RadialSuperfunction":
-        """Multiply by the two square-root weight factors, each a Taylor sum
-        (``taylor_terms``) of a power t^p at t = 1, whose j-th derivative is
-        p (p - 1) ... (p - j + 1): t^((m-3)/2) at t = 1 - theta^2/(2 s^2)
-        and t^(-1/2) at t = 1 + theta^2/(2 x_0^2)."""
-        sig = self.sig
-        unit = ((0,) * (sig.m + 1), ())
-
-        def weight(p: Fraction, nil: dict) -> dict:
-            table = [{unit: QQi.coerce((-1) ** j * poch(-p, j))} for j in range(sig.n + 1)]
-            return taylor_terms(nil, table, {unit: 1})
-
-        half_theta = theta2(sig).scale(HALF)
-        weights = term_product(weight(Fraction(sig.m - 3, 2), _ray_terms(-half_theta, b=-2)),
-                               weight(Fraction(-1, 2), _ray_terms(half_theta, a=-2)))
-        return RadialSuperfunction(sig, self.rate, term_product(weights, self.terms))
-
-    def __mul__(self, other: "RadialSuperfunction") -> "RadialSuperfunction":
-        return RadialSuperfunction(self.sig, self.rate + other.rate,
-                                   term_product(self.terms, other.terms))
-
-    def restrict_to_ray(self) -> dict:
-        """Set s = x_0 = rho and include rho^{m-3}: keys (N, alpha, odd)."""
-        out: dict = {}
-        shift = self.sig.m - 3
-        for (ev, odd), v in self.terms.items():
-            _acc(out, (ev[0] + ev[1] + shift, ev[2:], odd), v)
-        return out
+def phi_sharp(sig: Signature, rate, terms: dict) -> dict:
+    """phi# of f exp(-rate x_0), f a ray term map: sum_{j <= n} (theta^{2j}/j!)
+    D^j f, D = (1/(4 x_0)) d_{x_0} - (1/(4 s)) d_s on f exp(-rate x_0) with
+    the exponential divided out.  An operator exponential, not a scalar
+    function of a nilpotent, so its products are ``term_product`` and not
+    ``taylor_terms``."""
+    c = QQi.coerce(exact_rate(rate))
+    quarter = QQi(1, 0, 4)
+    theta = _ray_terms(theta2(sig))
+    power = {((0,) * (sig.m + 1), ()): 1}  # theta^{2j}/j!
+    out, cur = {}, terms
+    for j in range(sig.n + 1):
+        if j:
+            step: dict = {}
+            for (ev, odd), v in cur.items():
+                a, b, alpha = ev[0], ev[1], ev[2:]
+                if a:
+                    _acc(step, ((a - 2, b) + alpha, odd), v * a * quarter)
+                _acc(step, ((a - 1, b) + alpha, odd), -v * c * quarter)
+                if b:
+                    _acc(step, ((a, b - 2) + alpha, odd), -v * b * quarter)
+            cur = step
+            power = {k: v * Fraction(1, j) for k, v in term_product(power, theta).items()}
+        for k, v in term_product(power, cur).items():
+            _acc(out, k, v)
+    return out
 
 
-def _full_odd(sig: Signature) -> tuple[int, ...]:
-    return tuple(range(sig.m, sig.nvars))
+def weights(sig: Signature) -> tuple[dict, dict]:
+    """The two square-root weight factors as ray term maps, each a Taylor sum
+    (``taylor_terms``) of a power t^p at t = 1, whose j-th derivative is
+    p (p - 1) ... (p - j + 1): w1 = t^((m-3)/2) at t1 = 1 - theta^2/(2 s^2)
+    and w2 = t^(-1/2) at t2 = 1 + theta^2/(2 x_0^2)."""
+    unit = ((0,) * (sig.m + 1), ())
+
+    def weight(p: Fraction, nil: dict) -> dict:
+        table = [{unit: QQi.coerce((-1) ** j * poch(-p, j))} for j in range(sig.n + 1)]
+        return taylor_terms(nil, table, {unit: 1})
+
+    half_theta = theta2(sig).scale(HALF)
+    return (weight(Fraction(sig.m - 3, 2), _ray_terms(-half_theta, b=-2)),
+            weight(Fraction(-1, 2), _ray_terms(half_theta, a=-2)))
 
 
 def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiScalar:
-    """The raw integral of p exp(-rate x_0), before gamma normalization."""
+    """The raw integral of p exp(-rate x_0), before gamma normalization:
+    phi# of p's ray terms times the weights w1 w2, restricted to the ray
+    s = x_0 = rho with the factor rho^(m-3), keys (N, alpha, odd)."""
     sig = p.sig
-    rs = RadialSuperfunction.from_poly(p, rate).phi_sharp().mul_weights()
-    ray = rs.restrict_to_ray()
-    full = _full_odd(sig)
-    total = PiScalar()
     c = exact_rate(rate)
+    w1, w2 = weights(sig)
+    terms = term_product(term_product(w1, w2), phi_sharp(sig, c, _ray_terms(p)))
+    ray: dict = {}
+    for (ev, odd), v in terms.items():
+        _acc(ray, (ev[0] + ev[1] + sig.m - 3, ev[2:], odd), v)
+    full = tuple(range(sig.m, sig.nvars))
+    total = PiScalar()
     for (N, alpha, odd), v in sorted(ray.items()):
         if odd != full:
             continue
@@ -180,8 +152,7 @@ def _integral_direct(p: SuperPolynomial, rate, trace: list | None = None) -> PiS
         except DivergenceError as exc:
             raise DivergenceError(
                 f"{exc} from term omega^{alpha} (coefficient {v})") from None
-        contrib = sphere * PiScalar.of(v * QQi.coerce(rad))
-        total = total + contrib
+        total = total + sphere * PiScalar(v * QQi.coerce(rad))
         if trace is not None:
             trace.append({
                 "rho_power": N,
@@ -226,7 +197,7 @@ def moment(sig: Signature, key, rate) -> QQi:
     """Normalized integral of x^key exp(-rate x_0) over W, from its class.
 
     Write key = (x_0^a omega^alpha s^|alpha|, theta_J) in ray coordinates.
-    ``RadialSuperfunction.from_poly`` keeps ((a, |alpha|) + alpha, J), and
+    ``_ray_terms`` keeps ((a, |alpha|) + alpha, J), and
     phi#, the weights and the restriction to the ray act on a, |alpha| and
     J only: they carry alpha through unchanged.  So the raw integral of
     x^key is sphere_moment(alpha) times a value of (a, |alpha|, J, rate),
@@ -271,7 +242,7 @@ def gamma_closed_form(m: int, n: int) -> PiScalar:
     if M < 4:
         raise ValueError("closed form requires M >= 4")
     pref = Fraction(2) ** (5 - 2 * M) / factorial_fraction(n) * poch(Fraction(3 - m, 2), n)
-    out = PiScalar.of(QQi.coerce(pref), m - 1) / gamma_half(m - 1)
+    out = PiScalar(pref, m - 1) / gamma_half(m - 1)
     return out * gamma_half(2 * (M - 2))
 
 

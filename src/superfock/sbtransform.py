@@ -160,11 +160,6 @@ class SBTransform:
 
     # -- forward -----------------------------------------------------------
 
-    def sb_monomial(self, mono: MonKey) -> SuperPolynomial:
-        """Transform of a single normal-form monomial times exp(-2 x_0): the
-        polynomial of ``sb_column(mono)``."""
-        return SuperPolynomial(self.sig_z, column_terms(self.sb_column(mono)))
-
     def sb_column(self, mono: MonKey) -> tuple[int, dict]:
         """The reduced transform of x^mono exp(-2 x_0) as an integer column
         (``scalars.int_column``), memoized.

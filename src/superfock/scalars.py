@@ -1,10 +1,11 @@
-"""Exact scalar domains: Gaussian rationals and their pi-graded extension.
+"""Exact scalar domains: Gaussian rationals and their products with a power of pi.
 
 ``QQi`` holds numbers of the form (a + b*i)/d with integer a, b, d: the
 coefficients of polynomials, of {key: QQi} maps and of columns with a
-denominator.  Integral values that carry half-integer powers of pi (sphere
-areas, Gamma values at half-integers) live in ``PiScalar``, a Laurent ring in
-pi^(1/2) with QQi coefficients.
+denominator.  Integral values that carry a half-integer power of pi (sphere
+areas, Gamma values at half-integers) are ``PiScalar`` values c*pi^(k/2): one
+QQi coefficient c and one integer half-exponent k.  Every value of the
+W-integral is of this form, so no sum of two powers is ever held.
 
 Every ``QQi`` is stored in lowest terms: d > 0 and gcd(a, b, d) = 1, so equal
 numbers have equal parts and ``==``, ``hash`` and ``str`` read the parts.
@@ -12,8 +13,8 @@ numbers have equal parts and ``==``, ``hash`` and ``str`` read the parts.
 result through it: each part must be an int (a bool is stored as an int) or
 a ``Fraction``, anything else raises ``TypeError``, d = 0 raises
 ``ZeroDivisionError``, and the gcd is skipped only when a, b, d are ints and
-d = 1.  ``PiScalar(terms)`` is likewise the one constructor of its type; it
-coerces each coefficient and drops the zeros.
+d = 1.  ``PiScalar(coeff, half)`` is likewise the one constructor of its
+type; it coerces the coefficient, and zero carries half = 0.
 
 Hot contraction loops read sparse maps of ``QQi`` values as integer columns
 (``int_column``): Gaussian-integer numerator pairs over one positive
@@ -89,14 +90,6 @@ class QQi:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
 
     def conjugate(self) -> "QQi":
         return QQi(self.a, -self.b, self.d)
@@ -285,112 +278,93 @@ def factorial_fraction(n: int) -> Fraction:
 
 
 class PiScalar:
-    """Finite QQi-combination of half-integer powers of pi.
+    """c * pi^(k/2): a QQi coefficient c and an integer half-exponent k, so
+    pi^(3/2) has half = 3.  Zero has half = 0.  Products add the exponents
+    and quotients subtract them; a sum of two nonzero values of different
+    powers raises ValueError.  A value with half = 0 is an exact scalar and
+    can be extracted with :meth:`as_qqi`."""
 
-    Keys of the internal dict are twice the pi-exponent, so pi^(3/2) is
-    stored under key 3.  A PiScalar supported on key 0 alone is an exact
-    scalar and can be extracted with :meth:`as_qqi`.
-    """
+    __slots__ = ("coeff", "half")
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[int, QQi] = {}
-        for k, c in (terms or {}).items():
-            if c := QQi.coerce(c):
-                self.terms[k] = c
-
-    @classmethod
-    def of(cls, coeff, half_exponent: int = 0) -> "PiScalar":
-        return cls({half_exponent: coeff})
+    def __init__(self, coeff=0, half: int = 0):
+        self.coeff = QQi.coerce(coeff)
+        self.half = half if self.coeff else 0
 
     @staticmethod
     def coerce(x) -> "PiScalar":
         if isinstance(x, PiScalar):
             return x
-        return PiScalar.of(x)
+        return PiScalar(x)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeff
 
     def __add__(self, other) -> "PiScalar":
         o = PiScalar.coerce(other)
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            _acc(out, k, c)
-        return PiScalar(out)
+        if not o.coeff:
+            return self
+        if not self.coeff:
+            return o
+        if self.half != o.half:
+            raise ValueError(f"cannot add different powers of pi: {self} and {o}")
+        return PiScalar(self.coeff + o.coeff, self.half)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar({k: -c for k, c in self.terms.items()})
+        return PiScalar(-self.coeff, self.half)
 
     def __sub__(self, other) -> "PiScalar":
         return self + (-PiScalar.coerce(other))
 
     def __mul__(self, other) -> "PiScalar":
         o = PiScalar.coerce(other)
-        out: dict[int, QQi] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                k = k1 + k2
-                _acc(out, k, c1 * c2)
-        return PiScalar(out)
+        return PiScalar(self.coeff * o.coeff, self.half + o.half)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "PiScalar":
         o = PiScalar.coerce(other)
-        if len(o.terms) != 1:
-            raise ZeroDivisionError("PiScalar division needs a single-power divisor")
-        (k, c), = o.terms.items()
-        cinv = c.inverse()
-        return PiScalar({kk - k: cc * cinv for kk, cc in self.terms.items()})
+        return PiScalar(self.coeff / o.coeff, self.half - o.half)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QQi)):
             other = PiScalar.coerce(other)
         if not isinstance(other, PiScalar):
             return NotImplemented
-        return self.terms == other.terms
+        return self.coeff == other.coeff and self.half == other.half
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.coeff, self.half))
 
     def as_qqi(self) -> QQi:
-        """Extract the scalar value; raises if any pi power survives."""
-        if not self.terms:
-            return ZERO
-        if set(self.terms) != {0}:
+        """Extract the scalar value; raises if a pi power survives."""
+        if self.half:
             raise ValueError(f"pi powers did not cancel: {self}")
-        return self.terms[0]
+        return self.coeff
 
     def __str__(self) -> str:
-        if not self.terms:
+        c, k = self.coeff, self.half
+        if not c:
             return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                parts.append(str(c))
-            elif k == 2:
-                parts.append(f"({c})*pi")
-            elif k % 2 == 0:
-                parts.append(f"({c})*pi^{k // 2}")
-            else:
-                parts.append(f"({c})*pi^({k}/2)")
-        return " + ".join(parts)
+        if k == 0:
+            return str(c)
+        if k == 2:
+            return f"({c})*pi"
+        if k % 2 == 0:
+            return f"({c})*pi^{k // 2}"
+        return f"({c})*pi^({k}/2)"
 
     def __repr__(self) -> str:
         return f"PiScalar({self})"
 
 
 def gamma_half(k: int) -> PiScalar:
-    """Gamma(k/2) for positive integer k, exact in the pi-graded ring."""
+    """Gamma(k/2) for positive integer k, exactly: a rational times pi^0 or pi^(1/2)."""
     if k <= 0:
         raise ValueError("Gamma pole or nonpositive argument")
     if k % 2 == 0:
-        return PiScalar.of(factorial_fraction(k // 2 - 1))
+        return PiScalar(factorial_fraction(k // 2 - 1))
     j = (k - 1) // 2  # Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi)
     val = factorial_fraction(2 * j) / (Fraction(4) ** j * factorial_fraction(j))
-    return PiScalar.of(val, 1)
+    return PiScalar(val, 1)

@@ -11,9 +11,9 @@ then ``reduce_poly``), applied by ``algebra.table_apply``: at rate 2 on W, at
 rate 0 as pi_C on the Fock space.  The Fock action's table ``fock.rho_table``
 is applied through the same map at rate 0.
 
-Radial superfunctions are one finite Taylor sum (``algebra.taylor_terms``):
-``radial_expand`` on a polynomial, and |X| (``abs_X``), sqrt at the body
-(x_0^2 + s^2)/2 composed with theta^2/2.  A rate is ``scalars.exact_rate``.
+The radial superfunction |X| (``abs_X``) is one finite Taylor sum
+(``algebra.taylor_terms``): sqrt at the body (x_0^2 + s^2)/2 composed with
+theta^2/2.  A rate is ``scalars.exact_rate``.
 """
 
 from __future__ import annotations
@@ -111,26 +111,6 @@ def pi_apply(X: TKKElement, f: WElement) -> WElement:
 
 
 # -- radial superfunctions ---------------------------------------------------
-
-
-def radial_expand(f: SuperPolynomial, derivatives) -> SuperPolynomial:
-    """Compose a scalar function with a superfunction via its Taylor expansion
-    (``algebra.taylor_terms``).
-
-    ``derivatives[j]`` must be the j-th derivative of the base function
-    evaluated at the body of f (the part free of odd variables), given as a
-    SuperPolynomial of f's signature or a scalar.  The nilpotent remainder of
-    f drives the finite Taylor sum; the table must cover every nonvanishing
-    power.
-    """
-    sig = f.sig
-    table = []
-    for d in derivatives:
-        d = d if isinstance(d, SuperPolynomial) else SuperPolynomial.constant(sig, d)
-        f._check(d)
-        table.append(d.terms)
-    nil = {k: c for k, c in f.terms.items() if k[1]}
-    return SuperPolynomial(sig, taylor_terms(nil, table, SuperPolynomial.one(sig).terms))
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 
-from . import linalg
+from . import integral, linalg
 from .algebra import (_OPS, R2, Signature, SuperPolynomial, add_term_product,
                       apply_op, dim_P, in_minus_2n, monomial_keys, monomials_up_to,
                       mul_key, op_column, r2_small, random_polynomial, table_columns,
@@ -59,8 +59,7 @@ from .quotient import (graded_dim_F, ideal_member, is_normal_form, nf_terms,
 from .scalars import (HALF, I, ZERO, PiScalar, QQi, _acc, column_combination,
                       int_column, int_or_qqi)
 from .schrodinger import (WElement, abs_X, diffop_on_w,
-                          lowest_vector, make_w, pi_apply, pi_table,
-                          radial_expand)
+                          lowest_vector, make_w, pi_apply, pi_table)
 from .sbtransform import SBTransform, b0_identity_failures, exp_z0_truncation
 from . import specfun
 
@@ -737,27 +736,31 @@ def check_representative_independence(ctx: Context, max_degree: int = 2):
 
 
 def check_radial(ctx: Context):
+    """The weight factors that the W-integral multiplies in (``integral.weights``)
+    square back at their nilpotents t1 = 1 - theta^2/(2 s^2) and
+    t2 = 1 + theta^2/(2 x_0^2): w1^2 = t1^(m-3) (w1^2 t1 = 1 at m = 2) and
+    w2^2 t2 = 1; and |X|^2 = u + theta^2/2 (``abs_X``)."""
     sig = ctx.sig
-    if sig.n == 0:
-        x0 = SuperPolynomial.variable(sig, 0)
-        sq = radial_expand(x0, [x0 * x0, x0.scale(2), SuperPolynomial.constant(sig, 2)])
-        if sq != x0 * x0:
-            return False, "polynomial table expansion"
-        return True, "no odd variables; square expansion only"
-    th = SuperPolynomial.variable(sig, sig.m) * SuperPolynomial.variable(sig, sig.m + 1)
-    if radial_expand(th, [1] * (2 * sig.n + 1)) != SuperPolynomial.one(sig) + th:
-        return False, "exponential-table expansion of a nilpotent"
-    x0 = SuperPolynomial.variable(sig, 0)
-    f = x0 + th
-    table = [x0 * x0, x0.scale(2), SuperPolynomial.constant(sig, 2)] + [0] * (2 * sig.n)
-    if radial_expand(f, table) != f * f:
-        return False, "square-table expansion"
+    rest = (0,) * (sig.m - 1)
+    one = {((0, 0) + rest, ()): 1}
+    t1, t2 = dict(one), dict(one)
+    for (_, odd), c in theta2(sig).terms.items():
+        t1[((0, -2) + rest, odd)] = -c * HALF
+        t2[((-2, 0) + rest, odd)] = c * HALF
+    w1, w2 = integral.weights(sig)
+    sq1, t1_power = term_product(w1, w1), one
+    for _ in range(sig.m - 3):
+        t1_power = term_product(t1_power, t1)
+    if (sq1 if sig.m > 2 else term_product(sq1, t1)) != t1_power:
+        return False, "the weight t1^((m-3)/2) does not square back"
+    if term_product(term_product(w2, w2), t2) != one:
+        return False, "the weight t2^(-1/2) does not square back"
     # |X|^2 = u + theta^2/2 on the keys ((e,), odd) of c u^(e/2) t^odd
     want = {((2,), ()): QQi(1)}
     want.update({((0,), odd): c * HALF for (_, odd), c in theta2(sig).terms.items()})
     if term_product(abs_X(sig), abs_X(sig)) != want:
         return False, "the radial square root does not square back"
-    return True, ""
+    return True, "" if sig.n else "no odd variables; square expansion only"
 
 
 # ---------------------------------------------------------------------------
@@ -774,14 +777,14 @@ def check_normalization(ctx: Context):
     engine = gamma_engine(sig)
     closed = gamma_closed_form(sig.m, n)
     ratio = engine / closed  # berezin((theta^2)^n), see ``integral``
-    if ratio != PiScalar.of(berezin_theta_power(n)):
+    if ratio != PiScalar(berezin_theta_power(n)):
         return False, f"engine gamma {engine} vs closed form {closed}: ratio {ratio}"
     detail = f"gamma = {engine}"
     if n:  # (-1)^(n(n-1)/2) 2^n n!, written 2^1 at n = 1
         sign = "-" if berezin_theta_power(n) < 0 else ""
         detail += f" = {sign}2^{n}{f' {n}!' if n > 1 else ''} x closed form {closed}"
     if (sig.m, sig.n) == (4, 0):
-        if engine != PiScalar.of(QQi(1, 0, 4), 2):
+        if engine != PiScalar(QQi(1, 0, 4), 2):
             return False, f"(4,0) gamma is {engine}, expected pi/4"
         detail = "gamma = pi/4 (engine and closed form)"
     return True, detail
@@ -841,7 +844,7 @@ def check_form_superhermitian(ctx: Context, max_degree: int = 2):
 def check_integral_primitives(ctx: Context):
     from .scalars import gamma_half
     sig = ctx.sig
-    area = PiScalar.of(2) * PiScalar.of(1, sig.m - 1) / gamma_half(sig.m - 1)
+    area = PiScalar(2, sig.m - 1) / gamma_half(sig.m - 1)
     if sphere_moment((0,) * (sig.m - 1), sig.m) != area:
         return False, "sphere area mismatch"
     if radial_integral(1, Fraction(4)) != Fraction(1, 16):

@@ -10,7 +10,8 @@ import superfock
 from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, _signature,
                                apply_op, dim_P, merge_odd, monomial_keys,
                                monomials_up_to, op_column, op_image, r2_small,
-                               random_polynomial, standard_metric, theta2)
+                               random_polynomial, standard_metric, taylor_terms,
+                               theta2)
 from superfock.bipoly import BiSignature, bi_signature
 from superfock.scalars import QQi, _acc, column_terms, int_column
 
@@ -220,6 +221,33 @@ def test_serialization_format():
     q = var(0).scale(QQi(0, -1)) + SuperPolynomial.one(SIG)
     assert str(q) == "1 + -1*i*x0"
     assert str(SuperPolynomial.zero(SIG)) == "0"
+
+
+def test_a_taylor_sum_stops_where_the_nilpotent_power_vanishes():
+    # exp at 0 composed with theta^2 at two odd pairs: (theta^2)^3 = 0, so
+    # three table entries are read and a longer table no further
+    sig = Signature(6, 2)
+    one = SuperPolynomial.one(sig)
+    th = theta2(sig)
+    want = (one + th + (th * th).scale(QQi(1, 0, 2))).terms
+    for length in (3, 5):
+        assert taylor_terms(th.terms, [one.terms] * length, one.terms) == want
+    # the square at the body x0 composed with x0 + t1 t2: (t1 t2)^2 = 0, so
+    # the second derivative is never read
+    x0, tt = var(0), var(4) * var(5)
+    table = [(x0 * x0).terms, x0.scale(2).terms]
+    assert taylor_terms(tt.terms, table, SuperPolynomial.one(SIG).terms) == \
+        ((x0 + tt) * (x0 + tt)).terms
+    assert taylor_terms({}, [x0.terms], SuperPolynomial.one(SIG).terms) == x0.terms
+
+
+def test_a_taylor_sum_refuses_a_table_that_runs_out():
+    sig = Signature(6, 2)
+    one = SuperPolynomial.one(sig).terms
+    with pytest.raises(ValueError, match="derivative table too short: need order 2"):
+        taylor_terms(theta2(sig).terms, [one, one], one)
+    with pytest.raises(ValueError, match="derivative table too short: need order 1"):
+        taylor_terms((var(4) * var(5)).terms, [one], one)
 
 
 # The polynomial operators that the closed forms of ``_OPS`` replaced, kept as

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import json
+import pathlib
 import pkgutil
 import re
 
@@ -113,6 +115,29 @@ def test_clear_caches_empties_every_module_cache():
     superfock.clear_caches()
     assert [obj.__name__ for obj in caches if obj.cache_info().currsize] == []
     assert [name for name, info in superfock.cache_stats().items() if info.currsize] == []
+
+
+def test_every_function_class_and_method_of_the_package_is_named_in_it():
+    # a definition that no ``ast.Name`` or ``ast.Attribute`` of src/ names
+    # has no caller there; only the package API cache_stats and clear_caches
+    # is read from outside alone
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(superfock.__file__).parent.glob("*.py"))]
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, functions + (ast.ClassDef,)):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, functions)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+    unnamed = [name for name in defined if name.rpartition(".")[2] not in named]
+    assert unnamed == ["cache_stats", "clear_caches"]
 
 
 def test_run_check_captures_exceptions():

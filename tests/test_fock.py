@@ -10,7 +10,7 @@ from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op,
                                table_apply)
 from superfock.bipoly import LEFT, RIGHT, bi_signature
 from superfock.fock import (bessel_image, bf_covectors, bf_product,
-                            bf_product_shift_oracle, bf_word_apply, gram_json,
+                            bf_product_shift_oracle, bf_word_apply,
                             gram_nullspace, gram_rank, kernel,
                             kernel_coefficient, kernel_pair,
                             rho_apply, rho_lowering, rho_raising)
@@ -20,6 +20,7 @@ from superfock.quotient import graded_dim_F, normal_form_keys, reduce_poly
 from superfock.scalars import I, QQi, column_terms, poch
 from superfock.schrodinger import pi_op, pi_table
 from superfock.verify import Context, RunConfig, check_bf_oracle, check_bf_products
+from test_golden import gram_json
 from test_sb import slot_bessel_mod, slot_degree
 
 SIG = Signature(4, 1, varset="z")

@@ -7,12 +7,24 @@ import pathlib
 
 from superfock.algebra import R2, Signature, SuperPolynomial
 from superfock.cli import main
-from superfock.fock import gram_json
+from superfock.fock import gram
 from superfock.liealg import tkk_for
 from superfock.scalars import QQi
 from superfock.verify import RunConfig, report_json, run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def gram_json(k: int, sig: Signature) -> str:
+    """The degree-k Bessel-Fischer Gram matrix as JSON: basis monomials and
+    entries, as strings."""
+    keys, mat = gram(k, sig)
+    names = [str(SuperPolynomial.monomial(sig, key)) for key in keys]
+    return json.dumps({
+        "degree": k,
+        "basis": names,
+        "entries": [[str(v) for v in row] for row in mat],
+    }, indent=1)
 
 
 def test_structure_constants_golden():

@@ -5,11 +5,11 @@ import pytest
 
 from superfock import integral
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op, monomial_keys,
-                               random_polynomial, theta2)
-from superfock.integral import (DivergenceError, RadialSuperfunction, _integral_direct,
+                               random_polynomial, term_product, theta2)
+from superfock.integral import (DivergenceError, _integral_direct, _ray_terms,
                                 berezin, berezin_theta_power, gamma_closed_form,
                                 gamma_engine, integrate_w, moment, radial_integral,
-                                sphere_moment, w_form)
+                                phi_sharp, sphere_moment, w_form)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
@@ -21,11 +21,11 @@ SIG61 = Signature(6, 1)
 
 
 def test_sphere_moments():
-    assert sphere_moment((0, 0, 0), 4) == PiScalar.of(4, 2)          # area 4 pi
-    assert sphere_moment((2, 0, 0), 4) == PiScalar.of(QQi(4, 0, 3), 2)  # 4 pi / 3
+    assert sphere_moment((0, 0, 0), 4) == PiScalar(4, 2)          # area 4 pi
+    assert sphere_moment((2, 0, 0), 4) == PiScalar(QQi(4, 0, 3), 2)  # 4 pi / 3
     assert sphere_moment((1, 0, 0), 4).is_zero()
     # two-point sphere for m = 2
-    assert sphere_moment((2,), 2) == PiScalar.of(2)
+    assert sphere_moment((2,), 2) == PiScalar(2)
     assert sphere_moment((3,), 2).is_zero()
 
 
@@ -44,7 +44,7 @@ def test_a_rate_that_is_not_an_int_or_a_fraction_is_refused(rate):
     for call in (lambda: radial_integral(1, rate), lambda: integrate_w(one, rate),
                  lambda: integrate_w(one, rate, trace=[]), lambda: make_w(one, rate),
                  lambda: WElement(rate, one), lambda: _integral_direct(one, rate),
-                 lambda: RadialSuperfunction.from_poly(one, rate),
+                 lambda: phi_sharp(SIG40, rate, _ray_terms(one)),
                  lambda: apply_op(("E",), one, rate)):
         with pytest.raises(TypeError):
             call()
@@ -63,11 +63,11 @@ def test_berezin():
 
 def test_gamma_values():
     # frozen engine values: pi/4 at (4,0), -pi^2/2 at (6,1)
-    assert gamma_engine(SIG40) == PiScalar.of(QQi(1, 0, 4), 2)
-    assert gamma_engine(SIG61) == PiScalar.of(QQi(-1, 0, 2), 4)
-    assert gamma_closed_form(4, 0) == PiScalar.of(QQi(1, 0, 4), 2)
+    assert gamma_engine(SIG40) == PiScalar(QQi(1, 0, 4), 2)
+    assert gamma_engine(SIG61) == PiScalar(QQi(-1, 0, 2), 4)
+    assert gamma_closed_form(4, 0) == PiScalar(QQi(1, 0, 4), 2)
     # the engine value carries one extra factor 2 per odd pair
-    assert gamma_engine(SIG61) == PiScalar.of(2) * gamma_closed_form(6, 1)
+    assert gamma_engine(SIG61) == PiScalar(2) * gamma_closed_form(6, 1)
     with pytest.raises(ValueError):
         gamma_closed_form(4, 1)
 
@@ -77,7 +77,7 @@ def test_gamma_ratio_is_pinned_where_it_departs_from_2_to_the_n():
     # is berezin((theta^2)^n) (see the integral module), which the check
     # now expects.
     for (m, n), want in [((4, 0), 1), ((6, 1), 2), ((8, 2), -8), ((10, 3), -48)]:
-        assert gamma_engine(Signature(m, n)) / gamma_closed_form(m, n) == PiScalar.of(want), (m, n)
+        assert gamma_engine(Signature(m, n)) / gamma_closed_form(m, n) == PiScalar(want), (m, n)
     ok, detail = check_normalization(Context(RunConfig(8, 2, max_degree=1)))
     assert ok is True and "= -2^2 2! x closed form" in detail
 
@@ -90,7 +90,7 @@ def test_the_berezin_integral_of_theta_squared_powers_is_the_closed_form_constan
     want = [1, 2, -8, -48][n]
     assert berezin_theta_power(n) == want
     assert berezin(theta2(sig) ** n) == SuperPolynomial.constant(sig, want)
-    assert gamma_engine(sig) / gamma_closed_form(m, n) == PiScalar.of(want)
+    assert gamma_engine(sig) / gamma_closed_form(m, n) == PiScalar(want)
 
 
 def test_normalization_passes_at_three_odd_pairs():
@@ -246,40 +246,35 @@ def test_pi_skew_sample():
 
 
 def test_phi_sharp_examples():
-    from superfock.integral import RadialSuperfunction
     from fractions import Fraction as F
     sig = SIG61
     x0sq = SuperPolynomial.monomial(sig, ((2, 0, 0, 0, 0, 0), ()))
-    rs = RadialSuperfunction.from_poly(x0sq, 0).phi_sharp()
     # one mixing step: x0^2 + theta^2/2 (the rate-0 part has no exponential term)
-    want = dict(RadialSuperfunction.from_poly(
-        x0sq + SuperPolynomial.variable(sig, 6) * SuperPolynomial.variable(sig, 7), 0).terms)
-    assert rs.terms == want
-    # the twisted R^2 vanishes pointwise on the ray: evaluate the sphere
-    # polynomial at an exact point with sum(omega^2) = 1
-    r2 = RadialSuperfunction.from_poly(R2(sig), 4).phi_sharp()
-    ray = r2.restrict_to_ray()
+    want = _ray_terms(x0sq + SuperPolynomial.variable(sig, 6) * SuperPolynomial.variable(sig, 7))
+    assert phi_sharp(sig, 0, _ray_terms(x0sq)) == want
+    # the twisted R^2 vanishes pointwise on the ray: set s = x_0 = rho and
+    # evaluate the sphere polynomial at an exact point with sum(omega^2) = 1
     point = [F(3, 5), F(4, 5), F(0), F(0), F(0)]
     groups = {}
-    for (N, alpha, odd), v in ray.items():
+    for (ev, odd), v in phi_sharp(sig, 4, _ray_terms(R2(sig))).items():
         w = F(1)
-        for a, p in zip(alpha, point):
+        for a, p in zip(ev[2:], point):
             w *= p ** a
-        groups[(N, odd)] = groups.get((N, odd), QQi(0)) + v * QQi.coerce(w)
+        key = (ev[0] + ev[1], odd)
+        groups[key] = groups.get(key, QQi(0)) + v * QQi.coerce(w)
     assert all(c.is_zero() for c in groups.values())
 
 
 def test_phi_sharp_is_multiplicative():
-    from superfock.integral import RadialSuperfunction
+    # phi# of f exp(-2 x_0) times phi# of g exp(-2 x_0) is phi# of
+    # f g exp(-4 x_0): the rates add
     rng = random.Random(13)
     sig = SIG61
     for _ in range(10):
-        f = random_polynomial(sig, 2, rng)
-        g = random_polynomial(sig, 2, rng)
-        a = RadialSuperfunction.from_poly(f, 2).phi_sharp()
-        b = RadialSuperfunction.from_poly(g, 2).phi_sharp()
-        prod = RadialSuperfunction.from_poly(f, 2) * RadialSuperfunction.from_poly(g, 2)
-        assert (a * b).terms == prod.phi_sharp().terms
+        f = _ray_terms(random_polynomial(sig, 2, rng))
+        g = _ray_terms(random_polynomial(sig, 2, rng))
+        assert term_product(phi_sharp(sig, 2, f), phi_sharp(sig, 2, g)) == \
+            phi_sharp(sig, 4, term_product(f, g))
 
 
 def test_kernel_sum_reproduces_mixed_degrees():

@@ -44,7 +44,7 @@ def test_inverse_and_conjugation(a):
     if not a.is_zero():
         assert a * a.inverse() == ONE
     assert a.conjugate().conjugate() == a
-    assert (a * a.conjugate()).im == 0
+    assert (a * a.conjugate()).b == 0
 
 
 def test_str_format():
@@ -63,92 +63,96 @@ def test_pochhammer_and_factorial():
 
 
 def test_gamma_half():
-    assert gamma_half(2) == PiScalar.of(1)          # Gamma(1)
-    assert gamma_half(4) == PiScalar.of(1)          # Gamma(2)
-    assert gamma_half(6) == PiScalar.of(2)          # Gamma(3)
-    assert gamma_half(1) == PiScalar.of(1, 1)       # Gamma(1/2) = sqrt(pi)
-    assert gamma_half(3) == PiScalar.of(HALF, 1)    # Gamma(3/2)
-    assert gamma_half(5) == PiScalar.of(QQi(3, 0, 4), 1)
+    assert gamma_half(2) == PiScalar(1)          # Gamma(1)
+    assert gamma_half(4) == PiScalar(1)          # Gamma(2)
+    assert gamma_half(6) == PiScalar(2)          # Gamma(3)
+    assert gamma_half(1) == PiScalar(1, 1)       # Gamma(1/2) = sqrt(pi)
+    assert gamma_half(3) == PiScalar(HALF, 1)    # Gamma(3/2)
+    assert gamma_half(5) == PiScalar(QQi(3, 0, 4), 1)
     with pytest.raises(ValueError):
         gamma_half(0)
 
 
-def test_pi_scalar_ring():
-    a = PiScalar.of(QQi(1, 0, 2), 3)   # (1/2) pi^(3/2)
-    b = PiScalar.of(2, 1)              # 2 pi^(1/2)
-    assert a * b == PiScalar.of(1, 4)
-    assert (a + a) / a == PiScalar.of(2)
-    assert (a - a).is_zero()
-    with pytest.raises(ValueError):
-        (a + b).as_qqi()
+def test_pi_scalar_single_power():
+    a = PiScalar(QQi(1, 0, 2), 3)   # (1/2) pi^(3/2)
+    b = PiScalar(2, 1)              # 2 pi^(1/2)
+    assert a * b == PiScalar(1, 4)
+    assert (a + a) / a == PiScalar(2)
+    assert (a - a).is_zero() and (a - a).half == 0
+    with pytest.raises(ValueError, match="pi powers did not cancel"):
+        a.as_qqi()
     assert (a / a).as_qqi() == ONE
-    assert str(PiScalar.of(QQi(1, 0, 4), 2)) == "(1/4)*pi"
+    with pytest.raises(ValueError):
+        PiScalar(1, 1) + PiScalar(1, 3)
+    assert PiScalar() + PiScalar(QQi(2, 1), 3) == PiScalar(QQi(2, 1), 3)
+    assert (PiScalar(QQi(2, 1), 3) + 0).half == 3
+    assert PiScalar(0, 5) == PiScalar() and PiScalar(0, 5).half == 0
+    with pytest.raises(ZeroDivisionError):
+        a / PiScalar(0, 3)
+    assert [str(PiScalar(QQi(1, 0, 4), k)) for k in (0, 2, 4, 3, -1)] == \
+        ["1/4", "(1/4)*pi", "(1/4)*pi^2", "(1/4)*pi^(3/2)", "(1/4)*pi^(-1/2)"]
 
 
 def _pi_ref(x):
-    """Reference value of a PiScalar as {half-exponent: (re, im)} with no zero pair."""
-    return {k: (c.re, c.im) for k, c in x.terms.items()}
+    """Reference value of a PiScalar as (half-exponent, re, im), Fractions."""
+    return x.half, Fraction(x.coeff.a, x.coeff.d), Fraction(x.coeff.b, x.coeff.d)
 
 
-def _pi_combine(x, y, sign):
-    out = dict(x)
-    for k, (re, im) in y.items():
-        r = out.get(k, (Fraction(0), Fraction(0)))
-        out[k] = (r[0] + sign * re, r[1] + sign * im)
-    return {k: v for k, v in out.items() if v != (0, 0)}
-
-
-def _pi_times(x, y):
-    out: dict = {}
-    for k1, (a, b) in x.items():
-        for k2, (c, e) in y.items():
-            r = out.get(k1 + k2, (Fraction(0), Fraction(0)))
-            out[k1 + k2] = (r[0] + a * c - b * e, r[1] + a * e + b * c)
-    return {k: v for k, v in out.items() if v != (0, 0)}
+def _pi_sum(x, y):
+    """The reference sum of two triples, or None where the powers differ."""
+    (k, a, b), (l, c, e) = x, y
+    if a == b == 0:
+        return y
+    if c == e == 0:
+        return x
+    return (k, a + c, b + e) if k == l else None
 
 
 def _pi_check(result, ref):
-    """result is the PiScalar of the reference map, with no zero coefficient stored;
-    an empty reference equals and hashes like PiScalar()."""
-    assert type(result) is PiScalar
-    assert all(type(c) is QQi and c for c in result.terms.values())
-    assert _pi_ref(result) == ref
-    if not ref:
-        assert result == PiScalar() and hash(result) == hash(PiScalar())
+    """result is the PiScalar of the reference triple; zero carries half = 0 and
+    equals and hashes like PiScalar()."""
+    k, re, im = ref
+    if re == im == 0:
+        k = 0
+    assert type(result) is PiScalar and type(result.coeff) is QQi
+    assert _pi_ref(result) == (k, re, im)
+    want = PiScalar(QQi(re, im), k)
+    assert result == want and hash(result) == hash(want)
+    if re == im == 0:
+        assert want == PiScalar() and hash(want) == hash(PiScalar())
         assert result.is_zero() and str(result) == "0"
 
 
-def test_pi_scalar_arithmetic_agrees_with_fraction_pair_maps():
-    """+, -, * and division by a single power against {half-exponent: (re, im)}
-    maps of Fractions, on operands whose powers cancel and on ones that do not."""
-    rng = random.Random(28)
-    xs = [PiScalar(), PiScalar.of(1), PiScalar.of(QQi(0, 1, 3), -1),
-          PiScalar({1: QQi(1, 2), 2: QQi(-1, 0, 4)})]
+def test_pi_scalar_arithmetic_agrees_with_fraction_pairs():
+    """+, -, * and / against (half-exponent, re, im) triples of Fractions:
+    products add the exponents, quotients subtract them, and a sum of two
+    nonzero values of different powers raises."""
+    rng = random.Random(31)
+    xs = [PiScalar(), PiScalar(1), PiScalar(QQi(0, 1, 3), -1), PiScalar(QQi(-1, 0, 4), 2)]
     for _ in range(30):
-        terms = {rng.randint(-3, 3): QQi(rng.randint(-4, 4), rng.randint(-4, 4),
-                                         rng.randint(1, 6))
-                 for _ in range(rng.randint(1, 3))}
-        xs.append(PiScalar(terms))
-        xs.append(-PiScalar(terms) + PiScalar.of(rng.randint(-2, 2), rng.randint(-3, 3)))
+        xs.append(PiScalar(QQi(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 6)),
+                           rng.randint(-3, 3)))
     for x in xs:
-        xr = _pi_ref(x)
-        _pi_check(-x, {k: (-re, -im) for k, (re, im) in xr.items()})
-        _pi_check(x - x, {})
-        _pi_check(x + (-x), {})
+        k, a, b = xr = _pi_ref(x)
+        _pi_check(-x, (k, -a, -b))
+        _pi_check(x - x, (0, 0, 0))
+        _pi_check(x + (-x), (0, 0, 0))
         for y in xs:
-            yr = _pi_ref(y)
-            _pi_check(x + y, _pi_combine(xr, yr, 1))
-            _pi_check(x - y, _pi_combine(xr, yr, -1))
-            _pi_check(x * y, _pi_times(xr, yr))
-            if len(yr) == 1:
-                (k, (re, im)), = yr.items()
-                norm = re * re + im * im
-                _pi_check(x / y, _pi_times(xr, {-k: (re / norm, -im / norm)}))
+            l, c, e = yr = _pi_ref(y)
+            _pi_check(x * y, (k + l, a * c - b * e, a * e + b * c))
+            for result, ref in ((lambda: x + y, _pi_sum(xr, yr)),
+                                (lambda: x - y, _pi_sum(xr, (l, -c, -e)))):
+                if ref is None:
+                    with pytest.raises(ValueError):
+                        result()
+                else:
+                    _pi_check(result(), ref)
+            norm = c * c + e * e
+            if norm:
+                _pi_check(x / y, (k - l, (a * c + b * e) / norm, (b * c - a * e) / norm))
             else:
                 with pytest.raises(ZeroDivisionError):
                     x / y
-    _pi_check(PiScalar.of(QQi(1, 1), 1) * PiScalar.of(0, 2), {})
-    _pi_check(PiScalar({3: QQi(0), 1: 2}), {1: (Fraction(2), Fraction(0))})
 
 
 def _pair(x):

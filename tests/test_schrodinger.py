@@ -12,7 +12,7 @@ from superfock.sbtransform import exp_z0_truncation
 from superfock.scalars import I, QQi
 from superfock.schrodinger import (abs_X, diffop_on_w,
                                    lowest_vector, make_w, pi_apply, pi_op,
-                                   pi_table, radial_expand)
+                                   pi_table)
 
 SIG = Signature(4, 1)
 TKK = tkk_for(SIG)
@@ -150,30 +150,6 @@ def test_tangential_representative_independence():
             moved = reduce_poly(apply_op(d, shifted, 2))
             same = moved == diffop_on_w(d, make_w(q, 2)).poly
             assert same is (d != ("Delta",)), d
-
-
-def test_radial_expand():
-    th = SuperPolynomial.variable(SIG, 4) * SuperPolynomial.variable(SIG, 5)
-    assert radial_expand(th, [1, 1, 1]) == SuperPolynomial.one(SIG) + th
-    x0 = SuperPolynomial.variable(SIG, 0)
-    f = x0 + th
-    sq = radial_expand(f, [x0 * x0, x0.scale(2), SuperPolynomial.constant(SIG, 2), 0, 0])
-    assert sq == f * f == x0 * x0 + (x0 * th).scale(2)
-    with pytest.raises(ValueError):
-        radial_expand(th, [1])  # table too short for the surviving power
-
-
-@pytest.mark.parametrize("other", [(5, 1), (3, 1), (4, 0), (4, 2)])
-@pytest.mark.parametrize("order", [0, 1])
-def test_radial_expand_refuses_a_derivative_on_another_signature(other, order):
-    # exponent tuples of another length must not be added short, nor a
-    # polynomial of the same m but other odd variables taken as one of SIG
-    f = SuperPolynomial.variable(SIG, 0) + \
-        SuperPolynomial.variable(SIG, 4) * SuperPolynomial.variable(SIG, 5)
-    table = [SuperPolynomial.one(SIG)] * 3
-    table[order] = SuperPolynomial.variable(Signature(*other), 1)
-    with pytest.raises(ValueError, match="signature mismatch"):
-        radial_expand(f, table)
 
 
 def test_abs_X_squares_back():

@@ -16,7 +16,8 @@ routes of the Jacobi identity, of bracket preservation under the Cayley
 transform and of the matrix model give the witnesses of their ``QQi``
 routes.  One wrong derivative in the Taylor sums (``algebra.taylor_terms``)
 that |X| and the W-integral's weight factors share fails the radial check
-and the integral checks.  Every shape the CLI accepts at small size passes
+and the integral checks; one wrong term of a weight factor
+(``integral.weights``) fails the radial check too.  Every shape the CLI accepts at small size passes
 every suite."""
 
 import gc
@@ -1114,6 +1115,34 @@ def test_a_doubled_first_derivative_of_the_taylor_sums_fails_radial_and_integral
                            "integral/pi-skew-supersymmetry"}
     assert failed["integral/normalization"] == (
         "engine gamma (-5/6)*pi^2 vs closed form (-1/4)*pi^2: ratio 10/3")
+
+
+@pytest.mark.parametrize("m,n,failing,gamma", [
+    (6, 1, {"schrodinger/radial-superfunctions", "integral/normalization",
+            "integral/pi-skew-supersymmetry"},
+     "engine gamma (-7/12)*pi^2 vs closed form (-1/4)*pi^2: ratio 7/3"),
+    (4, 1, {"schrodinger/radial-superfunctions"}, None),  # M = 2: the integral skips
+], ids=["6-1", "4-1"])
+def test_a_doubled_weight_factor_fails_the_radial_check(monkeypatch, m, n, failing, gamma):
+    # the radial check squares back the weight factors that the W-integral
+    # multiplies in, so a wrong term of w2 = t2^(-1/2) fails it
+    weights = integral.weights
+
+    def doubled(sig):
+        w1, w2 = weights(sig)
+        unit = ((0,) * (sig.m + 1), ())
+        return w1, {key: v if key == unit else 2 * v for key, v in w2.items()}
+    monkeypatch.setattr(integral, "weights", doubled)
+    superfock.clear_caches()
+    try:
+        results = run_suite(RunConfig(m=m, n=n, max_degree=2,
+                                      suites=("schrodinger", "integral")))
+    finally:
+        superfock.clear_caches()
+    failed = {f"{r.suite}/{r.name}": r.detail for r in results if r.status == "fail"}
+    assert set(failed) == failing
+    if gamma:
+        assert failed["integral/normalization"] == gamma
 
 
 @pytest.mark.parametrize("m,n", [(5, 0), (6, 1)])
