@@ -250,6 +250,20 @@ def test_a_taylor_sum_refuses_a_table_that_runs_out():
         taylor_terms((var(4) * var(5)).terms, [one], one)
 
 
+@pytest.mark.parametrize("other", [(5, 1), (3, 1), (4, 0), (4, 2)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_ring_operations_refuse_a_polynomial_of_another_signature(other, side):
+    # exponent tuples of another length must not be added short, nor a
+    # polynomial of the same m but other odd variables taken as one of SIG;
+    # the polynomial of SIG stands left (side 0) or right (side 1)
+    f = var(0) + var(4) * var(5)
+    g = var(1, Signature(*other))
+    a, b = (f, g) if side == 0 else (g, f)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            op()
+
+
 # The polynomial operators that the closed forms of ``_OPS`` replaced, kept as
 # their oracle: chained single derivations, ring products and the rate
 # corrections written out on polynomials.
