@@ -221,24 +221,11 @@ class SuperPolynomial:
     def constant_term(self) -> QQi:
         return self.terms.get(((0,) * self.sig.m, ()), QQi(0))
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(ev) + len(odd) for ev, odd in self.terms)
-
     def homogeneous_components(self) -> dict[int, "SuperPolynomial"]:
         out: dict[int, dict] = {}
         for key, c in self.terms.items():
             out.setdefault(sum(key[0]) + len(key[1]), {})[key] = c
         return {k: SuperPolynomial(self.sig, t) for k, t in sorted(out.items())}
-
-    def parity(self) -> int:
-        """Z2-parity; raises on inhomogeneous input."""
-        ps = {len(odd) & 1 for _, odd in self.terms}
-        if len(ps) > 1:
-            raise ValueError("polynomial has mixed parity")
-        return ps.pop() if ps else 0
 
     # -- ring operations -------------------------------------------------
 

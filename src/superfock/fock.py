@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial
 
 from . import linalg
 from .algebra import (MonKey, Signature, SuperPolynomial, apply_op, derive_key,
@@ -43,7 +44,7 @@ from .bipoly import LEFT, RIGHT, bi_signature, pairing_power
 from .liealg import TKKElement
 from .quotient import normal_form_keys
 from .scalars import (HALF, I, ONE, ZERO, QQi, _acc, column_image, column_terms,
-                      factorial_fraction, int_column, poch)
+                      int_column, poch)
 from .schrodinger import pi_op
 
 
@@ -170,7 +171,7 @@ def bf_product_shift_oracle(p: SuperPolynomial, q: SuperPolynomial) -> QQi:
 def b_series_coeff(M: int, alpha: int, l: int) -> Fraction:
     """Taylor coefficient of the renormalized Bessel series with shift alpha:
     Gamma(M/2-1) / (l! Gamma(l + M/2 - 1 + alpha)) = 1/(l! (M/2-1)_{l+alpha})."""
-    den = factorial_fraction(l) * poch(Fraction(M, 2) - 1, l + alpha)
+    den = factorial(l) * poch(Fraction(M, 2) - 1, l + alpha)
     if den == 0:
         raise ValueError("series coefficient undefined: M - 2 lies in -2N")
     return 1 / den

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 from .algebra import (Signature, SuperPolynomial, apply_op, merge_odd, taylor_terms,
                       term_product, theta2)
-from .scalars import (HALF, PiScalar, QQi, _acc, exact_rate, factorial_fraction, gamma_half,
-                      poch)
+from .scalars import HALF, PiScalar, QQi, _acc, exact_rate, gamma_half, poch
 
 
 class DivergenceError(ArithmeticError):
@@ -64,7 +63,7 @@ def radial_integral(N: int, c: Fraction) -> Fraction:
         raise ValueError("rate must be positive")
     if N < 0:
         raise DivergenceError(f"divergent radial term rho^{N} exp(-{c} rho)")
-    return factorial_fraction(N) / c ** (N + 1)
+    return factorial(N) / c ** (N + 1)
 
 
 def berezin(p: SuperPolynomial) -> SuperPolynomial:
@@ -241,7 +240,7 @@ def gamma_closed_form(m: int, n: int) -> PiScalar:
     M = m - 2 * n
     if M < 4:
         raise ValueError("closed form requires M >= 4")
-    pref = Fraction(2) ** (5 - 2 * M) / factorial_fraction(n) * poch(Fraction(3 - m, 2), n)
+    pref = Fraction(2) ** (5 - 2 * M) / factorial(n) * poch(Fraction(3 - m, 2), n)
     out = PiScalar(pref, m - 1) / gamma_half(m - 1)
     return out * gamma_half(2 * (M - 2))
 
@@ -278,12 +277,7 @@ def w_pair(sig: Signature, p, q) -> QQi:
     return v if sign > 0 else -v
 
 
-def w_form(f, g) -> QQi:
-    """Sesquilinear form on W (``schrodinger.WElement``): integral of f times
-    the conjugate of g."""
-    if f.poly.sig != g.poly.sig:
-        raise ValueError("signature mismatch")
-    rate = f.rate + g.rate
-    if rate <= 0:
-        raise ValueError("rates must sum to a positive rational")
-    return integrate_w(f.poly * g.poly.conjugate(), rate)
+def w_form(f: SuperPolynomial, g: SuperPolynomial) -> QQi:
+    """Sesquilinear form of the vectors f exp(-2 x_0) and g exp(-2 x_0) of W:
+    the integral of f times the conjugate of g at rate 4."""
+    return integrate_w(f * g.conjugate(), 4)

@@ -292,12 +292,6 @@ class TKKElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def parity(self) -> int:
-        ps = {self.tkk.parity(k) for k in self.coeffs}
-        if len(ps) > 1:
-            raise ValueError("element has mixed parity")
-        return ps.pop() if ps else 0
-
     def __add__(self, other: "TKKElement") -> "TKKElement":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():

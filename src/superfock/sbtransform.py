@@ -1,5 +1,8 @@
 """Segal-Bargmann transform between the W-side and Fock-side models.
 
+A vector q exp(-2 x_0) of W is its reduced polynomial q (``schrodinger``), so
+``sb`` maps polynomials in x to polynomials in z and ``sb_inverse`` maps
+back; the actions they intertwine are applied by the checks in ``verify``.
 Both directions use the kernel exp(-z_0) B_0(x|z), and each factor has one
 implementation: B_0 = sum_l c_l P^l, the integer powers P^l =
 ``bipoly.pairing_power(l)`` of the mixed pairing x|z times c_l =
@@ -18,25 +21,24 @@ exp(-z_0) is applied.  The inverse is a closed Bessel-Fischer pairing with
 the kernel's part of each z-degree, sum c_l P^l (-z_0)^(k-l)/(k-l)! over
 l <= k, and needs no integration.  Each direction keeps one memo, the
 integer columns of its monomial images reduced modulo R^2 (``sb_column``,
-``inverse_column``); ``sb``, ``sb_inverse`` and the intertwining checks sum
-those columns.  The series' own identities (``b0_identity_failures``) read
-the same P^l and c_l term by term, in ints.
+``inverse_column``); ``sb``, ``sb_inverse`` and ``verify``'s intertwining
+checks sum those columns.  The series' own identities
+(``b0_identity_failures``) read the same P^l and c_l term by term, in ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from math import factorial
 
 from .algebra import (MonKey, Signature, SuperPolynomial, apply_op, merge_odd, op_terms,
                       term_product)
 from .bipoly import LEFT, RIGHT, _slot_r2_power, bi_signature, pairing_power
-from .fock import _word_indices, b_series_coeff, bf_covectors, rho_apply
+from .fock import _word_indices, b_series_coeff, bf_covectors
 from .integral import moment
-from .liealg import TKKElement
 from .quotient import nf_terms, reduce_poly, reduce_terms
-from .scalars import QQi, _acc, column_image, column_terms, factorial_fraction, int_column
-from .schrodinger import WElement, make_w, pi_apply
+from .scalars import QQi, _acc, column_image, column_terms, int_column
 
 
 def _combination(*parts) -> dict:
@@ -121,7 +123,7 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
 
 def exp_coefficient(e: int, scale=-1) -> Fraction:
     """scale^e / e!, the coefficient of z_0^e in exp(scale * z_0)."""
-    return Fraction(scale) ** e / factorial_fraction(e)
+    return Fraction(scale) ** e / factorial(e)
 
 
 def exp_z0_truncation(sig: Signature, max_degree: int, scale=-1) -> SuperPolynomial:
@@ -204,13 +206,12 @@ class SBTransform:
         column = self._columns[mono] = int_column(image)
         return column
 
-    def sb(self, f: WElement) -> SuperPolynomial:
-        """Forward transform of f in W; exact reduced polynomial in z."""
+    def sb(self, q: SuperPolynomial) -> SuperPolynomial:
+        """Forward transform of the vector q exp(-2 x_0) of W, q reduced first;
+        exact reduced polynomial in z."""
         if self.M < 4:
             raise ValueError("forward transform requires superdimension >= 4")
-        if f.rate != 2:
-            raise ValueError("forward transform expects rate 2")
-        column = column_image(int_column(reduce_poly(f.poly).terms), self.sb_column)
+        column = column_image(int_column(reduce_poly(q).terms), self.sb_column)
         return SuperPolynomial(self.sig_z, column_terms(column))
 
     # -- inverse -----------------------------------------------------------
@@ -244,17 +245,19 @@ class SBTransform:
         column = self._inv_columns[key] = int_column(nf_terms(self.sig_x, out))
         return column
 
-    def sb_inverse(self, p: SuperPolynomial) -> WElement:
-        """Inverse transform via the closed Bessel-Fischer pairing formula,
-        summed from the reduced monomial images; reduction modulo R^2 is
-        linear and idempotent, so this is the reduction of the unreduced sum."""
+    def sb_inverse(self, p: SuperPolynomial) -> SuperPolynomial:
+        """Inverse transform via the closed Bessel-Fischer pairing formula, as
+        the reduced polynomial of a vector of W, summed from the reduced
+        monomial images; reduction modulo R^2 is linear and idempotent, so
+        this is the reduction of the unreduced sum."""
         column = column_image(int_column(p.terms), self.inverse_column)
-        return make_w(SuperPolynomial(self.sig_x, column_terms(column)), 2)
+        return SuperPolynomial(self.sig_x, column_terms(column))
 
     # -- Hermite functions -------------------------------------------------
 
-    def hermite(self, alpha: MonKey) -> tuple[SuperPolynomial, WElement]:
-        """Generalized Hermite polynomial and function for a multi-exponent.
+    def hermite(self, alpha: MonKey) -> SuperPolynomial:
+        """Generalized Hermite polynomial of a multi-exponent, the reduced
+        polynomial of the Hermite function in W.
 
         Computed two independent ways (halved Bessel word on the rate-4
         vector, and the inverse transform of (2z)^alpha); they must agree.
@@ -266,16 +269,8 @@ class SBTransform:
         direct = reduce_poly(q)
         degree = len(indices)
         two_z = SuperPolynomial.monomial(self.sig_z, alpha, QQi(2 ** degree))
-        via_inverse = self.sb_inverse(two_z).poly
+        via_inverse = self.sb_inverse(two_z)
         if direct != via_inverse:
             raise AssertionError(
                 f"Hermite routes disagree for {alpha}: {direct} vs {via_inverse}")
-        return direct, WElement(Fraction(2), direct)
-
-    # -- identity drivers ----------------------------------------------------
-
-    def check_intertwine(self, X: TKKElement, f: WElement):
-        """Difference SB(pi(X) f) - rho(X) SB(f); zero iff the identity holds."""
-        lhs = self.sb(pi_apply(X, f))
-        rhs = rho_apply(X, self.sb(f))
-        return lhs - rhs
+        return direct

@@ -29,7 +29,7 @@ not a real integer, and ``_acc`` adds either."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 
 def _acc(terms: dict, key, val):
@@ -270,13 +270,6 @@ def poch(a: Fraction, k: int) -> Fraction:
     return out
 
 
-def factorial_fraction(n: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(2, n + 1):
-        out *= j
-    return out
-
-
 class PiScalar:
     """c * pi^(k/2): a QQi coefficient c and an integer half-exponent k, so
     pi^(3/2) has half = 3.  Zero has half = 0.  Products add the exponents
@@ -364,7 +357,7 @@ def gamma_half(k: int) -> PiScalar:
     if k <= 0:
         raise ValueError("Gamma pole or nonpositive argument")
     if k % 2 == 0:
-        return PiScalar(factorial_fraction(k // 2 - 1))
+        return PiScalar(factorial(k // 2 - 1))
     j = (k - 1) // 2  # Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi)
-    val = factorial_fraction(2 * j) / (Fraction(4) ** j * factorial_fraction(j))
+    val = factorial(2 * j) / (Fraction(4) ** j * factorial(j))
     return PiScalar(val, 1)

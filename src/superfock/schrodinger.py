@@ -1,19 +1,20 @@
-"""The module W: polynomials times exp(-c x_0), modulo the ideal of R^2.
+"""The module W: polynomials times exp(-2 x_0), modulo the ideal of R^2.
 
-A ``WElement`` stores the exponential rate c > 0 and a reduced polynomial q,
-and stands for q(x) exp(-c|X|) restricted to x_0 > 0, where the radial
-superfunction |X| coincides with x_0 modulo <R^2>.  All operators act through
-the representative q exp(-c x_0): they are the ``algebra._OPS`` operators
-applied by ``algebra.apply_op`` with ``rate=c``, which conjugates them by
-exp(-c x_0), and results are reduced at the end.  The Schrodinger action is
-the action table ``pi_table`` with the operator map ``pi_op`` (``apply_op``,
-then ``reduce_poly``), applied by ``algebra.table_apply``: at rate 2 on W, at
-rate 0 as pi_C on the Fock space.  The Fock action's table ``fock.rho_table``
-is applied through the same map at rate 0.
+A vector of W is its polynomial q, standing for q(x) exp(-2|X|) restricted
+to x_0 > 0, where the radial superfunction |X| coincides with x_0 modulo
+<R^2>; the rate 2 is part of the space, and the form on W integrates the
+product of two vectors at rate 4 (``integral.w_form``).  All operators act
+through the representative q exp(-2 x_0): they are the ``algebra._OPS``
+operators applied by ``algebra.apply_op`` with ``rate=2``, which conjugates
+them by exp(-2 x_0), and results are reduced at the end.  The Schrodinger
+action is the action table ``pi_table`` with the operator map ``pi_op``
+(``apply_op``, then ``reduce_poly``), applied by ``algebra.table_apply``: at
+rate 2 on W (``pi_apply``), at rate 0 as pi_C on the Fock space.  The Fock
+action's table ``fock.rho_table`` is applied through the same map at rate 0.
 
 The radial superfunction |X| (``abs_X``) is one finite Taylor sum
 (``algebra.taylor_terms``): sqrt at the body (x_0^2 + s^2)/2 composed with
-theta^2/2.  A rate is ``scalars.exact_rate``.
+theta^2/2.
 """
 
 from __future__ import annotations
@@ -25,64 +26,12 @@ from .algebra import (Signature, SuperPolynomial, apply_op, table_apply, taylor_
                       theta2)
 from .liealg import TKKElement
 from .quotient import reduce_poly
-from .scalars import HALF, I, ONE, QQi, exact_rate, poch
-
-
-class WElement:
-    """q(x) * exp(-c x_0) with q in normal form."""
-
-    __slots__ = ("rate", "poly")
-
-    def __init__(self, rate: Fraction, poly: SuperPolynomial):
-        self.rate = exact_rate(rate)
-        self.poly = poly
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other: "WElement") -> "WElement":
-        if self.rate != other.rate:
-            raise ValueError("cannot add different exponential rates")
-        return WElement(self.rate, self.poly + other.poly)
-
-    def __sub__(self, other: "WElement") -> "WElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "WElement":
-        return WElement(self.rate, self.poly.scale(c))
-
-    def conjugate(self) -> "WElement":
-        return WElement(self.rate, self.poly.conjugate())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WElement) and self.rate == other.rate
-                and self.poly == other.poly)
-
-    def __str__(self) -> str:
-        return f"({self.poly})*exp(-{self.rate}*x0)"
-
-    __repr__ = __str__
-
-
-def make_w(q: SuperPolynomial, rate) -> WElement:
-    rate = exact_rate(rate)
-    if rate <= 0:
-        raise ValueError("exponential rate must be positive")
-    return WElement(rate, reduce_poly(q))
-
-
-def lowest_vector(sig: Signature) -> WElement:
-    return make_w(SuperPolynomial.one(sig), 2)
+from .scalars import HALF, I, ONE, QQi, poch
 
 
 def pi_op(descriptor: tuple, q: SuperPolynomial, rate) -> SuperPolynomial:
     """One ``algebra._OPS`` operator on q exp(-rate x_0), reduced modulo R^2."""
     return reduce_poly(apply_op(descriptor, q, rate))
-
-
-def diffop_on_w(descriptor: tuple, f: WElement) -> WElement:
-    """Apply a first-order operator descriptor, e.g. ("L", 0, 1) or ("bessel_mod", 2)."""
-    return WElement(f.rate, pi_op(descriptor, f.poly, f.rate))
 
 
 def pi_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
@@ -103,11 +52,9 @@ def pi_table(tkk, a: int) -> list[tuple[tuple, QQi]]:
     return [(("one",), QQi(2 - tkk.sig.M, 0, 2)), (("E",), -ONE)]
 
 
-def pi_apply(X: TKKElement, f: WElement) -> WElement:
-    """Schrodinger action of a TKK element on W (defined at rate 2)."""
-    if f.rate != 2:
-        raise ValueError("the Schrodinger action is defined at rate 2")
-    return WElement(f.rate, table_apply(pi_table, pi_op, X, f.poly, f.rate))
+def pi_apply(X: TKKElement, q: SuperPolynomial) -> SuperPolynomial:
+    """Schrodinger action of a TKK element on the vector q exp(-2 x_0) of W."""
+    return table_apply(pi_table, pi_op, X, q, 2)
 
 
 # -- radial superfunctions ---------------------------------------------------

@@ -13,8 +13,9 @@ from superfock.integral import (DivergenceError, _integral_direct, _ray_terms,
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys
 from superfock.scalars import PiScalar, QQi
-from superfock.schrodinger import WElement, lowest_vector, make_w, pi_apply
+from superfock.schrodinger import pi_apply
 from superfock.verify import Context, RunConfig, check_normalization
+from test_algebra import parity
 
 SIG40 = Signature(4, 0)
 SIG61 = Signature(6, 1)
@@ -42,14 +43,12 @@ def test_a_rate_that_is_not_an_int_or_a_fraction_is_refused(rate):
     # a float's binary expansion or a parsed string is never taken as a rate
     one = SuperPolynomial.one(SIG40)
     for call in (lambda: radial_integral(1, rate), lambda: integrate_w(one, rate),
-                 lambda: integrate_w(one, rate, trace=[]), lambda: make_w(one, rate),
-                 lambda: WElement(rate, one), lambda: _integral_direct(one, rate),
+                 lambda: integrate_w(one, rate, trace=[]), lambda: _integral_direct(one, rate),
                  lambda: phi_sharp(SIG40, rate, _ray_terms(one)),
                  lambda: apply_op(("E",), one, rate)):
         with pytest.raises(TypeError):
             call()
     assert integrate_w(one, Fraction(1, 10)) == integrate_w(one, Fraction(1, 10), trace=[])
-    assert make_w(one, True).rate == 1
 
 
 def test_berezin():
@@ -208,10 +207,10 @@ def test_euler_identity():
 
 @pytest.mark.parametrize("m,n", [(5, 0), (6, 1), (8, 2)])
 def test_w_pair_equals_the_form_of_two_monomial_vectors(m, n):
-    # the signed moment against the product of two WElements, integrated
+    # the signed moment against the product of two monomial vectors, integrated
     ctx = Context(RunConfig(m=m, n=n, max_degree=1))
     sig = ctx.sig
-    vec = {key: make_w(SuperPolynomial.monomial(sig, key), 2)
+    vec = {key: SuperPolynomial.monomial(sig, key)
            for d in range(4) for key in normal_form_keys(sig, d)}
     low = [key for d in range(3) for key in normal_form_keys(sig, d)]
     for p in low:
@@ -221,10 +220,10 @@ def test_w_pair_equals_the_form_of_two_monomial_vectors(m, n):
 
 
 def test_w_form_basics():
-    v0 = lowest_vector(SIG61)
+    v0 = SuperPolynomial.one(SIG61)
     assert w_form(v0, v0) == QQi(1)
-    f = make_w(SuperPolynomial.variable(SIG61, 1), 2)
-    g = make_w(SuperPolynomial.variable(SIG61, 0), 2)
+    f = SuperPolynomial.variable(SIG61, 1)
+    g = SuperPolynomial.variable(SIG61, 0)
     assert w_form(f, g) == w_form(g, f).conjugate()
     # sesquilinear in the second slot
     c = QQi(0, 1)
@@ -233,7 +232,7 @@ def test_w_form_basics():
 
 def test_pi_skew_sample():
     tkk = tkk_for(SIG61)
-    fs = [make_w(SuperPolynomial.monomial(SIG61, key), 2)
+    fs = [SuperPolynomial.monomial(SIG61, key)
           for d in range(2) for key in normal_form_keys(SIG61, d)]
     rng = random.Random(7)
     for _ in range(40):
@@ -241,7 +240,7 @@ def test_pi_skew_sample():
         X = tkk.basis_element(a)
         f = rng.choice(fs)
         g = rng.choice(fs)
-        sgn = QQi(-1 if (tkk.parity(a) and f.poly.parity()) else 1)
+        sgn = QQi(-1 if (tkk.parity(a) and parity(f)) else 1)
         assert w_form(pi_apply(X, f), g) + sgn * w_form(f, pi_apply(X, g)) == QQi(0)
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superfock.algebra import (Signature, SuperPolynomial, add_term_product, apply_op,
-                               derive_key, monomial_keys)
+from superfock.algebra import (R2, Signature, SuperPolynomial, add_term_product, apply_op,
+                               derive_key, monomial_keys, r2_small)
 from superfock import sbtransform
 from superfock.bipoly import (LEFT, RIGHT, BiSignature, _slot_r2_power, bi_signature,
                               pairing, pairing_power)
@@ -15,7 +15,7 @@ from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
                                    exp_coefficient, exp_z0_truncation)
 from superfock.scalars import I, PiScalar, QQi, _acc, column_terms
-from superfock.schrodinger import lowest_vector, make_w, pi_apply
+from superfock.schrodinger import pi_apply
 from superfock.verify import (Context, RunConfig, check_b0_identities,
                               check_intertwining, check_intertwining_inverse, run_check)
 
@@ -92,7 +92,7 @@ def test_series_coefficients():
 
 
 def test_sb_of_lowest_vector_and_pi_image():
-    v0 = lowest_vector(SIG)
+    v0 = SuperPolynomial.one(SIG)
     assert SB.sb(v0) == SuperPolynomial.one(SIGZ)
     got = SB.sb(pi_apply(TKK.minus(0), v0))
     want = (SuperPolynomial.variable(SIGZ, 0)
@@ -100,66 +100,81 @@ def test_sb_of_lowest_vector_and_pi_image():
     assert got == want
 
 
-def test_sb_requires_rate_two():
-    with pytest.raises(ValueError):
-        SB.sb(make_w(SuperPolynomial.one(SIG), 4))
+def test_sb_requires_superdimension_four():
+    sb = SBTransform(Signature(5, 1))  # M = 3
+    with pytest.raises(ValueError, match="forward transform requires superdimension >= 4"):
+        sb.sb(SuperPolynomial.one(sb.sig_x))
+
+
+def test_sb_reduces_its_input():
+    # the transform is constant on each class modulo <R^2>, and the memo of
+    # monomial images only ever holds normal-form monomials (x_0-exponent <= 1)
+    sig = Signature(5, 0)
+    sb = SBTransform(sig)
+    x = [SuperPolynomial.variable(sig, i) for i in range(sig.m)]
+    assert sb.sb(x[0] * x[0]) == sb.sb(r2_small(sig))
+    assert not sb.sb(x[0] * x[0]).is_zero()
+    q = x[0] + x[1].scale(I) + SuperPolynomial.one(sig)
+    p = x[2] * x[3] + x[4].scale(3)
+    assert sb.sb(q + R2(sig) * p) == sb.sb(q)
+    assert sb._columns and all(ev[0] <= 1 for ev, _ in sb._columns)
 
 
 def test_inverse_examples():
-    assert SB.sb_inverse(SuperPolynomial.one(SIGZ)).poly == SuperPolynomial.one(SIG)
+    assert SB.sb_inverse(SuperPolynomial.one(SIGZ)) == SuperPolynomial.one(SIG)
     got = SB.sb_inverse(SuperPolynomial.variable(SIGZ, 0))
     want = SuperPolynomial.variable(SIG, 0).scale(4) \
         - SuperPolynomial.constant(SIG, SIG.M - 2)
-    assert got.poly == want and got.rate == 2
+    assert got == want
     for k in range(1, SIG.nvars):
         got = SB.sb_inverse(SuperPolynomial.variable(SIGZ, k, 2))
-        assert got.poly == SuperPolynomial.variable(SIG, k).scale(8)
+        assert got == SuperPolynomial.variable(SIG, k).scale(8)
 
 
 def test_round_trips():
     for d in range(4):
         for key in normal_form_keys(SIG, d):
-            f = make_w(SuperPolynomial.monomial(SIG, key), 2)
-            assert SB.sb_inverse(SB.sb(f)).poly == f.poly
+            f = SuperPolynomial.monomial(SIG, key)
+            assert SB.sb_inverse(SB.sb(f)) == f
             p = SuperPolynomial.monomial(SIGZ, key)
             assert SB.sb(SB.sb_inverse(p)) == reduce_poly(p)
 
 
 def test_hermite():
-    H0, h0 = SB.hermite(((0, 0, 0, 0), ()))
-    assert H0 == SuperPolynomial.one(SIG) and h0.rate == 2
-    He0, _ = SB.hermite(((1, 0, 0, 0), ()))
+    assert SB.hermite(((0, 0, 0, 0), ())) == SuperPolynomial.one(SIG)
+    He0 = SB.hermite(((1, 0, 0, 0), ()))
     assert He0 == SuperPolynomial.variable(SIG, 0).scale(8) \
         + SuperPolynomial.constant(SIG, 4 - 2 * SIG.M)
-    He1, _ = SB.hermite(((0, 1, 0, 0), ()))
+    He1 = SB.hermite(((0, 1, 0, 0), ()))
     assert He1 == SuperPolynomial.variable(SIG, 1).scale(8)
     for d in range(3):
         for key in monomial_keys(SIG, d):
-            H, h = SB.hermite(key)
-            assert SB.sb(h) == reduce_poly(SuperPolynomial.monomial(SIGZ, key, QQi(2 ** d)))
+            H = SB.hermite(key)
+            assert isinstance(H, SuperPolynomial) and H.sig == SIG
+            assert SB.sb(H) == reduce_poly(SuperPolynomial.monomial(SIGZ, key, QQi(2 ** d)))
 
 
 def test_hermite_odd_support():
     sig = Signature(6, 1)
     sb = SBTransform(sig)
     key = ((0,) * 6, (6,))
-    H, h = sb.hermite(key)
+    H = sb.hermite(key)
     assert H == SuperPolynomial.variable(sig, 6).scale(8)
-    assert sb.sb(h) == SuperPolynomial.variable(sb.sig_z, 6).scale(2)
+    assert sb.sb(H) == SuperPolynomial.variable(sb.sig_z, 6).scale(2)
     key2 = ((0,) * 6, (6, 7))
-    H2, h2 = sb.hermite(key2)
-    assert sb.sb(h2) == reduce_poly(SuperPolynomial.monomial(sb.sig_z, key2, QQi(4)))
+    assert sb.sb(sb.hermite(key2)) == \
+        reduce_poly(SuperPolynomial.monomial(sb.sig_z, key2, QQi(4)))
 
 
 def intertwine_inverse(sb, X, p):
     """pi(X) SBinv(p) - SBinv(rho(X) p) on polynomials, zero iff the identity
     holds: the polynomial oracle of the column contraction in
     ``check_intertwining_inverse``."""
-    return pi_apply(X, sb.sb_inverse(p)).poly - sb.sb_inverse(rho_apply(X, p)).poly
+    return pi_apply(X, sb.sb_inverse(p)) - sb.sb_inverse(rho_apply(X, p))
 
 
 def test_unitarity_and_intertwining_samples():
-    fs = [make_w(SuperPolynomial.monomial(SIG, key), 2)
+    fs = [SuperPolynomial.monomial(SIG, key)
           for d in range(3) for key in normal_form_keys(SIG, d)]
     for f in fs:
         for g in fs:
@@ -168,7 +183,7 @@ def test_unitarity_and_intertwining_samples():
     for _ in range(30):
         X = TKK.basis_element(rng.randrange(TKK.dim))
         f = rng.choice(fs)
-        assert SB.check_intertwine(X, f).is_zero()
+        assert (SB.sb(pi_apply(X, f)) - rho_apply(X, SB.sb(f))).is_zero()
         p = SuperPolynomial.monomial(SIGZ, rng.choice(
             [k for d in range(4) for k in normal_form_keys(SIGZ, d)]))
         assert intertwine_inverse(SB, X, p).is_zero()

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superfock.scalars import (HALF, I, ONE, PiScalar, QQi, column_combination,
-                               column_terms, factorial_fraction, gamma_half,
-                               int_column, poch)
+                               column_terms, gamma_half, int_column, poch)
 
 small_ints = st.integers(min_value=-30, max_value=30)
 denoms = st.integers(min_value=1, max_value=12)
@@ -55,11 +54,10 @@ def test_str_format():
     assert str(QQi(2, 3)) == "2+3*i"
 
 
-def test_pochhammer_and_factorial():
+def test_pochhammer():
     assert poch(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert poch(Fraction(-2), 3) == 0
     assert poch(Fraction(5), 0) == 1
-    assert factorial_fraction(5) == 120
 
 
 def test_gamma_half():

@@ -4,56 +4,45 @@ from fractions import Fraction
 import pytest
 
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op,
-                               monomials_up_to, random_polynomial,
+                               monomials_up_to, r2_small, random_polynomial,
                                table_apply, term_product, theta2)
 from superfock.liealg import tkk_for
 from superfock.quotient import normal_form_keys, reduce_poly
 from superfock.sbtransform import exp_z0_truncation
 from superfock.scalars import I, QQi
-from superfock.schrodinger import (abs_X, diffop_on_w,
-                                   lowest_vector, make_w, pi_apply, pi_op,
-                                   pi_table)
+from superfock.schrodinger import abs_X, pi_apply, pi_op, pi_table
 
 SIG = Signature(4, 1)
 TKK = tkk_for(SIG)
 
 
-def test_make_w():
+def test_a_vector_of_w_is_its_reduced_polynomial():
     one = SuperPolynomial.one(SIG)
-    v = make_w(one, 2)
-    assert v.rate == 2 and v.poly == one
-    assert make_w(R2(SIG), 2).is_zero()
+    assert reduce_poly(one) == one
+    assert reduce_poly(R2(SIG)).is_zero()
     x0 = SuperPolynomial.variable(SIG, 0)
-    from superfock.algebra import r2_small
-    assert make_w(x0 * x0, 2).poly == r2_small(SIG)
-    with pytest.raises(ValueError):
-        make_w(one, 0)
+    assert reduce_poly(x0 * x0) == r2_small(SIG)
 
 
 def test_appendix_actions_on_lowest_vector():
-    v0 = lowest_vector(SIG)
+    v0 = SuperPolynomial.one(SIG)
     x0 = SuperPolynomial.variable(SIG, 0)
-    assert diffop_on_w(("E",), v0).poly == x0.scale(-2)
+    assert pi_op(("E",), v0, 2) == x0.scale(-2)
     for k in range(1, SIG.nvars):
-        assert diffop_on_w(("bessel_mod", k), v0).poly == \
-            SuperPolynomial.variable(SIG, k).scale(4)
+        assert pi_op(("bessel_mod", k), v0, 2) == SuperPolynomial.variable(SIG, k).scale(4)
     # halved Bessel at rate 4
-    e4 = make_w(SuperPolynomial.one(SIG), 4)
-    got = diffop_on_w(("bessel_mod", 0), e4).scale(Fraction(1, 2))
-    assert got.poly == x0.scale(8) + SuperPolynomial.constant(SIG, 4 - 2 * SIG.M)
+    got = pi_op(("bessel_mod", 0), v0, 4).scale(Fraction(1, 2))
+    assert got == x0.scale(8) + SuperPolynomial.constant(SIG, 4 - 2 * SIG.M)
 
 
 def test_pi_table_values():
-    v0 = lowest_vector(SIG)
+    v0 = SuperPolynomial.one(SIG)
     x0 = SuperPolynomial.variable(SIG, 0)
-    assert pi_apply(TKK.minus(0), v0).poly == x0.scale(-2 * I)
+    assert pi_apply(TKK.minus(0), v0) == x0.scale(-2 * I)
     want = SuperPolynomial.constant(SIG, QQi(2 - SIG.M, 0, 2)) + x0.scale(2)
-    assert pi_apply(TKK.L(0), v0).poly == want
+    assert pi_apply(TKK.L(0), v0) == want
     for k in range(1, SIG.nvars):
-        assert pi_apply(TKK.plus(k), v0).poly == \
-            SuperPolynomial.variable(SIG, k).scale(-2 * I)
-    with pytest.raises(ValueError):
-        pi_apply(TKK.minus(0), make_w(SuperPolynomial.one(SIG), 4))
+        assert pi_apply(TKK.plus(k), v0) == SuperPolynomial.variable(SIG, k).scale(-2 * I)
 
 
 def pi_dispatch(X, q, rate):
@@ -99,7 +88,7 @@ def test_pi_table_equals_the_case_dispatch(m, n):
 
 
 def test_pi_representation_property():
-    fs = [make_w(SuperPolynomial.monomial(SIG, key), 2)
+    fs = [SuperPolynomial.monomial(SIG, key)
           for d in range(3) for key in normal_form_keys(SIG, d)]
     rng = random.Random(3)
     pairs = [(rng.randrange(TKK.dim), rng.randrange(TKK.dim)) for _ in range(120)]
@@ -108,8 +97,8 @@ def test_pi_representation_property():
         Z = TKK.bracket(X, Y)
         s = QQi(-1 if (TKK.parity(a) and TKK.parity(b)) else 1)
         for f in fs[:10]:
-            lhs = pi_apply(X, pi_apply(Y, f)).poly - pi_apply(Y, pi_apply(X, f)).poly.scale(s)
-            assert reduce_poly(lhs) == pi_apply(Z, f).poly
+            lhs = pi_apply(X, pi_apply(Y, f)) - pi_apply(Y, pi_apply(X, f)).scale(s)
+            assert reduce_poly(lhs) == pi_apply(Z, f)
 
 
 @pytest.mark.parametrize("m,n", [(4, 1), (5, 0)])
@@ -148,7 +137,7 @@ def test_tangential_representative_independence():
         shifted = q + R2(SIG) * p
         for d in descriptors + [("Delta",)]:
             moved = reduce_poly(apply_op(d, shifted, 2))
-            same = moved == diffop_on_w(d, make_w(q, 2)).poly
+            same = moved == pi_op(d, reduce_poly(q), 2)
             assert same is (d != ("Delta",)), d
 
 
@@ -162,11 +151,9 @@ def test_abs_X_squares_back():
         assert term_product(aX, aX) == want
 
 
-def test_welement_arithmetic():
-    v = lowest_vector(SIG)
+def test_vector_arithmetic_is_polynomial_arithmetic():
+    v = SuperPolynomial.one(SIG)
     w = v.scale(QQi(0, 1))
-    assert (v + w).poly == SuperPolynomial.one(SIG).scale(QQi(1, 1))
+    assert v + w == SuperPolynomial.one(SIG).scale(QQi(1, 1))
     assert (v - v).is_zero()
-    assert w.conjugate().poly == SuperPolynomial.one(SIG).scale(QQi(0, -1))
-    with pytest.raises(ValueError):
-        v + make_w(SuperPolynomial.one(SIG), 4)
+    assert w.conjugate() == SuperPolynomial.one(SIG).scale(QQi(0, -1))

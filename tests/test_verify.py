@@ -41,7 +41,7 @@ from superfock.liealg import TKK, k_basis, tkk_for
 from superfock.quotient import nf_terms, normal_form_keys
 from superfock.scalars import (I, ZERO, QQi, _acc, column_combination, column_terms,
                                int_column)
-from superfock.schrodinger import WElement, make_w, pi_apply, pi_op, pi_table
+from superfock.schrodinger import pi_apply, pi_op, pi_table
 from superfock.verify import (ALL_SUITES, CHECKS, Context, RunConfig,
                               check_angular_commutes, check_bessel_commutator,
                               check_bessel_tangential,
@@ -56,6 +56,7 @@ from superfock.verify import (ALL_SUITES, CHECKS, Context, RunConfig,
                               check_rho_skew, check_sb_lowest, check_sl2_triple,
                               check_tkk_axioms, check_unitarity, run_check, run_checks,
                               run_suite)
+from test_algebra import parity
 from test_liealg import osp_matrix, qqi_matrix_model
 
 
@@ -361,14 +362,14 @@ def test_the_actions_refuse_an_element_of_another_shape():
     tkk = tkk_for(Signature(4, 1))
     X = tkk.minus(0)
     with pytest.raises(ValueError, match="different shapes"):
-        pi_apply(X, make_w(SuperPolynomial.one(Signature(5, 1)), 2))
+        pi_apply(X, SuperPolynomial.one(Signature(5, 1)))
     with pytest.raises(ValueError, match="different shapes"):
         rho_apply(X, SuperPolynomial.one(Signature(5, 1, varset="z")))
     # pi and rho act on the algebra's shape, D on its big signature only
     y1 = SuperPolynomial.variable(tkk.big_signature, 1)
     x1 = SuperPolynomial.variable(tkk.sig, 1)
     with pytest.raises(ValueError, match="different shapes"):
-        pi_apply(X, WElement(2, y1))
+        pi_apply(X, y1)
     with pytest.raises(ValueError, match="different shapes"):
         rho_apply(X, y1)
     with pytest.raises(ValueError, match="different shapes"):
@@ -615,11 +616,11 @@ def test_a_multiple_of_one_realization_passes_the_matrix_model_but_not_the_reali
     assert status["differential-realization"] == ("fail", f"homomorphism fails at pair (4,{a})")
 
 
-def test_a_failing_word_sample_names_its_basis_element():
-    ctx = small_context()
+def test_a_failing_word_sample_names_its_basis_element(monkeypatch):
+    ctx = small_context(5, 0)  # M = 5: the forward transform is defined
     tkk = ctx.tkk
     nonzero = SuperPolynomial.one(ctx.sig_z)
-    ctx.sb.check_intertwine = lambda X, f: nonzero
+    monkeypatch.setattr(verify, "rho_apply", lambda X, p: rho_apply(X, p) + nonzero)
     # no monomials of degree <= -1, so the first word sample is the witness
     rng = random.Random(ctx.cfg.seed + 1)
     for _ in range(rng.randrange(3)):
@@ -634,10 +635,10 @@ def intertwining_by_polynomials(ctx, max_degree):
     tkk = ctx.tkk
     for a in range(tkk.dim):
         X = tkk.basis_element(a)
-        for f in ctx.w_monomials(max_degree):
-            diff = ctx.sb.check_intertwine(X, f)
+        for f in ctx.monomials(ctx.sig, max_degree):
+            diff = ctx.sb.sb(pi_apply(X, f)) - rho_apply(X, ctx.sb.sb(f))
             if not diff.is_zero():
-                return f"{tkk.basis_label(a)} on {f.poly}: residue {diff}"
+                return f"{tkk.basis_label(a)} on {f}: residue {diff}"
     return None
 
 
@@ -889,7 +890,7 @@ def product_rule_oracle(ctx, max_degree):
         p = SuperPolynomial.monomial(sig, key)
         cache.append((p, E(p), lap(p), [apply_op(("d_lower", r), p) for r in range(nv)]))
     for (phi, ephi, lphi, dphi) in cache:
-        pphi = phi.parity()
+        pphi = parity(phi)
         for (psi, epsi, lpsi, dpsi) in cache:
             prod = phi * psi
             lprod = lap(prod)
@@ -928,7 +929,7 @@ def polynomial_product_rule(ctx, max_degree):
               [image(("d_lower", r), key) for r in range(nv)], [image(b, key) for b in B])
              for key in monomials_up_to(sig, max_degree)]
     for (phi, ephi2, dphi, bphi) in monos:
-        pphi = phi.parity()
+        pphi = parity(phi)
         for (psi, epsi2, dpsi, bpsi) in monos:
             # phi psi is a signed monomial or zero, and B_i is linear
             prod = (phi * psi).terms.items()
