@@ -1,56 +1,40 @@
 """Spherical harmonics, dimension formulas and Fischer decomposition.
 
-Harmonic spaces are computed as exact nullspaces of the Laplacian on the
-monomial basis of each homogeneous slice; dimension formulas are evaluated
-in closed form and cross-checked against each other.
+Harmonic and generalized harmonic spaces are exact nullspaces, on the
+monomial basis of each homogeneous slice, from one kernel routine; dimension
+formulas are evaluated in closed form and cross-checked against each other.
+The Fischer decomposition peels its components off with powers of Delta.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from math import prod
 
 from . import linalg
-from .algebra import (R2, Signature, SuperPolynomial, dim_P,
+from .algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
                       in_minus_2n, monomial_keys, op_image, op_terms)
 from .scalars import QQi
 
 _DELTA = ("Delta",)
 
 
-def _operator_rows(sig: Signature, k: int, image):
-    """Rows of the matrix from P_k to P_(k-2), on monomial bases, of the map
-    taking x^key to the term map image(key)."""
+def _kernel_basis(sig: Signature, k: int, image) -> list[SuperPolynomial]:
+    """Echelon-normalized basis of the kernel inside P_k of the map taking x^key
+    to the term map image(key): one row per image monomial, on the
+    ``monomial_keys`` columns.  An empty image leaves every monomial free."""
     dom = monomial_keys(sig, k)
-    cod = {key: r for r, key in enumerate(monomial_keys(sig, k - 2))}
-    rows: list[dict[int, QQi]] = [{} for _ in cod]
+    rows: dict = {}
     for c, key in enumerate(dom):
         for ikey, coeff in image(key).items():
-            rows[cod[ikey]][c] = coeff
-    return rows, dom
-
-
-def _kernel_basis(sig: Signature, k: int, image) -> list[SuperPolynomial]:
-    """Echelon-normalized basis of the kernel inside P_k of a map that lowers
-    the degree by two (``_operator_rows``)."""
-    dom = monomial_keys(sig, k)
-    if k < 2:
-        return [SuperPolynomial.monomial(sig, key) for key in dom]
-    rows, dom = _operator_rows(sig, k, image)
-    vectors = linalg.nullspace(rows, len(dom))
+            rows.setdefault(ikey, {})[c] = coeff
+    vectors = linalg.nullspace(list(rows.values()), len(dom))
     return [SuperPolynomial(sig, {dom[c]: v for c, v in vec.items()}) for vec in vectors]
 
 
 def harmonic_basis(k: int, sig: Signature) -> list[SuperPolynomial]:
     """Echelon-normalized basis of ker(Delta) inside P_k."""
     return _kernel_basis(sig, k, partial(op_image, sig, _DELTA))
-
-
-def harmonic_dim_nullspace(k: int, sig: Signature) -> int:
-    """dim ker(Delta|P_k) via exact rank, without materializing the basis."""
-    if k < 2:
-        return dim_P(sig.m, sig.n, k)
-    rows, dom = _operator_rows(sig, k, partial(op_image, sig, _DELTA))
-    return len(dom) - linalg.rank(rows, len(dom))
 
 
 def dim_harmonic(k: int, sig: Signature) -> int:
@@ -67,10 +51,15 @@ def dim_harmonic(k: int, sig: Signature) -> int:
 
 
 def fischer_decompose(p: SuperPolynomial) -> list[tuple[int, SuperPolynomial]]:
-    """Write homogeneous p as sum_j R^{2j} h_{k-2j} with each h harmonic.
+    """Write homogeneous p of degree k as sum_j R^{2j} h_{k-2j} with each h
+    harmonic: the pairs (j, h_{k-2j}) with h nonzero, in ascending j.
 
-    Only valid when the superdimension M avoids -2N; in the exceptional case
-    use :func:`generalized_basis` instead.
+    For h in H_l, Delta R^{2i} h = 2i(2l + 2i - 2 + M) R^{2i-2} h.  So Delta^j
+    kills R^{2i} h_{k-2i} for i < j and sends R^{2j} h_{k-2j} to c_j h_{k-2j},
+    c_j = prod_{i<=j} 2i(2(k-2j) + 2i - 2 + M): the parts come off from the top
+    j down, and the last remainder is h_k.  They rebuild p by construction;
+    ``check_fischer`` tests that each is harmonic.  c_j vanishes only for M in
+    -2N, where :func:`generalized_basis` replaces the decomposition.
     """
     sig = p.sig
     if in_minus_2n(sig.M):
@@ -81,37 +70,18 @@ def fischer_decompose(p: SuperPolynomial) -> list[tuple[int, SuperPolynomial]]:
         return []
     if len(comps) != 1:
         raise ValueError("input must be homogeneous")
-    (k, _), = comps.items()
-    dom = {key: r for r, key in enumerate(monomial_keys(sig, k))}
-    columns = []
-    pieces: list[tuple[int, SuperPolynomial]] = []
-    r2 = R2(sig)
-    for j in range(k // 2 + 1):
-        power = SuperPolynomial.one(sig)
+    (k, rest), = comps.items()
+    out = []
+    for j in range(k // 2, -1, -1):
+        h = rest
         for _ in range(j):
-            power = power * r2
-        for h in harmonic_basis(k - 2 * j, sig):
-            img = power * h
-            columns.append({dom[key]: c for key, c in img.terms.items()})
-            pieces.append((j, h))
-    target = {dom[key]: c for key, c in p.terms.items()}
-    x = linalg.solve_columns(columns, target)
-    if x is None:
-        raise AssertionError("Fischer system inconsistent")
-    parts: dict[int, SuperPolynomial] = {}
-    for idx, coeff in x.items():
-        j, h = pieces[idx]
-        parts[j] = parts.get(j, SuperPolynomial.zero(sig)) + h.scale(coeff)
-    out = [(j, parts[j]) for j in sorted(parts)]
-    recon = SuperPolynomial.zero(sig)
-    for j, h in out:
-        term = h
-        for _ in range(j):
-            term = r2 * term
-        recon = recon + term
-    if recon != p:
-        raise AssertionError("Fischer reconstruction failed")
-    return out
+            h = apply_op(_DELTA, h)
+        c = prod(2 * i * (2 * (k - 2 * j) + 2 * i - 2 + sig.M) for i in range(1, j + 1))
+        h = h.scale(QQi(1, 0, c))
+        if not h.is_zero():
+            out.append((j, h))
+            rest = rest - R2(sig) ** j * h
+    return out[::-1]
 
 
 def generalized_basis(k: int, sig: Signature) -> list[SuperPolynomial]:

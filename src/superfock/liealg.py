@@ -367,14 +367,9 @@ def k_closes(tkk: TKK) -> bool:
 def k_center_dimension(tkk: TKK) -> int:
     """Dimension of the center of k, via an exact nullspace."""
     basis = k_basis(tkk)
-    rows: list[dict[int, QQi]] = []
-    row_index: dict[tuple[int, int], int] = {}
-    images = [[tkk.bracket(b, x) for x in basis] for b in basis]
-    for j, img_row in enumerate(images):
-        for c, z in enumerate(img_row):
-            for k, v in z.coeffs.items():
-                rid = row_index.setdefault((j, k), len(row_index))
-                while len(rows) <= rid:
-                    rows.append({})
-                rows[rid][c] = v
-    return len(basis) - linalg.rank(rows, len(basis))
+    rows: dict[tuple[int, int], dict[int, QQi]] = {}
+    for j, b in enumerate(basis):
+        for c, x in enumerate(basis):
+            for k, v in tkk.bracket(b, x).coeffs.items():
+                rows.setdefault((j, k), {})[c] = v
+    return len(basis) - linalg.rank(list(rows.values()), len(basis))

@@ -83,34 +83,6 @@ def nullspace(rows, ncols: int) -> list[dict[int, QQi]]:
     return basis
 
 
-def solve_columns(columns: list[dict[int, QQi]], target: dict[int, QQi]):
-    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent."""
-    ncols = len(columns)
-    row_ids = set(target)
-    for c in columns:
-        row_ids |= set(c)
-    rows = []
-    for rid in sorted(row_ids):
-        row = {}
-        for j, col in enumerate(columns):
-            v = col.get(rid)
-            if v:
-                row[j] = v
-        t = target.get(rid)
-        if t:
-            row[ncols] = t
-        rows.append(row)
-    red, pivots = rref(rows, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = {}
-    for prow, pcol in zip(red, pivots):
-        v = prow.get(ncols)
-        if v:
-            x[pcol] = v
-    return x
-
-
 def inv_dense(mat: list[list[QQi]]) -> list[list[QQi]]:
     n = len(mat)
     rows = []

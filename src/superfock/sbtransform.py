@@ -121,15 +121,15 @@ def b0_identity_failures(sig: Signature, sig_z: Signature, max_degree: int, lam=
         yield label, next((d for d in range(max_degree + 1) if residue(d)), None)
 
 
-def exp_coefficient(e: int, scale=-1) -> Fraction:
-    """scale^e / e!, the coefficient of z_0^e in exp(scale * z_0)."""
-    return Fraction(scale) ** e / factorial(e)
+def exp_coefficient(e: int) -> Fraction:
+    """(-1)^e / e!, the coefficient of z_0^e in exp(-z_0)."""
+    return Fraction((-1) ** e, factorial(e))
 
 
-def exp_z0_truncation(sig: Signature, max_degree: int, scale=-1) -> SuperPolynomial:
-    """Degree-truncated exp(scale * z_0)."""
+def exp_z0_truncation(sig: Signature, max_degree: int) -> SuperPolynomial:
+    """Degree-truncated exp(-z_0)."""
     rest = (0,) * (sig.m - 1)
-    return SuperPolynomial(sig, {((e,) + rest, ()): exp_coefficient(e, scale)
+    return SuperPolynomial(sig, {((e,) + rest, ()): exp_coefficient(e)
                                  for e in range(max_degree + 1)})
 
 

@@ -48,7 +48,7 @@ from .fock import (b_series_coeff, bessel_image, bf_covectors, bf_product,
                    gram_rank, kernel, kernel_pair, rho_apply, rho_lowering,
                    rho_raising, rho_table)
 from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
-                        harmonic_basis, harmonic_dim_nullspace)
+                        harmonic_basis)
 from .integral import (berezin, berezin_theta_power, gamma_closed_form, gamma_engine,
                        integrate_w, radial_integral, sphere_moment, w_form, w_pair,
                        DivergenceError)
@@ -407,7 +407,7 @@ def check_dimension_chain(ctx: Context, max_degree: int = 5):
     for k in range(max_degree + 1):
         count = graded_dim_F(k, sig_z)
         closed = dim_P(sig.m - 1, sig.n, k) + dim_P(sig.m - 1, sig.n, k - 1)
-        null = harmonic_dim_nullspace(k, sig)
+        null = len(harmonic_basis(k, sig))
         formula = dim_harmonic(k, sig)
         if not count == closed == null == formula:
             return False, f"k={k}: count={count} closed={closed} " \
@@ -457,8 +457,8 @@ def check_fischer(ctx: Context, max_degree: int = 4):
             return False, f"dimension sum fails at degree {d}"
     for p in ctx.sample_polys(3, 6):
         for d, comp in p.homogeneous_components().items():
-            parts = fischer_decompose(comp)  # raises if reconstruction fails
-            for _, h in parts:
+            # the parts rebuild comp by construction; test that each is harmonic
+            for _, h in fischer_decompose(comp):
                 if not apply_op(("Delta",), h).is_zero():
                     return False, f"non-harmonic component at degree {d}"
     return True, ""
@@ -1332,8 +1332,10 @@ def check_sb_span(ctx: Context, max_degree: int = 3):
 
 
 def check_k_exponential():
+    """The series ``specfun._ktilde_c`` that ``g2`` reads, not the closed form
+    that ``ktilde`` returns at half-integer orders."""
     for t in (0.5, 1.0, 2.0):
-        got = specfun.ktilde(-0.5, t).value
+        got = specfun._ktilde_c(-0.5, complex(t), 40).real
         want = math.sqrt(math.pi) / 2 * math.exp(-t)
         if abs(got - want) > 1e-12:
             return False, f"t={t}: |{got} - {want}|"
@@ -1383,7 +1385,8 @@ def check_truncation_consistency():
     for t in (0.5, 1.0, 2.0):
         if abs(specfun.itilde(0.5, t, 40).value - specfun.itilde(0.5, t, 60).value) > 1e-12:
             return False, f"I-series unstable at t={t}"
-        if abs(specfun.ktilde(0.5, t, 40).value - specfun.ktilde(0.5, t, 60).value) > 1e-12:
+        if abs(specfun._ktilde_c(0.5, complex(t), 40).real
+               - specfun._ktilde_c(0.5, complex(t), 60).real) > 1e-12:
             return False, f"K-series unstable at t={t}"
     return True, ""
 

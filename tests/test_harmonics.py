@@ -1,16 +1,64 @@
+import random
 from functools import partial
 
 import pytest
 
-from superfock import linalg, verify
+from superfock import harmonics, linalg, verify
 from superfock.algebra import (R2, Signature, SuperPolynomial, apply_op, dim_P,
-                               monomial_keys)
+                               monomial_keys, random_polynomial)
 from superfock.harmonics import (dim_harmonic, fischer_decompose,
-                                 generalized_basis, harmonic_basis,
-                                 harmonic_dim_nullspace)
+                                 generalized_basis, harmonic_basis)
 from superfock.quotient import graded_dim_F
 from superfock.scalars import QQi
-from superfock.verify import Context, RunConfig, check_generalized
+from superfock.verify import Context, RunConfig, check_fischer, check_generalized
+
+
+def solve_columns(columns, target):
+    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent."""
+    ncols = len(columns)
+    row_ids = set(target)
+    for c in columns:
+        row_ids |= set(c)
+    rows = []
+    for rid in sorted(row_ids):
+        row = {}
+        for j, col in enumerate(columns):
+            v = col.get(rid)
+            if v:
+                row[j] = v
+        t = target.get(rid)
+        if t:
+            row[ncols] = t
+        rows.append(row)
+    red, pivots = linalg.rref(rows, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = {}
+    for prow, pcol in zip(red, pivots):
+        v = prow.get(ncols)
+        if v:
+            x[pcol] = v
+    return x
+
+
+def solve_route_fischer(p):
+    """The Fischer decomposition of homogeneous p by one linear solve against
+    the columns R^(2j) h, h over the harmonic basis of every degree k - 2j."""
+    sig = p.sig
+    (k, _), = p.homogeneous_components().items()
+    dom = {key: r for r, key in enumerate(monomial_keys(sig, k))}
+    columns, pieces = [], []
+    for j in range(k // 2 + 1):
+        for h in harmonic_basis(k - 2 * j, sig):
+            columns.append({dom[key]: c for key, c in (R2(sig) ** j * h).terms.items()})
+            pieces.append((j, h))
+    x = solve_columns(columns, {dom[key]: c for key, c in p.terms.items()})
+    assert x is not None, "Fischer system inconsistent"
+    parts = {}
+    for idx, coeff in x.items():
+        j, h = pieces[idx]
+        parts[j] = parts.get(j, SuperPolynomial.zero(sig)) + h.scale(coeff)
+    return [(j, parts[j]) for j in sorted(parts)]
 
 
 def test_dim_examples():
@@ -33,7 +81,7 @@ def test_basis_is_harmonic(m, n):
     sig = Signature(m, n)
     for k in range(4):
         basis = harmonic_basis(k, sig)
-        assert len(basis) == dim_harmonic(k, sig) == harmonic_dim_nullspace(k, sig)
+        assert len(basis) == dim_harmonic(k, sig)
         for h in basis:
             assert apply_op(("Delta",), h).is_zero()
             assert apply_op(("E",), h) == h.scale(k)
@@ -55,6 +103,30 @@ def test_fischer_example():
     assert dict(fischer_decompose(R2(sig)))[1] == SuperPolynomial.one(sig)
     h = harmonic_basis(2, sig)[0]
     assert fischer_decompose(h) == [(0, h)]
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (5, 0), (3, 1), (4, 1), (5, 1), (6, 1)])
+def test_the_peel_agrees_with_the_linear_solve(m, n):
+    sig = Signature(m, n)
+    rng = random.Random(10 * m + n)
+    samples = [random_polynomial(sig, 4, rng, nterms=6) for _ in range(3)]
+    samples += [R2(sig) * random_polynomial(sig, 2, rng) for _ in range(2)]
+    degrees = set()
+    for p in samples:
+        for k, comp in p.homogeneous_components().items():
+            assert fischer_decompose(comp) == solve_route_fischer(comp), (k, comp)
+            degrees.add(k)
+    assert degrees == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (5, 1)])
+def test_a_wrong_r2_in_the_peel_fails_the_fischer_check(monkeypatch, m, n):
+    # the doubled R^2 leaves a remainder that Delta does not kill
+    ctx = Context(RunConfig(m=m, n=n, max_degree=2))
+    assert check_fischer(ctx) == (True, "")
+    monkeypatch.setattr(harmonics, "R2", lambda sig: R2(sig).scale(2))
+    ctx = Context(RunConfig(m=m, n=n, max_degree=2))
+    assert check_fischer(ctx) == (False, "non-harmonic component at degree 2")
 
 
 def test_fischer_sum_rule():
@@ -80,7 +152,7 @@ def test_generalized_contains_harmonics():
     cols = [{dom[kk]: c for kk, c in g.terms.items()} for g in gsh]
     for h in hb:
         target = {dom[kk]: c for kk, c in h.terms.items()}
-        assert linalg.solve_columns(cols, target) is not None
+        assert solve_columns(cols, target) is not None
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 3)])
@@ -122,4 +194,4 @@ def test_dim_chain_with_quotient():
         sig = Signature(m, n)
         sigz = Signature(m, n, varset="z")
         for k in range(5):
-            assert graded_dim_F(k, sigz) == harmonic_dim_nullspace(k, sig)
+            assert graded_dim_F(k, sigz) == len(harmonic_basis(k, sig))

@@ -12,6 +12,7 @@ from superfock.algebra import (Signature, SuperPolynomial, apply_op,
 from superfock.liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
 from superfock.scalars import I, ONE, QQi, _acc, column_terms
 from superfock.verify import action_rows
+from test_harmonics import solve_columns
 
 TKK41 = tkk_for(Signature(4, 1))
 
@@ -350,7 +351,7 @@ def matrix_route_struct(tkk: TKK) -> dict:
     base = tkk.index[("inn",) + tkk.inn_pairs[0]] if tkk.inn_pairs else None
 
     def decompose_inn(mat):
-        sol = linalg.solve_columns(columns, flat(mat))
+        sol = solve_columns(columns, flat(mat))
         assert sol is not None, "operator not in the span of inner derivations"
         return {base + k: v for k, v in sol.items()}
 

@@ -251,7 +251,7 @@ def test_exp_truncation():
     want = SuperPolynomial.one(SIGZ) - z0 + (z0 * z0).scale(Fraction(1, 2)) \
         - (z0 * z0 * z0).scale(Fraction(1, 6))
     assert e == want
-    assert [exp_coefficient(e, 2) for e in range(4)] == [1, 2, 2, Fraction(4, 3)]
+    assert [exp_coefficient(e) for e in range(4)] == [1, -1, Fraction(1, 2), Fraction(-1, 6)]
 
 
 # The slot operators of bi-polynomials that the integer route of

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from superfock import specfun
 from superfock.specfun import g2, itilde, ktilde, laguerre_lambda, value_table
+from superfock.verify import check_k_exponential
 
 
 def test_ktilde_minus_half_is_exponential():
@@ -75,3 +77,12 @@ def test_value_table_shape():
     assert len(rows) == 2
     assert set(rows[0]) == {"t", "itilde_mu_half", "ktilde_nu_half",
                             "laguerre_0", "laguerre_1", "laguerre_2"}
+
+
+def test_a_wrong_k_series_fails_the_exponential_check(monkeypatch):
+    # the check reads the series route that g2 reads, not ktilde's closed form
+    series = specfun._ktilde_c
+    assert check_k_exponential() == (True, "half-integer K-value matches the pure exponential")
+    monkeypatch.setattr(specfun, "_ktilde_c", lambda *args: series(*args) * (1 + 1e-9))
+    ok, detail = check_k_exponential()
+    assert not ok and detail.startswith("t=0.5: ")

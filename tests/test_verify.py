@@ -1153,8 +1153,8 @@ def test_a_wrong_exponential_coefficient_fails_the_series_check_and_both_transfo
     # the forward images and the inverse kernel alike
     coefficient = sbtransform.exp_coefficient
 
-    def doubled_at_2(e, scale=-1):
-        value = coefficient(e, scale)
+    def doubled_at_2(e):
+        value = coefficient(e)
         return 2 * value if e == 2 else value
     ctx = small_context(m, n)
     assert check_exp_identities(ctx)[0] is True and check_sb_lowest(ctx)[0] is True
