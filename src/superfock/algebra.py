@@ -16,8 +16,8 @@ linear extension and ``add_term_product`` the one term product, which
 ``term_product`` sums into the product of two term maps; ``taylor_terms`` is
 the one composition of a scalar function with a nilpotent.  ``QQi``
 appears only at the boundary: ``op_image`` and ``apply_op`` return ``QQi``
-maps and polynomials, ``op_column`` and ``table_columns`` wrap the ints as
-integer columns.
+maps and polynomials, ``op_column`` wraps the ints as an integer column and
+``table_columns`` as numbered columns (``linalg.numbered``).
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ import random
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from operator import add
 
 from . import linalg
-from .scalars import I, QQi, _acc, column_combination, int_column, int_or_qqi
+from .linalg import combination, numbered
+from .scalars import I, QQi, _acc, int_column, int_or_qqi
 
 MonKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -560,8 +561,9 @@ def table_apply(table, op, X, p: SuperPolynomial, rate=0) -> SuperPolynomial:
     return SuperPolynomial(p.sig, out)
 
 
-def table_columns(table, tkk, sig: Signature, rate=0, reduce=None):
-    """fill(key): the row of x^key, a list of the integer columns of X_a x^key
+def table_columns(table, tkk, sig: Signature, number, rate=0, reduce=None):
+    """fill(n): the row of the monomial numbered n by number (a
+    ``linalg.Numbering`` of sig), a list of the numbered columns of X_a x^key
     indexed by the basis element a of tkk, through an action table; it is the
     row that ``linalg.commutator_failure`` reads.  reduce(sig, terms) reduces
     an image where the action acts modulo R^2 (``quotient.nf_terms`` for pi,
@@ -571,21 +573,23 @@ def table_columns(table, tkk, sig: Signature, rate=0, reduce=None):
 
     Each descriptor's image of x^key is made once per fill, straight from its
     ``_OPS`` closed form at rate (read at call time), as an int map that is
-    reduced and wrapped as a column as it is; no polynomial is built.  The
-    column of X_a is one ``column_combination`` of those images with a's
-    coefficients, in plain ints.  Cancelled entries are dropped and the
-    content gcd divided out, so that the column equals ``int_column`` of the
-    polynomial route ``table_apply`` on x^key exactly, down to its
-    denominator, with op ``schrodinger.pi_op`` where the fill reduces and
-    ``apply_op`` where it does not."""
+    reduced and numbered as it is (``linalg.numbered``: an int map becomes
+    the real part); no polynomial is built.  The column of X_a is one
+    ``linalg.combination`` of those images with a's coefficients, in plain
+    ints, with cancelled entries dropped and the content gcd divided out, so
+    that it decodes (``linalg.decode``) to ``int_column`` of the polynomial
+    route ``table_apply`` on x^key exactly, down to its denominator, with op
+    ``schrodinger.pi_op`` where the fill reduces and ``apply_op`` where it
+    does not."""
     _check_shape(table, tkk, sig)
     c = int_or_qqi(rate)
     entries = []  # per basis element, [(descriptor, x, y, e)]: coefficient (x + y i)/e
 
-    def fill(key) -> list[tuple[int, dict]]:
+    def fill(n) -> list[tuple]:
         if not entries:
             entries.extend([(d, x.a, x.b, x.d) for d, x in table(tkk, a)]
                            for a in range(tkk.dim))
+        key = number.key[n]
         images: dict = {}
         columns = []
         for row in entries:
@@ -594,15 +598,13 @@ def table_columns(table, tkk, sig: Signature, rate=0, reduce=None):
                 image = images.get(d)
                 if image is None:
                     image = _OPS[d[0]](sig, key, c, *d[1:])
-                    image = images[d] = _column(reduce(sig, image) if reduce else image)
-                terms.append((x, y, e * image[0], image[1]))
+                    image = images[d] = numbered(reduce(sig, image) if reduce else image,
+                                                 number)
+                terms.append((x, y, e * image[0], image[1], image[2]))
             if len(row) == 1 and row[0][1:] == (1, 0, 1):
                 columns.append(image)  # one descriptor with coefficient 1
-                continue
-            den, out = column_combination(terms)
-            g = gcd(den, *itertools.chain.from_iterable(out.values()))
-            columns.append((den // g, {k: (u // g, v // g) for k, (u, v) in out.items()
-                                       if u or v}))
+            else:
+                columns.append(combination(terms))
         return columns
     return fill
 

@@ -26,7 +26,7 @@ sum_l c_l P^l that ``sbtransform`` reads as well.  The Fock action rho(X) =
 pi_C(c(X)) is the action table ``rho_table`` over the ``algebra._OPS``
 operators at rate 0, reduced modulo R^2 as pi and pi_C are: applied to
 polynomials by ``algebra.table_apply`` with ``schrodinger.pi_op``
-(``rho_apply``), and to monomials, as the row of the columns of every basis
+(``rho_apply``), and to monomials, as the row of the numbered columns of every basis
 element at once, by ``algebra.table_columns`` with ``quotient.nf_terms``
 (``verify.Context.rho_row``).
 """

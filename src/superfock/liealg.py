@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .algebra import Signature
-from .scalars import HALF, I, ONE, QQi, _acc, int_column
+from .scalars import HALF, I, ONE, QQi, _acc
 
 
 class TKK:
@@ -124,10 +124,11 @@ class TKK:
         return dict(sorted(out.items()))
 
     def struct_columns(self) -> dict:
-        """{(a, b): the integer column of [X_a, X_b]}, made from ``struct`` on
-        every call: no memo, so that a change to ``struct`` is seen."""
-        empty = 1, {}
-        return {ab: int_column(st) if st else empty for ab, st in self.struct.items()}
+        """{(a, b): the numbered column of [X_a, X_b], keyed by basis element}
+        (``linalg.numbered``), made from ``struct`` on every call: no memo, so
+        that a change to ``struct`` is seen."""
+        empty = 1, linalg.EMPTY, linalg.EMPTY
+        return {ab: linalg.numbered(st) if st else empty for ab, st in self.struct.items()}
 
     # -- elements ------------------------------------------------------------
 

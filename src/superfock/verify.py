@@ -8,21 +8,27 @@ the requested suites; a check returns (ok, witness), a row whose skip rule
 gives a reason reports a skip with it, and ``run_check`` reports an
 unexpected exception as a failure.
 
-Operators, actions, structure constants and pairings are read as integer
-columns (``scalars.int_column``): Gaussian-integer numerator pairs over one
-positive denominator, gathered into rows, one per monomial, that map each
-operator to its column there.  ``action_rows`` fills the row of every basis
-element on one monomial at once through an action table (pi, pi_C, rho or D,
-see ``algebra.table_columns``), memoized per ``Context`` (``pi_row``,
-``rho_row``) or per check; ``_operator_rows`` reads the ``algebra`` operators
-into rows filled as they are read and memoized per check, except the L_ij
-columns of the angular commutant.  One commutator loop
-(``linalg.commutator_failure``) reads the rows to check the sl2 triple, the
-Bessel operator identities, the angular commutant, the Jacobi identity and
-the representations D, pi and rho; one contraction of a pairing table
-against columns (``linalg.skew_failure``) checks the adjointness of pi, rho
-and L_ij; ``_first_leak`` checks that operators map R^2 P into <R^2>; the
-intertwining, Cayley, bracket and metric residues are ``column_combination``s.
+Operators, actions, structure constants and pairings are read as numbered
+columns (``linalg.numbered``): int numerators over one positive denominator,
+the real and imaginary parts in two maps keyed by monomial number, gathered
+into rows, one per monomial, that map each operator to its column there.
+The monomials are numbered once per ``Context`` and signature
+(``Context.number``) and once per check for D and the ``algebra`` operators;
+a number is decoded back to its key only for a witness.  ``action_rows``
+fills the row of every basis element on one monomial at once through an
+action table (pi, pi_C, rho or D, see ``algebra.table_columns``), memoized
+per ``Context`` (``pi_row``, ``rho_row``) or per check; ``_operator_rows``
+reads the ``algebra`` operators into rows filled as they are read and
+memoized per check, except the L_ij columns of the angular commutant.  One
+commutator loop (``linalg.commutator_failure``) reads the rows to check the
+sl2 triple, the Bessel operator identities, the angular commutant, the
+Jacobi identity, the bracket condition of the matrix model and the
+representations D, pi and rho; one contraction of a pairing table against
+columns (``linalg.skew_failure``) checks the adjointness of pi, rho and
+L_ij; ``_first_leak`` checks that operators map R^2 P into <R^2>; the
+intertwining, Cayley, bracket and metric residues are
+``linalg.combination``s, the SB columns renumbered where they meet a row
+(``_sb_columns``).
 The shift identity of the Bessel-Fischer product compares only the pairings
 where a side is nonzero (``_shift_identity_failure``).
 """
@@ -52,12 +58,12 @@ from .harmonics import (dim_harmonic, fischer_decompose, generalized_basis,
 from .integral import (berezin, berezin_theta_power, gamma_closed_form, gamma_engine,
                        integrate_w, radial_integral, sphere_moment, w_form, w_pair,
                        DivergenceError)
-from .linalg import commutator_failure, skew_failure
+from .linalg import (EMPTY, Numbering, combination, commutator_failure, decode, numbered,
+                     pair_table, renumber, skew_failure)
 from .liealg import TKK, k_basis, k_center_dimension, k_closes, tkk_for
 from .quotient import (graded_dim_F, ideal_member, is_normal_form, nf_terms,
                        normal_form_keys, reduce_poly, reduce_with_quotient)
-from .scalars import (HALF, I, ZERO, PiScalar, QQi, _acc, column_combination, gamma_half,
-                      int_column, int_or_qqi)
+from .scalars import HALF, I, ZERO, PiScalar, QQi, _acc, column_terms, gamma_half, int_or_qqi
 from .schrodinger import abs_X, pi_apply, pi_op, pi_table
 from .sbtransform import SBTransform, b0_identity_failures, exp_z0_truncation
 from . import specfun
@@ -123,28 +129,34 @@ class Context:
         tkk = self.tkk = tkk_for(sig)
         self._sb = None
         self._bf_table: tuple[int, tuple] | None = None
-        # Memos that hold no reference to the Context: the rows of integer
-        # columns of the actions of every basis element on x^key exp(-2 x_0)
-        # (Schrodinger) and on z^key (Fock).  The W-form of the rate-2
-        # monomial vectors x^p and x^q is one signed read of the moment
-        # table, so it has no memo here.
-        self.pi_row = action_rows(pi_table, tkk, sig, 2, nf_terms)
-        self.rho_row = action_rows(rho_table, tkk, sig_z, 0, nf_terms)
+        # One numbering of the monomials per signature, read by every row,
+        # pairing table and column of the context.  Memos that hold no
+        # reference to the Context: the rows of numbered columns of the
+        # actions of every basis element on x^key exp(-2 x_0) (Schrodinger)
+        # and on z^key (Fock), and the harmonic bases of each degree (the
+        # module's ``harmonic_basis`` read at call time).  The
+        # W-form of the rate-2 monomial vectors x^p and x^q is one signed read
+        # of the moment table, so it has no memo here.
+        self.number = {sig: Numbering(), sig_z: Numbering()}
+        self.pi_row = action_rows(pi_table, tkk, sig, self.number[sig], 2, nf_terms)
+        self.rho_row = action_rows(rho_table, tkk, sig_z, self.number[sig_z], 0, nf_terms)
+        self.harmonic_basis = cache(lambda k, sig: harmonic_basis(k, sig))
         self.w_pair = partial(w_pair, sig)
 
-    def bf_table(self, max_degree: int) -> tuple[int, dict]:
+    def bf_table(self, max_degree: int) -> tuple:
         """The nonzero pairings {(a, b): <z^a, z^b>} of the monomials of degree
-        <= max_degree, as the integer column that ``linalg.skew_failure`` reads.
+        <= max_degree, as the numbered pairing table that ``linalg.skew_failure``
+        reads (``linalg.pair_table``, in the z numbering of the context).
 
         One table is kept, rebuilt when a larger degree is asked for.  Its
         entries above max_degree pair no monomial of degree <= max_degree, as
         pairings across degrees vanish, so a contraction over such monomials
         skips them."""
         if self._bf_table is None or self._bf_table[0] < max_degree:
-            self._bf_table = max_degree, int_column({
+            self._bf_table = max_degree, pair_table({
                 (ka, kb): v for d in range(max_degree + 1)
                 for ka, vec in bf_covectors(self.sig_z, d).items()
-                for kb, v in sorted(vec.items())})
+                for kb, v in sorted(vec.items())}, self.number[self.sig_z])
         return self._bf_table[1]
 
     @property
@@ -196,37 +208,47 @@ def _bracket_identities(tkk: TKK, pairs):
             for a, b in pairs)
 
 
-def action_rows(table, tkk: TKK, sig: Signature, rate, reduce=None):
-    """row(key): the integer columns of every basis element of tkk on x^key,
-    a list indexed by basis element, through an action table
-    (``algebra.table_columns``).  The memo is kept per monomial; it holds no
-    reference to a Context and goes with the function."""
-    return cache(table_columns(table, tkk, sig, rate, reduce))
+def action_rows(table, tkk: TKK, sig: Signature, number: Numbering, rate, reduce=None):
+    """row(n): the numbered columns of every basis element of tkk on the
+    monomial numbered n by number, a list indexed by basis element, through an
+    action table (``algebra.table_columns``).  The memo is kept per monomial;
+    it holds no reference to a Context and goes with the function."""
+    return cache(table_columns(table, tkk, sig, number, rate, reduce))
 
 
 class _OperatorRow(dict):
-    """{descriptor: the integer column of the ``algebra._OPS`` descriptor on
-    x^key} (``algebra.op_column``), made on the first read of each
+    """{descriptor: the numbered column of the ``algebra._OPS`` descriptor at
+    rate 0 on the monomial numbered n}, made on the first read of each
     descriptor; the columns of the descriptors whose names are in fresh are
     made on every read and never kept."""
 
-    __slots__ = ("sig", "key", "fresh")
+    __slots__ = ("sig", "number", "key", "fresh")
 
-    def __init__(self, sig: Signature, key, fresh):
+    def __init__(self, sig: Signature, number: Numbering, n: int, fresh):
         super().__init__()
-        self.sig, self.key, self.fresh = sig, key, fresh
+        self.sig, self.number, self.key, self.fresh = sig, number, number.key[n], fresh
 
     def __missing__(self, op):
-        column = op_column(self.sig, op, self.key)
+        column = numbered(_OPS[op[0]](self.sig, self.key, 0, *op[1:]), self.number)
         if op[0] not in self.fresh:
             self[op] = column
         return column
 
 
-def _operator_rows(sig: Signature, fresh=()):
-    """row(key): the ``_OperatorRow`` of x^key, for the commutator loop.  The
-    rows go with the function, so they are dropped with the check using it."""
-    return cache(lambda key: _OperatorRow(sig, key, fresh))
+def _operator_rows(sig: Signature, number: Numbering, fresh=()):
+    """row(n): the ``_OperatorRow`` of the monomial numbered n, for the
+    commutator loop.  The rows go with the function, so they are dropped with
+    the check using it."""
+    return cache(lambda n: _OperatorRow(sig, number, n, fresh))
+
+
+def _operator_loop(sig: Signature, keys, identities, fresh=()):
+    """``linalg.commutator_failure`` on the operator rows of keys, in a
+    numbering of its own: the first failure as (label, key), or None."""
+    number = Numbering()
+    bad = commutator_failure(_operator_rows(sig, number, fresh),
+                             [number[key] for key in keys], identities)
+    return bad and (bad[0], number.key[bad[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +259,7 @@ def _operator_rows(sig: Signature, fresh=()):
 def check_sl2_triple(ctx: Context, max_degree: int = 5):
     sig = ctx.sig
     D, E, R = ("Delta",), ("E",), ("R2",)
-    bad = commutator_failure(_operator_rows(sig), monomials_up_to(sig, max_degree), [
+    bad = _operator_loop(sig, monomials_up_to(sig, max_degree), [
         ("[Delta,R^2]", D, R, 1, {E: 4, ("one",): 2 * sig.M}),
         ("[Delta,E]", D, E, 1, {D: 2}),
         ("[R^2,E]", R, E, 1, {R: -2}),
@@ -319,8 +341,8 @@ def check_bessel_supercommute(ctx: Context, max_degree: int = 3):
     sig = ctx.sig
     nv = sig.nvars
     B = [("bessel_mod", i) for i in range(nv)]
-    bad = commutator_failure(
-        _operator_rows(sig), monomials_up_to(sig, max_degree),
+    bad = _operator_loop(
+        sig, monomials_up_to(sig, max_degree),
         [(f"supercommutativity fails at ({i},{j})", B[j], B[i],
           -1 if (sig.parity(i) and sig.parity(j)) else 1, {})
          for i in range(nv) for j in range(i, nv)])
@@ -333,8 +355,8 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
     sig = ctx.sig
     nv, M, beta = sig.nvars, sig.M, sig.beta
     # L_ii exists for odd i only; the even L_ii term has coefficient 0
-    bad = commutator_failure(
-        _operator_rows(sig), monomials_up_to(sig, max_degree),
+    bad = _operator_loop(
+        sig, monomials_up_to(sig, max_degree),
         [(f"commutator fails at ({i},{j})", ("bessel", 2 - M, i), ("mul", j),
           -1 if (sig.parity(i) and sig.parity(j)) else 1,
           {("one",): beta[i][j] * (M - 2), ("E",): beta[i][j] * 2,
@@ -347,16 +369,17 @@ def check_bessel_commutator(ctx: Context, max_degree: int = 4):
 
 def check_angular_commutes(ctx: Context, max_degree: int = 4):
     """[L_ij, R^2] = [L_ij, E] = [L_ij, Delta] = 0 in the commutator loop on the
-    ``algebra.op_column`` columns: those of R^2, E and Delta, read on keys of degree
+    operator rows: the columns of R^2, E and Delta, read on keys of degree
     <= max_degree only, memoized for the check; those of L_ij, read about once per
     (operator, monomial) pair, are made on each read and not kept, as a memo of
     them all would hold the L_ij columns of every monomial of degree <= max_degree + 2."""
     sig = ctx.sig
-    bad = commutator_failure(
-        _operator_rows(sig, fresh=("L",)), monomials_up_to(sig, max_degree),
+    bad = _operator_loop(
+        sig, monomials_up_to(sig, max_degree),
         [(f"[L_{i}{j}, {name}]", ("L", i, j), C, 1, {})
          for i in range(sig.nvars) for j in range(sig.nvars) if i != j or sig.parity(i)
-         for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))])
+         for name, C in (("R^2", ("R2",)), ("E", ("E",)), ("Delta", ("Delta",)))],
+        fresh=("L",))
     if bad:
         return False, f"{bad[0]} fails on {SuperPolynomial.monomial(sig, bad[1])}"
     return True, ""
@@ -407,7 +430,7 @@ def check_dimension_chain(ctx: Context, max_degree: int = 5):
     for k in range(max_degree + 1):
         count = graded_dim_F(k, sig_z)
         closed = dim_P(sig.m - 1, sig.n, k) + dim_P(sig.m - 1, sig.n, k - 1)
-        null = len(harmonic_basis(k, sig))
+        null = len(ctx.harmonic_basis(k, sig))
         formula = dim_harmonic(k, sig)
         if not count == closed == null == formula:
             return False, f"k={k}: count={count} closed={closed} " \
@@ -432,7 +455,7 @@ def check_dim_formulas_grid():
 def check_harmonic_basis_sizes(ctx: Context, max_degree: int = 4):
     sig = ctx.sig
     for k in range(max_degree + 1):
-        basis = harmonic_basis(k, sig)
+        basis = ctx.harmonic_basis(k, sig)
         if len(basis) != dim_harmonic(k, sig):
             return False, f"k={k}: basis {len(basis)} != formula {dim_harmonic(k, sig)}"
         for h in basis:
@@ -476,7 +499,7 @@ def check_generalized(ctx: Context):
     exceptional = in_minus_2n(M)
     k = 2 - M // 2 if exceptional else 3
     gsh = generalized_basis(k, sig)
-    hb = harmonic_basis(k, sig)
+    hb = ctx.harmonic_basis(k, sig)
     dom = {key: r for r, key in enumerate(monomial_keys(sig, k))}
     rows = [{dom[kk]: c for kk, c in v.terms.items()} for v in gsh + hb]
     if linalg.rank(rows, len(dom)) != len(gsh):
@@ -542,9 +565,10 @@ def check_jordan(ctx: Context):
 
 
 def check_tkk_axioms(ctx: Context):
-    """Antisymmetry compares the integer columns of the basis brackets; the
-    Jacobi identity [a,[b,c]] - s[b,[a,c]] = [[a,b],c] says that ad is a
-    representation, checked by the commutator loop: identity (a, b) on key c."""
+    """Antisymmetry compares the numbered columns of the basis brackets, keyed
+    by basis element; the Jacobi identity [a,[b,c]] - s[b,[a,c]] = [[a,b],c]
+    says that ad is a representation, checked by the commutator loop:
+    identity (a, b) on key c."""
     tkk = ctx.tkk
     dim = tkk.dim
     cols = tkk.struct_columns()
@@ -552,8 +576,9 @@ def check_tkk_axioms(ctx: Context):
     for a in range(dim):
         for b in range(a, dim):  # a failure at (a, b) is one at (b, a) as well
             s = 1 if (odd[a] and odd[b]) else -1  # -(-1)^{|a||b|}
-            d, nums = cols[b, a]
-            if cols[a, b] != (d, {k: (s * x, s * y) for k, (x, y) in nums.items()}):
+            d, re, im = cols[b, a]
+            if cols[a, b] != (d, {k: s * x for k, x in re.items()},
+                              {k: s * y for k, y in im.items()}):
                 return False, f"antisymmetry fails at ({a},{b})"
     # (pairs, keys): every pair on every key, or one loop per sampled triple
     if dim <= 36:
@@ -564,7 +589,7 @@ def check_tkk_axioms(ctx: Context):
                    for _ in range(2000)]
         # a triple whose brackets [a,b], [a,c], [b,c] are all zero cannot fail
         runs = [([(a, b)], (c,)) for a, b, c in triples
-                if cols[a, b][1] or cols[a, c][1] or cols[b, c][1]]
+                if any(cols[pair][1] or cols[pair][2] for pair in ((a, b), (a, c), (b, c)))]
     rows = [[cols[a, c] for a in range(dim)] for c in range(dim)]
     for pairs, keys in runs:
         if bad := commutator_failure(rows.__getitem__, keys, _bracket_identities(tkk, pairs)):
@@ -586,17 +611,18 @@ def check_cayley(ctx: Context):
     for (i, j) in tkk.inn_pairs:
         if tkk.cayley(tkk.inn(i, j)) != tkk.inn(i, j):
             return False, f"inner derivation not fixed: ({i},{j})"
-    # c([X_a, X_b]) - [c X_a, c X_b] as one combination of integer columns
+    # c([X_a, X_b]) - [c X_a, c X_b] as one combination of numbered columns
     cols = tkk.struct_columns()
-    images = [int_column(col) for col in tkk._cayley_columns[0]]
-    for a, (da, ca) in enumerate(images):
-        for b, (db, cb) in enumerate(images):
-            terms = [(v.a, v.b, v.d * images[k][0], images[k][1])
+    images = [numbered(col) for col in tkk._cayley_columns[0]]
+    coeffs = [[(k, v.a, v.b, v.d) for k, v in col.items()] for col in tkk._cayley_columns[0]]
+    for a, ca in enumerate(coeffs):
+        for b, cb in enumerate(coeffs):
+            terms = [(v.a, v.b, v.d * images[k][0], images[k][1], images[k][2])
                      for k, v in tkk.struct[a, b].items()]
-            terms += [(y1 * y2 - x1 * x2, -x1 * y2 - y1 * x2, da * db * cols[p, q][0],
-                       cols[p, q][1]) for p, (x1, y1) in ca.items()
-                      for q, (x2, y2) in cb.items() if cols[p, q][1]]
-            if any(map(any, column_combination(terms)[1].values())):
+            terms += [(y1 * y2 - x1 * x2, -x1 * y2 - y1 * x2, d1 * d2 * cols[p, q][0],
+                       *cols[p, q][1:]) for p, x1, y1, d1 in ca
+                      for q, x2, y2, d2 in cb if cols[p, q][1] or cols[p, q][2]]
+            if any(combination(terms)[1:]):
                 return False, f"bracket preservation fails at ({a},{b})"
     # image of the compact-side subalgebra lands in the structure algebra
     for x in k_basis(tkk):
@@ -609,8 +635,9 @@ def check_cayley(ctx: Context):
 def check_realization(ctx: Context, max_degree: int = 2):
     tkk = ctx.tkk
     bsig = tkk.big_signature
-    keys = monomials_up_to(bsig, max_degree)
-    row = action_rows(TKK.realization_table, tkk, bsig, 0)
+    number = Numbering()
+    keys = [number[key] for key in monomials_up_to(bsig, max_degree)]
+    row = action_rows(TKK.realization_table, tkk, bsig, number, 0)
     pairs = [(a, b) for a in range(tkk.dim) for b in range(tkk.dim)]
     if len(pairs) > 900:
         rng = ctx.rng
@@ -622,26 +649,37 @@ def check_realization(ctx: Context, max_degree: int = 2):
 
 
 def check_osp_matrices(ctx: Context):
-    """The matrix of D(X_a) on the big variables, read off D's integer columns
-    on them, preserves the block metric: summed in Gaussian integers.  The
-    condition is linear, so any scalar multiple of D(X_a) passes it too; only
-    ``check_realization`` sees such an error."""
+    """The matrix of D(X_a) on the big variables, read off D's numbered
+    columns on them, preserves the block metric, summed in Gaussian integers;
+    and the matrices of every basis pair a <= b satisfy
+    [D(X_a), D(X_b)} = D([X_a, X_b]), by the commutator loop on the same rows.
+    The metric condition is linear, so a scalar multiple of D(X_a) passes it;
+    the bracket condition, quadratic, fails it unless the scalar is 0 or 1.
+    The variables are numbered first, so y_u is number u."""
     tkk = ctx.tkk
     bsig = tkk.big_signature
-    keys = [next(iter(SuperPolynomial.variable(bsig, u).terms)) for u in range(bsig.nvars)]
-    rows = list(map(action_rows(TKK.realization_table, tkk, bsig, 0), keys))
-    metric = {key: {v: (b, 0) for v, b in row} for key, row in zip(keys, bsig.beta_rows)}
+    number = Numbering()
+    ys = [number[next(iter(SuperPolynomial.variable(bsig, u).terms))] for u in range(bsig.nvars)]
+    row = action_rows(TKK.realization_table, tkk, bsig, number, 0)
+    rows = list(map(row, ys))
+    metric = [dict(beta_row) for beta_row in bsig.beta_rows]
     for a in range(tkk.dim):
         cols = [r[a] for r in rows]
-        for u, row in enumerate(bsig.beta_rows):
+        for u, beta_row in enumerate(bsig.beta_rows):
             su = -1 if (bsig.parity(u) and tkk.parity(a)) else 1
             # <X y_u, y_v> + su <y_u, X y_v> for every v, as one column over v
-            d, nums = cols[u]
-            terms = [(x, y, d, metric[key]) for key, (x, y) in nums.items()]
-            terms += [(su * b, 0, e, {v: col[keys[r]]}) for r, b in row
-                      for v, (e, col) in enumerate(cols) if keys[r] in col]
-            if any(map(any, column_combination(terms)[1].values())):
+            d, re, im = cols[u]
+            terms = [(x, 0, d, metric[r], EMPTY) for r, x in re.items()]
+            terms += [(0, y, d, metric[r], EMPTY) for r, y in im.items()]
+            terms += [(su * b, 0, e, {v: col_re[r]} if r in col_re else EMPTY,
+                       {v: col_im[r]} if r in col_im else EMPTY)
+                      for r, b in beta_row for v, (e, col_re, col_im) in enumerate(cols)
+                      if r in col_re or r in col_im]
+            if any(combination(terms)[1:]):
                 return False, f"metric not preserved by basis element {a}"
+    pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
+    if bad := commutator_failure(row, ys, _bracket_identities(tkk, pairs)):
+        return False, "bracket not preserved at pair ({},{})".format(*bad[0])
     return True, ""
 
 
@@ -698,11 +736,12 @@ def check_pi_examples(ctx: Context):
 def check_pi_representation(ctx: Context, max_degree: int = 2):
     tkk = ctx.tkk
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
-    bad = commutator_failure(ctx.pi_row, _nf_keys(ctx.sig, max_degree),
+    number = ctx.number[ctx.sig]
+    bad = commutator_failure(ctx.pi_row, [number[key] for key in _nf_keys(ctx.sig, max_degree)],
                              _bracket_identities(tkk, pairs))
     if bad:
-        (a, b), key = bad
-        return False, f"pairs ({a},{b}) on {SuperPolynomial.monomial(ctx.sig, key)}"
+        (a, b), n = bad
+        return False, f"pairs ({a},{b}) on {SuperPolynomial.monomial(ctx.sig, number.key[n])}"
     return True, f"all basis pairs on monomial vectors of degree <= {max_degree}"
 
 
@@ -809,17 +848,19 @@ def check_euler_vanishing(ctx: Context):
 
 def check_pi_skew(ctx: Context, max_degree: int = 2):
     tkk = ctx.tkk
+    number = ctx.number[ctx.sig]
     keys = _nf_keys(ctx.sig, max_degree)
     wider = _nf_keys(ctx.sig, max_degree + 1)
     # pi raises the degree by at most one: pair degree <= d with degree <= d + 1
-    table = int_column({pair: v for p in keys for q in wider for pair in ((p, q), (q, p))
-                        if (v := ctx.w_pair(*pair))})
+    table = pair_table({pair: v for p in keys for q in wider for pair in ((p, q), (q, p))
+                        if (v := ctx.w_pair(*pair))}, number)
+    odd = {number[p]: len(p[1]) & 1 for p in keys}
     for a in range(tkk.dim):
         pX = tkk.parity(a)
-        bad = skew_failure(table, keys, lambda p: ctx.pi_row(p)[a],
-                           lambda p: -1 if (pX and len(p[1]) & 1) else 1)
+        bad = skew_failure(table, odd, lambda p: ctx.pi_row(p)[a],
+                           lambda p: -1 if (pX and odd[p]) else 1)
         if bad:
-            f, g = (SuperPolynomial.monomial(ctx.sig, k) for k in bad)
+            f, g = (SuperPolynomial.monomial(ctx.sig, number.key[n]) for n in bad)
             return False, f"{tkk.basis_label(a)} on ({f}, {g})"
     return True, f"every basis element on vectors of degree <= {max_degree}"
 
@@ -958,18 +999,21 @@ def check_bf_l_adjoint(ctx: Context, max_degree: int = 4):
     contractions of the pairing table: the condition <L p, q> = sign <p, L q>
     for all monomials p, q is a pair of scatter sums over nonzero pairings."""
     sig = ctx.sig_z
-    keys = monomials_up_to(sig, max_degree)
+    number = ctx.number[sig]
+    odd = {number[key]: len(key[1]) & 1 for key in monomials_up_to(sig, max_degree)}
     table = ctx.bf_table(max_degree)
+    angular = _operator_rows(sig, number, fresh=("L",))
     index_pairs = [(i, j) for i in range(sig.nvars) for j in range(i, sig.nvars)
                    if i != j or sig.parity(i)]
     for (i, j) in index_pairs:
         eps = (sig.parity(i) + sig.parity(j)) & 1
         # L_0j is self-adjoint up to the parity sign, every other L_ij skew
         flip = -1 if i == 0 else 1
-        bad = skew_failure(table, keys, partial(op_column, sig, ("L", i, j)),
-                           lambda p: -flip if (eps and len(p[1]) & 1) else flip)
+        bad = skew_failure(table, odd, lambda p: angular(p)[("L", i, j)],
+                           lambda p: -flip if (eps and odd[p]) else flip)
         if bad:
-            return False, f"adjointness fails at L({i},{j}) on {bad}"
+            pq = tuple(number.key[n] for n in bad)
+            return False, f"adjointness fails at L({i},{j}) on {pq}"
     return True, f"all angular index pairs on monomials of degree <= {max_degree}"
 
 
@@ -1052,7 +1096,7 @@ def check_gram(ctx: Context, max_degree: int = 3):
     for key in normal_form_keys(sig, k):
         if bf_product(SuperPolynomial.monomial(sig, key), v) != QQi(0):
             return False, "claimed null vector is not null"
-    for h in harmonic_basis(k, sig)[:3]:
+    for h in ctx.harmonic_basis(k, sig)[:3]:
         hr = reduce_poly(h)
         for key in normal_form_keys(sig, k):
             if bf_product(SuperPolynomial.monomial(sig, key), hr) != QQi(0):
@@ -1062,33 +1106,36 @@ def check_gram(ctx: Context, max_degree: int = 3):
 
 def check_rho_composition(ctx: Context, max_degree: int = 3):
     """By linearity, rho(X_a) z^key = sum_b c(X_a)_b pi_C(X_b) z^key for every
-    basis element a and monomial: the unit column of a against the integer
-    column of its Cayley twist (``TKK._cayley_columns``), in one
-    ``_column_difference``.  rho and pi_C (``pi_table`` at rate 0, memoized for
-    this check only) are action tables filled from the same closed forms and
-    reduced modulo R^2."""
+    basis element a and monomial: the unit column of a against the numbered
+    column of its Cayley twist (``TKK._cayley_columns``), both keyed by basis
+    element, in one ``_column_difference``.  rho and pi_C (``pi_table`` at
+    rate 0, memoized for this check only, in the z numbering of the context)
+    are action tables filled from the same closed forms and reduced modulo
+    R^2."""
     tkk = ctx.tkk
     sig = ctx.sig_z
+    number = ctx.number[sig]
     keys = _nf_keys(sig, max_degree)
-    pi_c = action_rows(pi_table, tkk, sig, 0, nf_terms)
+    pi_c = action_rows(pi_table, tkk, sig, number, 0, nf_terms)
     for a, twist in enumerate(tkk._cayley_columns[0]):
-        twist = int_column(twist)
+        twist = numbered(twist)
         for key in keys:
-            diff = _column_difference(sig, (1, {a: (1, 0)}), ctx.rho_row(key).__getitem__,
-                                      twist, pi_c(key).__getitem__)
-            if not diff.is_zero():
+            n = number[key]
+            if any(_column_difference((1, {a: 1}, EMPTY), ctx.rho_row(n).__getitem__,
+                                      twist, pi_c(n).__getitem__)[1:]):
                 return False, f"{tkk.basis_label(a)} on {SuperPolynomial.monomial(sig, key)}"
     return True, f"rho agrees with the Cayley twist on F_<= {max_degree}"
 
 
 def check_rho_representation(ctx: Context, max_degree: int = 3):
     tkk = ctx.tkk
+    number = ctx.number[ctx.sig_z]
+    keys = [number[key] for key in _nf_keys(ctx.sig_z, max_degree)]
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
-    bad = commutator_failure(ctx.rho_row, _nf_keys(ctx.sig_z, max_degree),
-                             _bracket_identities(tkk, pairs))
+    bad = commutator_failure(ctx.rho_row, keys, _bracket_identities(tkk, pairs))
     if bad:
-        (a, b), key = bad
-        return False, f"commutator fails at ({a},{b}) on {key}"
+        (a, b), n = bad
+        return False, f"commutator fails at ({a},{b}) on {number.key[n]}"
     return True, f"all basis pairs on F_<= {max_degree}"
 
 
@@ -1122,17 +1169,19 @@ def check_rho_skew(ctx: Context, max_degree: int = 3):
     monomial passes this check with max_degree 1 at (4,1) and fails it at
     (5,1)."""
     tkk = ctx.tkk
-    keys = _nf_keys(ctx.sig_z, max_degree)
+    number = ctx.number[ctx.sig_z]
+    odd = {number[key]: len(key[1]) & 1 for key in _nf_keys(ctx.sig_z, max_degree)}
     # rho raises the degree by at most one, but pairings across degrees
     # vanish, so <rho(X) p, q> for p, q of degree <= max_degree reads only
     # pairs of that degree
     table = ctx.bf_table(max_degree)
     for a in range(tkk.dim):
         pX = tkk.parity(a)
-        bad = skew_failure(table, keys, lambda p: ctx.rho_row(p)[a],
-                           lambda p: -1 if (pX and len(p[1]) & 1) else 1)
+        bad = skew_failure(table, odd, lambda p: ctx.rho_row(p)[a],
+                           lambda p: -1 if (pX and odd[p]) else 1)
         if bad:
-            return False, f"{tkk.basis_label(a)} on ({bad[0]},{bad[1]})"
+            p, q = map(number.key.__getitem__, bad)
+            return False, f"{tkk.basis_label(a)} on ({p},{q})"
     return True, f"every basis element on F_<= {max_degree}"
 
 
@@ -1181,34 +1230,54 @@ def check_sb_lowest(ctx: Context):
     return True, ""
 
 
-def _column_difference(sig: Signature, first, first_image, second, second_image):
-    """sum_k first[k] first_image(k) - sum_k second[k] second_image(k) for integer
-    columns first and second and integer-column lookups first_image and
-    second_image, summed by ``column_combination``; the nonzero entries as a
-    polynomial on sig."""
+def _column_difference(first, first_image, second, second_image) -> tuple:
+    """sum_k first[k] first_image(k) - sum_k second[k] second_image(k) for
+    numbered columns first and second and lookups first_image and
+    second_image of numbered columns, as one ``linalg.combination``: zero
+    when its parts are empty."""
     terms = []
-    for (d, nums), image, s in ((first, first_image, 1), (second, second_image, -1)):
-        for k, (x, y) in nums.items():
-            e, column = image(k)
-            terms.append((s * x, s * y, d * e, column))
-    d, out = column_combination(terms)
-    return SuperPolynomial(sig, {k: QQi(x, y, d) for k, (x, y) in out.items() if x or y})
+    for (d, re, im), image, s in ((first, first_image, 1), (second, second_image, -1)):
+        for k, x in re.items():
+            e, ire, iim = image(k)
+            terms.append((s * x, 0, d * e, ire, iim))
+        for k, y in im.items():
+            e, ire, iim = image(k)
+            terms.append((0, s * y, d * e, ire, iim))
+    return combination(terms)
+
+
+def _residue(sig: Signature, column, number: Numbering) -> SuperPolynomial:
+    """A numbered column as a polynomial on sig, for a witness."""
+    return SuperPolynomial(sig, column_terms(decode(column, number.key)))
+
+
+def _sb_columns(ctx: Context, inverse: bool):
+    """n -> the forward (x to z) or inverse (z to x) SB column of the monomial
+    numbered n, renumbered from the ``SBTransform`` memo into the numbering of
+    the image's signature; memoized for the check using it."""
+    src, dst = (ctx.sig_z, ctx.sig) if inverse else (ctx.sig, ctx.sig_z)
+    column = ctx.sb.inverse_column if inverse else ctx.sb.sb_column
+    key, number = ctx.number[src].key, ctx.number[dst]
+    return cache(lambda n: renumber(column(key[n]), number))
 
 
 def check_intertwining(ctx: Context, max_degree: int = 2):
     """SB(pi(X_a) x^key) - rho(X_a) SB(x^key) for each basis element a and each
-    normal-form key, summed over integer columns: the pi column at rate 2
-    against the forward images (``SBTransform.sb_column``), minus the rho
-    columns over the image of key."""
+    normal-form key, summed over numbered columns: the pi column at rate 2
+    against the forward images (``SBTransform.sb_column``, renumbered), minus
+    the rho columns over the image of key."""
     tkk, sb = ctx.tkk, ctx.sb
-    keys = _nf_keys(ctx.sig, max_degree)
+    number = ctx.number[ctx.sig]
+    image = _sb_columns(ctx, False)
+    keys = [number[key] for key in _nf_keys(ctx.sig, max_degree)]
     for a in range(tkk.dim):
-        for key in keys:
-            diff = _column_difference(ctx.sig_z, ctx.pi_row(key)[a], sb.sb_column,
-                                      sb.sb_column(key), lambda k: ctx.rho_row(k)[a])
-            if not diff.is_zero():
-                f = SuperPolynomial.monomial(ctx.sig, key)
-                return False, f"{tkk.basis_label(a)} on {f}: residue {diff}"
+        for n in keys:
+            diff = _column_difference(ctx.pi_row(n)[a], image,
+                                      image(n), lambda k: ctx.rho_row(k)[a])
+            if any(diff[1:]):
+                f = SuperPolynomial.monomial(ctx.sig, number.key[n])
+                residue = _residue(ctx.sig_z, diff, ctx.number[ctx.sig_z])
+                return False, f"{tkk.basis_label(a)} on {f}: residue {residue}"
     # literal action words of length <= 2 applied to the lowest vector
     rng = random.Random(ctx.cfg.seed + 1)
     for _ in range(12):
@@ -1231,22 +1300,25 @@ def inverse_depth(M: int, cap: int) -> int:
 
 def check_intertwining_inverse(ctx: Context, max_degree: int = 3):
     """pi(X_a) SBinv(z^key) - SBinv(rho(X_a) z^key) for each basis element a and
-    each normal-form key, summed over integer columns: the pi columns at rate 2
-    over the reduced inverse image of key (``SBTransform.inverse_column``),
-    minus the reduced inverse images over the rho column."""
-    tkk, sb = ctx.tkk, ctx.sb
+    each normal-form key, summed over numbered columns: the pi columns at rate 2
+    over the reduced inverse image of key (``SBTransform.inverse_column``,
+    renumbered), minus the reduced inverse images over the rho column."""
+    tkk = ctx.tkk
     depth = inverse_depth(ctx.cfg.M, max_degree + 1)
     usable = min(max_degree, depth - 1)
     if usable < 0:
         return True, "inverse pairing undefined beyond degree 0; nothing to test"
+    number = ctx.number[ctx.sig_z]
+    image = _sb_columns(ctx, True)
+    keys = [number[key] for key in _nf_keys(ctx.sig_z, usable)]
     for a in range(tkk.dim):
-        for key in _nf_keys(ctx.sig_z, usable):
-            diff = _column_difference(ctx.sig, sb.inverse_column(key),
-                                      lambda k: ctx.pi_row(k)[a],
-                                      ctx.rho_row(key)[a], sb.inverse_column)
-            if not diff.is_zero():
-                p = SuperPolynomial.monomial(ctx.sig_z, key)
-                return False, f"{tkk.basis_label(a)} on {p}: residue {diff}"
+        for n in keys:
+            diff = _column_difference(image(n), lambda k: ctx.pi_row(k)[a],
+                                      ctx.rho_row(n)[a], image)
+            if any(diff[1:]):
+                p = SuperPolynomial.monomial(ctx.sig_z, number.key[n])
+                residue = _residue(ctx.sig, diff, ctx.number[ctx.sig])
+                return False, f"{tkk.basis_label(a)} on {p}: residue {residue}"
     return True, f"every basis element on F_<= {usable}"
 
 

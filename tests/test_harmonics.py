@@ -180,6 +180,8 @@ def test_a_harmonic_vector_outside_the_generalized_space_fails_the_check(monkeyp
     outside = next(v for v in monos if not delta(r2 * delta(v)).is_zero())
     monkeypatch.setattr(verify, "harmonic_basis",
                         lambda k, sig: harmonic_basis(k, sig) + [outside])
+    # a fresh context: the bases are memoized per context
+    ctx = Context(RunConfig(m=m, n=n, max_degree=1))
     assert check_generalized(ctx) == (False, "harmonics not contained in generalized harmonics")
 
 
@@ -195,3 +197,19 @@ def test_dim_chain_with_quotient():
         sigz = Signature(m, n, varset="z")
         for k in range(5):
             assert graded_dim_F(k, sigz) == len(harmonic_basis(k, sig))
+
+
+def test_one_report_builds_each_harmonic_basis_once(monkeypatch):
+    # nullspace-basis, dimension-chain and generalized-harmonics read the same
+    # bases at (6,1); the memo of the context builds each (k, signature) once
+    builds: dict = {}
+
+    def counting(k, sig):
+        builds[k, sig] = builds.get((k, sig), 0) + 1
+        return harmonic_basis(k, sig)
+    monkeypatch.setattr(verify, "harmonic_basis", counting)
+    ctx = Context(RunConfig(m=6, n=1, max_degree=2))
+    results = verify.run_checks(ctx, verify.ALL_SUITES)
+    assert all(r.status == "pass" for r in results)
+    assert builds and set(builds.values()) == {1}
+    assert ctx.harmonic_basis.cache_info().hits >= 4  # k <= 3 twice, and k = 3 once more

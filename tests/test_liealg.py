@@ -282,22 +282,56 @@ def qqi_matrix_model(tkk, matrix):
     return True, ""
 
 
+def qqi_bracket_model(tkk, matrix):
+    """The bracket condition of ``check_osp_matrices`` in ``QQi`` on the
+    matrices matrix(a) of D(X_a): M_a M_b - s M_b M_a = sum_c [X_a, X_b]_c M_c
+    for every basis pair a <= b, the first failing pair in order."""
+    nv = tkk.big_signature.nvars
+    mats = []  # sparse: row i -> [(j, entry)]
+    for a in range(tkk.dim):
+        mat = matrix(a)
+        mats.append([[(j, v) for j, v in enumerate(r) if v] for r in mat])
+
+    def product(x, y):
+        out: dict = {}
+        for i in range(nv):
+            for k, u in x[i]:
+                for j, v in y[k]:
+                    _acc(out, (i, j), u * v)
+        return out
+    for a in range(tkk.dim):
+        for b in range(a, tkk.dim):
+            s = -1 if (tkk.parity(a) and tkk.parity(b)) else 1
+            resid = product(mats[a], mats[b])
+            for ij, v in product(mats[b], mats[a]).items():
+                _acc(resid, ij, v * -s)
+            for c, coeff in tkk.struct[a, b].items():
+                for i in range(nv):
+                    for j, v in mats[c][i]:
+                        _acc(resid, (i, j), -coeff * v)
+            if resid:
+                return False, f"bracket not preserved at pair ({a},{b})"
+    return True, ""
+
+
 def test_osp_matrix_preserves_metric():
     tkk = TKK41
     assert qqi_matrix_model(tkk, lambda a: osp_matrix(tkk, tkk.basis_element(a))) == (True, "")
+    assert qqi_bracket_model(tkk, lambda a: osp_matrix(tkk, tkk.basis_element(a))) == (True, "")
 
 
 @pytest.mark.parametrize("m,n", [(4, 0), (4, 1), (2, 2)])
 def test_the_realization_columns_on_the_variables_are_the_osp_matrices(m, n):
     tkk = tkk_for(Signature(m, n))
     bsig = tkk.big_signature
-    row = action_rows(TKK.realization_table, tkk, bsig, 0)
+    number = linalg.Numbering()
+    row = action_rows(TKK.realization_table, tkk, bsig, number, 0)
     keys = [next(iter(SuperPolynomial.variable(bsig, u).terms)) for u in range(bsig.nvars)]
     for a in range(tkk.dim):
         mat = osp_matrix(tkk, tkk.basis_element(a))
         for u, key in enumerate(keys):
             want = {keys[r]: mat[r][u] for r in range(bsig.nvars) if mat[r][u]}
-            assert column_terms(row(key)[a]) == want, (a, u)
+            assert column_terms(linalg.decode(row(number[key])[a], number.key)) == want, (a, u)
 
 
 def test_k_subalgebra():

@@ -36,7 +36,8 @@ from superfock.algebra import (_OPS, R2, Signature, SuperPolynomial, apply_op,
                                monomial_keys, monomials_up_to, mul_key, op_column,
                                op_image, table_apply, table_columns)
 from superfock.fock import bessel_image, bf_covectors, rho_apply, rho_table
-from superfock.linalg import commutator_failure, skew_failure
+from superfock.linalg import (_PART, Numbering, commutator_failure, decode, numbered,
+                              pair_table, skew_failure)
 from superfock.liealg import TKK, k_basis, tkk_for
 from superfock.quotient import nf_terms, normal_form_keys
 from superfock.scalars import (I, ZERO, QQi, _acc, column_combination, column_terms,
@@ -57,7 +58,7 @@ from superfock.verify import (ALL_SUITES, CHECKS, Context, RunConfig,
                               check_tkk_axioms, check_unitarity, run_check, run_checks,
                               run_suite)
 from test_algebra import parity
-from test_liealg import osp_matrix, qqi_matrix_model
+from test_liealg import osp_matrix, qqi_bracket_model, qqi_matrix_model
 
 
 def small_context(m=5, n=1) -> Context:
@@ -65,17 +66,30 @@ def small_context(m=5, n=1) -> Context:
 
 
 def double_one_entry(row, target):
-    """Wrap a lookup of rows of integer columns so that every numerator of
-    the column of a on x^key, target = (a, key), is doubled."""
-    a, key = target
+    """Wrap a lookup of rows of numbered columns so that every numerator of
+    the column of a on monomial n, target = (a, n), is doubled."""
+    a, n = target
 
     def wrapped(k):
         r = row(k)
-        if k != key:
+        if k != n:
             return r
-        den, nums = r[a]
-        return ChainMap({a: (den, {k3: (2 * x, 2 * y) for k3, (x, y) in nums.items()})}, r)
+        den, re, im = r[a]
+        return ChainMap({a: (den, {k3: 2 * x for k3, x in re.items()},
+                             {k3: 2 * y for k3, y in im.items()})}, r)
     return wrapped
+
+
+def by_number(column):
+    """A numbered column as the integer column (d, {n: (a, b)}) that the
+    oracles read, keyed by number."""
+    d, re, im = column
+    return d, {n: (re.get(n, 0), im.get(n, 0)) for n in {**re, **im}}
+
+
+def row_columns(row):
+    """column(op, n) of the integer-column oracles, read from a row lookup."""
+    return lambda op, n: by_number(row(n)[op])
 
 
 def assert_fails(outcome):
@@ -97,8 +111,8 @@ def test_a_corrupted_action_column_fails_the_check(check, name):
     name = name.replace("_column", "_row")  # the row lookup of the action's columns
     row = getattr(ctx, name)
     sig = ctx.sig_z if name == "rho_row" else ctx.sig
-    one = ((0,) * sig.m, ())  # the constant monomial
-    a = next(a for a in range(ctx.tkk.dim) if row(one)[a][1])
+    one = ctx.number[sig][((0,) * sig.m, ())]  # the constant monomial
+    a = next(a for a in range(ctx.tkk.dim) if any(row(one)[a][1:]))
     setattr(ctx, name, double_one_entry(row, (a, one)))
     assert_fails(check(ctx, 1))
 
@@ -202,7 +216,7 @@ def test_the_integer_commutator_loop_finds_the_failure_of_the_qqi_loop(seed):
         plant(rng.choice(("Ceven", "Codd")), rng.choice(keys))
     int_cols = {(op, key): int_column(col) for op, by_key in cols.items()
                 for key, col in by_key.items()}
-    rows = {key: {op: int_cols[op, key] for op in cols} for key in keys}
+    rows = {key: {op: numbered(cols[op][key]) for op in cols} for key in keys}
     want = qqi_commutator_failure(lambda op, key: cols[op][key], keys, identities)
     got = commutator_failure(rows.__getitem__, keys, identities)
     assert got == want
@@ -221,12 +235,15 @@ def representation_loop_inputs(ctx, action):
     pairs = [(a, b) for a in range(tkk.dim) for b in range(a, tkk.dim)]
     if action == "D":
         bsig = tkk.big_signature
-        row = verify.action_rows(TKK.realization_table, tkk, bsig, 0)
+        number = Numbering()
+        row = verify.action_rows(TKK.realization_table, tkk, bsig, number, 0)
         keys = monomials_up_to(bsig, 1)
     else:
         row = ctx.rho_row if action == "rho" else ctx.pi_row
-        keys = verify._nf_keys(ctx.sig_z if action == "rho" else ctx.sig, 1)
-    return row, keys, list(verify._bracket_identities(tkk, pairs))
+        sig = ctx.sig_z if action == "rho" else ctx.sig
+        number = ctx.number[sig]
+        keys = verify._nf_keys(sig, 1)
+    return row, [number[key] for key in keys], list(verify._bracket_identities(tkk, pairs))
 
 
 @pytest.mark.parametrize("m,n", [(4, 1), (5, 1), (3, 1)])
@@ -238,11 +255,35 @@ def test_a_doubled_column_fails_both_commutator_loops_alike(m, n, action, seed):
     assert commutator_failure(row, keys, identities) is None
     rng = random.Random(f"{m},{n},{action},{seed}")
     target = rng.choice([(a, key) for key in keys for a in range(ctx.tkk.dim)
-                         if row(key)[a][1]])
+                         if any(row(key)[a][1:])])
     doubled = double_one_entry(row, target)
-    want = identity_major_commutator_failure(lambda a, key: doubled(key)[a], keys, identities)
+    want = identity_major_commutator_failure(row_columns(doubled), keys, identities)
     assert want is not None
     assert commutator_failure(doubled, keys, identities) == want
+
+
+@pytest.mark.parametrize("m,n", [(4, 1), (5, 1), (2, 2)])
+def test_a_complex_rho_column_meets_the_one_part_columns_in_one_loop(m, n):
+    # a real column of rho in the middle of the keys becomes complex, times
+    # 1 + i, among real and purely imaginary columns: the flat loop and both
+    # oracles, read through a decode helper, give one witness
+    ctx = small_context(m, n)
+    row, keys, identities = representation_loop_inputs(ctx, "rho")
+    middle = keys[len(keys) // 2]
+    a = next(a for a in range(ctx.tkk.dim) if row(middle)[a][1] and not row(middle)[a][2])
+    kinds = {(bool(re), bool(im)) for n in keys for _, re, im in row(n)}
+    assert {(True, False), (False, True)} <= kinds  # one-part columns of both kinds
+
+    def complex_row(n):
+        if n != middle:
+            return row(n)
+        den, re, im = row(n)[a]
+        return ChainMap({a: (den, re, dict(re))}, row(n))
+    got = commutator_failure(complex_row, keys, identities)
+    assert got is not None and got[1] in keys
+    assert identity_major_commutator_failure(row_columns(complex_row), keys, identities) == got
+    assert qqi_commutator_failure(lambda op, n: column_terms(by_number(complex_row(n)[op])),
+                                  keys, identities) == got
 
 
 # the witness each operator-row check makes of a loop failure (label, key)
@@ -268,17 +309,22 @@ def test_a_doubled_operator_column_fails_the_row_check_as_the_column_oracle_does
     loop = verify.commutator_failure
     seen = {}
 
+    monos = monomials_up_to(sig, 2)  # numbered in order by the check
+
     def doubled_loop(row, keys, identities):
-        seen["args"] = double_one_entry(row, (op, x1x2(sig))), list(keys), list(identities)
+        keys = list(keys)
+        target = op, keys[monos.index(x1x2(sig))]
+        seen["args"] = double_one_entry(row, target), keys, list(identities)
         seen["got"] = loop(*seen["args"])
         return seen["got"]
     monkeypatch.setattr(verify, "commutator_failure", doubled_loop)
     ok, witness = check(ctx, 2)
     row, keys, identities = seen["args"]
-    want = identity_major_commutator_failure(lambda o, key: row(key)[o], keys, identities)
+    want = identity_major_commutator_failure(row_columns(row), keys, identities)
     assert want is not None and seen["got"] == want
+    key = monos[keys.index(want[1])]
     assert (ok, witness) == (
-        False, ROW_WITNESS[check].format(want[0], SuperPolynomial.monomial(sig, want[1])))
+        False, ROW_WITNESS[check].format(want[0], SuperPolynomial.monomial(sig, key)))
 
 
 def qqi_skew_residual(table, keys, column, sign):
@@ -330,7 +376,10 @@ def test_the_integer_skew_contraction_finds_a_failure_of_the_qqi_one(seed):
             del cols[p][q]
     table = {(p, p): v for p, v in g.items()}
     want = qqi_skew_residual(table, keys, lambda p: cols[p], lambda p: s)
-    got = skew_failure(int_column(table), keys, lambda p: int_column(cols[p]), lambda p: s)
+    number = Numbering()
+    assert [number[p] for p in keys] == keys
+    got = skew_failure(pair_table(table, number), keys, lambda p: numbered(cols[p]),
+                       lambda p: s)
     assert (got is None) == (not want) == (seed % 3 == 0)
     assert got is None or got in want
 
@@ -339,10 +388,11 @@ def test_the_integer_skew_contraction_finds_a_failure_of_the_qqi_one(seed):
 def test_rho_apply_equals_the_rho_columns(m, n):
     ctx = small_context(m, n)
     sig = ctx.sig_z
+    number = ctx.number[sig]
     for key in monomials_up_to(sig, 2):
         p = SuperPolynomial.monomial(sig, key)
         for a in range(ctx.tkk.dim):
-            assert column_terms(ctx.rho_row(key)[a]) == \
+            assert column_terms(decode(ctx.rho_row(number[key])[a], number.key)) == \
                 rho_apply(ctx.tkk.basis_element(a), p).terms
 
 
@@ -379,12 +429,13 @@ def test_the_actions_refuse_an_element_of_another_shape():
                        (TKK.realization_table, tkk.sig),
                        (rho_table, Signature(5, 1, varset="z"))):
         with pytest.raises(ValueError, match="different shapes"):
-            table_columns(table, tkk, sig)
+            table_columns(table, tkk, sig, Numbering())
 
 
 @pytest.mark.parametrize("m,n", [(4, 0), (5, 1), (2, 2)])
 def test_the_integer_fill_equals_the_columns_of_the_polynomial_applier(m, n):
-    # the same tuple, denominator included: pi at rates 0 and 2, rho and D
+    # the numbered rows decode to the same tuple, denominator included: pi at
+    # rates 0 and 2, rho and D
     tkk = tkk_for(Signature(m, n))
     sig, sig_z, bsig = tkk.sig, Signature(m, n, varset="z"), tkk.big_signature
     nf = [key for d in range(3) for key in normal_form_keys(sig, d)]
@@ -397,16 +448,34 @@ def test_the_integer_fill_equals_the_columns_of_the_polynomial_applier(m, n):
 
 
 def assert_fill_equals_the_polynomial_applier(tkk, table, op, space, rate, keys):
-    """``table_columns`` on each key against ``int_column`` of ``table_apply``
-    of every basis element: the same tuple, denominator included.  The fill
-    reduces modulo R^2 where op is ``pi_op``."""
-    fill = table_columns(table, tkk, space, rate, nf_terms if op is pi_op else None)
+    """``table_columns`` on each key, decoded, against ``int_column`` of
+    ``table_apply`` of every basis element: the same tuple, denominator
+    included.  The fill reduces modulo R^2 where op is ``pi_op``."""
+    number = Numbering()
+    fill = table_columns(table, tkk, space, number, rate, nf_terms if op is pi_op else None)
     for key in keys:
         p = SuperPolynomial.monomial(space, key)
-        columns = fill(key)
+        columns = fill(number[key])
         for a in range(tkk.dim):
             want = int_column(table_apply(table, op, tkk.basis_element(a), p, rate).terms)
-            assert columns[a] == want, (table.__name__, rate, a, key)
+            assert decode(columns[a], number.key) == want, (table.__name__, rate, a, key)
+
+
+@pytest.mark.parametrize("m,n", [(4, 0), (5, 1), (2, 2)])
+def test_the_operator_rows_decode_to_the_operator_columns(m, n):
+    # every descriptor the commutator checks compose, on every monomial of
+    # degree <= 2: the same tuple as ``op_column``, denominator included
+    sig = Signature(m, n)
+    nv = sig.nvars
+    descriptors = [("Delta",), ("E",), ("R2",), ("one",)]
+    descriptors += [(name, i) for i in range(nv) for name in ("mul", "bessel_mod", "d_lower")]
+    descriptors += [("bessel", 2 - sig.M, i) for i in range(nv)]
+    descriptors += [("L", i, j) for i in range(nv) for j in range(nv) if i != j or sig.parity(i)]
+    number = Numbering()
+    row = verify._operator_rows(sig, number, fresh=("L",))
+    for key in monomials_up_to(sig, 2):
+        for d in descriptors:
+            assert decode(row(number[key])[d], number.key) == op_column(sig, d, key), (d, key)
 
 
 def test_the_fill_equals_the_polynomial_applier_at_a_rational_rate_and_metric():
@@ -575,19 +644,19 @@ def test_a_doubled_realization_entry_fails_the_matrix_model_as_the_qqi_route_doe
     a = next(a for a, d in enumerate(tkk.basis) if d[0] == kind)
     mat = osp_matrix(tkk, tkk.basis_element(a))
     u, r = next((u, r) for u in range(bsig.nvars) for r in range(bsig.nvars) if mat[r][u])
-    key_u, key_r = (next(iter(SuperPolynomial.variable(bsig, v).terms)) for v in (u, r))
     assert check_osp_matrices(ctx) == (True, "")
     action_rows = verify.action_rows
 
-    def doubled(*args):
+    def doubled(*args):  # the check numbers the variables first: y_u is number u
         rows = action_rows(*args)
 
-        def wrapped(key):
-            row = rows(key)
-            if key != key_u:
+        def wrapped(n):
+            row = rows(n)
+            if n != u:
                 return row
-            den, nums = row[a]
-            return ChainMap({a: (den, {**nums, key_r: tuple(2 * z for z in nums[key_r])})}, row)
+            den, re, im = row[a]
+            re, im = ({**part, r: 2 * part[r]} if r in part else part for part in (re, im))
+            return ChainMap({a: (den, re, im)}, row)
         return wrapped
 
     def doubled_matrix(b):
@@ -600,20 +669,52 @@ def test_a_doubled_realization_entry_fails_the_matrix_model_as_the_qqi_route_doe
         (False, f"metric not preserved by basis element {a}")
 
 
-def test_a_multiple_of_one_realization_passes_the_matrix_model_but_not_the_realization(
+def test_an_osp_entry_off_the_realization_fails_the_matrix_model_and_the_realization(
         monkeypatch):
     # at (4,1), D of the odd-pair inner derivation ("inn", 5, 5) maps y_6 to
-    # 2 y_7; doubled to 4 y_7, D(X_a) is still in the orthosymplectic algebra
+    # 2 y_7; doubled to 4 y_7, D(X_a) is still in the orthosymplectic algebra,
+    # so the metric holds and only the bracket condition sees it
     ctx = small_context(4, 1)
     tkk = ctx.tkk
     a = tkk.basis.index(("inn", 5, 5))
     y6 = next(iter(SuperPolynomial.variable(tkk.big_signature, 6).terms))
     action_rows = verify.action_rows
-    monkeypatch.setattr(verify, "action_rows",
-                        lambda *args: double_one_entry(action_rows(*args), (a, y6)))
+    monkeypatch.setattr(verify, "action_rows",  # args[3] is the check's numbering
+                        lambda *args: double_one_entry(action_rows(*args), (a, args[3][y6])))
+
+    def doubled_matrix(b):
+        mat = osp_matrix(tkk, tkk.basis_element(b))
+        if b == a:
+            mat[7][6] = mat[7][6] * 2
+        return mat
+    assert qqi_matrix_model(tkk, doubled_matrix) == (True, "")
+    want = qqi_bracket_model(tkk, doubled_matrix)
     status = {r.name: (r.status, r.detail) for r in run_checks(ctx, ("liealg",))}
-    assert status["matrix-model"] == ("pass", "")
+    assert status["matrix-model"] == ("fail", want[1]) and want[0] is False
     assert status["differential-realization"] == ("fail", f"homomorphism fails at pair (4,{a})")
+
+
+@pytest.mark.parametrize("m,n,kind", [(4, 1, "inn"), (4, 0, "L"), (2, 2, "plus")])
+def test_a_doubled_realization_fails_the_matrix_model_on_its_own(monkeypatch, m, n, kind):
+    # 2 D(X_a) preserves the metric, as the condition is linear; the bracket
+    # condition fails, with the witness of the QQi route on the matrices
+    ctx = small_context(m, n)
+    tkk = ctx.tkk
+    a = next(a for a, d in enumerate(tkk.basis) if d[0] == kind)
+    action_rows = verify.action_rows
+
+    def doubled(*args):  # the column of a doubled on every monomial
+        rows = action_rows(*args)
+        return lambda k: double_one_entry(rows, (a, k))(k)
+
+    def doubled_matrix(b):
+        mat = osp_matrix(tkk, tkk.basis_element(b))
+        return [[v * 2 for v in r] for r in mat] if b == a else mat
+    assert qqi_matrix_model(tkk, doubled_matrix) == (True, "")
+    want = qqi_bracket_model(tkk, doubled_matrix)
+    assert want[0] is False and want[1].startswith("bracket not preserved at pair")
+    monkeypatch.setattr(verify, "action_rows", doubled)
+    assert check_osp_matrices(ctx) == want
 
 
 def test_a_failing_word_sample_names_its_basis_element(monkeypatch):
@@ -667,9 +768,9 @@ def test_a_doubled_inverse_image_fails_the_inverse_intertwining():
 @pytest.mark.parametrize("check", [check_intertwining, check_intertwining_inverse])
 def test_a_doubled_rho_column_fails_both_intertwining_checks(check):
     ctx = small_context(5, 0)
-    one = ((0,) * ctx.sig.m, ())
+    one = ctx.number[ctx.sig_z][((0,) * ctx.sig.m, ())]
     # both checks read rho(X_a) on 1: SB(1) = 1, and 1 lies in F_<=2
-    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_row(one)[a][1])
+    a = next(a for a in range(ctx.tkk.dim) if any(ctx.rho_row(one)[a][1:]))
     ctx.rho_row = double_one_entry(ctx.rho_row, (a, one))
     assert_fails(check(ctx, 2))
 
@@ -677,10 +778,13 @@ def test_a_doubled_rho_column_fails_both_intertwining_checks(check):
 def test_a_corrupted_pairing_fails_the_angular_adjointness():
     ctx = small_context()
     assert check_bf_l_adjoint(ctx, 1)[0] is True
-    _, nums = ctx.bf_table(1)
-    pair = next(pair for pair in nums if pair[0] != pair[1])
-    assert pair == (((0, 0, 0, 0, 0), (5,)), ((0, 0, 0, 0, 0), (6,)))
-    nums[pair] = tuple(2 * x for x in nums[pair])
+    _, re, im = ctx.bf_table(1)
+    assert not im  # the pairings are real
+    key = ctx.number[ctx.sig_z].key
+    pair = next(pq for pq in re if len(set(divmod(pq, _PART))) == 2)
+    assert tuple(key[n] for n in divmod(pair, _PART)) == \
+        (((0, 0, 0, 0, 0), (5,)), ((0, 0, 0, 0, 0), (6,)))
+    re[pair] *= 2
     assert check_bf_l_adjoint(ctx, 1) == (
         False, "adjointness fails at L(0,5) on (((1, 0, 0, 0, 0), ()), ((0, 0, 0, 0, 0), (6,)))")
 
@@ -746,8 +850,8 @@ def test_rho_skew_is_blind_on_degree_one_at_m_2():
     # Pinned limitation, see check_rho_skew: the Bessel-Fischer form vanishes
     # on F_1 at M = 2, so the corruption that fails at (5,1) passes at (4,1).
     ctx = small_context(4, 1)
-    one = ((0,) * ctx.sig_z.m, ())
-    a = next(a for a in range(ctx.tkk.dim) if ctx.rho_row(one)[a][1])
+    one = ctx.number[ctx.sig_z][((0,) * ctx.sig_z.m, ())]
+    a = next(a for a in range(ctx.tkk.dim) if any(ctx.rho_row(one)[a][1:]))
     ctx.rho_row = double_one_entry(ctx.rho_row, (a, one))
     assert check_rho_skew(ctx, 1)[0] is True
 
