@@ -19,7 +19,8 @@ type; it coerces the coefficient, and zero carries half = 0.
 Hot contraction loops read sparse maps of ``QQi`` values as integer columns
 (``int_column``): Gaussian-integer numerator pairs over one positive
 denominator, so they add and multiply plain ints; ``column_terms`` converts
-back.
+back.  ``ColumnSum`` sums such numerators, or single Gaussian rationals at
+keys, over one running common denominator.
 
 The operator calculus (``algebra._OPS``, ``quotient.reduce_terms``,
 ``bipoly.pairing_power``) runs on term maps of plain ints: ``int_or_qqi``
@@ -214,26 +215,47 @@ def column_terms(column: tuple[int, dict]) -> dict:
     return {k: QQi(a, b, d) for k, (a, b) in nums.items()}
 
 
-def column_combination(terms) -> tuple[int, dict]:
-    """sum (x + y*i)/e * nums over terms (x, y, e, nums), with ints x, y and
-    e > 0 and nums the numerators of an integer column, as (d, {key: [a, b]})
-    with value (a + b*i)/d; entries that cancel stay, as [0, 0].  Plain ints
-    are summed over a running common denominator d, rescaled only when a new
-    e does not divide it."""
-    out: dict = {}
-    d = 1
-    for x, y, e, nums in terms:
+class ColumnSum:
+    """A running sum of Gaussian rationals at keys, held as numerator pairs
+    [a, b] over one common denominator d > 0, value (a + b*i)/d: plain ints,
+    rescaled only when a new denominator does not divide d.  Entries that
+    cancel stay, as [0, 0]."""
+
+    __slots__ = ("d", "nums")
+
+    def __init__(self):
+        self.d, self.nums = 1, {}
+
+    def _over(self, e: int) -> int:
+        """d // e, once d is brought to the least common multiple of d and e."""
+        d = self.d
         if d % e:
             new = d // gcd(d, e) * e
             g = new // d
-            for r in out.values():
+            for r in self.nums.values():
                 r[0] *= g
                 r[1] *= g
-            d = new
-        f = d // e
+            self.d = d = new
+        return d // e
+
+    def add(self, key, x: int, y: int, e: int) -> None:
+        """Add (x + y*i)/e, with ints x, y and e > 0, at key."""
+        d = self.d
+        f = self._over(e) if d % e else d // e
+        r = self.nums.get(key)
+        if r is None:
+            self.nums[key] = [x * f, y * f]
+        else:
+            r[0] += x * f
+            r[1] += y * f
+
+    def add_column(self, x: int, y: int, e: int, nums: dict) -> None:
+        """Add (x + y*i)/e times the numerators nums of an integer column."""
+        f = self._over(e)
         if f != 1:
             x *= f
             y *= f
+        out = self.nums
         for k, (u, v) in nums.items():
             r = out.get(k)
             if r is None:
@@ -241,7 +263,16 @@ def column_combination(terms) -> tuple[int, dict]:
             else:
                 r[0] += x * u - y * v
                 r[1] += x * v + y * u
-    return d, out
+
+
+def column_combination(terms) -> tuple[int, dict]:
+    """sum (x + y*i)/e * nums over terms (x, y, e, nums), with ints x, y and
+    e > 0 and nums the numerators of an integer column, as (d, {key: [a, b]})
+    with value (a + b*i)/d, summed by one ``ColumnSum``."""
+    acc = ColumnSum()
+    for term in terms:
+        acc.add_column(*term)
+    return acc.d, acc.nums
 
 
 def column_image(column: tuple[int, dict], image) -> tuple[int, dict]:

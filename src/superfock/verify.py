@@ -1047,8 +1047,9 @@ def check_bf_ideal(ctx: Context, max_degree: int = 2):
     sig = ctx.sig_z
     r2 = R2(sig)
     for p in ctx.sample_polys(max_degree, 6, sig):
+        r2p = r2 * p
         for q in ctx.sample_polys(max_degree + 2, 4, sig):
-            if bf_product(r2 * p, q) != QQi(0) or bf_product(q, r2 * p) != QQi(0):
+            if bf_product(r2p, q) != QQi(0) or bf_product(q, r2p) != QQi(0):
                 return False, f"ideal not annihilated on ({p}, {q})"
     return True, ""
 

@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from superfock.algebra import (R2, Signature, SuperPolynomial, add_term_product, apply_op,
-                               derive_key, monomial_keys, r2_small)
+                               derive_key, merge_odd, monomial_keys, r2_small)
 from superfock import sbtransform
 from superfock.bipoly import (LEFT, RIGHT, BiSignature, _slot_r2_power, bi_signature,
                               pairing, pairing_power)
-from superfock.fock import bf_product, rho_apply
-from superfock.integral import _integral_direct, gamma_engine, w_form
+from superfock.fock import bf_covectors, bf_product, rho_apply
+from superfock.integral import _integral_direct, gamma_engine, moment, w_form
 from superfock.liealg import tkk_for
-from superfock.quotient import normal_form_keys, reduce_poly
+from superfock.quotient import nf_terms, normal_form_keys, reduce_poly
 from superfock.sbtransform import (SBTransform, b0_identity_failures, b_series_coeff,
                                    exp_coefficient, exp_z0_truncation)
-from superfock.scalars import I, PiScalar, QQi, _acc, column_terms
+from superfock.scalars import I, PiScalar, QQi, _acc, column_terms, int_column
 from superfock.schrodinger import pi_apply
 from superfock.verify import (Context, RunConfig, check_b0_identities,
                               check_intertwining, check_intertwining_inverse, run_check)
@@ -233,16 +233,74 @@ def integral_route_image(sb, mono, integrals):
         key: c for key, c in image.terms.items() if sum(key[0]) + len(key[1]) <= cap + 2}))
 
 
+def qqi_forward_column(sb, mono):
+    """The forward image of x^mono by the ``QQi`` accumulation that
+    ``sb_column`` replaced, kept as its oracle: c_l v times the moment of each
+    term of P^l summed in ``QQi``, then times exp(-z_0) truncated at degree
+    cap + 2, reduced, and read by ``int_column``."""
+    mev, modd = mono
+    cap = sum(mev) + len(modd)
+    acc = {}
+    for l in range(cap + 3):
+        c = QQi.coerce(sbtransform.b_series_coeff(sb.M, 0, l))
+        for key, v in pairing_power(sb.sig_x, sb.sig_z, l).items():
+            (xev, xodd), zkey = sb.bsig.split(key)
+            merged = merge_odd(xodd, modd)
+            if merged is None:
+                continue
+            sign, odd = merged
+            if len(modd) & len(zkey[1]) & 1:
+                sign = -sign
+            val = c * v * moment(sb.sig_x, (tuple(a + b for a, b in zip(xev, mev)), odd), 4)
+            _acc(acc, zkey, val if sign > 0 else -val)
+    powers = [QQi.coerce(sbtransform.exp_coefficient(e)) for e in range(cap + 3)]
+    image = {}
+    for (ev, odd), c in acc.items():
+        for e in range(cap + 3 - sum(ev) - len(odd)):
+            _acc(image, ((ev[0] + e,) + ev[1:], odd), c * powers[e])
+    return int_column(nf_terms(sb.sig_z, image))
+
+
+def qqi_inverse_column(sb, key):
+    """The inverse image of z^key by the ``QQi`` accumulation that
+    ``inverse_column`` replaced, kept as its oracle: c_l (-1)^e/e! v times the
+    pairing of each shifted z-monomial of P^l with z^key, summed in ``QQi``."""
+    k = sum(key[0]) + len(key[1])
+    cov = bf_covectors(sb.sig_z, k)
+    out = {}
+    for l in range(k + 1):
+        e = k - l
+        f = QQi.coerce(sbtransform.b_series_coeff(sb.M, 0, l)) \
+            * QQi.coerce(sbtransform.exp_coefficient(e))
+        for jkey, v in pairing_power(sb.sig_x, sb.sig_z, l).items():
+            xkey, (zev, zodd) = sb.bsig.split(jkey)
+            val = cov[((zev[0] + e,) + zev[1:], zodd)].get(key)
+            if val is not None:
+                _acc(out, xkey, f * v * val)
+    return int_column(nf_terms(sb.sig_x, out))
+
+
 @pytest.mark.parametrize("m,n", [(5, 0), (6, 1), (8, 2)])
 def test_forward_images_agree_with_the_integral_route(m, n):
     # (8,2) has two odd pairs, so the odd merge and crossing signs of the
-    # pre-split series meet odd monomials on both sides; degree <= 1 there
+    # pre-split series meet odd monomials on both sides; degree <= 1 there.
+    # The integer column is the QQi route's int_column, denominator included.
     sb = SBTransform(Signature(m, n))
     integrals = {}
     for d in range(2 if n == 2 else 4):
         for key in normal_form_keys(sb.sig_x, d):
-            image = SuperPolynomial(sb.sig_z, column_terms(sb.sb_column(key)))
+            column = sb.sb_column(key)
+            assert column == qqi_forward_column(sb, key), key
+            image = SuperPolynomial(sb.sig_z, column_terms(column))
             assert image == integral_route_image(sb, key, integrals), key
+
+
+@pytest.mark.parametrize("m,n", [(5, 0), (5, 1), (6, 1)])
+def test_inverse_columns_are_the_qqi_route_as_integer_columns(m, n):
+    sb = SBTransform(Signature(m, n))
+    for d in range(4):
+        for key in normal_form_keys(sb.sig_z, d):
+            assert sb.inverse_column(key) == qqi_inverse_column(sb, key), key
 
 
 def test_exp_truncation():
@@ -505,6 +563,25 @@ def test_a_wrong_bessel_lambda_fails_at_the_same_label_and_degree_on_both_routes
     for label, d in failures:
         assert d == (None if not label.startswith("Bessel") else 0 if "z side" in label
                      else 1), label
+
+
+@pytest.mark.parametrize("m,n", [(3, 0), (5, 1)])
+def test_the_first_failing_identity_in_order_is_reported_not_the_lowest_degree(
+        m, n, monkeypatch):
+    # a doubled c_3 fails z-derivative (k=1) first at degree 2, and the wrong
+    # lambda fails every z-side Bessel identity, later in order, at degree 0
+    coeff = sbtransform.b_series_coeff
+
+    def doubled_at_l_3(M, alpha, l):
+        value = coeff(M, alpha, l)
+        return 2 * value if (alpha, l) == (0, 3) else value
+
+    monkeypatch.setattr(sbtransform, "b_series_coeff", doubled_at_l_3)
+    sig, sigz = Signature(m, n), Signature(m, n, varset="z")
+    failures = list(b0_identity_failures(sig, sigz, 4, lam=3 - sig.M))
+    assert failures == difference_route_failures(sig, sigz, 4, lam=3 - sig.M)
+    assert dict(failures)["Bessel eigenfunction (z side, i=0)"] == 0
+    assert oracle_verdict(failures, 4) == (False, "z-derivative (k=1) fails at degree 2")
 
 
 def test_a_pairing_that_is_not_integral_is_refused():
